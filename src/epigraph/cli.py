@@ -550,12 +550,18 @@ def resolve_grid(config: RunConfig) -> Grid:
 # exports
 # ---------------------------------------------------------------------------
 
+_ROWS_PER_WRITE = 1024
+
+
 def _write_rows(path: str, header: Sequence[str], table: Array) -> None:
+    """CSV with a header row and ``%.17g`` fields, CRLF-terminated like
+    :mod:`csv`; rows are formatted a block at a time to bound the memory held."""
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow(["%.17g" % value for value in row])
+        csv.writer(handle).writerow(header)
+        for start in range(0, table.shape[0], _ROWS_PER_WRITE):
+            block = table[start:start + _ROWS_PER_WRITE]
+            handle.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def export_slice_csv(field_obj: Field, level: int, path: str) -> str:

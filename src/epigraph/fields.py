@@ -46,6 +46,8 @@ class Grid:
     times: Array
 
     def __post_init__(self) -> None:
+        # own the margin axis: the zero snap below must not reach the caller
+        object.__setattr__(self, "margin_axis", np.array(self.margin_axis, dtype=float))
         for axis in (*self.state_axes, self.margin_axis, self.times):
             steps = np.diff(axis)
             if axis.shape[0] < 3:

@@ -25,8 +25,13 @@ The full node Hamiltonian is::
 
 and the backward scheme drives H to zero at every interior node.  Everything
 here is pure and allocation-light: these are the reference per-node
-operations; the solver runs an equivalent vectorized sweep and is
-cross-checked against this module in the tests.
+operations; the solver runs an equivalent vectorized sweep, and
+``tests/test_solver.py::_sweep_residuals`` checks that the sweep's slope
+makes :func:`hamiltonian_at_node` vanish at random interior nodes, with and
+without diffusion and jumps.  The check covers the frozen hedge with jumps,
+not the spectral one: there the sweep inverts the arrowhead with the jump
+compensator inside the corner, while this module adds it after the top
+eigenvalue.
 """
 
 from __future__ import annotations

@@ -18,6 +18,20 @@ linear-in-margin behaviour of the diagnostic slab below margin 0):
   forward difference standing in on the bottom face;
 * second differences are central, and zero on hull faces (linear ghost
   extension), which keeps a truncated linear profile an exact fixed point.
+
+Structurally zero work is skipped, per control and per level, and the
+skipped forms give the same bits as the full ones wherever the stencils are
+finite:
+
+* a control whose diffusion is identically zero has a zero trace term and a
+  zero arrow.  Subtracting a +0 trace leaves every value, -0 included,
+  unchanged, and ``corner_for_eigenvalue(target, 0, diag)`` is ``target``
+  bit for bit on both branches.  So the curvature stencils, the arrow and
+  the inversion are skipped and ``corner = target``;
+* without jump atoms the jump supremum is a zero array and the target is
+  its negation, -0.  The slope is then ``explicit - (-0.0)``: like the full
+  form, it maps an explicit -0 to +0;
+* in frozen-hedge mode the arrow is never used, so it is never built.
 """
 
 from __future__ import annotations
@@ -183,6 +197,49 @@ def max_stable_dt(problem: Problem, grid: Grid, safety: float = 0.9) -> float:
 # one explicit step of the margin-coupled sweep
 # ---------------------------------------------------------------------------
 
+def _state_curvature(prev: Array, h: tuple[float, ...], n: int) -> tuple[list, dict]:
+    """Second and mixed differences of ``prev`` along its ``n`` state axes."""
+    hess = [second_difference(prev, i, h[i]) for i in range(n)]
+    cross_state = {
+        (i, j): cross_difference(prev, i, j, h[i], h[j])
+        for i in range(n) for j in range(i + 1, n)
+    }
+    return hess, cross_state
+
+
+def _trace_term(sig2: Array, hess: list[Array], cross_state: dict) -> Array:
+    """1/2 tr(sigma sigma^T D_a^2 W); ``sig2`` broadcasts against the
+    stencils on all but its trailing (n, n) axes."""
+    trace_term = np.zeros(hess[0].shape)
+    for i, hess_i in enumerate(hess):
+        trace_term += sig2[..., i, i] * hess_i
+    for (i, j), mixed in cross_state.items():
+        trace_term += 2.0 * sig2[..., i, j] * mixed
+    trace_term *= 0.5
+    return trace_term
+
+
+def _hedge_stencil(prev: Array, grid: Grid, psi_sq: Array) -> tuple[list, Array, Array]:
+    """State-margin cross differences, the arrowhead diagonal, and the noise
+    floor of the margin curvature for one slice."""
+    n = grid.dim_state
+    h = grid.state_spacings
+    hb = grid.margin_spacing
+    cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
+    c_diag = -0.5 * psi_sq * second_difference(prev, n, hb)
+    # An exactly-linear margin column next to a kinked neighbour column
+    # leaves the curvature gap at fp-noise scale while the cross term stays
+    # O(1); inverting across that gap divides by roundoff.  Below the noise
+    # floor of the curvature stencil the honest reading is "flat", i.e. the
+    # infeasible fallback.
+    gap_noise = (
+        32.0 * np.finfo(float).eps
+        * max(1.0, float(np.abs(prev).max()))
+        * psi_sq / (hb * hb)
+    )
+    return cross_margin, c_diag, gap_noise
+
+
 def _best_time_slope(
     prev: Array,
     t: float,
@@ -190,7 +247,12 @@ def _best_time_slope(
     grid: Grid,
     options: SchemeOptions,
 ) -> Array:
-    """The per-node admissible time slope, maximized over control candidates."""
+    """The per-node admissible time slope, maximized over control candidates.
+
+    Terms that are structurally zero for a control are skipped (see the
+    module docstring), and the slice-sized buffers are allocated once per
+    call, not once per control.
+    """
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
@@ -202,23 +264,20 @@ def _best_time_slope(
     weights = problem.jumps.weights
     K = problem.jumps.n_atoms
 
-    dist = problem.distance(mesh).reshape(*sshape)[..., None]
+    neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
 
-    # control-independent pieces of the stencil
-    hess = [second_difference(prev, i, h[i]) for i in range(n)]
-    cross_state = {
-        (i, j): cross_difference(prev, i, j, h[i], h[j])
-        for i in range(n) for j in range(i + 1, n)
-    }
-    cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
-    hess_margin = second_difference(prev, n, hb)
+    # control-independent pieces of the stencil; the second-order ones are
+    # built on first use by a control with diffusion
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
+    curvature: tuple | None = None
+    hedge_stencil: tuple | None = None
+    if K and options.jump_hedge == "grid":
+        beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
 
-    c_diag = -0.5 * psi_sq * hess_margin
-    beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
-
-    best: Array | None = None
+    best = np.full_like(prev, -np.inf)
+    slope = np.empty_like(prev)
+    scratch = np.empty_like(prev)
     for u in problem.controls:
         drift, diffusion, jump_sizes, running = eval_coefficients_batch(
             problem, t, mesh, u
@@ -226,65 +285,60 @@ def _best_time_slope(
         f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes) if K else drift
         f_grid = f_eff.reshape(*sshape, n)
 
-        advection = np.zeros((*sshape, B))
+        # slope = -dist - advection + running * margin_slope - trace - corner
+        slope.fill(0.0)
         for i in range(n):
             f_i = f_grid[..., i][..., None]
-            grad_i = np.where(f_i > 0.0, fwd_bwd[i][0], fwd_bwd[i][1])
-            advection += f_i * grad_i
+            np.copyto(scratch, fwd_bwd[i][1])
+            np.copyto(scratch, fwd_bwd[i][0], where=f_i > 0.0)
+            scratch *= f_i
+            slope += scratch
+        np.subtract(neg_dist, slope, out=slope)
+        np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
+        slope += scratch
 
-        sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion).reshape(*sshape, n, n)
-        trace_term = np.zeros((*sshape, B))
-        for i in range(n):
-            trace_term += sig2[..., i, i][..., None] * hess[i]
-        for (i, j), mixed in cross_state.items():
-            trace_term += 2.0 * sig2[..., i, j][..., None] * mixed
-        trace_term *= 0.5
+        diffusive = bool(diffusion.any())
+        if diffusive:
+            if curvature is None:
+                curvature = _state_curvature(prev, h, n)
+            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
+            slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
 
-        sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
-        cross_sq = np.zeros((*sshape, B))
-        for q in range(problem.dim_noise):
-            acc = np.zeros((*sshape, B))
-            for i in range(n):
-                acc += sig_grid[..., i, q][..., None] * cross_margin[i]
-            cross_sq += acc * acc
-        arrow_sq = 0.25 * psi_sq * cross_sq
-
-        running_grid = running.reshape(*sshape)[..., None]
-        explicit = -dist - advection + running_grid * margin_slope - trace_term
-
-        jump_sup = np.zeros((*sshape, B))
-        for k in range(K):
-            shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
-            shifted = shifted.reshape(*sshape, B)
-            if options.jump_hedge == "zero":
-                gain = -(shifted - prev)
-            else:
-                gain = (
-                    -(shifted[..., None, :] - prev[..., :, None])
-                    + beta_mat * margin_slope[..., :, None]
-                ).max(axis=-1)
-            jump_sup += weights[k] * gain
-
-        target = -jump_sup
-        if options.hedge == "frozen":
-            corner = target
+        if K:
+            jump_sup = np.zeros((*sshape, B))
+            for k in range(K):
+                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
+                shifted = shifted.reshape(*sshape, B)
+                if options.jump_hedge == "zero":
+                    gain = -(shifted - prev)
+                else:
+                    gain = (
+                        -(shifted[..., None, :] - prev[..., :, None])
+                        + beta_mat * margin_slope[..., :, None]
+                    ).max(axis=-1)
+                jump_sup += weights[k] * gain
+            target = np.negative(jump_sup, out=jump_sup)
         else:
-            # An exactly-linear margin column next to a kinked neighbour
-            # column leaves the curvature gap at fp-noise scale while the
-            # cross term stays O(1); inverting across that gap divides by
-            # roundoff.  Below the noise floor of the curvature stencil the
-            # honest reading is "flat", i.e. the infeasible fallback.
-            gap_noise = (
-                32.0 * np.finfo(float).eps
-                * max(1.0, float(np.abs(prev).max()))
-                * psi_sq / (hb * hb)
-            )
-            arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
-            corner = corner_for_eigenvalue(target, arrow_eff, c_diag)
-        slope = explicit - corner
-        best = slope if best is None else np.maximum(best, slope)
+            target = -0.0
 
-    assert best is not None  # the control grid is never empty
+        if diffusive and options.hedge == "spectral":
+            if hedge_stencil is None:
+                hedge_stencil = _hedge_stencil(prev, grid, psi_sq)
+            cross_margin, c_diag, gap_noise = hedge_stencil
+            sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
+            cross_sq = np.zeros((*sshape, B))
+            for q in range(problem.dim_noise):
+                acc = np.zeros((*sshape, B))
+                for i in range(n):
+                    acc += sig_grid[..., i, q][..., None] * cross_margin[i]
+                cross_sq += acc * acc
+            arrow_sq = 0.25 * psi_sq * cross_sq
+            arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
+            slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
+        else:
+            slope -= target
+        np.maximum(best, slope, out=best)
+
     return best
 
 
@@ -340,12 +394,8 @@ def _state_only_slope(
     K = problem.jumps.n_atoms
 
     dist = problem.distance(mesh).reshape(*sshape)
-    hess = [second_difference(prev, i, h[i]) for i in range(n)]
-    cross_state = {
-        (i, j): cross_difference(prev, i, j, h[i], h[j])
-        for i in range(n) for j in range(i + 1, n)
-    }
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
+    curvature: tuple | None = None
 
     best: Array | None = None
     for u in problem.controls:
@@ -360,21 +410,19 @@ def _state_only_slope(
             grad_i = np.where(f_grid[..., i] > 0.0, fwd_bwd[i][0], fwd_bwd[i][1])
             advection += f_grid[..., i] * grad_i
 
-        sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion).reshape(*sshape, n, n)
-        trace_term = np.zeros(sshape)
-        for i in range(n):
-            trace_term += sig2[..., i, i] * hess[i]
-        for (i, j), mixed in cross_state.items():
-            trace_term += 2.0 * sig2[..., i, j] * mixed
-        trace_term *= 0.5
-
-        jump_term = np.zeros(sshape)
-        for k in range(K):
-            shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
-            jump_term += weights[k] * (shifted.reshape(sshape) - prev)
-
         cost = dist + running.reshape(sshape) if include_running else dist
-        slope = -cost - advection - trace_term - jump_term
+        slope = -cost - advection
+        if diffusion.any():
+            if curvature is None:
+                curvature = _state_curvature(prev, h, n)
+            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
+            slope -= _trace_term(sig2.reshape(*sshape, n, n), *curvature)
+        if K:
+            jump_term = np.zeros(sshape)
+            for k in range(K):
+                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
+                jump_term += weights[k] * (shifted.reshape(sshape) - prev)
+            slope -= jump_term
         best = slope if best is None else np.maximum(best, slope)
 
     assert best is not None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import pathlib
 import shutil
@@ -266,6 +267,29 @@ def test_slice_export_has_long_form_columns(zero_run):
     assert lines[0] == "state_1,margin,shortfall"
     first = lines[1].split(",")
     assert float(first[0]) == -3.0 and float(first[1]) == 0.0
+
+
+def test_csv_rows_match_the_csv_module_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1.7976931348623157e308,
+               np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 123456789.0]
+    # more rows than one formatted block, so the block seams are covered too
+    table = rng.normal(size=(2 * cli._ROWS_PER_WRITE + 3, 3)) * 10.0 ** rng.integers(
+        -300, 300, size=(2 * cli._ROWS_PER_WRITE + 3, 3))
+    table[: len(special), 0] = special
+    table[-len(special):, 2] = special
+    header = ["state_1", "margin", "shortfall"]
+    path = tmp_path / "rows.csv"
+    cli._write_rows(str(path), header, table)
+
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in table:
+            writer.writerow(["%.17g" % value for value in row])
+    assert path.read_bytes() == expected.read_bytes()
+    assert b"\r\n-0," in path.read_bytes()
 
 
 def test_profile_export_renders_unreachable_as_inf(tmp_path):

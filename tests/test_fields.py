@@ -6,6 +6,7 @@ import pytest
 from epigraph.errors import DegenerateGrid, ShiftOutOfDomain, UnsolvedField
 from epigraph.fields import (
     Field,
+    Grid,
     blank_field,
     interp_state,
     load_snapshot,
@@ -67,6 +68,15 @@ def test_margin_axis_may_extend_below_zero():
     grid = small_grid(margin=(-0.5, 0.5, 5))
     assert grid.margin_zero_index == 2
     assert grid.margin_axis[2] == 0.0
+
+
+def test_margin_zero_snap_leaves_the_callers_array_alone():
+    margin = np.linspace(-0.3, 0.9, 13)
+    margin[3] = 1e-17  # roundoff where the axis crosses zero
+    before = margin.copy()
+    grid = Grid((np.linspace(-1.0, 1.0, 5),), margin, time_axis(1.0, 0.25))
+    assert grid.margin_axis[3] == 0.0
+    assert np.array_equal(margin, before)
 
 
 def test_axes_need_at_least_three_nodes():

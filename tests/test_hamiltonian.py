@@ -206,6 +206,22 @@ def test_corner_inversion_fallback_branch():
     np.testing.assert_allclose(out, [1.0 - 2.0, -1.0])
 
 
+def test_corner_inversion_without_arrow_is_the_target_bit_for_bit():
+    # the sweep skips the inversion for controls without diffusion and uses
+    # corner = target directly; that is exact only if this identity holds on
+    # both branches, for either sign of zero, and for tiny and huge values
+    rng = np.random.default_rng(12)
+    target = np.concatenate([
+        rng.normal(size=500), rng.normal(size=100) * 1e-300,
+        rng.normal(size=100) * 1e300, [0.0, -0.0, 5e-324, -5e-324, 0.0, -0.0],
+    ])
+    diag = np.concatenate([rng.normal(size=target.size - 6),
+                           [-1.0, -1.0, 0.0, 1.0, 0.0, -0.0]])
+    for arrow_sq in (0.0, np.zeros(target.size)):
+        out = corner_for_eigenvalue(target, arrow_sq, diag)
+        assert out.tobytes() == target.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # brute-force hedge search
 # ---------------------------------------------------------------------------

@@ -10,17 +10,23 @@ from epigraph.errors import (
     UnsolvedField,
 )
 from epigraph.fields import (
+    interp_state,
     load_snapshot,
     make_grid,
     save_snapshot,
     terminal_slice,
     time_axis,
 )
-from epigraph.model import Region, build_problem
+from epigraph.hamiltonian import Stencil, hamiltonian_at_node
+from epigraph.model import Region, build_problem, eval_coefficients
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.solver import (
     SchemeOptions,
+    _best_time_slope,
+    cross_difference,
+    first_differences,
     max_stable_dt,
+    second_difference,
     solve_ceiling,
     solve_floor,
     solve_shortfall,
@@ -77,16 +83,26 @@ def grid_for(problem, name):
     )
 
 
-def diffusive_problem():
+def diffusion_off_at_rest(t, a, u):
+    """0.8 |u|: identically zero for the control u = 0 only."""
+    a = np.atleast_2d(a)
+    return np.full((*a.shape, 1), 0.8 * abs(u))
+
+
+def diffusive_problem(terminal_cost=None, diffusion=None):
     """Diffusion + control drift with the terminal kink aligned to a grid row."""
+    if diffusion is None:
+        diffusion = constant_diffusion(0.4)
+    if terminal_cost is None:
+        terminal_cost = lambda a: np.ones(np.atleast_2d(a).shape[0])  # noqa: E731
     return build_problem(
         dim_state=1,
         dim_noise=1,
         horizon=0.4,
         drift=drift_is_control,
-        diffusion=constant_diffusion(0.4),
+        diffusion=diffusion,
         running_cost=constant_running(0.1),
-        terminal_cost=lambda a: np.ones(np.atleast_2d(a).shape[0]),
+        terminal_cost=terminal_cost,
         controls=[-0.5, 0.0, 0.5],
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
         vectorized=True,
@@ -393,6 +409,139 @@ def test_step_is_monotone_without_diffusion():
                                     0.01, SchemeOptions(),
                                     np.random.default_rng(1))
     assert drop <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the vectorized sweep against the per-node reference Hamiltonian
+# ---------------------------------------------------------------------------
+
+
+def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
+    """|H| from :func:`hamiltonian_at_node` at random interior nodes, with
+    the sweep's own slope as the time slope and the sweep's stencils, scaled
+    by the field size; also the number of checked nodes with a nonzero arrow.
+
+    Nodes where the spectral inversion may take the infeasible fallback (the
+    margin curvature too close to the target) are skipped.  The jump
+    compensator is read at the first control: the problems used here have
+    control-independent jump sizes.
+    """
+    n = grid.dim_state
+    h = grid.state_spacings
+    hb = grid.margin_spacing
+    axes = grid.state_axes
+    b_axis = grid.margin_axis
+    slope = _best_time_slope(prev, t, problem, grid, options)
+    fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
+    _, margin_slope = first_differences(prev, n, hb)
+    hess = [[second_difference(prev, i, h[i]) if i == j
+             else cross_difference(prev, min(i, j), max(i, j), h[min(i, j)], h[max(i, j)])
+             for j in range(n)] for i in range(n)]
+    cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
+    hess_margin = second_difference(prev, n, hb)
+    weights = problem.jumps.weights
+    scale = max(1.0, float(np.abs(prev).max()))
+
+    def field_eval(state, margin):
+        j = int(np.argmin(np.abs(b_axis - margin)))
+        return float(interp_state(prev[..., j], axes, state[None, :])[0])
+
+    margins = [j for j in range(1, b_axis.size - 1) if b_axis[j] >= 0.0]
+    residuals = []
+    live = 0
+    for _ in range(nodes):
+        idx = (*(int(rng.integers(1, a.size - 1)) for a in axes),
+               int(rng.choice(margins)))
+        state = np.array([axes[i][idx[i]] for i in range(n)])
+        margin = float(b_axis[idx[-1]])
+        diag = -0.5 * max(1.0, margin) ** 2 * hess_margin[idx]
+        arrows = [eval_coefficients(problem, t, state, u).diffusion.T
+                  @ np.array([c[idx] for c in cross_margin]) for u in problem.controls]
+        if options.hedge == "spectral":
+            noise_floor = 64.0 * np.finfo(float).eps * scale * max(1.0, margin) ** 2 / hb**2
+            flat = all(not np.any(a) for a in arrows)
+            if not (-diag > noise_floor or (flat and diag <= 0.0)):
+                continue
+        live += any(np.any(np.abs(a) > 1e-8) for a in arrows)
+        coeffs0 = eval_coefficients(problem, t, state, problem.controls[0])
+        compensator = weights @ coeffs0.jump_sizes if problem.jumps.n_atoms else 0.0
+
+        def stencil_for(drift, idx=idx):
+            f_eff = drift - compensator
+            grad = np.array([fwd_bwd[i][0 if f_eff[i] > 0.0 else 1][idx] for i in range(n)])
+            return Stencil(
+                time_slope=float(slope[idx]),
+                grad_state=grad,
+                grad_margin=float(margin_slope[idx]),
+                hess_state=np.array([[hess[i][j][idx] for j in range(n)] for i in range(n)]),
+                hess_cross=np.array([c[idx] for c in cross_margin]),
+                hess_margin=float(hess_margin[idx]),
+            )
+
+        H = hamiltonian_at_node(
+            field_eval, t, state, margin, stencil_for, problem, b_axis - margin,
+            hedge=options.hedge, jump_hedge=options.jump_hedge,
+        )
+        residuals.append(abs(H) / scale)
+    return np.array(residuals), live
+
+
+@pytest.mark.parametrize("hedge", ["spectral", "frozen"])
+def test_sweep_zeroes_the_node_hamiltonian_with_diffusion(hedge):
+    problem = diffusive_problem()
+    grid = diffusive_grid()
+    options = SchemeOptions(hedge=hedge)
+    field = solve_shortfall(problem, grid, options)
+    residuals, _ = _sweep_residuals(problem, grid, field.values[10],
+                                    float(grid.times[11]), options,
+                                    np.random.default_rng(2))
+    assert residuals.size >= 20
+    assert residuals.max() <= 1e-12
+
+
+@pytest.mark.parametrize("diffusion", [constant_diffusion(0.4), diffusion_off_at_rest],
+                         ids=["every-control", "all-but-one-control"])
+def test_sweep_zeroes_the_node_hamiltonian_through_the_arrowhead(diffusion):
+    # A state-dependent terminal cost gives the field a state-margin cross
+    # curvature, so the spectral inversion is live.  The slice comes from a
+    # frozen solve: with diffusion the spectral sweep is not monotone and
+    # leaves the nonnegative cone on this problem.  The second case mixes a
+    # control whose inversion is skipped with controls whose inversion runs.
+    problem = diffusive_problem(
+        terminal_cost=lambda a: 0.5 + 0.25 * np.atleast_2d(a)[:, 0] ** 2,
+        diffusion=diffusion,
+    )
+    grid = diffusive_grid()
+    field = solve_shortfall(problem, grid, SchemeOptions(hedge="frozen"))
+    residuals, live = _sweep_residuals(problem, grid, field.values[10],
+                                       float(grid.times[11]), SchemeOptions(),
+                                       np.random.default_rng(5))
+    assert live >= 20
+    assert residuals.max() <= 1e-12
+
+
+def test_sweep_zeroes_the_node_hamiltonian_without_diffusion():
+    # 21 controls and an identically zero arrow: the sweep takes corner = target
+    problem = builtin_problem("deterministic-steering")
+    grid = make_grid([(-2.1, 2.1, 71)], (0.0, 0.6, 41), time_axis(1.0, 0.012))
+    field = solve_shortfall(problem, grid)
+    residuals, _ = _sweep_residuals(problem, grid, field.values[40],
+                                    float(grid.times[41]), SchemeOptions(),
+                                    np.random.default_rng(3))
+    assert residuals.size >= 20
+    assert residuals.max() <= 1e-12
+
+
+@pytest.mark.parametrize("jump_hedge", ["zero", "grid"])
+def test_sweep_zeroes_the_node_hamiltonian_with_jumps(jump_hedge):
+    # one step from the terminal slice under the built-in's frozen hedge
+    problem = builtin_problem("jump-variance")
+    grid = make_grid([(-2.0, 2.0, 41)], (0.0, 4.0, 21), time_axis(1.0, 0.004))
+    options = SchemeOptions(hedge="frozen", jump_hedge=jump_hedge)
+    residuals, _ = _sweep_residuals(problem, grid, terminal_slice(problem, grid),
+                                    problem.horizon, options, np.random.default_rng(4))
+    assert residuals.size == 60
+    assert residuals.max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
