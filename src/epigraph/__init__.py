@@ -19,7 +19,6 @@ from .levelset import (
     extract_required_margin,
     reachable_slice,
     required_margin_profile,
-    write_profile_csv,
 )
 from .model import (
     Coefficients,
@@ -108,6 +107,5 @@ __all__ = [
     "taylor_remainder_residual",
     "terminal_slice",
     "time_axis",
-    "write_profile_csv",
     "__version__",
 ]

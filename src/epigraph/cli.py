@@ -1,18 +1,16 @@
 """Config-driven command line front end.
 
-A run is described by one JSON document with four sections plus two scalar
-knobs::
+A run is described by one JSON document with four sections plus a seed::
 
     {
       "problem": {"builtin": "deterministic-steering"},
       "grid":    {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
                   "time_step": null},
-      "scheme":  {"safety": 0.9, "delta": 0.0, "epsilon": null,
-                  "hedge": "spectral", "beta_candidates": "grid"},
+      "scheme":  {"safety": 0.9, "epsilon": null, "hedge": "spectral",
+                  "beta_candidates": "grid"},
       "outputs": {"directory": "out", "formats": ["csv"],
                   "checkpoint_every": 25},
-      "seed": 0,
-      "threads": 1
+      "seed": 0
     }
 
 ``problem`` either names a built-in (``{"builtin": name}``) or describes a
@@ -81,7 +79,15 @@ from .fields import (
 )
 from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
 from .model import JumpModel, Problem, Region, build_problem
-from .problems import builtin_grid, builtin_problem, builtin_scheme
+from .problems import (
+    _constant_diffusion,
+    _drift_is_control,
+    _square_terminal,
+    _zero_terminal,
+    builtin_grid,
+    builtin_problem,
+    builtin_scheme,
+)
 from .simulate import (
     constant_policy,
     estimate_cost,
@@ -110,13 +116,13 @@ from .verify import (
 
 Array = np.ndarray
 
-_TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed", "threads")
+_TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed")
 _PROBLEM_KEYS = (
     "builtin", "dim_state", "dim_noise", "horizon", "controls", "drift",
     "diffusion", "running_cost", "terminal_cost", "region", "jumps", "name",
 )
 _GRID_KEYS = ("state", "margin", "time_step")
-_SCHEME_KEYS = ("safety", "delta", "epsilon", "hedge", "beta_candidates")
+_SCHEME_KEYS = ("safety", "epsilon", "hedge", "beta_candidates")
 _OUTPUT_KEYS = ("directory", "formats", "checkpoint_every")
 _REGION_KEYS = ("kind", "lo", "hi", "center", "radius", "normal", "offset")
 _JUMP_KEYS = ("marks", "weights")
@@ -144,15 +150,12 @@ class RunConfig:
     epsilon: float | None
     outputs: dict[str, Any]
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise SchemaViolation(f"scheme.epsilon must be > 0, got {self.epsilon}")
         if self.seed < 0:
             raise SchemaViolation(f"seed must be >= 0, got {self.seed}")
-        if self.threads < 1:
-            raise SchemaViolation(f"threads must be >= 1, got {self.threads}")
 
 
 def _fail(path: str, why: str) -> NoReturn:
@@ -206,36 +209,16 @@ def _axis_triplet(value: Any, path: str) -> list[Any]:
 # problem section (built-in reference or inline constant coefficients)
 # ---------------------------------------------------------------------------
 
-def _control_drift(t: float, a: Array, u: Array) -> Array:
-    return np.zeros_like(np.atleast_2d(a)) + u
-
-
 def _constant_drift(row: Array) -> Callable[..., Array]:
     def drift(t: float, a: Array, u: Array) -> Array:
         return np.zeros_like(np.atleast_2d(a)) + row
     return drift
 
 
-def _full_diffusion(value: float, dim_noise: int) -> Callable[..., Array]:
-    def diffusion(t: float, a: Array, u: Array) -> Array:
-        a = np.atleast_2d(a)
-        return np.full((*a.shape, dim_noise), value)
-    return diffusion
-
-
 def _constant_running(value: float) -> Callable[..., Array]:
     def running(t: float, a: Array, u: Array) -> Array:
         return np.full(np.atleast_2d(a).shape[0], value)
     return running
-
-
-def _zero_terminal(a: Array) -> Array:
-    return np.zeros(np.atleast_2d(a).shape[0])
-
-
-def _square_terminal(a: Array) -> Array:
-    a = np.atleast_2d(a)
-    return (a * a).sum(axis=1)
 
 
 def _constant_terminal(value: float) -> Callable[[Array], Array]:
@@ -264,7 +247,7 @@ def _controls_value(value: Any) -> list[Any]:
 
 def _drift_value(spec: Any, dim_state: int) -> tuple[Any, Callable[..., Array] | None]:
     if spec == "control":
-        return "control", _control_drift
+        return "control", _drift_is_control
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         value = _number(spec, "problem.drift")
         if value == 0.0:
@@ -342,7 +325,7 @@ def _problem_section(section: Any) -> tuple[Problem, dict[str, Any], dict[str, A
     drift_spec, drift = _drift_value(section.get("drift", 0.0), dim_state)
 
     sigma = _number(section.get("diffusion", 0.0), "problem.diffusion")
-    diffusion = _full_diffusion(sigma, dim_noise) if sigma != 0.0 else None
+    diffusion = _constant_diffusion(sigma, dim_noise) if sigma != 0.0 else None
 
     running_value = _number(section.get("running_cost", 0.0),
                             "problem.running_cost", minimum=0.0)
@@ -431,12 +414,11 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
     if not isinstance(beta, str):
         _fail("scheme.beta_candidates", "must be a string")
     safety = _number(section.get("safety", 0.9), "scheme.safety", positive=True)
-    delta = _number(section.get("delta", 0.0), "scheme.delta", minimum=0.0)
     epsilon = section.get("epsilon")
     if epsilon is not None:
         epsilon = _number(epsilon, "scheme.epsilon", positive=True)
     try:
-        options = SchemeOptions(hedge=hedge, jump_hedge=beta, safety=safety, delta=delta)
+        options = SchemeOptions(hedge=hedge, jump_hedge=beta, safety=safety)
     except ValueError as exc:
         raise SchemaViolation(f"scheme: {exc}") from None
     return options, epsilon
@@ -493,10 +475,8 @@ def parse_config(text: str) -> RunConfig:
     options, epsilon = _scheme_section(document.get("scheme"), scheme_defaults)
     outputs = _outputs_section(document.get("outputs"))
     seed = _integer(document.get("seed", 0), "seed", minimum=0)
-    threads = _integer(document.get("threads", 1), "threads", minimum=1)
     return RunConfig(problem=problem, problem_spec=problem_spec, grid_spec=grid_spec,
-                     scheme=options, epsilon=epsilon, outputs=outputs,
-                     seed=seed, threads=threads)
+                     scheme=options, epsilon=epsilon, outputs=outputs, seed=seed)
 
 
 def _config_document(config: RunConfig) -> dict[str, Any]:
@@ -505,14 +485,12 @@ def _config_document(config: RunConfig) -> dict[str, Any]:
         "grid": copy.deepcopy(config.grid_spec),
         "scheme": {
             "safety": config.scheme.safety,
-            "delta": config.scheme.delta,
             "epsilon": config.epsilon,
             "hedge": config.scheme.hedge,
             "beta_candidates": config.scheme.jump_hedge,
         },
         "outputs": copy.deepcopy(config.outputs),
         "seed": config.seed,
-        "threads": config.threads,
     }
 
 
@@ -936,8 +914,6 @@ def _read_config(args: argparse.Namespace) -> RunConfig:
             config, outputs={**config.outputs, "directory": args.out})
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "threads", None) is not None:
-        config = dataclasses.replace(config, threads=args.threads)
     if getattr(args, "epsilon", None) is not None:
         config = dataclasses.replace(config, epsilon=args.epsilon)
     return config
@@ -1025,8 +1001,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, metavar="PATH",
                          help="JSON run configuration")
         sub.add_argument("--out", metavar="DIR", help="override the output directory")
-        sub.add_argument("--threads", type=int, metavar="N",
-                         help="thread budget (advisory)")
         sub.add_argument("--seed", type=int, metavar="N", help="override the run seed")
 
     sub = commands.add_parser("solve", help="run the full pipeline and write artifacts")

@@ -81,16 +81,6 @@ class Stencil:
         object.__setattr__(self, "hess_state", hs)
         object.__setattr__(self, "hess_cross", hc)
 
-    def full_hessian(self) -> Array:
-        """The (n+1) x (n+1) second-derivative matrix in (state, margin) order."""
-        n = self.grad_state.shape[0]
-        out = np.empty((n + 1, n + 1))
-        out[:n, :n] = self.hess_state
-        out[:n, n] = self.hess_cross
-        out[n, :n] = self.hess_cross
-        out[n, n] = self.hess_margin
-        return out
-
 
 ZERO_STENCIL_1D = Stencil(
     time_slope=0.0,
@@ -335,45 +325,6 @@ def best_jump_hedge(
         total += float(weights[k]) * best_val
         chosen[k] = best_beta
     return total, chosen
-
-
-def split_jump_increment(
-    field_eval: FieldEval,
-    state: Array,
-    margin: float,
-    center: float,
-    stencil: Stencil,
-    jump_sizes: Array,
-    mark_norms: Array,
-    weights: Array,
-    betas: Array,
-    small_radius: float,
-) -> tuple[float, float]:
-    """Split the nonlocal term into a small-jump surrogate and an exact part.
-
-    Atoms whose mark magnitude is below ``small_radius`` contribute through
-    the second-order surrogate
-
-        -1/2 * w_k * <full_hessian (chi_k, beta_k), (chi_k, beta_k)>
-
-    (exact for quadratic fields); the rest are evaluated exactly as in
-    :func:`jump_increment`.  Returns ``(surrogate_part, exact_part)``.
-    ``small_radius = 0`` puts everything in the exact part.
-    """
-    hess = stencil.full_hessian()
-    surrogate = 0.0
-    exact = 0.0
-    for k in range(weights.shape[0]):
-        if mark_norms[k] < small_radius:
-            shift = np.append(jump_sizes[k], betas[k])
-            surrogate += -0.5 * float(weights[k]) * float(shift @ hess @ shift)
-        else:
-            exact += float(weights[k]) * (
-                -(field_eval(state + jump_sizes[k], margin + float(betas[k])) - center)
-                + float(stencil.grad_state @ jump_sizes[k])
-                + stencil.grad_margin * float(betas[k])
-            )
-    return surrogate, exact
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ clamped to the top of the axis.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -140,32 +139,3 @@ def required_margin_profile(
     rows = values.reshape(-1, nb)[:, jz:]
     flat = _scan_rows(rows, field.grid.margin_axis[jz:], query)
     return flat.reshape(values.shape[:-1])
-
-
-def write_profile_csv(
-    path: str,
-    field: Field,
-    level: int = 0,
-    query: LevelSetQuery | None = None,
-) -> None:
-    """Export the required-margin profile at one level as CSV.
-
-    Columns: t, one per state coordinate, required_margin.  Unreachable
-    entries appear as the string "inf".
-    """
-    profile = required_margin_profile(field, level, query)
-    grid = field.grid
-    t = float(grid.times[level])
-    states = grid.state_mesh().reshape(-1, grid.dim_state)
-    header = ["t"] + [f"state_{k + 1}" for k in range(grid.dim_state)] + [
-        "required_margin"
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for point, value in zip(states, profile.ravel()):
-            writer.writerow(
-                ["%.17g" % t]
-                + ["%.17g" % x for x in point]
-                + ["%.17g" % value]
-            )

@@ -46,14 +46,13 @@ class JumpModel:
 
     ``weights`` are the Poisson intensities of the individual atoms; the total
     mass is their sum and must be finite (guaranteed here by finiteness of the
-    entries).  ``small_jump_radius`` is the threshold below which the solver's
-    split jump operator treats an atom through its second-order surrogate
-    instead of an exact shifted evaluation (0 disables the split).
+    entries).  Only finite-activity measures are represented: every atom is
+    evaluated exactly, so a singular (infinite-activity) Levy measure, which
+    would need a small-jump truncation, cannot be stated.
     """
 
     marks: Array
     weights: Array
-    small_jump_radius: float = 0.0
 
     def __post_init__(self) -> None:
         marks = np.atleast_1d(np.asarray(self.marks, dtype=float))
@@ -68,8 +67,6 @@ class JumpModel:
             raise NonFiniteCoefficient("jump weights must be finite")
         if weights.size and weights.min() <= 0.0:
             raise NegativeWeight(f"jump weights must be > 0, got {weights.min()}")
-        if self.small_jump_radius < 0.0:
-            raise ValueError("small_jump_radius must be >= 0")
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "weights", weights)
 
@@ -80,12 +77,6 @@ class JumpModel:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def mark_norms(self) -> Array:
-        """|e_k| per atom (Euclidean norm for vector marks)."""
-        if self.marks.ndim == 1:
-            return np.abs(self.marks)
-        return np.linalg.norm(self.marks, axis=1)
 
 
 EMPTY_JUMPS = JumpModel(marks=np.zeros((0,)), weights=np.zeros((0,)))

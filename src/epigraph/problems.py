@@ -8,7 +8,7 @@ configurations by name.
 from __future__ import annotations
 
 import copy
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,10 +23,11 @@ def _drift_is_control(t: float, a: Array, u: Array) -> Array:
     return np.zeros_like(np.atleast_2d(a)) + u
 
 
-def _constant_diffusion(value: float):
+def _constant_diffusion(value: float, dim_noise: int) -> Callable[..., Array]:
+    """Every entry of the (n, dim_noise) diffusion matrix equals ``value``."""
     def diffusion(t: float, a: Array, u: Array) -> Array:
         a = np.atleast_2d(a)
-        return np.full((*a.shape, 1), value)
+        return np.full((*a.shape, dim_noise), value)
     return diffusion
 
 
@@ -35,7 +36,8 @@ def _zero_terminal(a: Array) -> Array:
 
 
 def _square_terminal(a: Array) -> Array:
-    return np.atleast_2d(a)[:, 0] ** 2
+    a = np.atleast_2d(a)
+    return (a * a).sum(axis=1)
 
 
 def _zero() -> Problem:
@@ -45,7 +47,7 @@ def _zero() -> Problem:
         dim_noise=1,
         horizon=1.0,
         drift=_drift_is_control,
-        diffusion=_constant_diffusion(0.2),
+        diffusion=_constant_diffusion(0.2, 1),
         terminal_cost=_zero_terminal,
         controls=[-1.0, 0.0, 1.0],
         vectorized=True,
@@ -102,7 +104,7 @@ def _jump_variance() -> Problem:
         dim_state=1,
         dim_noise=1,
         horizon=1.0,
-        diffusion=_constant_diffusion(1.0),
+        diffusion=_constant_diffusion(1.0, 1),
         jump_size=jump_size,
         jumps=JumpModel(marks=np.array([1.0]), weights=np.array([2.0])),
         terminal_cost=_square_terminal,

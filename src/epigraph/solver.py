@@ -32,11 +32,15 @@ finite:
   its negation, -0.  The slope is then ``explicit - (-0.0)``: like the full
   form, it maps an explicit -0 to +0;
 * in frozen-hedge mode the arrow is never used, so it is never built.
+
+The state-only boundary fields (the margin-0 floor and the top-margin
+ceiling) are the same operator on one margin column, with both hedges pinned
+to zero and a constant margin slope in place of the margin difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -58,15 +62,14 @@ class SchemeOptions:
     zero so the field solves the plain linear expectation equation.
     ``jump_hedge`` selects the jump-hedge candidates: "grid" searches margin
     grid differences, "zero" pins the jump hedge to zero.  ``safety`` scales
-    the stable time step.  ``delta`` is accepted for config compatibility;
-    the sweep always evaluates the nonlocal term exactly (the small-jump
-    surrogate exists as a diagnostic, not a solver path).
+    the stable time step.  Jumps have finite activity (finitely many atoms),
+    so the nonlocal term is always evaluated exactly; no small-jump
+    truncation is needed.
     """
 
     hedge: str = "spectral"
     jump_hedge: str = "grid"
     safety: float = 0.9
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.hedge not in ("spectral", "frozen"):
@@ -193,6 +196,17 @@ def max_stable_dt(problem: Problem, grid: Grid, safety: float = 0.9) -> float:
     return safety / denom
 
 
+def _check_step(dt: float, problem: Problem, grid: Grid, safety: float,
+                bound: float | None = None) -> float:
+    """Raise :class:`CFLViolation` if ``dt`` exceeds the stable bound, which
+    is computed unless given; returns the bound."""
+    if bound is None:
+        bound = max_stable_dt(problem, grid, safety)
+    if dt > bound * (1.0 + 1e-9):
+        raise CFLViolation(f"time step {dt:.6g} exceeds the stable bound {bound:.6g}")
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # one explicit step of the margin-coupled sweep
 # ---------------------------------------------------------------------------
@@ -219,12 +233,14 @@ def _trace_term(sig2: Array, hess: list[Array], cross_state: dict) -> Array:
     return trace_term
 
 
-def _hedge_stencil(prev: Array, grid: Grid, psi_sq: Array) -> tuple[list, Array, Array]:
-    """State-margin cross differences, the arrowhead diagonal, and the noise
-    floor of the margin curvature for one slice."""
+def _hedge_stencil(prev: Array, grid: Grid) -> tuple[Array, list, Array, Array]:
+    """The squared margin rescaling, the state-margin cross differences, the
+    arrowhead diagonal, and the noise floor of the margin curvature for one
+    slice."""
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
+    psi_sq = np.maximum(1.0, grid.margin_axis) ** 2
     cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
     c_diag = -0.5 * psi_sq * second_difference(prev, n, hb)
     # An exactly-linear margin column next to a kinked neighbour column
@@ -237,7 +253,7 @@ def _hedge_stencil(prev: Array, grid: Grid, psi_sq: Array) -> tuple[list, Array,
         * max(1.0, float(np.abs(prev).max()))
         * psi_sq / (hb * hb)
     )
-    return cross_margin, c_diag, gap_noise
+    return psi_sq, cross_margin, c_diag, gap_noise
 
 
 def _best_time_slope(
@@ -246,12 +262,16 @@ def _best_time_slope(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions,
+    margin_slope: Array | float | None = None,
 ) -> Array:
     """The per-node admissible time slope, maximized over control candidates.
 
-    Terms that are structurally zero for a control are skipped (see the
-    module docstring), and the slice-sized buffers are allocated once per
-    call, not once per control.
+    ``prev`` has the grid's state axes and a trailing margin axis.  The
+    margin slope is the backward margin difference of ``prev`` unless
+    ``margin_slope`` is given: the boundary fields pass one margin column
+    and a constant slope.  Terms that are structurally zero for a control
+    are skipped (see the module docstring), and the slice-sized buffers are
+    allocated once per call, not once per control.
     """
     n = grid.dim_state
     h = grid.state_spacings
@@ -259,8 +279,7 @@ def _best_time_slope(
     mesh = grid.state_mesh()
     sshape = grid.state_shape
     b_axis = grid.margin_axis
-    B = b_axis.shape[0]
-    psi_sq = np.maximum(1.0, b_axis) ** 2
+    B = prev.shape[-1]
     weights = problem.jumps.weights
     K = problem.jumps.n_atoms
 
@@ -269,7 +288,8 @@ def _best_time_slope(
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
-    _, margin_slope = first_differences(prev, n, hb)
+    if margin_slope is None:
+        _, margin_slope = first_differences(prev, n, hb)
     curvature: tuple | None = None
     hedge_stencil: tuple | None = None
     if K and options.jump_hedge == "grid":
@@ -323,8 +343,8 @@ def _best_time_slope(
 
         if diffusive and options.hedge == "spectral":
             if hedge_stencil is None:
-                hedge_stencil = _hedge_stencil(prev, grid, psi_sq)
-            cross_margin, c_diag, gap_noise = hedge_stencil
+                hedge_stencil = _hedge_stencil(prev, grid)
+            psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
             sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
             cross_sq = np.zeros((*sshape, B))
             for q in range(problem.dim_noise):
@@ -359,11 +379,7 @@ def step_backward(
     ``floor_slice``/``ceiling_slice``, when given, pin the margin-0 and top
     margin columns (Dirichlet data evaluated at the *new* time level).
     """
-    if cfl_bound is None:
-        cfl_bound = max_stable_dt(problem, grid, options.safety)
-    if dt > cfl_bound * (1.0 + 1e-9):
-        raise CFLViolation(f"dt={dt:.6g} exceeds the stable bound {cfl_bound:.6g}")
-
+    _check_step(dt, problem, grid, options.safety, cfl_bound)
     slope = _best_time_slope(prev, t, problem, grid, options)
     new = prev - dt * slope
     if floor_slice is not None:
@@ -379,56 +395,6 @@ def step_backward(
 # state-only sweep (margin-0 and top-margin boundary fields)
 # ---------------------------------------------------------------------------
 
-def _state_only_slope(
-    prev: Array,
-    t: float,
-    problem: Problem,
-    grid: Grid,
-    include_running: bool,
-) -> Array:
-    n = grid.dim_state
-    h = grid.state_spacings
-    mesh = grid.state_mesh()
-    sshape = grid.state_shape
-    weights = problem.jumps.weights
-    K = problem.jumps.n_atoms
-
-    dist = problem.distance(mesh).reshape(*sshape)
-    fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
-    curvature: tuple | None = None
-
-    best: Array | None = None
-    for u in problem.controls:
-        drift, diffusion, jump_sizes, running = eval_coefficients_batch(
-            problem, t, mesh, u
-        )
-        f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes) if K else drift
-        f_grid = f_eff.reshape(*sshape, n)
-
-        advection = np.zeros(sshape)
-        for i in range(n):
-            grad_i = np.where(f_grid[..., i] > 0.0, fwd_bwd[i][0], fwd_bwd[i][1])
-            advection += f_grid[..., i] * grad_i
-
-        cost = dist + running.reshape(sshape) if include_running else dist
-        slope = -cost - advection
-        if diffusion.any():
-            if curvature is None:
-                curvature = _state_curvature(prev, h, n)
-            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
-            slope -= _trace_term(sig2.reshape(*sshape, n, n), *curvature)
-        if K:
-            jump_term = np.zeros(sshape)
-            for k in range(K):
-                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
-                jump_term += weights[k] * (shifted.reshape(sshape) - prev)
-            slope -= jump_term
-        best = slope if best is None else np.maximum(best, slope)
-
-    assert best is not None
-    return best
-
-
 def solve_boundary_field(
     problem: Problem,
     grid: Grid,
@@ -443,16 +409,16 @@ def solve_boundary_field(
     """
     if kind not in ("floor", "ceiling"):
         raise ValueError(f"boundary field kind must be floor or ceiling, not {kind!r}")
-    include_running = kind == "floor"
+    _check_step(grid.dt, problem, grid, options.safety)
 
-    bound = max_stable_dt(problem, grid, options.safety)
-    if grid.dt > bound * (1.0 + 1e-9):
-        raise CFLViolation(
-            f"grid step {grid.dt:.6g} exceeds the stable bound {bound:.6g}"
-        )
+    # One margin column of the sweep, hedges pinned to zero.  The running
+    # cost spends the margin one for one at margin 0 (slope -1) and never
+    # exhausts the top margin (slope 0).
+    state_only = replace(options, hedge="frozen", jump_hedge="zero")
+    margin_slope = -1.0 if kind == "floor" else 0.0
 
     out = blank_field(grid, kind)
-    if include_running:
+    if kind == "floor":
         terminal = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
     else:
         terminal = np.zeros(grid.state_shape)
@@ -462,11 +428,10 @@ def solve_boundary_field(
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        slope = _state_only_slope(out.values[level + 1], t, problem, grid,
-                                  include_running)
-        new = out.values[level + 1] - dt * slope
-        new = _enforce_nonnegative(new, t - dt)
-        out.values[level] = new
+        prev = out.values[level + 1]
+        slope = _best_time_slope(prev[..., None], t, problem, grid, state_only,
+                                 margin_slope)
+        out.values[level] = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
         out.solved_from = level
     return out
 
@@ -534,11 +499,7 @@ def solve_shortfall(
             f"expected floor and ceiling fields, got {floor.kind!r} and {ceiling.kind!r}"
         )
 
-    bound = max_stable_dt(problem, grid, options.safety)
-    if grid.dt > bound * (1.0 + 1e-9):
-        raise CFLViolation(
-            f"grid step {grid.dt:.6g} exceeds the stable bound {bound:.6g}"
-        )
+    bound = _check_step(grid.dt, problem, grid, options.safety)
 
     out = blank_field(grid, "shortfall")
     if resume_values is not None:

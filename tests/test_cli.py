@@ -65,13 +65,11 @@ def test_minimal_document_fills_defaults():
         '          "time_step": 0.005}}'
     )
     assert config.scheme.safety == 0.9
-    assert config.scheme.delta == 0.0
     assert config.scheme.hedge == "spectral"
     assert config.epsilon is None
     assert config.outputs == {"directory": "out", "formats": ["csv"],
                               "checkpoint_every": 25}
     assert config.seed == 0
-    assert config.threads == 1
 
 
 def test_builtin_without_grid_uses_the_stock_grid():
@@ -99,6 +97,13 @@ def test_unknown_scheme_key_suggests_safety():
     text = config_text("zero", "out", scheme={"safetyy": 1})
     with pytest.raises(UnknownKey, match="safety"):
         parse_config(text)
+
+
+def test_removed_knobs_are_unknown_keys():
+    with pytest.raises(UnknownKey, match="threads"):
+        parse_config(config_text("zero", "out", threads=1))
+    with pytest.raises(UnknownKey, match="scheme.delta"):
+        parse_config(config_text("zero", "out", scheme={"delta": 0.0}))
 
 
 def test_parse_error_reports_position():
@@ -142,6 +147,19 @@ def test_inline_problem_round_trips():
     assert config.problem.region.kind == "ball"
     again = parse_config(serialize_config(config))
     assert serialize_config(again) == serialize_config(config)
+
+
+def test_inline_coefficients_cover_every_state_and_noise_axis():
+    text = json.dumps({
+        "problem": {"dim_state": 2, "dim_noise": 3, "horizon": 0.5,
+                    "terminal_cost": "square", "diffusion": 0.2},
+        "grid": {"state": [[-1.0, 1.0, 5], [-1.0, 1.0, 5]], "margin": [0.0, 1.0, 5]},
+    })
+    problem = parse_config(text).problem
+    states = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    np.testing.assert_array_equal(problem.terminal_cost(states), [5.0, 9.25])
+    sigma = problem.diffusion(0.0, states, problem.controls[0])
+    np.testing.assert_array_equal(sigma, np.full((2, 2, 3), 0.2))
 
 
 def test_builtin_round_trips():
@@ -409,6 +427,12 @@ def test_main_exit_codes_for_bad_configs(tmp_path, capsys):
 
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+def test_main_rejects_the_threads_option(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_main_numerical_failure_exits_two(tmp_path, capsys):

@@ -24,7 +24,6 @@ from epigraph.hamiltonian import (
     coupling_scale,
     hamiltonian_at_node,
     jump_increment,
-    split_jump_increment,
     top_eigenvalue,
 )
 from epigraph.model import Coefficients, JumpModel, Region, build_problem
@@ -405,77 +404,6 @@ def test_best_jump_hedge_matches_exhaustive_search():
                 )
             best_joint = max(best_joint, acc)
         assert total == pytest.approx(best_joint, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# small-jump split
-# ---------------------------------------------------------------------------
-
-def test_split_with_zero_radius_is_all_exact():
-    field = lambda a, b: b * b  # noqa: E731
-    stencil = make_stencil(hess_margin=2.0)
-    surrogate, exact = split_jump_increment(
-        field, np.zeros(1), 0.0, 0.0, stencil,
-        np.zeros((1, 1)), np.array([1.0]), np.ones(1), np.ones(1),
-        small_radius=0.0,
-    )
-    assert surrogate == 0.0
-    assert exact == pytest.approx(-1.0)
-
-
-def test_split_surrogate_exact_for_quadratic_fields():
-    coef = np.array([0.3, -1.1, 0.7, 0.4, 0.9, 1.6])
-
-    def field(a, b):
-        x = float(a[0])
-        return (
-            coef[0] + coef[1] * x + coef[2] * b + coef[3] * x * b
-            + coef[4] * x * x + coef[5] * b * b
-        )
-
-    state = np.array([0.4])
-    margin = 1.2
-    stencil = make_stencil(
-        grad_state=np.array([coef[1] + coef[3] * margin + 2 * coef[4] * state[0]]),
-        grad_margin=coef[2] + coef[3] * state[0] + 2 * coef[5] * margin,
-        hess_state=np.array([[2 * coef[4]]]),
-        hess_cross=np.array([coef[3]]),
-        hess_margin=2 * coef[5],
-    )
-    jump_sizes = np.array([[0.3], [-0.2]])
-    betas = np.array([0.5, -0.1])
-    weights = np.array([1.0, 0.7])
-    center = field(state, margin)
-
-    exact_all = jump_increment(
-        field, state, margin, center, stencil.grad_state, stencil.grad_margin,
-        jump_sizes, weights, betas,
-    )
-    surrogate, exact = split_jump_increment(
-        field, state, margin, center, stencil,
-        jump_sizes, np.array([0.1, 0.1]), weights, betas,
-        small_radius=1.0,  # every atom goes through the surrogate
-    )
-    assert exact == 0.0
-    assert surrogate == pytest.approx(exact_all, abs=1e-12)
-
-
-def test_split_remainder_on_quartic_field():
-    """Surrogate vs exact on b^4 at margin 1: the gap is the cubic-and-up tail."""
-    field = lambda a, b: b**4  # noqa: E731
-    stencil = make_stencil(grad_margin=4.0, hess_margin=12.0)
-    args = (
-        field, np.zeros(1), 1.0, 1.0, stencil,
-        np.zeros((1, 1)), np.array([0.5]), np.ones(1), np.array([0.5]),
-    )
-    _, exact = split_jump_increment(*args, small_radius=0.0)
-    surrogate, _ = split_jump_increment(*args, small_radius=1.0)
-    assert exact == pytest.approx(-2.0625)     # -(1.5^4 - 1) + 4*0.5
-    assert surrogate == pytest.approx(-1.5)    # -1/2 * 12 * 0.25
-    # the gap is exactly the third- plus fourth-order Taylor tail of b^4
-    beta = 0.5
-    tail = (24.0 / 6.0) * beta**3 + (24.0 / 24.0) * beta**4
-    assert surrogate - exact == pytest.approx(tail)
 
 
 # ---------------------------------------------------------------------------

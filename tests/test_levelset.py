@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from epigraph.cli import export_profile_csv
 from epigraph.errors import UnsolvedField
 from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
 from epigraph.levelset import (
@@ -14,7 +15,6 @@ from epigraph.levelset import (
     extract_required_margin,
     reachable_slice,
     required_margin_profile,
-    write_profile_csv,
 )
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.solver import max_stable_dt, solve_floor, solve_shortfall
@@ -181,12 +181,11 @@ def test_fields_without_a_margin_axis_are_rejected():
 def test_csv_export_with_unreachable_sentinel(tmp_path, square_terminal):
     field, grid = square_terminal
     path = tmp_path / "profile.csv"
-    write_profile_csv(str(path), field, grid.n_levels - 1)
+    export_profile_csv(field, grid.n_levels - 1, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "state_1", "required_margin"]
+    assert rows[0] == ["state_1", "required_margin"]
     assert len(rows) == 8
-    assert all(row[0] == "1" for row in rows[1:])
-    by_state = {float(row[1]): row[2] for row in rows[1:]}
+    by_state = {float(row[0]): row[1] for row in rows[1:]}
     assert by_state[-3.0] == "inf"
     assert float(by_state[2.0]) == 4.0

@@ -150,7 +150,6 @@ def test_jump_sizes_stacked_per_atom():
     np.testing.assert_allclose(jump_sizes[0], -1.0)
     np.testing.assert_allclose(jump_sizes[1], 2.0)
     assert prob.jumps.total_mass == pytest.approx(0.75)
-    np.testing.assert_allclose(prob.jumps.mark_norms(), [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

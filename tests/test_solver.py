@@ -18,7 +18,13 @@ from epigraph.fields import (
     time_axis,
 )
 from epigraph.hamiltonian import Stencil, hamiltonian_at_node
-from epigraph.model import Region, build_problem, eval_coefficients
+from epigraph.model import (
+    JumpModel,
+    Region,
+    build_problem,
+    eval_coefficients,
+    eval_coefficients_batch,
+)
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.solver import (
     SchemeOptions,
@@ -275,6 +281,69 @@ def test_floor_steering_reaches_the_oracle_value():
     floor = solve_floor(problem, grid)
     i = int(np.argmin(np.abs(grid.state_axes[0] - 1.5)))
     assert floor.values[0][i] == pytest.approx(0.25, abs=0.05)
+
+
+def _state_only_step(prev, t, dt, problem, grid, kind):
+    """One state-only update written out term by term from the public stencils."""
+    n = grid.dim_state
+    h = grid.state_spacings
+    mesh = grid.state_mesh()
+    sshape = grid.state_shape
+    weights = problem.jumps.weights
+    dist = problem.distance(mesh).reshape(sshape)
+    best = np.full(sshape, -np.inf)
+    for u in problem.controls:
+        drift, diffusion, jump_sizes, running = eval_coefficients_batch(problem, t, mesh, u)
+        f_eff = (drift - np.einsum("k,kpi->pi", weights, jump_sizes)).reshape(*sshape, n)
+        sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion).reshape(*sshape, n, n)
+        slope = -dist - (running.reshape(sshape) if kind == "floor" else 0.0)
+        for i in range(n):
+            fwd, bwd = first_differences(prev, i, h[i])
+            slope -= f_eff[..., i] * np.where(f_eff[..., i] > 0.0, fwd, bwd)
+            slope -= 0.5 * sig2[..., i, i] * second_difference(prev, i, h[i])
+            for j in range(i + 1, n):
+                slope -= sig2[..., i, j] * cross_difference(prev, i, j, h[i], h[j])
+        for k in range(problem.jumps.n_atoms):
+            shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
+            slope -= weights[k] * (shifted.reshape(sshape) - prev)
+        best = np.maximum(best, slope)
+    return prev - dt * best
+
+
+def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
+    # running cost, a ball region, correlated diffusion and one jump atom; the
+    # boundary fields pin both hedges to zero whatever the options say.  The
+    # ball lies off the grid: where the field vanishes next to a positive
+    # diagonal neighbour, the central cross difference alone drives it below
+    # zero, which the nonnegativity guard rejects.
+    controls = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [-0.3, 0.4]])
+    problem = build_problem(
+        dim_state=2,
+        dim_noise=2,
+        horizon=0.02,
+        drift=drift_is_control,
+        diffusion=lambda t, a, u: np.broadcast_to(
+            np.array([[0.3, 0.1], [0.0, 0.2]]), (np.atleast_2d(a).shape[0], 2, 2)),
+        running_cost=lambda t, a, u: np.full(np.atleast_2d(a).shape[0], 0.1 + u @ u),
+        terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
+        jumps=JumpModel(marks=np.array([0.3]), weights=np.array([0.5])),
+        jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e * np.array([1.0, -0.5]),
+        region=Region(kind="ball", center=np.array([2.5, -0.5]), radius=0.8),
+        controls=controls,
+        vectorized=True,
+    )
+    probe = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
+                      time_axis(problem.horizon, problem.horizon))
+    grid = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
+                     time_axis(problem.horizon, max_stable_dt(problem, probe)))
+    options = SchemeOptions(hedge="spectral", jump_hedge="grid")
+    for kind, solve in (("floor", solve_floor), ("ceiling", solve_ceiling)):
+        field = solve(problem, grid, options)
+        t = float(grid.times[1])
+        expect = _state_only_step(field.values[1], t, t, problem, grid, kind)
+        scale = np.abs(expect).max()
+        assert scale > 0.0
+        assert np.abs(field.values[0] - expect).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
