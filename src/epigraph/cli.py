@@ -58,7 +58,6 @@ from .errors import (
     DegenerateGrid,
     EmptyControlGrid,
     EpigraphError,
-    IncompatibleGrids,
     Interrupted,
     MissingField,
     NegativeWeight,
@@ -71,8 +70,9 @@ from .fields import (
     Field,
     Grid,
     blank_field,
-    load_snapshot,
+    load_checkpoint,
     make_grid,
+    save_checkpoint,
     save_snapshot,
     terminal_slice,
     time_axis,
@@ -98,8 +98,7 @@ from .simulate import (
 from .solver import (
     SchemeOptions,
     max_stable_dt,
-    solve_ceiling,
-    solve_floor,
+    solve_boundary_field,
     solve_shortfall,
 )
 from .verify import (
@@ -641,25 +640,6 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_checkpoint(prefix: str, grid: Grid) -> tuple[int, Array] | None:
-    if not (pathlib.Path(prefix + ".json").exists()
-            and pathlib.Path(prefix + ".csv").exists()):
-        return None
-    meta, values = load_snapshot(prefix)
-    want_state = [[float(ax[0]), float(ax[-1]), int(ax.shape[0])]
-                  for ax in grid.state_axes]
-    want_margin = [float(grid.margin_axis[0]), float(grid.margin_axis[-1]),
-                   int(grid.margin_axis.shape[0])]
-    want_times = [0.0, float(grid.times[-1]), int(grid.n_levels)]
-    if (meta.get("kind") != "shortfall" or meta.get("state_axes") != want_state
-            or meta.get("margin_axis") != want_margin
-            or meta.get("times") != want_times):
-        raise IncompatibleGrids(
-            "the checkpoint was written on a different grid than the config describes"
-        )
-    return int(meta["level"]), values
-
-
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and write every artifact plus a manifest.
 
@@ -676,14 +656,13 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     out.mkdir(parents=True, exist_ok=True)
     problem, options = config.problem, config.scheme
     grid = resolve_grid(config)
-    floor = solve_floor(problem, grid, options)
-    ceiling = solve_ceiling(problem, grid, options)
+    floor, ceiling = solve_boundary_field(problem, grid, options)
 
     ckpt_prefix = str(out / "checkpoint")
     resume_level: int | None = None
     resume_values: Array | None = None
     if resume:
-        loaded = _load_checkpoint(ckpt_prefix, grid)
+        loaded = load_checkpoint(ckpt_prefix, grid)
         if loaded is not None:
             resume_level, resume_values = loaded
 
@@ -707,10 +686,10 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         if level in slice_set:
             save_snapshot(partial, level, str(out / f"slice_{level:05d}"))
         if _interrupt_requested():
-            save_snapshot(partial, level, ckpt_prefix, tag="interrupt")
+            save_checkpoint(partial, level, ckpt_prefix, tag="interrupt")
             return False
         if level != last and (last - level) % every == 0:
-            save_snapshot(partial, level, ckpt_prefix, tag="checkpoint")
+            save_checkpoint(partial, level, ckpt_prefix, tag="checkpoint")
         return True
 
     with _signal_watch():
@@ -754,7 +733,8 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         record(write_plot_script(str(out / "plot.gp"), "w_t0.csv", "profile.csv",
                                  [float(margin[j]) for j in picks]))
 
-    for suffix in (".json", ".csv"):  # a finished run needs no resume state
+    # a finished run needs no resume state, nor the older format's CSV
+    for suffix in (".json", ".npy", ".csv"):
         leftover = pathlib.Path(ckpt_prefix + suffix)
         if leftover.exists():
             leftover.unlink()
@@ -844,8 +824,8 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     if {"lipschitz", "slab", "subsolution", "dpp"} & set(requested):
         problem = config.problem
         grid = resolve_grid(config)
-        floor = solve_floor(problem, grid, config.scheme)
-        field = solve_shortfall(problem, grid, config.scheme, floor=floor)
+        floor, ceiling = solve_boundary_field(problem, grid, config.scheme)
+        field = solve_shortfall(problem, grid, config.scheme, floor=floor, ceiling=ceiling)
         if "lipschitz" in requested:
             reports.append(lipschitz_profile(field))
         if "slab" in requested and (explicit or grid.margin_axis[0] < 0.0):

@@ -1,4 +1,4 @@
-"""Grids, value fields, interpolation, and snapshot serialization.
+"""Grids, value fields, interpolation, and snapshot and checkpoint files.
 
 A :class:`Grid` is uniform per axis: one or more state axes, one margin axis
 that must contain 0 (and may extend below it — the negative slab exists only
@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGrid, ShiftOutOfDomain, UnsolvedField
+from .errors import (
+    DegenerateGrid,
+    EpigraphError,
+    IncompatibleGrids,
+    ShiftOutOfDomain,
+    UnsolvedField,
+)
 from .model import Problem, eval_terminal
 
 Array = np.ndarray
@@ -267,8 +274,38 @@ def terminal_slice(problem: Problem, grid: Grid) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# snapshots
+# snapshots and checkpoints
 # ---------------------------------------------------------------------------
+
+def _axes_meta(grid: Grid) -> dict[str, Any]:
+    """The grid's axes as ``[first, last, count]`` triples."""
+    return {
+        "state_axes": [
+            [float(axis[0]), float(axis[-1]), int(axis.shape[0])]
+            for axis in grid.state_axes
+        ],
+        "margin_axis": [
+            float(grid.margin_axis[0]),
+            float(grid.margin_axis[-1]),
+            int(grid.margin_axis.shape[0]),
+        ],
+        "times": [0.0, float(grid.times[-1]), int(grid.n_levels)],
+    }
+
+
+def _write_meta(field_obj: Field, level: int, path: str, tag: str) -> None:
+    """The metadata JSON shared by snapshots and checkpoints."""
+    meta = {
+        "kind": field_obj.kind,
+        "level": int(level),
+        "time": float(field_obj.grid.times[level]),
+        **_axes_meta(field_obj.grid),
+        "tag": tag,
+    }
+    with open(path, "w") as handle:
+        json.dump(meta, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
 
 def save_snapshot(
     field_obj: Field, level: int, prefix: str, tag: str = ""
@@ -280,29 +317,10 @@ def save_snapshot(
     """
     data = field_obj.slice_at(level)
     n_state = int(np.prod(field_obj.grid.state_shape))
-    table = data.reshape(n_state, -1)
-    meta = {
-        "kind": field_obj.kind,
-        "level": int(level),
-        "time": float(field_obj.grid.times[level]),
-        "state_axes": [
-            [float(axis[0]), float(axis[-1]), int(axis.shape[0])]
-            for axis in field_obj.grid.state_axes
-        ],
-        "margin_axis": [
-            float(field_obj.grid.margin_axis[0]),
-            float(field_obj.grid.margin_axis[-1]),
-            int(field_obj.grid.margin_axis.shape[0]),
-        ],
-        "times": [0.0, float(field_obj.grid.times[-1]), int(field_obj.grid.n_levels)],
-        "tag": tag,
-    }
     json_path = f"{prefix}.json"
     csv_path = f"{prefix}.csv"
-    with open(json_path, "w") as handle:
-        json.dump(meta, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    np.savetxt(csv_path, table, delimiter=",", fmt="%.17g")
+    _write_meta(field_obj, level, json_path, tag)
+    np.savetxt(csv_path, data.reshape(n_state, -1), delimiter=",", fmt="%.17g")
     return json_path, csv_path
 
 
@@ -317,3 +335,51 @@ def load_snapshot(prefix: str) -> tuple[dict[str, Any], Array]:
     else:
         shape = state_shape
     return meta, table.reshape(shape)
+
+
+def save_checkpoint(field_obj: Field, level: int, prefix: str, tag: str) -> tuple[str, str]:
+    """Write one shortfall level as resume state: the snapshot metadata JSON
+    plus the exact values in binary ``.npy`` form.  Returns the two paths."""
+    json_path = f"{prefix}.json"
+    npy_path = f"{prefix}.npy"
+    _write_meta(field_obj, level, json_path, tag)
+    np.save(npy_path, field_obj.slice_at(level))
+    return json_path, npy_path
+
+
+def load_checkpoint(prefix: str, grid: Grid) -> tuple[int, Array] | None:
+    """Read resume state written by :func:`save_checkpoint` for ``grid``.
+
+    Returns (level, shortfall slice), or None when there is no checkpoint.
+    Raises :class:`IncompatibleGrids` when it was written for another grid or
+    holds values of another shape or dtype, and :class:`EpigraphError` for a
+    checkpoint in the older CSV format or an unreadable binary file.
+    """
+    json_path = pathlib.Path(f"{prefix}.json")
+    npy_path = pathlib.Path(f"{prefix}.npy")
+    old_path = pathlib.Path(f"{prefix}.csv")
+    if old_path.exists() and not npy_path.exists():
+        raise EpigraphError(
+            f"{old_path} is a checkpoint in the older CSV format, which cannot be "
+            f"resumed; start the run afresh"
+        )
+    if not (json_path.exists() and npy_path.exists()):
+        return None
+    with open(json_path) as handle:
+        meta = json.load(handle)
+    want = _axes_meta(grid)
+    if meta.get("kind") != "shortfall" or any(meta.get(k) != v for k, v in want.items()):
+        raise IncompatibleGrids(
+            "the checkpoint was written on a different grid than the config describes"
+        )
+    try:
+        values = np.load(npy_path, allow_pickle=False)
+    except ValueError as exc:
+        raise EpigraphError(f"{npy_path} is not a readable checkpoint: {exc}") from exc
+    shape = (*grid.state_shape, grid.margin_axis.shape[0])
+    if values.dtype != np.float64 or values.shape != shape:
+        raise IncompatibleGrids(
+            f"{npy_path} holds {values.dtype} values of shape {values.shape}; "
+            f"the grid needs float64 values of shape {shape}"
+        )
+    return int(meta["level"]), values

@@ -34,8 +34,16 @@ finite:
 * in frozen-hedge mode the arrow is never used, so it is never built.
 
 The state-only boundary fields (the margin-0 floor and the top-margin
-ceiling) are the same operator on one margin column, with both hedges pinned
-to zero and a constant margin slope in place of the margin difference.
+ceiling) are one sweep of the same operator on a two-column slice of shape
+``(*state, 2)``: both hedges are pinned to zero, and a constant margin slope
+per column (-1 for the floor, 0 for the ceiling) stands in for the margin
+difference.  Every step is elementwise along that trailing axis, so each
+column gets the bits of a one-column sweep, at half the coefficient,
+stencil and interpolation work of two.
+
+The difference stencils read basic-slice views of a time slice instead of
+gathering shifted copies through clipped index arrays.  The arithmetic is
+the same, in the same order, so the bits are too.
 """
 
 from __future__ import annotations
@@ -87,50 +95,51 @@ DEFAULT_OPTIONS = SchemeOptions()
 # difference operators (clamped uniform grids)
 # ---------------------------------------------------------------------------
 
-def _shifted(values: Array, axis: int, step: int) -> Array:
-    idx = np.clip(np.arange(values.shape[axis]) + step, 0, values.shape[axis] - 1)
-    return np.take(values, idx, axis=axis)
+def _along(ndim: int, picks: dict[int, slice]) -> tuple:
+    """A basic index over ``ndim`` axes: ``picks[axis]`` on the given axes,
+    everything on the others."""
+    return tuple(picks.get(axis, slice(None)) for axis in range(ndim))
 
 
-def _edge(values_ndim: int, axis: int, index: int) -> tuple:
-    sel: list = [slice(None)] * values_ndim
-    sel[axis] = index
-    return tuple(sel)
+_LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
 
 
 def first_differences(values: Array, axis: int, h: float) -> tuple[Array, Array]:
     """(forward, backward) quotients; hull faces use the inward one-sided one."""
-    up = _shifted(values, axis, +1)
-    down = _shifted(values, axis, -1)
-    fwd = (up - values) / h
-    bwd = (values - down) / h
-    top = _edge(values.ndim, axis, values.shape[axis] - 1)
-    bot = _edge(values.ndim, axis, 0)
-    fwd[top] = bwd[top]
-    bwd[bot] = fwd[bot]
+    def at(part: slice) -> tuple:
+        return _along(values.ndim, {axis: part})
+
+    diff = values[at(slice(1, None))] - values[at(slice(None, -1))]
+    diff /= h
+    fwd = np.concatenate([diff, diff[at(slice(-1, None))]], axis=axis)
+    bwd = np.concatenate([diff[at(slice(None, 1))], diff], axis=axis)
     return fwd, bwd
 
 
 def second_difference(values: Array, axis: int, h: float) -> Array:
     """Central second quotient, zero on the hull faces of ``axis``."""
-    up = _shifted(values, axis, +1)
-    down = _shifted(values, axis, -1)
-    sec = (up - 2.0 * values + down) / (h * h)
-    sec[_edge(values.ndim, axis, 0)] = 0.0
-    sec[_edge(values.ndim, axis, values.shape[axis] - 1)] = 0.0
+    def at(part: slice) -> tuple:
+        return _along(values.ndim, {axis: part})
+
+    sec = np.zeros(values.shape)
+    inner = sec[at(_MID)]
+    np.subtract(values[at(_HI)], 2.0 * values[at(_MID)], out=inner)
+    inner += values[at(_LO)]
+    inner /= h * h
     return sec
 
 
 def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float) -> Array:
     """Central mixed quotient, zero on the hull faces of either axis."""
-    pp = _shifted(_shifted(values, ax1, +1), ax2, +1)
-    pm = _shifted(_shifted(values, ax1, +1), ax2, -1)
-    mp = _shifted(_shifted(values, ax1, -1), ax2, +1)
-    mm = _shifted(_shifted(values, ax1, -1), ax2, -1)
-    out = (pp - pm - mp + mm) / (4.0 * h1 * h2)
-    for axis in (ax1, ax2):
-        out[_edge(values.ndim, axis, 0)] = 0.0
-        out[_edge(values.ndim, axis, values.shape[axis] - 1)] = 0.0
+    def at(part1: slice, part2: slice) -> tuple:
+        return _along(values.ndim, {ax1: part1, ax2: part2})
+
+    out = np.zeros(values.shape)
+    inner = out[at(_MID, _MID)]
+    np.subtract(values[at(_HI, _HI)], values[at(_HI, _LO)], out=inner)
+    inner -= values[at(_LO, _HI)]
+    inner += values[at(_LO, _LO)]
+    inner /= 4.0 * h1 * h2
     return out
 
 
@@ -398,52 +407,49 @@ def step_backward(
 def solve_boundary_field(
     problem: Problem,
     grid: Grid,
-    kind: str,
     options: SchemeOptions = DEFAULT_OPTIONS,
-) -> Field:
-    """Solve a state-only field backward over the whole time axis.
+) -> tuple[Field, Field]:
+    """Solve the two state-only fields backward over the whole time axis.
 
-    kind "floor": running cost plus constraint distance, terminal cost at the
-    horizon — the margin-0 Dirichlet data.  kind "ceiling": constraint
-    distance only, zero terminal — the large-margin Dirichlet data.
+    Returns ``(floor, ceiling)``.  The floor carries the running cost plus
+    the constraint distance, with the terminal cost at the horizon: the
+    margin-0 Dirichlet data.  The ceiling carries the constraint distance
+    only, with zero terminal data: the large-margin Dirichlet data.
     """
-    if kind not in ("floor", "ceiling"):
-        raise ValueError(f"boundary field kind must be floor or ceiling, not {kind!r}")
     _check_step(grid.dt, problem, grid, options.safety)
 
-    # One margin column of the sweep, hedges pinned to zero.  The running
-    # cost spends the margin one for one at margin 0 (slope -1) and never
-    # exhausts the top margin (slope 0).
+    # The floor and the ceiling are the two columns of one sweep, hedges
+    # pinned to zero.  The running cost spends the margin one for one at
+    # margin 0 (slope -1) and never exhausts the top margin (slope 0).
     state_only = replace(options, hedge="frozen", jump_hedge="zero")
-    margin_slope = -1.0 if kind == "floor" else 0.0
+    margin_slope = np.array([-1.0, 0.0])
 
-    out = blank_field(grid, kind)
-    if kind == "floor":
-        terminal = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
-    else:
-        terminal = np.zeros(grid.state_shape)
-    out.values[-1] = terminal
-    out.solved_from = grid.n_levels - 1
+    floor = blank_field(grid, "floor")
+    ceiling = blank_field(grid, "ceiling")
+    floor.values[-1] = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
+    ceiling.values[-1] = 0.0
+    floor.solved_from = ceiling.solved_from = grid.n_levels - 1
+    pair = np.stack([floor.values[-1], ceiling.values[-1]], axis=-1)
 
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        prev = out.values[level + 1]
-        slope = _best_time_slope(prev[..., None], t, problem, grid, state_only,
-                                 margin_slope)
-        out.values[level] = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
-        out.solved_from = level
-    return out
+        slope = _best_time_slope(pair, t, problem, grid, state_only, margin_slope)
+        pair = _enforce_nonnegative(pair - dt * slope, t - dt)
+        floor.values[level] = pair[..., 0]
+        ceiling.values[level] = pair[..., 1]
+        floor.solved_from = ceiling.solved_from = level
+    return floor, ceiling
 
 
 def solve_floor(problem: Problem, grid: Grid,
                 options: SchemeOptions = DEFAULT_OPTIONS) -> Field:
-    return solve_boundary_field(problem, grid, "floor", options)
+    return solve_boundary_field(problem, grid, options)[0]
 
 
 def solve_ceiling(problem: Problem, grid: Grid,
                   options: SchemeOptions = DEFAULT_OPTIONS) -> Field:
-    return solve_boundary_field(problem, grid, "ceiling", options)
+    return solve_boundary_field(problem, grid, options)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +457,13 @@ def solve_ceiling(problem: Problem, grid: Grid,
 # ---------------------------------------------------------------------------
 
 def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
-    """Clip roundoff-negative entries to zero; fail on anything worse."""
-    clipped = np.where(slice_vals > -1e-12, np.maximum(slice_vals, 0.0), slice_vals)
+    """Clip roundoff-negative entries to zero; fail on anything worse.
+
+    Roundoff is judged relative to the slice's magnitude, on the scale the
+    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.
+    """
+    scale = max(1.0, float(np.abs(slice_vals).max()))
+    clipped = np.where(slice_vals > -1e-12 * scale, np.maximum(slice_vals, 0.0), slice_vals)
     if clipped.min() < 0.0:
         worst = float(clipped.min())
         raise NonFiniteUpdate(
@@ -485,10 +496,10 @@ def solve_shortfall(
     solved).  ``resume_values``/``resume_level`` restart a solve from a
     previously checkpointed slice.
     """
-    if floor is None:
-        floor = solve_floor(problem, grid, options)
-    if ceiling is None:
-        ceiling = solve_ceiling(problem, grid, options)
+    if floor is None or ceiling is None:
+        solved = solve_boundary_field(problem, grid, options)
+        floor = solved[0] if floor is None else floor
+        ceiling = solved[1] if ceiling is None else ceiling
     for other in (floor, ceiling):
         if not other.grid.matches(grid):
             raise IncompatibleGrids(

@@ -25,13 +25,14 @@ from epigraph.cli import (
     serialize_config,
 )
 from epigraph.errors import (
+    EpigraphError,
     IncompatibleGrids,
     Interrupted,
     ParseError,
     SchemaViolation,
     UnknownKey,
 )
-from epigraph.fields import save_snapshot
+from epigraph.fields import save_checkpoint, save_snapshot
 from epigraph.solver import max_stable_dt, solve_shortfall
 
 
@@ -207,6 +208,7 @@ def test_run_writes_manifest_and_snapshots(zero_run):
         assert (out / name).exists()
         assert len(digest) == 64
     assert not (out / "checkpoint.json").exists()
+    assert not (out / "checkpoint.npy").exists()
     stored = json.loads((out / "manifest.json").read_text())
     assert stored == manifest
 
@@ -238,10 +240,12 @@ def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["tag"] == "interrupt"
     assert 0 < checkpoint["level"] < 100
+    assert (out / "checkpoint.npy").exists()
 
     resumed = run(config, resume=True)
     assert resumed["artifacts"] == reference["artifacts"]
     assert not (out / "checkpoint.json").exists()
+    assert not (out / "checkpoint.npy").exists()
 
 
 def test_resume_without_checkpoint_is_a_fresh_run(zero_run, tmp_path):
@@ -259,9 +263,36 @@ def test_resume_rejects_a_checkpoint_from_another_grid(tmp_path):
               "time_step": 0.02}))
     small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
     out.mkdir()
-    save_snapshot(small, 3, str(out / "checkpoint"), tag="interrupt")
+    save_checkpoint(small, 3, str(out / "checkpoint"), tag="interrupt")
     with pytest.raises(IncompatibleGrids):
         run(config, resume=True)
+
+
+def test_resume_rejects_a_checkpoint_of_the_wrong_shape(tmp_path):
+    out = tmp_path / "reshaped"
+    config = zero_config(out)
+    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
+                            on_level=lambda level, f: level > 90)
+    out.mkdir()
+    save_checkpoint(field, 90, str(out / "checkpoint"), tag="interrupt")
+    np.save(out / "checkpoint.npy", field.values[90][:-1])
+    with pytest.raises(IncompatibleGrids, match="checkpoint.npy"):
+        run(config, resume=True)
+
+
+def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
+    # the older writer stored the resume slice as checkpoint.{json,csv}
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    config = zero_config(out)
+    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
+                            on_level=lambda level, f: level > 90)
+    out.mkdir()
+    save_snapshot(field, 90, str(out / "checkpoint"), tag="interrupt")
+    with pytest.raises(EpigraphError, match="checkpoint.csv"):
+        run(config, resume=True)
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    assert "checkpoint.csv" in capsys.readouterr().err
 
 
 def test_checkpoints_are_written_on_cadence(tmp_path):

@@ -29,10 +29,12 @@ from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.solver import (
     SchemeOptions,
     _best_time_slope,
+    _enforce_nonnegative,
     cross_difference,
     first_differences,
     max_stable_dt,
     second_difference,
+    solve_boundary_field,
     solve_ceiling,
     solve_floor,
     solve_shortfall,
@@ -117,6 +119,88 @@ def diffusive_problem(terminal_cost=None, diffusion=None):
 
 def diffusive_grid():
     return make_grid([(-2.0, 2.0, 41)], (-0.3, 1.5, 19), time_axis(0.4, 0.02))
+
+
+# ---------------------------------------------------------------------------
+# difference operators
+# ---------------------------------------------------------------------------
+
+def _shifted_reference(values, axis, step):
+    idx = np.clip(np.arange(values.shape[axis]) + step, 0, values.shape[axis] - 1)
+    return np.take(values, idx, axis=axis)
+
+
+def _face(ndim, axis, index):
+    sel = [slice(None)] * ndim
+    sel[axis] = index
+    return tuple(sel)
+
+
+def _first_differences_reference(values, axis, h):
+    """The gather-based stencils the slice-based ones replaced."""
+    up = _shifted_reference(values, axis, +1)
+    down = _shifted_reference(values, axis, -1)
+    fwd = (up - values) / h
+    bwd = (values - down) / h
+    top = _face(values.ndim, axis, values.shape[axis] - 1)
+    bot = _face(values.ndim, axis, 0)
+    fwd[top] = bwd[top]
+    bwd[bot] = fwd[bot]
+    return fwd, bwd
+
+
+def _second_difference_reference(values, axis, h):
+    up = _shifted_reference(values, axis, +1)
+    down = _shifted_reference(values, axis, -1)
+    sec = (up - 2.0 * values + down) / (h * h)
+    sec[_face(values.ndim, axis, 0)] = 0.0
+    sec[_face(values.ndim, axis, values.shape[axis] - 1)] = 0.0
+    return sec
+
+
+def _cross_difference_reference(values, ax1, ax2, h1, h2):
+    def shift(v, s1, s2):
+        return _shifted_reference(_shifted_reference(v, ax1, s1), ax2, s2)
+
+    out = (shift(values, 1, 1) - shift(values, 1, -1) - shift(values, -1, 1)
+           + shift(values, -1, -1)) / (4.0 * h1 * h2)
+    for axis in (ax1, ax2):
+        out[_face(values.ndim, axis, 0)] = 0.0
+        out[_face(values.ndim, axis, values.shape[axis] - 1)] = 0.0
+    return out
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _stencil_inputs(rng):
+    """Random 1-, 2- and 3-D slices, with signed zeros and a strided view."""
+    for ndim in (1, 2, 3):
+        values = rng.normal(size=tuple(rng.integers(3, 7, size=ndim))) * 10.0
+        values[rng.random(values.shape) < 0.2] = 0.0
+        values[rng.random(values.shape) < 0.2] = -0.0
+        yield values
+        yield values[..., ::-1].swapaxes(0, -1)
+
+
+def test_stencils_match_the_gather_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    hs = (0.1, 0.37, 1.0 / 3.0)
+    for values in _stencil_inputs(rng):
+        for axis in range(values.ndim):
+            h = hs[axis]
+            got = first_differences(values, axis, h)
+            want = _first_differences_reference(values, axis, h)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            assert _same_bits(second_difference(values, axis, h),
+                              _second_difference_reference(values, axis, h))
+            for other in range(values.ndim):
+                if other != axis:
+                    assert _same_bits(
+                        cross_difference(values, axis, other, h, hs[other]),
+                        _cross_difference_reference(values, axis, other, h, hs[other]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +394,13 @@ def _state_only_step(prev, t, dt, problem, grid, kind):
     return prev - dt * best
 
 
-def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
-    # running cost, a ball region, correlated diffusion and one jump atom; the
-    # boundary fields pin both hedges to zero whatever the options say.  The
-    # ball lies off the grid: where the field vanishes next to a positive
-    # diagonal neighbour, the central cross difference alone drives it below
-    # zero, which the nonnegativity guard rejects.
+def _two_dim_boundary_setup():
+    """Running cost, a ball region, correlated diffusion and one jump atom.
+
+    The ball lies off the grid: where the field vanishes next to a positive
+    diagonal neighbour, the central cross difference alone drives it below
+    zero, which the nonnegativity guard rejects.
+    """
     controls = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [-0.3, 0.4]])
     problem = build_problem(
         dim_state=2,
@@ -336,6 +421,31 @@ def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
                       time_axis(problem.horizon, problem.horizon))
     grid = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
                      time_axis(problem.horizon, max_stable_dt(problem, probe)))
+    return problem, grid
+
+
+def _one_dim_boundary_setup():
+    """Running cost, a halfspace region, diffusion and one jump atom."""
+    problem = build_problem(
+        dim_state=1,
+        dim_noise=1,
+        horizon=0.4,
+        drift=drift_is_control,
+        diffusion=constant_diffusion(0.4),
+        running_cost=constant_running(0.1),
+        terminal_cost=lambda a: 0.5 + 0.25 * np.atleast_2d(a)[:, 0] ** 2,
+        jumps=JumpModel(marks=np.array([0.25]), weights=np.array([0.5])),
+        jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e,
+        region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
+        controls=[-0.5, 0.0, 0.5],
+        vectorized=True,
+    )
+    return problem, diffusive_grid()
+
+
+def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
+    # the boundary fields pin both hedges to zero whatever the options say
+    problem, grid = _two_dim_boundary_setup()
     options = SchemeOptions(hedge="spectral", jump_hedge="grid")
     for kind, solve in (("floor", solve_floor), ("ceiling", solve_ceiling)):
         field = solve(problem, grid, options)
@@ -344,6 +454,43 @@ def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
         scale = np.abs(expect).max()
         assert scale > 0.0
         assert np.abs(field.values[0] - expect).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("setup", [_one_dim_boundary_setup, _two_dim_boundary_setup])
+def test_boundary_pair_columns_match_one_column_sweeps(setup):
+    # each column of the two-column sweep gets the bits of its own sweep
+    problem, grid = setup()
+    floor, ceiling = solve_boundary_field(problem, grid)
+    assert floor.kind == "floor" and ceiling.kind == "ceiling"
+    assert floor.solved and ceiling.solved
+    state_only = SchemeOptions(hedge="frozen", jump_hedge="zero")
+    for level in range(grid.n_levels - 2, -1, -1):
+        t = float(grid.times[level + 1])
+        dt = t - float(grid.times[level])
+        for field, c in ((floor, -1.0), (ceiling, 0.0)):
+            prev = field.values[level + 1]
+            slope = _best_time_slope(prev[..., None], t, problem, grid, state_only,
+                                     margin_slope=c)
+            expect = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
+            assert _same_bits(field.values[level], expect), (field.kind, level)
+    assert np.abs(ceiling.values[0]).max() > 0.0
+    assert not np.array_equal(floor.values[0], ceiling.values[0])
+
+
+def test_roundoff_clip_is_relative_to_the_slice_scale():
+    values = np.full((6, 4), 1e3)
+    values[2, 1] = -1e-10
+    clipped = _enforce_nonnegative(values, 0.5)
+    assert clipped[2, 1] == 0.0 and not np.signbit(clipped[2, 1])
+    assert np.array_equal(np.delete(clipped.ravel(), 9), np.full(23, 1e3))
+    values[2, 1] = -1e-6
+    with pytest.raises(NonFiniteUpdate, match="nonnegativity violated"):
+        _enforce_nonnegative(values, 0.5)
+    # on a unit-scale slice the threshold stays at -1e-12
+    unit = np.ones((6, 4))
+    unit[2, 1] = -1e-10
+    with pytest.raises(NonFiniteUpdate, match="nonnegativity violated"):
+        _enforce_nonnegative(unit, 0.5)
 
 
 # ---------------------------------------------------------------------------
