@@ -41,8 +41,7 @@ from .simulate import (
 from .solver import (
     SchemeOptions,
     max_stable_dt,
-    solve_ceiling,
-    solve_floor,
+    solve_boundary_field,
     solve_shortfall,
     step_backward,
 )
@@ -99,8 +98,7 @@ __all__ = [
     "sign_equivalence_suite",
     "simulate_pair_path",
     "slab_identity_residual",
-    "solve_ceiling",
-    "solve_floor",
+    "solve_boundary_field",
     "solve_shortfall",
     "step_backward",
     "strict_subsolution_residual",

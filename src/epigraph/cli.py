@@ -69,7 +69,6 @@ from .errors import (
 from .fields import (
     Field,
     Grid,
-    blank_field,
     load_checkpoint,
     make_grid,
     save_checkpoint,
@@ -542,21 +541,12 @@ def _write_rows(path: str, header: Sequence[str], table: Array) -> None:
 
 
 def export_slice_csv(field_obj: Field, level: int, path: str) -> str:
-    """Write one time level in long form: state columns, margin, value."""
+    """Write one shortfall time level in long form: state columns, margin, value."""
     data = field_obj.slice_at(level)
-    mesh = np.meshgrid(*field_obj.grid.state_axes, indexing="ij")
-    state_cols = [m.reshape(-1) for m in mesh]
-    names = [f"state_{i + 1}" for i in range(len(state_cols))]
-    if field_obj.kind == "shortfall":
-        margin = field_obj.grid.margin_axis
-        state_cols = [np.repeat(col, margin.size) for col in state_cols]
-        table = np.column_stack(
-            [*state_cols, np.tile(margin, data.size // margin.size), data.reshape(-1)]
-        )
-        header = [*names, "margin", "shortfall"]
-    else:
-        table = np.column_stack([*state_cols, data.reshape(-1)])
-        header = [*names, field_obj.kind]
+    grid = field_obj.grid
+    mesh = np.meshgrid(*grid.state_axes, grid.margin_axis, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh] + [data.reshape(-1)])
+    header = [f"state_{i + 1}" for i in range(grid.dim_state)] + ["margin", "shortfall"]
     _write_rows(path, header, table)
     return path
 
@@ -643,9 +633,11 @@ def _sha256(path: pathlib.Path) -> str:
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and write every artifact plus a manifest.
 
-    Solves the floor and ceiling fields, sweeps the shortfall field with
-    periodic checkpoints (and one on SIGINT/SIGTERM), extracts the
-    required-margin profile, and writes the CSV/plot exports.  The manifest
+    Solves the floor and ceiling pair once, writes the terminal slice, sweeps
+    the shortfall field from it (or from the checkpoint) with periodic
+    checkpoints (and one on SIGINT/SIGTERM), extracts the required-margin
+    profile, and writes the CSV/plot exports.  The swept shortfall field is
+    the only (level, state, margin) array it allocates.  The manifest
     maps every artifact to its SHA-256 content hash and embeds the normalized
     config; nothing in it depends on wall-clock time, so rerunning the same
     document reproduces it bit for bit.  An interrupted sweep raises
@@ -656,16 +648,10 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     out.mkdir(parents=True, exist_ok=True)
     problem, options = config.problem, config.scheme
     grid = resolve_grid(config)
-    floor, ceiling = solve_boundary_field(problem, grid, options)
+    boundary = solve_boundary_field(problem, grid, options)
 
     ckpt_prefix = str(out / "checkpoint")
-    resume_level: int | None = None
-    resume_values: Array | None = None
-    if resume:
-        loaded = load_checkpoint(ckpt_prefix, grid)
-        if loaded is not None:
-            resume_level, resume_values = loaded
-
+    loaded = load_checkpoint(ckpt_prefix, grid) if resume else None
     every = int(config.outputs["checkpoint_every"])
     last = grid.n_levels - 1
     levels = sorted(set(range(0, grid.n_levels, every)) | {last})
@@ -673,11 +659,13 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 
     # The terminal slice never reaches the level callback, and a resumed
     # sweep cannot revisit it, so it is written up front from the terminal
-    # data alone (identical bytes on fresh and resumed runs).
-    seed = blank_field(grid, "shortfall")
-    seed.values[-1] = terminal_slice(problem, grid)
-    seed.solved_from = last
-    save_snapshot(seed, last, str(out / f"slice_{last:05d}"))
+    # data alone (identical bytes on fresh and resumed runs).  Its field is
+    # a zero-copy view that holds the last level only.
+    terminal = terminal_slice(problem, grid)
+    terminal_field = Field(grid, "shortfall",
+                           np.broadcast_to(terminal, (grid.n_levels, *terminal.shape)),
+                           solved_from=last, solved_to=last)
+    save_snapshot(terminal_field, last, str(out / f"slice_{last:05d}"))
 
     def checkpointer(level: int, partial: Field) -> bool:
         # Decimated slices are persisted as the sweep passes them — before
@@ -693,9 +681,8 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         return True
 
     with _signal_watch():
-        field = solve_shortfall(problem, grid, options, floor=floor, ceiling=ceiling,
-                                on_level=checkpointer, resume_values=resume_values,
-                                resume_level=resume_level)
+        field = solve_shortfall(problem, grid, options, boundary, on_level=checkpointer,
+                                resume=loaded if loaded is not None else (last, terminal))
     if not field.solved:
         raise Interrupted(
             f"stopped at time level {field.solved_from}; checkpoint written at "
@@ -714,15 +701,15 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
                 )
             written[q.name] = _sha256(q)
 
-    record(*save_snapshot(floor, 0, str(out / "floor")))
-    record(*save_snapshot(ceiling, 0, str(out / "ceiling")))
+    for boundary_field in boundary:
+        record(*save_snapshot(boundary_field, 0, str(out / boundary_field.kind)))
     for level in levels:
         prefix = str(out / f"slice_{level:05d}")
         record(prefix + ".json", prefix + ".csv")
 
     # The default threshold reads the terminal slice, which a resumed field
-    # no longer covers; the seed field holds it on both paths.
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(seed)
+    # no longer covers; the terminal field holds it on both paths.
+    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(terminal_field)
     query = LevelSetQuery(epsilon=epsilon)
     record(export_profile_csv(field, 0, str(out / "profile.csv"), query))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
@@ -824,12 +811,12 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     if {"lipschitz", "slab", "subsolution", "dpp"} & set(requested):
         problem = config.problem
         grid = resolve_grid(config)
-        floor, ceiling = solve_boundary_field(problem, grid, config.scheme)
-        field = solve_shortfall(problem, grid, config.scheme, floor=floor, ceiling=ceiling)
+        boundary = solve_boundary_field(problem, grid, config.scheme)
+        field = solve_shortfall(problem, grid, config.scheme, boundary)
         if "lipschitz" in requested:
             reports.append(lipschitz_profile(field))
         if "slab" in requested and (explicit or grid.margin_axis[0] < 0.0):
-            reports.append(slab_identity_residual(field, floor))
+            reports.append(slab_identity_residual(field, boundary[0]))
         if "subsolution" in requested and (explicit or grid.margin_axis[0] > -1.0):
             reports.append(strict_subsolution_residual(
                 problem, field, 0.1, options=config.scheme, max_levels=25))
@@ -1023,10 +1010,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (*_CONFIG_ERRORS, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EpigraphError as exc:

@@ -82,10 +82,6 @@ class UnsolvedField(EpigraphError):
     """An operation needed a solved field but received something else."""
 
 
-class Unreachable(EpigraphError):
-    """No margin on the grid brings the shortfall below threshold."""
-
-
 # --- configuration --------------------------------------------------------
 
 class ParseError(EpigraphError):

@@ -82,16 +82,6 @@ class Stencil:
         object.__setattr__(self, "hess_cross", hc)
 
 
-ZERO_STENCIL_1D = Stencil(
-    time_slope=0.0,
-    grad_state=np.zeros(1),
-    grad_margin=0.0,
-    hess_state=np.zeros((1, 1)),
-    hess_cross=np.zeros(1),
-    hess_margin=0.0,
-)
-
-
 # ---------------------------------------------------------------------------
 # arrowhead matrix and its top eigenvalue
 # ---------------------------------------------------------------------------

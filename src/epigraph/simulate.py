@@ -141,11 +141,13 @@ def _time_steps(t0: float, horizon: float, dt: float) -> Array:
     return steps
 
 
-def _check_controls_on_grid(problem: Problem, controls: Array) -> None:
-    grid = problem.controls
-    gaps = np.abs(controls[:, None, :] - grid[None, :, :]).max(axis=2)
-    if not np.all(gaps.min(axis=1) <= 1e-9):
+def _control_rows(problem: Problem, controls: Array) -> Array:
+    """The control-grid row each path plays; raises when one is off the grid."""
+    gaps = np.abs(controls[:, None, :] - problem.controls[None, :, :]).max(axis=2)
+    rows = gaps.argmin(axis=1)
+    if not np.all(gaps[np.arange(rows.shape[0]), rows] <= 1e-9):
         raise ValueError("policy returned a control that is not a control-grid row")
+    return rows
 
 
 def _advance_chunk(
@@ -189,26 +191,18 @@ def _advance_chunk(
         u = np.atleast_2d(np.asarray(policy.control(t, x, margins), dtype=float))
         if u.shape[0] == 1 and n_paths > 1:
             u = np.broadcast_to(u, (n_paths, u.shape[1]))
-        if t == t0:
-            _check_controls_on_grid(problem, u)
+        rows = _control_rows(problem, u)
 
+        # one batched evaluation per distinct control row, on its paths
+        drift = np.empty((n_paths, n))
+        diffusion = np.empty((n_paths, n, problem.dim_noise))
+        jump_sizes = np.empty((K, n_paths, n))
+        running = np.empty(n_paths)
         try:
-            if np.all(u == u[0]):
-                drift, diffusion, jump_sizes, running = eval_coefficients_batch(
-                    problem, t, x, u[0]
-                )
-            else:
-                drift = np.empty((n_paths, n))
-                diffusion = np.empty((n_paths, n, problem.dim_noise))
-                jump_sizes = np.zeros((K, n_paths, n))
-                running = np.empty(n_paths)
-                for i in range(n_paths):
-                    d_i, s_i, j_i, l_i = eval_coefficients_batch(
-                        problem, t, x[i : i + 1], u[i]
-                    )
-                    drift[i], diffusion[i], running[i] = d_i[0], s_i[0], l_i[0]
-                    if K:
-                        jump_sizes[:, i, :] = j_i[:, 0, :]
+            for row in np.unique(rows):
+                paths = np.flatnonzero(rows == row)
+                (drift[paths], diffusion[paths], jump_sizes[:, paths],
+                 running[paths]) = eval_coefficients_batch(problem, t, x[paths], u[paths[0]])
         except NonFiniteCoefficient as exc:
             # a diverging trajectory usually overflows inside the coefficient
             # callables before the state itself turns inf

@@ -39,7 +39,10 @@ ceiling) are one sweep of the same operator on a two-column slice of shape
 per column (-1 for the floor, 0 for the ceiling) stands in for the margin
 difference.  Every step is elementwise along that trailing axis, so each
 column gets the bits of a one-column sweep, at half the coefficient,
-stencil and interpolation work of two.
+stencil and interpolation work of two.  :func:`solve_boundary_field` is the
+one entry point for the pair; :func:`solve_shortfall` takes it as one
+argument and writes its columns over the shortfall's margin-0 and top
+margin columns after each raw :func:`step_backward`.
 
 The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
@@ -379,22 +382,12 @@ def step_backward(
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
     *,
-    floor_slice: Array | None = None,
-    ceiling_slice: Array | None = None,
     cfl_bound: float | None = None,
 ) -> Array:
-    """Advance the slice at time ``t`` backward to ``t - dt``.
-
-    ``floor_slice``/``ceiling_slice``, when given, pin the margin-0 and top
-    margin columns (Dirichlet data evaluated at the *new* time level).
-    """
+    """Advance the slice at time ``t`` backward to ``t - dt`` by one raw
+    explicit step; the caller pins edge columns and clips roundoff."""
     _check_step(dt, problem, grid, options.safety, cfl_bound)
-    slope = _best_time_slope(prev, t, problem, grid, options)
-    new = prev - dt * slope
-    if floor_slice is not None:
-        new[..., grid.margin_zero_index] = floor_slice
-    if ceiling_slice is not None:
-        new[..., -1] = ceiling_slice
+    new = prev - dt * _best_time_slope(prev, t, problem, grid, options)
     if not np.all(np.isfinite(new)):
         raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
     return new
@@ -442,16 +435,6 @@ def solve_boundary_field(
     return floor, ceiling
 
 
-def solve_floor(problem: Problem, grid: Grid,
-                options: SchemeOptions = DEFAULT_OPTIONS) -> Field:
-    return solve_boundary_field(problem, grid, options)[0]
-
-
-def solve_ceiling(problem: Problem, grid: Grid,
-                  options: SchemeOptions = DEFAULT_OPTIONS) -> Field:
-    return solve_boundary_field(problem, grid, options)[1]
-
-
 # ---------------------------------------------------------------------------
 # the full margin-coupled solve
 # ---------------------------------------------------------------------------
@@ -478,28 +461,27 @@ def solve_shortfall(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
-    floor: Field | None = None,
-    ceiling: Field | None = None,
+    boundary: tuple[Field, Field] | None = None,
     on_level: Callable[[int, Field], bool] | None = None,
-    resume_values: Array | None = None,
-    resume_level: int | None = None,
+    resume: tuple[int, Array] | None = None,
 ) -> Field:
     """Solve the margin-coupled shortfall field backward from the horizon.
 
-    The margin-0 column is pinned to the floor field and the top margin
-    column to the ceiling field (both solved here if not supplied).  Margin
-    columns below zero — when the grid has them — evolve under the same
-    scheme and serve as the linearity diagnostic.
+    ``boundary`` is the ``(floor, ceiling)`` pair that
+    :func:`solve_boundary_field` returns; it is solved here when not given.
+    After each raw step the margin-0 column is pinned to the floor and the
+    top margin column to the ceiling, at the new level.  Margin columns
+    below zero — when the grid has them — evolve under the same scheme and
+    serve as the linearity diagnostic.
 
     ``on_level`` is called after each completed level with (level, field);
     returning False aborts the sweep early (the field stays partially
-    solved).  ``resume_values``/``resume_level`` restart a solve from a
-    previously checkpointed slice.
+    solved).  ``resume`` is the ``(level, slice)`` pair that
+    :func:`epigraph.fields.load_checkpoint` returns; the solve restarts
+    from that slice.
     """
-    if floor is None or ceiling is None:
-        solved = solve_boundary_field(problem, grid, options)
-        floor = solved[0] if floor is None else floor
-        ceiling = solved[1] if ceiling is None else ceiling
+    floor, ceiling = boundary if boundary is not None else solve_boundary_field(
+        problem, grid, options)
     for other in (floor, ceiling):
         if not other.grid.matches(grid):
             raise IncompatibleGrids(
@@ -512,30 +494,21 @@ def solve_shortfall(
 
     bound = _check_step(grid.dt, problem, grid, options.safety)
 
+    start, values = resume if resume is not None else (
+        grid.n_levels - 1, terminal_slice(problem, grid))
     out = blank_field(grid, "shortfall")
-    if resume_values is not None:
-        if resume_level is None:
-            raise ValueError("resume_values needs resume_level")
-        out.values[resume_level] = resume_values
-        out.solved_from = resume_level
-        out.solved_to = resume_level
-        start = resume_level - 1
-    else:
-        out.values[-1] = terminal_slice(problem, grid)
-        out.solved_from = grid.n_levels - 1
-        start = grid.n_levels - 2
+    out.values[start] = values
+    out.solved_from = out.solved_to = start
 
-    for level in range(start, -1, -1):
+    jz = grid.margin_zero_index
+    for level in range(start - 1, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        new = step_backward(
-            out.values[level + 1], t, dt, problem, grid, options,
-            floor_slice=floor.values[level],
-            ceiling_slice=ceiling.values[level],
-            cfl_bound=bound,
-        )
-        new = _enforce_nonnegative(new, float(grid.times[level]))
-        out.values[level] = new
+        new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
+                            cfl_bound=bound)
+        new[..., jz] = floor.values[level]
+        new[..., -1] = ceiling.values[level]
+        out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
         if on_level is not None and not on_level(level, out):
             break

@@ -24,7 +24,7 @@ from .errors import IncompatibleGrids
 from .fields import Field
 from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
 from .model import Coefficients, Problem
-from .simulate import _chunked, constant_policy
+from .simulate import _chunked, _estimate, constant_policy
 from .solver import DEFAULT_OPTIONS, SchemeOptions, max_stable_dt, step_backward
 
 Array = np.ndarray
@@ -311,14 +311,10 @@ def dpp_consistency(
                 n_paths, dt, seed + i * len(controls) + j,
             )
             cont = field.evaluate(r_index, stats["x_T"], margins=stats["y_T"])
-            samples = stats["penalty"] + cont
-            mean = float(np.mean(samples))
-            half = (
-                float(1.96 * np.std(samples, ddof=1) / np.sqrt(n_paths))
-                if n_paths > 1 else 0.0
-            )
-            if best is None or mean < best["mean"]:
-                best = {"mean": mean, "half_width": half, "control": float(u[0])}
+            estimate = _estimate(stats["penalty"] + cont, n_paths, seed)
+            if best is None or estimate.mean < best["mean"]:
+                best = {"mean": estimate.mean, "half_width": estimate.half_width,
+                        "control": float(u[0])}
         residual = here - (best["mean"] + best["half_width"])
         worst = max(worst, residual)
         rows.append({

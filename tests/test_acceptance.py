@@ -32,7 +32,7 @@ from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
 from epigraph.solver import (
     SchemeOptions,
     max_stable_dt,
-    solve_floor,
+    solve_boundary_field,
     solve_shortfall,
 )
 from epigraph.verify import (
@@ -244,8 +244,8 @@ def test_criterion_5_negative_margin_slab_identity():
     def slab_run(n_state, n_margin, dt):
         grid = make_grid([(-2.0, 2.0, n_state)], (-1.0, 1.5, n_margin),
                          time_axis(0.4, dt))
-        floor = solve_floor(problem, grid)
-        field = solve_shortfall(problem, grid, floor=floor)
+        floor, ceiling = solve_boundary_field(problem, grid)
+        field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
         return field, slab_identity_residual(field, floor)
 
     field_c, coarse = slab_run(41, 26, 0.02)

@@ -7,6 +7,7 @@ import json
 import pathlib
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,21 @@ def test_rerun_is_bit_identical(zero_run):
     before = (out / "manifest.json").read_bytes()
     run(config)
     assert (out / "manifest.json").read_bytes() == before
+
+
+def test_run_holds_one_full_history_field(tmp_path):
+    # the sweep's shortfall field is the only (levels, state, margin) array
+    # a run allocates; the terminal snapshot and the threshold read one slice
+    config = zero_config(tmp_path / "memory")
+    grid = resolve_grid(config)
+    field_bytes = 8 * grid.n_levels * int(np.prod(grid.state_shape)) * grid.margin_axis.size
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * field_bytes
 
 
 def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,

@@ -17,7 +17,7 @@ from epigraph.levelset import (
     required_margin_profile,
 )
 from epigraph.problems import builtin_grid, builtin_problem
-from epigraph.solver import max_stable_dt, solve_floor, solve_shortfall
+from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
 
 
 def terminal_field(problem, grid):
@@ -173,7 +173,7 @@ def test_unsolved_levels_are_rejected():
 def test_fields_without_a_margin_axis_are_rejected():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 5)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    floor = solve_floor(problem, grid)
+    floor, _ = solve_boundary_field(problem, grid)
     with pytest.raises(ValueError):
         required_margin_profile(floor, 0, LevelSetQuery(epsilon=1e-3))
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from epigraph.errors import NonFiniteState, StepTooLarge
-from epigraph.model import JumpModel, Region, build_problem
+from epigraph.model import JumpModel, Region, build_problem, eval_coefficients_batch
+from epigraph.problems import builtin_problem
 from epigraph.simulate import (
     MCEstimate,
     Policy,
@@ -17,7 +18,9 @@ from epigraph.simulate import (
     estimate_shortfall,
     path_to_csv,
     simulate_pair_path,
+    _advance_chunk,
     _chunked,
+    _time_steps,
 )
 
 
@@ -108,6 +111,63 @@ def test_policy_must_return_grid_controls():
     rogue = Policy(control=lambda t, a, b: np.full((a.shape[0], 1), 0.37))
     with pytest.raises(ValueError):
         simulate_pair_path(prob, 0.0, np.zeros(1), 0.0, rogue, 0.1, ZeroNoise())
+
+
+def test_policy_leaving_the_grid_after_the_start_raises():
+    prob = builtin_problem("deterministic-steering")
+    drifting = Policy(control=lambda t, a, b: np.full((a.shape[0], 1), 0.05 if t > 0 else 0.0))
+    with pytest.raises(ValueError):
+        _advance_chunk(prob, drifting, 0.0, np.zeros((3, 1)), np.zeros(3), 0.1,
+                       np.random.default_rng(0))
+
+
+def _bang_bang(played):
+    def control(t, a, b):
+        u = np.where(a[:, :1] > 0.0, -1.0, 1.0)
+        played.append(np.unique(u).size)
+        return u
+    return Policy(control=control)
+
+
+def _per_path_reference(problem, policy, x0, y0, dt, rng):
+    """The stepping of a jump-free problem under zero hedges, with one
+    coefficient evaluation per path per step."""
+    n_paths, n = x0.shape
+    r = problem.dim_noise
+    x, y = x0.copy(), y0.copy()
+    run_cost = np.zeros(n_paths)
+    penalty = np.zeros(n_paths)
+    t = 0.0
+    for h in _time_steps(0.0, problem.horizon, dt):
+        u = policy.control(t, x, y)
+        drift = np.empty((n_paths, n))
+        diffusion = np.empty((n_paths, n, r))
+        running = np.empty(n_paths)
+        for i in range(n_paths):
+            d_i, s_i, _, l_i = eval_coefficients_batch(problem, t, x[i:i + 1], u[i])
+            drift[i], diffusion[i], running[i] = d_i[0], s_i[0], l_i[0]
+        dB = rng.normal(scale=np.sqrt(h), size=(n_paths, r))
+        x_new = x + drift * h + np.einsum("pnr,pr->pn", diffusion, dB)
+        y = y - running * h + np.einsum("pr,pr->p", np.zeros((n_paths, r)), dB)
+        run_cost += running * h
+        penalty += np.atleast_1d(problem.distance(x)) * h
+        x = x_new
+        t += h
+    return {"x_T": x, "y_T": y, "run_cost": run_cost, "penalty": penalty}
+
+
+def test_feedback_policy_matches_the_per_path_reference():
+    prob = builtin_problem("deterministic-steering")
+    x0 = np.linspace(-1.5, 1.5, 40)[:, None]
+    y0 = np.linspace(0.0, 0.5, 40)
+    played = []
+    out = _advance_chunk(prob, _bang_bang(played), 0.0, x0, y0, 0.03,
+                         np.random.default_rng(11))
+    assert max(played) == 2   # both controls were played in one step
+    ref = _per_path_reference(prob, _bang_bang([]), x0, y0, 0.03,
+                              np.random.default_rng(11))
+    for key, expect in ref.items():
+        assert np.array_equal(out[key], expect), key
 
 
 def test_brownian_terminal_mean_is_initial_point():

@@ -35,8 +35,6 @@ from epigraph.solver import (
     max_stable_dt,
     second_difference,
     solve_boundary_field,
-    solve_ceiling,
-    solve_floor,
     solve_shortfall,
     step_backward,
 )
@@ -327,7 +325,7 @@ def test_scheme_options_are_validated():
 def test_floor_zero_costs_is_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
-    floor = solve_floor(problem, grid)
+    floor, _ = solve_boundary_field(problem, grid)
     assert floor.solved
     assert np.abs(floor.values).max() == 0.0
 
@@ -335,7 +333,7 @@ def test_floor_zero_costs_is_zero():
 def test_floor_frozen_distance_accrual_is_exact():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    floor = solve_floor(problem, grid)
+    floor, _ = solve_boundary_field(problem, grid)
     a = grid.state_axes[0]
     for level in (0, grid.n_levels // 2, grid.n_levels - 1):
         expect = np.abs(a) * (1.0 - grid.times[level])
@@ -350,8 +348,7 @@ def test_boundary_fields_split_costs():
         region=Region(kind="point", center=np.zeros(1)),
     )
     grid = make_grid([(-2.0, 2.0, 21)], (0.0, 1.0, 11), time_axis(1.0, 0.05))
-    floor = solve_floor(problem, grid)
-    ceiling = solve_ceiling(problem, grid)
+    floor, ceiling = solve_boundary_field(problem, grid)
     a = np.abs(grid.state_axes[0])
     for level in (0, grid.n_levels // 2):
         left = 1.0 - grid.times[level]
@@ -362,7 +359,7 @@ def test_boundary_fields_split_costs():
 def test_floor_steering_reaches_the_oracle_value():
     problem = builtin_problem("deterministic-steering")
     grid = grid_for(problem, "deterministic-steering")
-    floor = solve_floor(problem, grid)
+    floor, _ = solve_boundary_field(problem, grid)
     i = int(np.argmin(np.abs(grid.state_axes[0] - 1.5)))
     assert floor.values[0][i] == pytest.approx(0.25, abs=0.05)
 
@@ -447,8 +444,8 @@ def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
     # the boundary fields pin both hedges to zero whatever the options say
     problem, grid = _two_dim_boundary_setup()
     options = SchemeOptions(hedge="spectral", jump_hedge="grid")
-    for kind, solve in (("floor", solve_floor), ("ceiling", solve_ceiling)):
-        field = solve(problem, grid, options)
+    floor, ceiling = solve_boundary_field(problem, grid, options)
+    for kind, field in (("floor", floor), ("ceiling", ceiling)):
         t = float(grid.times[1])
         expect = _state_only_step(field.values[1], t, t, problem, grid, kind)
         scale = np.abs(expect).max()
@@ -515,8 +512,8 @@ def test_terminal_level_is_bit_identical_to_terminal_data():
 def test_slab_rows_reproduce_the_floor_exactly_frozen():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    floor = solve_floor(problem, grid)
-    field = solve_shortfall(problem, grid, floor=floor)
+    floor, ceiling = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
@@ -528,8 +525,8 @@ def test_slab_rows_reproduce_the_floor_exactly_frozen():
 def test_slab_rows_reproduce_the_floor_exactly_with_diffusion():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    floor = solve_floor(problem, grid)
-    field = solve_shortfall(problem, grid, floor=floor)
+    floor, ceiling = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
@@ -546,6 +543,22 @@ def test_field_is_nonnegative_and_nonincreasing_in_margin():
     jz = grid.margin_zero_index
     for level in range(grid.n_levels):
         assert np.diff(field.values[level][:, jz:], axis=1).max() <= 1e-12
+
+
+def test_sweep_pins_the_edge_columns_to_the_boundary_pair():
+    # step_backward is the raw step; the sweep writes the floor into the
+    # margin-0 column and the ceiling into the top one at every new level
+    problem = diffusive_problem()
+    grid = diffusive_grid()
+    floor, ceiling = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
+    prev = field.values[5]
+    raw = step_backward(prev, float(grid.times[5]), grid.dt, problem, grid)
+    jz = grid.margin_zero_index
+    assert not np.array_equal(raw[..., -1], ceiling.values[4])
+    for level in range(grid.n_levels - 1):
+        assert np.array_equal(field.values[level][..., jz], floor.values[level])
+        assert np.array_equal(field.values[level][..., -1], ceiling.values[level])
 
 
 def test_lipschitz_quotients_are_stable_under_refinement():
@@ -768,17 +781,19 @@ def test_boundary_fields_must_share_the_grid():
     problem = builtin_problem("frozen-penalty")
     grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
     other = make_grid([(-2.0, 2.0, 41)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
-    floor_other = solve_floor(problem, other)
-    with pytest.raises(IncompatibleGrids):
-        solve_shortfall(problem, grid, floor=floor_other)
+    floor, ceiling = solve_boundary_field(problem, grid)
+    floor_other, ceiling_other = solve_boundary_field(problem, other)
+    for boundary in ((floor_other, ceiling), (floor, ceiling_other)):
+        with pytest.raises(IncompatibleGrids):
+            solve_shortfall(problem, grid, boundary=boundary)
 
 
 def test_boundary_fields_must_have_the_right_kinds():
     problem = builtin_problem("frozen-penalty")
     grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
-    floor = solve_floor(problem, grid)
+    floor, _ = solve_boundary_field(problem, grid)
     with pytest.raises(IncompatibleGrids):
-        solve_shortfall(problem, grid, floor=floor, ceiling=floor)
+        solve_shortfall(problem, grid, boundary=(floor, floor))
 
 
 def test_aborted_sweep_guards_unsolved_levels():
@@ -803,8 +818,7 @@ def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
     save_snapshot(partial, 10, prefix)
     _, slice10 = load_snapshot(prefix)
 
-    resumed = solve_shortfall(problem, grid, resume_values=slice10,
-                              resume_level=10)
+    resumed = solve_shortfall(problem, grid, resume=(10, slice10))
     assert resumed.solved_from == 0
     assert resumed.solved_to == 10
     assert np.array_equal(resumed.values[:11], full.values[:11])

@@ -8,7 +8,7 @@ import pytest
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem
-from epigraph.solver import max_stable_dt, solve_floor, solve_shortfall
+from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
 from epigraph.verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -135,8 +135,8 @@ def test_remainder_rejects_single_node():
 def test_slab_identity_zero_problem():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (-0.5, 1.0, 16), time_axis(1.0, 0.02))
-    field = solve_shortfall(problem, grid)
-    floor = solve_floor(problem, grid)
+    floor, ceiling = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
     report = slab_identity_residual(field, floor)
     assert report.passed
     assert report.max_residual <= 1e-12
@@ -144,15 +144,16 @@ def test_slab_identity_zero_problem():
 
 def test_slab_identity_frozen_penalty(frozen_setup):
     problem, grid, field = frozen_setup
-    report = slab_identity_residual(field, solve_floor(problem, grid))
+    floor, _ = solve_boundary_field(problem, grid)
+    report = slab_identity_residual(field, floor)
     assert report.passed
     assert report.max_residual < 1e-12
 
 
 def test_slab_fault_injection_locates_the_offender(frozen_setup):
     problem, grid, _ = frozen_setup
-    floor = solve_floor(problem, grid)
-    corrupted = solve_shortfall(problem, grid)
+    floor, ceiling = solve_boundary_field(problem, grid)
+    corrupted = solve_shortfall(problem, grid, boundary=(floor, ceiling))
     corrupted.values[3, 17, 5] += 0.1
     report = slab_identity_residual(corrupted, floor)
     assert not report.passed
@@ -164,15 +165,16 @@ def test_slab_fault_injection_locates_the_offender(frozen_setup):
 def test_slab_rejects_incompatible_inputs(frozen_setup, zero_setup):
     problem, grid, field = frozen_setup
     other_grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
+    floor_other, _ = solve_boundary_field(problem, other_grid)
     with pytest.raises(IncompatibleGrids):
-        slab_identity_residual(field, solve_floor(problem, other_grid))
-    floor = solve_floor(problem, grid)
+        slab_identity_residual(field, floor_other)
+    floor, _ = solve_boundary_field(problem, grid)
     with pytest.raises(IncompatibleGrids):
         slab_identity_residual(floor, floor)
     _, zgrid, zfield = zero_setup
     with pytest.raises(IncompatibleGrids):
         # the zero problem's default margin axis has no sub-zero part
-        slab_identity_residual(zfield, solve_floor(zero_setup[0], zgrid))
+        slab_identity_residual(zfield, solve_boundary_field(zero_setup[0], zgrid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def test_quotients_stable_under_refinement():
 def test_quotients_need_a_margin_axis(zero_setup):
     problem, grid, _ = zero_setup
     with pytest.raises(ValueError):
-        lipschitz_profile(solve_floor(problem, grid))
+        lipschitz_profile(solve_boundary_field(problem, grid)[0])
 
 
 # ---------------------------------------------------------------------------
