@@ -23,7 +23,9 @@ matrix entry — intended for scalar noise), ``running_cost`` (a number),
 (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and ``name``.
 
 ``grid`` axes are ``[low, high, count]`` triplets; ``time_step`` ``null``
-means "largest stable step".  ``scheme.epsilon`` ``null`` defers to the
+means "largest stable step".  ``outputs.formats`` must list ``"csv"`` (every
+run writes its CSV artifacts); ``"gnuplot"`` adds a plot script and needs a
+problem with one state axis.  ``scheme.epsilon`` ``null`` defers to the
 level-set default threshold.  A missing ``scheme``/``outputs`` section gets
 defaults, with built-in problems contributing their own scheme overrides.
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import dataclasses
 import difflib
 import hashlib
@@ -75,6 +76,7 @@ from .fields import (
     save_snapshot,
     terminal_slice,
     time_axis,
+    write_csv,
 )
 from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
 from .model import JumpModel, Problem, Region, build_problem
@@ -154,6 +156,10 @@ class RunConfig:
             raise SchemaViolation(f"scheme.epsilon must be > 0, got {self.epsilon}")
         if self.seed < 0:
             raise SchemaViolation(f"seed must be >= 0, got {self.seed}")
+        if "gnuplot" in self.outputs["formats"] and self.problem.dim_state != 1:
+            raise SchemaViolation(
+                f"outputs.formats lists 'gnuplot', which plots a 1-D state only; "
+                f"this problem has {self.problem.dim_state} state axes")
 
 
 def _fail(path: str, why: str) -> NoReturn:
@@ -437,6 +443,8 @@ def _outputs_section(section: Any) -> dict[str, Any]:
     for i, entry in enumerate(formats):
         if entry not in _FORMATS:
             _fail(f"outputs.formats[{i}]", f"must be one of {_FORMATS}, got {entry!r}")
+    if "csv" not in formats:
+        _fail("outputs.formats", "must list 'csv': every run writes its CSV artifacts")
     every = _integer(section.get("checkpoint_every", 25), "outputs.checkpoint_every",
                      minimum=1)
     return {"directory": directory, "formats": list(formats), "checkpoint_every": every}
@@ -526,28 +534,16 @@ def resolve_grid(config: RunConfig) -> Grid:
 # exports
 # ---------------------------------------------------------------------------
 
-_ROWS_PER_WRITE = 1024
-
-
-def _write_rows(path: str, header: Sequence[str], table: Array) -> None:
-    """CSV with a header row and ``%.17g`` fields, CRLF-terminated like
-    :mod:`csv`; rows are formatted a block at a time to bound the memory held."""
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(header)
-        for start in range(0, table.shape[0], _ROWS_PER_WRITE):
-            block = table[start:start + _ROWS_PER_WRITE]
-            handle.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+_CRLF = "\r\n"  # the long-form exports end their lines as the csv module does
 
 
 def export_slice_csv(field_obj: Field, level: int, path: str) -> str:
     """Write one shortfall time level in long form: state columns, margin, value."""
     data = field_obj.slice_at(level)
     grid = field_obj.grid
-    mesh = np.meshgrid(*grid.state_axes, grid.margin_axis, indexing="ij")
-    table = np.column_stack([m.reshape(-1) for m in mesh] + [data.reshape(-1)])
     header = [f"state_{i + 1}" for i in range(grid.dim_state)] + ["margin", "shortfall"]
-    _write_rows(path, header, table)
+    write_csv(path, data.reshape(-1, 1), axes=(*grid.state_axes, grid.margin_axis),
+              header=header, newline=_CRLF)
     return path
 
 
@@ -555,10 +551,9 @@ def export_profile_csv(field_obj: Field, level: int, path: str,
                        query: LevelSetQuery | None = None) -> str:
     """Write the extracted required-margin profile at one level to CSV."""
     profile = required_margin_profile(field_obj, level, query)
-    mesh = np.meshgrid(*field_obj.grid.state_axes, indexing="ij")
-    table = np.column_stack([m.reshape(-1) for m in mesh] + [profile.reshape(-1)])
-    header = [f"state_{i + 1}" for i in range(len(mesh))] + ["required_margin"]
-    _write_rows(path, header, table)
+    axes = field_obj.grid.state_axes
+    header = [f"state_{i + 1}" for i in range(len(axes))] + ["required_margin"]
+    write_csv(path, profile.reshape(-1, 1), axes=axes, header=header, newline=_CRLF)
     return path
 
 
@@ -713,7 +708,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     query = LevelSetQuery(epsilon=epsilon)
     record(export_profile_csv(field, 0, str(out / "profile.csv"), query))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
-    if "gnuplot" in config.outputs["formats"] and problem.dim_state == 1:
+    if "gnuplot" in config.outputs["formats"]:
         margin = grid.margin_axis
         jz = grid.margin_zero_index
         picks = sorted({jz, (jz + margin.size - 1) // 2, margin.size - 1})

@@ -307,6 +307,54 @@ def _write_meta(field_obj: Field, level: int, path: str, tag: str) -> None:
         handle.write("\n")
 
 
+_VALUES_PER_WRITE = 4096
+
+
+def write_csv(
+    path: str,
+    table: Array,
+    axes: Sequence[Array] = (),
+    header: Sequence[str] = (),
+    newline: str = "\n",
+) -> None:
+    """Write a 2-D ``table`` as CSV, every number as ``%.17g`` (exact round trip).
+
+    Without ``axes`` each row of ``table`` is one line.  With ``axes``,
+    ``table`` holds one row per node of their product grid in ``ij`` order,
+    and each line starts with that node's coordinates; each axis value is
+    formatted once, not once per line.  ``header``, when given, is the first
+    line.  Values are formatted ``_VALUES_PER_WRITE`` at a time (but at least
+    one row, or one run along the last axis), which bounds the memory held.
+    """
+    width = table.shape[1]
+    line = ",".join(["%.17g"] * width) + newline
+    if axes:
+        *outer, inner = axes
+        prefixes = [""]
+        for axis in outer:
+            texts = ["%.17g," % x for x in axis.tolist()]
+            prefixes = [p + t for p in prefixes for t in texts]
+        run = ["%.17g," % x + line for x in inner.tolist()]
+    else:
+        prefixes = [""] * table.shape[0]
+        run = [line]
+    if len(prefixes) * len(run) != table.shape[0]:
+        raise ValueError(f"{table.shape[0]} rows do not match the axes' "
+                         f"{len(prefixes) * len(run)} nodes")
+    per_prefix = len(run) * width
+    step = max(1, _VALUES_PER_WRITE // per_prefix)
+    flat = table.reshape(-1)
+    with open(path, "w", newline="") as handle:
+        if header:
+            handle.write(",".join(header) + newline)
+        for start in range(0, len(prefixes), step):
+            block = prefixes[start:start + step]
+            # lines of one prefix: p + run[0] + p + run[1] + ... = p + p.join(run)
+            template = "".join([p + p.join(run) for p in block])
+            values = flat[start * per_prefix:(start + len(block)) * per_prefix]
+            handle.write(template % tuple(values.tolist()))
+
+
 def save_snapshot(
     field_obj: Field, level: int, prefix: str, tag: str = ""
 ) -> tuple[str, str]:
@@ -320,7 +368,7 @@ def save_snapshot(
     json_path = f"{prefix}.json"
     csv_path = f"{prefix}.csv"
     _write_meta(field_obj, level, json_path, tag)
-    np.savetxt(csv_path, data.reshape(n_state, -1), delimiter=",", fmt="%.17g")
+    write_csv(csv_path, data.reshape(n_state, -1))
     return json_path, csv_path
 
 

@@ -283,7 +283,7 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
 # ---------------------------------------------------------------------------
 
 def _finite_or_raise(label: str, value: Array) -> Array:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteCoefficient(f"{label} returned a non-finite value")
     return value
 

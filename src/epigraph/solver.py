@@ -31,7 +31,18 @@ finite:
 * without jump atoms the jump supremum is a zero array and the target is
   its negation, -0.  The slope is then ``explicit - (-0.0)``: like the full
   form, it maps an explicit -0 to +0;
-* in frozen-hedge mode the arrow is never used, so it is never built.
+* in frozen-hedge mode the arrow is never used, so it is never built;
+* where a control's compensated drift along an axis is positive at every
+  state node, or at none, the upwind difference is the forward (backward)
+  one everywhere, and one multiply gives the products the masked copy
+  would;
+* a control whose running cost is zero at every node skips the
+  ``running * margin_slope`` term, a signed zero, and the first advection
+  term is written into the slope rather than added to a zeroed one.  Both
+  can flip only the sign of a zero slope, and no such flip survives the
+  final subtraction of the target (-0 or nonzero, and ``x - (-0)`` is +0
+  for either zero) or of the spectral corner, which equals the target
+  unless the arrow is live.
 
 The state-only boundary fields (the margin-0 floor and the top-margin
 ceiling) are one sweep of the same operator on a two-column slice of shape
@@ -317,17 +328,27 @@ def _best_time_slope(
         f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes) if K else drift
         f_grid = f_eff.reshape(*sshape, n)
 
-        # slope = -dist - advection + running * margin_slope - trace - corner
-        slope.fill(0.0)
+        # slope = -dist - advection + running * margin_slope - trace - corner;
+        # the first advection term is written straight into slope
         for i in range(n):
             f_i = f_grid[..., i][..., None]
-            np.copyto(scratch, fwd_bwd[i][1])
-            np.copyto(scratch, fwd_bwd[i][0], where=f_i > 0.0)
-            scratch *= f_i
-            slope += scratch
+            fwd, bwd = fwd_bwd[i]
+            term = scratch if i else slope
+            upwind = f_i > 0.0
+            if upwind.all():
+                np.multiply(fwd, f_i, out=term)
+            elif not upwind.any():
+                np.multiply(bwd, f_i, out=term)
+            else:
+                np.copyto(term, bwd)
+                np.copyto(term, fwd, where=upwind)
+                term *= f_i
+            if i:
+                slope += scratch
         np.subtract(neg_dist, slope, out=slope)
-        np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
-        slope += scratch
+        if running.any():
+            np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
+            slope += scratch
 
         diffusive = bool(diffusion.any())
         if diffusive:

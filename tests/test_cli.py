@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epigraph import cli
+from epigraph import cli, fields
 from epigraph.cli import (
     builtin_config,
     export_profile_csv,
@@ -33,7 +33,7 @@ from epigraph.errors import (
     SchemaViolation,
     UnknownKey,
 )
-from epigraph.fields import save_checkpoint, save_snapshot
+from epigraph.fields import Field, make_grid, save_checkpoint, save_snapshot, time_axis
 from epigraph.solver import max_stable_dt, solve_shortfall
 
 
@@ -127,6 +127,35 @@ def test_grid_axis_triplet_validation():
     with pytest.raises(SchemaViolation, match=r"grid.state\[0\]"):
         parse_config(config_text("zero", "out",
                                  grid={"state": [[1.0, -1.0, 5]], "margin": [0, 1, 5]}))
+
+
+_PLANE = {"dim_state": 2, "horizon": 1.0, "controls": [[0.0, 0.0]],
+          "terminal_cost": "square"}
+_PLANE_GRID = {"state": [[-1.0, 1.0, 5], [-1.0, 1.0, 5]], "margin": [0.0, 1.0, 5]}
+
+
+@pytest.mark.parametrize("formats", [[], ["gnuplot"]])
+def test_formats_must_list_csv(tmp_path, capsys, formats):
+    # every run writes its CSV artifacts, so a list without "csv" would be ignored
+    text = config_text("zero", "out", outputs={"formats": formats})
+    with pytest.raises(SchemaViolation, match="outputs.formats"):
+        parse_config(text)
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "outputs.formats" in capsys.readouterr().err
+
+
+def test_gnuplot_format_needs_a_one_dimensional_state(tmp_path, capsys):
+    text = json.dumps({"problem": _PLANE, "grid": _PLANE_GRID,
+                       "outputs": {"formats": ["csv", "gnuplot"]}})
+    with pytest.raises(SchemaViolation, match="outputs.formats"):
+        parse_config(text)
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "outputs.formats" in capsys.readouterr().err
+    assert parse_config(json.dumps({"problem": _PLANE, "grid": _PLANE_GRID}))
 
 
 def test_unknown_builtin_lists_catalog():
@@ -334,27 +363,76 @@ def test_slice_export_has_long_form_columns(zero_run):
     assert float(first[0]) == -3.0 and float(first[1]) == 0.0
 
 
-def test_csv_rows_match_the_csv_module_byte_for_byte(tmp_path):
-    rng = np.random.default_rng(0)
-    special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1.7976931348623157e308,
-               np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 123456789.0]
-    # more rows than one formatted block, so the block seams are covered too
-    table = rng.normal(size=(2 * cli._ROWS_PER_WRITE + 3, 3)) * 10.0 ** rng.integers(
-        -300, 300, size=(2 * cli._ROWS_PER_WRITE + 3, 3))
-    table[: len(special), 0] = special
-    table[-len(special):, 2] = special
-    header = ["state_1", "margin", "shortfall"]
-    path = tmp_path / "rows.csv"
-    cli._write_rows(str(path), header, table)
+_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1.7976931348623157e308,
+            np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 123456789.0]
 
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="") as handle:
+
+def _csv_module_reference(path, header, table):
+    """The bytes the exports had when they went through :mod:`csv`."""
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in table:
             writer.writerow(["%.17g" % value for value in row])
-    assert path.read_bytes() == expected.read_bytes()
+    return path.read_bytes()
+
+
+def test_csv_rows_match_the_csv_module_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(0)
+    # more rows than two formatted blocks, so the block seams are covered too
+    rows = 2 * (fields._VALUES_PER_WRITE // 3) + 3
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+    table[: len(_SPECIAL), 0] = _SPECIAL
+    table[-len(_SPECIAL):, 2] = _SPECIAL
+    header = ["state_1", "margin", "shortfall"]
+    path = tmp_path / "rows.csv"
+    fields.write_csv(str(path), table, header=header, newline="\r\n")
+
+    expected = _csv_module_reference(tmp_path / "expected.csv", header, table)
+    assert path.read_bytes() == expected
     assert b"\r\n-0," in path.read_bytes()
+
+
+# profiles of a 1-D and a 2-D state, and the t = 0 slices of both; the
+# slices hold more values than one formatted block
+@pytest.mark.parametrize("shape", [(2000,), (35, 35), (141, 41), (9, 12, 41)])
+def test_long_form_matches_the_meshgrid_table(tmp_path, shape):
+    # The exports used to build every coordinate column with meshgrid and
+    # write the stacked table through csv.writer; the writer must keep those
+    # bytes while formatting each axis value once.
+    rng = np.random.default_rng(len(shape))
+    axes = [rng.normal(size=count) for count in shape]
+    axes[0][:2] = [-0.0, np.inf]  # axis texts are formatted once, specials too
+    values = rng.normal(size=shape)
+    values.flat[: len(_SPECIAL)] = _SPECIAL
+    values.flat[-1] = np.inf  # an unreachable profile entry
+    header = [f"col_{i}" for i in range(len(shape) + 1)]
+    path = tmp_path / "long.csv"
+    fields.write_csv(str(path), values.reshape(-1, 1), axes=axes, header=header,
+                     newline="\r\n")
+
+    mesh = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh] + [values.reshape(-1)])
+    assert path.read_bytes() == _csv_module_reference(tmp_path / "ref.csv", header, table)
+
+
+def test_slice_export_of_a_2d_state_matches_the_meshgrid_table(tmp_path):
+    grid = make_grid([(-1.0, 1.0, 7), (0.0, 3.0, 11)], (0.0, 0.8, 41), time_axis(1.0, 0.5))
+    values = np.random.default_rng(3).random((grid.n_levels, 7, 11, 41))
+    field = Field(grid, "shortfall", values, solved_from=0, solved_to=grid.n_levels - 1)
+    path = tmp_path / "w_t0.csv"
+    assert export_slice_csv(field, 0, str(path)) == str(path)
+
+    mesh = np.meshgrid(*grid.state_axes, grid.margin_axis, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh] + [values[0].reshape(-1)])
+    header = ["state_1", "state_2", "margin", "shortfall"]
+    assert path.read_bytes() == _csv_module_reference(tmp_path / "ref.csv", header, table)
+
+
+def test_writer_rejects_a_table_that_does_not_fit_the_axes(tmp_path):
+    with pytest.raises(ValueError, match="rows do not match"):
+        fields.write_csv(str(tmp_path / "x.csv"), np.zeros((5, 1)),
+                         axes=[np.arange(2.0), np.arange(3.0)])
 
 
 def test_profile_export_renders_unreachable_as_inf(tmp_path):

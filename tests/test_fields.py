@@ -1,8 +1,11 @@
 """Grid, interpolation, field bookkeeping, and snapshot round-trips."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from epigraph import fields
 from epigraph.errors import DegenerateGrid, ShiftOutOfDomain, UnsolvedField
 from epigraph.fields import (
     Field,
@@ -239,3 +242,28 @@ def test_snapshot_roundtrip_state_only(tmp_path):
     assert meta["kind"] == "floor"
     assert values.shape == (9,)
     assert np.array_equal(values, field.values[0])
+
+
+_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("state, margin", [
+    ([(-2.0, 2.0, 301)], (0.0, 1.0, 17)),                  # a multi-column table
+    ([(-2.0, 2.0, 301), (0.0, 1.0, 21)], None),            # one column: floor/ceiling
+    ([(-2.0, 2.0, 19), (0.0, 1.0, 13)], (0.0, 1.0, 41)),  # a 2-D state
+])
+def test_snapshot_csv_matches_savetxt_byte_for_byte(tmp_path, state, margin):
+    grid = make_grid(state, margin or (0.0, 1.0, 3), time_axis(1.0, 0.5))
+    field = blank_field(grid, "shortfall" if margin else "floor")
+    data = np.random.default_rng(len(state)).normal(size=field.values.shape[1:])
+    data.flat[: len(_SPECIAL)] = _SPECIAL
+    data.flat[-len(_SPECIAL):] = _SPECIAL
+    field.values[0] = data
+    field.solved_from = field.solved_to = 0
+    assert data.size > fields._VALUES_PER_WRITE  # the block seams are covered
+    _, csv_path = save_snapshot(field, 0, str(tmp_path / "snap"))
+
+    reference = tmp_path / "reference.csv"
+    np.savetxt(reference, data.reshape(int(np.prod(grid.state_shape)), -1),
+               fmt="%.17g", delimiter=",")
+    assert pathlib.Path(csv_path).read_bytes() == reference.read_bytes()

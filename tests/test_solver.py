@@ -1,5 +1,7 @@
 """Sweep correctness: stability bound, single steps, full solves, invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from epigraph.fields import (
     terminal_slice,
     time_axis,
 )
-from epigraph.hamiltonian import Stencil, hamiltonian_at_node
+from epigraph.hamiltonian import Stencil, corner_for_eigenvalue, hamiltonian_at_node
 from epigraph.model import (
     JumpModel,
     Region,
@@ -30,6 +32,9 @@ from epigraph.solver import (
     SchemeOptions,
     _best_time_slope,
     _enforce_nonnegative,
+    _hedge_stencil,
+    _state_curvature,
+    _trace_term,
     cross_difference,
     first_differences,
     max_stable_dt,
@@ -638,6 +643,159 @@ def test_step_is_monotone_without_diffusion():
                                     0.01, SchemeOptions(),
                                     np.random.default_rng(1))
     assert drop <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sweep step against its earlier per-control sequence
+# ---------------------------------------------------------------------------
+
+def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=None):
+    """``_best_time_slope`` as it was before the zero-running and one-sign
+    drift skips: every control multiplies and adds its running cost, picks
+    each advection difference with a masked copy, and sums the advection
+    terms into a zeroed slope."""
+    n = grid.dim_state
+    h = grid.state_spacings
+    hb = grid.margin_spacing
+    mesh = grid.state_mesh()
+    sshape = grid.state_shape
+    b_axis = grid.margin_axis
+    B = prev.shape[-1]
+    weights = problem.jumps.weights
+    K = problem.jumps.n_atoms
+
+    neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
+    fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
+    if margin_slope is None:
+        _, margin_slope = first_differences(prev, n, hb)
+    curvature = None
+    hedge_stencil = None
+    if K and options.jump_hedge == "grid":
+        beta_mat = b_axis[None, :] - b_axis[:, None]
+
+    best = np.full_like(prev, -np.inf)
+    slope = np.empty_like(prev)
+    scratch = np.empty_like(prev)
+    for u in problem.controls:
+        drift, diffusion, jump_sizes, running = eval_coefficients_batch(
+            problem, t, mesh, u
+        )
+        f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes) if K else drift
+        f_grid = f_eff.reshape(*sshape, n)
+
+        slope.fill(0.0)
+        for i in range(n):
+            f_i = f_grid[..., i][..., None]
+            np.copyto(scratch, fwd_bwd[i][1])
+            np.copyto(scratch, fwd_bwd[i][0], where=f_i > 0.0)
+            scratch *= f_i
+            slope += scratch
+        np.subtract(neg_dist, slope, out=slope)
+        np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
+        slope += scratch
+
+        diffusive = bool(diffusion.any())
+        if diffusive:
+            if curvature is None:
+                curvature = _state_curvature(prev, h, n)
+            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
+            slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
+
+        if K:
+            jump_sup = np.zeros((*sshape, B))
+            for k in range(K):
+                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
+                shifted = shifted.reshape(*sshape, B)
+                if options.jump_hedge == "zero":
+                    gain = -(shifted - prev)
+                else:
+                    gain = (
+                        -(shifted[..., None, :] - prev[..., :, None])
+                        + beta_mat * margin_slope[..., :, None]
+                    ).max(axis=-1)
+                jump_sup += weights[k] * gain
+            target = np.negative(jump_sup, out=jump_sup)
+        else:
+            target = -0.0
+
+        if diffusive and options.hedge == "spectral":
+            if hedge_stencil is None:
+                hedge_stencil = _hedge_stencil(prev, grid)
+            psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
+            sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
+            cross_sq = np.zeros((*sshape, B))
+            for q in range(problem.dim_noise):
+                acc = np.zeros((*sshape, B))
+                for i in range(n):
+                    acc += sig_grid[..., i, q][..., None] * cross_margin[i]
+                cross_sq += acc * acc
+            arrow_sq = 0.25 * psi_sq * cross_sq
+            arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
+            slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
+        else:
+            slope -= target
+        np.maximum(best, slope, out=best)
+
+    return best
+
+
+def _slope_step_cases():
+    """(label, prev, problem, grid, options, margin_slope) over 1-D and 2-D
+    states, zero and nonzero running cost, one-sign and mixed-sign drift, no
+    jump or one atom, and no diffusion or constant diffusion; each problem
+    also gets the two-column boundary call."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2):
+        grid = (make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5)) if n == 1
+                else make_grid([(-1.0, 1.0, 7), (-0.6, 0.6, 5)], (0.0, 1.0, 6),
+                               time_axis(1.0, 0.5)))
+        # the zero control gives zero drift without jumps
+        controls = [[-0.5], [0.0], [0.5]] if n == 1 else [[0.5, 0.3], [-0.4, 0.0], [0.0, 0.0]]
+        prev = rng.random((*grid.state_shape, grid.margin_axis.size)) * 2.0
+        prev[rng.random(prev.shape) < 0.3] = 0.0
+        prev[rng.random(prev.shape) < 0.15] = -0.0
+        pair = prev[..., :2].copy()
+        for running, drift, jumps, (sigma, hedge) in itertools.product(
+                ("zero", "nonzero"), ("one-sign", "mixed"), ("none", "zero", "grid"),
+                ((0.0, "spectral"), (0.3, "frozen"), (0.3, "spectral"))):
+            # u.u + max(a_1, 0)^2 is zero on half the nodes for the zero control
+            problem = build_problem(
+                dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
+                drift=(drift_is_control if drift == "one-sign"
+                       else lambda t, a, u: u - np.atleast_2d(a)),
+                diffusion=constant_diffusion(sigma) if sigma else None,
+                running_cost=(None if running == "zero" else lambda t, a, u: (
+                    u @ u + np.maximum(np.atleast_2d(a)[:, 0], 0.0) ** 2)),
+                terminal_cost=zero_terminal,
+                jumps=None if jumps == "none" else JumpModel(
+                    marks=np.array([0.25]), weights=np.array([0.5])),
+                jump_size=None if jumps == "none" else (
+                    lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e),
+                region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
+                vectorized=True,
+            )
+            label = f"{n}-D {running} running, {drift} drift, jumps {jumps}, " \
+                    f"diffusion {sigma} {hedge}"
+            yield (label, prev, problem, grid,
+                   SchemeOptions(hedge=hedge, jump_hedge="grid" if jumps == "none" else jumps),
+                   None)
+            # the boundary pair freezes both hedges: one call per distinct problem
+            if jumps != "grid" and (hedge == "frozen" or not sigma):
+                yield (f"{label}, boundary pair", pair, problem, grid,
+                       SchemeOptions(hedge="frozen", jump_hedge="zero"),
+                       np.array([-1.0, 0.0]))
+
+
+def test_time_slope_matches_the_per_control_reference_bit_for_bit():
+    # The skips change only the signs of zero slopes, and subtracting the
+    # target maps both signs to the same bits; signbit must agree too.
+    count = 0
+    for label, prev, problem, grid, options, margin_slope in _slope_step_cases():
+        got = _best_time_slope(prev, 0.5, problem, grid, options, margin_slope)
+        want = _best_time_slope_reference(prev, 0.5, problem, grid, options, margin_slope)
+        assert _same_bits(got, want), label
+        count += 1
+    assert count == 2 * 2 * 2 * 3 * 3 + 2 * 2 * 2 * 2 * 2
 
 
 # ---------------------------------------------------------------------------
