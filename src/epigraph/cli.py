@@ -13,14 +13,8 @@ A run is described by one JSON document with four sections plus a seed::
       "seed": 0
     }
 
-``problem`` either names a built-in (``{"builtin": name}``) or describes a
-constant-coefficient problem inline with the keys ``dim_state``,
-``dim_noise``, ``horizon`` (required), ``controls``, ``drift`` (``"control"``,
-a number, or a per-component list), ``diffusion`` (a number filling every
-matrix entry — intended for scalar noise), ``running_cost`` (a number),
-``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
-``region`` (a kind dict as accepted by the model layer), ``jumps``
-(``{"marks": [...], "weights": [...]}`` with unit mark shifts), and ``name``.
+``problem`` either names a built-in (``{"builtin": name}``) or is an inline
+problem document, as described in :mod:`epigraph.problems`.
 
 ``grid`` axes are ``[low, high, count]`` triplets; ``time_step`` ``null``
 means "largest stable step".  ``outputs.formats`` must list ``"csv"`` (every
@@ -42,7 +36,6 @@ import argparse
 import contextlib
 import copy
 import dataclasses
-import difflib
 import hashlib
 import json
 import math
@@ -51,7 +44,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +59,10 @@ from .errors import (
     ParseError,
     SchemaViolation,
     UnknownKey,
+    fail,
+    reject_unknown,
+    require_integer,
+    require_number,
 )
 from .fields import (
     Field,
@@ -79,16 +76,8 @@ from .fields import (
     write_csv,
 )
 from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
-from .model import JumpModel, Problem, Region, build_problem
-from .problems import (
-    _constant_diffusion,
-    _drift_is_control,
-    _square_terminal,
-    _zero_terminal,
-    builtin_grid,
-    builtin_problem,
-    builtin_scheme,
-)
+from .model import Problem
+from .problems import builtin_grid, builtin_scheme, parse_problem
 from .simulate import (
     constant_policy,
     estimate_cost,
@@ -117,15 +106,9 @@ from .verify import (
 Array = np.ndarray
 
 _TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed")
-_PROBLEM_KEYS = (
-    "builtin", "dim_state", "dim_noise", "horizon", "controls", "drift",
-    "diffusion", "running_cost", "terminal_cost", "region", "jumps", "name",
-)
 _GRID_KEYS = ("state", "margin", "time_step")
 _SCHEME_KEYS = ("safety", "epsilon", "hedge", "beta_candidates")
 _OUTPUT_KEYS = ("directory", "formats", "checkpoint_every")
-_REGION_KEYS = ("kind", "lo", "hi", "center", "radius", "normal", "offset")
-_JUMP_KEYS = ("marks", "weights")
 _FORMATS = ("csv", "gnuplot")
 
 
@@ -162,246 +145,32 @@ class RunConfig:
                 f"this problem has {self.problem.dim_state} state axes")
 
 
-def _fail(path: str, why: str) -> NoReturn:
-    raise SchemaViolation(f"{path} {why}")
-
-
-def _reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], path: str) -> None:
-    for key in section:
-        if key in allowed:
-            continue
-        dotted = f"{path}.{key}" if path else str(key)
-        matches = difflib.get_close_matches(str(key), allowed, n=1)
-        hint = f" (did you mean {matches[0]!r}?)" if matches else ""
-        raise UnknownKey(f"unknown key {dotted!r}{hint}")
-
-
-def _number(value: Any, path: str, *, minimum: float | None = None,
-            positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "must be a number")
-    out = float(value)
-    if not math.isfinite(out):
-        _fail(path, "must be finite")
-    if positive and out <= 0.0:
-        _fail(path, f"must be > 0, got {out}")
-    if minimum is not None and out < minimum:
-        _fail(path, f"must be >= {minimum}, got {out}")
-    return out
-
-
-def _integer(value: Any, path: str, *, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def _axis_triplet(value: Any, path: str) -> list[Any]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        _fail(path, "must be a [low, high, count] triplet")
-    lo = _number(value[0], f"{path}[0]")
-    hi = _number(value[1], f"{path}[1]")
-    count = _integer(value[2], f"{path}[2]", minimum=2)
+        fail(path, "must be a [low, high, count] triplet")
+    lo = require_number(value[0], f"{path}[0]")
+    hi = require_number(value[1], f"{path}[1]")
+    count = require_integer(value[2], f"{path}[2]", minimum=2)
     if not hi > lo:
-        _fail(path, f"needs low < high, got [{lo}, {hi}]")
+        fail(path, f"needs low < high, got [{lo}, {hi}]")
     return [lo, hi, count]
-
-
-# ---------------------------------------------------------------------------
-# problem section (built-in reference or inline constant coefficients)
-# ---------------------------------------------------------------------------
-
-def _constant_drift(row: Array) -> Callable[..., Array]:
-    def drift(t: float, a: Array, u: Array) -> Array:
-        return np.zeros_like(np.atleast_2d(a)) + row
-    return drift
-
-
-def _constant_running(value: float) -> Callable[..., Array]:
-    def running(t: float, a: Array, u: Array) -> Array:
-        return np.full(np.atleast_2d(a).shape[0], value)
-    return running
-
-
-def _constant_terminal(value: float) -> Callable[[Array], Array]:
-    def terminal(a: Array) -> Array:
-        return np.full(np.atleast_2d(a).shape[0], value)
-    return terminal
-
-
-def _mark_shift(t: float, a: Array, u: Array, e: float) -> Array:
-    return np.full(np.atleast_2d(a).shape, float(e))
-
-
-def _controls_value(value: Any) -> list[Any]:
-    bad = 'must be a non-empty list of numbers (or of per-component lists)'
-    if not isinstance(value, (list, tuple)) or not value:
-        _fail("problem.controls", bad)
-    if all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in value):
-        return [float(u) for u in value]
-    out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, (list, tuple)) or not row:
-            _fail(f"problem.controls[{i}]", bad)
-        out.append([_number(u, f"problem.controls[{i}][{j}]") for j, u in enumerate(row)])
-    return out
-
-
-def _drift_value(spec: Any, dim_state: int) -> tuple[Any, Callable[..., Array] | None]:
-    if spec == "control":
-        return "control", _drift_is_control
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = _number(spec, "problem.drift")
-        if value == 0.0:
-            return 0.0, None
-        return value, _constant_drift(np.full(dim_state, value))
-    if isinstance(spec, (list, tuple)):
-        row = [_number(v, f"problem.drift[{i}]") for i, v in enumerate(spec)]
-        if len(row) != dim_state:
-            _fail("problem.drift", f"needs {dim_state} components, got {len(row)}")
-        return row, _constant_drift(np.asarray(row))
-    _fail("problem.drift", 'must be "control", a number, or a list of numbers')
-
-
-def _region_value(spec: Any) -> tuple[dict[str, Any], Region | None]:
-    if spec is None:
-        return {"kind": "all"}, None
-    if not isinstance(spec, dict):
-        _fail("problem.region", "must be an object with a 'kind' key")
-    _reject_unknown(spec, _REGION_KEYS, "problem.region")
-    normalized = copy.deepcopy(dict(spec))
-    kwargs: dict[str, Any] = {}
-    for key, value in spec.items():
-        if key in ("lo", "hi", "center", "normal"):
-            kwargs[key] = np.asarray(value, dtype=float)
-        else:
-            kwargs[key] = value
-    try:
-        region = Region(**kwargs)
-    except (ValueError, TypeError, EpigraphError) as exc:
-        raise SchemaViolation(f"problem.region: {exc}") from None
-    return normalized, region
-
-
-def _jumps_value(spec: Any) -> tuple[dict[str, Any] | None, JumpModel | None]:
-    if spec is None:
-        return None, None
-    if not isinstance(spec, dict):
-        _fail("problem.jumps", "must be an object with 'marks' and 'weights'")
-    _reject_unknown(spec, _JUMP_KEYS, "problem.jumps")
-    for key in _JUMP_KEYS:
-        if key not in spec:
-            _fail(f"problem.jumps.{key}", "is required")
-    try:
-        jumps = JumpModel(marks=np.asarray(spec["marks"], dtype=float),
-                          weights=np.asarray(spec["weights"], dtype=float))
-    except (ValueError, TypeError, EpigraphError) as exc:
-        raise SchemaViolation(f"problem.jumps: {exc}") from None
-    normalized = {"marks": np.asarray(spec["marks"], dtype=float).tolist(),
-                  "weights": np.asarray(spec["weights"], dtype=float).tolist()}
-    return normalized, jumps
-
-
-def _problem_section(section: Any) -> tuple[Problem, dict[str, Any], dict[str, Any]]:
-    """Build (problem, normalized section, scheme defaults) from the config."""
-    if not isinstance(section, dict):
-        _fail("problem", "must be an object")
-    if "builtin" in section:
-        _reject_unknown(section, ("builtin",), "problem")
-        name = section["builtin"]
-        if not isinstance(name, str):
-            _fail("problem.builtin", "must be a string")
-        try:
-            problem = builtin_problem(name)
-        except KeyError as exc:
-            raise SchemaViolation(f"problem.builtin: {exc.args[0]}") from None
-        return problem, {"builtin": name}, builtin_scheme(name)
-
-    _reject_unknown(section, _PROBLEM_KEYS[1:], "problem")
-    if "horizon" not in section:
-        _fail("problem.horizon", "is required")
-    dim_state = _integer(section.get("dim_state", 1), "problem.dim_state", minimum=1)
-    dim_noise = _integer(section.get("dim_noise", 1), "problem.dim_noise", minimum=1)
-    horizon = _number(section["horizon"], "problem.horizon", positive=True)
-    controls = _controls_value(section.get("controls", [0.0]))
-    drift_spec, drift = _drift_value(section.get("drift", 0.0), dim_state)
-
-    sigma = _number(section.get("diffusion", 0.0), "problem.diffusion")
-    diffusion = _constant_diffusion(sigma, dim_noise) if sigma != 0.0 else None
-
-    running_value = _number(section.get("running_cost", 0.0),
-                            "problem.running_cost", minimum=0.0)
-    running = _constant_running(running_value) if running_value != 0.0 else None
-
-    terminal_spec = section.get("terminal_cost", "zero")
-    if terminal_spec == "zero":
-        terminal: Callable[[Array], Array] = _zero_terminal
-    elif terminal_spec == "square":
-        terminal = _square_terminal
-    elif isinstance(terminal_spec, (int, float)) and not isinstance(terminal_spec, bool):
-        terminal_spec = _number(terminal_spec, "problem.terminal_cost", minimum=0.0)
-        terminal = _constant_terminal(terminal_spec)
-    else:
-        _fail("problem.terminal_cost", 'must be "zero", "square", or a number')
-
-    region_spec, region = _region_value(section.get("region"))
-    jumps_spec, jumps = _jumps_value(section.get("jumps"))
-    name = section.get("name", "")
-    if not isinstance(name, str):
-        _fail("problem.name", "must be a string")
-
-    try:
-        problem = build_problem(
-            dim_state=dim_state,
-            dim_noise=dim_noise,
-            horizon=horizon,
-            controls=controls,
-            drift=drift,
-            diffusion=diffusion,
-            running_cost=running,
-            terminal_cost=terminal,
-            region=region,
-            jumps=jumps,
-            jump_size=_mark_shift if jumps is not None else None,
-            vectorized=True,
-            name=name,
-        )
-    except ValueError as exc:
-        raise SchemaViolation(f"problem: {exc}") from None
-
-    normalized = {
-        "dim_state": dim_state,
-        "dim_noise": dim_noise,
-        "horizon": horizon,
-        "controls": controls,
-        "drift": drift_spec,
-        "diffusion": sigma,
-        "running_cost": running_value,
-        "terminal_cost": terminal_spec,
-        "region": region_spec,
-        "jumps": jumps_spec,
-        "name": name,
-    }
-    return problem, normalized, {}
 
 
 def _grid_section(section: Any) -> dict[str, Any]:
     if not isinstance(section, dict):
-        _fail("grid", "must be an object")
-    _reject_unknown(section, _GRID_KEYS, "grid")
+        fail("grid", "must be an object")
+    reject_unknown(section, _GRID_KEYS, "grid")
     for required in ("state", "margin"):
         if required not in section:
-            _fail(f"grid.{required}", "is required")
+            fail(f"grid.{required}", "is required")
     state = section["state"]
     if not isinstance(state, (list, tuple)) or not state:
-        _fail("grid.state", "must be a non-empty list of [low, high, count] axes")
+        fail("grid.state", "must be a non-empty list of [low, high, count] axes")
     axes = [_axis_triplet(axis, f"grid.state[{i}]") for i, axis in enumerate(state)]
     margin = _axis_triplet(section["margin"], "grid.margin")
     step = section.get("time_step")
     if step is not None:
-        step = _number(step, "grid.time_step", positive=True)
+        step = require_number(step, "grid.time_step", positive=True)
     return {"state": axes, "margin": margin, "time_step": step}
 
 
@@ -409,18 +178,18 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
     if section is None:
         section = {}
     if not isinstance(section, dict):
-        _fail("scheme", "must be an object")
-    _reject_unknown(section, _SCHEME_KEYS, "scheme")
+        fail("scheme", "must be an object")
+    reject_unknown(section, _SCHEME_KEYS, "scheme")
     hedge = section.get("hedge", defaults.get("hedge", "spectral"))
     beta = section.get("beta_candidates", defaults.get("jump_hedge", "grid"))
     if not isinstance(hedge, str):
-        _fail("scheme.hedge", "must be a string")
+        fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
-        _fail("scheme.beta_candidates", "must be a string")
-    safety = _number(section.get("safety", 0.9), "scheme.safety", positive=True)
+        fail("scheme.beta_candidates", "must be a string")
+    safety = require_number(section.get("safety", 0.9), "scheme.safety", positive=True)
     epsilon = section.get("epsilon")
     if epsilon is not None:
-        epsilon = _number(epsilon, "scheme.epsilon", positive=True)
+        epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
     try:
         options = SchemeOptions(hedge=hedge, jump_hedge=beta, safety=safety)
     except ValueError as exc:
@@ -432,20 +201,20 @@ def _outputs_section(section: Any) -> dict[str, Any]:
     if section is None:
         section = {}
     if not isinstance(section, dict):
-        _fail("outputs", "must be an object")
-    _reject_unknown(section, _OUTPUT_KEYS, "outputs")
+        fail("outputs", "must be an object")
+    reject_unknown(section, _OUTPUT_KEYS, "outputs")
     directory = section.get("directory", "out")
     if not isinstance(directory, str) or not directory:
-        _fail("outputs.directory", "must be a non-empty string")
+        fail("outputs.directory", "must be a non-empty string")
     formats = section.get("formats", ["csv"])
     if not isinstance(formats, (list, tuple)):
-        _fail("outputs.formats", f"must be a list drawn from {_FORMATS}")
+        fail("outputs.formats", f"must be a list drawn from {_FORMATS}")
     for i, entry in enumerate(formats):
         if entry not in _FORMATS:
-            _fail(f"outputs.formats[{i}]", f"must be one of {_FORMATS}, got {entry!r}")
+            fail(f"outputs.formats[{i}]", f"must be one of {_FORMATS}, got {entry!r}")
     if "csv" not in formats:
-        _fail("outputs.formats", "must list 'csv': every run writes its CSV artifacts")
-    every = _integer(section.get("checkpoint_every", 25), "outputs.checkpoint_every",
+        fail("outputs.formats", "must list 'csv': every run writes its CSV artifacts")
+    every = require_integer(section.get("checkpoint_every", 25), "outputs.checkpoint_every",
                      minimum=1)
     return {"directory": directory, "formats": list(formats), "checkpoint_every": every}
 
@@ -467,20 +236,20 @@ def parse_config(text: str) -> RunConfig:
         ) from None
     if not isinstance(document, dict):
         raise SchemaViolation("the configuration must be a JSON object")
-    _reject_unknown(document, _TOP_KEYS, "")
+    reject_unknown(document, _TOP_KEYS, "")
     if "problem" not in document:
-        _fail("problem", "is required")
-    problem, problem_spec, scheme_defaults = _problem_section(document["problem"])
+        fail("problem", "is required")
+    problem, problem_spec, scheme_defaults = parse_problem(document["problem"])
     if "grid" in document:
         grid_spec = _grid_section(document["grid"])
     elif "builtin" in problem_spec:
         # built-in problems carry a stock grid so a bare name is runnable
         grid_spec = _grid_section(builtin_grid(problem_spec["builtin"]))
     else:
-        _fail("grid", "is required")
+        fail("grid", "is required")
     options, epsilon = _scheme_section(document.get("scheme"), scheme_defaults)
     outputs = _outputs_section(document.get("outputs"))
-    seed = _integer(document.get("seed", 0), "seed", minimum=0)
+    seed = require_integer(document.get("seed", 0), "seed", minimum=0)
     return RunConfig(problem=problem, problem_spec=problem_spec, grid_spec=grid_spec,
                      scheme=options, epsilon=epsilon, outputs=outputs, seed=seed)
 

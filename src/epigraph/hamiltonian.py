@@ -25,7 +25,7 @@ The full node Hamiltonian is::
 
 and the backward scheme drives H to zero at every interior node.  Everything
 here is pure and allocation-light: these are the reference per-node
-operations; the solver runs an equivalent vectorized sweep, and
+operations; the solver runs an equivalent sweep over whole arrays, and
 ``tests/test_solver.py::_sweep_residuals`` checks that the sweep's slope
 makes :func:`hamiltonian_at_node` vanish at random interior nodes, with and
 without diffusion and jumps.  The check covers the frozen hedge with jumps,

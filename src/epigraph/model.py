@@ -10,17 +10,17 @@ need about one control problem:
 * the constraint region, represented through its distance function
   ``d(a) >= 0`` (zero exactly on the region).
 
-Coefficients are plain Python callables.  Problems built by this package set
-``vectorized=True`` and accept batched state arrays of shape ``(N, n)``;
-arbitrary user callables work too and are looped over (slower, same
-semantics).
+Coefficients are plain Python callables that take a batch of states of shape
+``(N, n)`` and return one row per state: drift ``(N, n)``, diffusion
+``(N, n, r)``, jump amplitude ``(N, n)``, running and terminal cost ``(N,)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class Region:
         elif self.kind == "point":
             out = np.linalg.norm(pts - np.asarray(self.center, dtype=float), axis=1)
         else:  # callable
-            out = np.asarray(self.func(pts), dtype=float).reshape(pts.shape[0])
+            out = _rows("distance", (pts.shape[0],), self.func, pts)
         if not np.all(np.isfinite(out)):
             raise NonFiniteCoefficient("distance returned a non-finite value")
         if out.size and out.min() < 0.0:
@@ -174,7 +174,6 @@ class Problem:
     controls: Array
     jumps: JumpModel = EMPTY_JUMPS
     region: Region = field(default_factory=Region)
-    vectorized: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -213,8 +212,6 @@ class Coefficients:
 
 _REQUIRED = ("dim_state", "dim_noise", "horizon", "terminal_cost", "controls")
 
-_DEFAULTS: dict[str, Callable[[int, int], Callable[..., Any]]] = {}
-
 
 def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Problem:
     """Validate raw problem fields and construct a :class:`Problem`.
@@ -222,10 +219,14 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
     Accepts either a mapping or keyword arguments.  Dynamics default to zero
     (no drift, no noise, no jumps) and the running cost defaults to zero, so a
     minimal problem needs only dimensions, a horizon, a terminal cost and a
-    control grid.
+    control grid.  A key that names no :class:`Problem` field raises
+    ``TypeError``.
     """
     raw = dict(fields or {})
     raw.update(kwargs)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(Problem)})
+    if unknown:
+        raise TypeError(f"build_problem got unknown field(s): {', '.join(map(repr, unknown))}")
 
     for key in _REQUIRED:
         if key not in raw or raw[key] is None:
@@ -273,7 +274,6 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
         controls=controls,
         jumps=jumps,
         region=region,
-        vectorized=bool(raw.get("vectorized", False)),
         name=str(raw.get("name", "")),
     )
 
@@ -281,6 +281,26 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
 # ---------------------------------------------------------------------------
 # coefficient evaluation
 # ---------------------------------------------------------------------------
+
+def _rows(label: str, shape: tuple[int, ...], func: Callable[..., Any], *args: Any) -> Array:
+    """Call a coefficient on a state batch; its output as one row per state.
+
+    A callable written for one state at a time either fails on the batch or
+    returns the wrong number of values; both raise a ``ValueError`` that
+    names the coefficient and the batch contract.
+    """
+    contract = "coefficient callables take (N, n) state batches and return one row per state"
+    try:
+        value = func(*args)
+    except TypeError as exc:
+        raise ValueError(f"{label} failed on a batch of {shape[0]} states ({exc}); "
+                         f"{contract}") from exc
+    out = np.asarray(value, dtype=float)
+    if out.size != math.prod(shape):
+        raise ValueError(f"{label} returned shape {out.shape} for {shape[0]} states; "
+                         f"{contract}")
+    return out.reshape(shape)
+
 
 def _finite_or_raise(label: str, value: Array) -> Array:
     if not np.isfinite(value).all():
@@ -313,42 +333,19 @@ def eval_coefficients_batch(
     """Evaluate drift/diffusion/jumps/running on a batch of states.
 
     Returns ``(drift (N,n), diffusion (N,n,r), jump_sizes (K,N,n), running (N,))``.
-    The vectorized fast path hands the whole batch to the callables; the
-    generic path loops row by row.
+    The callables receive the whole ``(N, n)`` batch at once.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     n_pts, n = states.shape
     if n != problem.dim_state:
         raise ValueError(f"states have dimension {n}, problem expects {problem.dim_state}")
     u = np.asarray(u, dtype=float).ravel()
-    K = problem.jumps.n_atoms
-
-    if problem.vectorized:
-        drift = np.asarray(problem.drift(t, states, u), dtype=float).reshape(n_pts, n)
-        diffusion = np.asarray(problem.diffusion(t, states, u), dtype=float).reshape(
-            n_pts, n, problem.dim_noise
-        )
-        running = np.asarray(problem.running_cost(t, states, u), dtype=float).reshape(n_pts)
-        jump_sizes = np.zeros((K, n_pts, n))
-        for k in range(K):
-            jump_sizes[k] = np.asarray(
-                problem.jump_size(t, states, u, problem.jumps.marks[k]), dtype=float
-            ).reshape(n_pts, n)
-    else:
-        drift = np.empty((n_pts, n))
-        diffusion = np.empty((n_pts, n, problem.dim_noise))
-        running = np.empty(n_pts)
-        jump_sizes = np.zeros((K, n_pts, n))
-        for i in range(n_pts):
-            drift[i] = np.asarray(problem.drift(t, states[i], u), dtype=float).reshape(n)
-            diffusion[i] = np.asarray(problem.diffusion(t, states[i], u), dtype=float).reshape(
-                n, problem.dim_noise
-            )
-            running[i] = float(problem.running_cost(t, states[i], u))
-            for k in range(K):
-                jump_sizes[k, i] = np.asarray(
-                    problem.jump_size(t, states[i], u, problem.jumps.marks[k]), dtype=float
-                ).reshape(n)
+    drift = _rows("drift", (n_pts, n), problem.drift, t, states, u)
+    diffusion = _rows("diffusion", (n_pts, n, problem.dim_noise), problem.diffusion, t, states, u)
+    running = _rows("running cost", (n_pts,), problem.running_cost, t, states, u)
+    jump_sizes = np.zeros((problem.jumps.n_atoms, n_pts, n))
+    for k, mark in enumerate(problem.jumps.marks):
+        jump_sizes[k] = _rows("jump amplitude", (n_pts, n), problem.jump_size, t, states, u, mark)
 
     _finite_or_raise("drift", drift)
     _finite_or_raise("diffusion", diffusion)
@@ -364,10 +361,7 @@ def eval_coefficients_batch(
 def eval_terminal(problem: Problem, states: Array) -> Array:
     """Terminal cost on a batch of states, validated finite and nonnegative."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if problem.vectorized:
-        vals = np.asarray(problem.terminal_cost(states), dtype=float).reshape(states.shape[0])
-    else:
-        vals = np.array([float(problem.terminal_cost(s)) for s in states])
+    vals = _rows("terminal cost", (states.shape[0],), problem.terminal_cost, states)
     _finite_or_raise("terminal cost", vals)
     if vals.size and vals.min() < 0.0:
         raise NonFiniteCoefficient(f"terminal cost must be nonnegative, got {vals.min()}")

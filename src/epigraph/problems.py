@@ -1,8 +1,15 @@
-"""Built-in demonstration problems with default discretizations.
+"""Problem documents: the inline ``problem`` section and the built-in catalog.
 
-Each entry pairs a :class:`~epigraph.model.Problem` with the grid it is
-meant to be solved on, so tests, the CLI, and demos all run the same
-configurations by name.
+A problem is stated as one JSON-shaped document of constant coefficients:
+``dim_state``, ``dim_noise``, ``horizon`` (required), ``controls``, ``drift``
+(``"control"``, a number, or a per-component list), ``diffusion`` (a number
+filling every matrix entry — intended for scalar noise), ``running_cost`` (a
+number), ``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
+``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`),
+``jumps`` (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and
+``name``.  The built-in problems are such documents, each paired with the
+grid it is meant to be solved on and its scheme overrides, so tests, the CLI
+and demos all run the same configurations by name.
 """
 
 from __future__ import annotations
@@ -12,174 +19,300 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .errors import (
+    EpigraphError,
+    SchemaViolation,
+    fail,
+    reject_unknown,
+    require_integer,
+    require_number,
+)
 from .model import JumpModel, Problem, Region, build_problem
 
 Array = np.ndarray
 
-BUILTIN_NAMES = ("zero", "frozen-penalty", "deterministic-steering", "jump-variance")
+_PROBLEM_KEYS = (
+    "dim_state", "dim_noise", "horizon", "controls", "drift", "diffusion",
+    "running_cost", "terminal_cost", "region", "jumps", "name",
+)
+_REGION_KEYS = ("kind", "lo", "hi", "center", "radius", "normal", "offset")
+_JUMP_KEYS = ("marks", "weights")
 
+
+# ---------------------------------------------------------------------------
+# coefficient callables; each takes an (N, n) state batch
+# ---------------------------------------------------------------------------
 
 def _drift_is_control(t: float, a: Array, u: Array) -> Array:
-    return np.zeros_like(np.atleast_2d(a)) + u
+    return np.zeros_like(a) + u
+
+
+def _constant_drift(row: Array) -> Callable[..., Array]:
+    def drift(t: float, a: Array, u: Array) -> Array:
+        return np.zeros_like(a) + row
+    return drift
 
 
 def _constant_diffusion(value: float, dim_noise: int) -> Callable[..., Array]:
     """Every entry of the (n, dim_noise) diffusion matrix equals ``value``."""
     def diffusion(t: float, a: Array, u: Array) -> Array:
-        a = np.atleast_2d(a)
         return np.full((*a.shape, dim_noise), value)
     return diffusion
 
 
-def _zero_terminal(a: Array) -> Array:
-    return np.zeros(np.atleast_2d(a).shape[0])
+def _constant_running(value: float) -> Callable[..., Array]:
+    def running(t: float, a: Array, u: Array) -> Array:
+        return np.full(a.shape[0], value)
+    return running
+
+
+def _constant_terminal(value: float) -> Callable[[Array], Array]:
+    def terminal(a: Array) -> Array:
+        return np.full(a.shape[0], value)
+    return terminal
 
 
 def _square_terminal(a: Array) -> Array:
-    a = np.atleast_2d(a)
     return (a * a).sum(axis=1)
 
 
-def _zero() -> Problem:
-    """Free motion, no costs: the shortfall field is identically zero."""
-    return build_problem(
-        dim_state=1,
-        dim_noise=1,
-        horizon=1.0,
-        drift=_drift_is_control,
-        diffusion=_constant_diffusion(0.2, 1),
-        terminal_cost=_zero_terminal,
-        controls=[-1.0, 0.0, 1.0],
-        vectorized=True,
-        name="zero",
-    )
+def _mark_shift(t: float, a: Array, u: Array, e: float) -> Array:
+    return np.full(a.shape, float(e))
 
 
-def _frozen_penalty() -> Problem:
-    """Frozen dynamics, constraint region pinned to the origin.
+# ---------------------------------------------------------------------------
+# the inline problem section
+# ---------------------------------------------------------------------------
 
-    The only cost is the accrued distance |a|, so the margin-0 field is
-    exactly |a|(T-t) and the whole shortfall field is linear in the margin.
-    """
-    return build_problem(
-        dim_state=1,
-        dim_noise=1,
-        horizon=1.0,
-        terminal_cost=_zero_terminal,
-        controls=[0.0],
-        region=Region(kind="point", center=np.zeros(1)),
-        vectorized=True,
-        name="frozen-penalty",
-    )
-
-
-def _deterministic_steering() -> Problem:
-    """Bounded-velocity steering toward [-1, 1] with quadratic terminal cost.
-
-    The least achievable m(x_T) from state a is (max(|a| - 1, 0))^2, which is
-    the oracle curve for the extracted margin profile.
-    """
-    return build_problem(
-        dim_state=1,
-        dim_noise=1,
-        horizon=1.0,
-        drift=_drift_is_control,
-        terminal_cost=_square_terminal,
-        controls=np.linspace(-1.0, 1.0, 21),
-        vectorized=True,
-        name="deterministic-steering",
-    )
+def _controls_value(value: Any) -> list[Any]:
+    bad = 'must be a non-empty list of numbers (or of per-component lists)'
+    if not isinstance(value, (list, tuple)) or not value:
+        fail("problem.controls", bad)
+    if all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in value):
+        return [float(u) for u in value]
+    out = []
+    for i, row in enumerate(value):
+        if not isinstance(row, (list, tuple)) or not row:
+            fail(f"problem.controls[{i}]", bad)
+        out.append([require_number(u, f"problem.controls[{i}][{j}]")
+                    for j, u in enumerate(row)])
+    return out
 
 
-def _jump_variance() -> Problem:
-    """Uncontrolled unit diffusion with one compensated jump atom.
-
-    E[x_T^2] from the origin is sigma^2 T + w chi^2 T = 3.0 at T = 1 — the
-    Monte Carlo oracle value.
-    """
-    def jump_size(t: float, a: Array, u: Array, e: float) -> Array:
-        return np.full(np.atleast_2d(a).shape, float(e))
-
-    return build_problem(
-        dim_state=1,
-        dim_noise=1,
-        horizon=1.0,
-        diffusion=_constant_diffusion(1.0, 1),
-        jump_size=jump_size,
-        jumps=JumpModel(marks=np.array([1.0]), weights=np.array([2.0])),
-        terminal_cost=_square_terminal,
-        controls=[0.0],
-        vectorized=True,
-        name="jump-variance",
-    )
+def _drift_value(spec: Any, dim_state: int) -> tuple[Any, Callable[..., Array] | None]:
+    if spec == "control":
+        return "control", _drift_is_control
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        value = require_number(spec, "problem.drift")
+        if value == 0.0:
+            return 0.0, None
+        return value, _constant_drift(np.full(dim_state, value))
+    if isinstance(spec, (list, tuple)):
+        row = [require_number(v, f"problem.drift[{i}]") for i, v in enumerate(spec)]
+        if len(row) != dim_state:
+            fail("problem.drift", f"needs {dim_state} components, got {len(row)}")
+        return row, _constant_drift(np.asarray(row))
+    fail("problem.drift", 'must be "control", a number, or a list of numbers')
 
 
-_FACTORIES = {
-    "zero": _zero,
-    "frozen-penalty": _frozen_penalty,
-    "deterministic-steering": _deterministic_steering,
-    "jump-variance": _jump_variance,
-}
-
-# Default discretizations.  The steering domain is padded beyond the reported
-# window: one-sided hull stencils pollute a layer near the state boundary, and
-# the pad keeps that layer away from the profile nodes that matter.
-_GRIDS: dict[str, dict[str, Any]] = {
-    "zero": {
-        "state": [[-3.0, 3.0, 101]],
-        "margin": [0.0, 1.0, 101],
-        "time_step": 0.01,
-    },
-    "frozen-penalty": {
-        "state": [[-2.0, 2.0, 81]],
-        "margin": [-1.0, 3.0, 81],
-        "time_step": 0.05,
-    },
-    "deterministic-steering": {
-        "state": [[-2.1, 2.1, 281]],
-        "margin": [0.0, 0.6, 241],
-        "time_step": None,
-    },
-    "jump-variance": {
-        "state": [[-6.0, 6.0, 121]],
-        "margin": [0.0, 4.0, 81],
-        "time_step": None,
-    },
-}
-
-# Per-problem scheme overrides.  The jump-variance problem pairs a kinked
-# terminal surface with strong diffusion, where the eigenvalue hedge has no
-# finite supremum; the frozen hedge is the stable choice there, and with no
-# running cost the margin rows decouple, so the in-slice jump hedge adds
-# nothing either.
-_SCHEMES: dict[str, dict[str, Any]] = {
-    "jump-variance": {"hedge": "frozen", "jump_hedge": "zero"},
-}
+def _terminal_value(spec: Any) -> tuple[Any, Callable[[Array], Array]]:
+    if spec == "zero":
+        return spec, _constant_terminal(0.0)
+    if spec == "square":
+        return spec, _square_terminal
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        value = require_number(spec, "problem.terminal_cost", minimum=0.0)
+        return value, _constant_terminal(value)
+    fail("problem.terminal_cost", 'must be "zero", "square", or a number')
 
 
-def builtin_problem(name: str) -> Problem:
-    """The named built-in problem; raises KeyError with the catalog on miss."""
+def _region_value(spec: Any) -> tuple[dict[str, Any], Region | None]:
+    if spec is None:
+        return {"kind": "all"}, None
+    if not isinstance(spec, dict):
+        fail("problem.region", "must be an object with a 'kind' key")
+    reject_unknown(spec, _REGION_KEYS, "problem.region")
+    kwargs = {key: np.asarray(value, dtype=float) if key in ("lo", "hi", "center", "normal")
+              else value for key, value in spec.items()}
     try:
-        return _FACTORIES[name]()
+        region = Region(**kwargs)
+    except (ValueError, TypeError, EpigraphError) as exc:
+        raise SchemaViolation(f"problem.region: {exc}") from None
+    return copy.deepcopy(dict(spec)), region
+
+
+def _jumps_value(spec: Any) -> tuple[dict[str, Any] | None, JumpModel | None]:
+    if spec is None:
+        return None, None
+    if not isinstance(spec, dict):
+        fail("problem.jumps", "must be an object with 'marks' and 'weights'")
+    reject_unknown(spec, _JUMP_KEYS, "problem.jumps")
+    for key in _JUMP_KEYS:
+        if key not in spec:
+            fail(f"problem.jumps.{key}", "is required")
+    try:
+        jumps = JumpModel(**{key: np.asarray(spec[key], dtype=float) for key in _JUMP_KEYS})
+    except (ValueError, TypeError, EpigraphError) as exc:
+        raise SchemaViolation(f"problem.jumps: {exc}") from None
+    return {key: np.asarray(spec[key], dtype=float).tolist() for key in _JUMP_KEYS}, jumps
+
+
+def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
+    """Build a problem from an inline ``problem`` document.
+
+    Returns the problem and the normalized document, with every default
+    filled in.  Errors name the offending path (``problem.drift[1]``).
+    """
+    if not isinstance(section, dict):
+        fail("problem", "must be an object")
+    reject_unknown(section, _PROBLEM_KEYS, "problem")
+    if "horizon" not in section:
+        fail("problem.horizon", "is required")
+    dim_state = require_integer(section.get("dim_state", 1), "problem.dim_state", minimum=1)
+    dim_noise = require_integer(section.get("dim_noise", 1), "problem.dim_noise", minimum=1)
+    horizon = require_number(section["horizon"], "problem.horizon", positive=True)
+    controls = _controls_value(section.get("controls", [0.0]))
+    drift_spec, drift = _drift_value(section.get("drift", 0.0), dim_state)
+    sigma = require_number(section.get("diffusion", 0.0), "problem.diffusion")
+    running_value = require_number(section.get("running_cost", 0.0),
+                                   "problem.running_cost", minimum=0.0)
+    terminal_spec, terminal = _terminal_value(section.get("terminal_cost", "zero"))
+    region_spec, region = _region_value(section.get("region"))
+    jumps_spec, jumps = _jumps_value(section.get("jumps"))
+    name = section.get("name", "")
+    if not isinstance(name, str):
+        fail("problem.name", "must be a string")
+
+    try:
+        problem = build_problem(
+            dim_state=dim_state,
+            dim_noise=dim_noise,
+            horizon=horizon,
+            controls=controls,
+            drift=drift,
+            diffusion=_constant_diffusion(sigma, dim_noise) if sigma != 0.0 else None,
+            running_cost=_constant_running(running_value) if running_value != 0.0 else None,
+            terminal_cost=terminal,
+            region=region,
+            jumps=jumps,
+            jump_size=_mark_shift if jumps is not None else None,
+            name=name,
+        )
+    except ValueError as exc:
+        raise SchemaViolation(f"problem: {exc}") from None
+
+    normalized = {
+        "dim_state": dim_state,
+        "dim_noise": dim_noise,
+        "horizon": horizon,
+        "controls": controls,
+        "drift": drift_spec,
+        "diffusion": sigma,
+        "running_cost": running_value,
+        "terminal_cost": terminal_spec,
+        "region": region_spec,
+        "jumps": jumps_spec,
+        "name": name,
+    }
+    return problem, normalized
+
+
+def parse_problem(section: Any) -> tuple[Problem, dict[str, Any], dict[str, Any]]:
+    """Build (problem, normalized section, scheme defaults) from a ``problem`` section.
+
+    The section is either ``{"builtin": name}``, which normalizes to itself
+    and brings the built-in's scheme overrides, or an inline document.
+    """
+    if not isinstance(section, dict) or "builtin" not in section:
+        return (*_inline_problem(section), {})
+    reject_unknown(section, ("builtin",), "problem")
+    name = section["builtin"]
+    if not isinstance(name, str):
+        fail("problem.builtin", "must be a string")
+    try:
+        problem = builtin_problem(name)
+    except KeyError as exc:
+        raise SchemaViolation(f"problem.builtin: {exc.args[0]}") from None
+    return problem, {"builtin": name}, builtin_scheme(name)
+
+
+# ---------------------------------------------------------------------------
+# the built-in catalog
+# ---------------------------------------------------------------------------
+
+# Each built-in is its inline problem document, its stock grid and its scheme
+# overrides.
+_BUILTINS: dict[str, dict[str, Any]] = {
+    # Free motion, no costs: the shortfall field is identically zero.
+    "zero": {
+        "problem": {"name": "zero", "horizon": 1.0, "drift": "control",
+                    "diffusion": 0.2, "terminal_cost": "zero",
+                    "controls": [-1.0, 0.0, 1.0]},
+        "grid": {"state": [[-3.0, 3.0, 101]], "margin": [0.0, 1.0, 101],
+                 "time_step": 0.01},
+        "scheme": {},
+    },
+    # Frozen dynamics, region pinned to the origin.  The only cost is the
+    # accrued distance |a|, so the margin-0 field is exactly |a|(T - t) and
+    # the whole shortfall field is linear in the margin.
+    "frozen-penalty": {
+        "problem": {"name": "frozen-penalty", "horizon": 1.0, "controls": [0.0],
+                    "terminal_cost": "zero",
+                    "region": {"kind": "point", "center": [0.0]}},
+        "grid": {"state": [[-2.0, 2.0, 81]], "margin": [-1.0, 3.0, 81],
+                 "time_step": 0.05},
+        "scheme": {},
+    },
+    # Bounded-velocity steering toward [-1, 1] with quadratic terminal cost.
+    # The least achievable m(x_T) from a is max(|a| - 1, 0)^2, the oracle
+    # curve for the extracted margin profile.  The domain is padded beyond the
+    # reported window: one-sided hull stencils pollute a layer near the state
+    # boundary, and the pad keeps that layer away from the profile nodes.
+    "deterministic-steering": {
+        "problem": {"name": "deterministic-steering", "horizon": 1.0,
+                    "drift": "control", "terminal_cost": "square",
+                    "controls": np.linspace(-1.0, 1.0, 21).tolist()},
+        "grid": {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
+                 "time_step": None},
+        "scheme": {},
+    },
+    # Uncontrolled unit diffusion with one compensated jump atom: E[x_T^2]
+    # from the origin is sigma^2 T + w chi^2 T = 3.0 at T = 1.  A kinked
+    # terminal surface under strong diffusion gives the eigenvalue hedge no
+    # finite supremum, so the hedge is frozen; with no running cost the
+    # margin rows decouple, so the in-slice jump hedge adds nothing either.
+    "jump-variance": {
+        "problem": {"name": "jump-variance", "horizon": 1.0, "diffusion": 1.0,
+                    "jumps": {"marks": [1.0], "weights": [2.0]},
+                    "terminal_cost": "square", "controls": [0.0]},
+        "grid": {"state": [[-6.0, 6.0, 121]], "margin": [0.0, 4.0, 81],
+                 "time_step": None},
+        "scheme": {"hedge": "frozen", "jump_hedge": "zero"},
+    },
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def _builtin(name: str) -> dict[str, Any]:
+    try:
+        return _BUILTINS[name]
     except KeyError:
         raise KeyError(
             f"unknown built-in problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         ) from None
 
 
+def builtin_problem(name: str) -> Problem:
+    """The named built-in problem; raises KeyError with the catalog on miss."""
+    return _inline_problem(_builtin(name)["problem"])[0]
+
+
 def builtin_grid(name: str) -> dict[str, Any]:
     """Default grid section (state/margin/time_step) for a built-in problem."""
-    if name not in _GRIDS:
-        raise KeyError(
-            f"unknown built-in problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-        )
-    return copy.deepcopy(_GRIDS[name])
+    return copy.deepcopy(_builtin(name)["grid"])
 
 
 def builtin_scheme(name: str) -> dict[str, Any]:
     """Scheme overrides for a built-in problem (empty when defaults apply)."""
-    if name not in _GRIDS:
-        raise KeyError(
-            f"unknown built-in problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-        )
-    return copy.deepcopy(_SCHEMES.get(name, {}))
+    return copy.deepcopy(_builtin(name)["scheme"])

@@ -78,7 +78,6 @@ def diffusive_problem():
         terminal_cost=lambda a: np.ones(np.atleast_2d(a).shape[0]),
         controls=[-0.5, 0.0, 0.5],
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
-        vectorized=True,
     )
 
 
@@ -289,7 +288,6 @@ def test_criterion_6_monte_carlo_matches_field_at_fixed_control():
         terminal_cost=lambda a: np.atleast_2d(a)[:, 0] ** 2,
         controls=[0.3],
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
-        vectorized=True,
     )
     probe = make_grid([(-1.5, 1.5, 61)], (0.0, 2.5, 51), time_axis(0.5, 0.5))
     grid = make_grid([(-1.5, 1.5, 61)], (0.0, 2.5, 51),

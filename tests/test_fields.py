@@ -28,7 +28,6 @@ def square_problem():
         horizon=1.0,
         terminal_cost=lambda a: np.atleast_2d(a)[:, 0] ** 2,
         controls=[0.0],
-        vectorized=True,
     )
 
 

@@ -71,7 +71,7 @@ def test_coupling_scale_rejects_negative_margin():
         coupling_scale(np.array([0.5, -0.1]))
 
 
-def test_coupling_scale_vectorized():
+def test_coupling_scale_on_arrays():
     np.testing.assert_allclose(coupling_scale(np.array([0.0, 2.0])), [1.0, 2.0])
 
 
@@ -417,7 +417,6 @@ def quiet_problem(**overrides):
         horizon=1.0,
         terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]),
         controls=[[0.0]],
-        vectorized=True,
     )
     fields.update(overrides)
     return build_problem(fields)

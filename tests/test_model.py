@@ -19,6 +19,7 @@ from epigraph.model import (
     check_regularity,
     eval_coefficients,
     eval_coefficients_batch,
+    eval_terminal,
 )
 
 
@@ -33,7 +34,6 @@ def linear_problem(**overrides):
         running_cost=lambda t, a, u: (a[:, 0] ** 2),
         terminal_cost=lambda a: a[:, 0] ** 2,
         controls=[[0.0]],
-        vectorized=True,
     )
     fields.update(overrides)
     return build_problem(fields)
@@ -115,27 +115,34 @@ def test_negative_running_cost_rejected():
         eval_coefficients(prob, 0.0, np.array([-1.0]), np.array([0.0]))
 
 
-def test_loop_path_matches_vectorized_path():
-    """The row-by-row fallback must agree with the batched fast path."""
-    vec = linear_problem()
-    loop = build_problem(
-        dim_state=1,
-        dim_noise=1,
-        horizon=1.0,
-        drift=lambda t, a, u: 2.0 * a,
-        diffusion=lambda t, a, u: np.ones((1, 1)),
-        running_cost=lambda t, a, u: float(a[0] ** 2),
-        terminal_cost=lambda a: float(a[0] ** 2),
-        controls=[[0.0]],
-        vectorized=False,
-    )
+@pytest.mark.parametrize("field, per_row, label", [
+    ("drift", lambda t, a, u: 2.0 * a[0], "drift"),
+    ("diffusion", lambda t, a, u: np.ones((1, 1)), "diffusion"),
+    ("running_cost", lambda t, a, u: float(a[0] ** 2), "running cost"),
+    ("terminal_cost", lambda a: float(a[0] ** 2), "terminal cost"),
+    ("jump_size", lambda t, a, u, e: np.array([e]), "jump amplitude"),
+])
+def test_per_row_callables_fail_naming_the_coefficient(field, per_row, label):
+    """Callables written for one state at a time are refused with the batch contract."""
+    prob = linear_problem(**{field: per_row},
+                          jumps=JumpModel(marks=[0.5], weights=[1.0]))
     states = np.linspace(-2.0, 2.0, 7)[:, None]
-    u = np.array([0.0])
-    for got, want in zip(
-        eval_coefficients_batch(loop, 0.2, states, u),
-        eval_coefficients_batch(vec, 0.2, states, u),
-    ):
-        np.testing.assert_allclose(got, want)
+    with pytest.raises(ValueError, match=rf"^{label} .*\(N, n\) state batches"):
+        eval_coefficients_batch(prob, 0.2, states, np.array([0.0]))
+        eval_terminal(prob, states)  # reached when only the terminal cost is per-row
+
+
+def test_per_row_region_distance_fails_naming_it():
+    region = Region(kind="callable", func=lambda a: abs(a[0]))
+    with pytest.raises(ValueError, match=r"^distance .*\(N, n\) state batches"):
+        region.distance(np.zeros((5, 1)))
+
+
+def test_build_problem_refuses_unknown_fields():
+    with pytest.raises(TypeError, match="'runing_cost'"):
+        linear_problem(runing_cost=lambda t, a, u: a[:, 0])
+    with pytest.raises(TypeError, match="'vectorized'"):
+        linear_problem(vectorized=True)
 
 
 def test_jump_sizes_stacked_per_atom():

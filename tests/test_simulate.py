@@ -41,7 +41,6 @@ def make_problem(**overrides):
         horizon=1.0,
         terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]),
         controls=[[0.0]],
-        vectorized=True,
     )
     fields.update(overrides)
     return build_problem(fields)

@@ -73,7 +73,6 @@ def minimal_problem(**overrides):
         horizon=1.0,
         terminal_cost=zero_terminal,
         controls=[0.0],
-        vectorized=True,
     )
     fields.update(overrides)
     return build_problem(fields)
@@ -116,7 +115,6 @@ def diffusive_problem(terminal_cost=None, diffusion=None):
         terminal_cost=terminal_cost,
         controls=[-0.5, 0.0, 0.5],
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
-        vectorized=True,
     )
 
 
@@ -417,7 +415,6 @@ def _two_dim_boundary_setup():
         jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e * np.array([1.0, -0.5]),
         region=Region(kind="ball", center=np.array([2.5, -0.5]), radius=0.8),
         controls=controls,
-        vectorized=True,
     )
     probe = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
                       time_axis(problem.horizon, problem.horizon))
@@ -440,7 +437,6 @@ def _one_dim_boundary_setup():
         jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e,
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
         controls=[-0.5, 0.0, 0.5],
-        vectorized=True,
     )
     return problem, diffusive_grid()
 
@@ -772,7 +768,6 @@ def _slope_step_cases():
                 jump_size=None if jumps == "none" else (
                     lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e),
                 region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
-                vectorized=True,
             )
             label = f"{n}-D {running} running, {drift} drift, jumps {jumps}, " \
                     f"diffusion {sigma} {hedge}"
@@ -799,7 +794,7 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# the vectorized sweep against the per-node reference Hamiltonian
+# the array sweep against the per-node reference Hamiltonian
 # ---------------------------------------------------------------------------
 
 
