@@ -150,7 +150,7 @@ def _axis_triplet(value: Any, path: str) -> list[Any]:
         fail(path, "must be a [low, high, count] triplet")
     lo = require_number(value[0], f"{path}[0]")
     hi = require_number(value[1], f"{path}[1]")
-    count = require_integer(value[2], f"{path}[2]", minimum=2)
+    count = require_integer(value[2], f"{path}[2]", minimum=3)
     if not hi > lo:
         fail(path, f"needs low < high, got [{lo}, {hi}]")
     return [lo, hi, count]
@@ -181,7 +181,7 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
         fail("scheme", "must be an object")
     reject_unknown(section, _SCHEME_KEYS, "scheme")
     hedge = section.get("hedge", defaults.get("hedge", "spectral"))
-    beta = section.get("beta_candidates", defaults.get("jump_hedge", "grid"))
+    beta = section.get("beta_candidates", defaults.get("beta_candidates", "grid"))
     if not isinstance(hedge, str):
         fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
@@ -575,12 +575,11 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     if {"lipschitz", "slab", "subsolution", "dpp"} & set(requested):
         problem = config.problem
         grid = resolve_grid(config)
-        boundary = solve_boundary_field(problem, grid, config.scheme)
-        field = solve_shortfall(problem, grid, config.scheme, boundary)
+        field = solve_shortfall(problem, grid, config.scheme)
         if "lipschitz" in requested:
             reports.append(lipschitz_profile(field))
         if "slab" in requested and (explicit or grid.margin_axis[0] < 0.0):
-            reports.append(slab_identity_residual(field, boundary[0]))
+            reports.append(slab_identity_residual(field))
         if "subsolution" in requested and (explicit or grid.margin_axis[0] > -1.0):
             reports.append(strict_subsolution_residual(
                 problem, field, 0.1, options=config.scheme, max_levels=25))

@@ -61,10 +61,6 @@ class NegativeMargin(EpigraphError):
     """The coupling scale is only defined for nonnegative margins."""
 
 
-class ShiftOutOfDomain(EpigraphError):
-    """A jump-shifted evaluation point left the grid hull with clamping off."""
-
-
 # --- solving --------------------------------------------------------------
 
 class DegenerateGrid(EpigraphError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import (
     DegenerateGrid,
     EpigraphError,
     IncompatibleGrids,
-    ShiftOutOfDomain,
     UnsolvedField,
 )
 from .model import Problem, eval_terminal
@@ -67,6 +66,9 @@ class Grid:
         zero = int(np.argmin(gaps))
         if gaps[zero] > 1e-9 * (self.margin_axis[-1] - self.margin_axis[0]):
             raise DegenerateGrid("the margin axis must contain 0")
+        if zero == self.margin_axis.shape[0] - 1:
+            # the top column holds the ceiling, which would overwrite the floor
+            raise DegenerateGrid("the margin axis must extend above 0")
         self.margin_axis[zero] = 0.0  # snap away any roundoff
         if self.times[0] != 0.0:
             raise DegenerateGrid("the time axis must start at 0")
@@ -146,17 +148,11 @@ def make_grid(
 # interpolation
 # ---------------------------------------------------------------------------
 
-def interp_state(
-    values: Array,
-    axes: tuple[Array, ...],
-    points: Array,
-    mode: str = "clamp",
-) -> Array:
+def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array:
     """Multilinear interpolation over the leading state axes of ``values``.
 
     ``values`` has shape (*state_shape, tail...); ``points`` is (N, n).
-    Returns (N, tail...).  Out-of-hull points are clamped to the boundary by
-    default; ``mode="raise"`` raises :class:`ShiftOutOfDomain` instead.
+    Returns (N, tail...).  Out-of-hull points are clamped to the boundary.
     Clamping keeps interpolation weights nonnegative, which the sweep's
     monotonicity relies on.
     """
@@ -169,13 +165,7 @@ def interp_state(
     fracs = np.empty((points.shape[0], n))
     for i, axis in enumerate(axes):
         h = axis[1] - axis[0]
-        rel = (points[:, i] - axis[0]) / h
-        if mode == "raise":
-            out = (rel < -1e-9) | (rel > axis.shape[0] - 1 + 1e-9)
-            if np.any(out):
-                bad = points[np.argmax(out)]
-                raise ShiftOutOfDomain(f"point {bad} leaves the grid hull on axis {i}")
-        rel = np.clip(rel, 0.0, axis.shape[0] - 1)
+        rel = np.clip((points[:, i] - axis[0]) / h, 0.0, axis.shape[0] - 1)
         lo = np.minimum(rel.astype(np.int64), axis.shape[0] - 2)
         lows[:, i] = lo
         fracs[:, i] = rel - lo
@@ -234,16 +224,13 @@ class Field:
         return self.values[level]
 
     def evaluate(
-        self,
-        level: int,
-        points: Array,
-        margins: Array | float | None = None,
-        mode: str = "clamp",
+        self, level: int, points: Array, margins: Array | float | None = None
     ) -> Array:
-        """Interpolated field values at arbitrary (state, margin) points."""
+        """Interpolated field values at arbitrary (state, margin) points,
+        clamped to the grid hull."""
         data = self.slice_at(level)
         if not self.has_margin_axis:
-            return interp_state(data, self.grid.state_axes, points, mode=mode)
+            return interp_state(data, self.grid.state_axes, points)
         if margins is None:
             raise ValueError("a shortfall field needs margin values to evaluate")
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -252,7 +239,7 @@ class Field:
         )
         joint_axes = (*self.grid.state_axes, self.grid.margin_axis)
         joint_points = np.concatenate([points, margins[:, None]], axis=1)
-        return interp_state(data, joint_axes, joint_points, mode=mode)
+        return interp_state(data, joint_axes, joint_points)
 
 
 def blank_field(grid: Grid, kind: str) -> Field:
@@ -355,19 +342,18 @@ def write_csv(
             handle.write(template % tuple(values.tolist()))
 
 
-def save_snapshot(
-    field_obj: Field, level: int, prefix: str, tag: str = ""
-) -> tuple[str, str]:
+def save_snapshot(field_obj: Field, level: int, prefix: str) -> tuple[str, str]:
     """Write one time level as metadata JSON plus a CSV of values.
 
     Returns the two file paths.  The CSV is 2-D: one row per flattened state
     node, one column per margin node (a single column for state-only kinds).
+    The metadata's ``tag`` is empty; only checkpoints carry one.
     """
     data = field_obj.slice_at(level)
     n_state = int(np.prod(field_obj.grid.state_shape))
     json_path = f"{prefix}.json"
     csv_path = f"{prefix}.csv"
-    _write_meta(field_obj, level, json_path, tag)
+    _write_meta(field_obj, level, json_path, "")
     write_csv(csv_path, data.reshape(n_state, -1))
     return json_path, csv_path
 

@@ -2,11 +2,11 @@
 
 The constrained value at a state is the smallest initial margin from which
 the shortfall field vanishes.  On a grid "vanishes" means "drops below a
-small tolerance", and the crossing can optionally be sharpened by linear
-interpolation between the bracketing margin nodes.  States whose shortfall
-never drops below the tolerance within the margin range are unreachable at
-any budget the grid covers; they are reported as ``math.inf`` rather than
-clamped to the top of the axis.
+small tolerance", and the crossing is placed by linear interpolation
+between the bracketing margin nodes.  States whose shortfall never drops
+below the tolerance within the margin range are unreachable at any budget
+the grid covers; they are reported as ``math.inf`` rather than clamped to
+the top of the axis.
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ class LevelSetQuery:
         Threshold below which the shortfall counts as zero.  Must be
         positive: the exact zero set is unattainable under discretization
         error.
-    interpolate
-        If true, place the crossing at the zero of the line through the
-        bracketing nodes instead of on the first qualifying node.
     """
 
     epsilon: float
-    interpolate: bool = True
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0.0):
@@ -81,17 +77,14 @@ def _scan_rows(rows: Array, margin: Array, query: LevelSetQuery) -> Array:
     if inner.size:
         ji = j[inner]
         b_hi = margin[ji]
-        if query.interpolate:
-            w_lo = rows[inner, ji - 1]
-            w_hi = rows[inner, ji]
-            b_lo = margin[ji - 1]
-            # zero of the secant through the bracketing nodes; when the
-            # field is still positive at the upper node the line crosses
-            # beyond it, so never report past the node that qualified
-            root = b_lo + w_lo * (b_hi - b_lo) / (w_lo - w_hi)
-            out[inner] = np.minimum(root, b_hi)
-        else:
-            out[inner] = b_hi
+        w_lo = rows[inner, ji - 1]
+        w_hi = rows[inner, ji]
+        b_lo = margin[ji - 1]
+        # zero of the secant through the bracketing nodes; when the field is
+        # still positive at the upper node the line crosses beyond it, so
+        # never report past the node that qualified
+        root = b_lo + w_lo * (b_hi - b_lo) / (w_lo - w_hi)
+        out[inner] = np.minimum(root, b_hi)
     return out
 
 

@@ -179,10 +179,6 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "controls", _control_grid(self.controls))
 
-    @property
-    def n_controls(self) -> int:
-        return int(self.controls.shape[0])
-
     def distance(self, a: Array) -> Array:
         return self.region.distance(a)
 
@@ -207,7 +203,6 @@ class Coefficients:
     diffusion: Array      # (n, r)
     jump_sizes: Array     # (K, n)
     running: float
-    terminal: float
 
 
 _REQUIRED = ("dim_state", "dim_noise", "horizon", "terminal_cost", "controls")
@@ -309,21 +304,19 @@ def _finite_or_raise(label: str, value: Array) -> Array:
 
 
 def eval_coefficients(problem: Problem, t: float, a: Array, u: Array) -> Coefficients:
-    """Evaluate every coefficient at one ``(t, a, u)`` and validate it.
+    """Evaluate the dynamics and running cost at one ``(t, a, u)`` and validate them.
 
-    Deterministic by construction (pure callables); costs are checked for
-    nonnegativity here so the contract fails loudly rather than deep inside a
-    sweep.
+    Deterministic by construction (pure callables); the running cost is
+    checked for nonnegativity here so the contract fails loudly rather than
+    deep inside a sweep.  The terminal cost is :func:`eval_terminal`'s.
     """
     batch = eval_coefficients_batch(problem, t, np.asarray(a, dtype=float)[None, :], u)
     drift, diffusion, jump_sizes, running = batch
-    m_val = eval_terminal(problem, np.asarray(a, dtype=float)[None, :])[0]
     return Coefficients(
         drift=drift[0],
         diffusion=diffusion[0],
         jump_sizes=jump_sizes[:, 0, :],
         running=float(running[0]),
-        terminal=float(m_val),
     )
 
 

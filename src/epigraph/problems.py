@@ -287,7 +287,7 @@ _BUILTINS: dict[str, dict[str, Any]] = {
                     "terminal_cost": "square", "controls": [0.0]},
         "grid": {"state": [[-6.0, 6.0, 121]], "margin": [0.0, 4.0, 81],
                  "time_step": None},
-        "scheme": {"hedge": "frozen", "jump_hedge": "zero"},
+        "scheme": {"hedge": "frozen", "beta_candidates": "zero"},
     },
 }
 
@@ -314,5 +314,8 @@ def builtin_grid(name: str) -> dict[str, Any]:
 
 
 def builtin_scheme(name: str) -> dict[str, Any]:
-    """Scheme overrides for a built-in problem (empty when defaults apply)."""
+    """Scheme overrides for a built-in problem (empty when defaults apply).
+
+    The result is a valid config ``scheme`` section: its keys are config keys.
+    """
     return copy.deepcopy(_builtin(name)["scheme"])

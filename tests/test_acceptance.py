@@ -32,7 +32,6 @@ from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
 from epigraph.solver import (
     SchemeOptions,
     max_stable_dt,
-    solve_boundary_field,
     solve_shortfall,
 )
 from epigraph.verify import (
@@ -140,7 +139,6 @@ def test_criterion_2_sign_equivalence_against_brute_force():
             diffusion=rng.normal(size=(1, 1)),
             jump_sizes=np.zeros((0, 1)),
             running=float(rng.uniform(0.0, 1.0)),
-            terminal=0.0,
         )
         dist = float(rng.uniform(0.0, 1.0))
         b = float(rng.uniform(0.0, 5.0))
@@ -243,9 +241,8 @@ def test_criterion_5_negative_margin_slab_identity():
     def slab_run(n_state, n_margin, dt):
         grid = make_grid([(-2.0, 2.0, n_state)], (-1.0, 1.5, n_margin),
                          time_axis(0.4, dt))
-        floor, ceiling = solve_boundary_field(problem, grid)
-        field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
-        return field, slab_identity_residual(field, floor)
+        field = solve_shortfall(problem, grid)
+        return field, slab_identity_residual(field)
 
     field_c, coarse = slab_run(41, 26, 0.02)
     field_f, fine = slab_run(81, 51, 0.005)

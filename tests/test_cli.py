@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import tracemalloc
@@ -34,6 +35,7 @@ from epigraph.errors import (
     UnknownKey,
 )
 from epigraph.fields import Field, make_grid, save_checkpoint, save_snapshot, time_axis
+from epigraph.problems import BUILTIN_NAMES, builtin_scheme
 from epigraph.solver import max_stable_dt, solve_shortfall
 
 
@@ -129,6 +131,22 @@ def test_grid_axis_triplet_validation():
                                  grid={"state": [[1.0, -1.0, 5]], "margin": [0, 1, 5]}))
 
 
+@pytest.mark.parametrize("grid, path", [
+    ({"state": [[-1.0, 1.0, 2]], "margin": [0.0, 1.0, 5]}, "grid.state[0][2]"),
+    ({"state": [[-1.0, 1.0, 5]], "margin": [0.0, 1.0, 2]}, "grid.margin[2]"),
+])
+def test_two_node_axes_are_refused_at_their_config_path(grid, path):
+    with pytest.raises(SchemaViolation, match=re.escape(f"{path} must be >= 3")):
+        parse_config(config_text("zero", "out", grid=grid))
+
+
+def test_margin_axis_ending_at_zero_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, grid={"state": [[-1.0, 1.0, 5]],
+                                        "margin": [-1.0, 0.0, 5], "time_step": 0.1})
+    assert main(["solve", "--config", str(path)]) == 1
+    assert "extend above 0" in capsys.readouterr().err
+
+
 _PLANE = {"dim_state": 2, "horizon": 1.0, "controls": [[0.0, 0.0]],
           "terminal_cost": "square"}
 _PLANE_GRID = {"state": [[-1.0, 1.0, 5], [-1.0, 1.0, 5]], "margin": [0.0, 1.0, 5]}
@@ -197,6 +215,14 @@ def test_builtin_round_trips():
     config = zero_config("out")
     assert serialize_config(parse_config(serialize_config(config))) == \
         serialize_config(config)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_scheme_is_a_valid_scheme_section(name):
+    bare = parse_config(json.dumps({"problem": {"builtin": name}}))
+    spelled = parse_config(json.dumps({"problem": {"builtin": name},
+                                       "scheme": builtin_scheme(name)}))
+    assert spelled.scheme == bare.scheme
 
 
 def test_builtin_scheme_defaults_apply_and_user_wins():
@@ -333,7 +359,7 @@ def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
     field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
                             on_level=lambda level, f: level > 90)
     out.mkdir()
-    save_snapshot(field, 90, str(out / "checkpoint"), tag="interrupt")
+    save_snapshot(field, 90, str(out / "checkpoint"))
     with pytest.raises(EpigraphError, match="checkpoint.csv"):
         run(config, resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from epigraph import fields
-from epigraph.errors import DegenerateGrid, ShiftOutOfDomain, UnsolvedField
+from epigraph.errors import DegenerateGrid, UnsolvedField
 from epigraph.fields import (
     Field,
     Grid,
@@ -70,6 +70,12 @@ def test_margin_axis_may_extend_below_zero():
     grid = small_grid(margin=(-0.5, 0.5, 5))
     assert grid.margin_zero_index == 2
     assert grid.margin_axis[2] == 0.0
+
+
+def test_margin_axis_must_extend_above_zero():
+    # the top column holds the ceiling, which would overwrite the floor at 0
+    with pytest.raises(DegenerateGrid, match="extend above 0"):
+        small_grid(margin=(-1.0, 0.0, 5))
 
 
 def test_margin_zero_snap_leaves_the_callers_array_alone():
@@ -136,13 +142,6 @@ def test_interp_state_clamps_out_of_hull_points():
     values = np.linspace(0.0, 4.0, 5)
     got = interp_state(values, axes, np.array([[-3.0], [9.0]]))
     assert np.allclose(got, [0.0, 4.0])
-
-
-def test_interp_state_raise_mode():
-    axes = (np.linspace(0.0, 1.0, 5),)
-    values = np.linspace(0.0, 4.0, 5)
-    with pytest.raises(ShiftOutOfDomain):
-        interp_state(values, axes, np.array([[1.5]]), mode="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +220,11 @@ def test_snapshot_roundtrip_is_lossless(tmp_path):
     field.values[-1] = rng.uniform(0.0, 5.0, size=(9, 5))
     field.solved_from = grid.n_levels - 1
     prefix = str(tmp_path / "level4")
-    save_snapshot(field, grid.n_levels - 1, prefix, tag="abc123")
+    save_snapshot(field, grid.n_levels - 1, prefix)
     meta, values = load_snapshot(prefix)
     assert meta["kind"] == "shortfall"
     assert meta["level"] == grid.n_levels - 1
-    assert meta["tag"] == "abc123"
+    assert meta["tag"] == ""
     assert np.array_equal(values, field.values[-1])   # %.17g is exact for float64
 
 

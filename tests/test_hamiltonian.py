@@ -50,7 +50,6 @@ def make_coeffs(drift=0.0, diffusion=0.0, running=0.0, r=1):
         else np.asarray(diffusion, dtype=float),
         jump_sizes=np.zeros((0, 1)),
         running=float(running),
-        terminal=0.0,
     )
 
 
@@ -124,7 +123,7 @@ def test_assemble_matches_term_by_term_recomputation():
         b = float(rng.uniform(0, 4))
         coeffs = Coefficients(
             drift=drift, diffusion=diffusion, jump_sizes=np.zeros((0, n)),
-            running=running, terminal=0.0,
+            running=running,
         )
         head = assemble_arrowhead(stencil, coeffs, dist, b)
 

@@ -102,13 +102,14 @@ def test_profile_is_monotone_in_epsilon(steering_field):
 
 
 def test_on_grid_extraction_lands_inside_the_mask(steering_field):
+    # the secant crossing lies in (b[j-1], b[j]] of the first qualifying node j
     field, grid = steering_field
-    query = LevelSetQuery(epsilon=default_epsilon(field), interpolate=False)
+    query = LevelSetQuery(epsilon=default_epsilon(field))
     profile = required_margin_profile(field, 0, query)
     mask = reachable_slice(field, 0, query)
     finite = np.isfinite(profile)
     assert finite.any()
-    j = np.rint(profile[finite] / grid.margin_spacing).astype(int)
+    j = np.ceil(profile[finite] / grid.margin_spacing - 1e-9).astype(int)
     j += grid.margin_zero_index
     assert mask[np.flatnonzero(finite), j].all()
 
@@ -127,12 +128,9 @@ def test_interpolation_uses_the_bracketing_secant():
     field.solved_from = grid.n_levels - 1
     level = grid.n_levels - 1
 
-    query = LevelSetQuery(epsilon=0.1, interpolate=True)
+    query = LevelSetQuery(epsilon=0.1)
     # secant through (0.25, 0.2) and (0.5, -0.3) crosses zero at 0.35
     assert extract_required_margin(field, level, 0, query) == pytest.approx(0.35)
-
-    nearest = LevelSetQuery(epsilon=0.1, interpolate=False)
-    assert extract_required_margin(field, level, 0, nearest) == 0.5
 
 
 def test_interpolation_never_reports_past_the_qualifying_node():
@@ -142,7 +140,7 @@ def test_interpolation_never_reports_past_the_qualifying_node():
     # still positive at the qualifying node: the secant crosses beyond it
     field.values[-1] = np.array([0.9, 0.6, 0.05, 0.0, 0.0])[None, :]
     field.solved_from = grid.n_levels - 1
-    query = LevelSetQuery(epsilon=0.1, interpolate=True)
+    query = LevelSetQuery(epsilon=0.1)
     got = extract_required_margin(field, grid.n_levels - 1, 0, query)
     assert got == 0.5
 

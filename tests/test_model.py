@@ -75,7 +75,6 @@ def test_jump_model_shape_mismatch():
 def test_control_grid_is_normalized_to_2d():
     prob = linear_problem(controls=[-1.0, 0.0, 1.0])
     assert prob.controls.shape == (3, 1)
-    assert prob.n_controls == 3
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_eval_coefficients_shapes_and_values():
     assert c.jump_sizes.shape == (0, 1)
     assert c.drift[0] == pytest.approx(3.0)
     assert c.running == pytest.approx(2.25)
-    assert c.terminal == pytest.approx(2.25)
+    assert eval_terminal(prob, np.array([[1.5]]))[0] == pytest.approx(2.25)
 
 
 def test_eval_is_deterministic():

@@ -48,7 +48,7 @@ def test_grid_specs_are_fresh_copies():
 
 def test_jump_variance_defaults_to_the_frozen_scheme():
     assert builtin_scheme("jump-variance") == {"hedge": "frozen",
-                                               "jump_hedge": "zero"}
+                                               "beta_candidates": "zero"}
     assert builtin_scheme("zero") == {}
     assert builtin_scheme("deterministic-steering") == {}
 

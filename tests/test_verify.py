@@ -1,5 +1,6 @@
 """Diagnostic battery: each check against fields with known behaviour."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,13 @@ import pytest
 
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
-from epigraph.problems import builtin_grid, builtin_problem
-from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
+from epigraph.problems import builtin_grid, builtin_problem, parse_problem
+from epigraph.solver import (
+    SchemeOptions,
+    max_stable_dt,
+    solve_boundary_field,
+    solve_shortfall,
+)
 from epigraph.verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -53,8 +59,10 @@ def steering_solve(na, nb):
 # ---------------------------------------------------------------------------
 
 def test_report_invariant_is_enforced():
-    with pytest.raises(ValueError):
+    # the pass flag is derived from the residual, so it cannot contradict it
+    with pytest.raises(TypeError):
         DiagnosticReport(name="x", max_residual=2.0, tolerance=1.0, passed=True)
+    assert not DiagnosticReport(name="x", max_residual=2.0, tolerance=1.0).passed
     report = make_report("x", 2.0, 1.0)
     assert not report.passed
     assert make_report("x", 1.0, 1.0).passed
@@ -135,27 +143,63 @@ def test_remainder_rejects_single_node():
 def test_slab_identity_zero_problem():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (-0.5, 1.0, 16), time_axis(1.0, 0.02))
-    floor, ceiling = solve_boundary_field(problem, grid)
-    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
-    report = slab_identity_residual(field, floor)
+    field = solve_shortfall(problem, grid)
+    report = slab_identity_residual(field)
     assert report.passed
     assert report.max_residual <= 1e-12
 
 
 def test_slab_identity_frozen_penalty(frozen_setup):
-    problem, grid, field = frozen_setup
-    floor, _ = solve_boundary_field(problem, grid)
-    report = slab_identity_residual(field, floor)
+    _, _, field = frozen_setup
+    report = slab_identity_residual(field)
     assert report.passed
     assert report.max_residual < 1e-12
 
 
+def _slab_against_the_floor(problem, grid, field):
+    """The slab residual and its worst node, taken against the separately
+    swept floor instead of the field's own margin-0 column."""
+    floor, _ = solve_boundary_field(problem, grid)
+    b = grid.margin_axis
+    below = b <= 0.0
+    gap = np.abs(field.values[..., below] - (floor.values[..., None] - b[below]))
+    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap.max()), (int(worst[0]), [int(i) for i in worst[1:-1]],
+                              int(np.flatnonzero(below)[worst[-1]]))
+
+
+_SLAB_PROBLEM = {
+    "dim_state": 1, "dim_noise": 1, "horizon": 0.5, "controls": [-0.5, 0.0, 0.5],
+    "drift": "control", "diffusion": 0.3, "running_cost": 0.1,
+    "terminal_cost": "square", "region": {"kind": "ball", "center": [0.0], "radius": 0.7},
+    "jumps": {"marks": [0.5], "weights": [1.0]},
+}
+
+
+def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
+    # frozen-penalty, and a slab grid with running cost, diffusion and a jump
+    problem, grid, field = frozen_setup
+    cases = [(problem, grid, field)]
+    problem = parse_problem(_SLAB_PROBLEM)[0]
+    probe = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41), time_axis(0.5, 0.25))
+    grid = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41),
+                     time_axis(0.5, max_stable_dt(problem, probe)))
+    options = SchemeOptions(hedge="frozen", jump_hedge="zero")
+    cases.append((problem, grid, solve_shortfall(problem, grid, options)))
+    for problem, grid, field in cases:
+        report = slab_identity_residual(field)
+        worst = report.details["worst"]
+        assert (report.max_residual, (worst["level"], worst["state_index"],
+                                      worst["margin_index"])) == \
+            _slab_against_the_floor(problem, grid, field)
+    assert report.max_residual > 0.0  # the running cost leaves roundoff to locate
+
+
 def test_slab_fault_injection_locates_the_offender(frozen_setup):
-    problem, grid, _ = frozen_setup
-    floor, ceiling = solve_boundary_field(problem, grid)
-    corrupted = solve_shortfall(problem, grid, boundary=(floor, ceiling))
+    _, _, field = frozen_setup
+    corrupted = dataclasses.replace(field, values=field.values.copy())
     corrupted.values[3, 17, 5] += 0.1
-    report = slab_identity_residual(corrupted, floor)
+    report = slab_identity_residual(corrupted)
     assert not report.passed
     assert report.max_residual == pytest.approx(0.1, abs=1e-9)
     worst = report.details["worst"]
@@ -163,18 +207,14 @@ def test_slab_fault_injection_locates_the_offender(frozen_setup):
 
 
 def test_slab_rejects_incompatible_inputs(frozen_setup, zero_setup):
-    problem, grid, field = frozen_setup
-    other_grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
-    floor_other, _ = solve_boundary_field(problem, other_grid)
-    with pytest.raises(IncompatibleGrids):
-        slab_identity_residual(field, floor_other)
-    floor, _ = solve_boundary_field(problem, grid)
-    with pytest.raises(IncompatibleGrids):
-        slab_identity_residual(floor, floor)
-    _, zgrid, zfield = zero_setup
+    _, _, zfield = zero_setup
     with pytest.raises(IncompatibleGrids):
         # the zero problem's default margin axis has no sub-zero part
-        slab_identity_residual(zfield, solve_boundary_field(zero_setup[0], zgrid)[0])
+        slab_identity_residual(zfield)
+    problem, grid, _ = frozen_setup
+    with pytest.raises(IncompatibleGrids):
+        # a state-only field has no margin columns to compare
+        slab_identity_residual(solve_boundary_field(problem, grid)[0])
 
 
 # ---------------------------------------------------------------------------
