@@ -39,6 +39,7 @@ from .simulate import (
     simulate_pair_path,
 )
 from .solver import (
+    Boundary,
     SchemeOptions,
     max_stable_dt,
     solve_boundary_field,
@@ -58,6 +59,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Boundary",
     "Coefficients",
     "DiagnosticReport",
     "EpigraphError",

@@ -423,25 +423,22 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 
     # The terminal slice never reaches the level callback, and a resumed
     # sweep cannot revisit it, so it is written up front from the terminal
-    # data alone (identical bytes on fresh and resumed runs).  Its field is
-    # a zero-copy view that holds the last level only.
+    # data alone (identical bytes on fresh and resumed runs).
     terminal = terminal_slice(problem, grid)
-    terminal_field = Field(grid, "shortfall",
-                           np.broadcast_to(terminal, (grid.n_levels, *terminal.shape)),
-                           solved_from=last, solved_to=last)
-    save_snapshot(terminal_field, last, str(out / f"slice_{last:05d}"))
+    save_snapshot(grid, last, terminal, str(out / f"slice_{last:05d}"))
 
     def checkpointer(level: int, partial: Field) -> bool:
         # Decimated slices are persisted as the sweep passes them — before
         # the interrupt check — so a resumed run never has to revisit levels
         # the partial field no longer covers.
+        values = partial.slice_at(level)
         if level in slice_set:
-            save_snapshot(partial, level, str(out / f"slice_{level:05d}"))
+            save_snapshot(grid, level, values, str(out / f"slice_{level:05d}"))
         if _interrupt_requested():
-            save_checkpoint(partial, level, ckpt_prefix, tag="interrupt")
+            save_checkpoint(grid, level, values, ckpt_prefix, tag="interrupt")
             return False
         if level != last and (last - level) % every == 0:
-            save_checkpoint(partial, level, ckpt_prefix, tag="checkpoint")
+            save_checkpoint(grid, level, values, ckpt_prefix, tag="checkpoint")
         return True
 
     with _signal_watch():
@@ -465,15 +462,16 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
                 )
             written[q.name] = _sha256(q)
 
-    for boundary_field in boundary:
-        record(*save_snapshot(boundary_field, 0, str(out / boundary_field.kind)))
+    for column, kind in enumerate(("floor", "ceiling")):
+        record(*save_snapshot(grid, 0, boundary.values[0, ..., column], str(out / kind),
+                              kind=kind))
     for level in levels:
         prefix = str(out / f"slice_{level:05d}")
         record(prefix + ".json", prefix + ".csv")
 
     # The default threshold reads the terminal slice, which a resumed field
-    # no longer covers; the terminal field holds it on both paths.
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(terminal_field)
+    # no longer covers.
+    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(terminal)
     query = LevelSetQuery(epsilon=epsilon)
     record(export_profile_csv(field, 0, str(out / "profile.csv"), query))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
@@ -666,7 +664,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise SchemaViolation(
             f"--level must be in [0, {grid.n_levels - 1}], got {args.level}")
     field = solve_shortfall(config.problem, grid, config.scheme)
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(field)
+    epsilon = (config.epsilon if config.epsilon is not None
+               else default_epsilon(field.slice_at(grid.n_levels - 1)))
     path = out / f"profile_{args.level:05d}.csv"
     export_profile_csv(field, args.level, str(path), LevelSetQuery(epsilon=epsilon))
     print(f"wrote {path} (epsilon {epsilon:.6g})")

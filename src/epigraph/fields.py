@@ -3,9 +3,9 @@
 A :class:`Grid` is uniform per axis: one or more state axes, one margin axis
 that must contain 0 (and may extend below it — the negative slab exists only
 as a consistency diagnostic), and a uniform time axis ending exactly at the
-horizon.  A :class:`Field` is a value tensor over (time level, state..., margin)
-— or without the margin axis for the state-only boundary fields — filled
-backward from the terminal level.
+horizon.  A :class:`Field` is the shortfall's value tensor over (time level,
+state..., margin), filled backward from the terminal level.  Snapshots and
+checkpoints write one time slice, given as an array.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .errors import (
 from .model import Problem, eval_terminal
 
 Array = np.ndarray
-
-FIELD_KINDS = ("shortfall", "floor", "ceiling")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array
 
 @dataclass
 class Field:
-    """A value tensor over time levels, state nodes, and (optionally) margins.
+    """The shortfall's value tensor over time levels, state nodes and margins.
 
     ``solved_from``..``solved_to`` is the contiguous range of time levels
     holding valid data; anything outside it is uninitialized garbage and
@@ -196,18 +194,9 @@ class Field:
     """
 
     grid: Grid
-    kind: str
     values: Array
     solved_from: int
     solved_to: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @property
-    def has_margin_axis(self) -> bool:
-        return self.kind == "shortfall"
 
     @property
     def solved(self) -> bool:
@@ -218,35 +207,25 @@ class Field:
             raise IndexError(f"time level {level} outside 0..{self.grid.n_levels - 1}")
         if not self.solved_from <= level <= self.solved_to:
             raise UnsolvedField(
-                f"{self.kind} field holds levels {self.solved_from}.."
+                f"the field holds levels {self.solved_from}.."
                 f"{self.solved_to}, level {level} requested"
             )
         return self.values[level]
 
-    def evaluate(
-        self, level: int, points: Array, margins: Array | float | None = None
-    ) -> Array:
+    def evaluate(self, level: int, points: Array, margins: Array | float) -> Array:
         """Interpolated field values at arbitrary (state, margin) points,
         clamped to the grid hull."""
         data = self.slice_at(level)
-        if not self.has_margin_axis:
-            return interp_state(data, self.grid.state_axes, points)
-        if margins is None:
-            raise ValueError("a shortfall field needs margin values to evaluate")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        margins = np.broadcast_to(
-            np.asarray(margins, dtype=float).ravel(), (points.shape[0],)
-        )
+        margins = np.full(points.shape[0], np.ravel(margins), dtype=float)
         joint_axes = (*self.grid.state_axes, self.grid.margin_axis)
         joint_points = np.concatenate([points, margins[:, None]], axis=1)
         return interp_state(data, joint_axes, joint_points)
 
 
-def blank_field(grid: Grid, kind: str) -> Field:
-    shape: tuple[int, ...] = (grid.n_levels, *grid.state_shape)
-    if kind == "shortfall":
-        shape = (*shape, grid.margin_axis.shape[0])
-    return Field(grid=grid, kind=kind, values=np.full(shape, np.nan),
+def blank_field(grid: Grid) -> Field:
+    shape = (grid.n_levels, *grid.state_shape, grid.margin_axis.shape[0])
+    return Field(grid=grid, values=np.full(shape, np.nan),
                  solved_from=grid.n_levels, solved_to=grid.n_levels - 1)
 
 
@@ -280,13 +259,13 @@ def _axes_meta(grid: Grid) -> dict[str, Any]:
     }
 
 
-def _write_meta(field_obj: Field, level: int, path: str, tag: str) -> None:
+def _write_meta(grid: Grid, level: int, kind: str, path: str, tag: str) -> None:
     """The metadata JSON shared by snapshots and checkpoints."""
     meta = {
-        "kind": field_obj.kind,
+        "kind": kind,
         "level": int(level),
-        "time": float(field_obj.grid.times[level]),
-        **_axes_meta(field_obj.grid),
+        "time": float(grid.times[level]),
+        **_axes_meta(grid),
         "tag": tag,
     }
     with open(path, "w") as handle:
@@ -342,19 +321,20 @@ def write_csv(
             handle.write(template % tuple(values.tolist()))
 
 
-def save_snapshot(field_obj: Field, level: int, prefix: str) -> tuple[str, str]:
-    """Write one time level as metadata JSON plus a CSV of values.
+def save_snapshot(grid: Grid, level: int, values: Array, prefix: str,
+                  kind: str = "shortfall") -> tuple[str, str]:
+    """Write the slice ``values`` at time level ``level`` as metadata JSON
+    plus a CSV.
 
     Returns the two file paths.  The CSV is 2-D: one row per flattened state
-    node, one column per margin node (a single column for state-only kinds).
-    The metadata's ``tag`` is empty; only checkpoints carry one.
+    node, one column per margin node (a single column for a state-only
+    ``kind`` such as "floor").  The metadata's ``tag`` is empty; only
+    checkpoints carry one.
     """
-    data = field_obj.slice_at(level)
-    n_state = int(np.prod(field_obj.grid.state_shape))
     json_path = f"{prefix}.json"
     csv_path = f"{prefix}.csv"
-    _write_meta(field_obj, level, json_path, "")
-    write_csv(csv_path, data.reshape(n_state, -1))
+    _write_meta(grid, level, kind, json_path, "")
+    write_csv(csv_path, values.reshape(int(np.prod(grid.state_shape)), -1))
     return json_path, csv_path
 
 
@@ -371,13 +351,15 @@ def load_snapshot(prefix: str) -> tuple[dict[str, Any], Array]:
     return meta, table.reshape(shape)
 
 
-def save_checkpoint(field_obj: Field, level: int, prefix: str, tag: str) -> tuple[str, str]:
-    """Write one shortfall level as resume state: the snapshot metadata JSON
-    plus the exact values in binary ``.npy`` form.  Returns the two paths."""
+def save_checkpoint(grid: Grid, level: int, values: Array, prefix: str,
+                    tag: str) -> tuple[str, str]:
+    """Write the shortfall slice ``values`` at ``level`` as resume state: the
+    snapshot metadata JSON plus the exact values in binary ``.npy`` form.
+    Returns the two paths."""
     json_path = f"{prefix}.json"
     npy_path = f"{prefix}.npy"
-    _write_meta(field_obj, level, json_path, tag)
-    np.save(npy_path, field_obj.slice_at(level))
+    _write_meta(grid, level, "shortfall", json_path, tag)
+    np.save(npy_path, values)
     return json_path, npy_path
 
 

@@ -41,20 +41,14 @@ class LevelSetQuery:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
-def default_epsilon(field: Field) -> float:
-    """Tolerance scaled to the field: 1e-3 of (1 + largest terminal value)."""
-    terminal = field.slice_at(field.grid.n_levels - 1)
+def default_epsilon(terminal: Array) -> float:
+    """Tolerance scaled to the terminal slice: 1e-3 of (1 + its largest value)."""
     return 1e-3 * (1.0 + float(terminal.max()))
-
-
-def _require_margin_axis(field: Field) -> None:
-    if not field.has_margin_axis:
-        raise ValueError(f"field of kind {field.kind!r} has no margin axis")
 
 
 def _resolve_query(field: Field, query: LevelSetQuery | None) -> LevelSetQuery:
     if query is None:
-        return LevelSetQuery(epsilon=default_epsilon(field))
+        return LevelSetQuery(epsilon=default_epsilon(field.slice_at(field.grid.n_levels - 1)))
     return query
 
 
@@ -98,11 +92,13 @@ def extract_required_margin(
 
     Returns ``UNREACHABLE`` (= inf) when no margin on the grid suffices.
     """
-    _require_margin_axis(field)
     query = _resolve_query(field, query)
     values = field.slice_at(level)
     if isinstance(state_index, (int, np.integer)):
         state_index = (int(state_index),)
+    if len(state_index) != field.grid.dim_state:
+        raise ValueError(f"state index {tuple(state_index)} needs dim_state = "
+                         f"{field.grid.dim_state} entries")
     row = values[tuple(state_index)]
     jz = field.grid.margin_zero_index
     return float(_scan_rows(row[None, jz:], field.grid.margin_axis[jz:], query)[0])
@@ -112,7 +108,6 @@ def reachable_slice(
     field: Field, level: int, query: LevelSetQuery | None = None
 ) -> Array:
     """Boolean mask over (state, margin) nodes where the shortfall is ~zero."""
-    _require_margin_axis(field)
     query = _resolve_query(field, query)
     return field.slice_at(level) <= query.epsilon
 
@@ -124,7 +119,6 @@ def required_margin_profile(
 
     The result has the state grid's shape; unreachable states hold inf.
     """
-    _require_margin_axis(field)
     query = _resolve_query(field, query)
     values = field.slice_at(level)
     jz = field.grid.margin_zero_index

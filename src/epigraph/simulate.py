@@ -60,14 +60,14 @@ def constant_policy(
     u_row = np.atleast_1d(np.asarray(u, dtype=float))
 
     def control(t: float, states: Array, margins: Array) -> Array:
-        return np.broadcast_to(u_row, (states.shape[0], u_row.shape[0]))
+        return np.tile(u_row, (states.shape[0], 1))
 
     hedge = None
     if alpha is not None:
         a_row = np.atleast_1d(np.asarray(alpha, dtype=float))
 
         def hedge(t: float, states: Array, margins: Array) -> Array:  # noqa: F811
-            return np.broadcast_to(a_row, (states.shape[0], a_row.shape[0]))
+            return np.tile(a_row, (states.shape[0], 1))
 
     jump_hedge = None
     if beta is not None:
@@ -190,7 +190,7 @@ def _advance_chunk(
         margins = y
         u = np.atleast_2d(np.asarray(policy.control(t, x, margins), dtype=float))
         if u.shape[0] == 1 and n_paths > 1:
-            u = np.broadcast_to(u, (n_paths, u.shape[1]))
+            u = np.repeat(u, n_paths, axis=0)
         rows = _control_rows(problem, u)
 
         # one batched evaluation per distinct control row, on its paths

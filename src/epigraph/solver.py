@@ -44,16 +44,17 @@ finite:
   for either zero) or of the spectral corner, which equals the target
   unless the arrow is live.
 
-The state-only boundary fields (the margin-0 floor and the top-margin
-ceiling) are one sweep of the same operator on a two-column slice of shape
+The state-only boundary data (the margin-0 floor and the top-margin
+ceiling) is one sweep of the same operator on a two-column slice of shape
 ``(*state, 2)``: both hedges are pinned to zero, and a constant margin slope
 per column (-1 for the floor, 0 for the ceiling) stands in for the margin
 difference.  Every step is elementwise along that trailing axis, so each
 column gets the bits of a one-column sweep, at half the coefficient,
 stencil and interpolation work of two.  :func:`solve_boundary_field` is the
-one entry point for the pair; :func:`solve_shortfall` takes it as one
-argument and writes its columns over the shortfall's margin-0 and top
-margin columns after each raw :func:`step_backward`.
+one entry point for the pair and returns it as a :class:`Boundary`;
+:func:`solve_shortfall` takes that as one argument and writes its columns
+over the shortfall's margin-0 and top margin columns after each raw
+:func:`step_backward`.
 
 The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
@@ -415,21 +416,30 @@ def step_backward(
 
 
 # ---------------------------------------------------------------------------
-# state-only sweep (margin-0 and top-margin boundary fields)
+# state-only sweep (the margin-0 and top-margin boundary pair)
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Boundary:
+    """The state-only boundary pair over every time level of ``grid``.
+
+    ``values`` has shape ``(n_levels, *state_shape, 2)``: column 0 is the
+    floor, the margin-0 Dirichlet data (running cost plus constraint
+    distance, terminal cost at the horizon); column 1 is the ceiling, the
+    large-margin Dirichlet data (constraint distance only, zero at the
+    horizon).
+    """
+
+    grid: Grid
+    values: Array
+
 
 def solve_boundary_field(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
-) -> tuple[Field, Field]:
-    """Solve the two state-only fields backward over the whole time axis.
-
-    Returns ``(floor, ceiling)``.  The floor carries the running cost plus
-    the constraint distance, with the terminal cost at the horizon: the
-    margin-0 Dirichlet data.  The ceiling carries the constraint distance
-    only, with zero terminal data: the large-margin Dirichlet data.
-    """
+) -> Boundary:
+    """Solve the floor and the ceiling backward over the whole time axis."""
     _check_step(grid.dt, problem, grid, options.safety)
 
     # The floor and the ceiling are the two columns of one sweep, hedges
@@ -438,22 +448,15 @@ def solve_boundary_field(
     state_only = replace(options, hedge="frozen", jump_hedge="zero")
     margin_slope = np.array([-1.0, 0.0])
 
-    floor = blank_field(grid, "floor")
-    ceiling = blank_field(grid, "ceiling")
-    floor.values[-1] = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
-    ceiling.values[-1] = 0.0
-    floor.solved_from = ceiling.solved_from = grid.n_levels - 1
-    pair = np.stack([floor.values[-1], ceiling.values[-1]], axis=-1)
-
+    pair = np.empty((grid.n_levels, *grid.state_shape, 2))
+    pair[-1, ..., 0] = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
+    pair[-1, ..., 1] = 0.0
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        slope = _best_time_slope(pair, t, problem, grid, state_only, margin_slope)
-        pair = _enforce_nonnegative(pair - dt * slope, t - dt)
-        floor.values[level] = pair[..., 0]
-        ceiling.values[level] = pair[..., 1]
-        floor.solved_from = ceiling.solved_from = level
-    return floor, ceiling
+        slope = _best_time_slope(pair[level + 1], t, problem, grid, state_only, margin_slope)
+        pair[level] = _enforce_nonnegative(pair[level + 1] - dt * slope, t - dt)
+    return Boundary(grid, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +485,14 @@ def solve_shortfall(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
-    boundary: tuple[Field, Field] | None = None,
+    boundary: Boundary | None = None,
     on_level: Callable[[int, Field], bool] | None = None,
     resume: tuple[int, Array] | None = None,
 ) -> Field:
     """Solve the margin-coupled shortfall field backward from the horizon.
 
-    ``boundary`` is the ``(floor, ceiling)`` pair that
-    :func:`solve_boundary_field` returns; it is solved here when not given.
+    ``boundary`` is the :class:`Boundary` that :func:`solve_boundary_field`
+    returns; it is solved here when not given.
     After each raw step the margin-0 column is pinned to the floor and the
     top margin column to the ceiling, at the new level.  Margin columns
     below zero — when the grid has them — evolve under the same scheme and
@@ -501,23 +504,16 @@ def solve_shortfall(
     :func:`epigraph.fields.load_checkpoint` returns; the solve restarts
     from that slice.
     """
-    floor, ceiling = boundary if boundary is not None else solve_boundary_field(
-        problem, grid, options)
-    for other in (floor, ceiling):
-        if not other.grid.matches(grid):
-            raise IncompatibleGrids(
-                f"the {other.kind} field was solved on a different grid"
-            )
-    if floor.kind != "floor" or ceiling.kind != "ceiling":
-        raise IncompatibleGrids(
-            f"expected floor and ceiling fields, got {floor.kind!r} and {ceiling.kind!r}"
-        )
+    if boundary is None:
+        boundary = solve_boundary_field(problem, grid, options)
+    if not boundary.grid.matches(grid):
+        raise IncompatibleGrids("the boundary pair was solved on a different grid")
 
     bound = _check_step(grid.dt, problem, grid, options.safety)
 
     start, values = resume if resume is not None else (
         grid.n_levels - 1, terminal_slice(problem, grid))
-    out = blank_field(grid, "shortfall")
+    out = blank_field(grid)
     out.values[start] = values
     out.solved_from = out.solved_to = start
 
@@ -527,8 +523,8 @@ def solve_shortfall(
         dt = t - float(grid.times[level])
         new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
                             cfl_bound=bound)
-        new[..., jz] = floor.values[level]
-        new[..., -1] = ceiling.values[level]
+        new[..., jz] = boundary.values[level, ..., 0]
+        new[..., -1] = boundary.values[level, ..., 1]
         out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
         if on_level is not None and not on_level(level, out):

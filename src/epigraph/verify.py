@@ -151,7 +151,7 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
     """
     b = field.grid.margin_axis
     below = b <= 0.0
-    if not (field.has_margin_axis and np.any(b < 0.0)):
+    if not np.any(b < 0.0):
         raise IncompatibleGrids("need a shortfall field whose margin axis goes below zero")
 
     expect = field.values[..., field.grid.margin_zero_index, None] - b[below]
@@ -196,7 +196,7 @@ def strict_subsolution_residual(
     95th-percentile node value).  With nu = 0 this degenerates to checking
     that the solved field itself has zero interior residual.
     """
-    if not field.solved or field.kind != "shortfall":
+    if not field.solved:
         raise ValueError("need a fully solved shortfall field")
     grid = field.grid
     if float(grid.margin_axis[0]) <= -1.0:
@@ -360,8 +360,6 @@ def lipschitz_profile(field: Field, refined: Field | None = None) -> DiagnosticR
     ``refined`` solve of the same problem is supplied, their growth ratio is
     bounded instead.  The residual is the worst criterion slack (pass at 0).
     """
-    if not field.has_margin_axis:
-        raise ValueError("difference-quotient profile needs a margin-bearing field")
     base = _quotients(field)
     slacks = [base["margin_quotient"] - _MARGIN_BOUND]
     details: dict[str, Any] = {"base": base, "margin_bound": _MARGIN_BOUND}

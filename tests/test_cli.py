@@ -34,9 +34,22 @@ from epigraph.errors import (
     SchemaViolation,
     UnknownKey,
 )
-from epigraph.fields import Field, make_grid, save_checkpoint, save_snapshot, time_axis
+from epigraph.fields import (
+    Field,
+    load_snapshot,
+    make_grid,
+    save_checkpoint,
+    save_snapshot,
+    time_axis,
+)
 from epigraph.problems import BUILTIN_NAMES, builtin_scheme
-from epigraph.solver import max_stable_dt, solve_shortfall
+from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_json_blocks() -> list[str]:
+    return re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
 
 
 def config_text(name: str, directory: str, **tweaks) -> str:
@@ -113,6 +126,13 @@ def test_removed_knobs_are_unknown_keys():
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match="line 1"):
         parse_config('{"problem": }')
+
+
+def test_readme_json_configs_parse():
+    blocks = readme_json_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        parse_config(block)
 
 
 def test_non_object_document_rejected():
@@ -269,6 +289,23 @@ def test_run_writes_manifest_and_snapshots(zero_run):
     assert stored == manifest
 
 
+def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
+    # the README's inline problem, with a ball small enough that the
+    # constraint distance makes the ceiling nonzero
+    document = json.loads(readme_json_blocks()[1])
+    document["problem"]["region"]["radius"] = 0.7
+    document["outputs"] = {"directory": str(tmp_path / "ball")}
+    config = parse_config(json.dumps(document))
+    run(config)
+    pair = solve_boundary_field(config.problem, resolve_grid(config), config.scheme).values
+    for column, kind in enumerate(("floor", "ceiling")):
+        meta, values = load_snapshot(str(tmp_path / "ball" / kind))
+        assert meta["kind"] == kind
+        assert meta["level"] == 0
+        assert np.array_equal(values, pair[0, ..., column])
+    assert pair[0, ..., 1].max() > 0.0
+
+
 def test_rerun_is_bit_identical(zero_run):
     config, out, _ = zero_run
     before = (out / "manifest.json").read_bytes()
@@ -334,7 +371,7 @@ def test_resume_rejects_a_checkpoint_from_another_grid(tmp_path):
               "time_step": 0.02}))
     small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
     out.mkdir()
-    save_checkpoint(small, 3, str(out / "checkpoint"), tag="interrupt")
+    save_checkpoint(small.grid, 3, small.slice_at(3), str(out / "checkpoint"), tag="interrupt")
     with pytest.raises(IncompatibleGrids):
         run(config, resume=True)
 
@@ -345,7 +382,7 @@ def test_resume_rejects_a_checkpoint_of_the_wrong_shape(tmp_path):
     field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
                             on_level=lambda level, f: level > 90)
     out.mkdir()
-    save_checkpoint(field, 90, str(out / "checkpoint"), tag="interrupt")
+    save_checkpoint(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
     np.save(out / "checkpoint.npy", field.values[90][:-1])
     with pytest.raises(IncompatibleGrids, match="checkpoint.npy"):
         run(config, resume=True)
@@ -359,7 +396,7 @@ def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
     field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
                             on_level=lambda level, f: level > 90)
     out.mkdir()
-    save_snapshot(field, 90, str(out / "checkpoint"))
+    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"))
     with pytest.raises(EpigraphError, match="checkpoint.csv"):
         run(config, resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
@@ -445,7 +482,7 @@ def test_long_form_matches_the_meshgrid_table(tmp_path, shape):
 def test_slice_export_of_a_2d_state_matches_the_meshgrid_table(tmp_path):
     grid = make_grid([(-1.0, 1.0, 7), (0.0, 3.0, 11)], (0.0, 0.8, 41), time_axis(1.0, 0.5))
     values = np.random.default_rng(3).random((grid.n_levels, 7, 11, 41))
-    field = Field(grid, "shortfall", values, solved_from=0, solved_to=grid.n_levels - 1)
+    field = Field(grid, values, solved_from=0, solved_to=grid.n_levels - 1)
     path = tmp_path / "w_t0.csv"
     assert export_slice_csv(field, 0, str(path)) == str(path)
 

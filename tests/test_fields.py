@@ -8,7 +8,6 @@ import pytest
 from epigraph import fields
 from epigraph.errors import DegenerateGrid, UnsolvedField
 from epigraph.fields import (
-    Field,
     Grid,
     blank_field,
     interp_state,
@@ -149,7 +148,7 @@ def test_interp_state_clamps_out_of_hull_points():
 # ---------------------------------------------------------------------------
 
 def test_blank_field_guards_unsolved_levels():
-    field = blank_field(small_grid(), "shortfall")
+    field = blank_field(small_grid())
     assert not field.solved
     with pytest.raises(UnsolvedField):
         field.slice_at(0)
@@ -158,30 +157,15 @@ def test_blank_field_guards_unsolved_levels():
     assert field.slice_at(field.grid.n_levels - 1).shape == (9, 5)
 
 
-def test_field_rejects_unknown_kind():
-    grid = small_grid()
-    with pytest.raises(ValueError):
-        Field(grid=grid, kind="mystery", values=np.zeros((5, 9, 5)),
-              solved_from=0, solved_to=4)
-
-
 def test_field_evaluate_interpolates_state_and_margin():
     grid = small_grid()
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     aa = grid.state_axes[0][:, None]
     bb = grid.margin_axis[None, :]
     field.values[:] = (1.0 + aa + 2.0 * bb)[None, ...]
     field.solved_from = 0
     got = field.evaluate(0, np.array([[0.25]]), margins=0.375)
     assert np.allclose(got, 1.0 + 0.25 + 0.75)
-
-
-def test_state_only_field_evaluate_ignores_margin():
-    grid = small_grid()
-    field = blank_field(grid, "floor")
-    field.values[:] = 2.0 * grid.state_axes[0][None, :]
-    field.solved_from = 0
-    assert np.allclose(field.evaluate(0, np.array([[1.25]])), 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +199,26 @@ def test_terminal_slice_is_linear_on_the_diagnostic_slab():
 
 def test_snapshot_roundtrip_is_lossless(tmp_path):
     grid = small_grid()
-    field = blank_field(grid, "shortfall")
-    rng = np.random.default_rng(3)
-    field.values[-1] = rng.uniform(0.0, 5.0, size=(9, 5))
-    field.solved_from = grid.n_levels - 1
+    data = np.random.default_rng(3).uniform(0.0, 5.0, size=(9, 5))
     prefix = str(tmp_path / "level4")
-    save_snapshot(field, grid.n_levels - 1, prefix)
+    save_snapshot(grid, grid.n_levels - 1, data, prefix)
     meta, values = load_snapshot(prefix)
     assert meta["kind"] == "shortfall"
     assert meta["level"] == grid.n_levels - 1
+    assert meta["time"] == grid.times[-1]
     assert meta["tag"] == ""
-    assert np.array_equal(values, field.values[-1])   # %.17g is exact for float64
+    assert np.array_equal(values, data)   # %.17g is exact for float64
 
 
 def test_snapshot_roundtrip_state_only(tmp_path):
     grid = small_grid()
-    field = blank_field(grid, "floor")
-    field.values[0] = np.linspace(0.0, 1.0, 9)
-    field.solved_from = 0
-    field.solved_to = 0
+    data = np.linspace(0.0, 1.0, 9)
     prefix = str(tmp_path / "floor0")
-    save_snapshot(field, 0, prefix)
+    save_snapshot(grid, 0, data, prefix, kind="floor")
     meta, values = load_snapshot(prefix)
     assert meta["kind"] == "floor"
     assert values.shape == (9,)
-    assert np.array_equal(values, field.values[0])
+    assert np.array_equal(values, data)
 
 
 _SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0]
@@ -252,14 +231,13 @@ _SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan, 
 ])
 def test_snapshot_csv_matches_savetxt_byte_for_byte(tmp_path, state, margin):
     grid = make_grid(state, margin or (0.0, 1.0, 3), time_axis(1.0, 0.5))
-    field = blank_field(grid, "shortfall" if margin else "floor")
-    data = np.random.default_rng(len(state)).normal(size=field.values.shape[1:])
+    shape = (*grid.state_shape, grid.margin_axis.size) if margin else grid.state_shape
+    data = np.random.default_rng(len(state)).normal(size=shape)
     data.flat[: len(_SPECIAL)] = _SPECIAL
     data.flat[-len(_SPECIAL):] = _SPECIAL
-    field.values[0] = data
-    field.solved_from = field.solved_to = 0
     assert data.size > fields._VALUES_PER_WRITE  # the block seams are covered
-    _, csv_path = save_snapshot(field, 0, str(tmp_path / "snap"))
+    _, csv_path = save_snapshot(grid, 0, data, str(tmp_path / "snap"),
+                                kind="shortfall" if margin else "floor")
 
     reference = tmp_path / "reference.csv"
     np.savetxt(reference, data.reshape(int(np.prod(grid.state_shape)), -1),

@@ -17,12 +17,12 @@ from epigraph.levelset import (
     required_margin_profile,
 )
 from epigraph.problems import builtin_grid, builtin_problem
-from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
+from epigraph.solver import max_stable_dt, solve_shortfall
 
 
 def terminal_field(problem, grid):
     """A field with only the terminal level filled in."""
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     field.values[-1] = terminal_slice(problem, grid)
     field.solved_from = grid.n_levels - 1
     return field
@@ -75,8 +75,9 @@ def test_terminal_mask_is_the_epigraph(square_terminal):
 
 
 def test_default_epsilon_scales_with_the_terminal_slice(square_terminal):
-    field, _ = square_terminal
-    assert default_epsilon(field) == pytest.approx(1e-3 * 10.0)
+    field, grid = square_terminal
+    terminal = field.slice_at(grid.n_levels - 1)
+    assert default_epsilon(terminal) == pytest.approx(1e-3 * 10.0)
 
 
 def test_zero_problem_needs_no_margin_anywhere():
@@ -94,8 +95,8 @@ def test_steering_value_matches_the_oracle(steering_field):
 
 
 def test_profile_is_monotone_in_epsilon(steering_field):
-    field, _ = steering_field
-    eps = default_epsilon(field)
+    field, grid = steering_field
+    eps = default_epsilon(field.slice_at(grid.n_levels - 1))
     tight = required_margin_profile(field, 0, LevelSetQuery(epsilon=eps))
     loose = required_margin_profile(field, 0, LevelSetQuery(epsilon=4 * eps))
     assert np.all(loose <= tight + 1e-12)
@@ -104,7 +105,7 @@ def test_profile_is_monotone_in_epsilon(steering_field):
 def test_on_grid_extraction_lands_inside_the_mask(steering_field):
     # the secant crossing lies in (b[j-1], b[j]] of the first qualifying node j
     field, grid = steering_field
-    query = LevelSetQuery(epsilon=default_epsilon(field))
+    query = LevelSetQuery(epsilon=default_epsilon(field.slice_at(grid.n_levels - 1)))
     profile = required_margin_profile(field, 0, query)
     mask = reachable_slice(field, 0, query)
     finite = np.isfinite(profile)
@@ -123,7 +124,7 @@ def test_profile_is_nonnegative(steering_field):
 def test_interpolation_uses_the_bracketing_secant():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     field.values[-1] = np.array([0.5, 0.2, -0.3, -0.5, -0.7])[None, :]
     field.solved_from = grid.n_levels - 1
     level = grid.n_levels - 1
@@ -136,7 +137,7 @@ def test_interpolation_uses_the_bracketing_secant():
 def test_interpolation_never_reports_past_the_qualifying_node():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     # still positive at the qualifying node: the secant crosses beyond it
     field.values[-1] = np.array([0.9, 0.6, 0.05, 0.0, 0.0])[None, :]
     field.solved_from = grid.n_levels - 1
@@ -148,7 +149,7 @@ def test_interpolation_never_reports_past_the_qualifying_node():
 def test_zero_margin_already_covered_reports_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (-0.5, 1.0, 7), time_axis(1.0, 0.25))
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     field.values[-1] = np.zeros((3, 7))
     field.solved_from = grid.n_levels - 1
     got = extract_required_margin(field, grid.n_levels - 1, 1,
@@ -168,12 +169,16 @@ def test_unsolved_levels_are_rejected():
         reachable_slice(field, 0, LevelSetQuery(epsilon=1e-3))
 
 
-def test_fields_without_a_margin_axis_are_rejected():
-    problem = builtin_problem("zero")
-    grid = make_grid([(-1.0, 1.0, 5)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    floor, _ = solve_boundary_field(problem, grid)
-    with pytest.raises(ValueError):
-        required_margin_profile(floor, 0, LevelSetQuery(epsilon=1e-3))
+def test_state_index_must_name_every_state_axis():
+    grid = make_grid([(-1.0, 1.0, 5), (-1.0, 1.0, 4)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
+    field = blank_field(grid)
+    field.values[-1] = 0.0
+    field.solved_from = grid.n_levels - 1
+    level, query = grid.n_levels - 1, LevelSetQuery(epsilon=1e-3)
+    assert extract_required_margin(field, level, (2, 1), query) == 0.0
+    for index in (2, (1, 2, 3)):
+        with pytest.raises(ValueError, match="dim_state = 2"):
+            extract_required_margin(field, level, index, query)
 
 
 def test_csv_export_with_unreachable_sentinel(tmp_path, square_terminal):

@@ -322,25 +322,26 @@ def test_scheme_options_are_validated():
 
 
 # ---------------------------------------------------------------------------
-# boundary fields
+# the boundary pair
 # ---------------------------------------------------------------------------
 
 def test_floor_zero_costs_is_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
-    floor, _ = solve_boundary_field(problem, grid)
-    assert floor.solved
-    assert np.abs(floor.values).max() == 0.0
+    boundary = solve_boundary_field(problem, grid)
+    assert boundary.grid is grid
+    assert boundary.values.shape == (grid.n_levels, 31, 2)
+    assert np.abs(boundary.values[..., 0]).max() == 0.0
 
 
 def test_floor_frozen_distance_accrual_is_exact():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    floor, _ = solve_boundary_field(problem, grid)
+    floor = solve_boundary_field(problem, grid).values[..., 0]
     a = grid.state_axes[0]
     for level in (0, grid.n_levels // 2, grid.n_levels - 1):
         expect = np.abs(a) * (1.0 - grid.times[level])
-        assert np.abs(floor.values[level] - expect).max() < 1e-12
+        assert np.abs(floor[level] - expect).max() < 1e-12
 
 
 def test_boundary_fields_split_costs():
@@ -351,20 +352,20 @@ def test_boundary_fields_split_costs():
         region=Region(kind="point", center=np.zeros(1)),
     )
     grid = make_grid([(-2.0, 2.0, 21)], (0.0, 1.0, 11), time_axis(1.0, 0.05))
-    floor, ceiling = solve_boundary_field(problem, grid)
+    pair = solve_boundary_field(problem, grid).values
     a = np.abs(grid.state_axes[0])
     for level in (0, grid.n_levels // 2):
         left = 1.0 - grid.times[level]
-        assert np.abs(floor.values[level] - (1.0 + (a + 0.3) * left)).max() < 1e-12
-        assert np.abs(ceiling.values[level] - a * left).max() < 1e-12
+        assert np.abs(pair[level, :, 0] - (1.0 + (a + 0.3) * left)).max() < 1e-12
+        assert np.abs(pair[level, :, 1] - a * left).max() < 1e-12
 
 
 def test_floor_steering_reaches_the_oracle_value():
     problem = builtin_problem("deterministic-steering")
     grid = grid_for(problem, "deterministic-steering")
-    floor, _ = solve_boundary_field(problem, grid)
+    floor = solve_boundary_field(problem, grid).values[..., 0]
     i = int(np.argmin(np.abs(grid.state_axes[0] - 1.5)))
-    assert floor.values[0][i] == pytest.approx(0.25, abs=0.05)
+    assert floor[0, i] == pytest.approx(0.25, abs=0.05)
 
 
 def _state_only_step(prev, t, dt, problem, grid, kind):
@@ -442,37 +443,36 @@ def _one_dim_boundary_setup():
 
 
 def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
-    # the boundary fields pin both hedges to zero whatever the options say
+    # the boundary pair pins both hedges to zero whatever the options say
     problem, grid = _two_dim_boundary_setup()
     options = SchemeOptions(hedge="spectral", jump_hedge="grid")
-    floor, ceiling = solve_boundary_field(problem, grid, options)
-    for kind, field in (("floor", floor), ("ceiling", ceiling)):
+    pair = solve_boundary_field(problem, grid, options).values
+    for column, kind in enumerate(("floor", "ceiling")):
         t = float(grid.times[1])
-        expect = _state_only_step(field.values[1], t, t, problem, grid, kind)
+        expect = _state_only_step(pair[1, ..., column], t, t, problem, grid, kind)
         scale = np.abs(expect).max()
         assert scale > 0.0
-        assert np.abs(field.values[0] - expect).max() <= 1e-12 * scale
+        assert np.abs(pair[0, ..., column] - expect).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("setup", [_one_dim_boundary_setup, _two_dim_boundary_setup])
 def test_boundary_pair_columns_match_one_column_sweeps(setup):
     # each column of the two-column sweep gets the bits of its own sweep
     problem, grid = setup()
-    floor, ceiling = solve_boundary_field(problem, grid)
-    assert floor.kind == "floor" and ceiling.kind == "ceiling"
-    assert floor.solved and ceiling.solved
+    pair = solve_boundary_field(problem, grid).values
+    assert pair.shape == (grid.n_levels, *grid.state_shape, 2)
     state_only = SchemeOptions(hedge="frozen", jump_hedge="zero")
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        for field, c in ((floor, -1.0), (ceiling, 0.0)):
-            prev = field.values[level + 1]
+        for column, c in ((0, -1.0), (1, 0.0)):
+            prev = pair[level + 1, ..., column]
             slope = _best_time_slope(prev[..., None], t, problem, grid, state_only,
                                      margin_slope=c)
             expect = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
-            assert _same_bits(field.values[level], expect), (field.kind, level)
-    assert np.abs(ceiling.values[0]).max() > 0.0
-    assert not np.array_equal(floor.values[0], ceiling.values[0])
+            assert _same_bits(pair[level, ..., column], expect), (column, level)
+    assert np.abs(pair[0, ..., 1]).max() > 0.0
+    assert not np.array_equal(pair[0, ..., 0], pair[0, ..., 1])
 
 
 def test_roundoff_clip_is_relative_to_the_slice_scale():
@@ -513,12 +513,12 @@ def test_terminal_level_is_bit_identical_to_terminal_data():
 def test_slab_rows_reproduce_the_floor_exactly_frozen():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    floor, ceiling = solve_boundary_field(problem, grid)
-    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
+    boundary = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=boundary)
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
-        expect = floor.values[level][:, None] - grid.margin_axis[None, below]
+        expect = boundary.values[level, :, 0, None] - grid.margin_axis[None, below]
         worst = max(worst, np.abs(field.values[level][:, below] - expect).max())
     assert worst < 1e-12
 
@@ -526,12 +526,12 @@ def test_slab_rows_reproduce_the_floor_exactly_frozen():
 def test_slab_rows_reproduce_the_floor_exactly_with_diffusion():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    floor, ceiling = solve_boundary_field(problem, grid)
-    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
+    boundary = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=boundary)
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
-        expect = floor.values[level][:, None] - grid.margin_axis[None, below]
+        expect = boundary.values[level, :, 0, None] - grid.margin_axis[None, below]
         worst = max(worst, np.abs(field.values[level][:, below] - expect).max())
     assert worst < 1e-12
 
@@ -551,15 +551,16 @@ def test_sweep_pins_the_edge_columns_to_the_boundary_pair():
     # margin-0 column and the ceiling into the top one at every new level
     problem = diffusive_problem()
     grid = diffusive_grid()
-    floor, ceiling = solve_boundary_field(problem, grid)
-    field = solve_shortfall(problem, grid, boundary=(floor, ceiling))
+    boundary = solve_boundary_field(problem, grid)
+    field = solve_shortfall(problem, grid, boundary=boundary)
     prev = field.values[5]
     raw = step_backward(prev, float(grid.times[5]), grid.dt, problem, grid)
     jz = grid.margin_zero_index
-    assert not np.array_equal(raw[..., -1], ceiling.values[4])
+    floor, ceiling = boundary.values[..., 0], boundary.values[..., 1]
+    assert not np.array_equal(raw[..., -1], ceiling[4])
     for level in range(grid.n_levels - 1):
-        assert np.array_equal(field.values[level][..., jz], floor.values[level])
-        assert np.array_equal(field.values[level][..., -1], ceiling.values[level])
+        assert np.array_equal(field.values[level][..., jz], floor[level])
+        assert np.array_equal(field.values[level][..., -1], ceiling[level])
 
 
 def test_lipschitz_quotients_are_stable_under_refinement():
@@ -934,19 +935,21 @@ def test_boundary_fields_must_share_the_grid():
     problem = builtin_problem("frozen-penalty")
     grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
     other = make_grid([(-2.0, 2.0, 41)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
-    floor, ceiling = solve_boundary_field(problem, grid)
-    floor_other, ceiling_other = solve_boundary_field(problem, other)
-    for boundary in ((floor_other, ceiling), (floor, ceiling_other)):
-        with pytest.raises(IncompatibleGrids):
-            solve_shortfall(problem, grid, boundary=boundary)
+    with pytest.raises(IncompatibleGrids):
+        solve_shortfall(problem, grid, boundary=solve_boundary_field(problem, other))
 
 
-def test_boundary_fields_must_have_the_right_kinds():
+def test_boundary_pair_on_a_shifted_grid_is_refused():
+    # same node counts, so same array shapes: only the axes tell the grids apart
     problem = builtin_problem("frozen-penalty")
     grid = make_grid([(-2.0, 2.0, 21)], (-1.0, 3.0, 21), time_axis(1.0, 0.05))
-    floor, _ = solve_boundary_field(problem, grid)
+    shift = 0.25 * grid.state_spacings[0]
+    shifted = make_grid([(-2.0 + shift, 2.0 + shift, 21)], (-1.0, 3.0, 21),
+                        time_axis(1.0, 0.05))
+    boundary = solve_boundary_field(problem, shifted)
+    assert boundary.values.shape == (grid.n_levels, *grid.state_shape, 2)
     with pytest.raises(IncompatibleGrids):
-        solve_shortfall(problem, grid, boundary=(floor, floor))
+        solve_shortfall(problem, grid, boundary=boundary)
 
 
 def test_aborted_sweep_guards_unsolved_levels():
@@ -968,7 +971,7 @@ def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
     partial = solve_shortfall(problem, grid,
                               on_level=lambda level, f: level > 10)
     prefix = str(tmp_path / "level10")
-    save_snapshot(partial, 10, prefix)
+    save_snapshot(grid, 10, partial.slice_at(10), prefix)
     _, slice10 = load_snapshot(prefix)
 
     resumed = solve_shortfall(problem, grid, resume=(10, slice10))

@@ -159,10 +159,10 @@ def test_slab_identity_frozen_penalty(frozen_setup):
 def _slab_against_the_floor(problem, grid, field):
     """The slab residual and its worst node, taken against the separately
     swept floor instead of the field's own margin-0 column."""
-    floor, _ = solve_boundary_field(problem, grid)
+    floor = solve_boundary_field(problem, grid).values[..., 0]
     b = grid.margin_axis
     below = b <= 0.0
-    gap = np.abs(field.values[..., below] - (floor.values[..., None] - b[below]))
+    gap = np.abs(field.values[..., below] - (floor[..., None] - b[below]))
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return float(gap.max()), (int(worst[0]), [int(i) for i in worst[1:-1]],
                               int(np.flatnonzero(below)[worst[-1]]))
@@ -206,15 +206,11 @@ def test_slab_fault_injection_locates_the_offender(frozen_setup):
     assert (worst["level"], worst["state_index"], worst["margin_index"]) == (3, [17], 5)
 
 
-def test_slab_rejects_incompatible_inputs(frozen_setup, zero_setup):
+def test_slab_rejects_incompatible_inputs(zero_setup):
     _, _, zfield = zero_setup
     with pytest.raises(IncompatibleGrids):
         # the zero problem's default margin axis has no sub-zero part
         slab_identity_residual(zfield)
-    problem, grid, _ = frozen_setup
-    with pytest.raises(IncompatibleGrids):
-        # a state-only field has no margin columns to compare
-        slab_identity_residual(solve_boundary_field(problem, grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ def test_perturbation_scales_linearly(zero_setup):
 
 def test_subsolution_rejects_bad_inputs(zero_setup, frozen_setup):
     problem, grid, _ = zero_setup
-    unsolved = blank_field(grid, "shortfall")
+    unsolved = blank_field(grid)
     with pytest.raises(ValueError):
         strict_subsolution_residual(problem, unsolved, 0.1)
     fproblem, _, ffield = frozen_setup
@@ -311,7 +307,7 @@ def test_dpp_needs_ordered_time_indices(zero_setup):
 def test_quotients_on_the_terminal_slice():
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.0, 2.0, 21)], (0.0, 5.0, 26), time_axis(1.0, 0.25))
-    field = blank_field(grid, "shortfall")
+    field = blank_field(grid)
     field.values[-1] = terminal_slice(problem, grid)
     field.solved_from = grid.n_levels - 1
     report = lipschitz_profile(field)
@@ -338,12 +334,6 @@ def test_quotients_stable_under_refinement():
     assert max(report.details["ratios"]) <= 1.1
     assert report.details["base"]["margin_quotient"] <= 1.0 + 1e-9
     assert report.details["refined"]["margin_quotient"] <= 1.0 + 1e-9
-
-
-def test_quotients_need_a_margin_axis(zero_setup):
-    problem, grid, _ = zero_setup
-    with pytest.raises(ValueError):
-        lipschitz_profile(solve_boundary_field(problem, grid)[0])
 
 
 # ---------------------------------------------------------------------------
