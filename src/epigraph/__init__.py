@@ -39,10 +39,8 @@ from .simulate import (
     simulate_pair_path,
 )
 from .solver import (
-    Boundary,
     SchemeOptions,
     max_stable_dt,
-    solve_boundary_field,
     solve_shortfall,
     step_backward,
 )
@@ -59,7 +57,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "Coefficients",
     "DiagnosticReport",
     "EpigraphError",
@@ -100,7 +97,6 @@ __all__ = [
     "sign_equivalence_suite",
     "simulate_pair_path",
     "slab_identity_residual",
-    "solve_boundary_field",
     "solve_shortfall",
     "step_backward",
     "strict_subsolution_residual",

@@ -88,7 +88,6 @@ from .simulate import (
 from .solver import (
     SchemeOptions,
     max_stable_dt,
-    solve_boundary_field,
     solve_shortfall,
 )
 from .verify import (
@@ -397,22 +396,22 @@ def _sha256(path: pathlib.Path) -> str:
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and write every artifact plus a manifest.
 
-    Solves the floor and ceiling pair once, writes the terminal slice, sweeps
-    the shortfall field from it (or from the checkpoint) with periodic
-    checkpoints (and one on SIGINT/SIGTERM), extracts the required-margin
-    profile, and writes the CSV/plot exports.  The swept shortfall field is
-    the only (level, state, margin) array it allocates.  The manifest
-    maps every artifact to its SHA-256 content hash and embeds the normalized
-    config; nothing in it depends on wall-clock time, so rerunning the same
-    document reproduces it bit for bit.  An interrupted sweep raises
-    :class:`Interrupted` after checkpointing; ``resume=True`` picks such a
-    run back up from the stored level.
+    Writes the terminal slice, sweeps the shortfall field from it (or from
+    the checkpoint) with periodic checkpoints (and one on SIGINT/SIGTERM),
+    writes the level-0 floor and ceiling from the field's margin-0 and top
+    columns, extracts the required-margin profile, and writes the CSV/plot
+    exports.  The swept shortfall field is the only (level, state, margin)
+    array it allocates.  The manifest maps every artifact to its SHA-256
+    content hash and embeds the normalized config; nothing in it depends on
+    wall-clock time, so rerunning the same document reproduces it bit for
+    bit.  An interrupted sweep raises :class:`Interrupted` after
+    checkpointing; ``resume=True`` picks such a run back up from the stored
+    level.
     """
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
     out.mkdir(parents=True, exist_ok=True)
     problem, options = config.problem, config.scheme
     grid = resolve_grid(config)
-    boundary = solve_boundary_field(problem, grid, options)
 
     ckpt_prefix = str(out / "checkpoint")
     loaded = load_checkpoint(ckpt_prefix, grid) if resume else None
@@ -442,7 +441,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         return True
 
     with _signal_watch():
-        field = solve_shortfall(problem, grid, options, boundary, on_level=checkpointer,
+        field = solve_shortfall(problem, grid, options, on_level=checkpointer,
                                 resume=loaded if loaded is not None else (last, terminal))
     if not field.solved:
         raise Interrupted(
@@ -462,8 +461,9 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
                 )
             written[q.name] = _sha256(q)
 
-    for column, kind in enumerate(("floor", "ceiling")):
-        record(*save_snapshot(grid, 0, boundary.values[0, ..., column], str(out / kind),
+    # the sweep's margin-0 and top columns are the state-only boundary pair
+    for column, kind in ((grid.margin_zero_index, "floor"), (-1, "ceiling")):
+        record(*save_snapshot(grid, 0, field.values[0, ..., column], str(out / kind),
                               kind=kind))
     for level in levels:
         prefix = str(out / f"slice_{level:05d}")

@@ -72,7 +72,7 @@ class CFLViolation(EpigraphError):
 
 
 class IncompatibleGrids(EpigraphError):
-    """Boundary fields were solved on a grid that does not match."""
+    """A checkpoint or a field does not fit the grid an operation needs."""
 
 
 class NonFiniteUpdate(EpigraphError):

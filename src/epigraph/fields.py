@@ -65,7 +65,7 @@ class Grid:
         if gaps[zero] > 1e-9 * (self.margin_axis[-1] - self.margin_axis[0]):
             raise DegenerateGrid("the margin axis must contain 0")
         if zero == self.margin_axis.shape[0] - 1:
-            # the top column holds the ceiling, which would overwrite the floor
+            # the top column follows the ceiling's rule, not the floor's
             raise DegenerateGrid("the margin axis must extend above 0")
         self.margin_axis[zero] = 0.0  # snap away any roundoff
         if self.times[0] != 0.0:
@@ -105,19 +105,6 @@ class Grid:
         """All state nodes as rows, shape (prod(state_shape), dim_state)."""
         mesh = np.meshgrid(*self.state_axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def matches(self, other: "Grid") -> bool:
-        return (
-            len(self.state_axes) == len(other.state_axes)
-            and all(
-                a.shape == b.shape and np.allclose(a, b)
-                for a, b in zip(self.state_axes, other.state_axes)
-            )
-            and self.margin_axis.shape == other.margin_axis.shape
-            and np.allclose(self.margin_axis, other.margin_axis)
-            and self.times.shape == other.times.shape
-            and np.allclose(self.times, other.times)
-        )
 
 
 def time_axis(horizon: float, max_dt: float) -> Array:

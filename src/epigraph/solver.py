@@ -1,4 +1,4 @@
-"""Backward-in-time explicit sweep for the shortfall fields.
+"""Backward-in-time explicit sweep for the shortfall field.
 
 The margin-coupled equation is solved per node by a residual-root update:
 for each control candidate the spatial stencil fixes everything in the
@@ -44,17 +44,16 @@ finite:
   for either zero) or of the spectral corner, which equals the target
   unless the arrow is live.
 
-The state-only boundary data (the margin-0 floor and the top-margin
-ceiling) is one sweep of the same operator on a two-column slice of shape
-``(*state, 2)``: both hedges are pinned to zero, and a constant margin slope
-per column (-1 for the floor, 0 for the ceiling) stands in for the margin
-difference.  Every step is elementwise along that trailing axis, so each
-column gets the bits of a one-column sweep, at half the coefficient,
-stencil and interpolation work of two.  :func:`solve_boundary_field` is the
-one entry point for the pair and returns it as a :class:`Boundary`;
-:func:`solve_shortfall` takes that as one argument and writes its columns
-over the shortfall's margin-0 and top margin columns after each raw
-:func:`step_backward`.
+Two margin columns are stepped by state-only rules rather than the hedged
+equation.  The margin-0 column is the floor: at b = 0 neither hedge beats
+Jensen, so it is the unhedged value, and the running cost spends the margin
+one for one (margin slope -1).  The top column is the ceiling: the running
+cost never exhausts it (margin slope 0), and it starts from 0 at the
+horizon.  Neither column is hedged: its jump term is the zero-hedge gain and
+its arrow is 0, so its corner is its target.  Every other operation of the
+step is elementwise along the margin axis, so each of the two columns gets
+the bits a state-only sweep of its own would give, for a few column writes
+per step rather than a second sweep.
 
 The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
@@ -63,15 +62,15 @@ the same, in the same order, so the bits are too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import CFLViolation, IncompatibleGrids, NonFiniteUpdate
+from .errors import CFLViolation, NonFiniteUpdate
 from .fields import Field, Grid, blank_field, interp_state, terminal_slice
 from .hamiltonian import corner_for_eigenvalue
-from .model import Problem, eval_coefficients_batch, eval_terminal
+from .model import Problem, eval_coefficients_batch
 
 Array = np.ndarray
 
@@ -286,16 +285,15 @@ def _best_time_slope(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions,
-    margin_slope: Array | float | None = None,
 ) -> Array:
     """The per-node admissible time slope, maximized over control candidates.
 
     ``prev`` has the grid's state axes and a trailing margin axis.  The
-    margin slope is the backward margin difference of ``prev`` unless
-    ``margin_slope`` is given: the boundary fields pass one margin column
-    and a constant slope.  Terms that are structurally zero for a control
-    are skipped (see the module docstring), and the slice-sized buffers are
-    allocated once per call, not once per control.
+    margin slope is the backward margin difference of ``prev``, except on
+    the margin-0 and top columns, which take their state-only rules (see the
+    module docstring).  Terms that are structurally zero for a control are
+    skipped, and the slice-sized buffers are allocated once per call, not
+    once per control.
     """
     n = grid.dim_state
     h = grid.state_spacings
@@ -306,14 +304,15 @@ def _best_time_slope(
     B = prev.shape[-1]
     weights = problem.jumps.weights
     K = problem.jumps.n_atoms
+    edges = [grid.margin_zero_index, -1]  # the floor and the ceiling column
 
     neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
 
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
-    if margin_slope is None:
-        _, margin_slope = first_differences(prev, n, hb)
+    _, margin_slope = first_differences(prev, n, hb)
+    margin_slope[..., edges] = (-1.0, 0.0)
     curvature: tuple | None = None
     hedge_stencil: tuple | None = None
     if K and options.jump_hedge == "grid":
@@ -370,6 +369,7 @@ def _best_time_slope(
                         -(shifted[..., None, :] - prev[..., :, None])
                         + beta_mat * margin_slope[..., :, None]
                     ).max(axis=-1)
+                    gain[..., edges] = -(shifted[..., edges] - prev[..., edges])
                 jump_sup += weights[k] * gain
             target = np.negative(jump_sup, out=jump_sup)
         else:
@@ -388,6 +388,7 @@ def _best_time_slope(
                 cross_sq += acc * acc
             arrow_sq = 0.25 * psi_sq * cross_sq
             arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
+            arrow_eff[..., edges] = 0.0
             slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
         else:
             slope -= target
@@ -406,57 +407,14 @@ def step_backward(
     *,
     cfl_bound: float | None = None,
 ) -> Array:
-    """Advance the slice at time ``t`` backward to ``t - dt`` by one raw
-    explicit step; the caller pins edge columns and clips roundoff."""
+    """Advance the slice at time ``t`` backward to ``t - dt`` by one explicit
+    step.  The margin-0 and top columns are stepped by their state-only
+    rules; the caller only clips roundoff."""
     _check_step(dt, problem, grid, options.safety, cfl_bound)
     new = prev - dt * _best_time_slope(prev, t, problem, grid, options)
     if not np.all(np.isfinite(new)):
         raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
     return new
-
-
-# ---------------------------------------------------------------------------
-# state-only sweep (the margin-0 and top-margin boundary pair)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Boundary:
-    """The state-only boundary pair over every time level of ``grid``.
-
-    ``values`` has shape ``(n_levels, *state_shape, 2)``: column 0 is the
-    floor, the margin-0 Dirichlet data (running cost plus constraint
-    distance, terminal cost at the horizon); column 1 is the ceiling, the
-    large-margin Dirichlet data (constraint distance only, zero at the
-    horizon).
-    """
-
-    grid: Grid
-    values: Array
-
-
-def solve_boundary_field(
-    problem: Problem,
-    grid: Grid,
-    options: SchemeOptions = DEFAULT_OPTIONS,
-) -> Boundary:
-    """Solve the floor and the ceiling backward over the whole time axis."""
-    _check_step(grid.dt, problem, grid, options.safety)
-
-    # The floor and the ceiling are the two columns of one sweep, hedges
-    # pinned to zero.  The running cost spends the margin one for one at
-    # margin 0 (slope -1) and never exhausts the top margin (slope 0).
-    state_only = replace(options, hedge="frozen", jump_hedge="zero")
-    margin_slope = np.array([-1.0, 0.0])
-
-    pair = np.empty((grid.n_levels, *grid.state_shape, 2))
-    pair[-1, ..., 0] = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
-    pair[-1, ..., 1] = 0.0
-    for level in range(grid.n_levels - 2, -1, -1):
-        t = float(grid.times[level + 1])
-        dt = t - float(grid.times[level])
-        slope = _best_time_slope(pair[level + 1], t, problem, grid, state_only, margin_slope)
-        pair[level] = _enforce_nonnegative(pair[level + 1] - dt * slope, t - dt)
-    return Boundary(grid, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +425,8 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     """Clip roundoff-negative entries to zero; fail on anything worse.
 
     Roundoff is judged relative to the slice's magnitude, on the scale the
-    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.
+    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  The
+    slice must be finite, as :func:`step_backward` guarantees.
     """
     scale = max(1.0, float(np.abs(slice_vals).max()))
     clipped = np.where(slice_vals > -1e-12 * scale, np.maximum(slice_vals, 0.0), slice_vals)
@@ -476,8 +435,6 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
         raise NonFiniteUpdate(
             f"nonnegativity violated at t={t:.6g}: min value {worst:.3e}"
         )
-    if not np.all(np.isfinite(clipped)):
-        raise NonFiniteUpdate(f"non-finite values in the slice at t={t:.6g}")
     return clipped
 
 
@@ -485,18 +442,18 @@ def solve_shortfall(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
-    boundary: Boundary | None = None,
+    *,
     on_level: Callable[[int, Field], bool] | None = None,
     resume: tuple[int, Array] | None = None,
 ) -> Field:
     """Solve the margin-coupled shortfall field backward from the horizon.
 
-    ``boundary`` is the :class:`Boundary` that :func:`solve_boundary_field`
-    returns; it is solved here when not given.
-    After each raw step the margin-0 column is pinned to the floor and the
-    top margin column to the ceiling, at the new level.  Margin columns
-    below zero — when the grid has them — evolve under the same scheme and
-    serve as the linearity diagnostic.
+    Each level is one :func:`step_backward` followed by the roundoff clip.
+    The margin-0 column is the floor and the top margin column the ceiling,
+    each stepped by its state-only rule; at the horizon the top column holds
+    the ceiling's terminal datum, 0.  Margin columns below zero — when the
+    grid has them — evolve under the same scheme and serve as the linearity
+    diagnostic.
 
     ``on_level`` is called after each completed level with (level, field);
     returning False aborts the sweep early (the field stays partially
@@ -504,27 +461,21 @@ def solve_shortfall(
     :func:`epigraph.fields.load_checkpoint` returns; the solve restarts
     from that slice.
     """
-    if boundary is None:
-        boundary = solve_boundary_field(problem, grid, options)
-    if not boundary.grid.matches(grid):
-        raise IncompatibleGrids("the boundary pair was solved on a different grid")
-
     bound = _check_step(grid.dt, problem, grid, options.safety)
 
     start, values = resume if resume is not None else (
         grid.n_levels - 1, terminal_slice(problem, grid))
     out = blank_field(grid)
     out.values[start] = values
+    if start == grid.n_levels - 1:
+        out.values[start, ..., -1] = 0.0  # the ceiling's terminal datum
     out.solved_from = out.solved_to = start
 
-    jz = grid.margin_zero_index
     for level in range(start - 1, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
         new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
                             cfl_bound=bound)
-        new[..., jz] = boundary.values[level, ..., 0]
-        new[..., -1] = boundary.values[level, ..., 1]
         out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
         if on_level is not None and not on_level(level, out):

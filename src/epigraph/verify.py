@@ -142,10 +142,11 @@ _SLAB_TOLERANCE = 1e-9
 def slab_identity_residual(field: Field) -> DiagnosticReport:
     """Check W(t, a, b) = W0(t, a) - b on every node with b <= 0.
 
-    W0 is the field's own margin-0 column, which the sweep pins to the
-    separately swept floor at every level (at the terminal level it is the
-    terminal cost, the floor's terminal data).  The sub-zero margin columns
-    evolve under the scheme itself, so agreement is a genuine two-route
+    W0 is the field's own margin-0 column, which the sweep steps by the
+    floor's rule inside the same step: margin slope -1 and no hedge (at the
+    terminal level it is the terminal cost).  The sub-zero margin columns
+    evolve under the scheme's general rule, with the backward margin
+    difference and the hedges, so agreement is still a two-route
     comparison, not a tautology.  The worst offending node is reported for
     fault localization.
     """
@@ -332,8 +333,8 @@ def dpp_consistency(
 # ---------------------------------------------------------------------------
 
 def _quotients(field: Field) -> dict[str, Any]:
-    # the top margin row is externally pinned Dirichlet data: its seam with
-    # the evolved rows scales like 1/spacing and says nothing about the
+    # the top margin row is the ceiling, Dirichlet data of its own rule: its
+    # seam with the evolved rows scales like 1/spacing and says nothing about the
     # field's own regularity, so all quotients exclude it
     core = field.values[field.solved_from : field.solved_to + 1, ..., :-1]
     grid = field.grid

@@ -43,7 +43,7 @@ from epigraph.fields import (
     time_axis,
 )
 from epigraph.problems import BUILTIN_NAMES, builtin_scheme
-from epigraph.solver import max_stable_dt, solve_boundary_field, solve_shortfall
+from epigraph.solver import max_stable_dt, solve_shortfall
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -297,13 +297,14 @@ def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
     document["outputs"] = {"directory": str(tmp_path / "ball")}
     config = parse_config(json.dumps(document))
     run(config)
-    pair = solve_boundary_field(config.problem, resolve_grid(config), config.scheme).values
-    for column, kind in enumerate(("floor", "ceiling")):
+    grid = resolve_grid(config)
+    level0 = solve_shortfall(config.problem, grid, config.scheme).values[0]
+    for column, kind in ((grid.margin_zero_index, "floor"), (-1, "ceiling")):
         meta, values = load_snapshot(str(tmp_path / "ball" / kind))
         assert meta["kind"] == kind
         assert meta["level"] == 0
-        assert np.array_equal(values, pair[0, ..., column])
-    assert pair[0, ..., 1].max() > 0.0
+        assert np.array_equal(values, level0[..., column])
+    assert level0[..., -1].max() > 0.0
 
 
 def test_rerun_is_bit_identical(zero_run):

@@ -107,12 +107,6 @@ def test_time_axis_ends_exactly_at_horizon():
     assert np.all(np.diff(times) <= 0.09 + 1e-12)
 
 
-def test_grid_matching():
-    grid = small_grid()
-    assert grid.matches(small_grid())
-    assert not grid.matches(small_grid(margin=(0.0, 1.0, 9)))
-
-
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------

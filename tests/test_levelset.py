@@ -16,7 +16,7 @@ from epigraph.levelset import (
     reachable_slice,
     required_margin_profile,
 )
-from epigraph.problems import builtin_grid, builtin_problem
+from epigraph.problems import builtin_problem
 from epigraph.solver import max_stable_dt, solve_shortfall
 
 
@@ -167,6 +167,26 @@ def test_unsolved_levels_are_rejected():
         extract_required_margin(field, 0, 2, LevelSetQuery(epsilon=1e-3))
     with pytest.raises(UnsolvedField):
         reachable_slice(field, 0, LevelSetQuery(epsilon=1e-3))
+
+
+def test_default_threshold_on_a_resumed_field_names_the_remedy():
+    # a resumed field holds levels 0..20 only, so the terminal slice that
+    # the default threshold reads is not in it
+    problem = builtin_problem("deterministic-steering")
+    grid = make_grid([(-2.1, 2.1, 41)], (0.0, 0.6, 21), time_axis(1.0, 0.02))
+    assert grid.n_levels - 1 == 50
+    partial = solve_shortfall(problem, grid, on_level=lambda level, f: level > 20)
+    resumed = solve_shortfall(problem, grid, resume=(20, partial.slice_at(20).copy()))
+    remedy = r"LevelSetQuery\(default_epsilon\(terminal_slice\(problem, grid\)\)\)"
+    for extract in (lambda: required_margin_profile(resumed, 0),
+                    lambda: extract_required_margin(resumed, 0, 20),
+                    lambda: reachable_slice(resumed, 0)):
+        with pytest.raises(UnsolvedField, match=r"terminal slice \(level 50\).*0\.\.20.*"
+                           + remedy):
+            extract()
+    query = LevelSetQuery(default_epsilon(terminal_slice(problem, grid)))
+    assert np.array_equal(required_margin_profile(resumed, 0, query),
+                          required_margin_profile(solve_shortfall(problem, grid), 0))
 
 
 def test_state_index_must_name_every_state_axis():

@@ -9,12 +9,7 @@ import pytest
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem, parse_problem
-from epigraph.solver import (
-    SchemeOptions,
-    max_stable_dt,
-    solve_boundary_field,
-    solve_shortfall,
-)
+from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
 from epigraph.verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -156,10 +151,11 @@ def test_slab_identity_frozen_penalty(frozen_setup):
     assert report.max_residual < 1e-12
 
 
-def _slab_against_the_floor(problem, grid, field):
-    """The slab residual and its worst node, taken against the separately
-    swept floor instead of the field's own margin-0 column."""
-    floor = solve_boundary_field(problem, grid).values[..., 0]
+def _slab_against_the_floor(field):
+    """The slab residual and its worst node, written out against the field's
+    margin-0 column, which the sweep steps by the floor's rule."""
+    grid = field.grid
+    floor = field.values[..., grid.margin_zero_index]
     b = grid.margin_axis
     below = b <= 0.0
     gap = np.abs(field.values[..., below] - (floor[..., None] - b[below]))
@@ -178,20 +174,18 @@ _SLAB_PROBLEM = {
 
 def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
     # frozen-penalty, and a slab grid with running cost, diffusion and a jump
-    problem, grid, field = frozen_setup
-    cases = [(problem, grid, field)]
+    fields = [frozen_setup[2]]
     problem = parse_problem(_SLAB_PROBLEM)[0]
     probe = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41), time_axis(0.5, 0.25))
     grid = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41),
                      time_axis(0.5, max_stable_dt(problem, probe)))
     options = SchemeOptions(hedge="frozen", jump_hedge="zero")
-    cases.append((problem, grid, solve_shortfall(problem, grid, options)))
-    for problem, grid, field in cases:
+    fields.append(solve_shortfall(problem, grid, options))
+    for field in fields:
         report = slab_identity_residual(field)
         worst = report.details["worst"]
         assert (report.max_residual, (worst["level"], worst["state_index"],
-                                      worst["margin_index"])) == \
-            _slab_against_the_floor(problem, grid, field)
+                                      worst["margin_index"])) == _slab_against_the_floor(field)
     assert report.max_residual > 0.0  # the running cost leaves roundoff to locate
 
 
