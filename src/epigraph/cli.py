@@ -67,9 +67,8 @@ from .errors import (
 from .fields import (
     Field,
     Grid,
-    load_checkpoint,
+    load_snapshot,
     make_grid,
-    save_checkpoint,
     save_snapshot,
     terminal_slice,
     time_axis,
@@ -302,16 +301,12 @@ def resolve_grid(config: RunConfig) -> Grid:
 # exports
 # ---------------------------------------------------------------------------
 
-_CRLF = "\r\n"  # the long-form exports end their lines as the csv module does
-
-
 def export_slice_csv(field_obj: Field, level: int, path: str) -> str:
     """Write one shortfall time level in long form: state columns, margin, value."""
     data = field_obj.slice_at(level)
     grid = field_obj.grid
     header = [f"state_{i + 1}" for i in range(grid.dim_state)] + ["margin", "shortfall"]
-    write_csv(path, data.reshape(-1, 1), axes=(*grid.state_axes, grid.margin_axis),
-              header=header, newline=_CRLF)
+    write_csv(path, data.reshape(-1, 1), (*grid.state_axes, grid.margin_axis), header)
     return path
 
 
@@ -321,7 +316,7 @@ def export_profile_csv(field_obj: Field, level: int, path: str,
     profile = required_margin_profile(field_obj, level, query)
     axes = field_obj.grid.state_axes
     header = [f"state_{i + 1}" for i in range(len(axes))] + ["required_margin"]
-    write_csv(path, profile.reshape(-1, 1), axes=axes, header=header, newline=_CRLF)
+    write_csv(path, profile.reshape(-1, 1), axes, header)
     return path
 
 
@@ -398,15 +393,16 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 
     Writes the terminal slice, sweeps the shortfall field from it (or from
     the checkpoint) with periodic checkpoints (and one on SIGINT/SIGTERM),
-    writes the level-0 floor and ceiling from the field's margin-0 and top
-    columns, extracts the required-margin profile, and writes the CSV/plot
-    exports.  The swept shortfall field is the only (level, state, margin)
-    array it allocates.  The manifest maps every artifact to its SHA-256
-    content hash and embeds the normalized config; nothing in it depends on
-    wall-clock time, so rerunning the same document reproduces it bit for
-    bit.  An interrupted sweep raises :class:`Interrupted` after
-    checkpointing; ``resume=True`` picks such a run back up from the stored
-    level.
+    snapshots the levels ``every, 2·every, …`` as the sweep passes them,
+    extracts the required-margin profile, and writes the CSV/plot exports.
+    Snapshots and checkpoints are ``.json`` plus ``.npy`` pairs; level 0
+    goes out only as ``w_t0.csv``.  The swept shortfall field is the only
+    (level, state, margin) array it allocates.  The manifest maps every
+    artifact to its SHA-256 content hash and embeds the normalized config;
+    nothing in it depends on wall-clock time, so rerunning the same document
+    reproduces it bit for bit.  An interrupted sweep raises
+    :class:`Interrupted` after checkpointing; ``resume=True`` picks such a
+    run back up from the stored level.
     """
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
     out.mkdir(parents=True, exist_ok=True)
@@ -414,10 +410,10 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     grid = resolve_grid(config)
 
     ckpt_prefix = str(out / "checkpoint")
-    loaded = load_checkpoint(ckpt_prefix, grid) if resume else None
+    loaded = load_snapshot(ckpt_prefix, grid) if resume else None
     every = int(config.outputs["checkpoint_every"])
     last = grid.n_levels - 1
-    levels = sorted(set(range(0, grid.n_levels, every)) | {last})
+    levels = sorted(set(range(every, grid.n_levels, every)) | {last})
     slice_set = set(levels)
 
     # The terminal slice never reaches the level callback, and a resumed
@@ -433,12 +429,11 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         values = partial.slice_at(level)
         if level in slice_set:
             save_snapshot(grid, level, values, str(out / f"slice_{level:05d}"))
-        if _interrupt_requested():
-            save_checkpoint(grid, level, values, ckpt_prefix, tag="interrupt")
-            return False
-        if level != last and (last - level) % every == 0:
-            save_checkpoint(grid, level, values, ckpt_prefix, tag="checkpoint")
-        return True
+        stop = _interrupt_requested()
+        if stop or (last - level) % every == 0:
+            save_snapshot(grid, level, values, ckpt_prefix,
+                          tag="interrupt" if stop else "checkpoint")
+        return not stop
 
     with _signal_watch():
         field = solve_shortfall(problem, grid, options, on_level=checkpointer,
@@ -461,13 +456,9 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
                 )
             written[q.name] = _sha256(q)
 
-    # the sweep's margin-0 and top columns are the state-only boundary pair
-    for column, kind in ((grid.margin_zero_index, "floor"), (-1, "ceiling")):
-        record(*save_snapshot(grid, 0, field.values[0, ..., column], str(out / kind),
-                              kind=kind))
     for level in levels:
         prefix = str(out / f"slice_{level:05d}")
-        record(prefix + ".json", prefix + ".csv")
+        record(prefix + ".json", prefix + ".npy")
 
     # The default threshold reads the terminal slice, which a resumed field
     # no longer covers.

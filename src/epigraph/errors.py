@@ -72,7 +72,7 @@ class CFLViolation(EpigraphError):
 
 
 class IncompatibleGrids(EpigraphError):
-    """A checkpoint or a field does not fit the grid an operation needs."""
+    """A snapshot or a field does not fit the grid an operation needs."""
 
 
 class NonFiniteUpdate(EpigraphError):

@@ -1,11 +1,13 @@
-"""Grids, value fields, interpolation, and snapshot and checkpoint files.
+"""Grids, value fields, interpolation, snapshot files and CSV exports.
 
 A :class:`Grid` is uniform per axis: one or more state axes, one margin axis
 that must contain 0 (and may extend below it — the negative slab exists only
 as a consistency diagnostic), and a uniform time axis ending exactly at the
 horizon.  A :class:`Field` is the shortfall's value tensor over (time level,
-state..., margin), filled backward from the terminal level.  Snapshots and
-checkpoints write one time slice, given as an array.
+state..., margin), filled backward from the terminal level.  A snapshot is
+one time slice as metadata JSON plus an exact ``.npy`` array; a checkpoint
+is a snapshot with a tag, and the one reader serves both.  The long-form
+CSV exports go through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -217,17 +219,21 @@ def blank_field(grid: Grid) -> Field:
 
 
 def terminal_slice(problem: Problem, grid: Grid) -> Array:
-    """Terminal data: shortfall of the terminal cost against the margin.
+    """Terminal data, the slice the sweep starts from: the shortfall of the
+    terminal cost against the margin.
 
     max{m(a) - b, 0}; below-zero margins land on the linear branch
-    automatically since m >= 0.
+    automatically since m >= 0.  The top column is the ceiling, which stands
+    for b = +inf, so it holds 0 even where m(a) exceeds the top margin.
     """
     m_vals = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
-    return np.maximum(m_vals[..., None] - grid.margin_axis, 0.0)
+    slab = np.maximum(m_vals[..., None] - grid.margin_axis, 0.0)
+    slab[..., -1] = 0.0  # the ceiling's terminal datum
+    return slab
 
 
 # ---------------------------------------------------------------------------
-# snapshots and checkpoints
+# snapshots (checkpoints are snapshots with a tag) and CSV exports
 # ---------------------------------------------------------------------------
 
 def _axes_meta(grid: Grid) -> dict[str, Any]:
@@ -246,51 +252,27 @@ def _axes_meta(grid: Grid) -> dict[str, Any]:
     }
 
 
-def _write_meta(grid: Grid, level: int, kind: str, path: str, tag: str) -> None:
-    """The metadata JSON shared by snapshots and checkpoints."""
-    meta = {
-        "kind": kind,
-        "level": int(level),
-        "time": float(grid.times[level]),
-        **_axes_meta(grid),
-        "tag": tag,
-    }
-    with open(path, "w") as handle:
-        json.dump(meta, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 _VALUES_PER_WRITE = 4096
 
 
-def write_csv(
-    path: str,
-    table: Array,
-    axes: Sequence[Array] = (),
-    header: Sequence[str] = (),
-    newline: str = "\n",
-) -> None:
-    """Write a 2-D ``table`` as CSV, every number as ``%.17g`` (exact round trip).
+def write_csv(path: str, table: Array, axes: Sequence[Array], header: Sequence[str]) -> None:
+    """Write ``table`` in long form as CSV, every number as ``%.17g`` (exact
+    round trip), lines ending in CRLF as the csv module ends them.
 
-    Without ``axes`` each row of ``table`` is one line.  With ``axes``,
-    ``table`` holds one row per node of their product grid in ``ij`` order,
-    and each line starts with that node's coordinates; each axis value is
-    formatted once, not once per line.  ``header``, when given, is the first
-    line.  Values are formatted ``_VALUES_PER_WRITE`` at a time (but at least
-    one row, or one run along the last axis), which bounds the memory held.
+    ``table`` holds one row per node of the product grid of ``axes`` in
+    ``ij`` order, and each line starts with that node's coordinates; each
+    axis value is formatted once, not once per line.  ``header`` is the
+    first line.  Values are formatted ``_VALUES_PER_WRITE`` at a time (but at
+    least one run along the last axis), which bounds the memory held.
     """
     width = table.shape[1]
-    line = ",".join(["%.17g"] * width) + newline
-    if axes:
-        *outer, inner = axes
-        prefixes = [""]
-        for axis in outer:
-            texts = ["%.17g," % x for x in axis.tolist()]
-            prefixes = [p + t for p in prefixes for t in texts]
-        run = ["%.17g," % x + line for x in inner.tolist()]
-    else:
-        prefixes = [""] * table.shape[0]
-        run = [line]
+    line = ",".join(["%.17g"] * width) + "\r\n"
+    *outer, inner = axes
+    prefixes = [""]
+    for axis in outer:
+        texts = ["%.17g," % x for x in axis.tolist()]
+        prefixes = [p + t for p in prefixes for t in texts]
+    run = ["%.17g," % x + line for x in inner.tolist()]
     if len(prefixes) * len(run) != table.shape[0]:
         raise ValueError(f"{table.shape[0]} rows do not match the axes' "
                          f"{len(prefixes) * len(run)} nodes")
@@ -298,8 +280,7 @@ def write_csv(
     step = max(1, _VALUES_PER_WRITE // per_prefix)
     flat = table.reshape(-1)
     with open(path, "w", newline="") as handle:
-        if header:
-            handle.write(",".join(header) + newline)
+        handle.write(",".join(header) + "\r\n")
         for start in range(0, len(prefixes), step):
             block = prefixes[start:start + step]
             # lines of one prefix: p + run[0] + p + run[1] + ... = p + p.join(run)
@@ -309,76 +290,56 @@ def write_csv(
 
 
 def save_snapshot(grid: Grid, level: int, values: Array, prefix: str,
-                  kind: str = "shortfall") -> tuple[str, str]:
-    """Write the slice ``values`` at time level ``level`` as metadata JSON
-    plus a CSV.
+                  tag: str = "") -> tuple[str, str]:
+    """Write the shortfall slice ``values`` at time level ``level`` as
+    metadata JSON plus the exact values in NumPy's binary ``.npy`` form.
 
-    Returns the two file paths.  The CSV is 2-D: one row per flattened state
-    node, one column per margin node (a single column for a state-only
-    ``kind`` such as "floor").  The metadata's ``tag`` is empty; only
-    checkpoints carry one.
+    Returns the two paths.  The metadata holds the level, its time, the
+    grid's axes and ``tag``, which only checkpoints set.
     """
     json_path = f"{prefix}.json"
-    csv_path = f"{prefix}.csv"
-    _write_meta(grid, level, kind, json_path, "")
-    write_csv(csv_path, values.reshape(int(np.prod(grid.state_shape)), -1))
-    return json_path, csv_path
-
-
-def load_snapshot(prefix: str) -> tuple[dict[str, Any], Array]:
-    """Read a snapshot back; returns (metadata, values in grid shape)."""
-    with open(f"{prefix}.json") as handle:
-        meta = json.load(handle)
-    table = np.atleast_2d(np.loadtxt(f"{prefix}.csv", delimiter=","))
-    state_shape = tuple(int(axis[2]) for axis in meta["state_axes"])
-    if meta["kind"] == "shortfall":
-        shape = (*state_shape, int(meta["margin_axis"][2]))
-    else:
-        shape = state_shape
-    return meta, table.reshape(shape)
-
-
-def save_checkpoint(grid: Grid, level: int, values: Array, prefix: str,
-                    tag: str) -> tuple[str, str]:
-    """Write the shortfall slice ``values`` at ``level`` as resume state: the
-    snapshot metadata JSON plus the exact values in binary ``.npy`` form.
-    Returns the two paths."""
-    json_path = f"{prefix}.json"
     npy_path = f"{prefix}.npy"
-    _write_meta(grid, level, "shortfall", json_path, tag)
+    meta = {
+        "level": int(level),
+        "time": float(grid.times[level]),
+        **_axes_meta(grid),
+        "tag": tag,
+    }
+    with open(json_path, "w") as handle:
+        json.dump(meta, handle, indent=1, sort_keys=True)
+        handle.write("\n")
     np.save(npy_path, values)
     return json_path, npy_path
 
 
-def load_checkpoint(prefix: str, grid: Grid) -> tuple[int, Array] | None:
-    """Read resume state written by :func:`save_checkpoint` for ``grid``.
+def load_snapshot(prefix: str, grid: Grid) -> tuple[int, Array] | None:
+    """Read a slice written by :func:`save_snapshot` for ``grid``.
 
-    Returns (level, shortfall slice), or None when there is no checkpoint.
+    Returns (level, shortfall slice), or None when there is no such slice.
     Raises :class:`IncompatibleGrids` when it was written for another grid or
     holds values of another shape or dtype, and :class:`EpigraphError` for a
-    checkpoint in the older CSV format or an unreadable binary file.
+    slice in the older CSV format or an unreadable binary file.
     """
     json_path = pathlib.Path(f"{prefix}.json")
     npy_path = pathlib.Path(f"{prefix}.npy")
     old_path = pathlib.Path(f"{prefix}.csv")
     if old_path.exists() and not npy_path.exists():
         raise EpigraphError(
-            f"{old_path} is a checkpoint in the older CSV format, which cannot be "
+            f"{old_path} is a slice in the older CSV format, which cannot be "
             f"resumed; start the run afresh"
         )
     if not (json_path.exists() and npy_path.exists()):
         return None
     with open(json_path) as handle:
         meta = json.load(handle)
-    want = _axes_meta(grid)
-    if meta.get("kind") != "shortfall" or any(meta.get(k) != v for k, v in want.items()):
+    if any(meta.get(k) != v for k, v in _axes_meta(grid).items()):
         raise IncompatibleGrids(
-            "the checkpoint was written on a different grid than the config describes"
+            f"{json_path} was written on a different grid than the config describes"
         )
     try:
         values = np.load(npy_path, allow_pickle=False)
     except ValueError as exc:
-        raise EpigraphError(f"{npy_path} is not a readable checkpoint: {exc}") from exc
+        raise EpigraphError(f"{npy_path} is not a readable slice: {exc}") from exc
     shape = (*grid.state_shape, grid.margin_axis.shape[0])
     if values.dtype != np.float64 or values.shape != shape:
         raise IncompatibleGrids(

@@ -449,16 +449,16 @@ def solve_shortfall(
     """Solve the margin-coupled shortfall field backward from the horizon.
 
     Each level is one :func:`step_backward` followed by the roundoff clip.
-    The margin-0 column is the floor and the top margin column the ceiling,
-    each stepped by its state-only rule; at the horizon the top column holds
-    the ceiling's terminal datum, 0.  Margin columns below zero — when the
+    The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
+    margin-0 column is the floor and the top margin column the ceiling, each
+    stepped by its state-only rule.  Margin columns below zero — when the
     grid has them — evolve under the same scheme and serve as the linearity
     diagnostic.
 
     ``on_level`` is called after each completed level with (level, field);
     returning False aborts the sweep early (the field stays partially
     solved).  ``resume`` is the ``(level, slice)`` pair that
-    :func:`epigraph.fields.load_checkpoint` returns; the solve restarts
+    :func:`epigraph.fields.load_snapshot` returns; the solve restarts
     from that slice.
     """
     bound = _check_step(grid.dt, problem, grid, options.safety)
@@ -467,8 +467,6 @@ def solve_shortfall(
         grid.n_levels - 1, terminal_slice(problem, grid))
     out = blank_field(grid)
     out.values[start] = values
-    if start == grid.n_levels - 1:
-        out.values[start, ..., -1] = 0.0  # the ceiling's terminal datum
     out.solved_from = out.solved_to = start
 
     for level in range(start - 1, -1, -1):

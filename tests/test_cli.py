@@ -38,7 +38,6 @@ from epigraph.fields import (
     Field,
     load_snapshot,
     make_grid,
-    save_checkpoint,
     save_snapshot,
     time_axis,
 )
@@ -279,9 +278,12 @@ def test_zero_run_profile_is_identically_zero(zero_run):
 
 def test_run_writes_manifest_and_snapshots(zero_run):
     _, out, manifest = zero_run
-    assert manifest["snapshot_levels"] == [0, 25, 50, 75, 100]
+    assert manifest["snapshot_levels"] == [25, 50, 75, 100]
+    slices = {f"slice_{level:05d}.{ext}" for level in (25, 50, 75, 100)
+              for ext in ("json", "npy")}
+    assert set(manifest["artifacts"]) == slices | {"w_t0.csv", "profile.csv"}
+    assert {p.name for p in out.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
     for name, digest in manifest["artifacts"].items():
-        assert (out / name).exists()
         assert len(digest) == 64
     assert not (out / "checkpoint.json").exists()
     assert not (out / "checkpoint.npy").exists()
@@ -291,7 +293,8 @@ def test_run_writes_manifest_and_snapshots(zero_run):
 
 def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
     # the README's inline problem, with a ball small enough that the
-    # constraint distance makes the ceiling nonzero
+    # constraint distance makes the ceiling nonzero; w_t0.csv holds the
+    # floor (margin 0) and the ceiling (top margin) columns
     document = json.loads(readme_json_blocks()[1])
     document["problem"]["region"]["radius"] = 0.7
     document["outputs"] = {"directory": str(tmp_path / "ball")}
@@ -299,12 +302,13 @@ def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
     run(config)
     grid = resolve_grid(config)
     level0 = solve_shortfall(config.problem, grid, config.scheme).values[0]
-    for column, kind in ((grid.margin_zero_index, "floor"), (-1, "ceiling")):
-        meta, values = load_snapshot(str(tmp_path / "ball" / kind))
-        assert meta["kind"] == kind
-        assert meta["level"] == 0
-        assert np.array_equal(values, level0[..., column])
-    assert level0[..., -1].max() > 0.0
+    table = np.loadtxt(tmp_path / "ball" / "w_t0.csv", delimiter=",", skiprows=1)
+    written = table[:, -1].reshape(level0.shape)
+    for column in (grid.margin_zero_index, -1):
+        assert np.array_equal(written[..., column], level0[..., column])
+    assert written[..., -1].max() > 0.0
+    assert not list((tmp_path / "ball").glob("floor.*"))
+    assert not list((tmp_path / "ball").glob("ceiling.*"))
 
 
 def test_rerun_is_bit_identical(zero_run):
@@ -329,12 +333,10 @@ def test_run_holds_one_full_history_field(tmp_path):
     assert peak < 1.5 * field_bytes
 
 
-def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
-                                                        monkeypatch):
-    _, _, reference = zero_run
-    out = tmp_path / "resumed"
-    config = zero_config(out)
-
+def _interrupted_zero_run(tmp_path, monkeypatch):
+    """A zero run stopped by a simulated interrupt between levels 50 and 75."""
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
     calls = {"n": 0}
 
     def trip_after_forty() -> bool:
@@ -343,15 +345,20 @@ def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
 
     monkeypatch.setattr(cli, "_interrupt_requested", trip_after_forty)
     with pytest.raises(Interrupted, match="--resume"):
-        run(config)
+        run(parse_config(path.read_text()))
     monkeypatch.undo()
+    assert 50 < json.loads((out / "checkpoint.json").read_text())["level"] < 75
+    return path, out
 
-    checkpoint = json.loads((out / "checkpoint.json").read_text())
-    assert checkpoint["tag"] == "interrupt"
-    assert 0 < checkpoint["level"] < 100
+
+def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
+                                                        monkeypatch):
+    _, _, reference = zero_run
+    path, out = _interrupted_zero_run(tmp_path, monkeypatch)
+    assert json.loads((out / "checkpoint.json").read_text())["tag"] == "interrupt"
     assert (out / "checkpoint.npy").exists()
 
-    resumed = run(config, resume=True)
+    resumed = run(parse_config(path.read_text()), resume=True)
     assert resumed["artifacts"] == reference["artifacts"]
     assert not (out / "checkpoint.json").exists()
     assert not (out / "checkpoint.npy").exists()
@@ -372,7 +379,7 @@ def test_resume_rejects_a_checkpoint_from_another_grid(tmp_path):
               "time_step": 0.02}))
     small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
     out.mkdir()
-    save_checkpoint(small.grid, 3, small.slice_at(3), str(out / "checkpoint"), tag="interrupt")
+    save_snapshot(small.grid, 3, small.slice_at(3), str(out / "checkpoint"), tag="interrupt")
     with pytest.raises(IncompatibleGrids):
         run(config, resume=True)
 
@@ -383,10 +390,13 @@ def test_resume_rejects_a_checkpoint_of_the_wrong_shape(tmp_path):
     field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
                             on_level=lambda level, f: level > 90)
     out.mkdir()
-    save_checkpoint(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
-    np.save(out / "checkpoint.npy", field.values[90][:-1])
-    with pytest.raises(IncompatibleGrids, match="checkpoint.npy"):
-        run(config, resume=True)
+    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
+    # a slice short of one state node, and one margin column (as the older
+    # floor and ceiling files held)
+    for wrong in (field.values[90][:-1], field.values[90][..., 0]):
+        np.save(out / "checkpoint.npy", wrong)
+        with pytest.raises(IncompatibleGrids, match="checkpoint.npy"):
+            run(config, resume=True)
 
 
 def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
@@ -397,7 +407,9 @@ def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
     field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
                             on_level=lambda level, f: level > 90)
     out.mkdir()
-    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"))
+    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
+    (out / "checkpoint.npy").unlink()
+    np.savetxt(out / "checkpoint.csv", field.slice_at(90), fmt="%.17g", delimiter=",")
     with pytest.raises(EpigraphError, match="checkpoint.csv"):
         run(config, resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
@@ -412,7 +424,45 @@ def test_checkpoints_are_written_on_cadence(tmp_path):
               "time_step": 0.01},
         outputs={"directory": str(out), "checkpoint_every": 10}))
     manifest = run(config)
-    assert manifest["snapshot_levels"] == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert manifest["snapshot_levels"] == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert sorted(p.name for p in out.glob("slice_*")) == sorted(
+        f"slice_{level:05d}.{ext}" for level in manifest["snapshot_levels"]
+        for ext in ("json", "npy"))
+
+
+@pytest.mark.parametrize("older", [True, False])
+def test_resume_names_a_missing_upper_slice(tmp_path, monkeypatch, capsys, older):
+    # The resumed sweep never revisits level 75, so its .npy cannot appear:
+    # in an older run directory the slices are slice_*.{json,csv}, or the
+    # file was deleted.
+    path, out = _interrupted_zero_run(tmp_path, monkeypatch)
+    for npy in out.glob("slice_*.npy") if older else [out / "slice_00075.npy"]:
+        if older:
+            np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
+        npy.unlink()
+    with pytest.raises(EpigraphError, match="slice_00075.npy is missing"):
+        run(parse_config(path.read_text()), resume=True)
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    assert "slice_00075.npy is missing" in capsys.readouterr().err
+
+
+def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
+    # stock deterministic-steering: m(a) exceeds the top margin 0.6 at most
+    # states, where the ceiling's column holds 0 in the file and the sweep alike
+    config = parse_config(config_text("deterministic-steering", str(tmp_path / "steer")))
+    grid = resolve_grid(config)
+    last = grid.n_levels - 1
+    monkeypatch.setattr(cli, "_interrupt_requested", lambda: True)
+    with pytest.raises(Interrupted):
+        run(config)  # slice_<last> is written before the first level
+    swept = solve_shortfall(config.problem, grid, config.scheme,
+                            on_level=lambda level, f: False).values[-1]
+    level, written = load_snapshot(str(tmp_path / "steer" / f"slice_{last:05d}"), grid)
+    assert level == last
+    assert written.tobytes() == swept.tobytes()
+    # the unclipped terminal shortfall of the top column would be positive
+    assert swept[..., -2].max() > grid.margin_spacing
+    assert not np.any(swept[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +491,6 @@ def _csv_module_reference(path, header, table):
     return path.read_bytes()
 
 
-def test_csv_rows_match_the_csv_module_byte_for_byte(tmp_path):
-    rng = np.random.default_rng(0)
-    # more rows than two formatted blocks, so the block seams are covered too
-    rows = 2 * (fields._VALUES_PER_WRITE // 3) + 3
-    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
-    table[: len(_SPECIAL), 0] = _SPECIAL
-    table[-len(_SPECIAL):, 2] = _SPECIAL
-    header = ["state_1", "margin", "shortfall"]
-    path = tmp_path / "rows.csv"
-    fields.write_csv(str(path), table, header=header, newline="\r\n")
-
-    expected = _csv_module_reference(tmp_path / "expected.csv", header, table)
-    assert path.read_bytes() == expected
-    assert b"\r\n-0," in path.read_bytes()
-
-
 # profiles of a 1-D and a 2-D state, and the t = 0 slices of both; the
 # slices hold more values than one formatted block
 @pytest.mark.parametrize("shape", [(2000,), (35, 35), (141, 41), (9, 12, 41)])
@@ -472,8 +506,7 @@ def test_long_form_matches_the_meshgrid_table(tmp_path, shape):
     values.flat[-1] = np.inf  # an unreachable profile entry
     header = [f"col_{i}" for i in range(len(shape) + 1)]
     path = tmp_path / "long.csv"
-    fields.write_csv(str(path), values.reshape(-1, 1), axes=axes, header=header,
-                     newline="\r\n")
+    fields.write_csv(str(path), values.reshape(-1, 1), axes, header)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     table = np.column_stack([m.reshape(-1) for m in mesh] + [values.reshape(-1)])
@@ -496,7 +529,7 @@ def test_slice_export_of_a_2d_state_matches_the_meshgrid_table(tmp_path):
 def test_writer_rejects_a_table_that_does_not_fit_the_axes(tmp_path):
     with pytest.raises(ValueError, match="rows do not match"):
         fields.write_csv(str(tmp_path / "x.csv"), np.zeros((5, 1)),
-                         axes=[np.arange(2.0), np.arange(3.0)])
+                         [np.arange(2.0), np.arange(3.0)], ["a", "b", "value"])
 
 
 def test_profile_export_renders_unreachable_as_inf(tmp_path):

@@ -1,11 +1,11 @@
 """Grid, interpolation, field bookkeeping, and snapshot round-trips."""
 
+import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from epigraph import fields
 from epigraph.errors import DegenerateGrid, UnsolvedField
 from epigraph.fields import (
     Grid,
@@ -191,49 +191,27 @@ def test_terminal_slice_is_linear_on_the_diagnostic_slab():
 # snapshots
 # ---------------------------------------------------------------------------
 
+_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, np.inf, -np.inf, np.nan,
+            1.0 / 3.0]
+
+
 def test_snapshot_roundtrip_is_lossless(tmp_path):
-    grid = small_grid()
-    data = np.random.default_rng(3).uniform(0.0, 5.0, size=(9, 5))
-    prefix = str(tmp_path / "level4")
-    save_snapshot(grid, grid.n_levels - 1, data, prefix)
-    meta, values = load_snapshot(prefix)
-    assert meta["kind"] == "shortfall"
-    assert meta["level"] == grid.n_levels - 1
-    assert meta["time"] == grid.times[-1]
-    assert meta["tag"] == ""
-    assert np.array_equal(values, data)   # %.17g is exact for float64
-
-
-def test_snapshot_roundtrip_state_only(tmp_path):
-    grid = small_grid()
-    data = np.linspace(0.0, 1.0, 9)
-    prefix = str(tmp_path / "floor0")
-    save_snapshot(grid, 0, data, prefix, kind="floor")
-    meta, values = load_snapshot(prefix)
-    assert meta["kind"] == "floor"
-    assert values.shape == (9,)
-    assert np.array_equal(values, data)
-
-
-_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0]
-
-
-@pytest.mark.parametrize("state, margin", [
-    ([(-2.0, 2.0, 301)], (0.0, 1.0, 17)),                  # a multi-column table
-    ([(-2.0, 2.0, 301), (0.0, 1.0, 21)], None),            # one column: floor/ceiling
-    ([(-2.0, 2.0, 19), (0.0, 1.0, 13)], (0.0, 1.0, 41)),  # a 2-D state
-])
-def test_snapshot_csv_matches_savetxt_byte_for_byte(tmp_path, state, margin):
-    grid = make_grid(state, margin or (0.0, 1.0, 3), time_axis(1.0, 0.5))
-    shape = (*grid.state_shape, grid.margin_axis.size) if margin else grid.state_shape
-    data = np.random.default_rng(len(state)).normal(size=shape)
-    data.flat[: len(_SPECIAL)] = _SPECIAL
-    data.flat[-len(_SPECIAL):] = _SPECIAL
-    assert data.size > fields._VALUES_PER_WRITE  # the block seams are covered
-    _, csv_path = save_snapshot(grid, 0, data, str(tmp_path / "snap"),
-                                kind="shortfall" if margin else "floor")
-
-    reference = tmp_path / "reference.csv"
-    np.savetxt(reference, data.reshape(int(np.prod(grid.state_shape)), -1),
-               fmt="%.17g", delimiter=",")
-    assert pathlib.Path(csv_path).read_bytes() == reference.read_bytes()
+    # a 1-D and a 2-D state, each with signed zeros, subnormals, infinities and nan
+    for state in ([(-2.0, 2.0, 9)], [(-2.0, 2.0, 19), (0.0, 1.0, 13)]):
+        grid = make_grid(state, (0.0, 1.0, 5), time_axis(1.0, 0.25))
+        shape = (*grid.state_shape, grid.margin_axis.size)
+        data = np.random.default_rng(len(state)).uniform(0.0, 5.0, size=shape)
+        data.flat[: len(_SPECIAL)] = _SPECIAL
+        prefix = str(tmp_path / f"level4_{len(state)}d")
+        paths = save_snapshot(grid, grid.n_levels - 1, data, prefix)
+        assert paths == (prefix + ".json", prefix + ".npy")
+        meta = json.loads(pathlib.Path(prefix + ".json").read_text())
+        assert meta["level"] == grid.n_levels - 1
+        assert meta["time"] == grid.times[-1]
+        assert meta["tag"] == ""
+        assert "kind" not in meta
+        level, values = load_snapshot(prefix, grid)
+        assert level == grid.n_levels - 1
+        assert values.dtype == np.float64 and values.shape == shape
+        assert values.tobytes() == data.tobytes()  # the same bits, nan included
+        assert np.signbit(values.flat[1]) and values.flat[4] == 5e-324

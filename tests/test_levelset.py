@@ -16,14 +16,20 @@ from epigraph.levelset import (
     reachable_slice,
     required_margin_profile,
 )
+from epigraph.model import eval_terminal
 from epigraph.problems import builtin_problem
 from epigraph.solver import max_stable_dt, solve_shortfall
 
 
 def terminal_field(problem, grid):
-    """A field with only the terminal level filled in."""
+    """A field holding only max{m(a) - b, 0} at the terminal level.
+
+    Unlike :func:`terminal_slice` it keeps that formula in the top column,
+    so a state with m(a) above the top margin has no crossing on the axis.
+    """
     field = blank_field(grid)
-    field.values[-1] = terminal_slice(problem, grid)
+    m = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
+    field.values[-1] = np.maximum(m[..., None] - grid.margin_axis, 0.0)
     field.solved_from = grid.n_levels - 1
     return field
 

@@ -488,10 +488,9 @@ def test_boundary_pair_columns_match_one_column_sweeps(setup):
     floor, ceiling = field.values[0, ..., grid.margin_zero_index], field.values[0, ..., -1]
     assert np.abs(ceiling).max() > 0.0
     assert not np.array_equal(floor, ceiling)
-    # the sweep starts from the terminal data, but the top column from the
-    # ceiling's datum 0; they differ where m(a) > b_max (the 2-D corners)
-    terminal = terminal_slice(problem, grid)
-    assert _same_bits(field.values[-1][..., :-1], terminal[..., :-1])
+    # the sweep starts from the terminal data, whose top column holds the
+    # ceiling's datum 0 even where m(a) > b_max (the 2-D corners)
+    assert _same_bits(field.values[-1], terminal_slice(problem, grid))
     assert not np.any(field.values[-1][..., -1])
 
 
@@ -1015,9 +1014,8 @@ def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
                               on_level=lambda level, f: level > 10)
     prefix = str(tmp_path / "level10")
     save_snapshot(grid, 10, partial.slice_at(10), prefix)
-    _, slice10 = load_snapshot(prefix)
 
-    resumed = solve_shortfall(problem, grid, resume=(10, slice10))
+    resumed = solve_shortfall(problem, grid, resume=load_snapshot(prefix, grid))
     assert resumed.solved_from == 0
     assert resumed.solved_to == 10
     assert np.array_equal(resumed.values[:11], full.values[:11])
