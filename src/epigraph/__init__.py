@@ -42,6 +42,7 @@ from .solver import (
     SchemeOptions,
     max_stable_dt,
     solve_shortfall,
+    stable_grid,
     step_backward,
 )
 from .verify import (
@@ -98,6 +99,7 @@ __all__ = [
     "simulate_pair_path",
     "slab_identity_residual",
     "solve_shortfall",
+    "stable_grid",
     "step_backward",
     "strict_subsolution_residual",
     "taylor_remainder_residual",

@@ -6,7 +6,7 @@ A run is described by one JSON document with four sections plus a seed::
       "problem": {"builtin": "deterministic-steering"},
       "grid":    {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
                   "time_step": null},
-      "scheme":  {"safety": 0.9, "epsilon": null, "hedge": "spectral",
+      "scheme":  {"epsilon": null, "hedge": "spectral",
                   "beta_candidates": "grid"},
       "outputs": {"directory": "out", "formats": ["csv"],
                   "checkpoint_every": 25},
@@ -17,11 +17,13 @@ A run is described by one JSON document with four sections plus a seed::
 problem document, as described in :mod:`epigraph.problems`.
 
 ``grid`` axes are ``[low, high, count]`` triplets; ``time_step`` ``null``
-means "largest stable step".  ``outputs.formats`` must list ``"csv"`` (every
-run writes its CSV artifacts); ``"gnuplot"`` adds a plot script and needs a
-problem with one state axis.  ``scheme.epsilon`` ``null`` defers to the
-level-set default threshold.  A missing ``scheme``/``outputs`` section gets
-defaults, with built-in problems contributing their own scheme overrides.
+means the default step (:func:`epigraph.solver.max_stable_dt`); every sweep
+step checks its own level's stable bound.  ``outputs.formats`` must list
+``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds a plot
+script and needs a problem with one state axis.  ``scheme.epsilon`` ``null``
+defers to the level-set default threshold.  A missing ``scheme``/``outputs``
+section gets defaults, with built-in problems contributing their own scheme
+overrides.
 
 Subcommands: ``solve`` (full pipeline + manifest), ``extract`` (profile CSV
 only), ``simulate`` (Monte Carlo spot checks), ``verify`` (diagnostic
@@ -38,7 +40,6 @@ import copy
 import dataclasses
 import hashlib
 import json
-import math
 import pathlib
 import signal
 import sys
@@ -68,10 +69,8 @@ from .fields import (
     Field,
     Grid,
     load_snapshot,
-    make_grid,
     save_snapshot,
     terminal_slice,
-    time_axis,
     write_csv,
 )
 from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
@@ -84,11 +83,7 @@ from .simulate import (
     path_to_csv,
     simulate_pair_path,
 )
-from .solver import (
-    SchemeOptions,
-    max_stable_dt,
-    solve_shortfall,
-)
+from .solver import SchemeOptions, solve_shortfall, stable_grid
 from .verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -105,7 +100,7 @@ Array = np.ndarray
 
 _TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed")
 _GRID_KEYS = ("state", "margin", "time_step")
-_SCHEME_KEYS = ("safety", "epsilon", "hedge", "beta_candidates")
+_SCHEME_KEYS = ("epsilon", "hedge", "beta_candidates")
 _OUTPUT_KEYS = ("directory", "formats", "checkpoint_every")
 _FORMATS = ("csv", "gnuplot")
 
@@ -184,12 +179,11 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
         fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
         fail("scheme.beta_candidates", "must be a string")
-    safety = require_number(section.get("safety", 0.9), "scheme.safety", positive=True)
     epsilon = section.get("epsilon")
     if epsilon is not None:
         epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
     try:
-        options = SchemeOptions(hedge=hedge, jump_hedge=beta, safety=safety)
+        options = SchemeOptions(hedge=hedge, jump_hedge=beta)
     except ValueError as exc:
         raise SchemaViolation(f"scheme: {exc}") from None
     return options, epsilon
@@ -257,7 +251,6 @@ def _config_document(config: RunConfig) -> dict[str, Any]:
         "problem": copy.deepcopy(config.problem_spec),
         "grid": copy.deepcopy(config.grid_spec),
         "scheme": {
-            "safety": config.scheme.safety,
             "epsilon": config.epsilon,
             "hedge": config.scheme.hedge,
             "beta_candidates": config.scheme.jump_hedge,
@@ -285,16 +278,7 @@ def builtin_config(name: str, directory: str = "out") -> dict[str, Any]:
 def resolve_grid(config: RunConfig) -> Grid:
     """Build the solve grid, choosing a stable time step when none is pinned."""
     spec = config.grid_spec
-    state = [tuple(axis) for axis in spec["state"]]
-    margin = tuple(spec["margin"])
-    horizon = config.problem.horizon
-    step = spec["time_step"]
-    if step is None:
-        probe = make_grid(state, margin, time_axis(horizon, horizon / 2.0))
-        step = max_stable_dt(config.problem, probe, config.scheme.safety)
-        if not math.isfinite(step):
-            step = horizon / 128.0  # nothing constrains the step (frozen dynamics)
-    return make_grid(state, margin, time_axis(horizon, min(step, horizon)))
+    return stable_grid(config.problem, spec["state"], spec["margin"], spec["time_step"])
 
 
 # ---------------------------------------------------------------------------

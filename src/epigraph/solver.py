@@ -62,13 +62,14 @@ the same, in the same order, so the bits are too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CFLViolation, NonFiniteUpdate
-from .fields import Field, Grid, blank_field, interp_state, terminal_slice
+from .fields import (Field, Grid, blank_field, interp_state, make_grid, terminal_slice,
+                     time_axis)
 from .hamiltonian import corner_for_eigenvalue
 from .model import Problem, eval_coefficients_batch
 
@@ -83,23 +84,19 @@ class SchemeOptions:
     arrowhead eigenvalue (the hedged equation), "frozen" pins the hedge to
     zero so the field solves the plain linear expectation equation.
     ``jump_hedge`` selects the jump-hedge candidates: "grid" searches margin
-    grid differences, "zero" pins the jump hedge to zero.  ``safety`` scales
-    the stable time step.  Jumps have finite activity (finitely many atoms),
-    so the nonlocal term is always evaluated exactly; no small-jump
-    truncation is needed.
+    grid differences, "zero" pins the jump hedge to zero.  Jumps have finite
+    activity (finitely many atoms), so the nonlocal term is always evaluated
+    exactly; no small-jump truncation is needed.
     """
 
     hedge: str = "spectral"
     jump_hedge: str = "grid"
-    safety: float = 0.9
 
     def __post_init__(self) -> None:
         if self.hedge not in ("spectral", "frozen"):
             raise ValueError(f"unknown hedge mode {self.hedge!r}")
         if self.jump_hedge not in ("grid", "zero"):
             raise ValueError(f"unknown jump hedge mode {self.jump_hedge!r}")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError(f"safety factor must be in (0, 1], got {self.safety}")
 
 
 DEFAULT_OPTIONS = SchemeOptions()
@@ -161,73 +158,94 @@ def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float) ->
 # stability bound
 # ---------------------------------------------------------------------------
 
-def _coefficient_extremes(problem: Problem, grid: Grid) -> dict[str, Array]:
-    """Worst-case coefficient magnitudes over grid nodes, controls, and a few
-    sample times (the acceptance problems are autonomous; time-varying
-    coefficients are sampled at the ends and midpoint of the horizon)."""
-    mesh = grid.state_mesh()
-    n = problem.dim_state
-    weights = problem.jumps.weights
-    diag_max = np.zeros(n)
-    off_max = np.zeros((n, n))
-    drift_max = np.zeros(n)
-    running_max = 0.0
+_SAFETY = 0.9  # the share of the Courant limit a step may take
+
+
+class _CourantRates:
+    """Node-wise maxima, over the evaluated controls, of the rates the
+    Courant bound adds up: the absolute raw and compensated drift per state
+    axis (the sweep advects with the compensated one), ``|sigma sigma^T|``
+    and the running cost.  :meth:`evaluate` folds them in elementwise, so
+    :meth:`bound` reduces each over the nodes once.
+    """
+
+    def __init__(self, problem: Problem, grid: Grid) -> None:
+        self.problem, self.grid, self.mesh = problem, grid, grid.state_mesh()
+        n_nodes, n = self.mesh.shape
+        self.drift = np.zeros((n_nodes, n))
+        self.sig2 = np.zeros((n_nodes, n, n))
+        self.running = np.zeros(n_nodes)
+
+    def evaluate(
+        self, t: float, u: Array
+    ) -> tuple[Array, Array, Array, Array | None, Array]:
+        """Control ``u``'s compensated drift, diffusion, jump sizes, ``sigma
+        sigma^T`` (None without diffusion) and running cost at ``t``."""
+        jumps = self.problem.jumps
+        drift, diffusion, jump_sizes, running = eval_coefficients_batch(
+            self.problem, t, self.mesh, u
+        )
+        np.maximum(self.drift, np.abs(drift), out=self.drift)
+        f_eff = drift
+        if jumps.n_atoms:
+            f_eff = drift - np.einsum("k,kpi->pi", jumps.weights, jump_sizes)
+            np.maximum(self.drift, np.abs(f_eff), out=self.drift)
+        sig2 = None
+        if diffusion.any():
+            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
+            np.maximum(self.sig2, np.abs(sig2), out=self.sig2)
+        np.maximum(self.running, running, out=self.running)
+        return f_eff, diffusion, jump_sizes, sig2, running
+
+    def bound(self) -> float:
+        """The stable step for the rates evaluated so far.
+
+        Inverse sum of the parabolic terms per state axis, the mixed
+        second-derivative slack, the advection terms, the margin advection,
+        and twice the total jump intensity (the nonlocal evaluation touches
+        the shifted node and the center once each).  Returns inf when every
+        term vanishes (nothing constrains the step).
+        """
+        sig2 = self.sig2.max(axis=0)
+        drift = self.drift.max(axis=0)
+        h = self.grid.state_spacings
+        denom = 0.0
+        for i in range(len(h)):
+            denom += sig2[i, i] / h[i] ** 2
+            denom += drift[i] / h[i]
+            for j in range(len(h)):
+                if j != i:
+                    denom += sig2[i, j] / (h[i] * h[j])
+        denom += float(self.running.max()) / self.grid.margin_spacing
+        denom += 2.0 * float(self.problem.jumps.total_mass)
+        if denom == 0.0:
+            return float("inf")
+        return _SAFETY / denom
+
+
+def max_stable_dt(problem: Problem, grid: Grid) -> float:
+    """The default step: the stable bound over every control at the ends
+    and the midpoint of the horizon.  Each sweep step checks the bound of
+    its own level's coefficients."""
+    rates = _CourantRates(problem, grid)
     for t in (0.0, 0.5 * problem.horizon, problem.horizon):
         for u in problem.controls:
-            drift, diffusion, jump_sizes, running = eval_coefficients_batch(
-                problem, t, mesh, u
-            )
-            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
-            diag_max = np.maximum(diag_max, sig2[:, range(n), range(n)].max(axis=0))
-            off_max = np.maximum(off_max, np.abs(sig2).max(axis=0))
-            drift_max = np.maximum(drift_max, np.abs(drift).max(axis=0))
-            if problem.jumps.n_atoms:
-                # the sweep advects with the compensated drift, so the budget
-                # must cover it as well as the raw one
-                f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes)
-                drift_max = np.maximum(drift_max, np.abs(f_eff).max(axis=0))
-            running_max = max(running_max, float(running.max()))
-    return {
-        "diag": diag_max, "off": off_max, "drift": drift_max,
-        "running": np.array(running_max),
-    }
+            rates.evaluate(t, u)
+    return rates.bound()
 
 
-def max_stable_dt(problem: Problem, grid: Grid, safety: float = 0.9) -> float:
-    """Largest stable explicit step for this problem on this grid.
-
-    Inverse sum of the parabolic terms per state axis, the mixed
-    second-derivative slack, the advection terms, the margin advection, and
-    twice the total jump intensity (the nonlocal evaluation touches the
-    shifted node and the center once each).  Returns inf when every term
-    vanishes (nothing constrains the step).
-    """
-    ext = _coefficient_extremes(problem, grid)
-    h = grid.state_spacings
-    n = problem.dim_state
-    denom = 0.0
-    for i in range(n):
-        denom += ext["diag"][i] / h[i] ** 2
-        denom += ext["drift"][i] / h[i]
-        for j in range(n):
-            if j != i:
-                denom += ext["off"][i, j] / (h[i] * h[j])
-    denom += float(ext["running"]) / grid.margin_spacing
-    denom += 2.0 * float(problem.jumps.total_mass)
-    if denom == 0.0:
-        return float("inf")
-    return safety / denom
-
-
-def _check_step(dt: float, problem: Problem, grid: Grid, safety: float,
-                bound: float | None = None) -> float:
-    """Raise :class:`CFLViolation` if ``dt`` exceeds the stable bound, which
-    is computed unless given; returns the bound."""
-    if bound is None:
-        bound = max_stable_dt(problem, grid, safety)
-    if dt > bound * (1.0 + 1e-9):
-        raise CFLViolation(f"time step {dt:.6g} exceeds the stable bound {bound:.6g}")
-    return bound
+def stable_grid(problem: Problem, state: Sequence[tuple[float, float, int]],
+                margin: tuple[float, float, int], time_step: float | None = None) -> Grid:
+    """The solve grid over these axes.  ``time_step`` None takes the default
+    step, :func:`max_stable_dt`, or horizon/128 where nothing constrains the
+    step (frozen dynamics)."""
+    horizon = problem.horizon
+    grid = make_grid(state, margin, time_axis(horizon, horizon / 2.0))
+    if time_step is None:
+        time_step = max_stable_dt(problem, grid)
+        if not np.isfinite(time_step):
+            time_step = horizon / 128.0
+    return replace(grid, times=time_axis(horizon, time_step))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +303,9 @@ def _best_time_slope(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions,
-) -> Array:
-    """The per-node admissible time slope, maximized over control candidates.
+) -> tuple[Array, float]:
+    """The per-node admissible time slope, maximized over control
+    candidates, and the stable step of the coefficients at ``t``.
 
     ``prev`` has the grid's state axes and a trailing margin axis.  The
     margin slope is the backward margin difference of ``prev``, except on
@@ -298,11 +317,11 @@ def _best_time_slope(
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
-    mesh = grid.state_mesh()
+    rates = _CourantRates(problem, grid)
+    mesh = rates.mesh
     sshape = grid.state_shape
     b_axis = grid.margin_axis
     B = prev.shape[-1]
-    weights = problem.jumps.weights
     K = problem.jumps.n_atoms
     edges = [grid.margin_zero_index, -1]  # the floor and the ceiling column
 
@@ -322,10 +341,7 @@ def _best_time_slope(
     slope = np.empty_like(prev)
     scratch = np.empty_like(prev)
     for u in problem.controls:
-        drift, diffusion, jump_sizes, running = eval_coefficients_batch(
-            problem, t, mesh, u
-        )
-        f_eff = drift - np.einsum("k,kpi->pi", weights, jump_sizes) if K else drift
+        f_eff, diffusion, jump_sizes, sig2, running = rates.evaluate(t, u)
         f_grid = f_eff.reshape(*sshape, n)
 
         # slope = -dist - advection + running * margin_slope - trace - corner;
@@ -350,11 +366,9 @@ def _best_time_slope(
             np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
             slope += scratch
 
-        diffusive = bool(diffusion.any())
-        if diffusive:
+        if sig2 is not None:
             if curvature is None:
                 curvature = _state_curvature(prev, h, n)
-            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
             slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
 
         if K:
@@ -370,12 +384,12 @@ def _best_time_slope(
                         + beta_mat * margin_slope[..., :, None]
                     ).max(axis=-1)
                     gain[..., edges] = -(shifted[..., edges] - prev[..., edges])
-                jump_sup += weights[k] * gain
+                jump_sup += problem.jumps.weights[k] * gain
             target = np.negative(jump_sup, out=jump_sup)
         else:
             target = -0.0
 
-        if diffusive and options.hedge == "spectral":
+        if sig2 is not None and options.hedge == "spectral":
             if hedge_stencil is None:
                 hedge_stencil = _hedge_stencil(prev, grid)
             psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
@@ -394,7 +408,7 @@ def _best_time_slope(
             slope -= target
         np.maximum(best, slope, out=best)
 
-    return best
+    return best, rates.bound()
 
 
 def step_backward(
@@ -404,14 +418,18 @@ def step_backward(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
-    *,
-    cfl_bound: float | None = None,
 ) -> Array:
     """Advance the slice at time ``t`` backward to ``t - dt`` by one explicit
     step.  The margin-0 and top columns are stepped by their state-only
-    rules; the caller only clips roundoff."""
-    _check_step(dt, problem, grid, options.safety, cfl_bound)
-    new = prev - dt * _best_time_slope(prev, t, problem, grid, options)
+    rules; the caller only clips roundoff.
+
+    Raises :class:`CFLViolation` when ``dt`` exceeds the stable bound of the
+    coefficients at ``t``, the ones the step evaluates."""
+    slope, bound = _best_time_slope(prev, t, problem, grid, options)
+    if dt > bound * (1.0 + 1e-9):
+        raise CFLViolation(
+            f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
+    new = prev - dt * slope
     if not np.all(np.isfinite(new)):
         raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
     return new
@@ -448,12 +466,12 @@ def solve_shortfall(
 ) -> Field:
     """Solve the margin-coupled shortfall field backward from the horizon.
 
-    Each level is one :func:`step_backward` followed by the roundoff clip.
-    The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
-    margin-0 column is the floor and the top margin column the ceiling, each
-    stepped by its state-only rule.  Margin columns below zero — when the
-    grid has them — evolve under the same scheme and serve as the linearity
-    diagnostic.
+    Each level is one :func:`step_backward`, which checks that level's
+    stable bound, followed by the roundoff clip.  The sweep starts from
+    :func:`epigraph.fields.terminal_slice`.  The margin-0 column is the
+    floor and the top margin column the ceiling, each stepped by its
+    state-only rule.  Margin columns below zero — when the grid has them —
+    evolve under the same scheme and serve as the linearity diagnostic.
 
     ``on_level`` is called after each completed level with (level, field);
     returning False aborts the sweep early (the field stays partially
@@ -461,8 +479,6 @@ def solve_shortfall(
     :func:`epigraph.fields.load_snapshot` returns; the solve restarts
     from that slice.
     """
-    bound = _check_step(grid.dt, problem, grid, options.safety)
-
     start, values = resume if resume is not None else (
         grid.n_levels - 1, terminal_slice(problem, grid))
     out = blank_field(grid)
@@ -472,8 +488,7 @@ def solve_shortfall(
     for level in range(start - 1, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
-                            cfl_bound=bound)
+        new = step_backward(out.values[level + 1], t, dt, problem, grid, options)
         out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
         if on_level is not None and not on_level(level, out):

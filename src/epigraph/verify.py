@@ -25,7 +25,7 @@ from .fields import Field
 from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
 from .model import Coefficients, Problem
 from .simulate import _chunked, _estimate, constant_policy
-from .solver import DEFAULT_OPTIONS, SchemeOptions, max_stable_dt, step_backward
+from .solver import DEFAULT_OPTIONS, SchemeOptions, step_backward
 
 Array = np.ndarray
 
@@ -213,7 +213,6 @@ def strict_subsolution_residual(
     interior: list = [slice(None)] + [slice(1, -1)] * grid.dim_state
     interior.append(slice(jz + 1, -1))
 
-    bound = max_stable_dt(problem, grid, options.safety)
     b = grid.margin_axis
     horizon = problem.horizon
     pooled = []
@@ -221,9 +220,7 @@ def strict_subsolution_residual(
         t_next = float(grid.times[k + 1])
         dt = t_next - float(grid.times[k])
         pert_prev = field.values[k + 1] + _log_margin_probe(t_next, horizon, b, nu)
-        stepped = step_backward(
-            pert_prev, t_next, dt, problem, grid, options, cfl_bound=bound
-        )
+        stepped = step_backward(pert_prev, t_next, dt, problem, grid, options)
         pert_target = field.values[k] + _log_margin_probe(
             float(grid.times[k]), horizon, b, nu
         )

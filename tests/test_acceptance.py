@@ -29,11 +29,7 @@ from epigraph.levelset import required_margin_profile
 from epigraph.model import Region, build_problem
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
-from epigraph.solver import (
-    SchemeOptions,
-    max_stable_dt,
-    solve_shortfall,
-)
+from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
 from epigraph.verify import (
     sign_equivalence_suite,
     slab_identity_residual,
@@ -83,12 +79,7 @@ def diffusive_problem():
 def builtin_solved(name):
     problem = builtin_problem(name)
     spec = builtin_grid(name)
-    if spec["time_step"] is None:
-        probe = make_grid(spec["state"], spec["margin"], time_axis(problem.horizon, 0.5))
-        dt = max_stable_dt(problem, probe)
-    else:
-        dt = spec["time_step"]
-    grid = make_grid(spec["state"], spec["margin"], time_axis(problem.horizon, dt))
+    grid = stable_grid(problem, spec["state"], spec["margin"], spec["time_step"])
     return problem, grid, solve_shortfall(problem, grid)
 
 
@@ -202,10 +193,7 @@ def test_criterion_4_steering_oracle_with_refinement():
     problem = builtin_problem("deterministic-steering")
 
     def window_error(n_state, n_margin):
-        probe = make_grid([(-2.1, 2.1, n_state)], (0.0, 0.6, n_margin),
-                          time_axis(1.0, 0.5))
-        grid = make_grid([(-2.1, 2.1, n_state)], (0.0, 0.6, n_margin),
-                         time_axis(1.0, max_stable_dt(problem, probe)))
+        grid = stable_grid(problem, [(-2.1, 2.1, n_state)], (0.0, 0.6, n_margin))
         field = solve_shortfall(problem, grid)
         profile = required_margin_profile(field, 0)
         a = grid.state_axes[0]
@@ -286,9 +274,7 @@ def test_criterion_6_monte_carlo_matches_field_at_fixed_control():
         controls=[0.3],
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
     )
-    probe = make_grid([(-1.5, 1.5, 61)], (0.0, 2.5, 51), time_axis(0.5, 0.5))
-    grid = make_grid([(-1.5, 1.5, 61)], (0.0, 2.5, 51),
-                     time_axis(0.5, max_stable_dt(problem, probe)))
+    grid = stable_grid(problem, [(-1.5, 1.5, 61)], (0.0, 2.5, 51))
     options = SchemeOptions(hedge="frozen", jump_hedge="zero")
     field = solve_shortfall(problem, grid, options)
 

@@ -80,7 +80,6 @@ def test_minimal_document_fills_defaults():
         ' "grid": {"state": [[-1.0, 1.0, 11]], "margin": [0.0, 1.0, 11],'
         '          "time_step": 0.005}}'
     )
-    assert config.scheme.safety == 0.9
     assert config.scheme.hedge == "spectral"
     assert config.epsilon is None
     assert config.outputs == {"directory": "out", "formats": ["csv"],
@@ -109,9 +108,9 @@ def test_unknown_top_level_key_suggests_grid():
         parse_config('{"problem": {"builtin": "zero"}, "gird": {}}')
 
 
-def test_unknown_scheme_key_suggests_safety():
-    text = config_text("zero", "out", scheme={"safetyy": 1})
-    with pytest.raises(UnknownKey, match="safety"):
+def test_unknown_scheme_key_suggests_hedge():
+    text = config_text("zero", "out", scheme={"hedg": "frozen"})
+    with pytest.raises(UnknownKey, match="hedge"):
         parse_config(text)
 
 
@@ -120,6 +119,8 @@ def test_removed_knobs_are_unknown_keys():
         parse_config(config_text("zero", "out", threads=1))
     with pytest.raises(UnknownKey, match="scheme.delta"):
         parse_config(config_text("zero", "out", scheme={"delta": 0.0}))
+    with pytest.raises(UnknownKey, match="scheme.safety"):
+        parse_config(config_text("zero", "out", scheme={"safety": 0.9}))
 
 
 def test_parse_error_reports_position():
@@ -259,7 +260,7 @@ def test_resolve_grid_picks_a_stable_step():
         grid={"state": [[-3.0, 3.0, 101]], "margin": [0.0, 1.0, 101],
               "time_step": None}))
     grid = resolve_grid(config)
-    assert grid.dt <= max_stable_dt(config.problem, grid, 0.9) * (1 + 1e-12)
+    assert grid.dt <= max_stable_dt(config.problem, grid) * (1 + 1e-12)
     # and a pinned step is taken literally
     pinned = zero_config("out")
     assert resolve_grid(pinned).dt == pytest.approx(0.01)

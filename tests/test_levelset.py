@@ -18,7 +18,7 @@ from epigraph.levelset import (
 )
 from epigraph.model import eval_terminal
 from epigraph.problems import builtin_problem
-from epigraph.solver import max_stable_dt, solve_shortfall
+from epigraph.solver import solve_shortfall, stable_grid
 
 
 def terminal_field(problem, grid):
@@ -44,9 +44,7 @@ def square_terminal():
 @pytest.fixture(scope="module")
 def steering_field():
     problem = builtin_problem("deterministic-steering")
-    probe = make_grid([(-2.1, 2.1, 201)], (0.0, 0.6, 201), time_axis(1.0, 0.5))
-    grid = make_grid([(-2.1, 2.1, 201)], (0.0, 0.6, 201),
-                     time_axis(1.0, max_stable_dt(problem, probe)))
+    grid = stable_grid(problem, [(-2.1, 2.1, 201)], (0.0, 0.6, 201))
     return solve_shortfall(problem, grid), grid
 
 

@@ -36,6 +36,7 @@ from epigraph.solver import (
     max_stable_dt,
     second_difference,
     solve_shortfall,
+    stable_grid,
     step_backward,
 )
 
@@ -75,17 +76,7 @@ def minimal_problem(**overrides):
 
 def grid_for(problem, name):
     spec = builtin_grid(name)
-    dt = spec["time_step"]
-    if dt is None:
-        probe = make_grid(
-            [tuple(r) for r in spec["state"]], tuple(spec["margin"]),
-            time_axis(problem.horizon, problem.horizon / 2),
-        )
-        dt = max_stable_dt(problem, probe)
-    return make_grid(
-        [tuple(r) for r in spec["state"]], tuple(spec["margin"]),
-        time_axis(problem.horizon, dt),
-    )
+    return stable_grid(problem, spec["state"], spec["margin"], spec["time_step"])
 
 
 def diffusion_off_at_rest(t, a, u):
@@ -243,6 +234,41 @@ def test_stable_dt_unconstrained_is_infinite():
     assert max_stable_dt(problem, grid) == np.inf
 
 
+@pytest.mark.parametrize("amplitude", [5.0, 0.3])
+def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
+    # The drift pulses near t = 0.25, between the three times the default
+    # step samples, so the default step (1/23, under the sampled 0.045)
+    # overshoots the pulse's levels at Courant number ~5.2 (amplitude 5) or
+    # ~1.2 (amplitude 0.3).  The sweep must stop at the first such level
+    # with CFLViolation, not run on and leave the nonnegative cone.
+    def pulse(t):
+        return 1.0 + amplitude * np.exp(-(((t - 0.25) / 0.05) ** 2))
+
+    problem = build_problem(
+        dim_state=1, dim_noise=1, horizon=1.0, controls=[-1.0, 0.0, 1.0],
+        drift=lambda t, a, u: pulse(t) * (np.zeros_like(np.atleast_2d(a)) + u),
+        terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
+    )
+    grid = stable_grid(problem, [(-2.0, 2.0, 81)], (0.0, 1.0, 41))
+    h = grid.state_spacings[0]
+    assert grid.dt == 1.0 / 23.0
+    assert max_stable_dt(problem, grid) == pytest.approx(0.045, rel=1e-9)
+
+    def bound(t):
+        return 0.9 / (pulse(t) / h)
+
+    first = next(t for t in grid.times[::-1] if grid.dt > bound(t) * (1.0 + 1e-9))
+
+    def no_default_step(*args):
+        raise AssertionError("the sweep recomputed the default step")
+
+    monkeypatch.setattr("epigraph.solver.max_stable_dt", no_default_step)
+    step_backward(terminal_slice(problem, grid), 1.0, grid.dt, problem, grid)
+    message = f"exceeds the stable bound {bound(first):.6g} at t={first:.6g}"
+    with pytest.raises(CFLViolation, match=message):
+        solve_shortfall(problem, grid)
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -278,13 +304,11 @@ def test_step_local_error_is_quadratic_in_dt():
     aa = grid.state_axes[0][:, None]
     bb = grid.margin_axis[None, :]
     prev = 1.5 + 0.2 * bb**2 + 0.3 * np.exp(-aa**2 / 2) * (1 + 0.1 * np.sin(bb))
-    bound = max_stable_dt(problem, grid)
 
     def one_vs_two_halves(dt):
-        one = step_backward(prev, 1.0, dt, problem, grid, cfl_bound=bound)
-        half = step_backward(prev, 1.0, dt / 2, problem, grid, cfl_bound=bound)
-        two = step_backward(half, 1.0 - dt / 2, dt / 2, problem, grid,
-                            cfl_bound=bound)
+        one = step_backward(prev, 1.0, dt, problem, grid)
+        half = step_backward(prev, 1.0, dt / 2, problem, grid)
+        two = step_backward(half, 1.0 - dt / 2, dt / 2, problem, grid)
         return np.abs(one - two).max()
 
     ratio = one_vs_two_halves(0.02) / one_vs_two_halves(0.01)
@@ -312,8 +336,6 @@ def test_scheme_options_are_validated():
         SchemeOptions(hedge="wavelet")
     with pytest.raises(ValueError):
         SchemeOptions(jump_hedge="dense")
-    with pytest.raises(ValueError):
-        SchemeOptions(safety=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +456,7 @@ def _two_dim_boundary_setup():
         region=Region(kind="ball", center=np.array([2.5, -0.5]), radius=0.8),
         controls=controls,
     )
-    probe = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
-                      time_axis(problem.horizon, problem.horizon))
-    grid = make_grid([(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5),
-                     time_axis(problem.horizon, max_stable_dt(problem, probe)))
-    return problem, grid
+    return problem, stable_grid(problem, [(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5))
 
 
 def _one_dim_boundary_setup():
@@ -625,9 +643,7 @@ def test_lipschitz_quotients_are_stable_under_refinement():
     problem = builtin_problem("deterministic-steering")
 
     def quotients(na, nb):
-        probe = make_grid([(-2.1, 2.1, na)], (0.0, 0.6, nb), time_axis(1.0, 0.5))
-        grid = make_grid([(-2.1, 2.1, na)], (0.0, 0.6, nb),
-                         time_axis(1.0, max_stable_dt(problem, probe)))
+        grid = stable_grid(problem, [(-2.1, 2.1, na)], (0.0, 0.6, nb))
         field = solve_shortfall(problem, grid)
         core = field.values[0][:, :-1]   # drop the top column, the ceiling
         qa = np.abs(np.diff(core, axis=0)).max() / grid.state_spacings[0]
@@ -645,10 +661,8 @@ def test_lipschitz_quotients_are_stable_under_refinement():
 
 def test_interior_rows_insensitive_to_margin_ceiling_doubling():
     problem = builtin_problem("deterministic-steering")
-    probe = make_grid([(-2.1, 2.1, 141)], (0.0, 0.6, 241), time_axis(1.0, 0.5))
-    dt = max_stable_dt(problem, probe)
-    narrow = make_grid([(-2.1, 2.1, 141)], (0.0, 0.6, 241), time_axis(1.0, dt))
-    wide = make_grid([(-2.1, 2.1, 141)], (0.0, 1.2, 481), time_axis(1.0, dt))
+    narrow = stable_grid(problem, [(-2.1, 2.1, 141)], (0.0, 0.6, 241))
+    wide = make_grid([(-2.1, 2.1, 141)], (0.0, 1.2, 481), narrow.times)
     f_narrow = solve_shortfall(problem, narrow)
     f_wide = solve_shortfall(problem, wide)
     assert np.array_equal(f_narrow.values[:, :, :240], f_wide.values[:, :, :240])
@@ -663,8 +677,7 @@ NEIGHBOR_OFFSETS = [(-1, 0), (1, 0), (0, -1), (0, 1),
 
 
 def _worst_monotonicity_drop(problem, grid, prev, t, dt, options, rng, trials=30):
-    bound = max_stable_dt(problem, grid, options.safety)
-    base = step_backward(prev, t, dt, problem, grid, options, cfl_bound=bound)
+    base = step_backward(prev, t, dt, problem, grid, options)
     worst = 0.0
     for _ in range(trials):
         i = int(rng.integers(2, prev.shape[0] - 2))
@@ -672,8 +685,7 @@ def _worst_monotonicity_drop(problem, grid, prev, t, dt, options, rng, trials=30
         for di, dj in NEIGHBOR_OFFSETS:
             bumped = prev.copy()
             bumped[i + di, j + dj] += 1e-3
-            new = step_backward(bumped, t, dt, problem, grid, options,
-                                cfl_bound=bound)
+            new = step_backward(bumped, t, dt, problem, grid, options)
             worst = max(worst, float(base[i, j] - new[i, j]))
     return worst
 
@@ -840,7 +852,9 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
     # calls, the other columns its full-slice call.
     count = 0
     for label, prev, problem, grid, options in _slope_step_cases():
-        got = _best_time_slope(prev, 0.5, problem, grid, options)
+        got, bound = _best_time_slope(prev, 0.5, problem, grid, options)
+        # the coefficients are autonomous: the level's bound is the default step
+        assert bound == max_stable_dt(problem, grid), label
         want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
         edges = _edges(grid)
         inner = np.ones(prev.shape[-1], dtype=bool)
@@ -874,7 +888,7 @@ def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
     hb = grid.margin_spacing
     axes = grid.state_axes
     b_axis = grid.margin_axis
-    slope = _best_time_slope(prev, t, problem, grid, options)
+    slope, _ = _best_time_slope(prev, t, problem, grid, options)
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
     hess = [[second_difference(prev, i, h[i]) if i == j

@@ -9,7 +9,7 @@ import pytest
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem, parse_problem
-from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
+from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
 from epigraph.verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -43,9 +43,7 @@ def frozen_setup():
 
 def steering_solve(na, nb):
     problem = builtin_problem("deterministic-steering")
-    probe = make_grid([(-2.1, 2.1, na)], (0.0, 0.6, nb), time_axis(1.0, 0.5))
-    grid = make_grid([(-2.1, 2.1, na)], (0.0, 0.6, nb),
-                     time_axis(1.0, max_stable_dt(problem, probe)))
+    grid = stable_grid(problem, [(-2.1, 2.1, na)], (0.0, 0.6, nb))
     return problem, grid, solve_shortfall(problem, grid)
 
 
@@ -176,9 +174,7 @@ def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
     # frozen-penalty, and a slab grid with running cost, diffusion and a jump
     fields = [frozen_setup[2]]
     problem = parse_problem(_SLAB_PROBLEM)[0]
-    probe = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41), time_axis(0.5, 0.25))
-    grid = make_grid([(-2.0, 2.0, 41)], (-0.5, 1.5, 41),
-                     time_axis(0.5, max_stable_dt(problem, probe)))
+    grid = stable_grid(problem, [(-2.0, 2.0, 41)], (-0.5, 1.5, 41))
     options = SchemeOptions(hedge="frozen", jump_hedge="zero")
     fields.append(solve_shortfall(problem, grid, options))
     for field in fields:
