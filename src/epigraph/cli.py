@@ -23,7 +23,8 @@ step checks its own level's stable bound.  ``outputs.formats`` must list
 script and needs a problem with one state axis.  ``scheme.epsilon`` ``null``
 defers to the level-set default threshold.  A missing ``scheme``/``outputs``
 section gets defaults, with built-in problems contributing their own scheme
-overrides.
+overrides.  ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
+``slice_<L>`` snapshots; they are also its resume state.
 
 Subcommands: ``solve`` (full pipeline + manifest), ``extract`` (profile CSV
 only), ``simulate`` (Monte Carlo spot checks), ``verify`` (diagnostic
@@ -72,6 +73,7 @@ from .fields import (
     save_snapshot,
     terminal_slice,
     write_csv,
+    write_json,
 )
 from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
 from .model import Problem
@@ -375,57 +377,63 @@ def _sha256(path: pathlib.Path) -> str:
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and write every artifact plus a manifest.
 
-    Writes the terminal slice, sweeps the shortfall field from it (or from
-    the checkpoint) with periodic checkpoints (and one on SIGINT/SIGTERM),
+    Writes the terminal slice, sweeps the shortfall field from it,
     snapshots the levels ``every, 2·every, …`` as the sweep passes them,
     extracts the required-margin profile, and writes the CSV/plot exports.
-    Snapshots and checkpoints are ``.json`` plus ``.npy`` pairs; level 0
-    goes out only as ``w_t0.csv``.  The swept shortfall field is the only
-    (level, state, margin) array it allocates.  The manifest maps every
-    artifact to its SHA-256 content hash and embeds the normalized config;
-    nothing in it depends on wall-clock time, so rerunning the same document
-    reproduces it bit for bit.  An interrupted sweep raises
-    :class:`Interrupted` after checkpointing; ``resume=True`` picks such a
-    run back up from the stored level.
+    Snapshots are ``.json`` plus ``.npy`` pairs stamped with the digest of
+    the sweep's inputs; level 0 goes out only as ``w_t0.csv``.  The swept
+    shortfall field is the only (level, state, margin) array it allocates.
+    The manifest maps every artifact to its SHA-256 content hash and embeds
+    the normalized config; nothing in it depends on wall-clock time, so
+    rerunning the same document reproduces it bit for bit.
+
+    SIGINT/SIGTERM stop the sweep at the next level and raise
+    :class:`Interrupted`.  The snapshots are the resume state: with
+    ``resume=True`` the sweep restarts from the lowest snapshot level below
+    the last whose slice is on disk, so an interrupted run redoes at most
+    ``every − 1`` levels; a slice written for other inputs raises
+    :class:`IncompatibleGrids`, and with no slice the run is a fresh sweep.
     """
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
     out.mkdir(parents=True, exist_ok=True)
     problem, options = config.problem, config.scheme
     grid = resolve_grid(config)
+    # what the sweep reads, which a resumed slice must have been written for
+    inputs = hashlib.sha256(json.dumps(
+        {"problem": config.problem_spec, "grid": config.grid_spec,
+         "hedge": options.hedge, "beta_candidates": options.jump_hedge},
+        sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
-    ckpt_prefix = str(out / "checkpoint")
-    loaded = load_snapshot(ckpt_prefix, grid) if resume else None
     every = int(config.outputs["checkpoint_every"])
     last = grid.n_levels - 1
     levels = sorted(set(range(every, grid.n_levels, every)) | {last})
-    slice_set = set(levels)
+
+    def prefix(level: int) -> str:
+        return str(out / f"slice_{level:05d}")
 
     # The terminal slice never reaches the level callback, and a resumed
     # sweep cannot revisit it, so it is written up front from the terminal
     # data alone (identical bytes on fresh and resumed runs).
     terminal = terminal_slice(problem, grid)
-    save_snapshot(grid, last, terminal, str(out / f"slice_{last:05d}"))
+    save_snapshot(grid, last, terminal, prefix(last), inputs)
+    # the sweep writes slices top down: the lowest on disk is as far as an
+    # earlier run got
+    stored = (load_snapshot(prefix(level), grid, inputs) for level in levels[:-1] if resume)
+    start = next((pair for pair in stored if pair is not None), (last, terminal))
 
-    def checkpointer(level: int, partial: Field) -> bool:
-        # Decimated slices are persisted as the sweep passes them — before
-        # the interrupt check — so a resumed run never has to revisit levels
-        # the partial field no longer covers.
-        values = partial.slice_at(level)
-        if level in slice_set:
-            save_snapshot(grid, level, values, str(out / f"slice_{level:05d}"))
-        stop = _interrupt_requested()
-        if stop or (last - level) % every == 0:
-            save_snapshot(grid, level, values, ckpt_prefix,
-                          tag="interrupt" if stop else "checkpoint")
-        return not stop
+    def on_level(level: int, partial: Field) -> bool:
+        # each slice is persisted as the sweep passes it, before the
+        # interrupt check, so a stopped sweep keeps its lowest slice
+        if level in levels:
+            save_snapshot(grid, level, partial.slice_at(level), prefix(level), inputs)
+        return not _interrupt_requested()
 
     with _signal_watch():
-        field = solve_shortfall(problem, grid, options, on_level=checkpointer,
-                                resume=loaded if loaded is not None else (last, terminal))
+        field = solve_shortfall(problem, grid, options, on_level=on_level, resume=start)
     if not field.solved:
         raise Interrupted(
-            f"stopped at time level {field.solved_from}; checkpoint written at "
-            f"{ckpt_prefix}.json — rerun with --resume to continue"
+            f"stopped at time level {field.solved_from}; rerun with --resume to "
+            f"continue from the lowest slice_<L> under {out}"
         )
 
     written: dict[str, str] = {}
@@ -441,8 +449,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
             written[q.name] = _sha256(q)
 
     for level in levels:
-        prefix = str(out / f"slice_{level:05d}")
-        record(prefix + ".json", prefix + ".npy")
+        record(prefix(level) + ".json", prefix(level) + ".npy")
 
     # The default threshold reads the terminal slice, which a resumed field
     # no longer covers.
@@ -457,12 +464,6 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         record(write_plot_script(str(out / "plot.gp"), "w_t0.csv", "profile.csv",
                                  [float(margin[j]) for j in picks]))
 
-    # a finished run needs no resume state, nor the older format's CSV
-    for suffix in (".json", ".npy", ".csv"):
-        leftover = pathlib.Path(ckpt_prefix + suffix)
-        if leftover.exists():
-            leftover.unlink()
-
     manifest = {
         "artifacts": written,
         "config": _config_document(config),
@@ -470,9 +471,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         "grid": {"dt": float(grid.dt), "n_levels": int(grid.n_levels)},
         "snapshot_levels": [int(level) for level in levels],
     }
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -594,9 +593,7 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
         "cost": {"mean": cost.mean, "half_width": cost.half_width},
         "shortfall": {"mean": shortfall.mean, "half_width": shortfall.half_width},
     }
-    with open(out / "simulate.json", "w") as handle:
-        json.dump(results, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "simulate.json", results)
     return results
 
 
@@ -710,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("solve", help="run the full pipeline and write artifacts")
     common(sub)
     sub.add_argument("--resume", action="store_true",
-                     help="continue from the latest checkpoint")
+                     help="continue from the lowest slice_<L> written for the same inputs")
     sub.set_defaults(func=_cmd_solve)
 
     sub = commands.add_parser("extract", help="solve and write one required-margin profile")

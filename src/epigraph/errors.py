@@ -100,7 +100,7 @@ class SchemaViolation(EpigraphError):
 # --- orchestration ----------------------------------------------------------
 
 class Interrupted(EpigraphError):
-    """A solve was stopped by a signal after checkpointing partial results."""
+    """A solve was stopped by a signal; the slices it wrote are its resume state."""
 
 
 # --- configuration checks ---------------------------------------------------

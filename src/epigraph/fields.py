@@ -5,9 +5,10 @@ that must contain 0 (and may extend below it — the negative slab exists only
 as a consistency diagnostic), and a uniform time axis ending exactly at the
 horizon.  A :class:`Field` is the shortfall's value tensor over (time level,
 state..., margin), filled backward from the terminal level.  A snapshot is
-one time slice as metadata JSON plus an exact ``.npy`` array; a checkpoint
-is a snapshot with a tag, and the one reader serves both.  The long-form
-CSV exports go through :func:`write_csv`.
+one time slice as metadata JSON plus an exact ``.npy`` array, stamped with
+the digest of the inputs that produced it so a resumed sweep restarts only
+from its own problem's slices.  The long-form CSV exports go through
+:func:`write_csv`, every JSON file through :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Field:
 
     ``solved_from``..``solved_to`` is the contiguous range of time levels
     holding valid data; anything outside it is uninitialized garbage and
-    guarded by :class:`UnsolvedField`.  (A sweep resumed from a checkpointed
+    guarded by :class:`UnsolvedField`.  (A sweep resumed from a stored
     slice has no levels above that slice, hence the upper bound.)
     """
 
@@ -233,7 +234,7 @@ def terminal_slice(problem: Problem, grid: Grid) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# snapshots (checkpoints are snapshots with a tag) and CSV exports
+# snapshots and the JSON and CSV writers
 # ---------------------------------------------------------------------------
 
 def _axes_meta(grid: Grid) -> dict[str, Any]:
@@ -289,52 +290,55 @@ def write_csv(path: str, table: Array, axes: Sequence[Array], header: Sequence[s
             handle.write(template % tuple(values.tolist()))
 
 
+def write_json(path: str | pathlib.Path, payload: Any) -> None:
+    """Write ``payload`` as JSON with sorted keys, one-space indent and a
+    trailing newline, the one layout of every JSON file a run writes."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def save_snapshot(grid: Grid, level: int, values: Array, prefix: str,
-                  tag: str = "") -> tuple[str, str]:
+                  inputs: str) -> tuple[str, str]:
     """Write the shortfall slice ``values`` at time level ``level`` as
     metadata JSON plus the exact values in NumPy's binary ``.npy`` form.
 
     Returns the two paths.  The metadata holds the level, its time, the
-    grid's axes and ``tag``, which only checkpoints set.
+    grid's axes and ``inputs``, the caller's digest of what the sweep read,
+    which :func:`load_snapshot` compares.
     """
     json_path = f"{prefix}.json"
     npy_path = f"{prefix}.npy"
-    meta = {
+    write_json(json_path, {
         "level": int(level),
         "time": float(grid.times[level]),
         **_axes_meta(grid),
-        "tag": tag,
-    }
-    with open(json_path, "w") as handle:
-        json.dump(meta, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        "inputs": inputs,
+    })
     np.save(npy_path, values)
     return json_path, npy_path
 
 
-def load_snapshot(prefix: str, grid: Grid) -> tuple[int, Array] | None:
-    """Read a slice written by :func:`save_snapshot` for ``grid``.
+def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | None:
+    """Read a slice written by :func:`save_snapshot` for ``grid`` and ``inputs``.
 
     Returns (level, shortfall slice), or None when there is no such slice.
     Raises :class:`IncompatibleGrids` when it was written for another grid or
-    holds values of another shape or dtype, and :class:`EpigraphError` for a
-    slice in the older CSV format or an unreadable binary file.
+    other inputs, or holds values of another shape or dtype, and
+    :class:`EpigraphError` for an unreadable file.
     """
     json_path = pathlib.Path(f"{prefix}.json")
     npy_path = pathlib.Path(f"{prefix}.npy")
-    old_path = pathlib.Path(f"{prefix}.csv")
-    if old_path.exists() and not npy_path.exists():
-        raise EpigraphError(
-            f"{old_path} is a slice in the older CSV format, which cannot be "
-            f"resumed; start the run afresh"
-        )
     if not (json_path.exists() and npy_path.exists()):
         return None
-    with open(json_path) as handle:
-        meta = json.load(handle)
-    if any(meta.get(k) != v for k, v in _axes_meta(grid).items()):
+    try:
+        meta = json.loads(json_path.read_text())
+    except ValueError as exc:
+        raise EpigraphError(f"{json_path} is not a readable slice: {exc}") from exc
+    if any(meta.get(k) != v for k, v in {**_axes_meta(grid), "inputs": inputs}.items()):
         raise IncompatibleGrids(
-            f"{json_path} was written on a different grid than the config describes"
+            f"{json_path} was written on another grid, for another problem or "
+            f"scheme, or by an older version; start the run afresh"
         )
     try:
         values = np.load(npy_path, allow_pickle=False)

@@ -52,7 +52,7 @@ def _resolve_query(field: Field, query: LevelSetQuery | None) -> LevelSetQuery:
         return query
     last = field.grid.n_levels - 1
     if field.solved_to != last:
-        # a field resumed from a checkpoint holds no terminal slice
+        # a field resumed from a stored slice holds no terminal slice
         raise UnsolvedField(
             f"the default threshold needs the terminal slice (level {last}), but the "
             f"field holds levels {field.solved_from}..{field.solved_to}; pass "

@@ -13,7 +13,6 @@ verification run; the acceptance tests pin their values.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Sequence
@@ -21,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import IncompatibleGrids
-from .fields import Field
+from .fields import Field, write_json
 from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
 from .model import Coefficients, Problem
 from .simulate import _chunked, _estimate, constant_policy
@@ -89,9 +88,7 @@ def write_reports(path: str, reports: Sequence[DiagnosticReport]) -> None:
         "all_pass": all(r.passed for r in reports),
         "reports": [r.as_dict() for r in reports],
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------

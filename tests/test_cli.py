@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epigraph import cli, fields
+from epigraph import cli, fields, solver
 from epigraph.cli import (
     builtin_config,
     export_profile_csv,
@@ -286,8 +286,6 @@ def test_run_writes_manifest_and_snapshots(zero_run):
     assert {p.name for p in out.iterdir()} == set(manifest["artifacts"]) | {"manifest.json"}
     for name, digest in manifest["artifacts"].items():
         assert len(digest) == 64
-    assert not (out / "checkpoint.json").exists()
-    assert not (out / "checkpoint.npy").exists()
     stored = json.loads((out / "manifest.json").read_text())
     assert stored == manifest
 
@@ -335,7 +333,8 @@ def test_run_holds_one_full_history_field(tmp_path):
 
 
 def _interrupted_zero_run(tmp_path, monkeypatch):
-    """A zero run stopped by a simulated interrupt between levels 50 and 75."""
+    """A zero run stopped by a simulated interrupt at level 59, between the
+    snapshot levels 50 and 75."""
     path = write_config(tmp_path)
     out = tmp_path / "run"
     calls = {"n": 0}
@@ -345,24 +344,80 @@ def _interrupted_zero_run(tmp_path, monkeypatch):
         return calls["n"] > 40
 
     monkeypatch.setattr(cli, "_interrupt_requested", trip_after_forty)
-    with pytest.raises(Interrupted, match="--resume"):
+    with pytest.raises(Interrupted, match="--resume to continue from the lowest slice_<L>"):
         run(parse_config(path.read_text()))
     monkeypatch.undo()
-    assert 50 < json.loads((out / "checkpoint.json").read_text())["level"] < 75
+    # the slices are the only resume state
+    assert sorted(p.name for p in out.iterdir()) == [
+        "slice_00075.json", "slice_00075.npy", "slice_00100.json", "slice_00100.npy"]
     return path, out
+
+
+def _completed_zero_run(zero_run, tmp_path) -> pathlib.Path:
+    """A config file whose output directory holds a copy of ``zero_run``."""
+    shutil.copytree(zero_run[1], tmp_path / "run")
+    return write_config(tmp_path)
+
+
+def _count_steps(monkeypatch) -> dict[str, int]:
+    calls = {"n": 0}
+    step = solver.step_backward
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_backward", counted)
+    return calls
 
 
 def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
                                                         monkeypatch):
     _, _, reference = zero_run
     path, out = _interrupted_zero_run(tmp_path, monkeypatch)
-    assert json.loads((out / "checkpoint.json").read_text())["tag"] == "interrupt"
-    assert (out / "checkpoint.npy").exists()
-
+    steps = _count_steps(monkeypatch)
     resumed = run(parse_config(path.read_text()), resume=True)
+    assert steps["n"] == 75  # from slice_00075, redoing levels 74..59
     assert resumed["artifacts"] == reference["artifacts"]
-    assert not (out / "checkpoint.json").exists()
-    assert not (out / "checkpoint.npy").exists()
+    assert {p.name for p in out.iterdir()} == set(reference["artifacts"]) | {"manifest.json"}
+
+
+def test_resume_under_another_cadence_ends_with_the_fresh_artifacts(tmp_path, monkeypatch):
+    # none of the levels 10, 20, ..., 90 was written at cadence 25, so the
+    # resumed run is a fresh sweep
+    path, out = _interrupted_zero_run(tmp_path, monkeypatch)
+    write_config(tmp_path, outputs={"directory": str(out), "checkpoint_every": 10})
+    resumed = run(parse_config(path.read_text()), resume=True)
+    fresh_out = tmp_path / "fresh"
+    fresh = run(parse_config(config_text(
+        "zero", str(fresh_out), outputs={"directory": str(fresh_out), "checkpoint_every": 10})))
+    assert resumed["snapshot_levels"] == list(range(10, 101, 10))
+    assert resumed["artifacts"] == fresh["artifacts"]
+
+
+def test_resuming_a_completed_run_redoes_one_cadence(zero_run, tmp_path, monkeypatch):
+    config, source, reference = zero_run
+    out = tmp_path / "done"
+    shutil.copytree(source, out)
+    steps = _count_steps(monkeypatch)
+    assert run(config, str(out), resume=True) == reference
+    assert steps["n"] == config.outputs["checkpoint_every"]
+    assert (out / "manifest.json").read_bytes() == (source / "manifest.json").read_bytes()
+
+
+def test_run_saves_each_snapshot_once(tmp_path, monkeypatch):
+    out = tmp_path / "once"
+    prefixes = []
+    save = cli.save_snapshot
+
+    def recorded(grid, level, values, prefix, inputs):
+        prefixes.append(prefix)
+        return save(grid, level, values, prefix, inputs)
+
+    monkeypatch.setattr(cli, "save_snapshot", recorded)
+    manifest = run(zero_config(out))
+    assert sorted(prefixes) == [str(out / f"slice_{level:05d}")
+                                for level in manifest["snapshot_levels"]]
 
 
 def test_resume_without_checkpoint_is_a_fresh_run(zero_run, tmp_path):
@@ -371,7 +426,26 @@ def test_resume_without_checkpoint_is_a_fresh_run(zero_run, tmp_path):
     assert run(config, resume=True)["artifacts"] == reference["artifacts"]
 
 
-def test_resume_rejects_a_checkpoint_from_another_grid(tmp_path):
+@pytest.mark.parametrize("change", ["problem", "scheme"])
+def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_path,
+                                                                  capsys, change):
+    # the zero problem's slices, resumed on its grid under a square terminal
+    # cost or the frozen hedge: the grid's axes alone would accept them
+    path = _completed_zero_run(zero_run, tmp_path)
+    document = json.loads(path.read_text())
+    if change == "problem":
+        document["problem"] = {"horizon": 1.0, "drift": "control", "diffusion": 0.2,
+                               "terminal_cost": "square", "controls": [-1.0, 0.0, 1.0]}
+    else:
+        document["scheme"] = {"hedge": "frozen"}
+    path.write_text(json.dumps(document))
+    with pytest.raises(IncompatibleGrids, match="slice_00025.json .*another problem or scheme"):
+        run(parse_config(path.read_text()), resume=True)
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    assert "slice_00025.json" in capsys.readouterr().err
+
+
+def test_resume_rejects_a_slice_from_another_grid(tmp_path):
     out = tmp_path / "mismatch"
     config = zero_config(out)
     other = parse_config(config_text(
@@ -380,41 +454,48 @@ def test_resume_rejects_a_checkpoint_from_another_grid(tmp_path):
               "time_step": 0.02}))
     small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
     out.mkdir()
-    save_snapshot(small.grid, 3, small.slice_at(3), str(out / "checkpoint"), tag="interrupt")
-    with pytest.raises(IncompatibleGrids):
+    save_snapshot(small.grid, 3, small.slice_at(3), str(out / "slice_00025"), "")
+    with pytest.raises(IncompatibleGrids, match="slice_00025.json .*another grid"):
         run(config, resume=True)
 
 
-def test_resume_rejects_a_checkpoint_of_the_wrong_shape(tmp_path):
+def test_resume_rejects_a_slice_of_the_wrong_shape(zero_run, tmp_path):
+    config, source, _ = zero_run
     out = tmp_path / "reshaped"
-    config = zero_config(out)
-    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
-                            on_level=lambda level, f: level > 90)
-    out.mkdir()
-    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
+    shutil.copytree(source, out)
+    level25 = np.load(out / "slice_00025.npy")
     # a slice short of one state node, and one margin column (as the older
     # floor and ceiling files held)
-    for wrong in (field.values[90][:-1], field.values[90][..., 0]):
-        np.save(out / "checkpoint.npy", wrong)
-        with pytest.raises(IncompatibleGrids, match="checkpoint.npy"):
-            run(config, resume=True)
+    for wrong in (level25[:-1], level25[..., 0]):
+        np.save(out / "slice_00025.npy", wrong)
+        with pytest.raises(IncompatibleGrids, match="slice_00025.npy"):
+            run(config, str(out), resume=True)
 
 
-def test_resume_rejects_an_old_csv_checkpoint(tmp_path, capsys):
-    # the older writer stored the resume slice as checkpoint.{json,csv}
-    path = write_config(tmp_path)
-    out = tmp_path / "run"
-    config = zero_config(out)
-    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme,
-                            on_level=lambda level, f: level > 90)
-    out.mkdir()
-    save_snapshot(field.grid, 90, field.slice_at(90), str(out / "checkpoint"), tag="interrupt")
-    (out / "checkpoint.npy").unlink()
-    np.savetxt(out / "checkpoint.csv", field.slice_at(90), fmt="%.17g", delimiter=",")
-    with pytest.raises(EpigraphError, match="checkpoint.csv"):
-        run(config, resume=True)
+def test_resume_names_an_unreadable_slice(zero_run, tmp_path, capsys):
+    path = _completed_zero_run(zero_run, tmp_path)
+    meta = tmp_path / "run" / "slice_00025.json"
+    meta.write_text(meta.read_text()[:40])
+    with pytest.raises(EpigraphError, match="slice_00025.json is not a readable slice"):
+        run(parse_config(path.read_text()), resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
-    assert "checkpoint.csv" in capsys.readouterr().err
+    assert "slice_00025.json" in capsys.readouterr().err
+
+
+def test_an_older_run_directory_resumes_as_a_fresh_run(zero_run, tmp_path, monkeypatch):
+    # the older writer stored the slices as slice_*.{json,csv} and the resume
+    # slice as checkpoint.{json,csv}; resume reads neither
+    config, source, reference = zero_run
+    out = tmp_path / "older"
+    shutil.copytree(source, out)
+    for npy in out.glob("slice_*.npy"):
+        np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
+        npy.unlink()
+    shutil.copy(out / "slice_00025.json", out / "checkpoint.json")
+    shutil.copy(out / "slice_00025.csv", out / "checkpoint.csv")
+    steps = _count_steps(monkeypatch)
+    assert run(config, str(out), resume=True)["artifacts"] == reference["artifacts"]
+    assert steps["n"] == 100
 
 
 def test_checkpoints_are_written_on_cadence(tmp_path):
@@ -432,19 +513,19 @@ def test_checkpoints_are_written_on_cadence(tmp_path):
 
 
 @pytest.mark.parametrize("older", [True, False])
-def test_resume_names_a_missing_upper_slice(tmp_path, monkeypatch, capsys, older):
-    # The resumed sweep never revisits level 75, so its .npy cannot appear:
-    # in an older run directory the slices are slice_*.{json,csv}, or the
-    # file was deleted.
-    path, out = _interrupted_zero_run(tmp_path, monkeypatch)
-    for npy in out.glob("slice_*.npy") if older else [out / "slice_00075.npy"]:
-        if older:
-            np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
-        npy.unlink()
-    with pytest.raises(EpigraphError, match="slice_00075.npy is missing"):
+def test_resume_names_a_missing_upper_slice(zero_run, tmp_path, capsys, older):
+    # A completed run resumes from slice_00025 and never revisits level 50,
+    # so its .npy cannot appear: in an older run directory that slice is
+    # slice_00050.{json,csv}, or the file was deleted.
+    path = _completed_zero_run(zero_run, tmp_path)
+    npy = tmp_path / "run" / "slice_00050.npy"
+    if older:
+        np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
+    npy.unlink()
+    with pytest.raises(EpigraphError, match="slice_00050.npy is missing"):
         run(parse_config(path.read_text()), resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
-    assert "slice_00075.npy is missing" in capsys.readouterr().err
+    assert "slice_00050.npy is missing" in capsys.readouterr().err
 
 
 def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
@@ -458,7 +539,9 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
         run(config)  # slice_<last> is written before the first level
     swept = solve_shortfall(config.problem, grid, config.scheme,
                             on_level=lambda level, f: False).values[-1]
-    level, written = load_snapshot(str(tmp_path / "steer" / f"slice_{last:05d}"), grid)
+    prefix = tmp_path / "steer" / f"slice_{last:05d}"
+    inputs = json.loads(prefix.with_suffix(".json").read_text())["inputs"]
+    level, written = load_snapshot(str(prefix), grid, inputs)
     assert level == last
     assert written.tobytes() == swept.tobytes()
     # the unclipped terminal shortfall of the top column would be positive

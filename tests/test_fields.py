@@ -203,14 +203,14 @@ def test_snapshot_roundtrip_is_lossless(tmp_path):
         data = np.random.default_rng(len(state)).uniform(0.0, 5.0, size=shape)
         data.flat[: len(_SPECIAL)] = _SPECIAL
         prefix = str(tmp_path / f"level4_{len(state)}d")
-        paths = save_snapshot(grid, grid.n_levels - 1, data, prefix)
+        paths = save_snapshot(grid, grid.n_levels - 1, data, prefix, "digest")
         assert paths == (prefix + ".json", prefix + ".npy")
         meta = json.loads(pathlib.Path(prefix + ".json").read_text())
         assert meta["level"] == grid.n_levels - 1
         assert meta["time"] == grid.times[-1]
-        assert meta["tag"] == ""
-        assert "kind" not in meta
-        level, values = load_snapshot(prefix, grid)
+        assert meta["inputs"] == "digest"
+        assert "kind" not in meta and "tag" not in meta
+        level, values = load_snapshot(prefix, grid, "digest")
         assert level == grid.n_levels - 1
         assert values.dtype == np.float64 and values.shape == shape
         assert values.tobytes() == data.tobytes()  # the same bits, nan included

@@ -1027,9 +1027,9 @@ def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
     partial = solve_shortfall(problem, grid,
                               on_level=lambda level, f: level > 10)
     prefix = str(tmp_path / "level10")
-    save_snapshot(grid, 10, partial.slice_at(10), prefix)
+    save_snapshot(grid, 10, partial.slice_at(10), prefix, "digest")
 
-    resumed = solve_shortfall(problem, grid, resume=load_snapshot(prefix, grid))
+    resumed = solve_shortfall(problem, grid, resume=load_snapshot(prefix, grid, "digest"))
     assert resumed.solved_from == 0
     assert resumed.solved_to == 10
     assert np.array_equal(resumed.values[:11], full.values[:11])
