@@ -29,14 +29,13 @@ overrides.  ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
 Subcommands: ``solve`` (full pipeline + manifest), ``extract`` (profile CSV
 only), ``simulate`` (Monte Carlo spot checks), ``verify`` (diagnostic
 battery, exit 3 on failure), ``report`` (summarize a run directory).  Exit
-codes: 0 success, 1 usage or configuration error, 2 numerical failure,
-3 verification failure.
+codes: 0 success, 1 usage or configuration error, 2 numerical failure or a
+``solve`` stopped by SIGINT or SIGTERM, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -44,9 +43,8 @@ import json
 import pathlib
 import signal
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from .errors import (
     DegenerateGrid,
     EmptyControlGrid,
     EpigraphError,
-    Interrupted,
     MissingField,
     NegativeWeight,
     NonpositiveHorizon,
@@ -341,35 +338,6 @@ def write_plot_script(path: str, slice_csv: str, profile_csv: str,
 # run orchestration
 # ---------------------------------------------------------------------------
 
-_INTERRUPT = {"pending": False}
-
-
-def _flag_interrupt(signum: int, frame: Any) -> None:  # pragma: no cover
-    _INTERRUPT["pending"] = True
-
-
-def _interrupt_requested() -> bool:
-    return _INTERRUPT["pending"]
-
-
-@contextlib.contextmanager
-def _signal_watch() -> Iterator[None]:
-    """Route SIGINT/SIGTERM into a flag the level callback polls."""
-    _INTERRUPT["pending"] = False
-    if threading.current_thread() is not threading.main_thread():
-        yield  # signal handlers are a main-thread privilege
-        return
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        previous[sig] = signal.signal(sig, _flag_interrupt)
-    try:
-        yield
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        _INTERRUPT["pending"] = False
-
-
 def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -387,12 +355,12 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     the normalized config; nothing in it depends on wall-clock time, so
     rerunning the same document reproduces it bit for bit.
 
-    SIGINT/SIGTERM stop the sweep at the next level and raise
-    :class:`Interrupted`.  The snapshots are the resume state: with
-    ``resume=True`` the sweep restarts from the lowest snapshot level below
-    the last whose slice is on disk, so an interrupted run redoes at most
-    ``every − 1`` levels; a slice written for other inputs raises
-    :class:`IncompatibleGrids`, and with no slice the run is a fresh sweep.
+    A ``KeyboardInterrupt`` stops the sweep where it lands, and each slice
+    on disk stays whole.  The snapshots are the resume state: with
+    ``resume=True`` the sweep restarts from the lowest slice of the unbroken
+    chain below the last, so an interrupted run redoes at most ``every − 1``
+    levels; a slice in that chain written for other inputs raises
+    :class:`IncompatibleGrids`, and with no such slice the run is a fresh sweep.
     """
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
     out.mkdir(parents=True, exist_ok=True)
@@ -416,25 +384,21 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     # data alone (identical bytes on fresh and resumed runs).
     terminal = terminal_slice(problem, grid)
     save_snapshot(grid, last, terminal, prefix(last), inputs)
-    # the sweep writes slices top down: the lowest on disk is as far as an
-    # earlier run got
-    stored = (load_snapshot(prefix(level), grid, inputs) for level in levels[:-1] if resume)
-    start = next((pair for pair in stored if pair is not None), (last, terminal))
+    # the sweep writes slices top down and rewrites only those below its
+    # restart, so it restarts under an unbroken chain of slices
+    start = (last, terminal)
+    if resume:
+        for level in reversed(levels[:-1]):
+            stored = load_snapshot(prefix(level), grid, inputs)
+            if stored is None:
+                break
+            start = stored
 
-    def on_level(level: int, partial: Field) -> bool:
-        # each slice is persisted as the sweep passes it, before the
-        # interrupt check, so a stopped sweep keeps its lowest slice
+    def on_level(level: int, partial: Field) -> None:
         if level in levels:
             save_snapshot(grid, level, partial.slice_at(level), prefix(level), inputs)
-        return not _interrupt_requested()
 
-    with _signal_watch():
-        field = solve_shortfall(problem, grid, options, on_level=on_level, resume=start)
-    if not field.solved:
-        raise Interrupted(
-            f"stopped at time level {field.solved_from}; rerun with --resume to "
-            f"continue from the lowest slice_<L> under {out}"
-        )
+    field = solve_shortfall(problem, grid, options, on_level=on_level, resume=start)
 
     written: dict[str, str] = {}
 
@@ -621,7 +585,16 @@ def _read_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _read_config(args)
-    manifest = run(config, resume=args.resume)
+    # SIGTERM stops the sweep as SIGINT does: both raise KeyboardInterrupt
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        manifest = run(config, resume=args.resume)
+    except KeyboardInterrupt:
+        print(f"error: interrupted; rerun with --resume to continue from the "
+              f"lowest slice_<L> under {config.outputs['directory']}", file=sys.stderr)
+        return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"wrote {len(manifest['artifacts'])} artifacts under "
           f"{config.outputs['directory']} (see manifest.json)")
     return 0

@@ -97,12 +97,6 @@ class SchemaViolation(EpigraphError):
     """Configuration value has the wrong type or an out-of-range value."""
 
 
-# --- orchestration ----------------------------------------------------------
-
-class Interrupted(EpigraphError):
-    """A solve was stopped by a signal; the slices it wrote are its resume state."""
-
-
 # --- configuration checks ---------------------------------------------------
 
 def fail(path: str, why: str) -> NoReturn:

@@ -8,16 +8,19 @@ state..., margin), filled backward from the terminal level.  A snapshot is
 one time slice as metadata JSON plus an exact ``.npy`` array, stamped with
 the digest of the inputs that produced it so a resumed sweep restarts only
 from its own problem's slices.  The long-form CSV exports go through
-:func:`write_csv`, every JSON file through :func:`write_json`.
+:func:`write_csv`, every JSON file through :func:`write_json`; the JSON
+files and the slices' ``.npy`` files are replaced whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import IO, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -290,10 +293,25 @@ def write_csv(path: str, table: Array, axes: Sequence[Array], header: Sequence[s
             handle.write(template % tuple(values.tolist()))
 
 
+@contextlib.contextmanager
+def _replaced(path: str | pathlib.Path, mode: str) -> Iterator[IO[Any]]:
+    """Write through ``<path>.tmp`` and move it onto ``path`` once the block
+    completes, so ``path`` is the old file or the whole new one.  On any
+    exception, ``KeyboardInterrupt`` too, the temp file is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        pathlib.Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | pathlib.Path, payload: Any) -> None:
     """Write ``payload`` as JSON with sorted keys, one-space indent and a
     trailing newline, the one layout of every JSON file a run writes."""
-    with open(path, "w") as handle:
+    with _replaced(path, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
@@ -305,17 +323,20 @@ def save_snapshot(grid: Grid, level: int, values: Array, prefix: str,
 
     Returns the two paths.  The metadata holds the level, its time, the
     grid's axes and ``inputs``, the caller's digest of what the sweep read,
-    which :func:`load_snapshot` compares.
+    which :func:`load_snapshot` compares.  Each file is replaced atomically
+    and the ``.json`` goes last, so a slice on disk is whole or absent.
     """
     json_path = f"{prefix}.json"
     npy_path = f"{prefix}.npy"
+    # into a handle: np.save on a path would append .npy to the temp name
+    with _replaced(npy_path, "wb") as handle:
+        np.save(handle, values)
     write_json(json_path, {
         "level": int(level),
         "time": float(grid.times[level]),
         **_axes_meta(grid),
         "inputs": inputs,
     })
-    np.save(npy_path, values)
     return json_path, npy_path
 
 

@@ -461,7 +461,7 @@ def solve_shortfall(
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
     *,
-    on_level: Callable[[int, Field], bool] | None = None,
+    on_level: Callable[[int, Field], object] | None = None,
     resume: tuple[int, Array] | None = None,
 ) -> Field:
     """Solve the margin-coupled shortfall field backward from the horizon.
@@ -474,8 +474,8 @@ def solve_shortfall(
     evolve under the same scheme and serve as the linearity diagnostic.
 
     ``on_level`` is called after each completed level with (level, field);
-    returning False aborts the sweep early (the field stays partially
-    solved).  ``resume`` is the ``(level, slice)`` pair that
+    its return value is ignored, and a callback stops the sweep by raising.
+    ``resume`` is the ``(level, slice)`` pair that
     :func:`epigraph.fields.load_snapshot` returns; the solve restarts
     from that slice.
     """
@@ -491,6 +491,6 @@ def solve_shortfall(
         new = step_backward(out.values[level + 1], t, dt, problem, grid, options)
         out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
-        if on_level is not None and not on_level(level, out):
-            break
+        if on_level is not None:
+            on_level(level, out)
     return out

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +34,6 @@ from epigraph.cli import (
 from epigraph.errors import (
     EpigraphError,
     IncompatibleGrids,
-    Interrupted,
     ParseError,
     SchemaViolation,
     UnknownKey,
@@ -332,24 +336,35 @@ def test_run_holds_one_full_history_field(tmp_path):
     assert peak < 1.5 * field_bytes
 
 
-def _interrupted_zero_run(tmp_path, monkeypatch):
-    """A zero run stopped by a simulated interrupt at level 59, between the
-    snapshot levels 50 and 75."""
+def _stop_sweep_at(monkeypatch, level: int, stop) -> None:
+    """Make the sweep call ``stop()`` as it starts the step to ``level``."""
+    step = solver.step_backward
+
+    def stopping(prev, t, dt, problem, grid, options):
+        if t == grid.times[level + 1]:
+            stop()
+        return step(prev, t, dt, problem, grid, options)
+
+    monkeypatch.setattr(solver, "step_backward", stopping)
+
+
+def _interrupt() -> None:
+    raise KeyboardInterrupt
+
+
+def _interrupted_zero_run(tmp_path, monkeypatch, level=59):
+    """A zero run stopped by a KeyboardInterrupt in the step to ``level``
+    (by default between the snapshot levels 50 and 75)."""
     path = write_config(tmp_path)
     out = tmp_path / "run"
-    calls = {"n": 0}
-
-    def trip_after_forty() -> bool:
-        calls["n"] += 1
-        return calls["n"] > 40
-
-    monkeypatch.setattr(cli, "_interrupt_requested", trip_after_forty)
-    with pytest.raises(Interrupted, match="--resume to continue from the lowest slice_<L>"):
+    _stop_sweep_at(monkeypatch, level, _interrupt)
+    with pytest.raises(KeyboardInterrupt):
         run(parse_config(path.read_text()))
     monkeypatch.undo()
     # the slices are the only resume state
     assert sorted(p.name for p in out.iterdir()) == [
-        "slice_00075.json", "slice_00075.npy", "slice_00100.json", "slice_00100.npy"]
+        f"slice_{done:05d}.{ext}" for done in (50, 75, 100) if done > level
+        for ext in ("json", "npy")]
     return path, out
 
 
@@ -383,16 +398,20 @@ def test_interrupted_run_resumes_to_identical_artifacts(zero_run, tmp_path,
 
 
 def test_resume_under_another_cadence_ends_with_the_fresh_artifacts(tmp_path, monkeypatch):
-    # none of the levels 10, 20, ..., 90 was written at cadence 25, so the
-    # resumed run is a fresh sweep
-    path, out = _interrupted_zero_run(tmp_path, monkeypatch)
-    write_config(tmp_path, outputs={"directory": str(out), "checkpoint_every": 10})
-    resumed = run(parse_config(path.read_text()), resume=True)
+    # Level 90, the top of the cadence-10 walk, was never written at cadence
+    # 25, so the resumed run is a fresh sweep, also when slice_00050 (a
+    # cadence-10 level below the missing 60) is on disk.
     fresh_out = tmp_path / "fresh"
     fresh = run(parse_config(config_text(
         "zero", str(fresh_out), outputs={"directory": str(fresh_out), "checkpoint_every": 10})))
-    assert resumed["snapshot_levels"] == list(range(10, 101, 10))
-    assert resumed["artifacts"] == fresh["artifacts"]
+    for level in (59, 44):
+        base = tmp_path / str(level)
+        base.mkdir()
+        path, out = _interrupted_zero_run(base, monkeypatch, level)
+        write_config(base, outputs={"directory": str(out), "checkpoint_every": 10})
+        resumed = run(parse_config(path.read_text()), resume=True)
+        assert resumed["snapshot_levels"] == list(range(10, 101, 10))
+        assert resumed["artifacts"] == fresh["artifacts"]
 
 
 def test_resuming_a_completed_run_redoes_one_cadence(zero_run, tmp_path, monkeypatch):
@@ -439,10 +458,10 @@ def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_p
     else:
         document["scheme"] = {"hedge": "frozen"}
     path.write_text(json.dumps(document))
-    with pytest.raises(IncompatibleGrids, match="slice_00025.json .*another problem or scheme"):
+    with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another problem or scheme"):
         run(parse_config(path.read_text()), resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
-    assert "slice_00025.json" in capsys.readouterr().err
+    assert "slice_00075.json" in capsys.readouterr().err
 
 
 def test_resume_rejects_a_slice_from_another_grid(tmp_path):
@@ -454,8 +473,9 @@ def test_resume_rejects_a_slice_from_another_grid(tmp_path):
               "time_step": 0.02}))
     small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
     out.mkdir()
-    save_snapshot(small.grid, 3, small.slice_at(3), str(out / "slice_00025"), "")
-    with pytest.raises(IncompatibleGrids, match="slice_00025.json .*another grid"):
+    # the top of the resume walk
+    save_snapshot(small.grid, 3, small.slice_at(3), str(out / "slice_00075"), "")
+    with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another grid"):
         run(config, resume=True)
 
 
@@ -513,19 +533,19 @@ def test_checkpoints_are_written_on_cadence(tmp_path):
 
 
 @pytest.mark.parametrize("older", [True, False])
-def test_resume_names_a_missing_upper_slice(zero_run, tmp_path, capsys, older):
-    # A completed run resumes from slice_00025 and never revisits level 50,
-    # so its .npy cannot appear: in an older run directory that slice is
-    # slice_00050.{json,csv}, or the file was deleted.
+def test_resume_recovers_from_a_missing_upper_slice(zero_run, tmp_path, monkeypatch, older):
+    # In an older run directory slice_00050 is slice_00050.{json,csv}, or its
+    # .npy was deleted: the chain on disk breaks at 50, so the run resumes
+    # from slice_00075 and rewrites slice_00050.
+    _, _, reference = zero_run
     path = _completed_zero_run(zero_run, tmp_path)
     npy = tmp_path / "run" / "slice_00050.npy"
     if older:
         np.savetxt(npy.with_suffix(".csv"), np.load(npy), fmt="%.17g", delimiter=",")
     npy.unlink()
-    with pytest.raises(EpigraphError, match="slice_00050.npy is missing"):
-        run(parse_config(path.read_text()), resume=True)
-    assert main(["solve", "--config", str(path), "--resume"]) == 2
-    assert "slice_00050.npy is missing" in capsys.readouterr().err
+    steps = _count_steps(monkeypatch)
+    assert run(parse_config(path.read_text()), resume=True)["artifacts"] == reference["artifacts"]
+    assert steps["n"] == 75
 
 
 def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
@@ -534,11 +554,17 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
     config = parse_config(config_text("deterministic-steering", str(tmp_path / "steer")))
     grid = resolve_grid(config)
     last = grid.n_levels - 1
-    monkeypatch.setattr(cli, "_interrupt_requested", lambda: True)
-    with pytest.raises(Interrupted):
+    _stop_sweep_at(monkeypatch, last - 1, _interrupt)
+    with pytest.raises(KeyboardInterrupt):
         run(config)  # slice_<last> is written before the first level
-    swept = solve_shortfall(config.problem, grid, config.scheme,
-                            on_level=lambda level, f: False).values[-1]
+    monkeypatch.undo()
+
+    def stop(level, field):
+        raise KeyboardInterrupt(field.values[-1])
+
+    with pytest.raises(KeyboardInterrupt) as stopped:
+        solve_shortfall(config.problem, grid, config.scheme, on_level=stop)
+    swept = stopped.value.args[0]
     prefix = tmp_path / "steer" / f"slice_{last:05d}"
     inputs = json.loads(prefix.with_suffix(".json").read_text())["inputs"]
     level, written = load_snapshot(str(prefix), grid, inputs)
@@ -547,6 +573,68 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
     # the unclipped terminal shortfall of the top column would be positive
     assert swept[..., -2].max() > grid.margin_spacing
     assert not np.any(swept[..., -1])
+
+
+@pytest.mark.parametrize("suffix", [".npy", ".json"])
+def test_a_slice_write_stopped_halfway_leaves_the_slice_whole_or_absent(
+        zero_run, tmp_path, monkeypatch, suffix):
+    # KeyboardInterrupt halfway through writing slice_00050's .npy or .json
+    _, _, reference = zero_run
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    torn = f"{out / 'slice_00050'}{suffix}"  # and any temp name after it
+    save, dump = np.save, json.dump
+
+    def halfway(data, handle):
+        handle.write(data[:len(data) // 2])
+        raise KeyboardInterrupt
+
+    def torn_save(file, arr, *args, **kwargs):
+        if str(getattr(file, "name", "")).startswith(torn):
+            whole = io.BytesIO()
+            save(whole, arr)
+            halfway(whole.getvalue(), file)
+        save(file, arr, *args, **kwargs)
+
+    def torn_dump(obj, file, **kwargs):
+        if file.name.startswith(torn):
+            halfway(json.dumps(obj, **kwargs), file)
+        dump(obj, file, **kwargs)
+
+    monkeypatch.setattr(np, "save", torn_save)
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(KeyboardInterrupt):
+        run(parse_config(path.read_text()))
+    monkeypatch.undo()
+    # the .npy goes first and the .json commits the slice
+    kept = {"slice_00050.npy"} if suffix == ".json" else set()
+    assert {p.name for p in out.iterdir()} == kept | {
+        "slice_00075.json", "slice_00075.npy", "slice_00100.json", "slice_00100.npy"}
+    for name in kept:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            reference["artifacts"][name]
+    resumed = run(parse_config(path.read_text()), resume=True)
+    assert resumed["artifacts"] == reference["artifacts"]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_stops_solve_with_exit_two_and_resume_completes(
+        zero_run, tmp_path, monkeypatch, capsys, signum):
+    _, _, reference = zero_run
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    before = signal.getsignal(signal.SIGTERM)
+    _stop_sweep_at(monkeypatch, 59, lambda: signal.raise_signal(signum))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert signal.getsignal(signal.SIGTERM) == before
+    assert capsys.readouterr().err == (
+        f"error: interrupted; rerun with --resume to continue from the lowest "
+        f"slice_<L> under {out}\n")
+    monkeypatch.undo()
+    assert main(["solve", "--config", str(path), "--resume"]) == 0
+    capsys.readouterr()
+    resumed = json.loads((out / "manifest.json").read_text())
+    assert resumed["artifacts"] == reference["artifacts"]
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +896,35 @@ def test_main_simulate_smoke(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--paths", "200"]) == 0
     assert (tmp_path / "run" / "simulate.json").exists()
     assert "cost" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("frozen-penalty", ["sign-equivalence", "taylor-remainder", "lipschitz-quotients",
+                        "slab-identity", "dpp-one-sided"]),
+    ("zero", ["sign-equivalence", "taylor-remainder", "lipschitz-quotients",
+              "strict-subsolution", "dpp-one-sided"]),
+])
+def test_default_battery_passes_on_stock_builtins_and_report_lists_it(
+        tmp_path, capsys, name, checks):
+    # --checks all: slab needs margins below 0, the subsolution probe a
+    # margin axis above -1, so each stock grid runs one of the two
+    path = write_config(tmp_path, name)
+    assert main(["solve", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "run")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("verification:")] == [
+        f"verification: PASS {check}" for check in checks]
+
+
+def test_python_dash_m_epigraph_runs_the_command_line():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "epigraph", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: epigraph")
 
 
 def test_main_report_missing_directory(tmp_path, capsys):

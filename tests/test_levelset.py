@@ -179,8 +179,16 @@ def test_default_threshold_on_a_resumed_field_names_the_remedy():
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.1, 2.1, 41)], (0.0, 0.6, 21), time_axis(1.0, 0.02))
     assert grid.n_levels - 1 == 50
-    partial = solve_shortfall(problem, grid, on_level=lambda level, f: level > 20)
-    resumed = solve_shortfall(problem, grid, resume=(20, partial.slice_at(20).copy()))
+    class Stop(Exception):
+        pass
+
+    def stop_at_20(level, field):
+        if level == 20:
+            raise Stop(field.slice_at(20).copy())
+
+    with pytest.raises(Stop) as stopped:
+        solve_shortfall(problem, grid, on_level=stop_at_20)
+    resumed = solve_shortfall(problem, grid, resume=(20, stopped.value.args[0]))
     remedy = r"LevelSetQuery\(default_epsilon\(terminal_slice\(problem, grid\)\)\)"
     for extract in (lambda: required_margin_profile(resumed, 0),
                     lambda: extract_required_margin(resumed, 0, 20),

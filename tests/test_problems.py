@@ -13,6 +13,7 @@ from epigraph.problems import (
     builtin_grid,
     builtin_problem,
     builtin_scheme,
+    parse_problem,
 )
 from epigraph.model import eval_coefficients_batch, eval_terminal
 
@@ -62,7 +63,8 @@ def test_jump_variance_compensator_is_balanced():
 # Closed forms of each built-in, written out independently of the catalog:
 # controls, drift f(a, u), diffusion sigma, jump atoms (mark, weight) with
 # amplitude chi = mark, terminal cost m(a) and distance d(a).  No built-in
-# has a running cost.
+# has a running cost.  The inline documents after them state the drift as a
+# number and as a per-component list, and the terminal cost as a number.
 CLOSED_FORMS = {
     "zero": dict(controls=[-1.0, 0.0, 1.0], drift=lambda a, u: u, sigma=0.2, atoms=[],
                  terminal=lambda a: 0.0, distance=lambda a: 0.0),
@@ -74,13 +76,21 @@ CLOSED_FORMS = {
     "jump-variance": dict(controls=[0.0], drift=lambda a, u: 0.0, sigma=1.0,
                           atoms=[(1.0, 2.0)], terminal=lambda a: a * a,
                           distance=lambda a: 0.0),
+    "inline-number": dict(controls=[-0.5, 0.5], drift=lambda a, u: 0.75, sigma=0.0,
+                          atoms=[], terminal=lambda a: 2.5, distance=lambda a: 0.0,
+                          document={"horizon": 1.0, "drift": 0.75, "terminal_cost": 2.5,
+                                    "controls": [-0.5, 0.5]}),
+    "inline-list": dict(controls=[0.0], drift=lambda a, u: -0.25, sigma=0.0, atoms=[],
+                        terminal=lambda a: 0.0, distance=lambda a: 0.0,
+                        document={"horizon": 1.0, "drift": [-0.25], "terminal_cost": 0}),
 }
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "inline-number", "inline-list"])
 def test_builtin_coefficients_match_their_closed_forms(name):
     want = CLOSED_FORMS[name]
-    problem = builtin_problem(name)
+    problem = (parse_problem(want["document"])[0] if "document" in want
+               else builtin_problem(name))
     assert (problem.dim_state, problem.dim_noise, problem.horizon) == (1, 1, 1.0)
     np.testing.assert_allclose(problem.controls[:, 0], want["controls"], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(problem.jumps.marks, [m for m, _ in want["atoms"]])

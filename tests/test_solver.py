@@ -234,6 +234,15 @@ def test_stable_dt_unconstrained_is_infinite():
     assert max_stable_dt(problem, grid) == np.inf
 
 
+def test_default_step_without_a_bound_is_a_128th_of_the_horizon():
+    # frozen-penalty moves nothing, so no term bounds its step
+    problem = builtin_problem("frozen-penalty")
+    spec = builtin_grid("frozen-penalty")
+    grid = stable_grid(problem, spec["state"], spec["margin"], None)
+    assert max_stable_dt(problem, grid) == np.inf
+    assert np.array_equal(grid.times, np.linspace(0.0, problem.horizon, 129))
+
+
 @pytest.mark.parametrize("amplitude", [5.0, 0.3])
 def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
     # The drift pulses near t = 0.25, between the three times the default
@@ -1008,11 +1017,30 @@ def test_sweep_zeroes_the_node_hamiltonian_with_jumps(jump_hedge):
 # plumbing: resume, early abort
 # ---------------------------------------------------------------------------
 
+class _Stop(Exception):
+    """What an ``on_level`` callback raises to stop the sweep."""
+
+
+def _stopped_after(problem, grid, stop: int):
+    """The field of a sweep whose ``on_level`` callback raises once level
+    ``stop`` is done; the exception propagates out of the sweep."""
+    seen = []
+
+    def on_level(level, field):
+        seen.append(level)
+        if level == stop:
+            raise _Stop(field)
+
+    with pytest.raises(_Stop) as stopped:
+        solve_shortfall(problem, grid, on_level=on_level)
+    assert seen == list(range(grid.n_levels - 2, stop - 1, -1))
+    return stopped.value.args[0]
+
+
 def test_aborted_sweep_guards_unsolved_levels():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid,
-                            on_level=lambda level, f: level > 10)
+    field = _stopped_after(problem, grid, 10)
     assert field.solved_from == 10
     assert field.slice_at(10) is not None
     with pytest.raises(UnsolvedField):
@@ -1024,8 +1052,7 @@ def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
     grid = diffusive_grid()
     full = solve_shortfall(problem, grid)
 
-    partial = solve_shortfall(problem, grid,
-                              on_level=lambda level, f: level > 10)
+    partial = _stopped_after(problem, grid, 10)
     prefix = str(tmp_path / "level10")
     save_snapshot(grid, 10, partial.slice_at(10), prefix, "digest")
 
