@@ -147,6 +147,17 @@ def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array
     Clamping keeps interpolation weights nonnegative, which the sweep's
     monotonicity relies on.
     """
+    return _apply_stencil(values, _interp_stencil(axes, points))
+
+
+_Corners = list[tuple[tuple[Array, ...], Array]]
+
+
+def _interp_stencil(axes: tuple[Array, ...], points: Array) -> _Corners:
+    """The multilinear stencil of ``points`` (N, n) on the grid ``axes``: one
+    (index tuple, weight) pair per cell corner.  It depends on the points
+    alone, so a caller that interpolates many slices at the same points
+    builds it once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(axes)
     if points.shape[1] != n:
@@ -161,13 +172,22 @@ def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array
         lows[:, i] = lo
         fracs[:, i] = rel - lo
 
-    tail = values.shape[n:]
-    out = np.zeros((points.shape[0], *tail))
+    stencil = []
     for corner in itertools.product((0, 1), repeat=n):
         weight = np.ones(points.shape[0])
         for i, c in enumerate(corner):
             weight = weight * (fracs[:, i] if c else 1.0 - fracs[:, i])
-        idx = tuple(lows[:, i] + corner[i] for i in range(n))
+        stencil.append((tuple(lows[:, i] + corner[i] for i in range(n)), weight))
+    return stencil
+
+
+def _apply_stencil(values: Array, stencil: _Corners) -> Array:
+    """The stencil's weighted sum of ``values`` (*state_shape, tail...):
+    (N, tail...)."""
+    first_idx, first_weight = stencil[0]
+    tail = values.shape[len(first_idx):]
+    out = np.zeros((first_weight.shape[0], *tail))
+    for idx, weight in stencil:
         out += weight.reshape(-1, *([1] * len(tail))) * values[idx]
     return out
 

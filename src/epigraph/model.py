@@ -161,7 +161,12 @@ class Region:
 
 @dataclass(frozen=True)
 class Problem:
-    """A state-constrained control problem for a jump diffusion."""
+    """A state-constrained control problem for a jump diffusion.
+
+    ``autonomous`` declares that no coefficient depends on t: the sweep then
+    evaluates the coefficients once per solve instead of once per level, and
+    the default step reads them at one time instead of three.
+    """
 
     dim_state: int
     dim_noise: int
@@ -175,6 +180,7 @@ class Problem:
     jumps: JumpModel = EMPTY_JUMPS
     region: Region = field(default_factory=Region)
     name: str = ""
+    autonomous: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "controls", _control_grid(self.controls))
@@ -215,7 +221,8 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
     (no drift, no noise, no jumps) and the running cost defaults to zero, so a
     minimal problem needs only dimensions, a horizon, a terminal cost and a
     control grid.  A key that names no :class:`Problem` field raises
-    ``TypeError``.
+    ``TypeError``.  ``autonomous`` defaults to False: the coefficients are
+    then evaluated at every level, which is right for any callables.
     """
     raw = dict(fields or {})
     raw.update(kwargs)
@@ -270,6 +277,7 @@ def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Pro
         jumps=jumps,
         region=region,
         name=str(raw.get("name", "")),
+        autonomous=bool(raw.get("autonomous", False)),
     )
 
 

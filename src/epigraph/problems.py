@@ -7,9 +7,11 @@ filling every matrix entry — intended for scalar noise), ``running_cost`` (a
 number), ``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
 ``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`),
 ``jumps`` (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and
-``name``.  The built-in problems are such documents, each paired with the
-grid it is meant to be solved on and its scheme overrides, so tests, the CLI
-and demos all run the same configurations by name.
+``name``.  Every document states an autonomous problem
+(:attr:`~epigraph.model.Problem.autonomous`).  The built-in problems are
+such documents, each paired with the grid it is meant to be solved on and
+its scheme overrides, so tests, the CLI and demos all run the same
+configurations by name.
 """
 
 from __future__ import annotations
@@ -197,6 +199,7 @@ def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
             jumps=jumps,
             jump_size=_mark_shift if jumps is not None else None,
             name=name,
+            autonomous=True,
         )
     except ValueError as exc:
         raise SchemaViolation(f"problem: {exc}") from None

@@ -19,6 +19,14 @@ linear-in-margin behaviour of the diagnostic slab below margin 0):
 * second differences are central, and zero on hull faces (linear ghost
   extension), which keeps a truncated linear profile an exact fixed point.
 
+What a step needs that the slice does not change, the level tables, is
+built before the step: the negated distance, and per control the negated
+compensated drift with its upwind choice, the running cost, ``sigma
+sigma^T`` and the diffusion, each jump atom's interpolation stencil, and the
+node-wise Courant rates.  A problem whose coefficients do
+not depend on t (``Problem.autonomous``) builds them once per solve; any
+other problem builds them at every level, by the same code.
+
 Structurally zero work is skipped, per control and per level, and the
 skipped forms give the same bits as the full ones wherever the stencils are
 finite:
@@ -30,7 +38,15 @@ finite:
   the inversion are skipped and ``corner = target``;
 * without jump atoms the jump supremum is a zero array and the target is
   its negation, -0.  The slope is then ``explicit - (-0.0)``: like the full
-  form, it maps an explicit -0 to +0;
+  form, it maps an explicit -0 to +0.  When, besides, no control inverts a
+  spectral corner, every control's target is that -0, so it is subtracted
+  once from the maximum over the controls rather than from each slope: the
+  maximum of the unsubtracted slopes differs from the other order at most in
+  the sign of a zero, and the subtraction maps both zeros to +0;
+* the drift is stored negated, so the advection terms sum to the negated
+  advection and the distance is added to them; where the distance is zero
+  at every node its negation is -0.0 everywhere, and adding -0.0 is the
+  identity, so that add is skipped;
 * in frozen-hedge mode the arrow is never used, so it is never built;
 * where a control's compensated drift along an axis is positive at every
   state node, or at none, the upwind difference is the forward (backward)
@@ -68,8 +84,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CFLViolation, NonFiniteUpdate
-from .fields import (Field, Grid, blank_field, interp_state, make_grid, terminal_slice,
-                     time_axis)
+from .fields import (Field, Grid, _apply_stencil, _interp_stencil, blank_field, make_grid,
+                     terminal_slice, time_axis)
 from .hamiltonian import corner_for_eigenvalue
 from .model import Problem, eval_coefficients_batch
 
@@ -155,83 +171,134 @@ def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float) ->
 
 
 # ---------------------------------------------------------------------------
-# stability bound
+# the level tables and the stability bound
 # ---------------------------------------------------------------------------
 
 _SAFETY = 0.9  # the share of the Courant limit a step may take
 
 
-class _CourantRates:
-    """Node-wise maxima, over the evaluated controls, of the rates the
-    Courant bound adds up: the absolute raw and compensated drift per state
-    axis (the sweep advects with the compensated one), ``|sigma sigma^T|``
-    and the running cost.  :meth:`evaluate` folds them in elementwise, so
-    :meth:`bound` reduces each over the nodes once.
+@dataclass(frozen=True)
+class _ControlTable:
+    """One control's coefficients at one time, shaped for the slice.
+
+    ``advection`` holds, per state axis, the negated compensated drift
+    (``(*state_shape, 1)``) and its upwind choice: 0 where the forward
+    difference is taken at every node, 1 where the backward one is, or the
+    mask of the nodes that take the forward one.  ``running`` is None where
+    the running cost is zero at every node, ``sig2`` (``sigma sigma^T``) and
+    ``diffusion`` are None without diffusion, and ``jumps`` holds one
+    interpolation stencil per jump atom, at the shifted state nodes.
     """
 
-    def __init__(self, problem: Problem, grid: Grid) -> None:
-        self.problem, self.grid, self.mesh = problem, grid, grid.state_mesh()
-        n_nodes, n = self.mesh.shape
-        self.drift = np.zeros((n_nodes, n))
-        self.sig2 = np.zeros((n_nodes, n, n))
-        self.running = np.zeros(n_nodes)
+    advection: list[tuple[Array, Array | int]]
+    running: Array | None
+    sig2: Array | None
+    diffusion: Array | None
+    jumps: list
 
-    def evaluate(
-        self, t: float, u: Array
-    ) -> tuple[Array, Array, Array, Array | None, Array]:
-        """Control ``u``'s compensated drift, diffusion, jump sizes, ``sigma
-        sigma^T`` (None without diffusion) and running cost at ``t``."""
-        jumps = self.problem.jumps
-        drift, diffusion, jump_sizes, running = eval_coefficients_batch(
-            self.problem, t, self.mesh, u
-        )
-        np.maximum(self.drift, np.abs(drift), out=self.drift)
-        f_eff = drift
-        if jumps.n_atoms:
-            f_eff = drift - np.einsum("k,kpi->pi", jumps.weights, jump_sizes)
-            np.maximum(self.drift, np.abs(f_eff), out=self.drift)
-        sig2 = None
-        if diffusion.any():
-            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
-            np.maximum(self.sig2, np.abs(sig2), out=self.sig2)
-        np.maximum(self.running, running, out=self.running)
-        return f_eff, diffusion, jump_sizes, sig2, running
+
+class _LevelTables:
+    """Everything a sweep step needs at time ``t`` that the slice does not
+    change: the negated distance (``neg_dist``, None where the distance is
+    zero at every node), one :class:`_ControlTable` per control, and the
+    node-wise rates of the Courant bound.
+
+    An autonomous problem's tables serve every level of a solve.  Every
+    array is sized by the state nodes, not by the slice.
+    """
+
+    def __init__(self, problem: Problem, grid: Grid, t: float) -> None:
+        self.problem, self.grid = problem, grid
+        mesh = grid.state_mesh()
+        sshape = grid.state_shape
+        n_nodes, n = mesh.shape
+        jumps = problem.jumps
+        neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
+        # adding -0.0 is the identity; adding +0.0 is not (it maps -0 to +0)
+        skip = not neg_dist.any() and bool(np.signbit(neg_dist).all())
+        self.neg_dist = None if skip else neg_dist
+
+        # node-wise maxima over the controls of the rates the bound adds up:
+        # the absolute raw and compensated drift per state axis (the sweep
+        # advects with the compensated one), |sigma sigma^T| and the running cost
+        rate_drift = np.zeros((n_nodes, n))
+        rate_sig2 = np.zeros((n_nodes, n, n))
+        rate_running = np.zeros(n_nodes)
+        self.controls = []
+        for u in problem.controls:
+            drift, diffusion, jump_sizes, running = eval_coefficients_batch(
+                problem, t, mesh, u)
+            np.maximum(rate_drift, np.abs(drift), out=rate_drift)
+            f_eff = drift
+            if jumps.n_atoms:
+                f_eff = drift - np.einsum("k,kpi->pi", jumps.weights, jump_sizes)
+                np.maximum(rate_drift, np.abs(f_eff), out=rate_drift)
+            sig2 = None
+            if diffusion.any():
+                sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
+                np.maximum(rate_sig2, np.abs(sig2), out=rate_sig2)
+                sig2 = sig2.reshape(*sshape, 1, n, n)
+            np.maximum(rate_running, running, out=rate_running)
+
+            neg_f = np.negative(f_eff).reshape(*sshape, n)
+            advection = []
+            for i in range(n):
+                neg_f_i = neg_f[..., i][..., None]
+                upwind = neg_f_i < 0.0  # where the compensated drift is positive
+                choice = 0 if upwind.all() else 1 if not upwind.any() else upwind
+                advection.append((neg_f_i, choice))
+            self.controls.append(_ControlTable(
+                advection=advection,
+                running=running.reshape(*sshape)[..., None] if running.any() else None,
+                sig2=sig2,
+                diffusion=(None if sig2 is None
+                           else diffusion.reshape(*sshape, n, problem.dim_noise)),
+                jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
+                       for k in range(jumps.n_atoms)],
+            ))
+        self.rates = (rate_drift, rate_sig2, rate_running)
 
     def bound(self) -> float:
-        """The stable step for the rates evaluated so far.
+        """The stable step of these tables' rates."""
+        return _courant_bound(self.problem, self.grid, *self.rates)
 
-        Inverse sum of the parabolic terms per state axis, the mixed
-        second-derivative slack, the advection terms, the margin advection,
-        and twice the total jump intensity (the nonlocal evaluation touches
-        the shifted node and the center once each).  Returns inf when every
-        term vanishes (nothing constrains the step).
-        """
-        sig2 = self.sig2.max(axis=0)
-        drift = self.drift.max(axis=0)
-        h = self.grid.state_spacings
-        denom = 0.0
-        for i in range(len(h)):
-            denom += sig2[i, i] / h[i] ** 2
-            denom += drift[i] / h[i]
-            for j in range(len(h)):
-                if j != i:
-                    denom += sig2[i, j] / (h[i] * h[j])
-        denom += float(self.running.max()) / self.grid.margin_spacing
-        denom += 2.0 * float(self.problem.jumps.total_mass)
-        if denom == 0.0:
-            return float("inf")
-        return _SAFETY / denom
+
+def _courant_bound(problem: Problem, grid: Grid, drift: Array, sig2: Array,
+                   running: Array) -> float:
+    """The stable step for node-wise rates.
+
+    Inverse sum of the parabolic terms per state axis, the mixed
+    second-derivative slack, the advection terms, the margin advection,
+    and twice the total jump intensity (the nonlocal evaluation touches
+    the shifted node and the center once each).  Returns inf when every
+    term vanishes (nothing constrains the step).
+    """
+    sig2 = sig2.max(axis=0)
+    drift = drift.max(axis=0)
+    h = grid.state_spacings
+    denom = 0.0
+    for i in range(len(h)):
+        denom += sig2[i, i] / h[i] ** 2
+        denom += drift[i] / h[i]
+        for j in range(len(h)):
+            if j != i:
+                denom += sig2[i, j] / (h[i] * h[j])
+    denom += float(running.max()) / grid.margin_spacing
+    denom += 2.0 * float(problem.jumps.total_mass)
+    if denom == 0.0:
+        return float("inf")
+    return _SAFETY / denom
 
 
 def max_stable_dt(problem: Problem, grid: Grid) -> float:
-    """The default step: the stable bound over every control at the ends
-    and the midpoint of the horizon.  Each sweep step checks the bound of
-    its own level's coefficients."""
-    rates = _CourantRates(problem, grid)
-    for t in (0.0, 0.5 * problem.horizon, problem.horizon):
-        for u in problem.controls:
-            rates.evaluate(t, u)
-    return rates.bound()
+    """The default step: the stable bound over every control, at one time
+    for an autonomous problem, whose bound is then that of every level, and
+    otherwise at the ends and the midpoint of the horizon.  Each sweep step
+    checks the bound of its own level's coefficients."""
+    times = ((0.0,) if problem.autonomous
+             else (0.0, 0.5 * problem.horizon, problem.horizon))
+    rates = zip(*(_LevelTables(problem, grid, t).rates for t in times))
+    return _courant_bound(problem, grid, *(np.maximum.reduce(r) for r in rates))
 
 
 def stable_grid(problem: Problem, state: Sequence[tuple[float, float, int]],
@@ -297,15 +364,9 @@ def _hedge_stencil(prev: Array, grid: Grid) -> tuple[Array, list, Array, Array]:
     return psi_sq, cross_margin, c_diag, gap_noise
 
 
-def _best_time_slope(
-    prev: Array,
-    t: float,
-    problem: Problem,
-    grid: Grid,
-    options: SchemeOptions,
-) -> tuple[Array, float]:
+def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) -> Array:
     """The per-node admissible time slope, maximized over control
-    candidates, and the stable step of the coefficients at ``t``.
+    candidates, with the coefficients of ``tables``.
 
     ``prev`` has the grid's state axes and a trailing margin axis.  The
     margin slope is the backward margin difference of ``prev``, except on
@@ -314,18 +375,20 @@ def _best_time_slope(
     skipped, and the slice-sized buffers are allocated once per call, not
     once per control.
     """
+    problem, grid = tables.problem, tables.grid
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
-    rates = _CourantRates(problem, grid)
-    mesh = rates.mesh
     sshape = grid.state_shape
     b_axis = grid.margin_axis
     B = prev.shape[-1]
     K = problem.jumps.n_atoms
     edges = [grid.margin_zero_index, -1]  # the floor and the ceiling column
-
-    neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
+    spectral = options.hedge == "spectral"
+    # without jumps and without a corner to invert, every control's target
+    # is -0.0: it is subtracted once, from the maximum
+    late_target = not K and not (
+        spectral and any(c.sig2 is not None for c in tables.controls))
 
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
@@ -340,42 +403,36 @@ def _best_time_slope(
     best = np.full_like(prev, -np.inf)
     slope = np.empty_like(prev)
     scratch = np.empty_like(prev)
-    for u in problem.controls:
-        f_eff, diffusion, jump_sizes, sig2, running = rates.evaluate(t, u)
-        f_grid = f_eff.reshape(*sshape, n)
-
+    for control in tables.controls:
         # slope = -dist - advection + running * margin_slope - trace - corner;
-        # the first advection term is written straight into slope
-        for i in range(n):
-            f_i = f_grid[..., i][..., None]
-            fwd, bwd = fwd_bwd[i]
+        # the drift is stored negated, so the first advection term written
+        # into slope is already -advection
+        for i, (neg_f_i, choice) in enumerate(control.advection):
             term = scratch if i else slope
-            upwind = f_i > 0.0
-            if upwind.all():
-                np.multiply(fwd, f_i, out=term)
-            elif not upwind.any():
-                np.multiply(bwd, f_i, out=term)
+            if isinstance(choice, int):
+                np.multiply(fwd_bwd[i][choice], neg_f_i, out=term)
             else:
+                fwd, bwd = fwd_bwd[i]
                 np.copyto(term, bwd)
-                np.copyto(term, fwd, where=upwind)
-                term *= f_i
+                np.copyto(term, fwd, where=choice)
+                term *= neg_f_i
             if i:
                 slope += scratch
-        np.subtract(neg_dist, slope, out=slope)
-        if running.any():
-            np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
+        if tables.neg_dist is not None:
+            slope += tables.neg_dist
+        if control.running is not None:
+            np.multiply(control.running, margin_slope, out=scratch)
             slope += scratch
 
-        if sig2 is not None:
+        if control.sig2 is not None:
             if curvature is None:
                 curvature = _state_curvature(prev, h, n)
-            slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
+            slope -= _trace_term(control.sig2, *curvature)
 
         if K:
             jump_sup = np.zeros((*sshape, B))
-            for k in range(K):
-                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
-                shifted = shifted.reshape(*sshape, B)
+            for k, stencil in enumerate(control.jumps):
+                shifted = _apply_stencil(prev, stencil).reshape(*sshape, B)
                 if options.jump_hedge == "zero":
                     gain = -(shifted - prev)
                 else:
@@ -389,26 +446,27 @@ def _best_time_slope(
         else:
             target = -0.0
 
-        if sig2 is not None and options.hedge == "spectral":
+        if control.sig2 is not None and spectral:
             if hedge_stencil is None:
                 hedge_stencil = _hedge_stencil(prev, grid)
             psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
-            sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
             cross_sq = np.zeros((*sshape, B))
             for q in range(problem.dim_noise):
                 acc = np.zeros((*sshape, B))
                 for i in range(n):
-                    acc += sig_grid[..., i, q][..., None] * cross_margin[i]
+                    acc += control.diffusion[..., i, q][..., None] * cross_margin[i]
                 cross_sq += acc * acc
             arrow_sq = 0.25 * psi_sq * cross_sq
             arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
             arrow_eff[..., edges] = 0.0
             slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
-        else:
+        elif not late_target:
             slope -= target
         np.maximum(best, slope, out=best)
 
-    return best, rates.bound()
+    if late_target:
+        best -= -0.0
+    return best
 
 
 def step_backward(
@@ -418,18 +476,25 @@ def step_backward(
     problem: Problem,
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
+    *,
+    tables: _LevelTables | None = None,
 ) -> Array:
     """Advance the slice at time ``t`` backward to ``t - dt`` by one explicit
     step.  The margin-0 and top columns are stepped by their state-only
     rules; the caller only clips roundoff.
 
+    ``tables`` are the level tables of ``problem`` on ``grid`` at ``t``
+    (those of any time for an autonomous problem); None builds them.
+
     Raises :class:`CFLViolation` when ``dt`` exceeds the stable bound of the
     coefficients at ``t``, the ones the step evaluates."""
-    slope, bound = _best_time_slope(prev, t, problem, grid, options)
+    if tables is None:
+        tables = _LevelTables(problem, grid, t)
+    bound = tables.bound()
     if dt > bound * (1.0 + 1e-9):
         raise CFLViolation(
             f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
-    new = prev - dt * slope
+    new = prev - dt * _best_time_slope(prev, tables, options)
     if not np.all(np.isfinite(new)):
         raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
     return new
@@ -446,14 +511,13 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  The
     slice must be finite, as :func:`step_backward` guarantees.
     """
-    scale = max(1.0, float(np.abs(slice_vals).max()))
-    clipped = np.where(slice_vals > -1e-12 * scale, np.maximum(slice_vals, 0.0), slice_vals)
-    if clipped.min() < 0.0:
-        worst = float(clipped.min())
+    lowest, highest = float(slice_vals.min()), float(slice_vals.max())
+    scale = max(1.0, highest, -lowest)  # max(1, max |slice|), exactly
+    if lowest <= -1e-12 * scale:
         raise NonFiniteUpdate(
-            f"nonnegativity violated at t={t:.6g}: min value {worst:.3e}"
+            f"nonnegativity violated at t={t:.6g}: min value {lowest:.3e}"
         )
-    return clipped
+    return np.maximum(slice_vals, 0.0)
 
 
 def solve_shortfall(
@@ -467,7 +531,8 @@ def solve_shortfall(
     """Solve the margin-coupled shortfall field backward from the horizon.
 
     Each level is one :func:`step_backward`, which checks that level's
-    stable bound, followed by the roundoff clip.  The sweep starts from
+    stable bound, followed by the roundoff clip.  The level tables are built
+    once per level, or once per solve for an autonomous problem.  The sweep starts from
     :func:`epigraph.fields.terminal_slice`.  The margin-0 column is the
     floor and the top margin column the ceiling, each stepped by its
     state-only rule.  Margin columns below zero — when the grid has them —
@@ -485,10 +550,14 @@ def solve_shortfall(
     out.values[start] = values
     out.solved_from = out.solved_to = start
 
+    tables = None
     for level in range(start - 1, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        new = step_backward(out.values[level + 1], t, dt, problem, grid, options)
+        if tables is None or not problem.autonomous:
+            tables = _LevelTables(problem, grid, t)
+        new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
+                            tables=tables)
         out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
         out.solved_from = level
         if on_level is not None:

@@ -340,10 +340,10 @@ def _stop_sweep_at(monkeypatch, level: int, stop) -> None:
     """Make the sweep call ``stop()`` as it starts the step to ``level``."""
     step = solver.step_backward
 
-    def stopping(prev, t, dt, problem, grid, options):
+    def stopping(prev, t, dt, problem, grid, options, **kwargs):
         if t == grid.times[level + 1]:
             stop()
-        return step(prev, t, dt, problem, grid, options)
+        return step(prev, t, dt, problem, grid, options, **kwargs)
 
     monkeypatch.setattr(solver, "step_backward", stopping)
 

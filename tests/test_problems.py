@@ -15,7 +15,7 @@ from epigraph.problems import (
     builtin_scheme,
     parse_problem,
 )
-from epigraph.model import eval_coefficients_batch, eval_terminal
+from epigraph.model import build_problem, eval_coefficients_batch, eval_terminal
 
 
 def test_catalog_names():
@@ -116,3 +116,16 @@ def test_readme_lists_each_builtin_document():
     assert list(rows) == list(BUILTIN_NAMES)
     for name, document in rows.items():
         assert json.loads(document) == problems._BUILTINS[name]["problem"]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "inline-number", "inline-list"])
+def test_every_problem_document_is_autonomous(name):
+    # a document states constant coefficients, so none depends on t
+    document = CLOSED_FORMS[name].get("document", {"builtin": name})
+    assert parse_problem(document)[0].autonomous is True
+
+
+def test_library_problems_are_not_autonomous_by_default():
+    problem = build_problem(dim_state=1, dim_noise=1, horizon=1.0, controls=[0.0],
+                            terminal_cost=lambda a: np.zeros(a.shape[0]))
+    assert problem.autonomous is False

@@ -1,10 +1,15 @@
 """Sweep correctness: stability bound, single steps, full solves, invariants."""
 
+import dataclasses
 import itertools
+import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from epigraph.cli import builtin_config, parse_config, resolve_grid
 from epigraph.errors import CFLViolation, NonFiniteUpdate, UnsolvedField
 from epigraph.fields import (
     interp_state,
@@ -23,10 +28,11 @@ from epigraph.model import (
     eval_coefficients_batch,
     eval_terminal,
 )
-from epigraph.problems import builtin_grid, builtin_problem
+from epigraph.problems import BUILTIN_NAMES, builtin_grid, builtin_problem
 from epigraph.solver import (
     SchemeOptions,
     _best_time_slope,
+    _LevelTables,
     _enforce_nonnegative,
     _hedge_stencil,
     _state_curvature,
@@ -276,6 +282,58 @@ def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
     message = f"exceeds the stable bound {bound(first):.6g} at t={first:.6g}"
     with pytest.raises(CFLViolation, match=message):
         solve_shortfall(problem, grid)
+
+
+# ---------------------------------------------------------------------------
+# the level tables: once per solve for an autonomous problem
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_an_autonomous_problem_evaluates_its_coefficients_once_per_solve(autonomous):
+    calls = []
+
+    def drift(t, a, u):
+        calls.append(t)
+        return drift_is_control(t, a, u)
+
+    problem = minimal_problem(drift=drift, controls=[-0.5, 0.0, 0.5],
+                              diffusion=constant_diffusion(0.3), autonomous=autonomous)
+    grid = make_grid([(-1.0, 1.0, 21)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
+    solve_shortfall(problem, grid)
+    levels = grid.times[1:] if not autonomous else grid.times[-1:]
+    assert calls == [t for t in levels[::-1] for _ in problem.controls]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _autonomy_cases():
+    """(label, problem, grid, options): the built-ins at their stock grids,
+    the README's inline problem, and a 2-D problem with jumps, diffusion,
+    running cost and a region."""
+    documents = {name: builtin_config(name) for name in BUILTIN_NAMES}
+    documents["README"] = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(),
+                                                re.S)[1])
+    for label, document in documents.items():
+        config = parse_config(json.dumps(document))
+        yield label, config.problem, resolve_grid(config), config.scheme
+    label, _, problem, grid, options = next(
+        case for case in _slope_step_cases() if case[0] ==
+        "2-D nonzero running, mixed drift, jumps grid, diffusion 0.3 frozen")
+    grid = stable_grid(problem, [(axis[0], axis[-1], axis.size) for axis in grid.state_axes],
+                       (grid.margin_axis[0], grid.margin_axis[-1], grid.margin_axis.size))
+    yield label, dataclasses.replace(problem, autonomous=True), grid, options
+
+
+def test_autonomous_tables_give_the_per_level_bits():
+    # Reusing the tables of the first level changes no bit on problems whose
+    # coefficients do not depend on t.
+    for label, problem, grid, options in _autonomy_cases():
+        assert problem.autonomous, label
+        once = solve_shortfall(problem, grid, options).values
+        per_level = solve_shortfall(dataclasses.replace(problem, autonomous=False), grid,
+                                    options).values
+        assert once.tobytes() == per_level.tobytes(), label
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +625,13 @@ def test_roundoff_clip_is_relative_to_the_slice_scale():
     # on a unit-scale slice the threshold stays at -1e-12
     unit = np.ones((6, 4))
     unit[2, 1] = -1e-10
+    with pytest.raises(NonFiniteUpdate, match="nonnegativity violated"):
+        _enforce_nonnegative(unit, 0.5)
+    # a minimum exactly at the threshold is not roundoff
+    values[2, 1] = -1e-12 * 1e3
+    with pytest.raises(NonFiniteUpdate, match=r"min value -1\.000e-09"):
+        _enforce_nonnegative(values, 0.5)
+    unit[2, 1] = -1e-12
     with pytest.raises(NonFiniteUpdate, match="nonnegativity violated"):
         _enforce_nonnegative(unit, 0.5)
 
@@ -861,9 +926,10 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
     # calls, the other columns its full-slice call.
     count = 0
     for label, prev, problem, grid, options in _slope_step_cases():
-        got, bound = _best_time_slope(prev, 0.5, problem, grid, options)
+        tables = _LevelTables(problem, grid, 0.5)
+        got = _best_time_slope(prev, tables, options)
         # the coefficients are autonomous: the level's bound is the default step
-        assert bound == max_stable_dt(problem, grid), label
+        assert tables.bound() == max_stable_dt(problem, grid), label
         want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
         edges = _edges(grid)
         inner = np.ones(prev.shape[-1], dtype=bool)
@@ -897,7 +963,7 @@ def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
     hb = grid.margin_spacing
     axes = grid.state_axes
     b_axis = grid.margin_axis
-    slope, _ = _best_time_slope(prev, t, problem, grid, options)
+    slope = _best_time_slope(prev, _LevelTables(problem, grid, t), options)
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
     hess = [[second_difference(prev, i, h[i]) if i == j
