@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cli import RunConfig, builtin_config, main, parse_config, run, serialize_config
 from .errors import EpigraphError
-from .fields import Field, Grid, blank_field, make_grid, terminal_slice, time_axis
+from .fields import Field, Grid, make_grid, terminal_slice, time_axis
 from .levelset import (
     UNREACHABLE,
     LevelSetQuery,
@@ -72,7 +72,6 @@ __all__ = [
     "RunConfig",
     "SchemeOptions",
     "UNREACHABLE",
-    "blank_field",
     "build_problem",
     "builtin_config",
     "builtin_grid",

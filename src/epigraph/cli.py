@@ -72,7 +72,7 @@ from .fields import (
     write_csv,
     write_json,
 )
-from .levelset import LevelSetQuery, default_epsilon, required_margin_profile
+from .levelset import LevelSetQuery, required_margin_profile
 from .model import Problem
 from .problems import builtin_grid, builtin_scheme, parse_problem
 from .simulate import (
@@ -91,6 +91,7 @@ from .verify import (
     sign_equivalence_suite,
     slab_identity_residual,
     strict_subsolution_residual,
+    subsolution_steps,
     taylor_remainder_residual,
     write_reports,
 )
@@ -349,8 +350,10 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     snapshots the levels ``every, 2·every, …`` as the sweep passes them,
     extracts the required-margin profile, and writes the CSV/plot exports.
     Snapshots are ``.json`` plus ``.npy`` pairs stamped with the digest of
-    the sweep's inputs; level 0 goes out only as ``w_t0.csv``.  The swept
-    shortfall field is the only (level, state, margin) array it allocates.
+    the sweep's inputs; level 0 goes out only as ``w_t0.csv``.  It
+    allocates no (level, state, margin) array: the sweep holds two (state,
+    margin) slices and keeps a copy of level 0 alone, and each snapshot is
+    written from the sweep's slice as the sweep passes its level.
     The manifest maps every artifact to its SHA-256 content hash and embeds
     the normalized config; nothing in it depends on wall-clock time, so
     rerunning the same document reproduces it bit for bit.
@@ -394,9 +397,9 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
                 break
             start = stored
 
-    def on_level(level: int, partial: Field) -> None:
+    def on_level(level: int, values: Array) -> None:
         if level in levels:
-            save_snapshot(grid, level, partial.slice_at(level), prefix(level), inputs)
+            save_snapshot(grid, level, values, prefix(level), inputs)
 
     field = solve_shortfall(problem, grid, options, on_level=on_level, resume=start)
 
@@ -415,9 +418,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     for level in levels:
         record(prefix(level) + ".json", prefix(level) + ".npy")
 
-    # The default threshold reads the terminal slice, which a resumed field
-    # no longer covers.
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(terminal)
+    epsilon = config.epsilon if config.epsilon is not None else field.epsilon
     query = LevelSetQuery(epsilon=epsilon)
     record(export_profile_csv(field, 0, str(out / "profile.csv"), query))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
@@ -444,6 +445,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 # ---------------------------------------------------------------------------
 
 _CHECK_NAMES = ("sign", "taylor", "lipschitz", "slab", "subsolution", "dpp")
+_SUBSOLUTION_LEVELS = 25  # the level steps the subsolution probe samples
 
 
 def _taylor_report() -> DiagnosticReport:
@@ -466,10 +468,15 @@ def _taylor_report() -> DiagnosticReport:
                        details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
 
 
+def _dpp_levels(grid: Grid) -> tuple[int, int]:
+    """The levels t and r the dpp report compares."""
+    return 0, max(1, (grid.n_levels - 1) // 2)
+
+
 def _dpp_report(problem: Problem, field: Field, seed: int) -> DiagnosticReport:
     grid = field.grid
     rng = np.random.default_rng(seed)
-    r_index = max(1, (grid.n_levels - 1) // 2)
+    t_index, r_index = _dpp_levels(grid)
     margin = grid.margin_axis
     low = min(grid.margin_zero_index + 1, margin.size - 2)
     states, margins = [], []
@@ -478,7 +485,7 @@ def _dpp_report(problem: Problem, field: Field, seed: int) -> DiagnosticReport:
                                 for axis in grid.state_axes]))
         margins.append(float(margin[rng.integers(low, margin.size - 1)]))
     stride = max(1, problem.controls.shape[0] // 5)
-    return dpp_consistency(problem, field, 0, r_index, states, margins,
+    return dpp_consistency(problem, field, t_index, r_index, states, margins,
                            controls=problem.controls[::stride], n_paths=2000,
                            dt=grid.dt, seed=seed)
 
@@ -511,14 +518,25 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     if {"lipschitz", "slab", "subsolution", "dpp"} & set(requested):
         problem = config.problem
         grid = resolve_grid(config)
-        field = solve_shortfall(problem, grid, config.scheme)
+        slab = "slab" in requested and (explicit or grid.margin_axis[0] < 0.0)
+        subsolution = "subsolution" in requested and (explicit or grid.margin_axis[0] > -1.0)
+        # the sweep keeps exactly the levels the checks read
+        keep: set[int] = set()
+        if "lipschitz" in requested or slab:
+            keep.update(range(grid.n_levels))
+        if subsolution:
+            steps = subsolution_steps(grid, _SUBSOLUTION_LEVELS)
+            keep.update(int(k) for k in (*steps, *(steps + 1)))
+        if "dpp" in requested:
+            keep.update(_dpp_levels(grid))
+        field = solve_shortfall(problem, grid, config.scheme, keep=keep)
         if "lipschitz" in requested:
             reports.append(lipschitz_profile(field))
-        if "slab" in requested and (explicit or grid.margin_axis[0] < 0.0):
+        if slab:
             reports.append(slab_identity_residual(field))
-        if "subsolution" in requested and (explicit or grid.margin_axis[0] > -1.0):
+        if subsolution:
             reports.append(strict_subsolution_residual(
-                problem, field, 0.1, options=config.scheme, max_levels=25))
+                problem, field, 0.1, options=config.scheme, max_levels=_SUBSOLUTION_LEVELS))
         if "dpp" in requested:
             reports.append(_dpp_report(problem, field, config.seed))
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
@@ -608,9 +626,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not 0 <= args.level < grid.n_levels:
         raise SchemaViolation(
             f"--level must be in [0, {grid.n_levels - 1}], got {args.level}")
-    field = solve_shortfall(config.problem, grid, config.scheme)
-    epsilon = (config.epsilon if config.epsilon is not None
-               else default_epsilon(field.slice_at(grid.n_levels - 1)))
+    field = solve_shortfall(config.problem, grid, config.scheme, keep=(args.level,))
+    epsilon = config.epsilon if config.epsilon is not None else field.epsilon
     path = out / f"profile_{args.level:05d}.csv"
     export_profile_csv(field, args.level, str(path), LevelSetQuery(epsilon=epsilon))
     print(f"wrote {path} (epsilon {epsilon:.6g})")

@@ -3,13 +3,13 @@
 A :class:`Grid` is uniform per axis: one or more state axes, one margin axis
 that must contain 0 (and may extend below it — the negative slab exists only
 as a consistency diagnostic), and a uniform time axis ending exactly at the
-horizon.  A :class:`Field` is the shortfall's value tensor over (time level,
-state..., margin), filled backward from the terminal level.  A snapshot is
-one time slice as metadata JSON plus an exact ``.npy`` array, stamped with
-the digest of the inputs that produced it so a resumed sweep restarts only
-from its own problem's slices.  The long-form CSV exports go through
-:func:`write_csv`, every JSON file through :func:`write_json`; the JSON
-files and the slices' ``.npy`` files are replaced whole or not at all.
+horizon.  A :class:`Field` holds the shortfall's (state..., margin) slices at
+the time levels a sweep kept.  A snapshot is one time slice as metadata JSON
+plus an exact ``.npy`` array, stamped with the digest of the inputs that
+produced it so a resumed sweep restarts only from its own problem's slices.
+The long-form CSV exports go through :func:`write_csv`, every JSON file
+through :func:`write_json`; the JSON files and the slices' ``.npy`` files are
+replaced whole or not at all.
 """
 
 from __future__ import annotations
@@ -147,17 +147,18 @@ def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array
     Clamping keeps interpolation weights nonnegative, which the sweep's
     monotonicity relies on.
     """
-    return _apply_stencil(values, _interp_stencil(axes, points))
+    rows = values.reshape(-1, *values.shape[len(axes):])
+    return _apply_stencil(rows, _interp_stencil(axes, points))
 
 
-_Corners = list[tuple[tuple[Array, ...], Array]]
+_Corners = list[tuple[Array, Array]]
 
 
 def _interp_stencil(axes: tuple[Array, ...], points: Array) -> _Corners:
     """The multilinear stencil of ``points`` (N, n) on the grid ``axes``: one
-    (index tuple, weight) pair per cell corner.  It depends on the points
-    alone, so a caller that interpolates many slices at the same points
-    builds it once."""
+    (flat node index, weight) pair per cell corner, the index running over
+    the grid's nodes in ``ij`` order.  It depends on the points alone, so a
+    caller that interpolates many slices at the same points builds it once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(axes)
     if points.shape[1] != n:
@@ -172,23 +173,33 @@ def _interp_stencil(axes: tuple[Array, ...], points: Array) -> _Corners:
         lows[:, i] = lo
         fracs[:, i] = rel - lo
 
+    shape = tuple(axis.shape[0] for axis in axes)
     stencil = []
     for corner in itertools.product((0, 1), repeat=n):
         weight = np.ones(points.shape[0])
         for i, c in enumerate(corner):
             weight = weight * (fracs[:, i] if c else 1.0 - fracs[:, i])
-        stencil.append((tuple(lows[:, i] + corner[i] for i in range(n)), weight))
+        index = np.ravel_multi_index(tuple(lows[:, i] + corner[i] for i in range(n)), shape)
+        stencil.append((index, weight))
     return stencil
 
 
-def _apply_stencil(values: Array, stencil: _Corners) -> Array:
-    """The stencil's weighted sum of ``values`` (*state_shape, tail...):
-    (N, tail...)."""
-    first_idx, first_weight = stencil[0]
-    tail = values.shape[len(first_idx):]
-    out = np.zeros((first_weight.shape[0], *tail))
-    for idx, weight in stencil:
-        out += weight.reshape(-1, *([1] * len(tail))) * values[idx]
+def _apply_stencil(rows: Array, stencil: _Corners, out: Array | None = None,
+                   gather: Array | None = None) -> Array:
+    """The stencil's weighted sum of ``rows`` (state nodes in ``ij`` order,
+    tail...): (N, tail...).  ``out`` and ``gather`` are buffers of that shape
+    to write into; None allocates them."""
+    first_weight = stencil[0][1]
+    tail = rows.shape[1:]
+    shape = (first_weight.shape[0], *tail)
+    out = np.empty(shape) if out is None else out
+    gather = np.empty(shape) if gather is None else gather
+    out.fill(0.0)
+    for index, weight in stencil:
+        # every index is on the grid; "clip" takes without a buffered copy
+        np.take(rows, index, axis=0, out=gather, mode="clip")
+        gather *= weight.reshape(-1, *([1] * len(tail)))
+        out += gather
     return out
 
 
@@ -198,32 +209,28 @@ def _apply_stencil(values: Array, stencil: _Corners) -> Array:
 
 @dataclass
 class Field:
-    """The shortfall's value tensor over time levels, state nodes and margins.
+    """The shortfall at the time levels a sweep kept.
 
-    ``solved_from``..``solved_to`` is the contiguous range of time levels
-    holding valid data; anything outside it is uninitialized garbage and
-    guarded by :class:`UnsolvedField`.  (A sweep resumed from a stored
-    slice has no levels above that slice, hence the upper bound.)
+    ``slices`` maps each kept level to its (state..., margin) slice, and any
+    other level raises :class:`UnsolvedField`.  ``epsilon`` is the level-set
+    readers' default threshold, scaled to the terminal slice (see
+    :func:`epigraph.levelset.default_epsilon`).
     """
 
     grid: Grid
-    values: Array
-    solved_from: int
-    solved_to: int
+    slices: dict[int, Array]
+    epsilon: float
 
     @property
-    def solved(self) -> bool:
-        return self.solved_from == 0
+    def levels(self) -> list[int]:
+        return sorted(self.slices)
 
     def slice_at(self, level: int) -> Array:
         if not 0 <= level < self.grid.n_levels:
             raise IndexError(f"time level {level} outside 0..{self.grid.n_levels - 1}")
-        if not self.solved_from <= level <= self.solved_to:
-            raise UnsolvedField(
-                f"the field holds levels {self.solved_from}.."
-                f"{self.solved_to}, level {level} requested"
-            )
-        return self.values[level]
+        if level not in self.slices:
+            raise UnsolvedField(f"the field keeps levels {self.levels}, level {level} requested")
+        return self.slices[level]
 
     def evaluate(self, level: int, points: Array, margins: Array | float) -> Array:
         """Interpolated field values at arbitrary (state, margin) points,
@@ -234,12 +241,6 @@ class Field:
         joint_axes = (*self.grid.state_axes, self.grid.margin_axis)
         joint_points = np.concatenate([points, margins[:, None]], axis=1)
         return interp_state(data, joint_axes, joint_points)
-
-
-def blank_field(grid: Grid) -> Field:
-    shape = (grid.n_levels, *grid.state_shape, grid.margin_axis.shape[0])
-    return Field(grid=grid, values=np.full(shape, np.nan),
-                 solved_from=grid.n_levels, solved_to=grid.n_levels - 1)
 
 
 def terminal_slice(problem: Problem, grid: Grid) -> Array:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsolvedField
 from .fields import Field
 
 Array = np.ndarray
@@ -48,17 +47,7 @@ def default_epsilon(terminal: Array) -> float:
 
 
 def _resolve_query(field: Field, query: LevelSetQuery | None) -> LevelSetQuery:
-    if query is not None:
-        return query
-    last = field.grid.n_levels - 1
-    if field.solved_to != last:
-        # a field resumed from a stored slice holds no terminal slice
-        raise UnsolvedField(
-            f"the default threshold needs the terminal slice (level {last}), but the "
-            f"field holds levels {field.solved_from}..{field.solved_to}; pass "
-            f"LevelSetQuery(default_epsilon(terminal_slice(problem, grid)))"
-        )
-    return LevelSetQuery(epsilon=default_epsilon(field.values[last]))
+    return LevelSetQuery(epsilon=field.epsilon) if query is None else query
 
 
 def _scan_rows(rows: Array, margin: Array, query: LevelSetQuery) -> Array:

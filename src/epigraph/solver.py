@@ -74,19 +74,32 @@ per step rather than a second sweep.
 The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
 the same, in the same order, so the bits are too.
+
+The sweep streams.  It holds two slices and writes each step into the one
+the step before read; the caller names the levels it keeps.  Every other
+slice-sized array a step needs (the forward and backward quotients, the
+margin slope, the running maximum and the slope, the curvature and trace
+buffers, the jump gather and the shifted slice) is a buffer of one
+per-solve workspace, allocated on its first use.  The step writes into them
+with ``out=`` in the operation order of the allocating forms, so every bit,
+the sign of every zero included, is the same, and a step after the first
+allocates no slice-sized array: glibc then has no slice-sized block to hand
+back to the system and fault in again at the next level.  The spectral
+corner inversion and the grid jump hedge still allocate their temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CFLViolation, NonFiniteUpdate
-from .fields import (Field, Grid, _apply_stencil, _interp_stencil, blank_field, make_grid,
-                     terminal_slice, time_axis)
+from .fields import (Field, Grid, _apply_stencil, _interp_stencil, make_grid, terminal_slice,
+                     time_axis)
 from .hamiltonian import corner_for_eigenvalue
+from .levelset import default_epsilon
 from .model import Problem, eval_coefficients_batch
 
 Array = np.ndarray
@@ -131,37 +144,50 @@ def _along(ndim: int, picks: dict[int, slice]) -> tuple:
 _LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
 
 
-def first_differences(values: Array, axis: int, h: float) -> tuple[Array, Array]:
-    """(forward, backward) quotients; hull faces use the inward one-sided one."""
+def first_differences(values: Array, axis: int, h: float,
+                      out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+    """(forward, backward) quotients; hull faces use the inward one-sided one.
+
+    ``out`` is a (forward, backward) pair of buffers of the shape of
+    ``values`` to write into; None allocates them."""
     def at(part: slice) -> tuple:
         return _along(values.ndim, {axis: part})
 
-    diff = values[at(slice(1, None))] - values[at(slice(None, -1))]
+    fwd, bwd = (np.empty(values.shape), np.empty(values.shape)) if out is None else out
+    diff = fwd[at(slice(None, -1))]
+    np.subtract(values[at(slice(1, None))], values[at(slice(None, -1))], out=diff)
     diff /= h
-    fwd = np.concatenate([diff, diff[at(slice(-1, None))]], axis=axis)
-    bwd = np.concatenate([diff[at(slice(None, 1))], diff], axis=axis)
+    fwd[at(slice(-1, None))] = diff[at(slice(-1, None))]
+    bwd[at(slice(1, None))] = diff
+    bwd[at(slice(None, 1))] = diff[at(slice(None, 1))]
     return fwd, bwd
 
 
-def second_difference(values: Array, axis: int, h: float) -> Array:
-    """Central second quotient, zero on the hull faces of ``axis``."""
+def second_difference(values: Array, axis: int, h: float, out: Array | None = None) -> Array:
+    """Central second quotient, zero on the hull faces of ``axis``.
+
+    ``out`` is a buffer of the shape of ``values`` to write into, with zeros
+    on those faces (this writes only the inner nodes); None allocates it."""
     def at(part: slice) -> tuple:
         return _along(values.ndim, {axis: part})
 
-    sec = np.zeros(values.shape)
+    sec = np.zeros(values.shape) if out is None else out
     inner = sec[at(_MID)]
-    np.subtract(values[at(_HI)], 2.0 * values[at(_MID)], out=inner)
+    np.multiply(values[at(_MID)], 2.0, out=inner)
+    np.subtract(values[at(_HI)], inner, out=inner)
     inner += values[at(_LO)]
     inner /= h * h
     return sec
 
 
-def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float) -> Array:
-    """Central mixed quotient, zero on the hull faces of either axis."""
+def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float,
+                     out: Array | None = None) -> Array:
+    """Central mixed quotient, zero on the hull faces of either axis; ``out``
+    is as in :func:`second_difference`, with zeros on the faces of both."""
     def at(part1: slice, part2: slice) -> tuple:
         return _along(values.ndim, {ax1: part1, ax2: part2})
 
-    out = np.zeros(values.shape)
+    out = np.zeros(values.shape) if out is None else out
     inner = out[at(_MID, _MID)]
     np.subtract(values[at(_HI, _HI)], values[at(_HI, _LO)], out=inner)
     inner -= values[at(_LO, _HI)]
@@ -257,10 +283,11 @@ class _LevelTables:
                        for k in range(jumps.n_atoms)],
             ))
         self.rates = (rate_drift, rate_sig2, rate_running)
+        self._bound = _courant_bound(problem, grid, *self.rates)
 
     def bound(self) -> float:
         """The stable step of these tables' rates."""
-        return _courant_bound(self.problem, self.grid, *self.rates)
+        return self._bound
 
 
 def _courant_bound(problem: Problem, grid: Grid, drift: Array, sig2: Array,
@@ -291,9 +318,9 @@ def _courant_bound(problem: Problem, grid: Grid, drift: Array, sig2: Array,
 
 
 def max_stable_dt(problem: Problem, grid: Grid) -> float:
-    """The default step: the stable bound over every control, at one time
-    for an autonomous problem, whose bound is then that of every level, and
-    otherwise at the ends and the midpoint of the horizon.  Each sweep step
+    """The stable bound over every control, at one time for an autonomous
+    problem, whose bound is then that of every level, and otherwise the
+    smallest at the ends and the midpoint of the horizon.  Each sweep step
     checks the bound of its own level's coefficients."""
     times = ((0.0,) if problem.autonomous
              else (0.0, 0.5 * problem.horizon, problem.horizon))
@@ -301,42 +328,87 @@ def max_stable_dt(problem: Problem, grid: Grid) -> float:
     return _courant_bound(problem, grid, *(np.maximum.reduce(r) for r in rates))
 
 
+def _admits(dt: float, bound: float) -> bool:
+    """Whether a step of ``dt`` is within the stable ``bound``."""
+    return dt <= bound * (1.0 + 1e-9)
+
+
 def stable_grid(problem: Problem, state: Sequence[tuple[float, float, int]],
                 margin: tuple[float, float, int], time_step: float | None = None) -> Grid:
     """The solve grid over these axes.  ``time_step`` None takes the default
-    step, :func:`max_stable_dt`, or horizon/128 where nothing constrains the
-    step (frozen dynamics)."""
+    step: :func:`max_stable_dt`, or horizon/128 where nothing constrains the
+    step (frozen dynamics).  For a problem that is not autonomous the
+    default step then shrinks to the smallest level bound until the bound
+    at every level time of the returned grid admits it."""
     horizon = problem.horizon
     grid = make_grid(state, margin, time_axis(horizon, horizon / 2.0))
-    if time_step is None:
-        time_step = max_stable_dt(problem, grid)
-        if not np.isfinite(time_step):
-            time_step = horizon / 128.0
-    return replace(grid, times=time_axis(horizon, time_step))
+    if time_step is not None:
+        return replace(grid, times=time_axis(horizon, time_step))
+    time_step = max_stable_dt(problem, grid)
+    if not np.isfinite(time_step):
+        time_step = horizon / 128.0
+    grid = replace(grid, times=time_axis(horizon, time_step))
+    while not problem.autonomous:
+        # the step into level l reads the tables at times[l + 1]
+        bounds = [_LevelTables(problem, grid, float(t)).bound() for t in grid.times[1:]]
+        if all(map(_admits, np.diff(grid.times), bounds)):
+            break
+        # a refused level's step exceeds this, so the level count grows
+        grid = replace(grid, times=time_axis(horizon, min(bounds)))
+    return grid
 
 
 # ---------------------------------------------------------------------------
 # one explicit step of the margin-coupled sweep
 # ---------------------------------------------------------------------------
 
-def _state_curvature(prev: Array, h: tuple[float, ...], n: int) -> tuple[list, dict]:
-    """Second and mixed differences of ``prev`` along its ``n`` state axes."""
-    hess = [second_difference(prev, i, h[i]) for i in range(n)]
+class _Workspace:
+    """The slice-sized buffers of one solve's steps, by name.
+
+    Each buffer is allocated on its first use and reused by every later
+    step, so a step after the first allocates no slice-sized array.  A
+    buffer asked for with ``zeros`` starts at 0; the curvature stencils
+    write only its inner nodes, so its hull faces stay 0.
+    """
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.shape = shape
+        self._buffers: dict[object, Array] = {}
+
+    def __call__(self, name: object, *, zeros: bool = False, dtype: type = float) -> Array:
+        """The buffer ``name``, of the slice's shape."""
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = (np.zeros if zeros else np.empty)(self.shape, dtype)
+            self._buffers[name] = buffer
+        return buffer
+
+
+def _state_curvature(prev: Array, h: tuple[float, ...], n: int,
+                     ws: _Workspace | None = None) -> tuple[list, dict]:
+    """Second and mixed differences of ``prev`` along its ``n`` state axes,
+    in buffers of ``ws`` (None: a fresh workspace)."""
+    ws = _Workspace(prev.shape) if ws is None else ws
+    hess = [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
+            for i in range(n)]
     cross_state = {
-        (i, j): cross_difference(prev, i, j, h[i], h[j])
+        (i, j): cross_difference(prev, i, j, h[i], h[j], out=ws(("cross", i, j), zeros=True))
         for i in range(n) for j in range(i + 1, n)
     }
     return hess, cross_state
 
 
-def _trace_term(sig2: Array, hess: list[Array], cross_state: dict) -> Array:
+def _trace_term(sig2: Array, hess: list[Array], cross_state: dict,
+                ws: _Workspace | None = None) -> Array:
     """1/2 tr(sigma sigma^T D_a^2 W); ``sig2`` broadcasts against the
     stencils on all but its trailing (n, n) axes."""
-    trace_term = np.zeros(hess[0].shape)
+    ws = _Workspace(hess[0].shape) if ws is None else ws
+    trace_term, product = ws("trace"), ws("product")
+    trace_term.fill(0.0)
     for i, hess_i in enumerate(hess):
-        trace_term += sig2[..., i, i] * hess_i
+        trace_term += np.multiply(sig2[..., i, i], hess_i, out=product)
     for (i, j), mixed in cross_state.items():
-        trace_term += 2.0 * sig2[..., i, j] * mixed
+        trace_term += np.multiply(2.0 * sig2[..., i, j], mixed, out=product)
     trace_term *= 0.5
     return trace_term
 
@@ -364,7 +436,8 @@ def _hedge_stencil(prev: Array, grid: Grid) -> tuple[Array, list, Array, Array]:
     return psi_sq, cross_margin, c_diag, gap_noise
 
 
-def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) -> Array:
+def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
+                     ws: _Workspace | None = None) -> Array:
     """The per-node admissible time slope, maximized over control
     candidates, with the coefficients of ``tables``.
 
@@ -372,14 +445,15 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) 
     margin slope is the backward margin difference of ``prev``, except on
     the margin-0 and top columns, which take their state-only rules (see the
     module docstring).  Terms that are structurally zero for a control are
-    skipped, and the slice-sized buffers are allocated once per call, not
-    once per control.
+    skipped.  Every slice-sized array is a buffer of ``ws`` (None: a fresh
+    workspace), the returned slope too, except in the spectral inversion and
+    the grid jump hedge.
     """
     problem, grid = tables.problem, tables.grid
+    ws = _Workspace(prev.shape) if ws is None else ws
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
-    sshape = grid.state_shape
     b_axis = grid.margin_axis
     B = prev.shape[-1]
     K = problem.jumps.n_atoms
@@ -392,17 +466,24 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) 
 
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
-    fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
-    _, margin_slope = first_differences(prev, n, hb)
-    margin_slope[..., edges] = (-1.0, 0.0)
+    fwd_bwd = [first_differences(prev, i, h[i], out=(ws(("fwd", i)), ws(("bwd", i))))
+               for i in range(n)]
+    grid_hedge = K and options.jump_hedge == "grid"
+    # only the running cost and the grid jump hedge read the margin slope
+    if grid_hedge or any(c.running is not None for c in tables.controls):
+        _, margin_slope = first_differences(prev, n, hb, out=(ws(("fwd", n)), ws(("bwd", n))))
+        margin_slope[..., edges] = (-1.0, 0.0)
     curvature: tuple | None = None
     hedge_stencil: tuple | None = None
-    if K and options.jump_hedge == "grid":
+    if K:
+        rows = prev.reshape(-1, B)
+        shifted, jump_sup = ws("shifted"), ws("jump_sup")
+        gather = ws("gather").reshape(rows.shape)
+    if grid_hedge:
         beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
 
-    best = np.full_like(prev, -np.inf)
-    slope = np.empty_like(prev)
-    scratch = np.empty_like(prev)
+    best, slope, scratch = ws("best"), ws("slope"), ws("scratch")
+    best.fill(-np.inf)
     for control in tables.controls:
         # slope = -dist - advection + running * margin_slope - trace - corner;
         # the drift is stored negated, so the first advection term written
@@ -426,22 +507,23 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) 
 
         if control.sig2 is not None:
             if curvature is None:
-                curvature = _state_curvature(prev, h, n)
-            slope -= _trace_term(control.sig2, *curvature)
+                curvature = _state_curvature(prev, h, n, ws)
+            slope -= _trace_term(control.sig2, *curvature, ws)
 
         if K:
-            jump_sup = np.zeros((*sshape, B))
+            jump_sup.fill(0.0)
             for k, stencil in enumerate(control.jumps):
-                shifted = _apply_stencil(prev, stencil).reshape(*sshape, B)
-                if options.jump_hedge == "zero":
-                    gain = -(shifted - prev)
+                _apply_stencil(rows, stencil, out=shifted.reshape(rows.shape), gather=gather)
+                if not grid_hedge:
+                    gain = np.negative(np.subtract(shifted, prev, out=shifted), out=shifted)
                 else:
                     gain = (
                         -(shifted[..., None, :] - prev[..., :, None])
                         + beta_mat * margin_slope[..., :, None]
                     ).max(axis=-1)
                     gain[..., edges] = -(shifted[..., edges] - prev[..., edges])
-                jump_sup += problem.jumps.weights[k] * gain
+                gain *= problem.jumps.weights[k]
+                jump_sup += gain
             target = np.negative(jump_sup, out=jump_sup)
         else:
             target = -0.0
@@ -450,9 +532,9 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) 
             if hedge_stencil is None:
                 hedge_stencil = _hedge_stencil(prev, grid)
             psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
-            cross_sq = np.zeros((*sshape, B))
+            cross_sq = np.zeros(prev.shape)
             for q in range(problem.dim_noise):
-                acc = np.zeros((*sshape, B))
+                acc = np.zeros(prev.shape)
                 for i in range(n):
                     acc += control.diffusion[..., i, q][..., None] * cross_margin[i]
                 cross_sq += acc * acc
@@ -469,6 +551,22 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions) 
     return best
 
 
+def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
+               options: SchemeOptions, ws: _Workspace, out: Array) -> Array:
+    """The step of :func:`step_backward`, written into ``out`` with the
+    buffers of ``ws``; ``out`` must not overlap ``prev``."""
+    bound = tables.bound()
+    if not _admits(dt, bound):
+        raise CFLViolation(
+            f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
+    change = _best_time_slope(prev, tables, options, ws)
+    change *= dt
+    np.subtract(prev, change, out=out)
+    if not np.isfinite(out, out=ws("finite", dtype=bool)).all():
+        raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
+    return out
+
+
 def step_backward(
     prev: Array,
     t: float,
@@ -480,8 +578,8 @@ def step_backward(
     tables: _LevelTables | None = None,
 ) -> Array:
     """Advance the slice at time ``t`` backward to ``t - dt`` by one explicit
-    step.  The margin-0 and top columns are stepped by their state-only
-    rules; the caller only clips roundoff.
+    step, into a new array.  The margin-0 and top columns are stepped by
+    their state-only rules; the caller only clips roundoff.
 
     ``tables`` are the level tables of ``problem`` on ``grid`` at ``t``
     (those of any time for an autonomous problem); None builds them.
@@ -490,14 +588,8 @@ def step_backward(
     coefficients at ``t``, the ones the step evaluates."""
     if tables is None:
         tables = _LevelTables(problem, grid, t)
-    bound = tables.bound()
-    if dt > bound * (1.0 + 1e-9):
-        raise CFLViolation(
-            f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
-    new = prev - dt * _best_time_slope(prev, tables, options)
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
-    return new
+    return _step_into(prev, t, dt, tables, options, _Workspace(prev.shape),
+                      np.empty(prev.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +597,8 @@ def step_backward(
 # ---------------------------------------------------------------------------
 
 def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
-    """Clip roundoff-negative entries to zero; fail on anything worse.
+    """Clip roundoff-negative entries of ``slice_vals`` to zero, in place;
+    fail on anything worse.
 
     Roundoff is judged relative to the slice's magnitude, on the scale the
     hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  The
@@ -517,7 +610,7 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
         raise NonFiniteUpdate(
             f"nonnegativity violated at t={t:.6g}: min value {lowest:.3e}"
         )
-    return np.maximum(slice_vals, 0.0)
+    return np.maximum(slice_vals, 0.0, out=slice_vals)
 
 
 def solve_shortfall(
@@ -525,30 +618,44 @@ def solve_shortfall(
     grid: Grid,
     options: SchemeOptions = DEFAULT_OPTIONS,
     *,
-    on_level: Callable[[int, Field], object] | None = None,
+    keep: Iterable[int] = (0,),
+    on_level: Callable[[int, Array], object] | None = None,
     resume: tuple[int, Array] | None = None,
 ) -> Field:
-    """Solve the margin-coupled shortfall field backward from the horizon.
+    """Solve the margin-coupled shortfall field backward from the horizon,
+    and return the levels in ``keep``.
 
-    Each level is one :func:`step_backward`, which checks that level's
-    stable bound, followed by the roundoff clip.  The level tables are built
-    once per level, or once per solve for an autonomous problem.  The sweep starts from
-    :func:`epigraph.fields.terminal_slice`.  The margin-0 column is the
-    floor and the top margin column the ceiling, each stepped by its
-    state-only rule.  Margin columns below zero — when the grid has them —
-    evolve under the same scheme and serve as the linearity diagnostic.
+    Each level is one step (:func:`step_backward`), which checks that
+    level's stable bound, followed by the roundoff clip.  The level tables
+    are built once per level, or once per solve for an autonomous problem.
+    The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
+    margin-0 column is the floor and the top margin column the ceiling, each
+    stepped by its state-only rule.  Margin columns below zero — when the
+    grid has them — evolve under the same scheme and serve as the linearity
+    diagnostic.
 
-    ``on_level`` is called after each completed level with (level, field);
-    its return value is ignored, and a callback stops the sweep by raising.
-    ``resume`` is the ``(level, slice)`` pair that
-    :func:`epigraph.fields.load_snapshot` returns; the solve restarts
-    from that slice.
+    The sweep holds two slices: each step writes into the one the step
+    before read, so its memory does not grow with the number of levels.
+    The returned :class:`Field` holds a copy of each level in ``keep`` that
+    the sweep passes, the start level included, and the default level-set
+    threshold of the terminal slice, whether the sweep started there or not.
+
+    ``on_level`` is called after each completed level with (level, slice);
+    the slice is a view of a buffer that the next step overwrites, so a
+    callback that keeps it must copy it.  Its return value is ignored, and a
+    callback stops the sweep by raising.  ``resume`` is the ``(level,
+    slice)`` pair that :func:`epigraph.fields.load_snapshot` returns; the
+    solve restarts from that slice.
     """
-    start, values = resume if resume is not None else (
-        grid.n_levels - 1, terminal_slice(problem, grid))
-    out = blank_field(grid)
-    out.values[start] = values
-    out.solved_from = out.solved_to = start
+    out = Field(grid, {}, epsilon=default_epsilon(terminal_slice(problem, grid)))
+    if resume is None:
+        resume = (grid.n_levels - 1, terminal_slice(problem, grid))
+    start, prev = resume
+    keep = set(keep)
+    if start in keep:
+        out.slices[start] = np.array(prev, dtype=float)
+    ws = _Workspace(prev.shape)
+    buffers = (np.empty(prev.shape), np.empty(prev.shape))
 
     tables = None
     for level in range(start - 1, -1, -1):
@@ -556,10 +663,11 @@ def solve_shortfall(
         dt = t - float(grid.times[level])
         if tables is None or not problem.autonomous:
             tables = _LevelTables(problem, grid, t)
-        new = step_backward(out.values[level + 1], t, dt, problem, grid, options,
-                            tables=tables)
-        out.values[level] = _enforce_nonnegative(new, float(grid.times[level]))
-        out.solved_from = level
+        new = _step_into(prev, t, dt, tables, options, ws, out=buffers[level % 2])
+        _enforce_nonnegative(new, float(grid.times[level]))
+        if level in keep:
+            out.slices[level] = new.copy()
         if on_level is not None:
-            on_level(level, out)
+            on_level(level, new)
+        prev = new
     return out

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import IncompatibleGrids
-from .fields import Field, write_json
+from .fields import Field, Grid, write_json
 from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
 from .model import Coefficients, Problem
 from .simulate import _chunked, _estimate, constant_policy
@@ -152,20 +152,26 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
     if not np.any(b < 0.0):
         raise IncompatibleGrids("need a shortfall field whose margin axis goes below zero")
 
-    expect = field.values[..., field.grid.margin_zero_index, None] - b[below]
-    gap = np.abs(field.values[..., below] - expect)
-    worst_flat = int(np.argmax(gap))
-    worst_idx = np.unravel_index(worst_flat, gap.shape)
+    jz = field.grid.margin_zero_index
+    n_nodes, worst = 0, None
+    for level in field.levels:
+        values = field.slice_at(level)
+        gap = np.abs(values[..., below] - (values[..., jz, None] - b[below]))
+        n_nodes += gap.size
+        flat = int(np.argmax(gap))
+        if worst is None or gap.flat[flat] > worst[0]:
+            worst = (gap.flat[flat], level, np.unravel_index(flat, gap.shape))
+    residual, level, worst_idx = worst
     details = {
-        "n_nodes": int(gap.size),
+        "n_nodes": int(n_nodes),
         "worst": {
-            "level": int(worst_idx[0]),
-            "state_index": [int(i) for i in worst_idx[1:-1]],
+            "level": int(level),
+            "state_index": [int(i) for i in worst_idx[:-1]],
             "margin_index": int(np.flatnonzero(below)[worst_idx[-1]]),
-            "residual": float(gap[worst_idx]),
+            "residual": float(residual),
         },
     }
-    return make_report("slab-identity", float(gap.max()), _SLAB_TOLERANCE, details)
+    return make_report("slab-identity", float(residual), _SLAB_TOLERANCE, details)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,15 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
 
 def _log_margin_probe(t: float, horizon: float, margin: Array, nu: float) -> Array:
     return nu * (-(horizon - t) - np.log1p(margin))
+
+
+def subsolution_steps(grid: Grid, max_levels: int | None = None) -> Array:
+    """The levels k whose step from level k + 1
+    :func:`strict_subsolution_residual` checks; it reads k and k + 1."""
+    levels = np.arange(grid.n_levels - 1)
+    if max_levels is not None and levels.shape[0] > max_levels:
+        levels = levels[np.linspace(0, levels.shape[0] - 1, max_levels).astype(int)]
+    return levels
 
 
 def strict_subsolution_residual(
@@ -194,17 +209,15 @@ def strict_subsolution_residual(
     95th-percentile node value).  With nu = 0 this degenerates to checking
     that the solved field itself has zero interior residual.
     """
-    if not field.solved:
-        raise ValueError("need a fully solved shortfall field")
     grid = field.grid
+    levels = subsolution_steps(grid, max_levels)
+    unkept = sorted({int(k) for k in (*levels, *(levels + 1))}.difference(field.slices))
+    if unkept:
+        raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
     if float(grid.margin_axis[0]) <= -1.0:
         raise ValueError("the log-margin probe needs the margin axis above -1")
     if tol_h is None:
         tol_h = grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
-
-    levels = np.arange(grid.n_levels - 1)
-    if max_levels is not None and levels.shape[0] > max_levels:
-        levels = levels[np.linspace(0, levels.shape[0] - 1, max_levels).astype(int)]
 
     jz = grid.margin_zero_index
     interior: list = [slice(None)] + [slice(1, -1)] * grid.dim_state
@@ -216,9 +229,9 @@ def strict_subsolution_residual(
     for k in levels:
         t_next = float(grid.times[k + 1])
         dt = t_next - float(grid.times[k])
-        pert_prev = field.values[k + 1] + _log_margin_probe(t_next, horizon, b, nu)
+        pert_prev = field.slice_at(k + 1) + _log_margin_probe(t_next, horizon, b, nu)
         stepped = step_backward(pert_prev, t_next, dt, problem, grid, options)
-        pert_target = field.values[k] + _log_margin_probe(
+        pert_target = field.slice_at(k) + _log_margin_probe(
             float(grid.times[k]), horizon, b, nu
         )
         residual = (pert_target - stepped) / dt
@@ -329,15 +342,17 @@ def dpp_consistency(
 def _quotients(field: Field) -> dict[str, Any]:
     # the top margin row is the ceiling, Dirichlet data of its own rule: its
     # seam with the evolved rows scales like 1/spacing and says nothing about the
-    # field's own regularity, so all quotients exclude it
-    core = field.values[field.solved_from : field.solved_to + 1, ..., :-1]
+    # field's own regularity, so all quotients exclude it; the largest
+    # differences are taken over every kept level
     grid = field.grid
-    state_q = [
-        float(np.abs(np.diff(core, axis=1 + i)).max()) / grid.state_spacings[i]
-        for i in range(grid.dim_state)
-    ]
-    margin_q = float(np.abs(np.diff(core, axis=-1)).max()) / grid.margin_spacing
-    return {"state_quotients": state_q, "margin_quotient": margin_q}
+    state_d, margin_d = [0.0] * grid.dim_state, 0.0
+    for level in field.levels:
+        core = field.slice_at(level)[..., :-1]
+        state_d = [max(d, float(np.abs(np.diff(core, axis=i)).max()))
+                   for i, d in enumerate(state_d)]
+        margin_d = max(margin_d, float(np.abs(np.diff(core, axis=-1)).max()))
+    return {"state_quotients": [d / h for d, h in zip(state_d, grid.state_spacings)],
+            "margin_quotient": margin_d / grid.margin_spacing}
 
 
 # margin quotients may exceed 1 by roundoff; refined state quotients may grow

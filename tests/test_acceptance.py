@@ -76,11 +76,21 @@ def diffusive_problem():
     )
 
 
+def every_level(problem, grid, options=SchemeOptions()):
+    """A solve that keeps every level."""
+    return solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+
+
+def stacked(field):
+    """The kept levels of ``field`` as one (level, state..., margin) array."""
+    return np.stack([field.slice_at(level) for level in field.levels])
+
+
 def builtin_solved(name):
     problem = builtin_problem(name)
     spec = builtin_grid(name)
     grid = stable_grid(problem, spec["state"], spec["margin"], spec["time_step"])
-    return problem, grid, solve_shortfall(problem, grid)
+    return problem, grid, every_level(problem, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def test_criterion_3_zero_problem_field_and_margin_vanish():
     assert [ax.size for ax in grid.state_axes] == [101]
     assert grid.margin_axis.size == 101
     assert grid.n_levels == 101
-    peak = float(np.abs(field.values).max())
+    peak = float(np.abs(stacked(field)).max())
     profile = required_margin_profile(field, 0)
     margin_peak = float(np.abs(profile).max())
     elapsed = time.perf_counter() - start
@@ -229,7 +239,7 @@ def test_criterion_5_negative_margin_slab_identity():
     def slab_run(n_state, n_margin, dt):
         grid = make_grid([(-2.0, 2.0, n_state)], (-1.0, 1.5, n_margin),
                          time_axis(0.4, dt))
-        field = solve_shortfall(problem, grid)
+        field = every_level(problem, grid)
         return field, slab_identity_residual(field)
 
     field_c, coarse = slab_run(41, 26, 0.02)
@@ -239,7 +249,7 @@ def test_criterion_5_negative_margin_slab_identity():
     jz_c = field_c.grid.margin_zero_index
     jz_f = field_f.grid.margin_zero_index
     consistency = float(np.abs(
-        field_c.values[0][:, jz_c:] - field_f.values[0][::2, jz_f::2]
+        field_c.slice_at(0)[:, jz_c:] - field_f.slice_at(0)[::2, jz_f::2]
     ).max())
     res_c = coarse.max_residual
     res_f = fine.max_residual
@@ -290,7 +300,7 @@ def test_criterion_6_monte_carlo_matches_field_at_fixed_control():
         b0 = float(grid.margin_axis[ib])
         est = estimate_shortfall(problem, 0.0, a0, b0, policy,
                                  100_000, grid.dt, seed=900 + k)
-        gap = abs(est.mean - float(field.values[0][ia, ib]))
+        gap = abs(est.mean - float(field.slice_at(0)[ia, ib]))
         worst_gap = max(worst_gap, gap)
         worst_slack = max(worst_slack, gap - est.half_width - tol_scheme)
         assert gap <= est.half_width + tol_scheme
@@ -355,15 +365,15 @@ def test_criterion_9_structural_suite(tmp_path):
     # margin monotonicity and nonnegativity on a controlled diffusion
     problem = diffusive_problem()
     grid = make_grid([(-2.0, 2.0, 41)], (0.0, 1.5, 16), time_axis(0.4, 0.02))
-    field = solve_shortfall(problem, grid)
-    checks.append(("nonnegative", field.values.min() >= 0.0))
-    slopes = np.diff(field.values, axis=-1)
+    values = stacked(every_level(problem, grid))
+    checks.append(("nonnegative", values.min() >= 0.0))
+    slopes = np.diff(values, axis=-1)
     checks.append(("margin-monotone", float(slopes.max()) <= 1e-12))
 
     # the last level is the terminal data, bit for bit
     expect = terminal_slice(problem, grid)
     checks.append(("terminal-bit-exact",
-                   field.values[-1].tobytes() == expect.tobytes()))
+                   values[-1].tobytes() == expect.tobytes()))
 
     # the compensated jump increment annihilates affine fields
     rng = np.random.default_rng(9)

@@ -304,7 +304,7 @@ def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
     config = parse_config(json.dumps(document))
     run(config)
     grid = resolve_grid(config)
-    level0 = solve_shortfall(config.problem, grid, config.scheme).values[0]
+    level0 = solve_shortfall(config.problem, grid, config.scheme).slice_at(0)
     table = np.loadtxt(tmp_path / "ball" / "w_t0.csv", delimiter=",", skiprows=1)
     written = table[:, -1].reshape(level0.shape)
     for column in (grid.margin_zero_index, -1):
@@ -338,14 +338,14 @@ def test_run_holds_one_full_history_field(tmp_path):
 
 def _stop_sweep_at(monkeypatch, level: int, stop) -> None:
     """Make the sweep call ``stop()`` as it starts the step to ``level``."""
-    step = solver.step_backward
+    step = solver._step_into
 
-    def stopping(prev, t, dt, problem, grid, options, **kwargs):
-        if t == grid.times[level + 1]:
+    def stopping(prev, t, dt, tables, *args, **kwargs):
+        if t == tables.grid.times[level + 1]:
             stop()
-        return step(prev, t, dt, problem, grid, options, **kwargs)
+        return step(prev, t, dt, tables, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "step_backward", stopping)
+    monkeypatch.setattr(solver, "_step_into", stopping)
 
 
 def _interrupt() -> None:
@@ -376,13 +376,13 @@ def _completed_zero_run(zero_run, tmp_path) -> pathlib.Path:
 
 def _count_steps(monkeypatch) -> dict[str, int]:
     calls = {"n": 0}
-    step = solver.step_backward
+    step = solver._step_into
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "step_backward", counted)
+    monkeypatch.setattr(solver, "_step_into", counted)
     return calls
 
 
@@ -471,7 +471,7 @@ def test_resume_rejects_a_slice_from_another_grid(tmp_path):
         "zero", str(out),
         grid={"state": [[-1.0, 1.0, 9]], "margin": [0.0, 1.0, 5],
               "time_step": 0.02}))
-    small = solve_shortfall(other.problem, resolve_grid(other), other.scheme)
+    small = solve_shortfall(other.problem, resolve_grid(other), other.scheme, keep=(3,))
     out.mkdir()
     # the top of the resume walk
     save_snapshot(small.grid, 3, small.slice_at(3), str(out / "slice_00075"), "")
@@ -559,11 +559,13 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
         run(config)  # slice_<last> is written before the first level
     monkeypatch.undo()
 
-    def stop(level, field):
-        raise KeyboardInterrupt(field.values[-1])
+    def first_step(prev, *args, **kwargs):
+        raise KeyboardInterrupt(prev.copy())
 
+    monkeypatch.setattr(solver, "_step_into", first_step)
     with pytest.raises(KeyboardInterrupt) as stopped:
-        solve_shortfall(config.problem, grid, config.scheme, on_level=stop)
+        solve_shortfall(config.problem, grid, config.scheme)
+    monkeypatch.undo()
     swept = stopped.value.args[0]
     prefix = tmp_path / "steer" / f"slice_{last:05d}"
     inputs = json.loads(prefix.with_suffix(".json").read_text())["inputs"]
@@ -688,7 +690,7 @@ def test_long_form_matches_the_meshgrid_table(tmp_path, shape):
 def test_slice_export_of_a_2d_state_matches_the_meshgrid_table(tmp_path):
     grid = make_grid([(-1.0, 1.0, 7), (0.0, 3.0, 11)], (0.0, 0.8, 41), time_axis(1.0, 0.5))
     values = np.random.default_rng(3).random((grid.n_levels, 7, 11, 41))
-    field = Field(grid, values, solved_from=0, solved_to=grid.n_levels - 1)
+    field = Field(grid, {0: values[0]}, epsilon=1e-3)
     path = tmp_path / "w_t0.csv"
     assert export_slice_csv(field, 0, str(path)) == str(path)
 

@@ -8,8 +8,8 @@ import pytest
 
 from epigraph.errors import DegenerateGrid, UnsolvedField
 from epigraph.fields import (
+    Field,
     Grid,
-    blank_field,
     interp_state,
     load_snapshot,
     make_grid,
@@ -141,23 +141,23 @@ def test_interp_state_clamps_out_of_hull_points():
 # fields
 # ---------------------------------------------------------------------------
 
-def test_blank_field_guards_unsolved_levels():
-    field = blank_field(small_grid())
-    assert not field.solved
-    with pytest.raises(UnsolvedField):
+def test_field_guards_the_levels_it_does_not_keep():
+    grid = small_grid()
+    last = grid.n_levels - 1
+    field = Field(grid, {last: np.zeros((9, 5))}, epsilon=1e-3)
+    assert field.levels == [last]
+    with pytest.raises(UnsolvedField, match=rf"keeps levels \[{last}\], level 0 requested"):
         field.slice_at(0)
-    field.values[-1] = 0.0
-    field.solved_from = field.grid.n_levels - 1
-    assert field.slice_at(field.grid.n_levels - 1).shape == (9, 5)
+    with pytest.raises(IndexError):
+        field.slice_at(grid.n_levels)
+    assert field.slice_at(last).shape == (9, 5)
 
 
 def test_field_evaluate_interpolates_state_and_margin():
     grid = small_grid()
-    field = blank_field(grid)
     aa = grid.state_axes[0][:, None]
     bb = grid.margin_axis[None, :]
-    field.values[:] = (1.0 + aa + 2.0 * bb)[None, ...]
-    field.solved_from = 0
+    field = Field(grid, {0: 1.0 + aa + 2.0 * bb}, epsilon=1e-3)
     got = field.evaluate(0, np.array([[0.25]]), margins=0.375)
     assert np.allclose(got, 1.0 + 0.25 + 0.75)
 

@@ -7,7 +7,7 @@ import pytest
 
 from epigraph.cli import export_profile_csv
 from epigraph.errors import UnsolvedField
-from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
+from epigraph.fields import Field, make_grid, terminal_slice, time_axis
 from epigraph.levelset import (
     UNREACHABLE,
     LevelSetQuery,
@@ -27,11 +27,9 @@ def terminal_field(problem, grid):
     Unlike :func:`terminal_slice` it keeps that formula in the top column,
     so a state with m(a) above the top margin has no crossing on the axis.
     """
-    field = blank_field(grid)
     m = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
-    field.values[-1] = np.maximum(m[..., None] - grid.margin_axis, 0.0)
-    field.solved_from = grid.n_levels - 1
-    return field
+    values = np.maximum(m[..., None] - grid.margin_axis, 0.0)
+    return Field(grid, {grid.n_levels - 1: values}, epsilon=default_epsilon(values))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +98,7 @@ def test_steering_value_matches_the_oracle(steering_field):
 
 def test_profile_is_monotone_in_epsilon(steering_field):
     field, grid = steering_field
-    eps = default_epsilon(field.slice_at(grid.n_levels - 1))
+    eps = field.epsilon
     tight = required_margin_profile(field, 0, LevelSetQuery(epsilon=eps))
     loose = required_margin_profile(field, 0, LevelSetQuery(epsilon=4 * eps))
     assert np.all(loose <= tight + 1e-12)
@@ -109,7 +107,7 @@ def test_profile_is_monotone_in_epsilon(steering_field):
 def test_on_grid_extraction_lands_inside_the_mask(steering_field):
     # the secant crossing lies in (b[j-1], b[j]] of the first qualifying node j
     field, grid = steering_field
-    query = LevelSetQuery(epsilon=default_epsilon(field.slice_at(grid.n_levels - 1)))
+    query = LevelSetQuery(epsilon=field.epsilon)
     profile = required_margin_profile(field, 0, query)
     mask = reachable_slice(field, 0, query)
     finite = np.isfinite(profile)
@@ -128,10 +126,9 @@ def test_profile_is_nonnegative(steering_field):
 def test_interpolation_uses_the_bracketing_secant():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    field = blank_field(grid)
-    field.values[-1] = np.array([0.5, 0.2, -0.3, -0.5, -0.7])[None, :]
-    field.solved_from = grid.n_levels - 1
     level = grid.n_levels - 1
+    row = np.array([0.5, 0.2, -0.3, -0.5, -0.7])
+    field = Field(grid, {level: np.tile(row, (3, 1))}, epsilon=1e-3)
 
     query = LevelSetQuery(epsilon=0.1)
     # secant through (0.25, 0.2) and (0.5, -0.3) crosses zero at 0.35
@@ -141,10 +138,9 @@ def test_interpolation_uses_the_bracketing_secant():
 def test_interpolation_never_reports_past_the_qualifying_node():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    field = blank_field(grid)
     # still positive at the qualifying node: the secant crosses beyond it
-    field.values[-1] = np.array([0.9, 0.6, 0.05, 0.0, 0.0])[None, :]
-    field.solved_from = grid.n_levels - 1
+    row = np.array([0.9, 0.6, 0.05, 0.0, 0.0])
+    field = Field(grid, {grid.n_levels - 1: np.tile(row, (3, 1))}, epsilon=1e-3)
     query = LevelSetQuery(epsilon=0.1)
     got = extract_required_margin(field, grid.n_levels - 1, 0, query)
     assert got == 0.5
@@ -153,9 +149,7 @@ def test_interpolation_never_reports_past_the_qualifying_node():
 def test_zero_margin_already_covered_reports_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (-0.5, 1.0, 7), time_axis(1.0, 0.25))
-    field = blank_field(grid)
-    field.values[-1] = np.zeros((3, 7))
-    field.solved_from = grid.n_levels - 1
+    field = Field(grid, {grid.n_levels - 1: np.zeros((3, 7))}, epsilon=1e-3)
     got = extract_required_margin(field, grid.n_levels - 1, 1,
                                   LevelSetQuery(epsilon=1e-6))
     assert got == 0.0
@@ -173,39 +167,32 @@ def test_unsolved_levels_are_rejected():
         reachable_slice(field, 0, LevelSetQuery(epsilon=1e-3))
 
 
-def test_default_threshold_on_a_resumed_field_names_the_remedy():
-    # a resumed field holds levels 0..20 only, so the terminal slice that
-    # the default threshold reads is not in it
+def test_default_threshold_on_a_resumed_field_is_the_terminal_slices():
+    # a resumed field holds no terminal slice, and its default threshold is
+    # still the one the terminal slice gives
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.1, 2.1, 41)], (0.0, 0.6, 21), time_axis(1.0, 0.02))
     assert grid.n_levels - 1 == 50
     class Stop(Exception):
         pass
 
-    def stop_at_20(level, field):
+    def stop_at_20(level, values):
         if level == 20:
-            raise Stop(field.slice_at(20).copy())
+            raise Stop(values.copy())
 
     with pytest.raises(Stop) as stopped:
         solve_shortfall(problem, grid, on_level=stop_at_20)
     resumed = solve_shortfall(problem, grid, resume=(20, stopped.value.args[0]))
-    remedy = r"LevelSetQuery\(default_epsilon\(terminal_slice\(problem, grid\)\)\)"
-    for extract in (lambda: required_margin_profile(resumed, 0),
-                    lambda: extract_required_margin(resumed, 0, 20),
-                    lambda: reachable_slice(resumed, 0)):
-        with pytest.raises(UnsolvedField, match=r"terminal slice \(level 50\).*0\.\.20.*"
-                           + remedy):
-            extract()
-    query = LevelSetQuery(default_epsilon(terminal_slice(problem, grid)))
-    assert np.array_equal(required_margin_profile(resumed, 0, query),
-                          required_margin_profile(solve_shortfall(problem, grid), 0))
+    fresh = solve_shortfall(problem, grid)
+    assert resumed.epsilon == fresh.epsilon == default_epsilon(terminal_slice(problem, grid))
+    assert np.array_equal(required_margin_profile(resumed, 0), required_margin_profile(fresh, 0))
+    assert extract_required_margin(resumed, 0, 20) == extract_required_margin(fresh, 0, 20)
+    assert np.array_equal(reachable_slice(resumed, 0), reachable_slice(fresh, 0))
 
 
 def test_state_index_must_name_every_state_axis():
     grid = make_grid([(-1.0, 1.0, 5), (-1.0, 1.0, 4)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
-    field = blank_field(grid)
-    field.values[-1] = 0.0
-    field.solved_from = grid.n_levels - 1
+    field = Field(grid, {grid.n_levels - 1: np.zeros((5, 4, 5))}, epsilon=1e-3)
     level, query = grid.n_levels - 1, LevelSetQuery(epsilon=1e-3)
     assert extract_required_margin(field, level, (2, 1), query) == 0.0
     for index in (2, (1, 2, 3)):

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def minimal_problem(**overrides):
     )
     fields.update(overrides)
     return build_problem(fields)
+
+
+def every_level(problem, grid, options=SchemeOptions()):
+    """A solve that keeps every level, as a stacked (level, state..., margin)
+    array."""
+    field = solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+    return np.stack([field.slice_at(level) for level in range(grid.n_levels)])
 
 
 def grid_for(problem, name):
@@ -251,9 +259,9 @@ def test_default_step_without_a_bound_is_a_128th_of_the_horizon():
 
 @pytest.mark.parametrize("amplitude", [5.0, 0.3])
 def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
-    # The drift pulses near t = 0.25, between the three times the default
-    # step samples, so the default step (1/23, under the sampled 0.045)
-    # overshoots the pulse's levels at Courant number ~5.2 (amplitude 5) or
+    # The drift pulses near t = 0.25, between the three times max_stable_dt
+    # samples, so the step 1/23 (under the sampled 0.045) overshoots the
+    # pulse's levels at Courant number ~5.2 (amplitude 5) or
     # ~1.2 (amplitude 0.3).  The sweep must stop at the first such level
     # with CFLViolation, not run on and leave the nonnegative cone.
     def pulse(t):
@@ -264,10 +272,16 @@ def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
         drift=lambda t, a, u: pulse(t) * (np.zeros_like(np.atleast_2d(a)) + u),
         terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
     )
-    grid = stable_grid(problem, [(-2.0, 2.0, 81)], (0.0, 1.0, 41))
+    # the step the default took when it sampled t = 0, T/2 and T alone
+    grid = stable_grid(problem, [(-2.0, 2.0, 81)], (0.0, 1.0, 41), 1.0 / 23.0)
     h = grid.state_spacings[0]
     assert grid.dt == 1.0 / 23.0
     assert max_stable_dt(problem, grid) == pytest.approx(0.045, rel=1e-9)
+
+    # the default step now checks the bound at every level time: it solves
+    default = stable_grid(problem, [(-2.0, 2.0, 81)], (0.0, 1.0, 41))
+    assert default.dt < grid.dt
+    solve_shortfall(problem, default)
 
     def bound(t):
         return 0.9 / (pulse(t) / h)
@@ -330,9 +344,8 @@ def test_autonomous_tables_give_the_per_level_bits():
     # coefficients do not depend on t.
     for label, problem, grid, options in _autonomy_cases():
         assert problem.autonomous, label
-        once = solve_shortfall(problem, grid, options).values
-        per_level = solve_shortfall(dataclasses.replace(problem, autonomous=False), grid,
-                                    options).values
+        once = every_level(problem, grid, options)
+        per_level = every_level(dataclasses.replace(problem, autonomous=False), grid, options)
         assert once.tobytes() == per_level.tobytes(), label
 
 
@@ -435,15 +448,15 @@ def _edges(grid):
 def test_floor_zero_costs_is_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
-    field = solve_shortfall(problem, grid)
-    assert field.values.shape == (grid.n_levels, 31, 11)
-    assert np.abs(field.values[..., grid.margin_zero_index]).max() == 0.0
+    values = every_level(problem, grid)
+    assert values.shape == (grid.n_levels, 31, 11)
+    assert np.abs(values[..., grid.margin_zero_index]).max() == 0.0
 
 
 def test_floor_frozen_distance_accrual_is_exact():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    floor = solve_shortfall(problem, grid).values[..., grid.margin_zero_index]
+    floor = every_level(problem, grid)[..., grid.margin_zero_index]
     a = grid.state_axes[0]
     for level in (0, grid.n_levels // 2, grid.n_levels - 1):
         expect = np.abs(a) * (1.0 - grid.times[level])
@@ -458,7 +471,7 @@ def test_boundary_fields_split_costs():
         region=Region(kind="point", center=np.zeros(1)),
     )
     grid = make_grid([(-2.0, 2.0, 21)], (0.0, 1.0, 11), time_axis(1.0, 0.05))
-    pair = solve_shortfall(problem, grid).values[..., _edges(grid)]
+    pair = every_level(problem, grid)[..., _edges(grid)]
     a = np.abs(grid.state_axes[0])
     for level in (0, grid.n_levels // 2):
         left = 1.0 - grid.times[level]
@@ -469,9 +482,9 @@ def test_boundary_fields_split_costs():
 def test_floor_steering_reaches_the_oracle_value():
     problem = builtin_problem("deterministic-steering")
     grid = grid_for(problem, "deterministic-steering")
-    floor = solve_shortfall(problem, grid).values[..., grid.margin_zero_index]
+    floor = solve_shortfall(problem, grid).slice_at(0)[..., grid.margin_zero_index]
     i = int(np.argmin(np.abs(grid.state_axes[0] - 1.5)))
-    assert floor[0, i] == pytest.approx(0.25, abs=0.05)
+    assert floor[i] == pytest.approx(0.25, abs=0.05)
 
 
 def _state_only_step(prev, t, dt, problem, grid, kind):
@@ -547,36 +560,37 @@ def _one_dim_boundary_setup():
 def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
     # the edge columns pin both hedges to zero whatever the options say
     problem, grid = _two_dim_boundary_setup()
-    field = solve_shortfall(problem, grid, SchemeOptions(hedge="spectral", jump_hedge="grid"))
+    field = solve_shortfall(problem, grid, SchemeOptions(hedge="spectral", jump_hedge="grid"),
+                            keep=(0, 1))
     for column, kind in zip(_edges(grid), ("floor", "ceiling")):
         t = float(grid.times[1])
-        expect = _state_only_step(field.values[1, ..., column], t, t, problem, grid, kind)
+        expect = _state_only_step(field.slice_at(1)[..., column], t, t, problem, grid, kind)
         scale = np.abs(expect).max()
         assert scale > 0.0
-        assert np.abs(field.values[0, ..., column] - expect).max() <= 1e-12 * scale
+        assert np.abs(field.slice_at(0)[..., column] - expect).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("setup", [_one_dim_boundary_setup, _two_dim_boundary_setup])
 def test_boundary_pair_columns_match_one_column_sweeps(setup):
     # each edge column of the sweep gets the bits of its own one-column sweep
     problem, grid = setup()
-    field = solve_shortfall(problem, grid, STATE_ONLY)
+    values = every_level(problem, grid, STATE_ONLY)
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
         for column, c in zip(_edges(grid), (-1.0, 0.0)):
-            prev = field.values[level + 1, ..., column]
+            prev = values[level + 1, ..., column]
             slope = _best_time_slope_reference(prev[..., None], t, problem, grid, STATE_ONLY,
                                                margin_slope=c)
             expect = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
-            assert _same_bits(field.values[level, ..., column], expect), (column, level)
-    floor, ceiling = field.values[0, ..., grid.margin_zero_index], field.values[0, ..., -1]
+            assert _same_bits(values[level, ..., column], expect), (column, level)
+    floor, ceiling = values[0, ..., grid.margin_zero_index], values[0, ..., -1]
     assert np.abs(ceiling).max() > 0.0
     assert not np.array_equal(floor, ceiling)
     # the sweep starts from the terminal data, whose top column holds the
     # ceiling's datum 0 even where m(a) > b_max (the 2-D corners)
-    assert _same_bits(field.values[-1], terminal_slice(problem, grid))
-    assert not np.any(field.values[-1][..., -1])
+    assert _same_bits(values[-1], terminal_slice(problem, grid))
+    assert not np.any(values[-1][..., -1])
 
 
 # (hedge, jump hedge): whether the full solve of the one-dimensional slab
@@ -598,18 +612,18 @@ def test_edge_columns_follow_the_state_only_rules(hedge, jump_hedge):
     assert np.abs(pair[0, ..., 1]).max() > 0.0
     edges = _edges(grid)
     if _EDGE_CASES[hedge, jump_hedge]:
-        field = solve_shortfall(problem, grid, options)
+        values = every_level(problem, grid, options)
         for level in range(grid.n_levels):
-            assert _same_bits(field.values[level][..., edges], pair[level]), level
+            assert _same_bits(values[level][..., edges], pair[level]), level
         return
     with pytest.raises(NonFiniteUpdate):
         solve_shortfall(problem, grid, options)
     # single steps from the terminal slice and from an interior frozen slice
-    frozen = solve_shortfall(problem, grid, STATE_ONLY)
+    frozen = every_level(problem, grid, STATE_ONLY)
     for level in (grid.n_levels - 2, grid.n_levels // 2):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        raw = step_backward(frozen.values[level + 1], t, dt, problem, grid, options)
+        raw = step_backward(frozen[level + 1], t, dt, problem, grid, options)
         assert _same_bits(_enforce_nonnegative(raw[..., edges], t - dt), pair[level]), level
 
 
@@ -643,52 +657,51 @@ def test_roundoff_clip_is_relative_to_the_slice_scale():
 def test_zero_problem_stays_identically_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 41)], (0.0, 1.0, 21), time_axis(1.0, 0.025))
-    field = solve_shortfall(problem, grid)
-    assert field.solved
-    assert np.abs(field.values).max() == 0.0
+    values = every_level(problem, grid)
+    assert np.abs(values).max() == 0.0
 
 
 def test_terminal_level_is_bit_identical_to_terminal_data():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid)
-    assert np.array_equal(field.values[-1], terminal_slice(problem, grid))
+    field = solve_shortfall(problem, grid, keep=(grid.n_levels - 1,))
+    assert np.array_equal(field.slice_at(grid.n_levels - 1), terminal_slice(problem, grid))
 
 
 def test_slab_rows_reproduce_the_floor_exactly_frozen():
     problem = builtin_problem("frozen-penalty")
     grid = grid_for(problem, "frozen-penalty")
-    field = solve_shortfall(problem, grid)
+    values = every_level(problem, grid)
     jz = grid.margin_zero_index
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
-        expect = field.values[level, :, jz, None] - grid.margin_axis[None, below]
-        worst = max(worst, np.abs(field.values[level][:, below] - expect).max())
+        expect = values[level, :, jz, None] - grid.margin_axis[None, below]
+        worst = max(worst, np.abs(values[level][:, below] - expect).max())
     assert worst < 1e-12
 
 
 def test_slab_rows_reproduce_the_floor_exactly_with_diffusion():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid)
+    values = every_level(problem, grid)
     jz = grid.margin_zero_index
     below = grid.margin_axis < 0.0
     worst = 0.0
     for level in range(grid.n_levels):
-        expect = field.values[level, :, jz, None] - grid.margin_axis[None, below]
-        worst = max(worst, np.abs(field.values[level][:, below] - expect).max())
+        expect = values[level, :, jz, None] - grid.margin_axis[None, below]
+        worst = max(worst, np.abs(values[level][:, below] - expect).max())
     assert worst < 1e-12
 
 
 def test_field_is_nonnegative_and_nonincreasing_in_margin():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid)
-    assert field.values.min() >= 0.0
+    values = every_level(problem, grid)
+    assert values.min() >= 0.0
     jz = grid.margin_zero_index
     for level in range(grid.n_levels):
-        assert np.diff(field.values[level][:, jz:], axis=1).max() <= 1e-12
+        assert np.diff(values[level][:, jz:], axis=1).max() <= 1e-12
 
 
 def test_sweep_pins_the_edge_columns_to_the_boundary_pair():
@@ -697,16 +710,16 @@ def test_sweep_pins_the_edge_columns_to_the_boundary_pair():
     # are the two-column state-only sweep
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid)
+    values = every_level(problem, grid)
     pair = _state_only_pair(problem, grid)
     edges = _edges(grid)
     for level in range(grid.n_levels):
-        assert _same_bits(field.values[level][..., edges], pair[level]), level
-    prev = field.values[5]
+        assert _same_bits(values[level][..., edges], pair[level]), level
+    prev = values[5]
     t = float(grid.times[5])
     dt = t - float(grid.times[4])
     raw = step_backward(prev, t, dt, problem, grid)
-    assert _same_bits(_enforce_nonnegative(raw, t - dt), field.values[4])
+    assert _same_bits(_enforce_nonnegative(raw.copy(), t - dt), values[4])
     # the hedged update of the full slice would give the edges other values
     hedged = prev - dt * _best_time_slope_reference(prev, t, problem, grid, SchemeOptions())
     for column in edges:
@@ -719,7 +732,7 @@ def test_lipschitz_quotients_are_stable_under_refinement():
     def quotients(na, nb):
         grid = stable_grid(problem, [(-2.1, 2.1, na)], (0.0, 0.6, nb))
         field = solve_shortfall(problem, grid)
-        core = field.values[0][:, :-1]   # drop the top column, the ceiling
+        core = field.slice_at(0)[:, :-1]   # drop the top column, the ceiling
         qa = np.abs(np.diff(core, axis=0)).max() / grid.state_spacings[0]
         qb = np.abs(np.diff(core, axis=1)).max() / grid.margin_spacing
         return qa, qb
@@ -737,9 +750,9 @@ def test_interior_rows_insensitive_to_margin_ceiling_doubling():
     problem = builtin_problem("deterministic-steering")
     narrow = stable_grid(problem, [(-2.1, 2.1, 141)], (0.0, 0.6, 241))
     wide = make_grid([(-2.1, 2.1, 141)], (0.0, 1.2, 481), narrow.times)
-    f_narrow = solve_shortfall(problem, narrow)
-    f_wide = solve_shortfall(problem, wide)
-    assert np.array_equal(f_narrow.values[:, :, :240], f_wide.values[:, :, :240])
+    f_narrow = every_level(problem, narrow)
+    f_wide = every_level(problem, wide)
+    assert np.array_equal(f_narrow[:, :, :240], f_wide[:, :, :240])
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +781,7 @@ def test_step_is_monotone_in_frozen_mode():
     problem = diffusive_problem()
     grid = diffusive_grid()
     options = SchemeOptions(hedge="frozen")
-    field = solve_shortfall(problem, grid, options)
-    prev = field.values[10]
+    prev = solve_shortfall(problem, grid, options, keep=(10,)).slice_at(10)
     drop = _worst_monotonicity_drop(problem, grid, prev, float(grid.times[11]),
                                     0.02, options, np.random.default_rng(0))
     assert drop <= 1e-12
@@ -778,8 +790,7 @@ def test_step_is_monotone_in_frozen_mode():
 def test_step_is_monotone_without_diffusion():
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.1, 2.1, 71)], (0.0, 0.6, 41), time_axis(1.0, 0.012))
-    field = solve_shortfall(problem, grid)
-    prev = field.values[40]
+    prev = solve_shortfall(problem, grid, keep=(40,)).slice_at(40)
     drop = _worst_monotonicity_drop(problem, grid, prev, float(grid.times[41]),
                                     0.01, SchemeOptions(),
                                     np.random.default_rng(1))
@@ -1026,8 +1037,8 @@ def test_sweep_zeroes_the_node_hamiltonian_with_diffusion(hedge):
     problem = diffusive_problem()
     grid = diffusive_grid()
     options = SchemeOptions(hedge=hedge)
-    field = solve_shortfall(problem, grid, options)
-    residuals, _ = _sweep_residuals(problem, grid, field.values[10],
+    field = solve_shortfall(problem, grid, options, keep=(10,))
+    residuals, _ = _sweep_residuals(problem, grid, field.slice_at(10),
                                     float(grid.times[11]), options,
                                     np.random.default_rng(2))
     assert residuals.size >= 20
@@ -1047,8 +1058,8 @@ def test_sweep_zeroes_the_node_hamiltonian_through_the_arrowhead(diffusion):
         diffusion=diffusion,
     )
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid, SchemeOptions(hedge="frozen"))
-    residuals, live = _sweep_residuals(problem, grid, field.values[10],
+    field = solve_shortfall(problem, grid, SchemeOptions(hedge="frozen"), keep=(10,))
+    residuals, live = _sweep_residuals(problem, grid, field.slice_at(10),
                                        float(grid.times[11]), SchemeOptions(),
                                        np.random.default_rng(5))
     assert live >= 20
@@ -1059,8 +1070,8 @@ def test_sweep_zeroes_the_node_hamiltonian_without_diffusion():
     # 21 controls and an identically zero arrow: the sweep takes corner = target
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.1, 2.1, 71)], (0.0, 0.6, 41), time_axis(1.0, 0.012))
-    field = solve_shortfall(problem, grid)
-    residuals, _ = _sweep_residuals(problem, grid, field.values[40],
+    field = solve_shortfall(problem, grid, keep=(40,))
+    residuals, _ = _sweep_residuals(problem, grid, field.slice_at(40),
                                     float(grid.times[41]), SchemeOptions(),
                                     np.random.default_rng(3))
     assert residuals.size >= 20
@@ -1088,14 +1099,15 @@ class _Stop(Exception):
 
 
 def _stopped_after(problem, grid, stop: int):
-    """The field of a sweep whose ``on_level`` callback raises once level
-    ``stop`` is done; the exception propagates out of the sweep."""
+    """A copy of the slice of level ``stop`` from a sweep whose ``on_level``
+    callback raises once that level is done; the exception propagates out
+    of the sweep."""
     seen = []
 
-    def on_level(level, field):
+    def on_level(level, values):
         seen.append(level)
         if level == stop:
-            raise _Stop(field)
+            raise _Stop(values.copy())
 
     with pytest.raises(_Stop) as stopped:
         solve_shortfall(problem, grid, on_level=on_level)
@@ -1103,26 +1115,78 @@ def _stopped_after(problem, grid, stop: int):
     return stopped.value.args[0]
 
 
-def test_aborted_sweep_guards_unsolved_levels():
+def test_a_field_guards_the_levels_it_did_not_keep():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    field = _stopped_after(problem, grid, 10)
-    assert field.solved_from == 10
+    field = solve_shortfall(problem, grid, keep=(10, 12))
+    assert field.levels == [10, 12]
     assert field.slice_at(10) is not None
-    with pytest.raises(UnsolvedField):
-        field.slice_at(9)
+    for level in (0, 9, 11, grid.n_levels - 1):
+        with pytest.raises(UnsolvedField, match=r"keeps levels \[10, 12\]"):
+            field.slice_at(level)
+
+
+def _longer_two_dim_setup():
+    """The two-dimensional boundary setup over a horizon of 15 levels."""
+    problem, grid = _two_dim_boundary_setup()
+    problem = dataclasses.replace(problem, horizon=1.0)
+    state = [(axis[0], axis[-1], axis.size) for axis in grid.state_axes]
+    margin = (grid.margin_axis[0], grid.margin_axis[-1], grid.margin_axis.size)
+    return problem, stable_grid(problem, state, margin)
+
+
+def test_kept_levels_and_level_callbacks_have_the_every_level_bits():
+    # a 1-D and a 2-D problem, each with jumps, diffusion and running cost
+    for problem, grid in (_one_dim_boundary_setup(), _longer_two_dim_setup()):
+        assert grid.n_levels > 10
+        options = SchemeOptions(hedge="frozen", jump_hedge="zero")
+        full = every_level(problem, grid, options)
+        keep = (0, 5, grid.n_levels - 1)
+        seen = {}
+        field = solve_shortfall(problem, grid, options, keep=keep,
+                                on_level=lambda level, values: seen.setdefault(
+                                    level, values.copy()))
+        assert field.levels == sorted(keep)
+        for level in keep:
+            assert _same_bits(field.slice_at(level), full[level]), level
+        assert sorted(seen) == list(range(grid.n_levels - 1))
+        for level, values in seen.items():
+            assert _same_bits(values, full[level]), level
+
+
+def test_sweep_memory_does_not_grow_with_the_level_count():
+    # two slices, the step's buffers and the kept level 0: four times the
+    # levels take no more memory, and the peak is a fixed number of slices
+    # (about 16 here)
+    problem = dataclasses.replace(builtin_problem("jump-variance"), horizon=0.05)
+    options = SchemeOptions(hedge="frozen", jump_hedge="zero")
+    state, margin = [(-2.0, 2.0, 161)], (0.0, 4.0, 81)
+    slice_bytes = 8 * 161 * 81
+    dt = stable_grid(problem, state, margin).dt
+    peaks = []
+    for factor in (1, 4):
+        grid = make_grid(state, margin, time_axis(problem.horizon, dt / factor))
+        tracemalloc.start()
+        try:
+            solve_shortfall(problem, grid, options)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 280 more levels add less than one slice
+    assert grid.n_levels > 300
+    assert peaks[1] < peaks[0] + slice_bytes
+    assert peaks[1] < 24 * slice_bytes
 
 
 def test_resume_from_snapshot_matches_uninterrupted_solve(tmp_path):
     problem = diffusive_problem()
     grid = diffusive_grid()
-    full = solve_shortfall(problem, grid)
+    full = every_level(problem, grid)
 
-    partial = _stopped_after(problem, grid, 10)
     prefix = str(tmp_path / "level10")
-    save_snapshot(grid, 10, partial.slice_at(10), prefix, "digest")
+    save_snapshot(grid, 10, _stopped_after(problem, grid, 10), prefix, "digest")
 
-    resumed = solve_shortfall(problem, grid, resume=load_snapshot(prefix, grid, "digest"))
-    assert resumed.solved_from == 0
-    assert resumed.solved_to == 10
-    assert np.array_equal(resumed.values[:11], full.values[:11])
+    resumed = solve_shortfall(problem, grid, keep=range(grid.n_levels),
+                              resume=load_snapshot(prefix, grid, "digest"))
+    assert resumed.levels == list(range(11))
+    assert np.array_equal(np.stack([resumed.slice_at(k) for k in range(11)]), full[:11])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from epigraph.errors import IncompatibleGrids
-from epigraph.fields import blank_field, make_grid, terminal_slice, time_axis
+from epigraph.fields import Field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem, parse_problem
 from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
 from epigraph.verify import (
@@ -23,13 +23,18 @@ from epigraph.verify import (
 )
 
 
+def every_level(problem, grid, options=SchemeOptions()):
+    """A solve that keeps every level, as the slab and quotient checks read."""
+    return solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+
+
 @pytest.fixture(scope="module")
 def zero_setup():
     problem = builtin_problem("zero")
     spec = builtin_grid("zero")
     grid = make_grid([tuple(r) for r in spec["state"]], tuple(spec["margin"]),
                      time_axis(problem.horizon, spec["time_step"]))
-    return problem, grid, solve_shortfall(problem, grid)
+    return problem, grid, every_level(problem, grid)
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +43,13 @@ def frozen_setup():
     spec = builtin_grid("frozen-penalty")
     grid = make_grid([tuple(r) for r in spec["state"]], tuple(spec["margin"]),
                      time_axis(problem.horizon, spec["time_step"]))
-    return problem, grid, solve_shortfall(problem, grid)
+    return problem, grid, every_level(problem, grid)
 
 
 def steering_solve(na, nb):
     problem = builtin_problem("deterministic-steering")
     grid = stable_grid(problem, [(-2.1, 2.1, na)], (0.0, 0.6, nb))
-    return problem, grid, solve_shortfall(problem, grid)
+    return problem, grid, every_level(problem, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,7 @@ def test_remainder_rejects_single_node():
 def test_slab_identity_zero_problem():
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 31)], (-0.5, 1.0, 16), time_axis(1.0, 0.02))
-    field = solve_shortfall(problem, grid)
+    field = every_level(problem, grid)
     report = slab_identity_residual(field)
     assert report.passed
     assert report.max_residual <= 1e-12
@@ -153,10 +158,11 @@ def _slab_against_the_floor(field):
     """The slab residual and its worst node, written out against the field's
     margin-0 column, which the sweep steps by the floor's rule."""
     grid = field.grid
-    floor = field.values[..., grid.margin_zero_index]
+    values = np.stack([field.slice_at(level) for level in range(grid.n_levels)])
+    floor = values[..., grid.margin_zero_index]
     b = grid.margin_axis
     below = b <= 0.0
-    gap = np.abs(field.values[..., below] - (floor[..., None] - b[below]))
+    gap = np.abs(values[..., below] - (floor[..., None] - b[below]))
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return float(gap.max()), (int(worst[0]), [int(i) for i in worst[1:-1]],
                               int(np.flatnonzero(below)[worst[-1]]))
@@ -176,7 +182,7 @@ def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
     problem = parse_problem(_SLAB_PROBLEM)[0]
     grid = stable_grid(problem, [(-2.0, 2.0, 41)], (-0.5, 1.5, 41))
     options = SchemeOptions(hedge="frozen", jump_hedge="zero")
-    fields.append(solve_shortfall(problem, grid, options))
+    fields.append(every_level(problem, grid, options))
     for field in fields:
         report = slab_identity_residual(field)
         worst = report.details["worst"]
@@ -187,8 +193,9 @@ def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
 
 def test_slab_fault_injection_locates_the_offender(frozen_setup):
     _, _, field = frozen_setup
-    corrupted = dataclasses.replace(field, values=field.values.copy())
-    corrupted.values[3, 17, 5] += 0.1
+    corrupted = dataclasses.replace(
+        field, slices={level: values.copy() for level, values in field.slices.items()})
+    corrupted.slices[3][17, 5] += 0.1
     report = slab_identity_residual(corrupted)
     assert not report.passed
     assert report.max_residual == pytest.approx(0.1, abs=1e-9)
@@ -236,8 +243,8 @@ def test_perturbation_scales_linearly(zero_setup):
 
 def test_subsolution_rejects_bad_inputs(zero_setup, frozen_setup):
     problem, grid, _ = zero_setup
-    unsolved = blank_field(grid)
-    with pytest.raises(ValueError):
+    unsolved = Field(grid, {grid.n_levels - 1: terminal_slice(problem, grid)}, epsilon=1e-3)
+    with pytest.raises(ValueError, match="which the field does not keep"):
         strict_subsolution_residual(problem, unsolved, 0.1)
     fproblem, _, ffield = frozen_setup
     with pytest.raises(ValueError):
@@ -297,9 +304,7 @@ def test_dpp_needs_ordered_time_indices(zero_setup):
 def test_quotients_on_the_terminal_slice():
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.0, 2.0, 21)], (0.0, 5.0, 26), time_axis(1.0, 0.25))
-    field = blank_field(grid)
-    field.values[-1] = terminal_slice(problem, grid)
-    field.solved_from = grid.n_levels - 1
+    field = Field(grid, {grid.n_levels - 1: terminal_slice(problem, grid)}, epsilon=1e-3)
     report = lipschitz_profile(field)
     assert report.passed
     base = report.details["base"]
