@@ -24,28 +24,23 @@ The full node Hamiltonian is::
     H(node) = max over controls u of [ top_eigenvalue(head(u)) + best jump term(u) ]
 
 and the backward scheme drives H to zero at every interior node.  Everything
-here is pure and allocation-light: these are the reference per-node
-operations; the solver runs an equivalent sweep over whole arrays, and
-``tests/test_solver.py::_sweep_residuals`` checks that the sweep's slope
-makes :func:`hamiltonian_at_node` vanish at random interior nodes, with and
-without diffusion and jumps.  The check covers the frozen hedge with jumps,
-not the spectral one: there the sweep inverts the arrowhead with the jump
-compensator inside the corner, while this module adds it after the top
-eigenvalue.
+here is pure and allocation-light: these are the per-node operations that
+the sweep (:func:`corner_for_eigenvalue`) and the verify battery's sign
+check (:func:`assemble_arrowhead`, :func:`top_eigenvalue`) use.  The node
+Hamiltonian itself, the jump terms and a brute-force hedge search are test
+references, in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NegativeMargin
-from .model import Coefficients, Problem, eval_coefficients
+from .model import Coefficients
 
 Array = np.ndarray
-FieldEval = Callable[[Array, float], float]
 
 
 # ---------------------------------------------------------------------------
@@ -192,190 +187,3 @@ def corner_for_eigenvalue(
     correction = np.where(feasible, arrow_sq / np.where(feasible, gap, 1.0), 0.0)
     out = target - correction
     return float(out) if out.ndim == 0 else out
-
-
-def best_hedge_on_grid(
-    stencil: Stencil,
-    coeffs: Coefficients,
-    distance: float,
-    margin: float,
-    *,
-    radius: float,
-    steps: int,
-) -> tuple[float, Array, bool]:
-    """Brute-force hedge search: maximize the explicit hedged quadratic.
-
-    Evaluates
-
-        corner - h . (diffusion^T hess_cross) - 1/2 |h|^2 hess_margin
-
-    over the lattice ``[-radius, radius]^r`` with ``steps`` points per axis
-    and returns ``(value, argmax hedge, boundary_hit)``.  ``boundary_hit``
-    flags an argmax on the hull — the telltale of an unbounded supremum, which
-    is exactly the situation the eigenvalue form exists to avoid.  This is the
-    slow cross-validation route, not used by the solver.
-    """
-    if steps < 3:
-        raise ValueError("hedge grid needs at least 3 points per axis")
-    r = coeffs.diffusion.shape[1]
-    head = assemble_arrowhead(stencil, coeffs, distance, margin)
-    # the raw (unscaled) quadratic: corner comes from the arrowhead assembly,
-    # the hedge couples through the unscaled cross term
-    cross = coeffs.diffusion.T @ stencil.hess_cross  # (r,)
-    axis = np.linspace(-radius, radius, steps)
-    grids = np.meshgrid(*([axis] * r), indexing="ij")
-    hedges = np.stack([g.ravel() for g in grids], axis=1)  # (steps^r, r)
-    values = (
-        head.corner
-        - hedges @ cross
-        - 0.5 * stencil.hess_margin * np.sum(hedges * hedges, axis=1)
-    )
-    best = int(np.argmax(values))
-    hedge = hedges[best]
-    boundary_hit = bool(np.any(np.isclose(np.abs(hedge), radius)))
-    return float(values[best]), hedge, boundary_hit
-
-
-# ---------------------------------------------------------------------------
-# compensated jump terms
-# ---------------------------------------------------------------------------
-
-def jump_increment(
-    field_eval: FieldEval,
-    state: Array,
-    margin: float,
-    center: float,
-    grad_state: Array,
-    grad_margin: float,
-    jump_sizes: Array,      # (K, n)
-    weights: Array,         # (K,)
-    betas: Array,           # (K,)
-) -> float:
-    """Compensated nonlocal term for a given per-atom margin hedge.
-
-    Sum over atoms of
-
-        w_k * ( -[W(state + chi_k, margin + beta_k) - W(state, margin)]
-                + <grad_state, chi_k> + grad_margin * beta_k ).
-
-    Vanishes identically on affine fields (exact cancellation), which the
-    tests assert.  Out-of-hull shifted evaluations are the accessor's
-    responsibility (the solver clamps; strict callers may raise).
-    """
-    total = 0.0
-    for k in range(weights.shape[0]):
-        shifted = field_eval(state + jump_sizes[k], margin + float(betas[k]))
-        total += float(weights[k]) * (
-            -(shifted - center)
-            + float(grad_state @ jump_sizes[k])
-            + grad_margin * float(betas[k])
-        )
-    return total
-
-
-def best_jump_hedge(
-    field_eval: FieldEval,
-    state: Array,
-    margin: float,
-    center: float,
-    grad_state: Array,
-    grad_margin: float,
-    jump_sizes: Array,
-    weights: Array,
-    beta_candidates: Sequence[float] | Array,
-) -> tuple[float, Array]:
-    """Maximize the compensated jump term over per-atom hedge candidates.
-
-    The integrand is separable across atoms, so each atom picks its own best
-    candidate.  Ties go to the candidate of smallest magnitude (then smallest
-    value), making results grid-order independent.  Returns the maximized
-    total and the per-atom argmax vector.
-    """
-    candidates = np.asarray(beta_candidates, dtype=float).ravel()
-    if candidates.size == 0:
-        raise ValueError("beta_candidates must be nonempty")
-    order = np.lexsort((candidates, np.abs(candidates)))
-    ordered = candidates[order]
-
-    total = 0.0
-    chosen = np.zeros(weights.shape[0])
-    for k in range(weights.shape[0]):
-        best_val = -np.inf
-        best_beta = 0.0
-        for beta in ordered:
-            shifted = field_eval(state + jump_sizes[k], margin + float(beta))
-            val = (
-                -(shifted - center)
-                + float(grad_state @ jump_sizes[k])
-                + grad_margin * float(beta)
-            )
-            if val > best_val:
-                best_val = val
-                best_beta = float(beta)
-        total += float(weights[k]) * best_val
-        chosen[k] = best_beta
-    return total, chosen
-
-
-# ---------------------------------------------------------------------------
-# the node Hamiltonian
-# ---------------------------------------------------------------------------
-
-def hamiltonian_at_node(
-    field_eval: FieldEval,
-    t: float,
-    state: Array,
-    margin: float,
-    stencil: Stencil | Callable[[Array], Stencil],
-    problem: Problem,
-    beta_candidates: Sequence[float] | Array,
-    *,
-    hedge: str = "spectral",
-    jump_hedge: str = "grid",
-) -> float:
-    """Node Hamiltonian: best control of eigenvalue part plus jump part.
-
-    ``stencil`` may be a fixed :class:`Stencil` or a callable receiving the
-    per-control drift vector and returning the (typically upwinded) stencil
-    for that control.  ``hedge="frozen"`` evaluates the unhedged corner
-    instead of the top eigenvalue; ``jump_hedge="zero"`` pins the margin jump
-    hedge at zero.  Both switches exist for cross-validation against plain
-    linear equations, not for production solving.
-
-    At a solution of the margin-augmented dynamic program this quantity is
-    zero at every interior node.
-    """
-    if hedge not in ("spectral", "frozen"):
-        raise ValueError(f"unknown hedge mode {hedge!r}")
-    if jump_hedge not in ("grid", "zero"):
-        raise ValueError(f"unknown jump hedge mode {jump_hedge!r}")
-    state = np.asarray(state, dtype=float)
-    margin = float(margin)
-    coupling_scale(margin)  # validates margin >= 0
-    center = field_eval(state, margin)
-    dist = float(problem.distance(state))
-
-    best = -np.inf
-    for u in problem.controls:
-        coeffs = eval_coefficients(problem, t, state, u)
-        stc = stencil(coeffs.drift) if callable(stencil) else stencil
-        head = assemble_arrowhead(stc, coeffs, dist, margin)
-        local = head.corner if hedge == "frozen" else top_eigenvalue(head)
-        if problem.jumps.n_atoms:
-            if jump_hedge == "zero":
-                jump_part = jump_increment(
-                    field_eval, state, margin, center,
-                    stc.grad_state, stc.grad_margin,
-                    coeffs.jump_sizes, problem.jumps.weights,
-                    np.zeros(problem.jumps.n_atoms),
-                )
-            else:
-                jump_part, _ = best_jump_hedge(
-                    field_eval, state, margin, center,
-                    stc.grad_state, stc.grad_margin,
-                    coeffs.jump_sizes, problem.jumps.weights,
-                    beta_candidates,
-                )
-            local += jump_part
-        best = max(best, local)
-    return float(best)

@@ -373,72 +373,3 @@ def estimate_shortfall(
     samples = shortfall + stats["penalty"]
     assert samples.min() >= 0.0
     return _estimate(samples, n_paths, seed)
-
-
-def check_moment_bound(
-    problem: Problem,
-    initial_points: Sequence[Array],
-    n_paths: int,
-    dt: float,
-    seed: int,
-    policy: Policy | None = None,
-) -> dict[str, Any]:
-    """Empirical second-moment growth report.
-
-    Estimates E[sup_s |x_s|^2] from each initial point and the ratio to
-    1 + |a|^2.  A well-behaved problem keeps that ratio stable; the report
-    flags a spread beyond 4x (or an outright blow-up) as evidence that the
-    coefficients grow super-linearly.
-    """
-    policy = policy or constant_policy(problem.controls[0])
-    rows = []
-    for a0 in initial_points:
-        a0 = np.atleast_1d(np.asarray(a0, dtype=float))
-        try:
-            stats = _chunked(problem, policy, 0.0, a0, 0.0, n_paths, dt, seed)
-            estimate = float(np.mean(stats["sup_sq"]))
-        except NonFiniteState:
-            estimate = float("inf")
-        rows.append({
-            "a": a0.tolist(),
-            "estimate": estimate,
-            "ratio": estimate / (1.0 + float(a0 @ a0)),
-        })
-    by_norm = sorted(rows, key=lambda row: float(np.linalg.norm(row["a"])))
-    blown_up = any(not np.isfinite(row["ratio"]) for row in rows)
-    # systematic growth: the farthest point's ratio dwarfs the nearest one's
-    # (ratios below 1 are treated as 1 so a frozen path from the origin,
-    # whose ratio is 0, does not make every other point look like growth)
-    growth = by_norm[-1]["ratio"] > 4.0 * max(by_norm[0]["ratio"], 1.0)
-    return {
-        "points": rows,
-        "constant": max(row["ratio"] for row in rows),
-        "flag": bool(blown_up or growth),
-    }
-
-
-def check_martingale_zero_mean(
-    problem: Problem,
-    alpha_const: float,
-    beta_const: float,
-    n_paths: int,
-    dt: float,
-    seed: int,
-) -> dict[str, Any]:
-    """Zero-mean check for the hedged noise integrals.
-
-    Accumulates the hedge-weighted Brownian sum and the compensated jump sum
-    with constant hedges and reports whether both confidence intervals cover
-    zero.
-    """
-    alpha = np.full(problem.dim_noise, float(alpha_const))
-    policy = constant_policy(problem.controls[0], alpha=alpha, beta=beta_const)
-    stats = _chunked(problem, policy, 0.0, np.zeros(problem.dim_state), 0.0,
-                     n_paths, dt, seed)
-    brownian = _estimate(stats["brownian_part"], n_paths, seed)
-    jumps = _estimate(stats["jump_part"], n_paths, seed)
-    return {
-        "brownian": brownian,
-        "jump": jumps,
-        "pass": brownian.covers(0.0) and jumps.covers(0.0),
-    }

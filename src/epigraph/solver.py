@@ -25,7 +25,15 @@ compensated drift with its upwind choice, the running cost, ``sigma
 sigma^T`` and the diffusion, each jump atom's interpolation stencil, and the
 node-wise Courant rates.  A problem whose coefficients do
 not depend on t (``Problem.autonomous``) builds them once per solve; any
-other problem builds them at every level, by the same code.
+other problem builds them at every level, by the same code.  A per-control
+coefficient that holds the same bits at every state node (every problem
+stated as a document has constant coefficients) is stored as one value, not
+as an array over the nodes.  Each element of the slice is still multiplied
+by the same number, one IEEE product, so the bits are those of the array
+form; but numpy then runs the product as one contiguous loop over the slice
+rather than a broadcast loop whose inner run is the margin axis.  The
+comparison is of the bits, so a coefficient that is +0 at some nodes and -0
+at others stays an array.
 
 Structurally zero work is skipped, per control and per level, and the
 skipped forms give the same bits as the full ones wherever the stencils are
@@ -207,30 +215,46 @@ _SAFETY = 0.9  # the share of the Courant limit a step may take
 class _ControlTable:
     """One control's coefficients at one time, shaped for the slice.
 
-    ``advection`` holds, per state axis, the negated compensated drift
-    (``(*state_shape, 1)``) and its upwind choice: 0 where the forward
-    difference is taken at every node, 1 where the backward one is, or the
-    mask of the nodes that take the forward one.  ``running`` is None where
-    the running cost is zero at every node, ``sig2`` (``sigma sigma^T``) and
-    ``diffusion`` are None without diffusion, and ``jumps`` holds one
-    interpolation stencil per jump atom, at the shifted state nodes.
+    ``advection`` holds, per state axis, the negated compensated drift and
+    its upwind choice: 0 where the forward difference is taken at every
+    node, 1 where the backward one is, or the mask of the nodes that take
+    the forward one.  ``running`` is None where the running cost is zero at
+    every node, ``sig2`` (``sigma sigma^T``) and ``diffusion`` are None
+    without diffusion, and ``jumps`` holds one interpolation stencil per
+    jump atom, at the shifted state nodes.
+
+    A coefficient that holds the same bits at every state node is one value:
+    a float for the drift and the running cost, an ``(n, n)`` array for
+    ``sig2`` and an ``(n, dim_noise)`` one for ``diffusion``.  One that
+    varies is shaped for the slice: ``(*state_shape, 1)``,
+    ``(*state_shape, 1, n, n)`` and ``(*state_shape, n, dim_noise)``.
+    Both forms broadcast against the slice through the same lines.
     """
 
-    advection: list[tuple[Array, Array | int]]
-    running: Array | None
+    advection: list[tuple[Array | float, Array | int]]
+    running: Array | float | None
     sig2: Array | None
     diffusion: Array | None
     jumps: list
 
 
+def _node_uniform(values: Array, shape: tuple[int, ...]) -> Array:
+    """``values``, one row per state node, as its first row where every row
+    holds the same bits (``+0.0`` and ``-0.0`` differ), else reshaped to
+    ``shape``."""
+    bits = values.view(np.uint64)
+    return values[0] if (bits == bits[:1]).all() else values.reshape(shape)
+
+
 class _LevelTables:
     """Everything a sweep step needs at time ``t`` that the slice does not
     change: the negated distance (``neg_dist``, None where the distance is
-    zero at every node), one :class:`_ControlTable` per control, and the
-    node-wise rates of the Courant bound.
+    zero at every node), the floor and ceiling margin columns (``edges``),
+    one :class:`_ControlTable` per control, and the node-wise rates of the
+    Courant bound.
 
     An autonomous problem's tables serve every level of a solve.  Every
-    array is sized by the state nodes, not by the slice.
+    array is sized by the state nodes or by one node, not by the slice.
     """
 
     def __init__(self, problem: Problem, grid: Grid, t: float) -> None:
@@ -243,6 +267,7 @@ class _LevelTables:
         # adding -0.0 is the identity; adding +0.0 is not (it maps -0 to +0)
         skip = not neg_dist.any() and bool(np.signbit(neg_dist).all())
         self.neg_dist = None if skip else neg_dist
+        self.edges = [grid.margin_zero_index, -1]
 
         # node-wise maxima over the controls of the rates the bound adds up:
         # the absolute raw and compensated drift per state axis (the sweep
@@ -263,22 +288,22 @@ class _LevelTables:
             if diffusion.any():
                 sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
                 np.maximum(rate_sig2, np.abs(sig2), out=rate_sig2)
-                sig2 = sig2.reshape(*sshape, 1, n, n)
+                sig2 = _node_uniform(sig2, (*sshape, 1, n, n))
             np.maximum(rate_running, running, out=rate_running)
 
-            neg_f = np.negative(f_eff).reshape(*sshape, n)
+            neg_f = np.negative(f_eff)
             advection = []
             for i in range(n):
-                neg_f_i = neg_f[..., i][..., None]
+                neg_f_i = _node_uniform(neg_f[:, i], (*sshape, 1))
                 upwind = neg_f_i < 0.0  # where the compensated drift is positive
                 choice = 0 if upwind.all() else 1 if not upwind.any() else upwind
                 advection.append((neg_f_i, choice))
             self.controls.append(_ControlTable(
                 advection=advection,
-                running=running.reshape(*sshape)[..., None] if running.any() else None,
+                running=_node_uniform(running, (*sshape, 1)) if running.any() else None,
                 sig2=sig2,
-                diffusion=(None if sig2 is None
-                           else diffusion.reshape(*sshape, n, problem.dim_noise)),
+                diffusion=(None if sig2 is None else _node_uniform(
+                    diffusion, (*sshape, n, problem.dim_noise))),
                 jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
                        for k in range(jumps.n_atoms)],
             ))
@@ -457,7 +482,7 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
     b_axis = grid.margin_axis
     B = prev.shape[-1]
     K = problem.jumps.n_atoms
-    edges = [grid.margin_zero_index, -1]  # the floor and the ceiling column
+    edges = tables.edges  # the floor and the ceiling column
     spectral = options.hedge == "spectral"
     # without jumps and without a corner to invert, every control's target
     # is -0.0: it is subtracted once, from the maximum

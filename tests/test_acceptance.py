@@ -21,8 +21,6 @@ from epigraph.hamiltonian import (
     Coefficients,
     Stencil,
     assemble_arrowhead,
-    best_hedge_on_grid,
-    jump_increment,
     top_eigenvalue,
 )
 from epigraph.levelset import required_margin_profile
@@ -36,6 +34,7 @@ from epigraph.verify import (
     strict_subsolution_residual,
     taylor_remainder_residual,
 )
+from references import best_hedge_on_grid, jump_increment
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

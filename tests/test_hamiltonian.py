@@ -18,15 +18,12 @@ from epigraph.hamiltonian import (
     Arrowhead,
     Stencil,
     assemble_arrowhead,
-    best_hedge_on_grid,
-    best_jump_hedge,
     corner_for_eigenvalue,
     coupling_scale,
-    hamiltonian_at_node,
-    jump_increment,
     top_eigenvalue,
 )
 from epigraph.model import Coefficients, JumpModel, Region, build_problem
+from references import best_hedge_on_grid, best_jump_hedge, hamiltonian_at_node, jump_increment
 
 
 def make_stencil(**overrides):

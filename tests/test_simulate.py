@@ -11,8 +11,6 @@ from epigraph.problems import builtin_problem
 from epigraph.simulate import (
     MCEstimate,
     Policy,
-    check_martingale_zero_mean,
-    check_moment_bound,
     constant_policy,
     estimate_cost,
     estimate_shortfall,
@@ -22,6 +20,7 @@ from epigraph.simulate import (
     _chunked,
     _time_steps,
 )
+from references import check_martingale_zero_mean, check_moment_bound
 
 
 class ZeroNoise:

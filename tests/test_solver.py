@@ -20,7 +20,7 @@ from epigraph.fields import (
     terminal_slice,
     time_axis,
 )
-from epigraph.hamiltonian import Stencil, corner_for_eigenvalue, hamiltonian_at_node
+from epigraph.hamiltonian import Stencil, corner_for_eigenvalue
 from epigraph.model import (
     JumpModel,
     Region,
@@ -46,6 +46,7 @@ from epigraph.solver import (
     stable_grid,
     step_backward,
 )
+from references import hamiltonian_at_node
 
 
 def drift_is_control(t, a, u):
@@ -321,22 +322,34 @@ def test_an_autonomous_problem_evaluates_its_coefficients_once_per_solve(autonom
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _documents():
+    """The built-ins and the README's inline problem, as documents by label."""
+    documents = {name: builtin_config(name) for name in BUILTIN_NAMES}
+    documents["README"] = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(),
+                                                re.S)[1])
+    return documents
+
+
+def _stable_slope_step_case(label):
+    """(label, problem, grid, options) of the ``_slope_step_cases`` case
+    ``label``, on a stable grid over the same axes, with the problem marked
+    autonomous."""
+    _, _, problem, grid, options = next(case for case in _slope_step_cases()
+                                        if case[0] == label)
+    grid = stable_grid(problem, [(axis[0], axis[-1], axis.size) for axis in grid.state_axes],
+                       (grid.margin_axis[0], grid.margin_axis[-1], grid.margin_axis.size))
+    return label, dataclasses.replace(problem, autonomous=True), grid, options
+
+
 def _autonomy_cases():
     """(label, problem, grid, options): the built-ins at their stock grids,
     the README's inline problem, and a 2-D problem with jumps, diffusion,
     running cost and a region."""
-    documents = {name: builtin_config(name) for name in BUILTIN_NAMES}
-    documents["README"] = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(),
-                                                re.S)[1])
-    for label, document in documents.items():
+    for label, document in _documents().items():
         config = parse_config(json.dumps(document))
         yield label, config.problem, resolve_grid(config), config.scheme
-    label, _, problem, grid, options = next(
-        case for case in _slope_step_cases() if case[0] ==
+    yield _stable_slope_step_case(
         "2-D nonzero running, mixed drift, jumps grid, diffusion 0.3 frozen")
-    grid = stable_grid(problem, [(axis[0], axis[-1], axis.size) for axis in grid.state_axes],
-                       (grid.margin_axis[0], grid.margin_axis[-1], grid.margin_axis.size))
-    yield label, dataclasses.replace(problem, autonomous=True), grid, options
 
 
 def test_autonomous_tables_give_the_per_level_bits():
@@ -347,6 +360,68 @@ def test_autonomous_tables_give_the_per_level_bits():
         once = every_level(problem, grid, options)
         per_level = every_level(dataclasses.replace(problem, autonomous=False), grid, options)
         assert once.tobytes() == per_level.tobytes(), label
+
+
+# ---------------------------------------------------------------------------
+# the level tables: a coefficient with the same bits at every node is one value
+# ---------------------------------------------------------------------------
+
+STEERING_2D = {
+    "problem": {"dim_state": 2, "dim_noise": 1, "horizon": 1.0,
+                "controls": [[float(u), float(v)] for u in np.linspace(-1.0, 1.0, 5)
+                             for v in np.linspace(-1.0, 1.0, 5)],
+                "drift": "control", "terminal_cost": "square", "name": "steering-2d"},
+    "grid": {"state": [[-2.1, 2.1, 35]] * 2, "margin": [0.0, 0.8, 41], "time_step": None},
+}
+
+
+def test_constant_coefficient_documents_store_one_value_per_coefficient():
+    # the built-ins, the README's inline problem (the one with a running
+    # cost) and the 35 x 35 x 41 two-dimensional steering document
+    documents = {**_documents(), "steering-2d": STEERING_2D}
+    stored = set()
+    for label, document in documents.items():
+        config = parse_config(json.dumps(document))
+        n, r = config.problem.dim_state, config.problem.dim_noise
+        want = {"advection": (), "running": (), "sig2": (n, n), "diffusion": (n, r)}
+        for control in _LevelTables(config.problem, resolve_grid(config), 0.0).controls:
+            entries = {"advection": [neg_f_i for neg_f_i, _ in control.advection],
+                       "running": [control.running], "sig2": [control.sig2],
+                       "diffusion": [control.diffusion]}
+            for kind, values in entries.items():
+                for value in values:
+                    if value is not None:
+                        assert np.shape(value) == want[kind], (label, kind)
+                        stored.add(kind)
+    assert stored == set(want)
+
+
+@pytest.mark.parametrize("odd", [0.25, -0.0], ids=["another value", "a signed zero"])
+def test_a_drift_that_differs_at_one_node_stays_an_array(odd):
+    # +0 and -0 compare equal; the tables compare bits
+    def drift(t, a, u):
+        values = np.zeros_like(np.atleast_2d(a))
+        values[3] = odd
+        return values
+
+    problem = minimal_problem(drift=drift)
+    grid = make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 5), time_axis(1.0, 0.1))
+    [(neg_f, _)] = _LevelTables(problem, grid, 0.0).controls[0].advection
+    assert neg_f.shape == (11, 1)
+    assert _same_bits(neg_f[:, 0], -drift(0.0, grid.state_mesh(), 0.0)[:, 0])
+
+
+def test_one_value_tables_give_the_per_node_bits(monkeypatch):
+    # the same solves with every coefficient stored per node
+    cases = [*_autonomy_cases(), _stable_slope_step_case(
+        "2-D uniform running, one-sign drift, jumps zero, diffusion 0.3 spectral")]
+    one_value = [every_level(problem, grid, options) for _, problem, grid, options in cases]
+    monkeypatch.setattr("epigraph.solver._node_uniform",
+                        lambda values, shape: values.reshape(shape))
+    for (label, problem, grid, options), want in zip(cases, one_value):
+        control = _LevelTables(problem, grid, 0.0).controls[0]
+        assert control.advection[0][0].shape == (*grid.state_shape, 1), label
+        assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
 
 
 # ---------------------------------------------------------------------------
@@ -892,10 +967,11 @@ def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=Non
 
 
 def _slope_step_cases():
-    """(label, prev, problem, grid, options) over 1-D and 2-D states, zero and
-    nonzero running cost, one-sign and mixed-sign drift, no jump or one
-    atom, and no diffusion or constant diffusion.  Margin 0 is the first
-    column of the 1-D grid and an interior one of the 2-D grid."""
+    """(label, prev, problem, grid, options) over 1-D and 2-D states, zero,
+    state-uniform and state-varying running cost, one-sign and mixed-sign
+    drift, no jump or one atom, and no diffusion or constant diffusion.
+    Margin 0 is the first column of the 1-D grid and an interior one of the
+    2-D grid."""
     rng = np.random.default_rng(17)
     for n in (1, 2):
         grid = (make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5)) if n == 1
@@ -907,16 +983,21 @@ def _slope_step_cases():
         prev[rng.random(prev.shape) < 0.3] = 0.0
         prev[rng.random(prev.shape) < 0.15] = -0.0
         for running, drift, jumps, (sigma, hedge) in itertools.product(
-                ("zero", "nonzero"), ("one-sign", "mixed"), ("none", "zero", "grid"),
+                ("zero", "uniform", "nonzero"), ("one-sign", "mixed"), ("none", "zero", "grid"),
                 ((0.0, "spectral"), (0.3, "frozen"), (0.3, "spectral"))):
-            # u.u + max(a_1, 0)^2 is zero on half the nodes for the zero control
+            # u.u + 1/4 is the same at every node, and u.u + max(a_1, 0)^2 is
+            # zero on half the nodes for the zero control
             problem = build_problem(
                 dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
                 drift=(drift_is_control if drift == "one-sign"
                        else lambda t, a, u: u - np.atleast_2d(a)),
                 diffusion=constant_diffusion(sigma) if sigma else None,
-                running_cost=(None if running == "zero" else lambda t, a, u: (
-                    u @ u + np.maximum(np.atleast_2d(a)[:, 0], 0.0) ** 2)),
+                running_cost={
+                    "zero": None,
+                    "uniform": lambda t, a, u: np.full(np.atleast_2d(a).shape[0], u @ u + 0.25),
+                    "nonzero": lambda t, a, u: (
+                        u @ u + np.maximum(np.atleast_2d(a)[:, 0], 0.0) ** 2),
+                }[running],
                 terminal_cost=zero_terminal,
                 jumps=None if jumps == "none" else JumpModel(
                     marks=np.array([0.25]), weights=np.array([0.5])),
@@ -951,7 +1032,7 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
                                               STATE_ONLY, margin_slope=c)
             assert _same_bits(got[..., column], edge[..., 0]), (label, column)
         count += 1
-    assert count == 2 * 2 * 2 * 3 * 3
+    assert count == 2 * 3 * 2 * 3 * 3
 
 
 # ---------------------------------------------------------------------------
