@@ -340,7 +340,13 @@ def write_plot_script(path: str, slice_csv: str, profile_csv: str,
 # ---------------------------------------------------------------------------
 
 def _sha256(path: pathlib.Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read a MiB at a time: ``w_t0.csv`` of a 2-D grid
+    can outweigh the sweep's two slices."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:

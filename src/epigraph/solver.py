@@ -66,7 +66,24 @@ finite:
   can flip only the sign of a zero slope, and no such flip survives the
   final subtraction of the target (-0 or nonzero, and ``x - (-0)`` is +0
   for either zero) or of the spectral corner, which equals the target
-  unless the arrow is live.
+  unless the arrow is live;
+* where every control's target is -0 (no jump atoms, no spectral corner),
+  the maximum runs over the envelope of the controls, not over all of them.
+  Along one state axis, take the controls that hold the same bits in
+  everything else the slope reads (the other axes' drift and upwind choice,
+  the running cost, ``sigma sigma^T`` and the diffusion) and whose drift
+  along this axis is one value with one upwind side.  Such a control's
+  slope depends on its drift ``c`` only through ``fl(c * D)`` for the same
+  difference ``D``, which rounding keeps monotone in ``c``, and every later
+  operation adds or subtracts a quantity the same across the group, which
+  keeps the slope monotone in that product.  So at every node a control's
+  slope is at most the larger of the slopes of the group's smallest and
+  largest ``c``, and only those two are kept.  The maximum is the same
+  value; only the sign of a zero can differ, and the final subtraction of
+  -0 maps both zeros to +0.  A zero ``c`` is the smallest of its
+  nonnegative group, so it is kept, and an infinite difference gives the
+  same non-finite slope (``0 * inf``) in both forms.  The Courant rates
+  still run over every control.
 
 Two margin columns are stepped by state-only rules rather than the hedged
 equation.  The margin-0 column is the floor: at b = 0 neither hedge beats
@@ -246,12 +263,56 @@ def _node_uniform(values: Array, shape: tuple[int, ...]) -> Array:
     return values[0] if (bits == bits[:1]).all() else values.reshape(shape)
 
 
+def _bits(value: object) -> object:
+    """A hashable key of ``value``'s bits: None, an upwind choice, one value
+    or an array."""
+    if value is None or isinstance(value, int):
+        return value
+    value = np.asarray(value)
+    return value.shape, value.dtype.str, value.tobytes()
+
+
+def _envelope(controls: list[_ControlTable]) -> list[_ControlTable]:
+    """The controls of ``controls``, in order, whose slope can be the
+    largest when every target is -0: along each state axis, one group per
+    set of controls with the same bits in everything else the slope reads
+    and a one-value drift with the same upwind side, of which only the
+    smallest and the largest drift stay."""
+    kept = list(controls)
+    for axis in range(len(kept[0].advection)):
+        groups: dict[object, list[int]] = {}
+        for k, control in enumerate(kept):
+            neg_f, choice = control.advection[axis]
+            if np.ndim(neg_f):
+                continue
+            key = (choice, _bits(control.running),
+                   _bits(control.sig2), _bits(control.diffusion),
+                   *((_bits(f), _bits(c)) for i, (f, c) in enumerate(control.advection)
+                     if i != axis))
+            groups.setdefault(key, []).append(k)
+        drop = set()
+        for members in groups.values():
+            drift = [kept[k].advection[axis][0] for k in members]
+            ends = {members[int(np.argmin(drift))], members[int(np.argmax(drift))]}
+            drop.update(k for k in members if k not in ends)
+        kept = [control for k, control in enumerate(kept) if k not in drop]
+    return kept
+
+
 class _LevelTables:
     """Everything a sweep step needs at time ``t`` that the slice does not
     change: the negated distance (``neg_dist``, None where the distance is
     zero at every node), the floor and ceiling margin columns (``edges``),
-    one :class:`_ControlTable` per control, and the node-wise rates of the
-    Courant bound.
+    one :class:`_ControlTable` per control, the ``envelope`` of those
+    controls, and the node-wise rates of the Courant bound.
+
+    ``envelope`` is the sublist of ``controls``, in their order, that can
+    attain the maximum of the slopes when every target is -0: along each
+    state axis in turn, of the controls that agree in everything else the
+    slope reads and whose drift along the axis is one value with one upwind
+    side, only those with the smallest and the largest drift stay (see the
+    module docstring).  A control set with nothing to drop is its own
+    envelope.
 
     An autonomous problem's tables serve every level of a solve.  Every
     array is sized by the state nodes or by one node, not by the slice.
@@ -307,6 +368,7 @@ class _LevelTables:
                 jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
                        for k in range(jumps.n_atoms)],
             ))
+        self.envelope = _envelope(self.controls)
         self.rates = (rate_drift, rate_sig2, rate_running)
         self._bound = _courant_bound(problem, grid, *self.rates)
 
@@ -400,11 +462,11 @@ class _Workspace:
         self.shape = shape
         self._buffers: dict[object, Array] = {}
 
-    def __call__(self, name: object, *, zeros: bool = False, dtype: type = float) -> Array:
-        """The buffer ``name``, of the slice's shape."""
+    def __call__(self, name: object, *, zeros: bool = False) -> Array:
+        """The float buffer ``name``, of the slice's shape."""
         buffer = self._buffers.get(name)
         if buffer is None:
-            buffer = (np.zeros if zeros else np.empty)(self.shape, dtype)
+            buffer = (np.zeros if zeros else np.empty)(self.shape)
             self._buffers[name] = buffer
         return buffer
 
@@ -507,12 +569,13 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
     if grid_hedge:
         beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
 
-    best, slope, scratch = ws("best"), ws("slope"), ws("scratch")
-    best.fill(-np.inf)
-    for control in tables.controls:
+    best, scratch = ws("best"), ws("scratch")
+    for index, control in enumerate(tables.envelope if late_target else tables.controls):
         # slope = -dist - advection + running * margin_slope - trace - corner;
         # the drift is stored negated, so the first advection term written
-        # into slope is already -advection
+        # into slope is already -advection.  The first control's slope is
+        # written into best: np.maximum(-inf, x) is x, -0 and NaN included
+        slope = ws("slope") if index else best
         for i, (neg_f_i, choice) in enumerate(control.advection):
             term = scratch if i else slope
             if isinstance(choice, int):
@@ -569,7 +632,8 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
             slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
         elif not late_target:
             slope -= target
-        np.maximum(best, slope, out=best)
+        if index:
+            np.maximum(best, slope, out=best)
 
     if late_target:
         best -= -0.0
@@ -579,17 +643,15 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
 def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
                options: SchemeOptions, ws: _Workspace, out: Array) -> Array:
     """The step of :func:`step_backward`, written into ``out`` with the
-    buffers of ``ws``; ``out`` must not overlap ``prev``."""
+    buffers of ``ws``; ``out`` must not overlap ``prev``.  It does not check
+    that ``out`` is finite: :func:`_enforce_nonnegative` does."""
     bound = tables.bound()
     if not _admits(dt, bound):
         raise CFLViolation(
             f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
     change = _best_time_slope(prev, tables, options, ws)
     change *= dt
-    np.subtract(prev, change, out=out)
-    if not np.isfinite(out, out=ws("finite", dtype=bool)).all():
-        raise NonFiniteUpdate(f"non-finite values in the slice at t={t - dt:.6g}")
-    return out
+    return np.subtract(prev, change, out=out)
 
 
 def step_backward(
@@ -613,23 +675,34 @@ def step_backward(
     coefficients at ``t``, the ones the step evaluates."""
     if tables is None:
         tables = _LevelTables(problem, grid, t)
-    return _step_into(prev, t, dt, tables, options, _Workspace(prev.shape),
-                      np.empty(prev.shape))
+    out = _step_into(prev, t, dt, tables, options, _Workspace(prev.shape),
+                     np.empty(prev.shape))
+    if not np.isfinite(out).all():
+        raise _non_finite(t - dt)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the full margin-coupled solve
 # ---------------------------------------------------------------------------
 
+def _non_finite(t: float) -> NonFiniteUpdate:
+    """The error of a slice at time ``t`` that is not finite."""
+    return NonFiniteUpdate(f"non-finite values in the slice at t={t:.6g}")
+
+
 def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     """Clip roundoff-negative entries of ``slice_vals`` to zero, in place;
     fail on anything worse.
 
     Roundoff is judged relative to the slice's magnitude, on the scale the
-    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  The
-    slice must be finite, as :func:`step_backward` guarantees.
+    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  A
+    slice with a NaN or an infinity fails too: numpy's ``min`` and ``max``
+    propagate NaN, so the two values read for the scale show both.
     """
     lowest, highest = float(slice_vals.min()), float(slice_vals.max())
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
+        raise _non_finite(t)
     scale = max(1.0, highest, -lowest)  # max(1, max |slice|), exactly
     if lowest <= -1e-12 * scale:
         raise NonFiniteUpdate(
@@ -651,7 +724,8 @@ def solve_shortfall(
     and return the levels in ``keep``.
 
     Each level is one step (:func:`step_backward`), which checks that
-    level's stable bound, followed by the roundoff clip.  The level tables
+    level's stable bound, followed by the roundoff clip, which also stops
+    the sweep on a slice that is not finite.  The level tables
     are built once per level, or once per solve for an autonomous problem.
     The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
     margin-0 column is the floor and the top margin column the ceiling, each

@@ -336,6 +336,21 @@ def test_run_holds_one_full_history_field(tmp_path):
     assert peak < 1.5 * field_bytes
 
 
+def test_artifact_hashes_read_the_file_in_chunks(tmp_path):
+    # a 2-D w_t0.csv can be larger than the sweep's two slices together
+    path = tmp_path / "large.csv"
+    content = np.random.default_rng(0).bytes(8 << 20)
+    path.write_bytes(content)
+    tracemalloc.start()
+    try:
+        digest = cli._sha256(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(content).hexdigest()
+    assert peak < len(content) // 2
+
+
 def _stop_sweep_at(monkeypatch, level: int, stop) -> None:
     """Make the sweep call ``stop()`` as it starts the step to ``level``."""
     step = solver._step_into

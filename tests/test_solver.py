@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from epigraph import solver
 from epigraph.cli import builtin_config, parse_config, resolve_grid
 from epigraph.errors import CFLViolation, NonFiniteUpdate, UnsolvedField
 from epigraph.fields import (
@@ -422,6 +423,118 @@ def test_one_value_tables_give_the_per_node_bits(monkeypatch):
         control = _LevelTables(problem, grid, 0.0).controls[0]
         assert control.advection[0][0].shape == (*grid.state_shape, 1), label
         assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
+
+
+# ---------------------------------------------------------------------------
+# the level tables: the envelope of the control grid
+# ---------------------------------------------------------------------------
+
+FROZEN_DIFFUSION = {
+    "problem": {"dim_state": 1, "dim_noise": 1, "horizon": 0.5,
+                "controls": [-1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0],
+                "drift": "control", "diffusion": 0.3, "running_cost": 0.2,
+                "terminal_cost": "square", "region": {"kind": "box", "lo": [-1.5], "hi": [1.5]}},
+    "grid": {"state": [[-2.0, 2.0, 81]], "margin": [0.0, 2.0, 41], "time_step": None},
+    "scheme": {"hedge": "frozen", "beta_candidates": "zero"},
+}
+
+
+def _envelope_documents():
+    """The built-ins, the 35 x 35 x 41 two-dimensional steering document and
+    a 1-D document with frozen diffusion, running cost and a box region."""
+    return {**{name: builtin_config(name) for name in BUILTIN_NAMES},
+            "steering-2d": STEERING_2D, "frozen diffusion": FROZEN_DIFFUSION}
+
+
+def _tables_of(document):
+    config = parse_config(json.dumps(document))
+    return _LevelTables(config.problem, resolve_grid(config), 0.0)
+
+
+def test_the_envelope_of_the_bench_control_grids():
+    # deterministic-steering is the bench steering problem; each sign side of
+    # a one-value drift keeps its smallest and largest drift
+    sizes = {label: (len(tables.controls), len(tables.envelope)) for label, tables in (
+        ("steering", _tables_of(builtin_config("deterministic-steering"))),
+        ("steering-2d", _tables_of(STEERING_2D)),
+        ("jump-variance", _tables_of(builtin_config("jump-variance"))))}
+    assert sizes == {"steering": (21, 4), "steering-2d": (25, 16), "jump-variance": (1, 1)}
+
+
+def _seven_controls(**overrides):
+    """Seven one-value drifts of both signs on a 1-D grid: (problem, grid)."""
+    fields = {"drift": drift_is_control, "controls": list(np.linspace(-0.6, 0.6, 7)),
+              **overrides}
+    problem = minimal_problem(**fields)
+    return problem, make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"drift": lambda t, a, u: u - np.atleast_2d(a)},
+    {"running_cost": lambda t, a, u: np.full(np.atleast_2d(a).shape[0], u @ u + 0.25)},
+], ids=["a drift that varies with the state", "a running cost that depends on the control"])
+def test_the_envelope_keeps_every_control(overrides):
+    tables = _LevelTables(*_seven_controls(**overrides), 0.0)
+    assert len(tables.controls) == 7
+    assert tables.envelope == tables.controls
+    assert len(_LevelTables(*_seven_controls(), 0.0).envelope) == 4
+
+
+JUMP_ATOM = {"jumps": JumpModel(marks=np.array([0.25]), weights=np.array([0.5])),
+             "jump_size": lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e}
+
+
+@pytest.mark.parametrize("overrides, options, reads_envelope", [
+    (JUMP_ATOM, SchemeOptions(hedge="frozen", jump_hedge="zero"), False),
+    ({"diffusion": constant_diffusion(0.3)}, SchemeOptions(hedge="spectral"), False),
+    ({"diffusion": constant_diffusion(0.3)}, SchemeOptions(hedge="frozen"), True),
+], ids=["a jump atom", "a spectral hedge with diffusion", "frozen diffusion"])
+def test_the_reduction_reads_the_envelope_only_where_every_target_is_minus_zero(
+        overrides, options, reads_envelope):
+    # cutting the envelope to its first control changes the slope only where
+    # the reduction runs over the envelope
+    tables = _LevelTables(*_seven_controls(**overrides), 0.5)
+    assert len(tables.envelope) < len(tables.controls)
+    rng = np.random.default_rng(5)
+    prev = rng.random((11, 7)) * 2.0
+    want = _best_time_slope(prev, tables, options)
+    tables.envelope = tables.controls[:1]
+    got = _best_time_slope(prev, tables, options)
+    assert _same_bits(got, want) != reads_envelope
+
+
+def test_the_envelope_gives_the_every_control_bits(monkeypatch):
+    # the same solves with the reduction over every control
+    cases, dropping = [], set()
+    for label, document in _envelope_documents().items():
+        config = parse_config(json.dumps(document))
+        grid = resolve_grid(config)
+        tables = _LevelTables(config.problem, grid, 0.0)
+        if len(tables.envelope) < len(tables.controls):
+            dropping.add(label)
+        cases.append((label, config.problem, grid, config.scheme))
+    assert dropping == {"deterministic-steering", "steering-2d", "frozen diffusion"}
+    enveloped = [every_level(problem, grid, options) for _, problem, grid, options in cases]
+    monkeypatch.setattr("epigraph.solver._envelope", list)
+    for (label, problem, grid, options), want in zip(cases, enveloped):
+        assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_step_stops_the_sweep_naming_the_level_time(monkeypatch, bad):
+    # the roundoff clip's min and max see a NaN or an infinity
+    step = solver._step_into
+
+    def spoiled(prev, t, dt, *args, **kwargs):
+        out = step(prev, t, dt, *args, **kwargs)
+        out[3, 4] = bad
+        return out
+
+    monkeypatch.setattr(solver, "_step_into", spoiled)
+    grid = diffusive_grid()
+    message = f"non-finite values in the slice at t={float(grid.times[-2]):.6g}"
+    with pytest.raises(NonFiniteUpdate, match=re.escape(message)):
+        solve_shortfall(diffusive_problem(), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +1082,8 @@ def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=Non
 def _slope_step_cases():
     """(label, prev, problem, grid, options) over 1-D and 2-D states, zero,
     state-uniform and state-varying running cost, one-sign and mixed-sign
-    drift, no jump or one atom, and no diffusion or constant diffusion.
+    drift, no jump or one atom, and no diffusion or constant diffusion; and
+    per state dimension a control grid whose envelope drops controls.
     Margin 0 is the first column of the 1-D grid and an interior one of the
     2-D grid."""
     rng = np.random.default_rng(17)
@@ -1009,6 +1123,24 @@ def _slope_step_cases():
                     f"diffusion {sigma} {hedge}"
             yield (label, prev, problem, grid,
                    SchemeOptions(hedge=hedge, jump_hedge="grid" if jumps == "none" else jumps))
+        # control grids whose envelope drops controls: seven controls of both
+        # signs in 1-D (4 kept), and a 3 x 3 product of one-sign drifts in
+        # 2-D (4 kept), with running costs that do not depend on the control
+        controls = ([[u] for u in np.linspace(-0.6, 0.6, 7)] if n == 1
+                    else [[u, v] for u in (0.2, 0.5, 0.8) for v in (-0.6, -0.3, -0.1)])
+        for running, (sigma, hedge) in itertools.product(
+                ("zero", "constant"), ((0.0, "spectral"), (0.3, "frozen"))):
+            problem = build_problem(
+                dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
+                drift=drift_is_control,
+                diffusion=constant_diffusion(sigma) if sigma else None,
+                running_cost=constant_running(0.25) if running == "constant" else None,
+                terminal_cost=zero_terminal,
+                region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
+            )
+            label = f"{n}-D {len(controls)} controls, {running} running, " \
+                    f"diffusion {sigma} {hedge}"
+            yield label, prev, problem, grid, SchemeOptions(hedge=hedge)
 
 
 def test_time_slope_matches_the_per_control_reference_bit_for_bit():
@@ -1016,10 +1148,11 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
     # target maps both signs to the same bits; signbit must agree too.  The
     # margin-0 and top columns match the reference's one-column state-only
     # calls, the other columns its full-slice call.
-    count = 0
+    count = dropped = 0
     for label, prev, problem, grid, options in _slope_step_cases():
         tables = _LevelTables(problem, grid, 0.5)
         got = _best_time_slope(prev, tables, options)
+        dropped += len(tables.controls) - len(tables.envelope)
         # the coefficients are autonomous: the level's bound is the default step
         assert tables.bound() == max_stable_dt(problem, grid), label
         want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
@@ -1032,7 +1165,9 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
                                               STATE_ONLY, margin_slope=c)
             assert _same_bits(got[..., column], edge[..., 0]), (label, column)
         count += 1
-    assert count == 2 * 3 * 2 * 3 * 3
+    assert count == 2 * 3 * 2 * 3 * 3 + 2 * 2 * 2
+    # only the control grids drop controls: 7 -> 4 in 1-D, 9 -> 4 in 2-D
+    assert dropped == 4 * 3 + 4 * 5
 
 
 # ---------------------------------------------------------------------------
