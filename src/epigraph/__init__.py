@@ -12,14 +12,7 @@ from __future__ import annotations
 from .cli import RunConfig, builtin_config, main, parse_config, run, serialize_config
 from .errors import EpigraphError
 from .fields import Field, Grid, make_grid, terminal_slice, time_axis
-from .levelset import (
-    UNREACHABLE,
-    LevelSetQuery,
-    default_epsilon,
-    extract_required_margin,
-    reachable_slice,
-    required_margin_profile,
-)
+from .levelset import UNREACHABLE, LevelSetQuery, default_epsilon, required_margin_profile
 from .model import (
     Coefficients,
     JumpModel,
@@ -84,13 +77,11 @@ __all__ = [
     "estimate_cost",
     "estimate_shortfall",
     "eval_coefficients",
-    "extract_required_margin",
     "lipschitz_profile",
     "main",
     "make_grid",
     "max_stable_dt",
     "parse_config",
-    "reachable_slice",
     "required_margin_profile",
     "run",
     "serialize_config",

@@ -83,18 +83,7 @@ from .simulate import (
     simulate_pair_path,
 )
 from .solver import SchemeOptions, solve_shortfall, stable_grid
-from .verify import (
-    DiagnosticReport,
-    dpp_consistency,
-    lipschitz_profile,
-    make_report,
-    sign_equivalence_suite,
-    slab_identity_residual,
-    strict_subsolution_residual,
-    subsolution_steps,
-    taylor_remainder_residual,
-    write_reports,
-)
+from .verify import CHECK_NAMES, DiagnosticReport, run_battery, write_reports
 
 Array = np.ndarray
 
@@ -173,8 +162,9 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
     if not isinstance(section, dict):
         fail("scheme", "must be an object")
     reject_unknown(section, _SCHEME_KEYS, "scheme")
-    hedge = section.get("hedge", defaults.get("hedge", "spectral"))
-    beta = section.get("beta_candidates", defaults.get("beta_candidates", "grid"))
+    hedge = section.get("hedge", defaults.get("hedge", SchemeOptions.hedge))
+    beta = section.get("beta_candidates",
+                       defaults.get("beta_candidates", SchemeOptions.jump_hedge))
     if not isinstance(hedge, str):
         fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
@@ -450,101 +440,16 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 # verification battery and simulation spot checks
 # ---------------------------------------------------------------------------
 
-_CHECK_NAMES = ("sign", "taylor", "lipschitz", "slab", "subsolution", "dpp")
-_SUBSOLUTION_LEVELS = 25  # the level steps the subsolution probe samples
-
-
-def _taylor_report() -> DiagnosticReport:
-    def g(p: Array) -> float:
-        return float(np.exp(p[0] + 2.0 * p[1]))
-
-    def gradient(p: Array) -> Array:
-        value = np.exp(p[0] + 2.0 * p[1])
-        return np.array([value, 2.0 * value])
-
-    def hessian(p: Array) -> Array:
-        value = np.exp(p[0] + 2.0 * p[1])
-        return np.array([[value, 2.0 * value], [2.0 * value, 4.0 * value]])
-
-    residual = taylor_remainder_residual(
-        g, gradient, hessian, np.array([0.1, -0.2]), np.array([0.3, 0.1]),
-        quad_nodes=20,
-    )
-    return make_report("taylor-remainder", residual, 1e-10,
-                       details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
-
-
-def _dpp_levels(grid: Grid) -> tuple[int, int]:
-    """The levels t and r the dpp report compares."""
-    return 0, max(1, (grid.n_levels - 1) // 2)
-
-
-def _dpp_report(problem: Problem, field: Field, seed: int) -> DiagnosticReport:
-    grid = field.grid
-    rng = np.random.default_rng(seed)
-    t_index, r_index = _dpp_levels(grid)
-    margin = grid.margin_axis
-    low = min(grid.margin_zero_index + 1, margin.size - 2)
-    states, margins = [], []
-    for _ in range(4):
-        states.append(np.array([float(axis[rng.integers(1, axis.size - 1)])
-                                for axis in grid.state_axes]))
-        margins.append(float(margin[rng.integers(low, margin.size - 1)]))
-    stride = max(1, problem.controls.shape[0] // 5)
-    return dpp_consistency(problem, field, t_index, r_index, states, margins,
-                           controls=problem.controls[::stride], n_paths=2000,
-                           dt=grid.dt, seed=seed)
-
-
 def run_verification(config: RunConfig, out_dir: str | None = None,
                      checks: str = "all") -> tuple[list[DiagnosticReport], bool]:
-    """Run the diagnostic battery and write ``reports.json``.
+    """Run the diagnostic battery on the config's problem and grid and write
+    ``reports.json``.
 
-    ``checks`` is "all" or a comma-separated subset of sign, taylor,
-    lipschitz, slab, subsolution, dpp.  Under "all", checks whose grid
-    preconditions fail (slab needs margins below zero, the subsolution probe
-    needs the margin axis above -1) are skipped; naming one explicitly runs
-    it unconditionally so its own error surfaces.
+    ``checks`` is "all" or a comma-separated subset of the battery's checks;
+    :func:`epigraph.verify.run_battery` says which ones "all" skips.
     """
-    if checks in (None, "", "all"):
-        requested, explicit = _CHECK_NAMES, False
-    else:
-        requested = tuple(part.strip() for part in checks.split(","))
-        explicit = True
-        for name in requested:
-            if name not in _CHECK_NAMES:
-                raise SchemaViolation(
-                    f"unknown check {name!r}; available: {', '.join(_CHECK_NAMES)}"
-                )
-    reports: list[DiagnosticReport] = []
-    if "sign" in requested:
-        reports.append(sign_equivalence_suite(1000, seed=config.seed))
-    if "taylor" in requested:
-        reports.append(_taylor_report())
-    if {"lipschitz", "slab", "subsolution", "dpp"} & set(requested):
-        problem = config.problem
-        grid = resolve_grid(config)
-        slab = "slab" in requested and (explicit or grid.margin_axis[0] < 0.0)
-        subsolution = "subsolution" in requested and (explicit or grid.margin_axis[0] > -1.0)
-        # the sweep keeps exactly the levels the checks read
-        keep: set[int] = set()
-        if "lipschitz" in requested or slab:
-            keep.update(range(grid.n_levels))
-        if subsolution:
-            steps = subsolution_steps(grid, _SUBSOLUTION_LEVELS)
-            keep.update(int(k) for k in (*steps, *(steps + 1)))
-        if "dpp" in requested:
-            keep.update(_dpp_levels(grid))
-        field = solve_shortfall(problem, grid, config.scheme, keep=keep)
-        if "lipschitz" in requested:
-            reports.append(lipschitz_profile(field))
-        if slab:
-            reports.append(slab_identity_residual(field))
-        if subsolution:
-            reports.append(strict_subsolution_residual(
-                problem, field, 0.1, options=config.scheme, max_levels=_SUBSOLUTION_LEVELS))
-        if "dpp" in requested:
-            reports.append(_dpp_report(problem, field, config.seed))
+    reports = run_battery(config.problem, resolve_grid(config), config.scheme, checks,
+                          config.seed)
     out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
     out.mkdir(parents=True, exist_ok=True)
     write_reports(str(out / "reports.json"), reports)
@@ -723,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="run the diagnostic battery")
     common(sub)
     sub.add_argument("--checks", default="all", metavar="LIST",
-                     help=f"comma list from: {', '.join(_CHECK_NAMES)} (default all)")
+                     help=f"comma list from: {', '.join(CHECK_NAMES)} (default all)")
     sub.set_defaults(func=_cmd_verify)
 
     sub = commands.add_parser("report", help="summarize a completed run directory")

@@ -46,24 +46,28 @@ def default_epsilon(terminal: Array) -> float:
     return 1e-3 * (1.0 + float(terminal.max()))
 
 
-def _resolve_query(field: Field, query: LevelSetQuery | None) -> LevelSetQuery:
-    return LevelSetQuery(epsilon=field.epsilon) if query is None else query
+def required_margin_profile(
+    field: Field, level: int = 0, query: LevelSetQuery | None = None
+) -> Array:
+    """Required margin over the whole state grid at one time level.
 
-
-def _scan_rows(rows: Array, margin: Array, query: LevelSetQuery) -> Array:
-    """Smallest covered margin per row of shortfall values over ``margin``.
-
-    ``rows`` has shape (N, len(margin)) with ``margin`` already restricted
-    to its nonnegative part.  Returns shape (N,) with inf where no node
-    qualifies.
+    The result has the state grid's shape; unreachable states hold inf.  It
+    is the one reader of the level set: one state's margin is
+    ``required_margin_profile(field, level)[index]``, and the reachable
+    (state, margin) nodes are ``field.slice_at(level) <= field.epsilon``.
+    ``query`` None reads with the field's default threshold.
     """
-    hit = rows <= query.epsilon
+    epsilon = field.epsilon if query is None else query.epsilon
+    values = field.slice_at(level)
+    jz = field.grid.margin_zero_index
+    margin = field.grid.margin_axis[jz:]
+    rows = values.reshape(-1, values.shape[-1])[:, jz:]
+    hit = rows <= epsilon
     found = hit.any(axis=1)
     j = hit.argmax(axis=1)
 
     out = np.full(rows.shape[0], UNREACHABLE)
-    on_node = found & (j == 0)
-    out[on_node] = margin[0]
+    out[found & (j == 0)] = margin[0]
 
     inner = np.flatnonzero(found & (j > 0))
     if inner.size:
@@ -77,50 +81,4 @@ def _scan_rows(rows: Array, margin: Array, query: LevelSetQuery) -> Array:
         # never report past the node that qualified
         root = b_lo + w_lo * (b_hi - b_lo) / (w_lo - w_hi)
         out[inner] = np.minimum(root, b_hi)
-    return out
-
-
-def extract_required_margin(
-    field: Field,
-    level: int,
-    state_index: int | tuple[int, ...],
-    query: LevelSetQuery | None = None,
-) -> float:
-    """Smallest margin at one grid state from which the shortfall vanishes.
-
-    Returns ``UNREACHABLE`` (= inf) when no margin on the grid suffices.
-    """
-    query = _resolve_query(field, query)
-    values = field.slice_at(level)
-    if isinstance(state_index, (int, np.integer)):
-        state_index = (int(state_index),)
-    if len(state_index) != field.grid.dim_state:
-        raise ValueError(f"state index {tuple(state_index)} needs dim_state = "
-                         f"{field.grid.dim_state} entries")
-    row = values[tuple(state_index)]
-    jz = field.grid.margin_zero_index
-    return float(_scan_rows(row[None, jz:], field.grid.margin_axis[jz:], query)[0])
-
-
-def reachable_slice(
-    field: Field, level: int, query: LevelSetQuery | None = None
-) -> Array:
-    """Boolean mask over (state, margin) nodes where the shortfall is ~zero."""
-    query = _resolve_query(field, query)
-    return field.slice_at(level) <= query.epsilon
-
-
-def required_margin_profile(
-    field: Field, level: int = 0, query: LevelSetQuery | None = None
-) -> Array:
-    """Required margin over the whole state grid at one time level.
-
-    The result has the state grid's shape; unreachable states hold inf.
-    """
-    query = _resolve_query(field, query)
-    values = field.slice_at(level)
-    jz = field.grid.margin_zero_index
-    nb = values.shape[-1]
-    rows = values.reshape(-1, nb)[:, jz:]
-    flat = _scan_rows(rows, field.grid.margin_axis[jz:], query)
-    return flat.reshape(values.shape[:-1])
+    return out.reshape(values.shape[:-1])

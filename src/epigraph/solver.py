@@ -723,10 +723,12 @@ def solve_shortfall(
     """Solve the margin-coupled shortfall field backward from the horizon,
     and return the levels in ``keep``.
 
-    Each level is one step (:func:`step_backward`), which checks that
-    level's stable bound, followed by the roundoff clip, which also stops
-    the sweep on a slice that is not finite.  The level tables
-    are built once per level, or once per solve for an autonomous problem.
+    Each level is one step, which checks that level's stable bound, written
+    into one of the sweep's two buffers, then the roundoff clip, which also
+    stops the sweep on a slice that is not finite.  :func:`step_backward`
+    takes the same step into a new array and checks its finiteness itself;
+    the sweep does not call it.  The level tables are built once per level,
+    or once per solve for an autonomous problem.
     The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
     margin-0 column is the floor and the top margin column the ceiling, each
     stepped by its state-only rule.  Margin columns below zero — when the

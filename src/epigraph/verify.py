@@ -6,8 +6,8 @@ scheme residual, the dynamic programming inequality holds against Monte
 Carlo, difference quotients stay bounded under refinement, the eigenvalue
 form of the hedge supremum has the right sign — as a
 :class:`DiagnosticReport` with a scalar residual, a tolerance, and enough
-detail to locate the worst offender.  The CLI aggregates these into a
-verification run; the acceptance tests pin their values.
+detail to locate the worst offender.  :func:`run_battery` runs them on one
+solve, as ``epigraph verify`` does; the acceptance tests pin their values.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleGrids
+from .errors import IncompatibleGrids, SchemaViolation
 from .fields import Field, Grid, write_json
 from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
 from .model import Coefficients, Problem
 from .simulate import _chunked, _estimate, constant_policy
-from .solver import DEFAULT_OPTIONS, SchemeOptions, step_backward
+from .solver import DEFAULT_OPTIONS, SchemeOptions, _LevelTables, solve_shortfall, step_backward
 
 Array = np.ndarray
 
@@ -136,6 +136,11 @@ def taylor_remainder_residual(
 _SLAB_TOLERANCE = 1e-9
 
 
+def _margin_below_zero(grid: Grid) -> bool:
+    """The slab check's grid: its margin axis goes below zero."""
+    return bool(grid.margin_axis[0] < 0.0)
+
+
 def slab_identity_residual(field: Field) -> DiagnosticReport:
     """Check W(t, a, b) = W0(t, a) - b on every node with b <= 0.
 
@@ -147,11 +152,11 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
     comparison, not a tautology.  The worst offending node is reported for
     fault localization.
     """
-    b = field.grid.margin_axis
-    below = b <= 0.0
-    if not np.any(b < 0.0):
+    if not _margin_below_zero(field.grid):
         raise IncompatibleGrids("need a shortfall field whose margin axis goes below zero")
 
+    b = field.grid.margin_axis
+    below = b <= 0.0
     jz = field.grid.margin_zero_index
     n_nodes, worst = 0, None
     for level in field.levels:
@@ -182,6 +187,11 @@ def _log_margin_probe(t: float, horizon: float, margin: Array, nu: float) -> Arr
     return nu * (-(horizon - t) - np.log1p(margin))
 
 
+def _margin_above_minus_one(grid: Grid) -> bool:
+    """The subsolution probe's grid: ``log(1 + b)`` is finite on its margin axis."""
+    return bool(grid.margin_axis[0] > -1.0)
+
+
 def subsolution_steps(grid: Grid, max_levels: int | None = None) -> Array:
     """The levels k whose step from level k + 1
     :func:`strict_subsolution_residual` checks; it reads k and k + 1."""
@@ -209,12 +219,19 @@ def strict_subsolution_residual(
     95th-percentile node value).  With nu = 0 this degenerates to checking
     that the solved field itself has zero interior residual.
     """
+    return _subsolution_probe(problem, field, nu, options, tol_h,
+                              subsolution_steps(field.grid, max_levels))
+
+
+def _subsolution_probe(problem: Problem, field: Field, nu: float, options: SchemeOptions,
+                       tol_h: float | None, levels: Array) -> DiagnosticReport:
+    """:func:`strict_subsolution_residual` over the steps from ``levels + 1``
+    to ``levels``."""
     grid = field.grid
-    levels = subsolution_steps(grid, max_levels)
     unkept = sorted({int(k) for k in (*levels, *(levels + 1))}.difference(field.slices))
     if unkept:
         raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
-    if float(grid.margin_axis[0]) <= -1.0:
+    if not _margin_above_minus_one(grid):
         raise ValueError("the log-margin probe needs the margin axis above -1")
     if tol_h is None:
         tol_h = grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
@@ -226,11 +243,15 @@ def strict_subsolution_residual(
     b = grid.margin_axis
     horizon = problem.horizon
     pooled = []
+    tables = None
     for k in levels:
         t_next = float(grid.times[k + 1])
         dt = t_next - float(grid.times[k])
+        # as in the sweep, an autonomous problem's tables serve every step
+        if tables is None or not problem.autonomous:
+            tables = _LevelTables(problem, grid, t_next)
         pert_prev = field.slice_at(k + 1) + _log_margin_probe(t_next, horizon, b, nu)
-        stepped = step_backward(pert_prev, t_next, dt, problem, grid, options)
+        stepped = step_backward(pert_prev, t_next, dt, problem, grid, options, tables=tables)
         pert_target = field.slice_at(k) + _log_margin_probe(
             float(grid.times[k]), horizon, b, nu
         )
@@ -453,3 +474,99 @@ def sign_equivalence_suite(n_instances: int = 1000, seed: int = 0) -> Diagnostic
         "disagreements": disagreements,
     }
     return make_report("sign-equivalence", 1.0 - fraction, _SIGN_TOLERANCE, details)
+
+
+# ---------------------------------------------------------------------------
+# the battery: the checks above on one solve
+# ---------------------------------------------------------------------------
+
+CHECK_NAMES = ("sign", "taylor", "lipschitz", "slab", "subsolution", "dpp")
+# the grid each check needs, read by the "all" skip and by the check itself;
+# a check not named here runs on any grid
+_ADMITS = {"slab": _margin_below_zero, "subsolution": _margin_above_minus_one}
+_SUBSOLUTION_LEVELS = 25  # the level steps the battery's subsolution probe samples
+
+
+def _taylor_report() -> DiagnosticReport:
+    """The remainder identity for exp(a_1 + 2 a_2) at one base point and shift."""
+    def g(p: Array) -> float:
+        return float(np.exp(p[0] + 2.0 * p[1]))
+
+    def gradient(p: Array) -> Array:
+        value = np.exp(p[0] + 2.0 * p[1])
+        return np.array([value, 2.0 * value])
+
+    def hessian(p: Array) -> Array:
+        value = np.exp(p[0] + 2.0 * p[1])
+        return np.array([[value, 2.0 * value], [2.0 * value, 4.0 * value]])
+
+    residual = taylor_remainder_residual(
+        g, gradient, hessian, np.array([0.1, -0.2]), np.array([0.3, 0.1]),
+        quad_nodes=20,
+    )
+    return make_report("taylor-remainder", residual, 1e-10,
+                       details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
+
+
+def _dpp_report(problem: Problem, field: Field, pair: tuple[int, int],
+                seed: int) -> DiagnosticReport:
+    """:func:`dpp_consistency` between the levels ``pair`` at four interior
+    (state, margin) nodes drawn with ``seed``, under every fifth control."""
+    grid = field.grid
+    rng = np.random.default_rng(seed)
+    margin = grid.margin_axis
+    low = min(grid.margin_zero_index + 1, margin.size - 2)
+    states, margins = [], []
+    for _ in range(4):
+        states.append(np.array([float(axis[rng.integers(1, axis.size - 1)])
+                                for axis in grid.state_axes]))
+        margins.append(float(margin[rng.integers(low, margin.size - 1)]))
+    stride = max(1, problem.controls.shape[0] // 5)
+    return dpp_consistency(problem, field, *pair, states, margins,
+                           controls=problem.controls[::stride], n_paths=2000,
+                           dt=grid.dt, seed=seed)
+
+
+def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: str,
+                seed: int) -> list[DiagnosticReport]:
+    """Run the checks ``checks`` names on one solve of ``problem`` on ``grid``.
+
+    ``checks`` is "all" or a comma-separated subset of :data:`CHECK_NAMES`,
+    and the reports come in the order of :data:`CHECK_NAMES`.  Under "all" a
+    check whose grid predicate in ``_ADMITS`` fails is skipped (slab needs
+    margins below zero, the subsolution probe a margin axis above -1); a
+    check named explicitly runs on any grid, and its own function refuses a
+    grid that fails the same predicate.  The checks that read the field share
+    one sweep, which keeps only the levels they read.  ``seed`` seeds the
+    sign audit and the dpp samples.
+
+    To add a check, write its function in this module, then add its name to
+    ``CHECK_NAMES`` where its report should come, its grid predicate to
+    ``_ADMITS`` if it has one, the levels it reads to ``reads`` and its call
+    to ``reports`` below.
+    """
+    if checks in (None, "", "all"):
+        names = [name for name in CHECK_NAMES if name not in _ADMITS or _ADMITS[name](grid)]
+    else:
+        requested = [part.strip() for part in checks.split(",")]
+        for name in requested:
+            if name not in CHECK_NAMES:
+                raise SchemaViolation(
+                    f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
+        names = [name for name in CHECK_NAMES if name in requested]
+    steps = subsolution_steps(grid, _SUBSOLUTION_LEVELS)
+    pair = (0, max(1, (grid.n_levels - 1) // 2))  # the levels t and r of the dpp report
+    every = range(grid.n_levels)
+    reads = {"lipschitz": every, "slab": every,
+             "subsolution": {*steps.tolist(), *(steps + 1).tolist()}, "dpp": pair}
+    keep = set().union(*(reads.get(name, ()) for name in names))
+    field = solve_shortfall(problem, grid, options, keep=keep) if keep else None
+    reports = {
+        "sign": lambda: sign_equivalence_suite(1000, seed=seed),
+        "taylor": _taylor_report,
+        "lipschitz": lambda: lipschitz_profile(field),
+        "slab": lambda: slab_identity_residual(field),
+        "subsolution": lambda: _subsolution_probe(problem, field, 0.1, options, None, steps),
+        "dpp": lambda: _dpp_report(problem, field, pair, seed),
+    }
+    return [reports[name]() for name in names]

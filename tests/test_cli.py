@@ -46,7 +46,7 @@ from epigraph.fields import (
     time_axis,
 )
 from epigraph.problems import BUILTIN_NAMES, builtin_scheme
-from epigraph.solver import max_stable_dt, solve_shortfall
+from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -85,6 +85,7 @@ def test_minimal_document_fills_defaults():
         '          "time_step": 0.005}}'
     )
     assert config.scheme.hedge == "spectral"
+    assert config.scheme == SchemeOptions()
     assert config.epsilon is None
     assert config.outputs == {"directory": "out", "formats": ["csv"],
                               "checkpoint_every": 25}
@@ -797,6 +798,23 @@ def test_run_verification_passes_on_the_zero_problem(tmp_path):
     assert names == ["taylor-remainder", "lipschitz-quotients", "strict-subsolution"]
     payload = json.loads((out / "reports.json").read_text())
     assert payload["all_pass"] is True
+
+
+@pytest.mark.parametrize("margin, check, error, message", [
+    ([-1.0, 1.0, 11], "subsolution", ValueError, "the log-margin probe needs the margin axis"),
+    ([0.0, 1.0, 11], "slab", IncompatibleGrids, "margin axis goes below zero"),
+])
+def test_a_named_check_that_all_would_skip_raises_its_own_error(tmp_path, margin, check,
+                                                                 error, message):
+    # "all" runs slab and skips the probe on a margin axis from -1, and the
+    # reverse from 0 (the stock battery test); named, the skipped check
+    # refuses the grid on the same predicate
+    config = parse_config(config_text(
+        "zero", str(tmp_path),
+        grid={"state": [[-1.0, 1.0, 11]], "margin": margin, "time_step": 0.05}))
+    with pytest.raises(error, match=message):
+        run_verification(config, checks=check)
+    assert not (tmp_path / "reports.json").exists()
 
 
 def test_run_verification_rejects_unknown_check(tmp_path):

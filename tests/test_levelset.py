@@ -8,14 +8,7 @@ import pytest
 from epigraph.cli import export_profile_csv
 from epigraph.errors import UnsolvedField
 from epigraph.fields import Field, make_grid, terminal_slice, time_axis
-from epigraph.levelset import (
-    UNREACHABLE,
-    LevelSetQuery,
-    default_epsilon,
-    extract_required_margin,
-    reachable_slice,
-    required_margin_profile,
-)
+from epigraph.levelset import UNREACHABLE, LevelSetQuery, default_epsilon, required_margin_profile
 from epigraph.model import eval_terminal
 from epigraph.problems import builtin_problem
 from epigraph.solver import solve_shortfall, stable_grid
@@ -57,7 +50,7 @@ def test_terminal_crossing_at_a_node_is_exact(square_terminal):
     field, grid = square_terminal
     level = grid.n_levels - 1
     # a = 2, m = 4: the slice hits zero exactly at the b = 4 node
-    assert extract_required_margin(field, level, 5) == 4.0
+    assert required_margin_profile(field, level)[5] == 4.0
 
 
 def test_terminal_profile_samples_the_terminal_cost(square_terminal):
@@ -71,7 +64,7 @@ def test_terminal_profile_samples_the_terminal_cost(square_terminal):
 
 def test_terminal_mask_is_the_epigraph(square_terminal):
     field, grid = square_terminal
-    mask = reachable_slice(field, grid.n_levels - 1)
+    mask = field.slice_at(grid.n_levels - 1) <= field.epsilon
     m = grid.state_axes[0] ** 2
     assert np.array_equal(mask, grid.margin_axis[None, :] >= m[:, None])
 
@@ -87,13 +80,13 @@ def test_zero_problem_needs_no_margin_anywhere():
     grid = make_grid([(-3.0, 3.0, 31)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
     field = solve_shortfall(problem, grid)
     assert np.array_equal(required_margin_profile(field, 0), np.zeros(31))
-    assert reachable_slice(field, 0).all()
+    assert (field.slice_at(0) <= field.epsilon).all()
 
 
 def test_steering_value_matches_the_oracle(steering_field):
     field, grid = steering_field
     i = int(np.argmin(np.abs(grid.state_axes[0] - 1.5)))
-    assert extract_required_margin(field, 0, i) == pytest.approx(0.25, abs=0.05)
+    assert required_margin_profile(field, 0)[i] == pytest.approx(0.25, abs=0.05)
 
 
 def test_profile_is_monotone_in_epsilon(steering_field):
@@ -109,7 +102,7 @@ def test_on_grid_extraction_lands_inside_the_mask(steering_field):
     field, grid = steering_field
     query = LevelSetQuery(epsilon=field.epsilon)
     profile = required_margin_profile(field, 0, query)
-    mask = reachable_slice(field, 0, query)
+    mask = field.slice_at(0) <= query.epsilon
     finite = np.isfinite(profile)
     assert finite.any()
     j = np.ceil(profile[finite] / grid.margin_spacing - 1e-9).astype(int)
@@ -132,7 +125,7 @@ def test_interpolation_uses_the_bracketing_secant():
 
     query = LevelSetQuery(epsilon=0.1)
     # secant through (0.25, 0.2) and (0.5, -0.3) crosses zero at 0.35
-    assert extract_required_margin(field, level, 0, query) == pytest.approx(0.35)
+    assert required_margin_profile(field, level, query)[0] == pytest.approx(0.35)
 
 
 def test_interpolation_never_reports_past_the_qualifying_node():
@@ -142,7 +135,7 @@ def test_interpolation_never_reports_past_the_qualifying_node():
     row = np.array([0.9, 0.6, 0.05, 0.0, 0.0])
     field = Field(grid, {grid.n_levels - 1: np.tile(row, (3, 1))}, epsilon=1e-3)
     query = LevelSetQuery(epsilon=0.1)
-    got = extract_required_margin(field, grid.n_levels - 1, 0, query)
+    got = required_margin_profile(field, grid.n_levels - 1, query)[0]
     assert got == 0.5
 
 
@@ -150,8 +143,7 @@ def test_zero_margin_already_covered_reports_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (-0.5, 1.0, 7), time_axis(1.0, 0.25))
     field = Field(grid, {grid.n_levels - 1: np.zeros((3, 7))}, epsilon=1e-3)
-    got = extract_required_margin(field, grid.n_levels - 1, 1,
-                                  LevelSetQuery(epsilon=1e-6))
+    got = required_margin_profile(field, grid.n_levels - 1, LevelSetQuery(epsilon=1e-6))[1]
     assert got == 0.0
 
 
@@ -162,9 +154,9 @@ def test_unsolved_levels_are_rejected():
     with pytest.raises(UnsolvedField):
         required_margin_profile(field, 0)
     with pytest.raises(UnsolvedField):
-        extract_required_margin(field, 0, 2, LevelSetQuery(epsilon=1e-3))
+        required_margin_profile(field, 0, LevelSetQuery(epsilon=1e-3))
     with pytest.raises(UnsolvedField):
-        reachable_slice(field, 0, LevelSetQuery(epsilon=1e-3))
+        field.slice_at(0)
 
 
 def test_default_threshold_on_a_resumed_field_is_the_terminal_slices():
@@ -186,18 +178,17 @@ def test_default_threshold_on_a_resumed_field_is_the_terminal_slices():
     fresh = solve_shortfall(problem, grid)
     assert resumed.epsilon == fresh.epsilon == default_epsilon(terminal_slice(problem, grid))
     assert np.array_equal(required_margin_profile(resumed, 0), required_margin_profile(fresh, 0))
-    assert extract_required_margin(resumed, 0, 20) == extract_required_margin(fresh, 0, 20)
-    assert np.array_equal(reachable_slice(resumed, 0), reachable_slice(fresh, 0))
+    assert np.array_equal(resumed.slice_at(0) <= resumed.epsilon,
+                          fresh.slice_at(0) <= fresh.epsilon)
 
 
 def test_state_index_must_name_every_state_axis():
     grid = make_grid([(-1.0, 1.0, 5), (-1.0, 1.0, 4)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
     field = Field(grid, {grid.n_levels - 1: np.zeros((5, 4, 5))}, epsilon=1e-3)
-    level, query = grid.n_levels - 1, LevelSetQuery(epsilon=1e-3)
-    assert extract_required_margin(field, level, (2, 1), query) == 0.0
-    for index in (2, (1, 2, 3)):
-        with pytest.raises(ValueError, match="dim_state = 2"):
-            extract_required_margin(field, level, index, query)
+    profile = required_margin_profile(field, grid.n_levels - 1, LevelSetQuery(epsilon=1e-3))
+    # one value per state node: its index names both state axes
+    assert profile.shape == (5, 4)
+    assert profile[2, 1] == 0.0
 
 
 def test_csv_export_with_unreachable_sentinel(tmp_path, square_terminal):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from epigraph import solver
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import Field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem, parse_problem
@@ -239,6 +240,26 @@ def test_perturbation_scales_linearly(zero_setup):
     assert double.details["median_residual"] == pytest.approx(
         2.0 * single.details["median_residual"], rel=1e-9
     )
+
+
+def test_the_probe_builds_an_autonomous_problems_tables_once(monkeypatch):
+    # as the sweep does: one evaluation per control for the whole probe, and
+    # the same report as tables built at every probed level
+    problem, grid, field = steering_solve(41, 21)
+    assert problem.autonomous
+    calls, real = [], solver.eval_coefficients_batch
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "eval_coefficients_batch", counting)
+    report = strict_subsolution_residual(problem, field, 0.1, max_levels=5)
+    assert report.details["levels_checked"] == 5
+    assert len(calls) == len(problem.controls)
+    per_level = dataclasses.replace(problem, autonomous=False)
+    assert strict_subsolution_residual(per_level, field, 0.1, max_levels=5) == report
+    assert len(calls) == 6 * len(problem.controls)
 
 
 def test_subsolution_rejects_bad_inputs(zero_setup, frozen_setup):
