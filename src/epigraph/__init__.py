@@ -13,15 +13,7 @@ from .cli import RunConfig, builtin_config, main, parse_config, run, serialize_c
 from .errors import EpigraphError
 from .fields import Field, Grid, make_grid, terminal_slice, time_axis
 from .levelset import UNREACHABLE, LevelSetQuery, default_epsilon, required_margin_profile
-from .model import (
-    Coefficients,
-    JumpModel,
-    Problem,
-    Region,
-    build_problem,
-    check_regularity,
-    eval_coefficients,
-)
+from .model import JumpModel, Problem, Region, build_problem, check_regularity
 from .problems import builtin_grid, builtin_problem, builtin_scheme
 from .simulate import (
     MCEstimate,
@@ -42,16 +34,13 @@ from .verify import (
     DiagnosticReport,
     dpp_consistency,
     lipschitz_profile,
-    sign_equivalence_suite,
     slab_identity_residual,
     strict_subsolution_residual,
-    taylor_remainder_residual,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coefficients",
     "DiagnosticReport",
     "EpigraphError",
     "Field",
@@ -76,7 +65,6 @@ __all__ = [
     "dpp_consistency",
     "estimate_cost",
     "estimate_shortfall",
-    "eval_coefficients",
     "lipschitz_profile",
     "main",
     "make_grid",
@@ -85,14 +73,12 @@ __all__ = [
     "required_margin_profile",
     "run",
     "serialize_config",
-    "sign_equivalence_suite",
     "simulate_pair_path",
     "slab_identity_residual",
     "solve_shortfall",
     "stable_grid",
     "step_backward",
     "strict_subsolution_residual",
-    "taylor_remainder_residual",
     "terminal_slice",
     "time_axis",
     "__version__",

@@ -446,7 +446,8 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     ``reports.json``.
 
     ``checks`` is "all" or a comma-separated subset of the battery's checks;
-    :func:`epigraph.verify.run_battery` says which ones "all" skips.
+    :func:`epigraph.verify.run_battery` says which ones "all" skips and which
+    grids refuse a named one before the sweep.
     """
     reports = run_battery(config.problem, resolve_grid(config), config.scheme, checks,
                           config.seed)

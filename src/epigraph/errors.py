@@ -55,12 +55,6 @@ class NonFiniteState(EpigraphError):
     """A simulated path left the finite range of floats."""
 
 
-# --- Hamiltonian evaluation -----------------------------------------------
-
-class NegativeMargin(EpigraphError):
-    """The coupling scale is only defined for nonnegative margins."""
-
-
 # --- solving --------------------------------------------------------------
 
 class DegenerateGrid(EpigraphError):

@@ -197,20 +197,6 @@ def _control_grid(raw: Any) -> Array:
     return grid
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """All coefficient values for one (t, state, control) evaluation.
-
-    ``jump_sizes`` stacks the jump amplitude for every atom; it is empty when
-    the problem has no jumps.
-    """
-
-    drift: Array          # (n,)
-    diffusion: Array      # (n, r)
-    jump_sizes: Array     # (K, n)
-    running: float
-
-
 _REQUIRED = ("dim_state", "dim_noise", "horizon", "terminal_cost", "controls")
 
 
@@ -309,23 +295,6 @@ def _finite_or_raise(label: str, value: Array) -> Array:
     if not np.isfinite(value).all():
         raise NonFiniteCoefficient(f"{label} returned a non-finite value")
     return value
-
-
-def eval_coefficients(problem: Problem, t: float, a: Array, u: Array) -> Coefficients:
-    """Evaluate the dynamics and running cost at one ``(t, a, u)`` and validate them.
-
-    Deterministic by construction (pure callables); the running cost is
-    checked for nonnegativity here so the contract fails loudly rather than
-    deep inside a sweep.  The terminal cost is :func:`eval_terminal`'s.
-    """
-    batch = eval_coefficients_batch(problem, t, np.asarray(a, dtype=float)[None, :], u)
-    drift, diffusion, jump_sizes, running = batch
-    return Coefficients(
-        drift=drift[0],
-        diffusion=diffusion[0],
-        jump_sizes=jump_sizes[:, 0, :],
-        running=float(running[0]),
-    )
 
 
 def eval_coefficients_batch(

@@ -164,8 +164,8 @@ def _advance_chunk(
 
     Returns terminal states, the running-cost and penalty integrals, the
     pathwise supremum of |x|^2, and the accumulated pure-noise integrals (the
-    hedge-weighted Brownian and compensated-jump sums) used by the
-    martingale diagnostics.
+    hedge-weighted Brownian and compensated-jump sums) that the martingale
+    diagnostics in ``tests/references.py`` read.
     """
     steps = _time_steps(t0, problem.horizon, dt)
     n_paths, n = x0.shape

@@ -1,13 +1,15 @@
-"""Diagnostics tying the solved fields back to the continuous theory.
+"""Diagnostics tying a solved field back to the continuous theory.
 
-Each check packages one falsifiable statement about a solved field — the
-negative-margin slab is linear, a perturbed field is a strictly negative
+Each check packages one falsifiable statement about the field of one run —
+the negative-margin slab is linear, a perturbed field is a strictly negative
 scheme residual, the dynamic programming inequality holds against Monte
-Carlo, difference quotients stay bounded under refinement, the eigenvalue
-form of the hedge supremum has the right sign — as a
+Carlo, difference quotients stay bounded under refinement — as a
 :class:`DiagnosticReport` with a scalar residual, a tolerance, and enough
 detail to locate the worst offender.  :func:`run_battery` runs them on one
-solve, as ``epigraph verify`` does; the acceptance tests pin their values.
+solve of the run's problem and grid, as ``epigraph verify`` does, and
+refuses a named check whose grid precondition fails before it sweeps; the
+acceptance tests pin their values.  The audits that read no solve (the sign
+of the eigenvalue form, the remainder identity) are test references.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .errors import IncompatibleGrids, SchemaViolation
 from .fields import Field, Grid, write_json
-from .hamiltonian import Stencil, assemble_arrowhead, top_eigenvalue
-from .model import Coefficients, Problem
+from .model import Problem
 from .simulate import _chunked, _estimate, constant_policy
 from .solver import DEFAULT_OPTIONS, SchemeOptions, _LevelTables, solve_shortfall, step_backward
 
@@ -92,41 +93,29 @@ def write_reports(path: str, reports: Sequence[DiagnosticReport]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# quadrature check for the second-order remainder identity
+# the grid a check needs
 # ---------------------------------------------------------------------------
 
-def taylor_remainder_residual(
-    g: Callable[[Array], float],
-    gradient: Callable[[Array], Array],
-    hessian: Callable[[Array], Array],
-    x: Array | float,
-    shift: Array | float,
-    quad_nodes: int = 20,
-) -> float:
-    """Defect of the exact second-order expansion with integral remainder.
+# each check's grid predicate and the refusal of a grid that fails it; a
+# check not named here runs on any grid
+_ADMITS: dict[str, tuple[Callable[[Grid], bool], str]] = {
+    # the slab is the part of the margin axis below zero
+    "slab": (lambda grid: bool(grid.margin_axis[0] < 0.0),
+             "need a shortfall field whose margin axis goes below zero"),
+    # the probe's log(1 + b) must be finite on the margin axis
+    "subsolution": (lambda grid: bool(grid.margin_axis[0] > -1.0),
+                    "the log-margin probe needs the margin axis above -1"),
+}
 
-    Evaluates |g(x+a) - g(x) - <Dg(x), a> - R| where the remainder
 
-        R = integral over z in [0,1] of (1-z) <D^2 g(x + z a) a, a> dz
+def _admits(name: str, grid: Grid) -> bool:
+    return name not in _ADMITS or _ADMITS[name][0](grid)
 
-    is computed by ``quad_nodes``-point Gauss-Legendre quadrature.  Zero (to
-    quadrature precision) for any g with an integrable second derivative;
-    exactly zero for quadratics at any node count >= 2.
-    """
-    if quad_nodes < 2:
-        raise ValueError("the remainder integrand needs at least 2 quadrature nodes")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a = np.atleast_1d(np.asarray(shift, dtype=float))
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    z = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    remainder = 0.0
-    for zi, wi in zip(z, w):
-        hess = np.atleast_2d(np.asarray(hessian(x + zi * a), dtype=float))
-        remainder += wi * (1.0 - zi) * float(a @ hess @ a)
-    grad = np.atleast_1d(np.asarray(gradient(x), dtype=float))
-    defect = float(g(x + a)) - float(g(x)) - float(grad @ a) - remainder
-    return abs(defect)
+
+def _require(name: str, grid: Grid) -> None:
+    """Refuse ``grid`` with :class:`IncompatibleGrids` if check ``name`` cannot run on it."""
+    if not _admits(name, grid):
+        raise IncompatibleGrids(_ADMITS[name][1])
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +123,6 @@ def taylor_remainder_residual(
 # ---------------------------------------------------------------------------
 
 _SLAB_TOLERANCE = 1e-9
-
-
-def _margin_below_zero(grid: Grid) -> bool:
-    """The slab check's grid: its margin axis goes below zero."""
-    return bool(grid.margin_axis[0] < 0.0)
 
 
 def slab_identity_residual(field: Field) -> DiagnosticReport:
@@ -152,9 +136,7 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
     comparison, not a tautology.  The worst offending node is reported for
     fault localization.
     """
-    if not _margin_below_zero(field.grid):
-        raise IncompatibleGrids("need a shortfall field whose margin axis goes below zero")
-
+    _require("slab", field.grid)
     b = field.grid.margin_axis
     below = b <= 0.0
     jz = field.grid.margin_zero_index
@@ -185,11 +167,6 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
 
 def _log_margin_probe(t: float, horizon: float, margin: Array, nu: float) -> Array:
     return nu * (-(horizon - t) - np.log1p(margin))
-
-
-def _margin_above_minus_one(grid: Grid) -> bool:
-    """The subsolution probe's grid: ``log(1 + b)`` is finite on its margin axis."""
-    return bool(grid.margin_axis[0] > -1.0)
 
 
 def subsolution_steps(grid: Grid, max_levels: int | None = None) -> Array:
@@ -228,11 +205,10 @@ def _subsolution_probe(problem: Problem, field: Field, nu: float, options: Schem
     """:func:`strict_subsolution_residual` over the steps from ``levels + 1``
     to ``levels``."""
     grid = field.grid
+    _require("subsolution", grid)
     unkept = sorted({int(k) for k in (*levels, *(levels + 1))}.difference(field.slices))
     if unkept:
         raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
-    if not _margin_above_minus_one(grid):
-        raise ValueError("the log-margin probe needs the margin axis above -1")
     if tol_h is None:
         tol_h = grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
 
@@ -414,98 +390,11 @@ def lipschitz_profile(field: Field, refined: Field | None = None) -> DiagnosticR
 
 
 # ---------------------------------------------------------------------------
-# sign equivalence of the eigenvalue form
-# ---------------------------------------------------------------------------
-
-# pass at >= 99 % agreement; 1 - 0.99 is the float every report has recorded
-_SIGN_TOLERANCE = 1.0 - 0.99
-
-
-def sign_equivalence_suite(n_instances: int = 1000, seed: int = 0) -> DiagnosticReport:
-    """Random-stencil audit of the hedged supremum's eigenvalue form.
-
-    Draws margin-convex stencils (concave hedge quadratics, so the raw
-    supremum is the finite closed form corner + cross^2 / (2 hess_margin))
-    and checks that the arrowhead top eigenvalue has the same sign.
-    Instances with |eigenvalue| below 1e-8 are too close to the boundary to
-    classify and are skipped.  The residual is the disagreement fraction.
-    """
-    if n_instances < 1:
-        raise ValueError("need at least one instance")
-    rng = np.random.default_rng(seed)
-    considered = 0
-    agree = 0
-    disagreements: list[dict[str, float]] = []
-    for _ in range(n_instances):
-        stencil = Stencil(
-            time_slope=float(rng.normal()),
-            grad_state=rng.normal(size=1),
-            grad_margin=float(rng.normal()),
-            hess_state=rng.normal(size=(1, 1)),
-            hess_cross=rng.normal(size=1),
-            hess_margin=float(rng.uniform(0.1, 3.0)),
-        )
-        coeffs = Coefficients(
-            drift=rng.normal(size=1),
-            diffusion=rng.normal(size=(1, 1)),
-            jump_sizes=np.zeros((0, 1)),
-            running=float(rng.uniform(0.0, 1.0)),
-        )
-        dist = float(rng.uniform(0.0, 1.0))
-        b = float(rng.uniform(0.0, 5.0))
-        head = assemble_arrowhead(stencil, coeffs, dist, b)
-        eig = top_eigenvalue(head)
-        if abs(eig) < 1e-8:
-            continue
-        considered += 1
-        cross = float(coeffs.diffusion[0, 0] * stencil.hess_cross[0])
-        exact_sup = head.corner + cross**2 / (2.0 * stencil.hess_margin)
-        if math.copysign(1.0, exact_sup) == math.copysign(1.0, eig):
-            agree += 1
-        elif len(disagreements) < 5:
-            disagreements.append({
-                "eigenvalue": eig, "exact_sup": exact_sup, "margin": b,
-            })
-    fraction = agree / considered if considered else 1.0
-    details = {
-        "n_instances": n_instances,
-        "considered": considered,
-        "agree": agree,
-        "disagreements": disagreements,
-    }
-    return make_report("sign-equivalence", 1.0 - fraction, _SIGN_TOLERANCE, details)
-
-
-# ---------------------------------------------------------------------------
 # the battery: the checks above on one solve
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = ("sign", "taylor", "lipschitz", "slab", "subsolution", "dpp")
-# the grid each check needs, read by the "all" skip and by the check itself;
-# a check not named here runs on any grid
-_ADMITS = {"slab": _margin_below_zero, "subsolution": _margin_above_minus_one}
+CHECK_NAMES = ("lipschitz", "slab", "subsolution", "dpp")
 _SUBSOLUTION_LEVELS = 25  # the level steps the battery's subsolution probe samples
-
-
-def _taylor_report() -> DiagnosticReport:
-    """The remainder identity for exp(a_1 + 2 a_2) at one base point and shift."""
-    def g(p: Array) -> float:
-        return float(np.exp(p[0] + 2.0 * p[1]))
-
-    def gradient(p: Array) -> Array:
-        value = np.exp(p[0] + 2.0 * p[1])
-        return np.array([value, 2.0 * value])
-
-    def hessian(p: Array) -> Array:
-        value = np.exp(p[0] + 2.0 * p[1])
-        return np.array([[value, 2.0 * value], [2.0 * value, 4.0 * value]])
-
-    residual = taylor_remainder_residual(
-        g, gradient, hessian, np.array([0.1, -0.2]), np.array([0.3, 0.1]),
-        quad_nodes=20,
-    )
-    return make_report("taylor-remainder", residual, 1e-10,
-                       details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
 
 
 def _dpp_report(problem: Problem, field: Field, pair: tuple[int, int],
@@ -535,18 +424,17 @@ def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: st
     and the reports come in the order of :data:`CHECK_NAMES`.  Under "all" a
     check whose grid predicate in ``_ADMITS`` fails is skipped (slab needs
     margins below zero, the subsolution probe a margin axis above -1); a
-    check named explicitly runs on any grid, and its own function refuses a
-    grid that fails the same predicate.  The checks that read the field share
-    one sweep, which keeps only the levels they read.  ``seed`` seeds the
-    sign audit and the dpp samples.
+    check named explicitly on such a grid raises :class:`IncompatibleGrids`
+    before the sweep.  The checks share one sweep, which keeps only the
+    levels they read.  ``seed`` seeds the dpp samples.
 
     To add a check, write its function in this module, then add its name to
-    ``CHECK_NAMES`` where its report should come, its grid predicate to
-    ``_ADMITS`` if it has one, the levels it reads to ``reads`` and its call
+    ``CHECK_NAMES`` where its report should come, its grid predicate and
+    refusal to ``_ADMITS`` if it has one, the levels it reads to ``reads`` and its call
     to ``reports`` below.
     """
     if checks in (None, "", "all"):
-        names = [name for name in CHECK_NAMES if name not in _ADMITS or _ADMITS[name](grid)]
+        names = [name for name in CHECK_NAMES if _admits(name, grid)]
     else:
         requested = [part.strip() for part in checks.split(",")]
         for name in requested:
@@ -554,16 +442,16 @@ def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: st
                 raise SchemaViolation(
                     f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
         names = [name for name in CHECK_NAMES if name in requested]
+        for name in names:
+            _require(name, grid)
     steps = subsolution_steps(grid, _SUBSOLUTION_LEVELS)
     pair = (0, max(1, (grid.n_levels - 1) // 2))  # the levels t and r of the dpp report
     every = range(grid.n_levels)
     reads = {"lipschitz": every, "slab": every,
              "subsolution": {*steps.tolist(), *(steps + 1).tolist()}, "dpp": pair}
-    keep = set().union(*(reads.get(name, ()) for name in names))
-    field = solve_shortfall(problem, grid, options, keep=keep) if keep else None
+    keep = set().union(*(reads[name] for name in names))
+    field = solve_shortfall(problem, grid, options, keep=keep)
     reports = {
-        "sign": lambda: sign_equivalence_suite(1000, seed=seed),
-        "taylor": _taylor_report,
         "lipschitz": lambda: lipschitz_profile(field),
         "slab": lambda: slab_identity_residual(field),
         "subsolution": lambda: _subsolution_probe(problem, field, 0.1, options, None, steps),

@@ -16,25 +16,23 @@ import numpy as np
 
 from epigraph.cli import parse_config, run, serialize_config
 from epigraph.fields import make_grid, terminal_slice, time_axis
-from epigraph.hamiltonian import (
-    Arrowhead,
-    Coefficients,
-    Stencil,
-    assemble_arrowhead,
-    top_eigenvalue,
-)
 from epigraph.levelset import required_margin_profile
 from epigraph.model import Region, build_problem
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
 from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
-from epigraph.verify import (
+from epigraph.verify import slab_identity_residual, strict_subsolution_residual
+from references import (
+    Arrowhead,
+    Coefficients,
+    Stencil,
+    assemble_arrowhead,
+    best_hedge_on_grid,
+    jump_increment,
     sign_equivalence_suite,
-    slab_identity_residual,
-    strict_subsolution_residual,
     taylor_remainder_residual,
+    top_eigenvalue,
 )
-from references import best_hedge_on_grid, jump_increment
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

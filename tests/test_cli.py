@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import epigraph
 from epigraph import cli, fields, solver
 from epigraph.cli import (
     builtin_config,
@@ -47,6 +48,7 @@ from epigraph.fields import (
 )
 from epigraph.problems import BUILTIN_NAMES, builtin_scheme
 from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
+from epigraph.verify import CHECK_NAMES
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -792,35 +794,45 @@ def test_run_simulation_is_deterministic(tmp_path):
 def test_run_verification_passes_on_the_zero_problem(tmp_path):
     out = tmp_path / "verified"
     config = zero_config(out)
-    reports, all_pass = run_verification(config, checks="taylor,lipschitz,subsolution")
+    reports, all_pass = run_verification(config, checks="lipschitz,subsolution")
     assert all_pass
     names = [report.name for report in reports]
-    assert names == ["taylor-remainder", "lipschitz-quotients", "strict-subsolution"]
+    assert names == ["lipschitz-quotients", "strict-subsolution"]
     payload = json.loads((out / "reports.json").read_text())
     assert payload["all_pass"] is True
 
 
-@pytest.mark.parametrize("margin, check, error, message", [
-    ([-1.0, 1.0, 11], "subsolution", ValueError, "the log-margin probe needs the margin axis"),
-    ([0.0, 1.0, 11], "slab", IncompatibleGrids, "margin axis goes below zero"),
-])
-def test_a_named_check_that_all_would_skip_raises_its_own_error(tmp_path, margin, check,
-                                                                 error, message):
+@pytest.mark.parametrize("margin, check, message", [
+    ([-1.0, 1.0, 11], "subsolution", "the log-margin probe needs the margin axis"),
+    ([0.0, 1.0, 11], "slab", "margin axis goes below zero"),
+], ids=["subsolution", "slab"])
+def test_a_named_check_that_all_would_skip_raises_its_own_error(tmp_path, monkeypatch, capsys,
+                                                                 margin, check, message):
     # "all" runs slab and skips the probe on a margin axis from -1, and the
     # reverse from 0 (the stock battery test); named, the skipped check
-    # refuses the grid on the same predicate
-    config = parse_config(config_text(
+    # refuses the grid on the same predicate, before any sweep, with one
+    # error class and so one exit code
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the refusal must come before the sweep")
+
+    monkeypatch.setattr("epigraph.verify.solve_shortfall", no_sweep)
+    document = config_text(
         "zero", str(tmp_path),
-        grid={"state": [[-1.0, 1.0, 11]], "margin": margin, "time_step": 0.05}))
-    with pytest.raises(error, match=message):
-        run_verification(config, checks=check)
+        grid={"state": [[-1.0, 1.0, 11]], "margin": margin, "time_step": 0.05})
+    with pytest.raises(IncompatibleGrids, match=message):
+        run_verification(parse_config(document), checks=check)
+    assert not (tmp_path / "reports.json").exists()
+    path = tmp_path / "config.json"
+    path.write_text(document)
+    assert main(["verify", "--config", str(path), "--checks", check]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "reports.json").exists()
 
 
 def test_run_verification_rejects_unknown_check(tmp_path):
     config = zero_config(tmp_path)
     with pytest.raises(SchemaViolation, match="available"):
-        run_verification(config, checks="sign,bogus")
+        run_verification(config, checks="lipschitz,bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +904,31 @@ def test_main_verify_passes_quick_checks(tmp_path, capsys):
         tmp_path,
         grid={"state": [[-1.0, 1.0, 11]], "margin": [0.0, 1.0, 11],
               "time_step": 0.01})
-    assert main(["verify", "--config", str(path), "--checks", "taylor,lipschitz"]) == 0
+    assert main(["verify", "--config", str(path), "--checks", "lipschitz,subsolution"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
+
+
+@pytest.mark.parametrize("check", ["sign", "taylor"])
+def test_main_verify_refuses_the_checks_that_read_no_solve(tmp_path, capsys, check):
+    path = write_config(tmp_path)
+    assert main(["verify", "--config", str(path), "--checks", check]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown check {check!r}" in err
+    assert "available: lipschitz, slab, subsolution, dpp" in err
+
+
+def test_readme_names_only_checks_of_the_battery():
+    lists = re.findall(r"--checks ([\w,]+)", README.read_text())
+    assert lists
+    for listed in lists:
+        assert set(listed.split(",")) <= set(CHECK_NAMES), listed
+
+
+def test_every_public_name_resolves():
+    assert epigraph.__all__
+    for name in epigraph.__all__:
+        assert getattr(epigraph, name) is not None, name
 
 
 def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):
@@ -934,10 +968,8 @@ def test_main_simulate_smoke(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, checks", [
-    ("frozen-penalty", ["sign-equivalence", "taylor-remainder", "lipschitz-quotients",
-                        "slab-identity", "dpp-one-sided"]),
-    ("zero", ["sign-equivalence", "taylor-remainder", "lipschitz-quotients",
-              "strict-subsolution", "dpp-one-sided"]),
+    ("frozen-penalty", ["lipschitz-quotients", "slab-identity", "dpp-one-sided"]),
+    ("zero", ["lipschitz-quotients", "strict-subsolution", "dpp-one-sided"]),
 ])
 def test_default_battery_passes_on_stock_builtins_and_report_lists_it(
         tmp_path, capsys, name, checks):

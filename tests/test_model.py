@@ -17,10 +17,10 @@ from epigraph.model import (
     Region,
     build_problem,
     check_regularity,
-    eval_coefficients,
     eval_coefficients_batch,
     eval_terminal,
 )
+from references import eval_coefficients
 
 
 def linear_problem(**overrides):

@@ -21,12 +21,11 @@ from epigraph.fields import (
     terminal_slice,
     time_axis,
 )
-from epigraph.hamiltonian import Stencil, corner_for_eigenvalue
+from epigraph.hamiltonian import corner_for_eigenvalue
 from epigraph.model import (
     JumpModel,
     Region,
     build_problem,
-    eval_coefficients,
     eval_coefficients_batch,
     eval_terminal,
 )
@@ -47,7 +46,7 @@ from epigraph.solver import (
     stable_grid,
     step_backward,
 )
-from references import hamiltonian_at_node
+from references import Stencil, eval_coefficients, hamiltonian_at_node
 
 
 def drift_is_control(t, a, u):

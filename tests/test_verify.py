@@ -16,12 +16,11 @@ from epigraph.verify import (
     dpp_consistency,
     lipschitz_profile,
     make_report,
-    sign_equivalence_suite,
     slab_identity_residual,
     strict_subsolution_residual,
-    taylor_remainder_residual,
     write_reports,
 )
+from references import sign_equivalence_suite, taylor_remainder_residual, taylor_report
 
 
 def every_level(problem, grid, options=SchemeOptions()):
@@ -125,6 +124,15 @@ def test_remainder_exponential_at_twenty_nodes():
         lambda v: np.array([[np.exp(v[0])]]), 0.0, 1.0, quad_nodes=20,
     )
     assert residual <= 1e-10
+
+
+def test_remainder_report_on_an_exponential_passes():
+    # the exp(a_1 + 2 a_2) case the verify battery reported before the
+    # remainder identity became a test reference
+    report = taylor_report()
+    assert report.name == "taylor-remainder"
+    assert report.tolerance == 1e-10
+    assert report.passed
 
 
 def test_remainder_rejects_single_node():
@@ -268,7 +276,7 @@ def test_subsolution_rejects_bad_inputs(zero_setup, frozen_setup):
     with pytest.raises(ValueError, match="which the field does not keep"):
         strict_subsolution_residual(problem, unsolved, 0.1)
     fproblem, _, ffield = frozen_setup
-    with pytest.raises(ValueError):
+    with pytest.raises(IncompatibleGrids, match="margin axis above -1"):
         # frozen-penalty's margin axis reaches -1, where log(1+b) blows up
         strict_subsolution_residual(fproblem, ffield, 0.1)
 
