@@ -280,7 +280,7 @@ def export_slice_csv(field_obj: Field, level: int, path: str) -> str:
     data = field_obj.slice_at(level)
     grid = field_obj.grid
     header = [f"state_{i + 1}" for i in range(grid.dim_state)] + ["margin", "shortfall"]
-    write_csv(path, data.reshape(-1, 1), (*grid.state_axes, grid.margin_axis), header)
+    write_csv(path, data, (*grid.state_axes, grid.margin_axis), header)
     return path
 
 
@@ -290,7 +290,7 @@ def export_profile_csv(field_obj: Field, level: int, path: str,
     profile = required_margin_profile(field_obj, level, query)
     axes = field_obj.grid.state_axes
     header = [f"state_{i + 1}" for i in range(len(axes))] + ["required_margin"]
-    write_csv(path, profile.reshape(-1, 1), axes, header)
+    write_csv(path, profile, axes, header)
     return path
 
 

@@ -10,16 +10,26 @@ produced it so a resumed sweep restarts only from its own problem's slices.
 The long-form CSV exports go through :func:`write_csv`, every JSON file
 through :func:`write_json`; the JSON files and the slices' ``.npy`` files are
 replaced whole or not at all.
+
+The CSV writer prints every number as ``%.17g`` but encodes the values in
+numpy blocks: +0.0 and the values in [1e-280, 1e280) get their 17 correctly
+rounded digits from double-double arithmetic and ``%g``'s layout from a
+table.  Where that arithmetic cannot prove the digits (within 2**-30 of a
+rounding tie, or a misestimated exponent), and for -0.0, negatives, inf,
+nan, subnormals and other magnitudes, the value goes through ``%.17g``
+itself, so the bytes are those of the per-value ``%.17g``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
 import pathlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import IO, Any, Iterator, Sequence
 
 import numpy as np
@@ -279,39 +289,200 @@ def _axes_meta(grid: Grid) -> dict[str, Any]:
 
 _VALUES_PER_WRITE = 4096
 
+# The numpy encoder of ``%.17g``.  For v in [1e-280, 1e280), k estimates the
+# decimal exponent and D = round(v * 10**(16 - k)) holds the 17 significant
+# digits.  The product is taken in double-double arithmetic (10**p held as
+# hi + lo, v * hi split exactly by Dekker's TwoProduct) with an error below
+# 2**-46, and in that range no intermediate overflows or loses bits to
+# underflow.  D is proven unless the product lies within _TIE of a rounding
+# tie or D is not 17 digits long (k misestimated, or a round up to the next
+# power of ten); an unproven value is formatted by ``%.17g`` itself.
+_K_MIN, _K_MAX = -280, 280
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_TIE = 2.0 ** -30
+# every digit layout reads one row of 32 bytes: digits 1..16 of D, its
+# leading digit, then the literal bytes below from column 17 on
+_LITERALS = b"\0.e+-0123456789"
 
-def write_csv(path: str, table: Array, axes: Sequence[Array], header: Sequence[str]) -> None:
-    """Write ``table`` in long form as CSV, every number as ``%.17g`` (exact
+
+def _layouts() -> Array:
+    """For each decimal exponent k and count s of significant digits, the
+    bytes of the 32-byte row that spell the ``%g`` text, NUL-padded to 24.
+
+    The text is ``%g``'s rule applied to placeholder digits ``A`` (the
+    leading one) to ``Q``: -4 <= k <= 16 in fixed notation with the
+    fraction's trailing zeros stripped, any other k as ``d.ddde-XX`` with at
+    least two exponent digits.  The last 18 rows spell +0.0 as ``0``.
+    """
+    places = b"ABCDEFGHIJKLMNOPQ"
+    source = bytearray(range(256))
+    for column, place in enumerate(places[1:]):
+        source[place] = column
+    source[places[0]] = 16
+    for column, literal in enumerate(_LITERALS):
+        source[literal] = 17 + column
+    significant = [places[:max(s, 1)] for s in range(18)]
+    mantissas = [d[:1] + b"." + d[1:] if len(d) > 1 else d for d in significant]
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if 0 <= k <= 16:
+            texts = []
+            for digits in significant:
+                whole, fraction = digits[:k + 1].ljust(k + 1, b"0"), digits[k + 1:]
+                texts.append(whole + b"." + fraction if fraction else whole)
+        elif -4 <= k < 0:
+            texts = [b"0." + b"0" * (-k - 1) + digits for digits in significant]
+        else:
+            texts = [mantissa + b"e%+03d" % k for mantissa in mantissas]
+        rows.append(b"".join([text.ljust(24, b"\0") for text in texts]).translate(source))
+    rows.append((b"0".ljust(24, b"\0") * 18).translate(source))
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, 24)
+
+
+@functools.cache
+def _encoder_tables() -> SimpleNamespace:
+    """What the encoder looks up, built from Python integers on first use,
+    so importing costs nothing:
+
+    - ``hi``, ``lo``: 10**(16 - k) rounded to a double, and the rest
+      10**(16 - k) - hi rounded to a double, at index k - _K_MIN;
+    - ``hi_head``, ``hi_tail``: hi's Veltkamp split, hi = hi_head + hi_tail;
+    - ``groups``: (10000,) uint32, the four ASCII digits of 0..9999;
+    - ``lengths``: (10000,) int16, a group's digits up to its last nonzero
+      one, -16 for the group 0000;
+    - ``layouts``: (rows * 18, 24) uint8, :func:`_layouts`, row
+      (k - _K_MIN) * 18 + s.
+    """
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        p = 16 - k
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        head = num / den  # int / int rounds correctly
+        a, b = head.as_integer_ratio()
+        hi.append(head)
+        lo.append((num * b - a * den) / (den * b))
+    hi_array = np.array(hi)
+    scaled = hi_array * _SPLIT
+    hi_head = scaled - (scaled - hi_array)
+    g = np.arange(10000, dtype=np.int16)
+    places = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    last = np.where(places != 0, np.arange(1, 5, dtype=np.int16), -16).max(axis=1)
+    return SimpleNamespace(
+        hi=hi_array, hi_head=hi_head, hi_tail=hi_array - hi_head, lo=np.array(lo),
+        groups=(places + ord("0")).astype(np.uint8).view(np.uint32)[:, 0],
+        lengths=last, layouts=_layouts())
+
+
+def _significand(values: Array) -> tuple[Array, Array, Array]:
+    """For each value of a 1-D float64 array: the row of its decimal exponent
+    k in the tables, its 17 significant digits D as an int64, and whether
+    they are proven.  An unproven value's D is 10**16."""
+    t = _encoder_tables()
+    positive = (values >= 1e-280) & (values < 1e280)  # False for nan
+    x = np.where(positive, values, 1.0)
+    row = np.floor(np.log10(x)).astype(np.int64)
+    np.clip(row, _K_MIN, _K_MAX, out=row)
+    row -= _K_MIN
+
+    # x * 10**(16 - k) = product + tail, product = fl(x * hi)
+    hi, hi_head, hi_tail = t.hi[row], t.hi_head[row], t.hi_tail[row]
+    product = x * hi
+    scaled = x * _SPLIT
+    x_head = scaled - (scaled - x)
+    x_tail = x - x_head
+    tail = (((x_head * hi_head - product) + x_head * hi_tail + x_tail * hi_head)
+            + x_tail * hi_tail) + x * t.lo[row]
+    floor = np.floor(tail)
+    fraction = tail - floor
+    # a product of 2**53 or more is an integer, so wherever low reaches
+    # 1e16 it is the floor of x * 10**(16 - k), up to the 2**-46 error
+    low = product.astype(np.int64) + floor.astype(np.int64)
+    digits = low + (fraction > 0.5)
+    proven = (positive & (low >= 10 ** 16) & (digits < 10 ** 17)
+              & (np.abs(fraction - 0.5) > _TIE))
+    return row, np.where(proven, digits, 10 ** 16), proven
+
+
+def _spell(values: Array) -> tuple[list[bytes], Array]:
+    """The ``%.17g`` text of each value of a 1-D float64 array, spelled in
+    numpy, and the mask of the values whose text is proven; the text of
+    any other value is meaningless."""
+    t = _encoder_tables()
+    row, digits, proven = _significand(values)
+    zero = (values == 0.0) & ~np.signbit(values)
+    row[zero] = _K_MAX - _K_MIN + 1  # the rows that spell +0.0
+
+    # the leading digit, then four groups of four
+    top = (digits // 10 ** 8).astype(np.uint32)
+    bottom = (digits - top.astype(np.int64) * 10 ** 8).astype(np.uint32)
+    lead = top // 10 ** 8
+    top -= lead * 10 ** 8
+    source = np.empty((values.shape[0], 32), dtype=np.uint8)
+    words = source.view(np.uint32)
+    count = np.ones(values.shape[0], dtype=np.int64)  # digits up to the last nonzero
+    for i, group in enumerate((top // 10 ** 4, top % 10 ** 4,
+                               bottom // 10 ** 4, bottom % 10 ** 4)):
+        np.take(t.groups, group, out=words[:, i])
+        np.maximum(count, t.lengths[group] + 4 * i + 1, out=count)
+    source[:, 16] = lead + ord("0")
+    source[:, 17:] = np.frombuffer(_LITERALS, dtype=np.uint8)
+
+    # gather the text 1024 rows at a time: a byte's flat index takes 8 bytes
+    layout = np.take(t.layouts, row * 18 + count, axis=0)
+    text = np.empty_like(layout)
+    offsets = np.arange(0, 32 * 1024, 32)[:, None]
+    for start in range(0, values.shape[0], 1024):
+        part = layout[start:start + 1024]
+        np.take(source[start:start + 1024].ravel(), part + offsets[:part.shape[0]],
+                out=text[start:start + 1024])
+    return text.view("S24").ravel().tolist(), proven | zero
+
+
+def _encode(values: Array) -> list[bytes]:
+    """``[b"%.17g" % v for v in values]`` for a 1-D float64 array: the text
+    :func:`_spell` proves, and ``%.17g`` itself for every other value."""
+    encoded, proven = _spell(values)
+    slow = np.flatnonzero(~proven)
+    for i, value in zip(slow.tolist(), values[slow].tolist()):
+        encoded[i] = b"%.17g" % value
+    return encoded
+
+
+def write_csv(path: str, values: Array, axes: Sequence[Array], header: Sequence[str]) -> None:
+    """Write ``values`` in long form as CSV, every number as ``%.17g`` (exact
     round trip), lines ending in CRLF as the csv module ends them.
 
-    ``table`` holds one row per node of the product grid of ``axes`` in
-    ``ij`` order, and each line starts with that node's coordinates; each
-    axis value is formatted once, not once per line.  ``header`` is the
-    first line.  Values are formatted ``_VALUES_PER_WRITE`` at a time (but at
-    least one run along the last axis), which bounds the memory held.
+    ``values`` holds one entry per node of the product grid of ``axes`` in
+    ``ij`` order (read flat), and each line is that node's coordinates and
+    its value; each axis value is formatted once, not once per line.
+    ``header`` is the first line.  Values are encoded ``_VALUES_PER_WRITE``
+    at a time (but at least one run along the last axis), which bounds the
+    memory held.  The encoder (:func:`_encode`) spells +0.0 and every value
+    in [1e-280, 1e280) whose 17 digits it can prove in numpy; the rest
+    (-0.0, negatives, inf, nan, subnormals, other magnitudes and values
+    within 2**-30 of a rounding tie) go through ``%.17g`` one by one.  The
+    digits it proves are the correctly rounded ones ``%.17g`` prints, and
+    the layout is ``%g``'s, so the bytes are the same.
     """
-    width = table.shape[1]
-    line = ",".join(["%.17g"] * width) + "\r\n"
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
     *outer, inner = axes
-    prefixes = [""]
+    prefixes = [b""]
     for axis in outer:
-        texts = ["%.17g," % x for x in axis.tolist()]
+        texts = [b"%.17g," % x for x in axis.tolist()]
         prefixes = [p + t for p in prefixes for t in texts]
-    run = ["%.17g," % x + line for x in inner.tolist()]
-    if len(prefixes) * len(run) != table.shape[0]:
-        raise ValueError(f"{table.shape[0]} rows do not match the axes' "
+    run = [b"%.17g,%%s\r\n" % x for x in inner.tolist()]
+    if len(prefixes) * len(run) != flat.shape[0]:
+        raise ValueError(f"{flat.shape[0]} rows do not match the axes' "
                          f"{len(prefixes) * len(run)} nodes")
-    per_prefix = len(run) * width
-    step = max(1, _VALUES_PER_WRITE // per_prefix)
-    flat = table.reshape(-1)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+    step = max(1, _VALUES_PER_WRITE // len(run))
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(prefixes), step):
             block = prefixes[start:start + step]
             # lines of one prefix: p + run[0] + p + run[1] + ... = p + p.join(run)
-            template = "".join([p + p.join(run) for p in block])
-            values = flat[start * per_prefix:(start + len(block)) * per_prefix]
-            handle.write(template % tuple(values.tolist()))
+            template = b"".join([p + p.join(run) for p in block])
+            values_block = flat[start * len(run):(start + len(block)) * len(run)]
+            handle.write(template % tuple(_encode(values_block)))
 
 
 @contextlib.contextmanager

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -669,8 +670,21 @@ def test_slice_export_has_long_form_columns(zero_run):
     assert float(first[0]) == -3.0 and float(first[1]) == 0.0
 
 
+# where the writer's encoder changes layout or leaves its fast path: signed
+# zeros, the subnormal and normal floors, the fixed-to-scientific switch at
+# 1e-4, the third exponent digit at 1e-100, the fixed notation's top at 1e16,
+# the ends of the fast path's range, and every power of ten between 1e-20
+# and 1e15 with its two neighbours
+_ENCODER_EDGES = [
+    0.0, -0.0, 5e-324, np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0),
+    1e-4, np.nextafter(1e-4, 0.0), 1e-99, 1e-100, 1e16, np.nextafter(1e16, 0.0),
+    1e-280, np.nextafter(1e-280, 0.0), 1e280, np.nextafter(1e280, 0.0), np.inf, -np.inf,
+    *[edge for power in range(-20, 16) for value in [float(f"1e{power}")]
+      for edge in (value, np.nextafter(value, 0.0), np.nextafter(value, np.inf))],
+]
+
 _SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1.7976931348623157e308,
-            np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 123456789.0]
+            np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0, 123456789.0, *_ENCODER_EDGES]
 
 
 def _csv_module_reference(path, header, table):
@@ -684,21 +698,35 @@ def _csv_module_reference(path, header, table):
 
 
 # profiles of a 1-D and a 2-D state, and the t = 0 slices of both; the
-# slices hold more values than one formatted block
-@pytest.mark.parametrize("shape", [(2000,), (35, 35), (141, 41), (9, 12, 41)])
-def test_long_form_matches_the_meshgrid_table(tmp_path, shape):
+# slices hold more values than one formatted block.  The wide case spans
+# 10**-300..10**17 and holds a block of +0.0 and a block of -0.0, one the
+# encoder spells whole and one it spells not at all.
+@pytest.mark.parametrize("shape, wide", [((2000,), False), ((35, 35), False),
+                                         ((141, 41), False), ((9, 12, 41), False),
+                                         ((300, 41), True)],
+                         ids=["shape0", "shape1", "shape2", "shape3", "wide"])
+def test_long_form_matches_the_meshgrid_table(tmp_path, shape, wide):
     # The exports used to build every coordinate column with meshgrid and
     # write the stacked table through csv.writer; the writer must keep those
     # bytes while formatting each axis value once.
     rng = np.random.default_rng(len(shape))
     axes = [rng.normal(size=count) for count in shape]
     axes[0][:2] = [-0.0, np.inf]  # axis texts are formatted once, specials too
-    values = rng.normal(size=shape)
+    if wide:
+        values = 10.0 ** rng.uniform(-300.0, 17.0, size=shape)
+        block = fields._VALUES_PER_WRITE // shape[-1] * shape[-1]
+        values.flat[block:2 * block] = 0.0
+        values.flat[2 * block:3 * block] = -0.0
+        assert values.size > 3 * block
+    else:
+        values = rng.normal(size=shape)
     values.flat[: len(_SPECIAL)] = _SPECIAL
     values.flat[-1] = np.inf  # an unreachable profile entry
     header = [f"col_{i}" for i in range(len(shape) + 1)]
     path = tmp_path / "long.csv"
-    fields.write_csv(str(path), values.reshape(-1, 1), axes, header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fields.write_csv(str(path), values, axes, header)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     table = np.column_stack([m.reshape(-1) for m in mesh] + [values.reshape(-1)])
@@ -718,9 +746,51 @@ def test_slice_export_of_a_2d_state_matches_the_meshgrid_table(tmp_path):
     assert path.read_bytes() == _csv_module_reference(tmp_path / "ref.csv", header, table)
 
 
+def test_solved_slice_export_reads_back_exactly(tmp_path):
+    # deterministic-steering on its stock grid: its t = 0 slice holds
+    # positive values across some 80 decimal exponents, and zeros
+    config = parse_config(config_text("deterministic-steering", str(tmp_path / "out")))
+    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme)
+    level0 = field.slice_at(0)
+    positive = level0[level0 > 0.0]
+    assert np.unique(np.floor(np.log10(positive))).size >= 41
+    path = tmp_path / "w_t0.csv"
+    export_slice_csv(field, 0, str(path))
+
+    grid = field.grid
+    mesh = np.meshgrid(*grid.state_axes, grid.margin_axis, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh] + [level0.reshape(-1)])
+    header = ["state_1", "margin", "shortfall"]
+    assert path.read_bytes() == _csv_module_reference(tmp_path / "ref.csv", header, table)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
+
+
+def test_encoder_matches_percent_17g_on_random_bit_patterns():
+    # 2**20 random doubles: every exponent, both signs, subnormals, infinities
+    # and nan payloads, then the edges, encoded block by block as the writer
+    # does
+    rng = np.random.default_rng(22)
+    patterns = rng.integers(0, 2 ** 64, size=2 ** 20, dtype=np.uint64).view(np.float64)
+    assert np.isnan(patterns).sum() > 100 and (patterns < 0.0).sum() > 2 ** 18
+    values = np.concatenate([patterns, _ENCODER_EDGES])
+    proven = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in range(0, values.size, fields._VALUES_PER_WRITE):
+            block = values[start:start + fields._VALUES_PER_WRITE]
+            assert fields._encode(block) == [b"%.17g" % value for value in block.tolist()]
+            proven.append(fields._spell(block)[1])
+    # the fast path, not the per-value fallback, spells the values it can
+    proven = np.concatenate(proven)
+    in_range = (values >= 1e-280) & (values < 1e280)
+    assert proven[in_range].mean() > 0.999
+    assert not proven[~in_range & (values != 0.0)].any()
+
+
 def test_writer_rejects_a_table_that_does_not_fit_the_axes(tmp_path):
     with pytest.raises(ValueError, match="rows do not match"):
-        fields.write_csv(str(tmp_path / "x.csv"), np.zeros((5, 1)),
+        fields.write_csv(str(tmp_path / "x.csv"), np.zeros(5),
                          [np.arange(2.0), np.arange(3.0)], ["a", "b", "value"])
 
 
