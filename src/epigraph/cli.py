@@ -30,7 +30,8 @@ Subcommands: ``solve`` (full pipeline + manifest), ``extract`` (profile CSV
 only), ``simulate`` (Monte Carlo spot checks), ``verify`` (diagnostic
 battery, exit 3 on failure), ``report`` (summarize a run directory).  Exit
 codes: 0 success, 1 usage or configuration error, 2 numerical failure or a
-``solve`` stopped by SIGINT or SIGTERM, 3 verification failure.
+``solve`` stopped by SIGINT or SIGTERM, 3 verification failure; the base of
+an error's class in :mod:`epigraph.errors` picks 1 or 2.
 """
 
 from __future__ import annotations
@@ -49,15 +50,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateGrid,
-    EmptyControlGrid,
+    ConfigurationError,
     EpigraphError,
-    MissingField,
-    NegativeWeight,
-    NonpositiveHorizon,
     ParseError,
     SchemaViolation,
-    UnknownKey,
     fail,
     reject_unknown,
     require_integer,
@@ -365,10 +361,12 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     out.mkdir(parents=True, exist_ok=True)
     problem, options = config.problem, config.scheme
     grid = resolve_grid(config)
-    # what the sweep reads, which a resumed slice must have been written for
+    document = _config_document(config)
+    # what the sweep reads, which a resumed slice must have been written for:
+    # every scheme setting but epsilon, which only the level-set reader reads
+    reads = {key: value for key, value in document["scheme"].items() if key != "epsilon"}
     inputs = hashlib.sha256(json.dumps(
-        {"problem": config.problem_spec, "grid": config.grid_spec,
-         "hedge": options.hedge, "beta_candidates": options.jump_hedge},
+        {"problem": document["problem"], "grid": document["grid"], **reads},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     every = int(config.outputs["checkpoint_every"])
@@ -427,7 +425,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 
     manifest = {
         "artifacts": written,
-        "config": _config_document(config),
+        "config": document,
         "epsilon": float(epsilon),
         "grid": {"dt": float(grid.dt), "n_levels": int(grid.n_levels)},
         "snapshot_levels": [int(level) for level in levels],
@@ -494,11 +492,6 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-_CONFIG_ERRORS = (ParseError, UnknownKey, SchemaViolation, MissingField,
-                  NonpositiveHorizon, EmptyControlGrid, NegativeWeight,
-                  DegenerateGrid)
-
 
 def _read_config(args: argparse.Namespace) -> RunConfig:
     with open(args.config) as handle:
@@ -646,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
-    except (*_CONFIG_ERRORS, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EpigraphError as exc:

@@ -1,11 +1,18 @@
 """Exception types shared across the package.
 
 Every error raised on a user-facing contract violation is a subclass of
-:class:`EpigraphError`, so callers can catch one base type.  Numerical
-failures (CFL violations, non-finite updates) are kept separate from
-configuration problems because the command line maps them to different
-exit codes.  The path-annotated checks at the end raise the configuration
-errors; the config reader and the inline problem builder share them.
+:class:`EpigraphError`, so callers can catch one base type.  The base of a
+class sets the command line's exit code:
+
+- :class:`ConfigurationError`, a run that cannot be built as described
+  (config text, problem fields, grid axes), exits 1, as ``OSError`` and
+  ``ValueError`` do;
+- any other :class:`EpigraphError`, a numerical failure or a refusal of a
+  well-formed run (CFL violations, non-finite updates, a slice written for
+  other inputs), exits 2.
+
+The path-annotated checks at the end raise the configuration errors; the
+config reader and the inline problem builder share them.
 """
 
 from __future__ import annotations
@@ -19,21 +26,25 @@ class EpigraphError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigurationError(EpigraphError):
+    """Base class for the errors of a run that cannot be built as described."""
+
+
 # --- problem construction -------------------------------------------------
 
-class MissingField(EpigraphError):
+class MissingField(ConfigurationError):
     """A required problem field was not supplied."""
 
 
-class NonpositiveHorizon(EpigraphError):
+class NonpositiveHorizon(ConfigurationError):
     """The time horizon must be strictly positive."""
 
 
-class EmptyControlGrid(EpigraphError):
+class EmptyControlGrid(ConfigurationError):
     """The control set must contain at least one point."""
 
 
-class NegativeWeight(EpigraphError):
+class NegativeWeight(ConfigurationError):
     """Jump intensities (atom weights) must be strictly positive."""
 
 
@@ -57,7 +68,7 @@ class NonFiniteState(EpigraphError):
 
 # --- solving --------------------------------------------------------------
 
-class DegenerateGrid(EpigraphError):
+class DegenerateGrid(ConfigurationError):
     """Grid axes must have at least three nodes and positive spacing."""
 
 
@@ -79,15 +90,15 @@ class UnsolvedField(EpigraphError):
 
 # --- configuration --------------------------------------------------------
 
-class ParseError(EpigraphError):
+class ParseError(ConfigurationError):
     """Configuration text is not valid JSON (position annotated)."""
 
 
-class UnknownKey(EpigraphError):
+class UnknownKey(ConfigurationError):
     """Configuration contains an unrecognized key (suggestion attached)."""
 
 
-class SchemaViolation(EpigraphError):
+class SchemaViolation(ConfigurationError):
     """Configuration value has the wrong type or an out-of-range value."""
 
 

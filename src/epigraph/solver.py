@@ -160,12 +160,8 @@ DEFAULT_OPTIONS = SchemeOptions()
 # difference operators (clamped uniform grids)
 # ---------------------------------------------------------------------------
 
-def _along(ndim: int, picks: dict[int, slice]) -> tuple:
-    """A basic index over ``ndim`` axes: ``picks[axis]`` on the given axes,
-    everything on the others."""
-    return tuple(picks.get(axis, slice(None)) for axis in range(ndim))
-
-
+# Each stencil indexes ``values`` by a basic index that takes everything on
+# the axes before the one it differences: ``(slice(None),) * axis + (part,)``.
 _LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
 
 
@@ -175,16 +171,16 @@ def first_differences(values: Array, axis: int, h: float,
 
     ``out`` is a (forward, backward) pair of buffers of the shape of
     ``values`` to write into; None allocates them."""
-    def at(part: slice) -> tuple:
-        return _along(values.ndim, {axis: part})
-
+    lead = (slice(None),) * axis
+    head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+    first, last = lead + (slice(None, 1),), lead + (slice(-1, None),)
     fwd, bwd = (np.empty(values.shape), np.empty(values.shape)) if out is None else out
-    diff = fwd[at(slice(None, -1))]
-    np.subtract(values[at(slice(1, None))], values[at(slice(None, -1))], out=diff)
+    diff = fwd[head]
+    np.subtract(values[tail], values[head], out=diff)
     diff /= h
-    fwd[at(slice(-1, None))] = diff[at(slice(-1, None))]
-    bwd[at(slice(1, None))] = diff
-    bwd[at(slice(None, 1))] = diff[at(slice(None, 1))]
+    fwd[last] = diff[last]
+    bwd[tail] = diff
+    bwd[first] = diff[first]
     return fwd, bwd
 
 
@@ -193,14 +189,12 @@ def second_difference(values: Array, axis: int, h: float, out: Array | None = No
 
     ``out`` is a buffer of the shape of ``values`` to write into, with zeros
     on those faces (this writes only the inner nodes); None allocates it."""
-    def at(part: slice) -> tuple:
-        return _along(values.ndim, {axis: part})
-
+    lead = (slice(None),) * axis
     sec = np.zeros(values.shape) if out is None else out
-    inner = sec[at(_MID)]
-    np.multiply(values[at(_MID)], 2.0, out=inner)
-    np.subtract(values[at(_HI)], inner, out=inner)
-    inner += values[at(_LO)]
+    inner = sec[lead + (_MID,)]
+    np.multiply(values[lead + (_MID,)], 2.0, out=inner)
+    np.subtract(values[lead + (_HI,)], inner, out=inner)
+    inner += values[lead + (_LO,)]
     inner /= h * h
     return sec
 
@@ -209,14 +203,14 @@ def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float,
                      out: Array | None = None) -> Array:
     """Central mixed quotient, zero on the hull faces of either axis; ``out``
     is as in :func:`second_difference`, with zeros on the faces of both."""
-    def at(part1: slice, part2: slice) -> tuple:
-        return _along(values.ndim, {ax1: part1, ax2: part2})
-
+    lead1, lead2 = (slice(None),) * ax1, (slice(None),) * ax2
+    # a part of ax1 keeps every axis, so ax2 indexes it in either axis order
+    hi, lo = values[lead1 + (_HI,)], values[lead1 + (_LO,)]
     out = np.zeros(values.shape) if out is None else out
-    inner = out[at(_MID, _MID)]
-    np.subtract(values[at(_HI, _HI)], values[at(_HI, _LO)], out=inner)
-    inner -= values[at(_LO, _HI)]
-    inner += values[at(_LO, _LO)]
+    inner = out[lead1 + (_MID,)][lead2 + (_MID,)]
+    np.subtract(hi[lead2 + (_HI,)], hi[lead2 + (_LO,)], out=inner)
+    inner -= lo[lead2 + (_HI,)]
+    inner += lo[lead2 + (_LO,)]
     inner /= 4.0 * h1 * h2
     return out
 
@@ -748,10 +742,9 @@ def solve_shortfall(
     slice)`` pair that :func:`epigraph.fields.load_snapshot` returns; the
     solve restarts from that slice.
     """
-    out = Field(grid, {}, epsilon=default_epsilon(terminal_slice(problem, grid)))
-    if resume is None:
-        resume = (grid.n_levels - 1, terminal_slice(problem, grid))
-    start, prev = resume
+    terminal = terminal_slice(problem, grid)
+    out = Field(grid, {}, epsilon=default_epsilon(terminal))
+    start, prev = (grid.n_levels - 1, terminal) if resume is None else resume
     keep = set(keep)
     if start in keep:
         out.slices[start] = np.array(prev, dtype=float)

@@ -49,12 +49,19 @@ def _plain(obj: Any) -> Any:
 
 @dataclass(frozen=True)
 class DiagnosticReport:
-    """One check's outcome: pass is defined as max_residual <= tolerance."""
+    """One check's outcome: pass is defined as max_residual <= tolerance.
+
+    The residual and the tolerance are stored as Python floats, whatever
+    number type they are given as."""
 
     name: str
     max_residual: float
     tolerance: float
     details: dict[str, Any] = dataclass_field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
     @property
     def passed(self) -> bool:
@@ -63,25 +70,11 @@ class DiagnosticReport:
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "max_residual": float(self.max_residual),
-            "tolerance": float(self.tolerance),
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
             "pass": self.passed,
             "details": _plain(self.details),
         }
-
-
-def make_report(
-    name: str,
-    max_residual: float,
-    tolerance: float,
-    details: dict[str, Any] | None = None,
-) -> DiagnosticReport:
-    return DiagnosticReport(
-        name=name,
-        max_residual=float(max_residual),
-        tolerance=float(tolerance),
-        details=details or {},
-    )
 
 
 def write_reports(path: str, reports: Sequence[DiagnosticReport]) -> None:
@@ -158,7 +151,7 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
             "residual": float(residual),
         },
     }
-    return make_report("slab-identity", float(residual), _SLAB_TOLERANCE, details)
+    return DiagnosticReport("slab-identity", residual, _SLAB_TOLERANCE, details)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +187,12 @@ def strict_subsolution_residual(
     a margin — residual <= -nu/8 plus a consistency allowance ``tol_h`` — on
     at least 95% of interior nodes with b >= 0 (the reported residual is the
     95th-percentile node value).  With nu = 0 this degenerates to checking
-    that the solved field itself has zero interior residual.
+    that the solved field itself has zero interior residual.  It checks the
+    steps :func:`subsolution_steps` picks for ``max_levels``.
     """
-    return _subsolution_probe(problem, field, nu, options, tol_h,
-                              subsolution_steps(field.grid, max_levels))
-
-
-def _subsolution_probe(problem: Problem, field: Field, nu: float, options: SchemeOptions,
-                       tol_h: float | None, levels: Array) -> DiagnosticReport:
-    """:func:`strict_subsolution_residual` over the steps from ``levels + 1``
-    to ``levels``."""
     grid = field.grid
     _require("subsolution", grid)
+    levels = subsolution_steps(grid, max_levels)
     unkept = sorted({int(k) for k in (*levels, *(levels + 1))}.difference(field.slices))
     if unkept:
         raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
@@ -246,7 +233,7 @@ def _subsolution_probe(problem: Problem, field: Field, nu: float, options: Schem
         "worst_residual": float(res.max()),
         "median_residual": float(np.median(res)),
     }
-    return make_report("strict-subsolution", pctl95, tolerance, details)
+    return DiagnosticReport("strict-subsolution", pctl95, tolerance, details)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +297,7 @@ def dpp_consistency(
             cont = field.evaluate(r_index, stats["x_T"], margins=stats["y_T"])
             estimate = _estimate(stats["penalty"] + cont, n_paths, seed)
             if best is None or estimate.mean < best["mean"]:
-                best = {"mean": estimate.mean, "half_width": estimate.half_width,
-                        "control": float(u[0])}
+                best = {"mean": estimate.mean, "half_width": estimate.half_width}
         residual = here - (best["mean"] + best["half_width"])
         worst = max(worst, residual)
         rows.append({
@@ -329,7 +315,7 @@ def dpp_consistency(
         "mc_dt": dt,
         "samples": rows,
     }
-    return make_report("dpp-one-sided", worst, float(tol), details)
+    return DiagnosticReport("dpp-one-sided", worst, tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +372,7 @@ def lipschitz_profile(field: Field, refined: Field | None = None) -> DiagnosticR
         details["refined"] = fine
         details["ratios"] = ratios
         details["ratio_bound"] = _RATIO_BOUND
-    return make_report("lipschitz-quotients", max(slacks), 0.0, details)
+    return DiagnosticReport("lipschitz-quotients", max(slacks), 0.0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +440,8 @@ def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: st
     reports = {
         "lipschitz": lambda: lipschitz_profile(field),
         "slab": lambda: slab_identity_residual(field),
-        "subsolution": lambda: _subsolution_probe(problem, field, 0.1, options, None, steps),
+        "subsolution": lambda: strict_subsolution_residual(
+            problem, field, 0.1, options, max_levels=_SUBSOLUTION_LEVELS),
         "dpp": lambda: _dpp_report(problem, field, pair, seed),
     }
     return [reports[name]() for name in names]

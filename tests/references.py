@@ -32,7 +32,7 @@ import numpy as np
 from epigraph.errors import NonFiniteState
 from epigraph.model import Problem, eval_coefficients_batch
 from epigraph.simulate import Policy, _chunked, _estimate, constant_policy
-from epigraph.verify import DiagnosticReport, make_report
+from epigraph.verify import DiagnosticReport
 
 Array = np.ndarray
 FieldEval = Callable[[Array, float], float]
@@ -248,7 +248,7 @@ def sign_equivalence_suite(n_instances: int = 1000, seed: int = 0) -> Diagnostic
         "agree": agree,
         "disagreements": disagreements,
     }
-    return make_report("sign-equivalence", 1.0 - fraction, _SIGN_TOLERANCE, details)
+    return DiagnosticReport("sign-equivalence", 1.0 - fraction, _SIGN_TOLERANCE, details)
 
 
 def taylor_remainder_residual(
@@ -302,8 +302,8 @@ def taylor_report() -> DiagnosticReport:
         g, gradient, hessian, np.array([0.1, -0.2]), np.array([0.3, 0.1]),
         quad_nodes=20,
     )
-    return make_report("taylor-remainder", residual, 1e-10,
-                       details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
+    return DiagnosticReport("taylor-remainder", residual, 1e-10,
+                            details={"base": [0.1, -0.2], "shift": [0.3, 0.1]})
 
 
 # ---------------------------------------------------------------------------

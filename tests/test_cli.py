@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import epigraph
-from epigraph import cli, fields, solver
+from epigraph import cli, errors, fields, solver
 from epigraph.cli import (
     builtin_config,
     export_profile_csv,
@@ -464,23 +464,66 @@ def test_resume_without_checkpoint_is_a_fresh_run(zero_run, tmp_path):
     assert run(config, resume=True)["artifacts"] == reference["artifacts"]
 
 
-@pytest.mark.parametrize("change", ["problem", "scheme"])
+@pytest.mark.parametrize("change", ["problem", "scheme", "beta_candidates", "epsilon"])
 def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_path,
-                                                                  capsys, change):
+                                                                  capsys, monkeypatch, change):
     # the zero problem's slices, resumed on its grid under a square terminal
-    # cost or the frozen hedge: the grid's axes alone would accept them
+    # cost, the frozen hedge or the zero jump hedge: the grid's axes alone
+    # would accept them.  The sweep never reads epsilon, so a resume under
+    # another one reuses the slices.
+    reference = zero_run[2]
     path = _completed_zero_run(zero_run, tmp_path)
     document = json.loads(path.read_text())
     if change == "problem":
         document["problem"] = {"horizon": 1.0, "drift": "control", "diffusion": 0.2,
                                "terminal_cost": "square", "controls": [-1.0, 0.0, 1.0]}
-    else:
+    elif change == "scheme":
         document["scheme"] = {"hedge": "frozen"}
+    elif change == "beta_candidates":
+        document["scheme"] = {"beta_candidates": "zero"}
+    else:
+        document["scheme"] = {"epsilon": 0.05}
     path.write_text(json.dumps(document))
+    if change == "epsilon":
+        config = parse_config(path.read_text())
+        steps = _count_steps(monkeypatch)
+        resumed = run(config, resume=True)
+        assert steps["n"] == config.outputs["checkpoint_every"]
+        assert resumed["epsilon"] == 0.05
+        slices = {name for name in reference["artifacts"] if name.startswith("slice_")}
+        assert {name: resumed["artifacts"][name] for name in slices} == {
+            name: reference["artifacts"][name] for name in slices}
+        return
     with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another problem or scheme"):
         run(parse_config(path.read_text()), resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
     assert "slice_00075.json" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    """Raised by a patched writer to end a run once it has what a test reads."""
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_slice_inputs_digest_of_the_stock_configs_is_unchanged(tmp_path, monkeypatch, name):
+    # the digest every slice on disk was stamped with: the problem and grid
+    # sections and the two scheme settings the sweep reads.  A drift in what
+    # run() hashes orphans those slices.
+    config = parse_config(config_text(name, str(tmp_path / "run")))
+    reference = hashlib.sha256(json.dumps(
+        {"problem": config.problem_spec, "grid": config.grid_spec,
+         "hedge": config.scheme.hedge, "beta_candidates": config.scheme.jump_hedge},
+        sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    stamped = []
+
+    def stop(grid, level, values, prefix, inputs):
+        stamped.append(inputs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "save_snapshot", stop)
+    with pytest.raises(_Stop):
+        run(config)
+    assert stamped == [reference]
 
 
 def test_resume_rejects_a_slice_from_another_grid(tmp_path):
@@ -940,6 +983,33 @@ def test_main_exit_codes_for_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the exit code of each error class of epigraph.errors, as its docstring
+# documents it; a class missing here fails the test below
+_EXIT_CODES = {
+    "EpigraphError": 2, "ConfigurationError": 1,
+    "MissingField": 1, "NonpositiveHorizon": 1, "EmptyControlGrid": 1, "NegativeWeight": 1,
+    "NonFiniteCoefficient": 2, "NegativeDistance": 2,
+    "StepTooLarge": 2, "NonFiniteState": 2,
+    "DegenerateGrid": 1, "CFLViolation": 2, "IncompatibleGrids": 2, "NonFiniteUpdate": 2,
+    "UnsolvedField": 2,
+    "ParseError": 1, "UnknownKey": 1, "SchemaViolation": 1,
+}
+
+
+def test_every_error_class_gives_its_documented_exit_code(tmp_path, monkeypatch, capsys):
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.EpigraphError)}
+    assert sorted(classes) == sorted(_EXIT_CODES)
+    path = write_config(tmp_path)
+    for name, error in classes.items():
+        def raising(config, *, resume, error=error, name=name):
+            raise error(name)
+
+        monkeypatch.setattr(cli, "run", raising)
+        assert main(["solve", "--config", str(path)]) == _EXIT_CODES[name], name
+        assert capsys.readouterr().err == f"error: {name}\n"
+
+
 def test_main_rejects_the_threads_option(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["solve", "--config", str(path), "--threads", "2"]) == 1
@@ -1012,6 +1082,17 @@ def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):
     assert profile.exists()
     assert main(["extract", "--config", str(path), "--level", "9999"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_extract_at_level_zero_writes_the_profile_solve_writes(tmp_path, capsys, name):
+    path = write_config(tmp_path, name)
+    assert main(["solve", "--config", str(path)]) == 0
+    assert main(["extract", "--config", str(path), "--out", str(tmp_path / "extract"),
+                 "--level", "0"]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "extract" / "profile_00000.csv").read_bytes()
+            == (tmp_path / "run" / "profile.csv").read_bytes())
 
 
 def test_main_seed_override_lands_in_manifest(tmp_path, capsys):

@@ -178,8 +178,8 @@ def _same_bits(got, want):
 
 
 def _stencil_inputs(rng):
-    """Random 1-, 2- and 3-D slices, with signed zeros and a strided view."""
-    for ndim in (1, 2, 3):
+    """Random 1- to 4-D slices, with signed zeros and a strided view."""
+    for ndim in (1, 2, 3, 4):
         values = rng.normal(size=tuple(rng.integers(3, 7, size=ndim))) * 10.0
         values[rng.random(values.shape) < 0.2] = 0.0
         values[rng.random(values.shape) < 0.2] = -0.0
@@ -189,7 +189,7 @@ def _stencil_inputs(rng):
 
 def test_stencils_match_the_gather_reference_bit_for_bit():
     rng = np.random.default_rng(11)
-    hs = (0.1, 0.37, 1.0 / 3.0)
+    hs = (0.1, 0.37, 1.0 / 3.0, 0.7)
     for values in _stencil_inputs(rng):
         for axis in range(values.ndim):
             h = hs[axis]
@@ -853,6 +853,20 @@ def test_terminal_level_is_bit_identical_to_terminal_data():
     grid = diffusive_grid()
     field = solve_shortfall(problem, grid, keep=(grid.n_levels - 1,))
     assert np.array_equal(field.slice_at(grid.n_levels - 1), terminal_slice(problem, grid))
+
+
+def test_a_fresh_solve_builds_the_terminal_slice_once(monkeypatch):
+    problem = diffusive_problem()
+    grid = diffusive_grid()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return terminal_slice(*args)
+
+    monkeypatch.setattr(solver, "terminal_slice", counted)
+    solve_shortfall(problem, grid)
+    assert len(calls) == 1
 
 
 def test_slab_rows_reproduce_the_floor_exactly_frozen():
