@@ -12,7 +12,7 @@ from __future__ import annotations
 from .cli import RunConfig, builtin_config, main, parse_config, run, serialize_config
 from .errors import EpigraphError
 from .fields import Field, Grid, make_grid, terminal_slice, time_axis
-from .levelset import UNREACHABLE, LevelSetQuery, default_epsilon, required_margin_profile
+from .levelset import UNREACHABLE, default_epsilon, required_margin_profile
 from .model import JumpModel, Problem, Region, build_problem, check_regularity
 from .problems import builtin_grid, builtin_problem, builtin_scheme
 from .simulate import (
@@ -46,7 +46,6 @@ __all__ = [
     "Field",
     "Grid",
     "JumpModel",
-    "LevelSetQuery",
     "MCEstimate",
     "Policy",
     "Problem",

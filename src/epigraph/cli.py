@@ -20,8 +20,9 @@ problem document, as described in :mod:`epigraph.problems`.
 means the default step (:func:`epigraph.solver.max_stable_dt`); every sweep
 step checks its own level's stable bound.  ``outputs.formats`` must list
 ``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds a plot
-script and needs a problem with one state axis.  ``scheme.epsilon`` ``null``
-defers to the level-set default threshold.  A missing ``scheme``/``outputs``
+script and needs a problem with one state axis.  ``scheme.epsilon``, like
+``extract --epsilon``, overrides the level-set threshold with a positive,
+finite number; ``null`` defers to the default.  A missing ``scheme``/``outputs``
 section gets defaults, with built-in problems contributing their own scheme
 overrides.  ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
 ``slice_<L>`` snapshots; they are also its resume state.
@@ -68,7 +69,7 @@ from .fields import (
     write_csv,
     write_json,
 )
-from .levelset import LevelSetQuery, required_margin_profile
+from .levelset import required_margin_profile
 from .model import Problem
 from .problems import builtin_grid, builtin_scheme, parse_problem
 from .simulate import (
@@ -101,7 +102,8 @@ class RunConfig:
     ``problem_spec``/``grid_spec``/``outputs`` keep the normalized JSON form
     so :func:`serialize_config` can reproduce the document; the built
     ``problem`` and ``scheme`` carry the same information as live objects.
-    ``epsilon`` is the level-set threshold (None defers to the default rule).
+    ``epsilon`` overrides the level-set threshold, positive and finite (None
+    defers to the field's default).
     """
 
     problem: Problem
@@ -113,8 +115,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise SchemaViolation(f"scheme.epsilon must be > 0, got {self.epsilon}")
+        # scheme.epsilon and extract's --epsilon both arrive here
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon",
+                               require_number(self.epsilon, "scheme.epsilon", positive=True))
         if self.seed < 0:
             raise SchemaViolation(f"seed must be >= 0, got {self.seed}")
         if "gnuplot" in self.outputs["formats"] and self.problem.dim_state != 1:
@@ -165,14 +169,11 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
         fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
         fail("scheme.beta_candidates", "must be a string")
-    epsilon = section.get("epsilon")
-    if epsilon is not None:
-        epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
     try:
         options = SchemeOptions(hedge=hedge, jump_hedge=beta)
     except ValueError as exc:
         raise SchemaViolation(f"scheme: {exc}") from None
-    return options, epsilon
+    return options, section.get("epsilon")
 
 
 def _outputs_section(section: Any) -> dict[str, Any]:
@@ -261,6 +262,11 @@ def builtin_config(name: str, directory: str = "out") -> dict[str, Any]:
     }
 
 
+def _threshold(config: RunConfig, field: Field) -> float:
+    """The level-set threshold of a run: the config's override, else the field's default."""
+    return field.epsilon if config.epsilon is None else config.epsilon
+
+
 def resolve_grid(config: RunConfig) -> Grid:
     """Build the solve grid, choosing a stable time step when none is pinned."""
     spec = config.grid_spec
@@ -281,9 +287,10 @@ def export_slice_csv(field_obj: Field, level: int, path: str) -> str:
 
 
 def export_profile_csv(field_obj: Field, level: int, path: str,
-                       query: LevelSetQuery | None = None) -> str:
-    """Write the extracted required-margin profile at one level to CSV."""
-    profile = required_margin_profile(field_obj, level, query)
+                       epsilon: float | None = None) -> str:
+    """Write the required-margin profile at one level, read with the
+    threshold ``epsilon`` (None: the field's own), to CSV."""
+    profile = required_margin_profile(field_obj, level, epsilon)
     axes = field_obj.grid.state_axes
     header = [f"state_{i + 1}" for i in range(len(axes))] + ["required_margin"]
     write_csv(path, profile, axes, header)
@@ -412,9 +419,8 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     for level in levels:
         record(prefix(level) + ".json", prefix(level) + ".npy")
 
-    epsilon = config.epsilon if config.epsilon is not None else field.epsilon
-    query = LevelSetQuery(epsilon=epsilon)
-    record(export_profile_csv(field, 0, str(out / "profile.csv"), query))
+    epsilon = _threshold(config, field)
+    record(export_profile_csv(field, 0, str(out / "profile.csv"), epsilon))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
     if "gnuplot" in config.outputs["formats"]:
         margin = grid.margin_axis
@@ -532,9 +538,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise SchemaViolation(
             f"--level must be in [0, {grid.n_levels - 1}], got {args.level}")
     field = solve_shortfall(config.problem, grid, config.scheme, keep=(args.level,))
-    epsilon = config.epsilon if config.epsilon is not None else field.epsilon
+    epsilon = _threshold(config, field)
     path = out / f"profile_{args.level:05d}.csv"
-    export_profile_csv(field, args.level, str(path), LevelSetQuery(epsilon=epsilon))
+    export_profile_csv(field, args.level, str(path), epsilon)
     print(f"wrote {path} (epsilon {epsilon:.6g})")
     return 0
 

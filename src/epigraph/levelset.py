@@ -1,18 +1,18 @@
 """Recovering the required margin from a solved shortfall field.
 
 The constrained value at a state is the smallest initial margin from which
-the shortfall field vanishes.  On a grid "vanishes" means "drops below a
-small tolerance", and the crossing is placed by linear interpolation
-between the bracketing margin nodes.  States whose shortfall never drops
-below the tolerance within the margin range are unreachable at any budget
-the grid covers; they are reported as ``math.inf`` rather than clamped to
-the top of the axis.
+the shortfall field vanishes.  On a grid "vanishes" means "drops to a
+threshold epsilon or below": a plain positive, finite number, the field's
+own ``field.epsilon`` unless the reader passes another.  The crossing is
+placed by linear interpolation between the bracketing margin nodes.  States
+whose shortfall never drops to the threshold within the margin range are
+unreachable at any budget the grid covers; they are reported as
+``math.inf`` rather than clamped to the top of the axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +24,25 @@ Array = np.ndarray
 UNREACHABLE = math.inf
 
 
-@dataclass(frozen=True)
-class LevelSetQuery:
-    """How to read the zero level set off a discrete field.
-
-    epsilon
-        Threshold below which the shortfall counts as zero.  Must be
-        positive: the exact zero set is unattainable under discretization
-        error.
-    """
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-
-
 def default_epsilon(terminal: Array) -> float:
     """Tolerance scaled to the terminal slice: 1e-3 of (1 + its largest value)."""
     return 1e-3 * (1.0 + float(terminal.max()))
 
 
-def required_margin_profile(
-    field: Field, level: int = 0, query: LevelSetQuery | None = None
-) -> Array:
+def required_margin_profile(field: Field, level: int = 0,
+                            epsilon: float | None = None) -> Array:
     """Required margin over the whole state grid at one time level.
 
     The result has the state grid's shape; unreachable states hold inf.  It
     is the one reader of the level set: one state's margin is
     ``required_margin_profile(field, level)[index]``, and the reachable
     (state, margin) nodes are ``field.slice_at(level) <= field.epsilon``.
-    ``query`` None reads with the field's default threshold.
+    ``epsilon`` is the threshold, which must be positive and finite; None
+    reads with the field's own.
     """
-    epsilon = field.epsilon if query is None else query.epsilon
+    epsilon = field.epsilon if epsilon is None else epsilon
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     values = field.slice_at(level)
     jz = field.grid.margin_zero_index
     margin = field.grid.margin_axis[jz:]

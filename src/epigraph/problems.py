@@ -91,7 +91,7 @@ def _controls_value(value: Any) -> list[Any]:
     if not isinstance(value, (list, tuple)) or not value:
         fail("problem.controls", bad)
     if all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in value):
-        return [float(u) for u in value]
+        return [require_number(u, f"problem.controls[{i}]") for i, u in enumerate(value)]
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, (list, tuple)) or not row:

@@ -6,8 +6,9 @@ scheme residual, the dynamic programming inequality holds against Monte
 Carlo, difference quotients stay bounded under refinement — as a
 :class:`DiagnosticReport` with a scalar residual, a tolerance, and enough
 detail to locate the worst offender.  :func:`run_battery` runs them on one
-solve of the run's problem and grid, as ``epigraph verify`` does, and
-refuses a named check whose grid precondition fails before it sweeps; the
+solve of the run's problem and grid, as ``epigraph verify`` does.  Each
+check is one row of its table: the levels it reads, its call, and the
+refusal of a grid it cannot run on, which comes before the sweep.  The
 acceptance tests pin their values.  The audits that read no solve (the sign
 of the eigenvalue form, the remainder identity) are test references.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -86,32 +87,6 @@ def write_reports(path: str, reports: Sequence[DiagnosticReport]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the grid a check needs
-# ---------------------------------------------------------------------------
-
-# each check's grid predicate and the refusal of a grid that fails it; a
-# check not named here runs on any grid
-_ADMITS: dict[str, tuple[Callable[[Grid], bool], str]] = {
-    # the slab is the part of the margin axis below zero
-    "slab": (lambda grid: bool(grid.margin_axis[0] < 0.0),
-             "need a shortfall field whose margin axis goes below zero"),
-    # the probe's log(1 + b) must be finite on the margin axis
-    "subsolution": (lambda grid: bool(grid.margin_axis[0] > -1.0),
-                    "the log-margin probe needs the margin axis above -1"),
-}
-
-
-def _admits(name: str, grid: Grid) -> bool:
-    return name not in _ADMITS or _ADMITS[name][0](grid)
-
-
-def _require(name: str, grid: Grid) -> None:
-    """Refuse ``grid`` with :class:`IncompatibleGrids` if check ``name`` cannot run on it."""
-    if not _admits(name, grid):
-        raise IncompatibleGrids(_ADMITS[name][1])
-
-
-# ---------------------------------------------------------------------------
 # the negative-margin slab is the floor minus the margin
 # ---------------------------------------------------------------------------
 
@@ -171,6 +146,11 @@ def subsolution_steps(grid: Grid, max_levels: int | None = None) -> Array:
     return levels
 
 
+def _subsolution_reads(steps: Array) -> set[int]:
+    """The levels the probe reads to check ``steps``: each k and k + 1."""
+    return {*steps.tolist(), *(steps + 1).tolist()}
+
+
 def strict_subsolution_residual(
     problem: Problem,
     field: Field,
@@ -193,7 +173,7 @@ def strict_subsolution_residual(
     grid = field.grid
     _require("subsolution", grid)
     levels = subsolution_steps(grid, max_levels)
-    unkept = sorted({int(k) for k in (*levels, *(levels + 1))}.difference(field.slices))
+    unkept = sorted(_subsolution_reads(levels).difference(field.slices))
     if unkept:
         raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
     if tol_h is None:
@@ -379,14 +359,29 @@ def lipschitz_profile(field: Field, refined: Field | None = None) -> DiagnosticR
 # the battery: the checks above on one solve
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = ("lipschitz", "slab", "subsolution", "dpp")
 _SUBSOLUTION_LEVELS = 25  # the level steps the battery's subsolution probe samples
 
 
-def _dpp_report(problem: Problem, field: Field, pair: tuple[int, int],
+@dataclass(frozen=True)
+class _Check:
+    """One row of the battery: the levels of the sweep the check reads, its
+    report on ``(problem, field, options, seed)``, and the message refusing a
+    grid it cannot run on (None where it runs)."""
+
+    reads: Callable[[Grid], Iterable[int]]
+    call: Callable[[Problem, Field, SchemeOptions, int], DiagnosticReport]
+    refusal: Callable[[Grid], str | None] = lambda grid: None
+
+
+def _dpp_pair(grid: Grid) -> tuple[int, int]:
+    """The levels t and r of the battery's dpp report."""
+    return 0, max(1, (grid.n_levels - 1) // 2)
+
+
+def _dpp_report(problem: Problem, field: Field, options: SchemeOptions,
                 seed: int) -> DiagnosticReport:
-    """:func:`dpp_consistency` between the levels ``pair`` at four interior
-    (state, margin) nodes drawn with ``seed``, under every fifth control."""
+    """:func:`dpp_consistency` between the :func:`_dpp_pair` levels at four
+    interior (state, margin) nodes drawn with ``seed``, every fifth control."""
     grid = field.grid
     rng = np.random.default_rng(seed)
     margin = grid.margin_axis
@@ -397,9 +392,37 @@ def _dpp_report(problem: Problem, field: Field, pair: tuple[int, int],
                                 for axis in grid.state_axes]))
         margins.append(float(margin[rng.integers(low, margin.size - 1)]))
     stride = max(1, problem.controls.shape[0] // 5)
-    return dpp_consistency(problem, field, *pair, states, margins,
+    return dpp_consistency(problem, field, *_dpp_pair(grid), states, margins,
                            controls=problem.controls[::stride], n_paths=2000,
                            dt=grid.dt, seed=seed)
+
+
+#: the battery in the order of its reports, one row per check
+_BATTERY: dict[str, _Check] = {
+    "lipschitz": _Check(lambda grid: range(grid.n_levels),
+                        lambda problem, field, *_: lipschitz_profile(field)),
+    "slab": _Check(lambda grid: range(grid.n_levels),
+                   lambda problem, field, *_: slab_identity_residual(field),
+                   # the slab is the part of the margin axis below zero
+                   lambda grid: None if grid.margin_axis[0] < 0.0
+                   else "need a shortfall field whose margin axis goes below zero"),
+    "subsolution": _Check(lambda grid: _subsolution_reads(
+                              subsolution_steps(grid, _SUBSOLUTION_LEVELS)),
+                          lambda problem, field, options, seed: strict_subsolution_residual(
+                              problem, field, 0.1, options, max_levels=_SUBSOLUTION_LEVELS),
+                          # the probe's log(1 + b) must be finite on the margin axis
+                          lambda grid: None if grid.margin_axis[0] > -1.0
+                          else "the log-margin probe needs the margin axis above -1"),
+    "dpp": _Check(_dpp_pair, _dpp_report),
+}
+CHECK_NAMES = tuple(_BATTERY)
+
+
+def _require(name: str, grid: Grid) -> None:
+    """Refuse ``grid`` with :class:`IncompatibleGrids` if check ``name`` cannot run on it."""
+    refusal = _BATTERY[name].refusal(grid)
+    if refusal is not None:
+        raise IncompatibleGrids(refusal)
 
 
 def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: str,
@@ -408,40 +431,26 @@ def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: st
 
     ``checks`` is "all" or a comma-separated subset of :data:`CHECK_NAMES`,
     and the reports come in the order of :data:`CHECK_NAMES`.  Under "all" a
-    check whose grid predicate in ``_ADMITS`` fails is skipped (slab needs
-    margins below zero, the subsolution probe a margin axis above -1); a
-    check named explicitly on such a grid raises :class:`IncompatibleGrids`
-    before the sweep.  The checks share one sweep, which keeps only the
-    levels they read.  ``seed`` seeds the dpp samples.
+    check whose row refuses the grid is skipped (slab needs margins below
+    zero, the subsolution probe a margin axis above -1); a check named
+    explicitly on such a grid raises :class:`IncompatibleGrids` before the
+    sweep.  The checks share one sweep, which keeps only the levels their
+    rows read.  ``seed`` seeds the dpp samples.
 
-    To add a check, write its function in this module, then add its name to
-    ``CHECK_NAMES`` where its report should come, its grid predicate and
-    refusal to ``_ADMITS`` if it has one, the levels it reads to ``reads`` and its call
-    to ``reports`` below.
+    A check is one row of ``_BATTERY``: to add one, write its function in
+    this module and add its row where its report should come.
     """
     if checks in (None, "", "all"):
-        names = [name for name in CHECK_NAMES if _admits(name, grid)]
+        names = [name for name, check in _BATTERY.items() if check.refusal(grid) is None]
     else:
         requested = [part.strip() for part in checks.split(",")]
         for name in requested:
-            if name not in CHECK_NAMES:
+            if name not in _BATTERY:
                 raise SchemaViolation(
                     f"unknown check {name!r}; available: {', '.join(CHECK_NAMES)}")
         names = [name for name in CHECK_NAMES if name in requested]
         for name in names:
             _require(name, grid)
-    steps = subsolution_steps(grid, _SUBSOLUTION_LEVELS)
-    pair = (0, max(1, (grid.n_levels - 1) // 2))  # the levels t and r of the dpp report
-    every = range(grid.n_levels)
-    reads = {"lipschitz": every, "slab": every,
-             "subsolution": {*steps.tolist(), *(steps + 1).tolist()}, "dpp": pair}
-    keep = set().union(*(reads[name] for name in names))
+    keep = set().union(*(_BATTERY[name].reads(grid) for name in names))
     field = solve_shortfall(problem, grid, options, keep=keep)
-    reports = {
-        "lipschitz": lambda: lipschitz_profile(field),
-        "slab": lambda: slab_identity_residual(field),
-        "subsolution": lambda: strict_subsolution_residual(
-            problem, field, 0.1, options, max_levels=_SUBSOLUTION_LEVELS),
-        "dpp": lambda: _dpp_report(problem, field, pair, seed),
-    }
-    return [reports[name]() for name in names]
+    return [_BATTERY[name].call(problem, field, options, seed) for name in names]

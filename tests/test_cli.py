@@ -49,7 +49,7 @@ from epigraph.fields import (
 )
 from epigraph.problems import BUILTIN_NAMES, builtin_scheme
 from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
-from epigraph.verify import CHECK_NAMES
+from epigraph.verify import CHECK_NAMES, subsolution_steps
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,6 +151,18 @@ def test_non_object_document_rejected():
 def test_epsilon_must_be_positive():
     with pytest.raises(SchemaViolation, match="scheme.epsilon"):
         parse_config(config_text("zero", "out", scheme={"epsilon": -0.5}))
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_inline_controls_exit_one_naming_the_entry(tmp_path, capsys, entry):
+    # Python's json reads NaN and Infinity, so a flat control list can carry
+    # them; each entry is checked as the entries of per-component lists are
+    path = tmp_path / "run.json"
+    path.write_text('{"problem": {"horizon": 1.0, "controls": [%s, 0.0]},'
+                    ' "grid": {"state": [[-1, 1, 5]], "margin": [0, 1, 5]}}' % entry)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert "problem.controls[0] must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_grid_axis_triplet_validation():
@@ -942,6 +954,31 @@ def test_a_named_check_that_all_would_skip_raises_its_own_error(tmp_path, monkey
     assert not (tmp_path / "reports.json").exists()
 
 
+class _Swept(Exception):
+    """Stops the battery at its sweep, carrying the levels it asked to keep."""
+
+
+@pytest.mark.parametrize("checks", ["dpp", "subsolution,dpp", "all"])
+def test_the_battery_keeps_only_the_levels_its_checks_read(tmp_path, monkeypatch, checks):
+    config = zero_config(tmp_path)
+    grid = resolve_grid(config)
+    dpp = {0, (grid.n_levels - 1) // 2}  # the report's levels t and r
+    steps = subsolution_steps(grid, 25)  # the battery's probe samples 25 steps
+    probe = {*steps.tolist(), *(steps + 1).tolist()}
+    # zero's margin axis starts at 0, so "all" skips slab, and lipschitz
+    # reads every level
+    want = {"dpp": dpp, "subsolution,dpp": probe | dpp,
+            "all": set(range(grid.n_levels))}[checks]
+
+    def swept(problem, grid, options, keep):
+        raise _Swept(set(keep))
+
+    monkeypatch.setattr("epigraph.verify.solve_shortfall", swept)
+    with pytest.raises(_Swept) as stopped:
+        run_verification(config, checks=checks)
+    assert stopped.value.args[0] == want
+
+
 def test_run_verification_rejects_unknown_check(tmp_path):
     config = zero_config(tmp_path)
     with pytest.raises(SchemaViolation, match="available"):
@@ -1082,6 +1119,37 @@ def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):
     assert profile.exists()
     assert main(["extract", "--config", str(path), "--level", "9999"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_extract_refuses_an_epsilon_that_is_not_positive_and_finite(tmp_path, monkeypatch,
+                                                                     capsys, value):
+    # --epsilon overrides scheme.epsilon and meets its rule, before any sweep
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the refusal must come before the sweep")
+
+    monkeypatch.setattr(cli, "solve_shortfall", no_sweep)
+    path = write_config(tmp_path)
+    assert main(["extract", "--config", str(path), "--epsilon", value]) == 1
+    assert "scheme.epsilon must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_scheme_epsilon_and_extract_epsilon_write_the_same_profile(tmp_path, capsys):
+    # one threshold override, two paths: solve with scheme.epsilon X and
+    # extract --epsilon X write the same bytes, which the default does not
+    solved = tmp_path / "solved.json"
+    solved.write_text(config_text("frozen-penalty", str(tmp_path / "solved"),
+                                  scheme={"epsilon": 0.05}))
+    assert main(["solve", "--config", str(solved)]) == 0
+    path = write_config(tmp_path, "frozen-penalty")
+    assert main(["extract", "--config", str(path), "--level", "0", "--epsilon", "0.05"]) == 0
+    assert main(["extract", "--config", str(path), "--level", "0",
+                 "--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    profile = (tmp_path / "solved" / "profile.csv").read_bytes()
+    assert (tmp_path / "run" / "profile_00000.csv").read_bytes() == profile
+    assert (tmp_path / "default" / "profile_00000.csv").read_bytes() != profile
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -1,6 +1,7 @@
 """Zero-level-set extraction against hand-checkable fields."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from epigraph.cli import export_profile_csv
 from epigraph.errors import UnsolvedField
 from epigraph.fields import Field, make_grid, terminal_slice, time_axis
-from epigraph.levelset import UNREACHABLE, LevelSetQuery, default_epsilon, required_margin_profile
+from epigraph.levelset import UNREACHABLE, default_epsilon, required_margin_profile
 from epigraph.model import eval_terminal
 from epigraph.problems import builtin_problem
 from epigraph.solver import solve_shortfall, stable_grid
@@ -39,11 +40,12 @@ def steering_field():
     return solve_shortfall(problem, grid), grid
 
 
-def test_query_requires_positive_epsilon():
-    with pytest.raises(ValueError):
-        LevelSetQuery(epsilon=0.0)
-    with pytest.raises(ValueError):
-        LevelSetQuery(epsilon=-1e-3)
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_threshold_must_be_positive_and_finite(square_terminal, epsilon):
+    field, grid = square_terminal
+    with pytest.raises(ValueError, match="positive and finite"):
+        required_margin_profile(field, grid.n_levels - 1, epsilon)
 
 
 def test_terminal_crossing_at_a_node_is_exact(square_terminal):
@@ -92,17 +94,16 @@ def test_steering_value_matches_the_oracle(steering_field):
 def test_profile_is_monotone_in_epsilon(steering_field):
     field, grid = steering_field
     eps = field.epsilon
-    tight = required_margin_profile(field, 0, LevelSetQuery(epsilon=eps))
-    loose = required_margin_profile(field, 0, LevelSetQuery(epsilon=4 * eps))
+    tight = required_margin_profile(field, 0, eps)
+    loose = required_margin_profile(field, 0, 4 * eps)
     assert np.all(loose <= tight + 1e-12)
 
 
 def test_on_grid_extraction_lands_inside_the_mask(steering_field):
     # the secant crossing lies in (b[j-1], b[j]] of the first qualifying node j
     field, grid = steering_field
-    query = LevelSetQuery(epsilon=field.epsilon)
-    profile = required_margin_profile(field, 0, query)
-    mask = field.slice_at(0) <= query.epsilon
+    profile = required_margin_profile(field, 0, field.epsilon)
+    mask = field.slice_at(0) <= field.epsilon
     finite = np.isfinite(profile)
     assert finite.any()
     j = np.ceil(profile[finite] / grid.margin_spacing - 1e-9).astype(int)
@@ -123,9 +124,8 @@ def test_interpolation_uses_the_bracketing_secant():
     row = np.array([0.5, 0.2, -0.3, -0.5, -0.7])
     field = Field(grid, {level: np.tile(row, (3, 1))}, epsilon=1e-3)
 
-    query = LevelSetQuery(epsilon=0.1)
     # secant through (0.25, 0.2) and (0.5, -0.3) crosses zero at 0.35
-    assert required_margin_profile(field, level, query)[0] == pytest.approx(0.35)
+    assert required_margin_profile(field, level, 0.1)[0] == pytest.approx(0.35)
 
 
 def test_interpolation_never_reports_past_the_qualifying_node():
@@ -134,8 +134,7 @@ def test_interpolation_never_reports_past_the_qualifying_node():
     # still positive at the qualifying node: the secant crosses beyond it
     row = np.array([0.9, 0.6, 0.05, 0.0, 0.0])
     field = Field(grid, {grid.n_levels - 1: np.tile(row, (3, 1))}, epsilon=1e-3)
-    query = LevelSetQuery(epsilon=0.1)
-    got = required_margin_profile(field, grid.n_levels - 1, query)[0]
+    got = required_margin_profile(field, grid.n_levels - 1, 0.1)[0]
     assert got == 0.5
 
 
@@ -143,7 +142,7 @@ def test_zero_margin_already_covered_reports_zero():
     problem = builtin_problem("zero")
     grid = make_grid([(-1.0, 1.0, 3)], (-0.5, 1.0, 7), time_axis(1.0, 0.25))
     field = Field(grid, {grid.n_levels - 1: np.zeros((3, 7))}, epsilon=1e-3)
-    got = required_margin_profile(field, grid.n_levels - 1, LevelSetQuery(epsilon=1e-6))[1]
+    got = required_margin_profile(field, grid.n_levels - 1, 1e-6)[1]
     assert got == 0.0
 
 
@@ -154,7 +153,7 @@ def test_unsolved_levels_are_rejected():
     with pytest.raises(UnsolvedField):
         required_margin_profile(field, 0)
     with pytest.raises(UnsolvedField):
-        required_margin_profile(field, 0, LevelSetQuery(epsilon=1e-3))
+        required_margin_profile(field, 0, 1e-3)
     with pytest.raises(UnsolvedField):
         field.slice_at(0)
 
@@ -185,7 +184,7 @@ def test_default_threshold_on_a_resumed_field_is_the_terminal_slices():
 def test_state_index_must_name_every_state_axis():
     grid = make_grid([(-1.0, 1.0, 5), (-1.0, 1.0, 4)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
     field = Field(grid, {grid.n_levels - 1: np.zeros((5, 4, 5))}, epsilon=1e-3)
-    profile = required_margin_profile(field, grid.n_levels - 1, LevelSetQuery(epsilon=1e-3))
+    profile = required_margin_profile(field, grid.n_levels - 1, 1e-3)
     # one value per state node: its index names both state axes
     assert profile.shape == (5, 4)
     assert profile[2, 1] == 0.0
