@@ -20,16 +20,19 @@ problem document, as described in :mod:`epigraph.problems`.
 means the default step (:func:`epigraph.solver.max_stable_dt`); every sweep
 step checks its own level's stable bound.  ``outputs.formats`` must list
 ``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds a plot
-script and needs a problem with one state axis.  ``scheme.epsilon``, like
-``extract --epsilon``, overrides the level-set threshold with a positive,
-finite number; ``null`` defers to the default.  A missing ``scheme``/``outputs``
-section gets defaults, with built-in problems contributing their own scheme
-overrides.  ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
+script and needs a problem with one state axis.  ``scheme.epsilon``
+overrides the level-set threshold with a positive, finite number; ``null``
+defers to the default.  A missing ``scheme``/``outputs`` section gets
+defaults, with built-in problems contributing their own scheme overrides.
+``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
 ``slice_<L>`` snapshots; they are also its resume state.
 
 Subcommands: ``solve`` (full pipeline + manifest), ``extract`` (profile CSV
 only), ``simulate`` (Monte Carlo spot checks), ``verify`` (diagnostic
-battery, exit 3 on failure), ``report`` (summarize a run directory).  Exit
+battery, exit 3 on failure), ``report`` (summarize a run directory).  The
+flags ``--out``, ``--seed`` and ``--epsilon`` set ``outputs.directory``,
+``seed`` and ``scheme.epsilon`` in the document, which is then checked as a
+file would be; ``extract`` reads no seed and takes no ``--seed``.  Exit
 codes: 0 success, 1 usage or configuration error, 2 numerical failure or a
 ``solve`` stopped by SIGINT or SIGTERM, 3 verification failure; the base of
 an error's class in :mod:`epigraph.errors` picks 1 or 2.
@@ -38,8 +41,6 @@ an error's class in :mod:`epigraph.errors` picks 1 or 2.
 from __future__ import annotations
 
 import argparse
-import copy
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -99,32 +100,15 @@ _FORMATS = ("csv", "gnuplot")
 class RunConfig:
     """A fully validated run description.
 
-    ``problem_spec``/``grid_spec``/``outputs`` keep the normalized JSON form
-    so :func:`serialize_config` can reproduce the document; the built
-    ``problem`` and ``scheme`` carry the same information as live objects.
-    ``epsilon`` overrides the level-set threshold, positive and finite (None
-    defers to the field's default).
+    ``document`` is the normalized config document, every default filled
+    in; :func:`serialize_config`, the manifest, the resume digest and the
+    commands read it, and none of them mutates it.  ``problem`` and
+    ``scheme`` are the live objects built from its sections.
     """
 
+    document: dict[str, Any]
     problem: Problem
-    problem_spec: dict[str, Any]
-    grid_spec: dict[str, Any]
     scheme: SchemeOptions
-    epsilon: float | None
-    outputs: dict[str, Any]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # scheme.epsilon and extract's --epsilon both arrive here
-        if self.epsilon is not None:
-            object.__setattr__(self, "epsilon",
-                               require_number(self.epsilon, "scheme.epsilon", positive=True))
-        if self.seed < 0:
-            raise SchemaViolation(f"seed must be >= 0, got {self.seed}")
-        if "gnuplot" in self.outputs["formats"] and self.problem.dim_state != 1:
-            raise SchemaViolation(
-                f"outputs.formats lists 'gnuplot', which plots a 1-D state only; "
-                f"this problem has {self.problem.dim_state} state axes")
 
 
 def _axis_triplet(value: Any, path: str) -> list[Any]:
@@ -156,7 +140,8 @@ def _grid_section(section: Any) -> dict[str, Any]:
     return {"state": axes, "margin": margin, "time_step": step}
 
 
-def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOptions, float | None]:
+def _scheme_section(section: Any,
+                    defaults: Mapping[str, Any]) -> tuple[SchemeOptions, dict[str, Any]]:
     if section is None:
         section = {}
     if not isinstance(section, dict):
@@ -165,18 +150,21 @@ def _scheme_section(section: Any, defaults: Mapping[str, Any]) -> tuple[SchemeOp
     hedge = section.get("hedge", defaults.get("hedge", SchemeOptions.hedge))
     beta = section.get("beta_candidates",
                        defaults.get("beta_candidates", SchemeOptions.jump_hedge))
+    epsilon = section.get("epsilon")
     if not isinstance(hedge, str):
         fail("scheme.hedge", "must be a string")
     if not isinstance(beta, str):
         fail("scheme.beta_candidates", "must be a string")
+    if epsilon is not None:
+        epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
     try:
         options = SchemeOptions(hedge=hedge, jump_hedge=beta)
     except ValueError as exc:
         raise SchemaViolation(f"scheme: {exc}") from None
-    return options, section.get("epsilon")
+    return options, {"epsilon": epsilon, "hedge": hedge, "beta_candidates": beta}
 
 
-def _outputs_section(section: Any) -> dict[str, Any]:
+def _outputs_section(section: Any, dim_state: int) -> dict[str, Any]:
     if section is None:
         section = {}
     if not isinstance(section, dict):
@@ -195,6 +183,9 @@ def _outputs_section(section: Any) -> dict[str, Any]:
         fail("outputs.formats", "must list 'csv': every run writes its CSV artifacts")
     every = require_integer(section.get("checkpoint_every", 25), "outputs.checkpoint_every",
                      minimum=1)
+    if "gnuplot" in formats and dim_state != 1:
+        fail("outputs.formats", f"lists 'gnuplot', which plots a 1-D state only; "
+                                f"this problem has {dim_state} state axes")
     return {"directory": directory, "formats": list(formats), "checkpoint_every": every}
 
 
@@ -226,30 +217,17 @@ def parse_config(text: str) -> RunConfig:
         grid_spec = _grid_section(builtin_grid(problem_spec["builtin"]))
     else:
         fail("grid", "is required")
-    options, epsilon = _scheme_section(document.get("scheme"), scheme_defaults)
-    outputs = _outputs_section(document.get("outputs"))
+    options, scheme_spec = _scheme_section(document.get("scheme"), scheme_defaults)
+    outputs = _outputs_section(document.get("outputs"), problem.dim_state)
     seed = require_integer(document.get("seed", 0), "seed", minimum=0)
-    return RunConfig(problem=problem, problem_spec=problem_spec, grid_spec=grid_spec,
-                     scheme=options, epsilon=epsilon, outputs=outputs, seed=seed)
-
-
-def _config_document(config: RunConfig) -> dict[str, Any]:
-    return {
-        "problem": copy.deepcopy(config.problem_spec),
-        "grid": copy.deepcopy(config.grid_spec),
-        "scheme": {
-            "epsilon": config.epsilon,
-            "hedge": config.scheme.hedge,
-            "beta_candidates": config.scheme.jump_hedge,
-        },
-        "outputs": copy.deepcopy(config.outputs),
-        "seed": config.seed,
-    }
+    normalized = {"problem": problem_spec, "grid": grid_spec, "scheme": scheme_spec,
+                  "outputs": outputs, "seed": seed}
+    return RunConfig(document=normalized, problem=problem, scheme=options)
 
 
 def serialize_config(config: RunConfig) -> str:
     """Inverse of :func:`parse_config`: the normalized document as JSON text."""
-    return json.dumps(_config_document(config), indent=1, sort_keys=True) + "\n"
+    return json.dumps(config.document, indent=1, sort_keys=True) + "\n"
 
 
 def builtin_config(name: str, directory: str = "out") -> dict[str, Any]:
@@ -264,12 +242,20 @@ def builtin_config(name: str, directory: str = "out") -> dict[str, Any]:
 
 def _threshold(config: RunConfig, field: Field) -> float:
     """The level-set threshold of a run: the config's override, else the field's default."""
-    return field.epsilon if config.epsilon is None else config.epsilon
+    epsilon = config.document["scheme"]["epsilon"]
+    return field.epsilon if epsilon is None else epsilon
+
+
+def _out_dir(config: RunConfig, out_dir: str | None = None) -> pathlib.Path:
+    """Make and return ``out_dir``, else the config's ``outputs.directory``."""
+    out = pathlib.Path(config.document["outputs"]["directory"] if out_dir is None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def resolve_grid(config: RunConfig) -> Grid:
     """Build the solve grid, choosing a stable time step when none is pinned."""
-    spec = config.grid_spec
+    spec = config.document["grid"]
     return stable_grid(config.problem, spec["state"], spec["margin"], spec["time_step"])
 
 
@@ -364,11 +350,9 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     levels; a slice in that chain written for other inputs raises
     :class:`IncompatibleGrids`, and with no such slice the run is a fresh sweep.
     """
-    out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-    problem, options = config.problem, config.scheme
+    out = _out_dir(config, out_dir)
+    problem, options, document = config.problem, config.scheme, config.document
     grid = resolve_grid(config)
-    document = _config_document(config)
     # what the sweep reads, which a resumed slice must have been written for:
     # every scheme setting but epsilon, which only the level-set reader reads
     reads = {key: value for key, value in document["scheme"].items() if key != "epsilon"}
@@ -376,7 +360,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         {"problem": document["problem"], "grid": document["grid"], **reads},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
-    every = int(config.outputs["checkpoint_every"])
+    every = int(document["outputs"]["checkpoint_every"])
     last = grid.n_levels - 1
     levels = sorted(set(range(every, grid.n_levels, every)) | {last})
 
@@ -422,7 +406,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     epsilon = _threshold(config, field)
     record(export_profile_csv(field, 0, str(out / "profile.csv"), epsilon))
     record(export_slice_csv(field, 0, str(out / "w_t0.csv")))
-    if "gnuplot" in config.outputs["formats"]:
+    if "gnuplot" in document["outputs"]["formats"]:
         margin = grid.margin_axis
         jz = grid.margin_zero_index
         picks = sorted({jz, (jz + margin.size - 1) // 2, margin.size - 1})
@@ -454,10 +438,8 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     grids refuse a named one before the sweep.
     """
     reports = run_battery(config.problem, resolve_grid(config), config.scheme, checks,
-                          config.seed)
-    out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_reports(str(out / "reports.json"), reports)
+                          config.document["seed"])
+    write_reports(str(_out_dir(config, out_dir) / "reports.json"), reports)
     return reports, all(report.passed for report in reports)
 
 
@@ -469,18 +451,17 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
     the starting margin clamped to zero from below; writes ``simulate.json``
     and ``path.csv``.
     """
-    out = pathlib.Path(out_dir if out_dir is not None else config.outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-    problem = config.problem
+    out = _out_dir(config, out_dir)
+    problem, seed = config.problem, config.document["seed"]
     grid = resolve_grid(config)
     center = np.array([0.5 * (axis[0] + axis[-1]) for axis in grid.state_axes])
     start_margin = float(max(grid.margin_axis[0], 0.0))
     policy = constant_policy(problem.controls[0])
-    cost = estimate_cost(problem, 0.0, center, policy, n_paths, grid.dt, config.seed)
+    cost = estimate_cost(problem, 0.0, center, policy, n_paths, grid.dt, seed)
     shortfall = estimate_shortfall(problem, 0.0, center, start_margin, policy,
-                                   n_paths, grid.dt, config.seed + 1)
+                                   n_paths, grid.dt, seed + 1)
     sample = simulate_pair_path(problem, 0.0, center, start_margin, policy,
-                                grid.dt, np.random.default_rng(config.seed))
+                                grid.dt, np.random.default_rng(seed))
     path_to_csv(sample, str(out / "path.csv"))
     results = {
         "control": np.atleast_1d(problem.controls[0]).tolist(),
@@ -500,16 +481,16 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
 # ---------------------------------------------------------------------------
 
 def _read_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` document with each given flag set as its key, parsed as a file is."""
     with open(args.config) as handle:
-        config = parse_config(handle.read())
-    if getattr(args, "out", None):
-        config = dataclasses.replace(
-            config, outputs={**config.outputs, "directory": args.out})
+        document = json.loads(serialize_config(parse_config(handle.read())))
+    if args.out is not None:
+        document["outputs"]["directory"] = args.out
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        document["seed"] = args.seed
     if getattr(args, "epsilon", None) is not None:
-        config = dataclasses.replace(config, epsilon=args.epsilon)
-    return config
+        document["scheme"]["epsilon"] = args.epsilon
+    return parse_config(json.dumps(document))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -520,19 +501,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         manifest = run(config, resume=args.resume)
     except KeyboardInterrupt:
         print(f"error: interrupted; rerun with --resume to continue from the "
-              f"lowest slice_<L> under {config.outputs['directory']}", file=sys.stderr)
+              f"lowest slice_<L> under {config.document['outputs']['directory']}", file=sys.stderr)
         return 2
     finally:
         signal.signal(signal.SIGTERM, previous)
     print(f"wrote {len(manifest['artifacts'])} artifacts under "
-          f"{config.outputs['directory']} (see manifest.json)")
+          f"{config.document['outputs']['directory']} (see manifest.json)")
     return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _read_config(args)
-    out = pathlib.Path(config.outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     grid = resolve_grid(config)
     if not 0 <= args.level < grid.n_levels:
         raise SchemaViolation(
@@ -599,11 +579,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub: argparse.ArgumentParser) -> None:
+    def common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
         sub.add_argument("--config", required=True, metavar="PATH",
                          help="JSON run configuration")
-        sub.add_argument("--out", metavar="DIR", help="override the output directory")
-        sub.add_argument("--seed", type=int, metavar="N", help="override the run seed")
+        sub.add_argument("--out", metavar="DIR", help="set outputs.directory")
+        if seed:  # extract reads no seed
+            sub.add_argument("--seed", type=int, metavar="N", help="set seed")
 
     sub = commands.add_parser("solve", help="run the full pipeline and write artifacts")
     common(sub)
@@ -612,9 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_solve)
 
     sub = commands.add_parser("extract", help="solve and write one required-margin profile")
-    common(sub)
-    sub.add_argument("--epsilon", type=float, metavar="X",
-                     help="zero-level threshold override")
+    common(sub, seed=False)
+    sub.add_argument("--epsilon", type=float, metavar="X", help="set scheme.epsilon")
     sub.add_argument("--level", type=int, default=0, metavar="K",
                      help="time level to extract (default 0)")
     sub.set_defaults(func=_cmd_extract)

@@ -5,7 +5,8 @@ A problem is stated as one JSON-shaped document of constant coefficients:
 (``"control"``, a number, or a per-component list), ``diffusion`` (a number
 filling every matrix entry — intended for scalar noise), ``running_cost`` (a
 number), ``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
-``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`),
+``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`, whose
+``lo``/``hi``/``center``/``normal`` hold ``dim_state`` numbers),
 ``jumps`` (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and
 ``name``.  Every document states an autonomous problem
 (:attr:`~epigraph.model.Problem.autonomous`).  The built-in problems are
@@ -86,6 +87,15 @@ def _mark_shift(t: float, a: Array, u: Array, e: float) -> Array:
 # the inline problem section
 # ---------------------------------------------------------------------------
 
+def _vector(value: Any, size: int, path: str) -> list[float]:
+    """A list of ``size`` finite numbers at ``path``."""
+    if not isinstance(value, (list, tuple)):
+        fail(path, f"must be a list of {size} numbers")
+    if len(value) != size:
+        fail(path, f"needs {size} components, got {len(value)}")
+    return [require_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _controls_value(value: Any) -> list[Any]:
     bad = 'must be a non-empty list of numbers (or of per-component lists)'
     if not isinstance(value, (list, tuple)) or not value:
@@ -96,13 +106,17 @@ def _controls_value(value: Any) -> list[Any]:
     for i, row in enumerate(value):
         if not isinstance(row, (list, tuple)) or not row:
             fail(f"problem.controls[{i}]", bad)
-        out.append([require_number(u, f"problem.controls[{i}][{j}]")
-                    for j, u in enumerate(row)])
+        out.append(_vector(row, len(out[0]) if out else len(row), f"problem.controls[{i}]"))
     return out
 
 
-def _drift_value(spec: Any, dim_state: int) -> tuple[Any, Callable[..., Array] | None]:
+def _drift_value(spec: Any, dim_state: int,
+                 width: int) -> tuple[Any, Callable[..., Array] | None]:
     if spec == "control":
+        # the drift is the control itself: one component broadcasts
+        if width not in (1, dim_state):
+            fail("problem.controls", f"needs 1 or {dim_state} components per control "
+                                     f'for drift "control", got {width}')
         return "control", _drift_is_control
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         value = require_number(spec, "problem.drift")
@@ -110,9 +124,7 @@ def _drift_value(spec: Any, dim_state: int) -> tuple[Any, Callable[..., Array] |
             return 0.0, None
         return value, _constant_drift(np.full(dim_state, value))
     if isinstance(spec, (list, tuple)):
-        row = [require_number(v, f"problem.drift[{i}]") for i, v in enumerate(spec)]
-        if len(row) != dim_state:
-            fail("problem.drift", f"needs {dim_state} components, got {len(row)}")
+        row = _vector(spec, dim_state, "problem.drift")
         return row, _constant_drift(np.asarray(row))
     fail("problem.drift", 'must be "control", a number, or a list of numbers')
 
@@ -128,14 +140,25 @@ def _terminal_value(spec: Any) -> tuple[Any, Callable[[Array], Array]]:
     fail("problem.terminal_cost", 'must be "zero", "square", or a number')
 
 
-def _region_value(spec: Any) -> tuple[dict[str, Any], Region | None]:
+def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | None]:
     if spec is None:
         return {"kind": "all"}, None
     if not isinstance(spec, dict):
         fail("problem.region", "must be an object with a 'kind' key")
     reject_unknown(spec, _REGION_KEYS, "problem.region")
-    kwargs = {key: np.asarray(value, dtype=float) if key in ("lo", "hi", "center", "normal")
-              else value for key, value in spec.items()}
+    kwargs = dict(spec)
+    for key in ("lo", "hi", "center", "normal"):
+        if key in spec:
+            kwargs[key] = np.array(_vector(spec[key], dim_state, f"problem.region.{key}"))
+    for key in ("radius", "offset"):
+        if key in spec:
+            kwargs[key] = require_number(spec[key], f"problem.region.{key}",
+                                         minimum=0.0 if key == "radius" else None)
+    for i, (lo, hi) in enumerate(zip(kwargs.get("lo", ()), kwargs.get("hi", ()))):
+        if lo > hi:
+            fail(f"problem.region.lo[{i}]", f"must be <= problem.region.hi[{i}], got {lo} > {hi}")
+    if "normal" in kwargs and not kwargs["normal"].any():
+        fail("problem.region.normal", "must be nonzero")
     try:
         region = Region(**kwargs)
     except (ValueError, TypeError, EpigraphError) as exc:
@@ -174,12 +197,13 @@ def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
     dim_noise = require_integer(section.get("dim_noise", 1), "problem.dim_noise", minimum=1)
     horizon = require_number(section["horizon"], "problem.horizon", positive=True)
     controls = _controls_value(section.get("controls", [0.0]))
-    drift_spec, drift = _drift_value(section.get("drift", 0.0), dim_state)
+    width = len(controls[0]) if isinstance(controls[0], list) else 1
+    drift_spec, drift = _drift_value(section.get("drift", 0.0), dim_state, width)
     sigma = require_number(section.get("diffusion", 0.0), "problem.diffusion")
     running_value = require_number(section.get("running_cost", 0.0),
                                    "problem.running_cost", minimum=0.0)
     terminal_spec, terminal = _terminal_value(section.get("terminal_cost", "zero"))
-    region_spec, region = _region_value(section.get("region"))
+    region_spec, region = _region_value(section.get("region"), dim_state)
     jumps_spec, jumps = _jumps_value(section.get("jumps"))
     name = section.get("name", "")
     if not isinstance(name, str):

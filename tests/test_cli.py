@@ -77,6 +77,15 @@ def zero_run(tmp_path_factory):
     return config, out, manifest
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail a command that reaches the sweep: its refusal must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refusal must come before the sweep")
+
+    monkeypatch.setattr(cli, "solve_shortfall", refuse)
+
+
 # ---------------------------------------------------------------------------
 # parsing and validation
 # ---------------------------------------------------------------------------
@@ -89,15 +98,15 @@ def test_minimal_document_fills_defaults():
     )
     assert config.scheme.hedge == "spectral"
     assert config.scheme == SchemeOptions()
-    assert config.epsilon is None
-    assert config.outputs == {"directory": "out", "formats": ["csv"],
-                              "checkpoint_every": 25}
-    assert config.seed == 0
+    assert config.document["scheme"]["epsilon"] is None
+    assert config.document["outputs"] == {"directory": "out", "formats": ["csv"],
+                                          "checkpoint_every": 25}
+    assert config.document["seed"] == 0
 
 
 def test_builtin_without_grid_uses_the_stock_grid():
     config = parse_config('{"problem": {"builtin": "jump-variance"}}')
-    assert config.grid_spec == builtin_config("jump-variance")["grid"]
+    assert config.document["grid"] == builtin_config("jump-variance")["grid"]
 
 
 def test_inline_problem_still_requires_a_grid():
@@ -163,6 +172,56 @@ def test_non_finite_inline_controls_exit_one_naming_the_entry(tmp_path, capsys, 
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert "problem.controls[0] must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _refused_before_the_sweep(tmp_path, capsys, document) -> str:
+    """``solve`` on ``document`` exits 1 before any sweep; its error text."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(document))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run").exists()
+    return capsys.readouterr().err
+
+
+_LINE_GRID = {"state": [[-1.0, 1.0, 5]], "margin": [0.0, 1.0, 5]}
+
+
+def test_control_rows_of_unequal_length_exit_one_naming_the_row(tmp_path, capsys, no_sweep):
+    document = {"problem": {"horizon": 1.0, "controls": [[1.0], [1.0, 2.0]]},
+                "grid": _LINE_GRID}
+    err = _refused_before_the_sweep(tmp_path, capsys, document)
+    assert "problem.controls[1] needs 1 components, got 2" in err
+
+
+def test_drift_control_refuses_a_control_width_it_cannot_take(tmp_path, capsys, no_sweep):
+    # the drift is the control: dim_state components, or one that broadcasts
+    def plane(controls):
+        return {"problem": {**_PLANE, "controls": controls, "drift": "control"},
+                "grid": _PLANE_GRID}
+
+    err = _refused_before_the_sweep(tmp_path, capsys, plane([[1.0, 0.0, 2.0]]))
+    assert "problem.controls needs 1 or 2 components" in err
+    assert "got 3" in err
+    config = parse_config(json.dumps(plane([[1.0]])))
+    assert resolve_grid(config).dt > 0.0
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"kind": "ball", "center": [0.0], "radius": "1"}, "problem.region.radius must be a number"),
+    ({"kind": "ball", "center": [0.0], "radius": -1}, "problem.region.radius must be >= 0"),
+    ({"kind": "box", "lo": [1.0], "hi": [0.0]}, "problem.region.lo[0] must be <= "
+                                                "problem.region.hi[0]"),
+    ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "problem.region.lo needs 1 components"),
+    ({"kind": "point", "center": ["x"]}, "problem.region.center[0] must be a number"),
+    ({"kind": "halfspace", "normal": [0.0]}, "problem.region.normal must be nonzero"),
+    ({"kind": "halfspace", "normal": [1.0], "offset": "0"},
+     "problem.region.offset must be a number"),
+], ids=["radius-string", "radius-negative", "box-inverted", "box-too-wide", "center-string",
+        "normal-zero", "offset-string"])
+def test_region_fields_are_checked_where_they_are_read(tmp_path, capsys, no_sweep,
+                                                       region, message):
+    document = {"problem": {"horizon": 1.0, "region": region}, "grid": _LINE_GRID}
+    assert message in _refused_before_the_sweep(tmp_path, capsys, document)
 
 
 def test_grid_axis_triplet_validation():
@@ -451,7 +510,7 @@ def test_resuming_a_completed_run_redoes_one_cadence(zero_run, tmp_path, monkeyp
     shutil.copytree(source, out)
     steps = _count_steps(monkeypatch)
     assert run(config, str(out), resume=True) == reference
-    assert steps["n"] == config.outputs["checkpoint_every"]
+    assert steps["n"] == config.document["outputs"]["checkpoint_every"]
     assert (out / "manifest.json").read_bytes() == (source / "manifest.json").read_bytes()
 
 
@@ -500,7 +559,7 @@ def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_p
         config = parse_config(path.read_text())
         steps = _count_steps(monkeypatch)
         resumed = run(config, resume=True)
-        assert steps["n"] == config.outputs["checkpoint_every"]
+        assert steps["n"] == config.document["outputs"]["checkpoint_every"]
         assert resumed["epsilon"] == 0.05
         slices = {name for name in reference["artifacts"] if name.startswith("slice_")}
         assert {name: resumed["artifacts"][name] for name in slices} == {
@@ -523,7 +582,7 @@ def test_slice_inputs_digest_of_the_stock_configs_is_unchanged(tmp_path, monkeyp
     # run() hashes orphans those slices.
     config = parse_config(config_text(name, str(tmp_path / "run")))
     reference = hashlib.sha256(json.dumps(
-        {"problem": config.problem_spec, "grid": config.grid_spec,
+        {"problem": config.document["problem"], "grid": config.document["grid"],
          "hedge": config.scheme.hedge, "beta_candidates": config.scheme.jump_hedge},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     stamped = []
@@ -1122,13 +1181,9 @@ def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-def test_extract_refuses_an_epsilon_that_is_not_positive_and_finite(tmp_path, monkeypatch,
-                                                                     capsys, value):
+def test_extract_refuses_an_epsilon_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                     no_sweep, value):
     # --epsilon overrides scheme.epsilon and meets its rule, before any sweep
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the refusal must come before the sweep")
-
-    monkeypatch.setattr(cli, "solve_shortfall", no_sweep)
     path = write_config(tmp_path)
     assert main(["extract", "--config", str(path), "--epsilon", value]) == 1
     assert "scheme.epsilon must be" in capsys.readouterr().err
@@ -1174,6 +1229,58 @@ def test_main_seed_override_lands_in_manifest(tmp_path, capsys):
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["outputs"]["directory"] == str(tmp_path / "other")
     capsys.readouterr()
+
+
+def _set_key(document, keys, value):
+    *sections, key = keys
+    for section in sections:
+        document = document.setdefault(section, {})
+    document[key] = value
+
+
+@pytest.mark.parametrize("command, flag, value, keys", [
+    ("solve", "--out", "D", ("outputs", "directory")),
+    ("solve", "--seed", 5, ("seed",)),
+    ("extract", "--epsilon", 0.01, ("scheme", "epsilon")),
+], ids=["out", "seed", "epsilon"])
+def test_each_override_reads_as_its_file_key(tmp_path, command, flag, value, keys):
+    path = write_config(tmp_path)
+    args = cli._build_parser().parse_args([command, "--config", str(path), flag, str(value)])
+    document = json.loads(path.read_text())
+    _set_key(document, keys, value)
+    assert (serialize_config(cli._read_config(args))
+            == serialize_config(parse_config(json.dumps(document))))
+
+
+@pytest.mark.parametrize("command, flag, value, keys", [
+    ("solve", "--seed", -1, ("seed",)),
+    ("extract", "--epsilon", 0.0, ("scheme", "epsilon")),
+    ("extract", "--epsilon", float("nan"), ("scheme", "epsilon")),
+    ("solve", "--out", "", ("outputs", "directory")),
+], ids=["seed-negative", "epsilon-zero", "epsilon-nan", "out-empty"])
+def test_a_refused_override_fails_as_its_file_key(tmp_path, capsys, no_sweep,
+                                                  command, flag, value, keys):
+    path = write_config(tmp_path)
+    flagged = main([command, "--config", str(path), flag, str(value)])
+    flagged_err = capsys.readouterr().err
+    document = json.loads(path.read_text())
+    _set_key(document, keys, value)
+    keyed_path = tmp_path / "keyed.json"
+    keyed_path.write_text(json.dumps(document))
+    assert main([command, "--config", str(keyed_path)]) == flagged == 1
+    assert capsys.readouterr().err == flagged_err
+    assert not (tmp_path / "run").exists()
+
+
+def test_only_the_commands_that_read_the_seed_take_seed(tmp_path, capsys, no_sweep):
+    # extract neither reads nor records the seed, so --seed there is refused
+    path = write_config(tmp_path)
+    assert main(["extract", "--config", str(path), "--seed", "5"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    for command in ("solve", "simulate", "verify"):
+        args = cli._build_parser().parse_args([command, "--config", str(path), "--seed", "5"])
+        assert args.seed == 5
 
 
 def test_main_simulate_smoke(tmp_path, capsys):
