@@ -9,76 +9,36 @@ level set.
 
 from __future__ import annotations
 
-from .cli import RunConfig, builtin_config, main, parse_config, run, serialize_config
-from .errors import EpigraphError
-from .fields import Field, Grid, make_grid, terminal_slice, time_axis
-from .levelset import UNREACHABLE, default_epsilon, required_margin_profile
-from .model import JumpModel, Problem, Region, build_problem, check_regularity
-from .problems import builtin_grid, builtin_problem, builtin_scheme
-from .simulate import (
-    MCEstimate,
-    Policy,
-    constant_policy,
-    estimate_cost,
-    estimate_shortfall,
-    simulate_pair_path,
-)
-from .solver import (
-    SchemeOptions,
-    max_stable_dt,
-    solve_shortfall,
-    stable_grid,
-    step_backward,
-)
-from .verify import (
-    DiagnosticReport,
-    dpp_consistency,
-    lipschitz_profile,
-    slab_identity_residual,
-    strict_subsolution_residual,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiagnosticReport",
-    "EpigraphError",
-    "Field",
-    "Grid",
-    "JumpModel",
-    "MCEstimate",
-    "Policy",
-    "Problem",
-    "Region",
-    "RunConfig",
-    "SchemeOptions",
-    "UNREACHABLE",
-    "build_problem",
-    "builtin_config",
-    "builtin_grid",
-    "builtin_problem",
-    "builtin_scheme",
-    "check_regularity",
-    "constant_policy",
-    "default_epsilon",
-    "dpp_consistency",
-    "estimate_cost",
-    "estimate_shortfall",
-    "lipschitz_profile",
-    "main",
-    "make_grid",
-    "max_stable_dt",
-    "parse_config",
-    "required_margin_profile",
-    "run",
-    "serialize_config",
-    "simulate_pair_path",
-    "slab_identity_residual",
-    "solve_shortfall",
-    "stable_grid",
-    "step_backward",
-    "strict_subsolution_residual",
-    "terminal_slice",
-    "time_axis",
-    "__version__",
-]
+# each exported name by the module that defines it; a name imports its module
+# on first use (PEP 562), so ``import epigraph.cli`` loads only what a solve
+# runs, not the verification battery or the simulator
+_EXPORTS = {
+    "cli": ("RunConfig", "builtin_config", "main", "parse_config", "run", "serialize_config"),
+    "errors": ("EpigraphError",),
+    "fields": ("Field", "Grid", "make_grid", "terminal_slice", "time_axis"),
+    "levelset": ("UNREACHABLE", "default_epsilon", "required_margin_profile"),
+    "model": ("JumpModel", "Problem", "Region", "build_problem", "check_regularity"),
+    "problems": ("builtin_grid", "builtin_problem", "builtin_scheme"),
+    "simulate": ("MCEstimate", "Policy", "constant_policy", "estimate_cost",
+                 "estimate_shortfall", "simulate_pair_path"),
+    "solver": ("SchemeOptions", "max_stable_dt", "solve_shortfall", "stable_grid",
+               "step_backward"),
+    "verify": ("DiagnosticReport", "dpp_consistency", "lipschitz_profile",
+               "slab_identity_residual", "strict_subsolution_residual"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

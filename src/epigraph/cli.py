@@ -47,7 +47,7 @@ import pathlib
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -73,15 +73,10 @@ from .fields import (
 from .levelset import required_margin_profile
 from .model import Problem
 from .problems import builtin_grid, builtin_scheme, parse_problem
-from .simulate import (
-    constant_policy,
-    estimate_cost,
-    estimate_shortfall,
-    path_to_csv,
-    simulate_pair_path,
-)
 from .solver import SchemeOptions, solve_shortfall, stable_grid
-from .verify import CHECK_NAMES, DiagnosticReport, run_battery, write_reports
+
+if TYPE_CHECKING:
+    from .verify import DiagnosticReport
 
 Array = np.ndarray
 
@@ -437,6 +432,8 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     :func:`epigraph.verify.run_battery` says which ones "all" skips and which
     grids refuse a named one before the sweep.
     """
+    from .verify import run_battery, write_reports
+
     reports = run_battery(config.problem, resolve_grid(config), config.scheme, checks,
                           config.document["seed"])
     write_reports(str(_out_dir(config, out_dir) / "reports.json"), reports)
@@ -451,6 +448,9 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
     the starting margin clamped to zero from below; writes ``simulate.json``
     and ``path.csv``.
     """
+    from .simulate import (constant_policy, estimate_cost, estimate_shortfall, path_to_csv,
+                           simulate_pair_path)
+
     out = _out_dir(config, out_dir)
     problem, seed = config.problem, config.document["seed"]
     grid = resolve_grid(config)
@@ -573,6 +573,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .verify import CHECK_NAMES
+
     parser = argparse.ArgumentParser(
         prog="epigraph",
         description="Shortfall-field solver with required-margin extraction.",

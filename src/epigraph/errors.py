@@ -17,7 +17,6 @@ config reader and the inline problem builder share them.
 
 from __future__ import annotations
 
-import difflib
 import math
 from typing import Any, Mapping, NoReturn, Sequence
 
@@ -109,6 +108,8 @@ def fail(path: str, why: str) -> NoReturn:
 
 
 def reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], path: str) -> None:
+    import difflib  # only a refusal reads it
+
     for key in section:
         if key in allowed:
             continue

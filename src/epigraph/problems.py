@@ -6,7 +6,8 @@ A problem is stated as one JSON-shaped document of constant coefficients:
 filling every matrix entry — intended for scalar noise), ``running_cost`` (a
 number), ``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
 ``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`, whose
-``lo``/``hi``/``center``/``normal`` hold ``dim_state`` numbers),
+``lo``/``hi``/``center``/``normal`` hold ``dim_state`` numbers, with only
+the fields its kind reads),
 ``jumps`` (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and
 ``name``.  Every document states an autonomous problem
 (:attr:`~epigraph.model.Problem.autonomous`).  The built-in problems are
@@ -38,7 +39,10 @@ _PROBLEM_KEYS = (
     "dim_state", "dim_noise", "horizon", "controls", "drift", "diffusion",
     "running_cost", "terminal_cost", "region", "jumps", "name",
 )
-_REGION_KEYS = ("kind", "lo", "hi", "center", "radius", "normal", "offset")
+# the fields each region kind of a document reads, besides ``kind``
+_REGION_FIELDS = {"all": (), "box": ("lo", "hi"), "ball": ("center", "radius"),
+                  "halfspace": ("normal", "offset"), "point": ("center",)}
+_REGION_KEYS = ("kind", *dict.fromkeys(key for keys in _REGION_FIELDS.values() for key in keys))
 _JUMP_KEYS = ("marks", "weights")
 
 
@@ -146,6 +150,12 @@ def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | N
     if not isinstance(spec, dict):
         fail("problem.region", "must be an object with a 'kind' key")
     reject_unknown(spec, _REGION_KEYS, "problem.region")
+    kind = spec.get("kind", "all")
+    fields = _REGION_FIELDS.get(kind) if isinstance(kind, str) else None
+    for key in spec:
+        if fields is not None and key not in ("kind", *fields):
+            fail(f"problem.region.{key}",
+                 f"is not read by kind {kind!r}, which reads {', '.join(fields) or 'no field'}")
     kwargs = dict(spec)
     for key in ("lo", "hi", "center", "normal"):
         if key in spec:

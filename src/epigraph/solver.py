@@ -67,23 +67,31 @@ finite:
   final subtraction of the target (-0 or nonzero, and ``x - (-0)`` is +0
   for either zero) or of the spectral corner, which equals the target
   unless the arrow is live;
-* where every control's target is -0 (no jump atoms, no spectral corner),
-  the maximum runs over the envelope of the controls, not over all of them.
-  Along one state axis, take the controls that hold the same bits in
-  everything else the slope reads (the other axes' drift and upwind choice,
-  the running cost, ``sigma sigma^T`` and the diffusion) and whose drift
-  along this axis is one value with one upwind side.  Such a control's
-  slope depends on its drift ``c`` only through ``fl(c * D)`` for the same
-  difference ``D``, which rounding keeps monotone in ``c``, and every later
-  operation adds or subtracts a quantity the same across the group, which
-  keeps the slope monotone in that product.  So at every node a control's
-  slope is at most the larger of the slopes of the group's smallest and
-  largest ``c``, and only those two are kept.  The maximum is the same
-  value; only the sign of a zero can differ, and the final subtraction of
-  -0 maps both zeros to +0.  A zero ``c`` is the smallest of its
-  nonnegative group, so it is kept, and an infinite difference gives the
-  same non-finite slope (``0 * inf``) in both forms.  The Courant rates
-  still run over every control.
+* where every control's target is -0 (no jump atoms, no spectral corner)
+  and the controls factor, the maximum runs axis by axis.  The controls
+  factor where every drift is one value with one upwind side at every
+  node, every control holds the same bits in the running cost, ``sigma
+  sigma^T`` and the diffusion, and the set of the controls' per-axis
+  ``(drift, upwind side)`` tuples, compared by bits, is the Cartesian
+  product of its per-axis value sets.  A control's slope then reads its
+  negated drift ``c`` along an axis only through ``fl(c * D)`` for that
+  axis's difference ``D``, and adds the terms every control shares in a fixed
+  order; rounding keeps each of those operations monotone in each
+  argument, so the maximum over the product is reached at the per-axis
+  maxima.  The step takes along each axis the largest ``fl(c * D)`` over
+  the axis's kept drifts, sums those in axis order, then adds the distance
+  and the running-cost term and subtracts the trace once.  ``fl(c * D)``
+  is monotone in ``c``, so each upwind side keeps its smallest and largest
+  ``c``; where a zero drift is present, a forward ``c``'s term lies
+  between the most negative forward ``c``'s and ``0 * D``, the zero
+  drift's term up to the sign of a zero, so the forward side keeps only
+  its most negative ``c``.  The maximum is the value the loop over every
+  control gives; only the sign of a zero can differ, and the final
+  subtraction of -0 maps both zeros to +0.  The argument needs finite
+  differences; a slice that is not finite gives a step that is not finite
+  in either form, which stops the sweep.  A control set that does not
+  factor runs the loop over every control, and the Courant rates run over
+  every control either way.
 
 Two margin columns are stepped by state-only rules rather than the hedged
 equation.  The margin-0 column is the floor: at b = 0 neither hedge beats
@@ -115,6 +123,7 @@ corner inversion and the grid jump hedge still allocate their temporaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -266,30 +275,34 @@ def _bits(value: object) -> object:
     return value.shape, value.dtype.str, value.tobytes()
 
 
-def _envelope(controls: list[_ControlTable]) -> list[_ControlTable]:
-    """The controls of ``controls``, in order, whose slope can be the
-    largest when every target is -0: along each state axis, one group per
-    set of controls with the same bits in everything else the slope reads
-    and a one-value drift with the same upwind side, of which only the
-    smallest and the largest drift stay."""
-    kept = list(controls)
-    for axis in range(len(kept[0].advection)):
-        groups: dict[object, list[int]] = {}
-        for k, control in enumerate(kept):
-            neg_f, choice = control.advection[axis]
-            if np.ndim(neg_f):
-                continue
-            key = (choice, _bits(control.running),
-                   _bits(control.sig2), _bits(control.diffusion),
-                   *((_bits(f), _bits(c)) for i, (f, c) in enumerate(control.advection)
-                     if i != axis))
-            groups.setdefault(key, []).append(k)
-        drop = set()
-        for members in groups.values():
-            drift = [kept[k].advection[axis][0] for k in members]
-            ends = {members[int(np.argmin(drift))], members[int(np.argmax(drift))]}
-            drop.update(k for k in members if k not in ends)
-        kept = [control for k, control in enumerate(kept) if k not in drop]
+def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]] | None:
+    """The ``axis_drifts`` of :class:`_LevelTables` with these controls."""
+    if len({(_bits(c.running), _bits(c.sig2), _bits(c.diffusion)) for c in controls}) > 1:
+        return None
+    if any(np.ndim(f) or not isinstance(choice, int)
+           for c in controls for f, choice in c.advection):
+        return None
+    axes: list[dict] = [{} for _ in controls[0].advection]
+    rows = set()
+    for control in controls:
+        row = tuple((_bits(f), choice) for f, choice in control.advection)
+        rows.add(row)
+        for axis, key, (f, choice) in zip(axes, row, control.advection):
+            axis[key] = (f, choice)
+    # the rows lie in the product of the axes' value sets, so they are all
+    # of it exactly when they are as many
+    if len(rows) != math.prod(map(len, axes)):
+        return None
+    kept = []
+    for axis in axes:
+        forward = sorted(f for f, choice in axis.values() if choice == 0)
+        backward = sorted(f for f, choice in axis.values() if choice == 1)
+        if backward and backward[0] == 0.0:
+            # a forward drift's term lies between the most negative one's
+            # and 0 * D, the zero drift's term up to the sign of a zero
+            forward = forward[:1]
+        kept.append([(f, side) for side, drifts in enumerate((forward, backward))
+                     for f in drifts[:1] + drifts[1:][-1:]])
     return kept
 
 
@@ -297,16 +310,17 @@ class _LevelTables:
     """Everything a sweep step needs at time ``t`` that the slice does not
     change: the negated distance (``neg_dist``, None where the distance is
     zero at every node), the floor and ceiling margin columns (``edges``),
-    one :class:`_ControlTable` per control, the ``envelope`` of those
-    controls, and the node-wise rates of the Courant bound.
+    one :class:`_ControlTable` per control, the kept drifts of each state
+    axis (``axis_drifts``), and the node-wise rates of the Courant bound.
 
-    ``envelope`` is the sublist of ``controls``, in their order, that can
-    attain the maximum of the slopes when every target is -0: along each
-    state axis in turn, of the controls that agree in everything else the
-    slope reads and whose drift along the axis is one value with one upwind
-    side, only those with the smallest and the largest drift stay (see the
-    module docstring).  A control set with nothing to drop is its own
-    envelope.
+    ``axis_drifts`` is None where the controls do not factor: a drift that
+    varies over the nodes or takes both upwind sides, controls that differ
+    in the running cost, ``sigma sigma^T`` or the diffusion, or drift
+    tuples that are not the product of their per-axis values.  Otherwise it
+    holds per state axis the ``(neg_f, choice)`` drifts whose upwind term
+    can be the axis's largest: each upwind side's smallest and largest, and
+    with a zero drift only the most negative of the forward side (see the
+    module docstring).  The reduction reads it where every target is -0.
 
     An autonomous problem's tables serve every level of a solve.  Every
     array is sized by the state nodes or by one node, not by the slice.
@@ -362,7 +376,7 @@ class _LevelTables:
                 jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
                        for k in range(jumps.n_atoms)],
             ))
-        self.envelope = _envelope(self.controls)
+        self.axis_drifts = _axis_drifts(self.controls)
         self.rates = (rate_drift, rate_sig2, rate_running)
         self._bound = _courant_bound(problem, grid, *self.rates)
 
@@ -564,21 +578,32 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
         beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
 
     best, scratch = ws("best"), ws("scratch")
-    for index, control in enumerate(tables.envelope if late_target else tables.controls):
+    # where the controls factor, one pass takes along each axis the largest
+    # upwind term over the axis's kept drifts, and the first control's
+    # running cost and diffusion, which every control shares
+    factored = late_target and tables.axis_drifts is not None
+    for index, control in enumerate(tables.controls[:1] if factored else tables.controls):
         # slope = -dist - advection + running * margin_slope - trace - corner;
         # the drift is stored negated, so the first advection term written
         # into slope is already -advection.  The first control's slope is
         # written into best: np.maximum(-inf, x) is x, -0 and NaN included
         slope = ws("slope") if index else best
-        for i, (neg_f_i, choice) in enumerate(control.advection):
+        axes = tables.axis_drifts if factored else [[pair] for pair in control.advection]
+        for i, drifts in enumerate(axes):
             term = scratch if i else slope
-            if isinstance(choice, int):
-                np.multiply(fwd_bwd[i][choice], neg_f_i, out=term)
-            else:
-                fwd, bwd = fwd_bwd[i]
-                np.copyto(term, bwd)
-                np.copyto(term, fwd, where=choice)
-                term *= neg_f_i
+            for j, (neg_f_i, choice) in enumerate(drifts):
+                # only the factored pass has a second drift; its slope is
+                # best, so the slope buffer is free
+                out = ws("slope") if j else term
+                if isinstance(choice, int):
+                    np.multiply(fwd_bwd[i][choice], neg_f_i, out=out)
+                else:
+                    fwd, bwd = fwd_bwd[i]
+                    np.copyto(out, bwd)
+                    np.copyto(out, fwd, where=choice)
+                    out *= neg_f_i
+                if j:
+                    np.maximum(term, out, out=term)
             if i:
                 slope += scratch
         if tables.neg_dist is not None:

@@ -216,8 +216,10 @@ def test_drift_control_refuses_a_control_width_it_cannot_take(tmp_path, capsys, 
     ({"kind": "halfspace", "normal": [0.0]}, "problem.region.normal must be nonzero"),
     ({"kind": "halfspace", "normal": [1.0], "offset": "0"},
      "problem.region.offset must be a number"),
+    ({"kind": "ball", "center": [0.0], "radius": 1.0, "lo": [5.0]},
+     "problem.region.lo is not read by kind 'ball', which reads center, radius"),
 ], ids=["radius-string", "radius-negative", "box-inverted", "box-too-wide", "center-string",
-        "normal-zero", "offset-string"])
+        "normal-zero", "offset-string", "key-of-another-kind"])
 def test_region_fields_are_checked_where_they_are_read(tmp_path, capsys, no_sweep,
                                                        region, message):
     document = {"problem": {"horizon": 1.0, "region": region}, "grid": _LINE_GRID}
@@ -1165,6 +1167,20 @@ def test_every_public_name_resolves():
     assert epigraph.__all__
     for name in epigraph.__all__:
         assert getattr(epigraph, name) is not None, name
+
+
+def test_importing_the_command_line_loads_only_the_solve_path():
+    # a fresh interpreter: the battery and the simulator load when a command
+    # or a public name asks for them
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, epigraph.cli; print(json.dumps(list(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "epigraph.solver" in loaded
+    assert "epigraph.verify" not in loaded and "epigraph.simulate" not in loaded
 
 
 def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import re
 import tracemalloc
@@ -425,7 +426,7 @@ def test_one_value_tables_give_the_per_node_bits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the level tables: the envelope of the control grid
+# the level tables: the per-axis envelope of a product control grid
 # ---------------------------------------------------------------------------
 
 FROZEN_DIFFUSION = {
@@ -445,19 +446,48 @@ def _envelope_documents():
             "steering-2d": STEERING_2D, "frozen diffusion": FROZEN_DIFFUSION}
 
 
+def _frozen_diffusion_2d():
+    """(label, problem, grid, options): the 5 x 5 steering grid with frozen
+    diffusion, running cost and a box region.  Its noise is uncorrelated
+    across the axes, which no inline document states (see the README's
+    limits), so the sweep stays in the nonnegative cone."""
+    def diffusion(t, a, u):
+        return np.broadcast_to(0.3 * np.eye(2), (np.atleast_2d(a).shape[0], 2, 2)).copy()
+
+    axis = np.linspace(-1.0, 1.0, 5)
+    problem = build_problem(
+        dim_state=2, dim_noise=2, horizon=0.5, controls=[[u, v] for u in axis for v in axis],
+        drift=drift_is_control, diffusion=diffusion, running_cost=constant_running(0.2),
+        terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
+        region=Region(kind="box", lo=np.full(2, -1.5), hi=np.full(2, 1.5)), autonomous=True)
+    grid = stable_grid(problem, [(-2.0, 2.0, 21)] * 2, (0.0, 2.0, 21))
+    return "2-D frozen diffusion", problem, grid, SchemeOptions(hedge="frozen", jump_hedge="zero")
+
+
 def _tables_of(document):
     config = parse_config(json.dumps(document))
     return _LevelTables(config.problem, resolve_grid(config), 0.0)
 
 
+def _kept(tables):
+    """The number of drifts each state axis keeps, or None where the
+    controls do not factor."""
+    return None if tables.axis_drifts is None else [len(d) for d in tables.axis_drifts]
+
+
 def test_the_envelope_of_the_bench_control_grids():
     # deterministic-steering is the bench steering problem; each sign side of
-    # a one-value drift keeps its smallest and largest drift
-    sizes = {label: (len(tables.controls), len(tables.envelope)) for label, tables in (
+    # an axis keeps its smallest and largest drift, and the zero drift drops
+    # all but the forward side's most negative one
+    sizes = {label: (len(tables.controls), _kept(tables)) for label, tables in (
         ("steering", _tables_of(builtin_config("deterministic-steering"))),
         ("steering-2d", _tables_of(STEERING_2D)),
-        ("jump-variance", _tables_of(builtin_config("jump-variance"))))}
-    assert sizes == {"steering": (21, 4), "steering-2d": (25, 16), "jump-variance": (1, 1)}
+        ("jump-variance", _tables_of(builtin_config("jump-variance"))),
+        ("seven controls", _LevelTables(*_seven_controls(), 0.0)))}
+    assert sizes == {"steering": (21, [3]), "steering-2d": (25, [3, 3]),
+                     "jump-variance": (1, [1]), "seven controls": (7, [3])}
+    [drifts] = _LevelTables(*_seven_controls(), 0.0).axis_drifts
+    assert drifts == [(-0.6, 0), (-0.0, 1), (0.6, 1)]
 
 
 def _seven_controls(**overrides):
@@ -468,15 +498,30 @@ def _seven_controls(**overrides):
     return problem, make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5))
 
 
-@pytest.mark.parametrize("overrides", [
-    {"drift": lambda t, a, u: u - np.atleast_2d(a)},
-    {"running_cost": lambda t, a, u: np.full(np.atleast_2d(a).shape[0], u @ u + 0.25)},
-], ids=["a drift that varies with the state", "a running cost that depends on the control"])
-def test_the_envelope_keeps_every_control(overrides):
-    tables = _LevelTables(*_seven_controls(**overrides), 0.0)
-    assert len(tables.controls) == 7
-    assert tables.envelope == tables.controls
-    assert len(_LevelTables(*_seven_controls(), 0.0).envelope) == 4
+def _five_by_five_minus_a_corner():
+    """The 5 x 5 steering grid without its (1, 1) control on a 2-D grid."""
+    axis = np.linspace(-1.0, 1.0, 5)
+    problem = minimal_problem(dim_state=2, drift=drift_is_control,
+                              controls=[[u, v] for u in axis for v in axis][:-1])
+    return problem, make_grid([(-1.0, 1.0, 9), (-0.6, 0.6, 7)], (0.0, 1.0, 7),
+                              time_axis(1.0, 0.5))
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: _seven_controls(drift=lambda t, a, u: u - np.atleast_2d(a)),
+    lambda: _seven_controls(running_cost=lambda t, a, u: np.full(np.atleast_2d(a).shape[0],
+                                                                 u @ u + 0.25)),
+    _five_by_five_minus_a_corner,
+], ids=["a drift that varies with the state", "a running cost that depends on the control",
+        "the 5 x 5 grid minus one corner"])
+def test_the_envelope_keeps_every_control(setup):
+    # controls that do not factor take the loop over every control, with
+    # the per-control reference's bits
+    problem, grid = setup()
+    tables = _LevelTables(problem, grid, 0.5)
+    assert tables.axis_drifts is None
+    prev = np.random.default_rng(11).random((*grid.state_shape, grid.margin_axis.size)) * 2.0
+    _assert_reference_bits(prev, tables, SchemeOptions(), "")
 
 
 JUMP_ATOM = {"jumps": JumpModel(marks=np.array([0.25]), weights=np.array([0.5])),
@@ -490,14 +535,14 @@ JUMP_ATOM = {"jumps": JumpModel(marks=np.array([0.25]), weights=np.array([0.5]))
 ], ids=["a jump atom", "a spectral hedge with diffusion", "frozen diffusion"])
 def test_the_reduction_reads_the_envelope_only_where_every_target_is_minus_zero(
         overrides, options, reads_envelope):
-    # cutting the envelope to its first control changes the slope only where
-    # the reduction runs over the envelope
+    # cutting each axis to its first kept drift changes the slope only where
+    # the reduction runs over the kept drifts
     tables = _LevelTables(*_seven_controls(**overrides), 0.5)
-    assert len(tables.envelope) < len(tables.controls)
+    assert _kept(tables)[0] > 1
     rng = np.random.default_rng(5)
     prev = rng.random((11, 7)) * 2.0
     want = _best_time_slope(prev, tables, options)
-    tables.envelope = tables.controls[:1]
+    tables.axis_drifts = [drifts[:1] for drifts in tables.axis_drifts]
     got = _best_time_slope(prev, tables, options)
     assert _same_bits(got, want) != reads_envelope
 
@@ -507,15 +552,18 @@ def test_the_envelope_gives_the_every_control_bits(monkeypatch):
     cases, dropping = [], set()
     for label, document in _envelope_documents().items():
         config = parse_config(json.dumps(document))
-        grid = resolve_grid(config)
-        tables = _LevelTables(config.problem, grid, 0.0)
-        if len(tables.envelope) < len(tables.controls):
+        cases.append((label, config.problem, resolve_grid(config), config.scheme))
+    cases.append(_frozen_diffusion_2d())
+    for label, problem, grid, _ in cases:
+        tables = _LevelTables(problem, grid, 0.0)
+        if tables.axis_drifts is not None and \
+                math.prod(_kept(tables)) < len(tables.controls):
             dropping.add(label)
-        cases.append((label, config.problem, grid, config.scheme))
-    assert dropping == {"deterministic-steering", "steering-2d", "frozen diffusion"}
-    enveloped = [every_level(problem, grid, options) for _, problem, grid, options in cases]
-    monkeypatch.setattr("epigraph.solver._envelope", list)
-    for (label, problem, grid, options), want in zip(cases, enveloped):
+    assert dropping == {"deterministic-steering", "steering-2d", "frozen diffusion",
+                        "2-D frozen diffusion"}
+    factored = [every_level(problem, grid, options) for _, problem, grid, options in cases]
+    monkeypatch.setattr("epigraph.solver._axis_drifts", lambda controls: None)
+    for (label, problem, grid, options), want in zip(cases, factored):
         assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
 
 
@@ -1096,22 +1144,23 @@ def _slope_step_cases():
     """(label, prev, problem, grid, options) over 1-D and 2-D states, zero,
     state-uniform and state-varying running cost, one-sign and mixed-sign
     drift, no jump or one atom, and no diffusion or constant diffusion; and
-    per state dimension a control grid whose envelope drops controls.
-    Margin 0 is the first column of the 1-D grid and an interior one of the
-    2-D grid."""
+    per state dimension, 3-D too, a product control grid whose axes drop
+    drifts.  Margin 0 is the first column of the 1-D grid and an interior
+    one of the others."""
     rng = np.random.default_rng(17)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         grid = (make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5)) if n == 1
-                else make_grid([(-1.0, 1.0, 7), (-0.6, 0.6, 5)], (-0.4, 1.0, 8),
-                               time_axis(1.0, 0.5)))
+                else make_grid([(-1.0, 1.0, 7), (-0.6, 0.6, 5), (-0.5, 0.5, 6)][:n],
+                               (-0.4, 1.0, 8), time_axis(1.0, 0.5)))
         # the zero control gives zero drift without jumps
         controls = [[-0.5], [0.0], [0.5]] if n == 1 else [[0.5, 0.3], [-0.4, 0.0], [0.0, 0.0]]
         prev = rng.random((*grid.state_shape, grid.margin_axis.size)) * 2.0
         prev[rng.random(prev.shape) < 0.3] = 0.0
         prev[rng.random(prev.shape) < 0.15] = -0.0
+        # the 3-D grid takes the product control grid only
         for running, drift, jumps, (sigma, hedge) in itertools.product(
                 ("zero", "uniform", "nonzero"), ("one-sign", "mixed"), ("none", "zero", "grid"),
-                ((0.0, "spectral"), (0.3, "frozen"), (0.3, "spectral"))):
+                ((0.0, "spectral"), (0.3, "frozen"), (0.3, "spectral"))) if n < 3 else ():
             # u.u + 1/4 is the same at every node, and u.u + max(a_1, 0)^2 is
             # zero on half the nodes for the zero control
             problem = build_problem(
@@ -1136,11 +1185,16 @@ def _slope_step_cases():
                     f"diffusion {sigma} {hedge}"
             yield (label, prev, problem, grid,
                    SchemeOptions(hedge=hedge, jump_hedge="grid" if jumps == "none" else jumps))
-        # control grids whose envelope drops controls: seven controls of both
-        # signs in 1-D (4 kept), and a 3 x 3 product of one-sign drifts in
-        # 2-D (4 kept), with running costs that do not depend on the control
-        controls = ([[u] for u in np.linspace(-0.6, 0.6, 7)] if n == 1
-                    else [[u, v] for u in (0.2, 0.5, 0.8) for v in (-0.6, -0.3, -0.1)])
+        # product control grids whose axes drop drifts, with running costs
+        # that do not depend on the control: seven controls of both signs in
+        # 1-D (3 kept), a 3 x 3 product of one-sign drifts in 2-D (2 x 2
+        # kept), and in 3-D a 4 x 3 x 3 product with a zero drift on two axes
+        # (3 x 2 x 3 kept), where summing the axes in another order rounds
+        # differently
+        values = {1: [np.linspace(-0.6, 0.6, 7)],
+                  2: [(0.2, 0.5, 0.8), (-0.6, -0.3, -0.1)],
+                  3: [(-0.5, 0.0, 0.5, 0.8), (0.2, 0.5, 0.9), (-0.3, 0.0, 0.4)]}[n]
+        controls = [list(u) for u in itertools.product(*values)]
         for running, (sigma, hedge) in itertools.product(
                 ("zero", "constant"), ((0.0, "spectral"), (0.3, "frozen"))):
             problem = build_problem(
@@ -1156,31 +1210,39 @@ def _slope_step_cases():
             yield label, prev, problem, grid, SchemeOptions(hedge=hedge)
 
 
+def _assert_reference_bits(prev, tables, options, label):
+    """``_best_time_slope`` with ``tables`` at t = 0.5 matches the
+    per-control reference bit for bit: the margin-0 and top columns its
+    one-column state-only calls, the other columns its full-slice call."""
+    problem, grid = tables.problem, tables.grid
+    got = _best_time_slope(prev, tables, options)
+    want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
+    edges = _edges(grid)
+    inner = np.ones(prev.shape[-1], dtype=bool)
+    inner[edges] = False
+    assert _same_bits(got[..., inner], want[..., inner]), label
+    for column, c in zip(edges, (-1.0, 0.0)):
+        edge = _best_time_slope_reference(prev[..., column, None], 0.5, problem, grid,
+                                          STATE_ONLY, margin_slope=c)
+        assert _same_bits(got[..., column], edge[..., 0]), (label, column)
+
+
 def test_time_slope_matches_the_per_control_reference_bit_for_bit():
     # The skips change only the signs of zero slopes, and subtracting the
-    # target maps both signs to the same bits; signbit must agree too.  The
-    # margin-0 and top columns match the reference's one-column state-only
-    # calls, the other columns its full-slice call.
+    # target maps both signs to the same bits; signbit must agree too.
     count = dropped = 0
     for label, prev, problem, grid, options in _slope_step_cases():
         tables = _LevelTables(problem, grid, 0.5)
-        got = _best_time_slope(prev, tables, options)
-        dropped += len(tables.controls) - len(tables.envelope)
+        _assert_reference_bits(prev, tables, options, label)
+        if tables.axis_drifts is not None:
+            dropped += len(tables.controls) - math.prod(_kept(tables))
         # the coefficients are autonomous: the level's bound is the default step
         assert tables.bound() == max_stable_dt(problem, grid), label
-        want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
-        edges = _edges(grid)
-        inner = np.ones(prev.shape[-1], dtype=bool)
-        inner[edges] = False
-        assert _same_bits(got[..., inner], want[..., inner]), label
-        for column, c in zip(edges, (-1.0, 0.0)):
-            edge = _best_time_slope_reference(prev[..., column, None], 0.5, problem, grid,
-                                              STATE_ONLY, margin_slope=c)
-            assert _same_bits(got[..., column], edge[..., 0]), (label, column)
         count += 1
-    assert count == 2 * 3 * 2 * 3 * 3 + 2 * 2 * 2
-    # only the control grids drop controls: 7 -> 4 in 1-D, 9 -> 4 in 2-D
-    assert dropped == 4 * 3 + 4 * 5
+    assert count == 2 * 3 * 2 * 3 * 3 + 3 * 2 * 2
+    # only the control grids drop controls: 7 -> 3 in 1-D, 9 -> 2 x 2 in 2-D
+    # and 4 x 3 x 3 -> 3 x 2 x 3 in 3-D
+    assert dropped == 4 * 4 + 4 * 5 + 4 * 18
 
 
 # ---------------------------------------------------------------------------
