@@ -22,11 +22,10 @@ _EXPORTS = {
     "fields": ("Field", "Grid", "make_grid", "terminal_slice", "time_axis"),
     "levelset": ("UNREACHABLE", "default_epsilon", "required_margin_profile"),
     "model": ("JumpModel", "Problem", "Region", "build_problem", "check_regularity"),
-    "problems": ("builtin_grid", "builtin_problem", "builtin_scheme"),
+    "problems": ("builtin_grid", "builtin_problem"),
     "simulate": ("MCEstimate", "Policy", "constant_policy", "estimate_cost",
                  "estimate_shortfall", "simulate_pair_path"),
-    "solver": ("SchemeOptions", "max_stable_dt", "solve_shortfall", "stable_grid",
-               "step_backward"),
+    "solver": ("max_stable_dt", "solve_shortfall", "stable_grid", "step_backward"),
     "verify": ("DiagnosticReport", "dpp_consistency", "lipschitz_profile",
                "slab_identity_residual", "strict_subsolution_residual"),
 }

@@ -6,8 +6,8 @@ A run is described by one JSON document with four sections plus a seed::
       "problem": {"builtin": "deterministic-steering"},
       "grid":    {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
                   "time_step": null},
-      "scheme":  {"epsilon": null, "hedge": "spectral",
-                  "beta_candidates": "grid"},
+      "scheme":  {"epsilon": null, "hedge": "frozen",
+                  "beta_candidates": "zero"},
       "outputs": {"directory": "out", "formats": ["csv"],
                   "checkpoint_every": 25},
       "seed": 0
@@ -22,8 +22,10 @@ step checks its own level's stable bound.  ``outputs.formats`` must list
 ``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds a plot
 script and needs a problem with one state axis.  ``scheme.epsilon``
 overrides the level-set threshold with a positive, finite number; ``null``
-defers to the default.  A missing ``scheme``/``outputs`` section gets
-defaults, with built-in problems contributing their own scheme overrides.
+defers to the default.  ``scheme.hedge`` and ``scheme.beta_candidates``
+accept only ``"frozen"`` and ``"zero"``, their defaults: the sweep solves the
+unhedged auxiliary equation, so a document that asks for a hedged solve is
+refused.  A missing ``scheme``/``outputs`` section gets defaults.
 ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
 ``slice_<L>`` snapshots; they are also its resume state.
 
@@ -47,7 +49,7 @@ import pathlib
 import signal
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -72,8 +74,8 @@ from .fields import (
 )
 from .levelset import required_margin_profile
 from .model import Problem
-from .problems import builtin_grid, builtin_scheme, parse_problem
-from .solver import SchemeOptions, solve_shortfall, stable_grid
+from .problems import builtin_grid, parse_problem
+from .solver import solve_shortfall, stable_grid
 
 if TYPE_CHECKING:
     from .verify import DiagnosticReport
@@ -83,6 +85,8 @@ Array = np.ndarray
 _TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed")
 _GRID_KEYS = ("state", "margin", "time_step")
 _SCHEME_KEYS = ("epsilon", "hedge", "beta_candidates")
+# the one value each hedge key accepts: the sweep holds both hedges at zero
+_HEDGES = {"hedge": "frozen", "beta_candidates": "zero"}
 _OUTPUT_KEYS = ("directory", "formats", "checkpoint_every")
 _FORMATS = ("csv", "gnuplot")
 
@@ -97,13 +101,12 @@ class RunConfig:
 
     ``document`` is the normalized config document, every default filled
     in; :func:`serialize_config`, the manifest, the resume digest and the
-    commands read it, and none of them mutates it.  ``problem`` and
-    ``scheme`` are the live objects built from its sections.
+    commands read it, and none of them mutates it.  ``problem`` is the live
+    problem built from its ``problem`` section.
     """
 
     document: dict[str, Any]
     problem: Problem
-    scheme: SchemeOptions
 
 
 def _axis_triplet(value: Any, path: str) -> list[Any]:
@@ -135,28 +138,20 @@ def _grid_section(section: Any) -> dict[str, Any]:
     return {"state": axes, "margin": margin, "time_step": step}
 
 
-def _scheme_section(section: Any,
-                    defaults: Mapping[str, Any]) -> tuple[SchemeOptions, dict[str, Any]]:
+def _scheme_section(section: Any) -> dict[str, Any]:
     if section is None:
         section = {}
     if not isinstance(section, dict):
         fail("scheme", "must be an object")
     reject_unknown(section, _SCHEME_KEYS, "scheme")
-    hedge = section.get("hedge", defaults.get("hedge", SchemeOptions.hedge))
-    beta = section.get("beta_candidates",
-                       defaults.get("beta_candidates", SchemeOptions.jump_hedge))
+    for key, value in _HEDGES.items():
+        if section.get(key, value) != value:
+            fail(f"scheme.{key}", f"must be {value!r}, got {section[key]!r}: hedged solves "
+                                  f"are not offered, the sweep holds both hedges at zero")
     epsilon = section.get("epsilon")
-    if not isinstance(hedge, str):
-        fail("scheme.hedge", "must be a string")
-    if not isinstance(beta, str):
-        fail("scheme.beta_candidates", "must be a string")
     if epsilon is not None:
         epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
-    try:
-        options = SchemeOptions(hedge=hedge, jump_hedge=beta)
-    except ValueError as exc:
-        raise SchemaViolation(f"scheme: {exc}") from None
-    return options, {"epsilon": epsilon, "hedge": hedge, "beta_candidates": beta}
+    return {"epsilon": epsilon, **_HEDGES}
 
 
 def _outputs_section(section: Any, dim_state: int) -> dict[str, Any]:
@@ -204,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
     reject_unknown(document, _TOP_KEYS, "")
     if "problem" not in document:
         fail("problem", "is required")
-    problem, problem_spec, scheme_defaults = parse_problem(document["problem"])
+    problem, problem_spec = parse_problem(document["problem"])
     if "grid" in document:
         grid_spec = _grid_section(document["grid"])
     elif "builtin" in problem_spec:
@@ -212,12 +207,12 @@ def parse_config(text: str) -> RunConfig:
         grid_spec = _grid_section(builtin_grid(problem_spec["builtin"]))
     else:
         fail("grid", "is required")
-    options, scheme_spec = _scheme_section(document.get("scheme"), scheme_defaults)
+    scheme_spec = _scheme_section(document.get("scheme"))
     outputs = _outputs_section(document.get("outputs"), problem.dim_state)
     seed = require_integer(document.get("seed", 0), "seed", minimum=0)
     normalized = {"problem": problem_spec, "grid": grid_spec, "scheme": scheme_spec,
                   "outputs": outputs, "seed": seed}
-    return RunConfig(document=normalized, problem=problem, scheme=options)
+    return RunConfig(document=normalized, problem=problem)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -226,8 +221,8 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def builtin_config(name: str, directory: str = "out") -> dict[str, Any]:
-    """A complete config document for a built-in problem and its default grid."""
-    builtin_scheme(name)  # validates the name with the catalog in the message
+    """A complete config document for a built-in problem and its default
+    grid; an unknown name raises KeyError with the catalog."""
     return {
         "problem": {"builtin": name},
         "grid": builtin_grid(name),
@@ -346,7 +341,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     :class:`IncompatibleGrids`, and with no such slice the run is a fresh sweep.
     """
     out = _out_dir(config, out_dir)
-    problem, options, document = config.problem, config.scheme, config.document
+    problem, document = config.problem, config.document
     grid = resolve_grid(config)
     # what the sweep reads, which a resumed slice must have been written for:
     # every scheme setting but epsilon, which only the level-set reader reads
@@ -381,7 +376,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
         if level in levels:
             save_snapshot(grid, level, values, prefix(level), inputs)
 
-    field = solve_shortfall(problem, grid, options, on_level=on_level, resume=start)
+    field = solve_shortfall(problem, grid, on_level=on_level, resume=start)
 
     written: dict[str, str] = {}
 
@@ -434,7 +429,7 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
     """
     from .verify import run_battery, write_reports
 
-    reports = run_battery(config.problem, resolve_grid(config), config.scheme, checks,
+    reports = run_battery(config.problem, resolve_grid(config), checks,
                           config.document["seed"])
     write_reports(str(_out_dir(config, out_dir) / "reports.json"), reports)
     return reports, all(report.passed for report in reports)
@@ -517,7 +512,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not 0 <= args.level < grid.n_levels:
         raise SchemaViolation(
             f"--level must be in [0, {grid.n_levels - 1}], got {args.level}")
-    field = solve_shortfall(config.problem, grid, config.scheme, keep=(args.level,))
+    field = solve_shortfall(config.problem, grid, keep=(args.level,))
     epsilon = _threshold(config, field)
     path = out / f"profile_{args.level:05d}.csv"
     export_profile_csv(field, args.level, str(path), epsilon)
@@ -573,8 +568,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .verify import CHECK_NAMES
-
     parser = argparse.ArgumentParser(
         prog="epigraph",
         description="Shortfall-field solver with required-margin extraction.",
@@ -610,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="run the diagnostic battery")
     common(sub)
     sub.add_argument("--checks", default="all", metavar="LIST",
-                     help=f"comma list from: {', '.join(CHECK_NAMES)} (default all)")
+                     help="comma list of battery checks (default all)")
     sub.set_defaults(func=_cmd_verify)
 
     sub = commands.add_parser("report", help="summarize a completed run directory")

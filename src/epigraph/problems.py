@@ -11,9 +11,8 @@ the fields its kind reads),
 ``jumps`` (``{"marks": [...], "weights": [...]}`` with unit mark shifts), and
 ``name``.  Every document states an autonomous problem
 (:attr:`~epigraph.model.Problem.autonomous`).  The built-in problems are
-such documents, each paired with the grid it is meant to be solved on and
-its scheme overrides, so tests, the CLI and demos all run the same
-configurations by name.
+such documents, each paired with the grid it is meant to be solved on, so
+tests, the CLI and demos all run the same configurations by name.
 """
 
 from __future__ import annotations
@@ -254,14 +253,14 @@ def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
     return problem, normalized
 
 
-def parse_problem(section: Any) -> tuple[Problem, dict[str, Any], dict[str, Any]]:
-    """Build (problem, normalized section, scheme defaults) from a ``problem`` section.
+def parse_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
+    """Build (problem, normalized section) from a ``problem`` section.
 
-    The section is either ``{"builtin": name}``, which normalizes to itself
-    and brings the built-in's scheme overrides, or an inline document.
+    The section is either ``{"builtin": name}``, which normalizes to itself,
+    or an inline document.
     """
     if not isinstance(section, dict) or "builtin" not in section:
-        return (*_inline_problem(section), {})
+        return _inline_problem(section)
     reject_unknown(section, ("builtin",), "problem")
     name = section["builtin"]
     if not isinstance(name, str):
@@ -270,15 +269,14 @@ def parse_problem(section: Any) -> tuple[Problem, dict[str, Any], dict[str, Any]
         problem = builtin_problem(name)
     except KeyError as exc:
         raise SchemaViolation(f"problem.builtin: {exc.args[0]}") from None
-    return problem, {"builtin": name}, builtin_scheme(name)
+    return problem, {"builtin": name}
 
 
 # ---------------------------------------------------------------------------
 # the built-in catalog
 # ---------------------------------------------------------------------------
 
-# Each built-in is its inline problem document, its stock grid and its scheme
-# overrides.
+# Each built-in is its inline problem document and its stock grid.
 _BUILTINS: dict[str, dict[str, Any]] = {
     # Free motion, no costs: the shortfall field is identically zero.
     "zero": {
@@ -287,7 +285,6 @@ _BUILTINS: dict[str, dict[str, Any]] = {
                     "controls": [-1.0, 0.0, 1.0]},
         "grid": {"state": [[-3.0, 3.0, 101]], "margin": [0.0, 1.0, 101],
                  "time_step": 0.01},
-        "scheme": {},
     },
     # Frozen dynamics, region pinned to the origin.  The only cost is the
     # accrued distance |a|, so the margin-0 field is exactly |a|(T - t) and
@@ -298,7 +295,6 @@ _BUILTINS: dict[str, dict[str, Any]] = {
                     "region": {"kind": "point", "center": [0.0]}},
         "grid": {"state": [[-2.0, 2.0, 81]], "margin": [-1.0, 3.0, 81],
                  "time_step": 0.05},
-        "scheme": {},
     },
     # Bounded-velocity steering toward [-1, 1] with quadratic terminal cost.
     # The least achievable m(x_T) from a is max(|a| - 1, 0)^2, the oracle
@@ -311,20 +307,15 @@ _BUILTINS: dict[str, dict[str, Any]] = {
                     "controls": np.linspace(-1.0, 1.0, 21).tolist()},
         "grid": {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
                  "time_step": None},
-        "scheme": {},
     },
     # Uncontrolled unit diffusion with one compensated jump atom: E[x_T^2]
-    # from the origin is sigma^2 T + w chi^2 T = 3.0 at T = 1.  A kinked
-    # terminal surface under strong diffusion gives the eigenvalue hedge no
-    # finite supremum, so the hedge is frozen; with no running cost the
-    # margin rows decouple, so the in-slice jump hedge adds nothing either.
+    # from the origin is sigma^2 T + w chi^2 T = 3.0 at T = 1.
     "jump-variance": {
         "problem": {"name": "jump-variance", "horizon": 1.0, "diffusion": 1.0,
                     "jumps": {"marks": [1.0], "weights": [2.0]},
                     "terminal_cost": "square", "controls": [0.0]},
         "grid": {"state": [[-6.0, 6.0, 121]], "margin": [0.0, 4.0, 81],
                  "time_step": None},
-        "scheme": {"hedge": "frozen", "beta_candidates": "zero"},
     },
 }
 
@@ -348,11 +339,3 @@ def builtin_problem(name: str) -> Problem:
 def builtin_grid(name: str) -> dict[str, Any]:
     """Default grid section (state/margin/time_step) for a built-in problem."""
     return copy.deepcopy(_builtin(name)["grid"])
-
-
-def builtin_scheme(name: str) -> dict[str, Any]:
-    """Scheme overrides for a built-in problem (empty when defaults apply).
-
-    The result is a valid config ``scheme`` section: its keys are config keys.
-    """
-    return copy.deepcopy(_builtin(name)["scheme"])

@@ -1,12 +1,12 @@
 """Backward-in-time explicit sweep for the shortfall field.
 
-The margin-coupled equation is solved per node by a residual-root update:
-for each control candidate the spatial stencil fixes everything in the
-arrowhead matrix except its corner (which carries the unknown time slope),
-the jump part fixes the eigenvalue the corner must produce, and
-:func:`epigraph.hamiltonian.corner_for_eigenvalue` inverts the closed-form
-top eigenvalue for the corner.  The admissible time slope is the best one
-across controls; stepping the previous slice by it is the explicit update.
+The sweep solves the unhedged auxiliary equation: both martingale hedges are
+held at zero.  Per node and per control candidate the spatial stencil gives
+the time slope: the negated distance, the negated advection, the running
+cost times the margin slope, minus the diffusion trace, plus the jump term
+(the compensated jump gain at the same margin).  The admissible time slope
+is the best one across controls; stepping the previous slice by it is the
+explicit update.
 
 Differencing conventions (they matter for monotonicity and for the exact
 linear-in-margin behaviour of the diagnostic slab below margin 0):
@@ -22,10 +22,10 @@ linear-in-margin behaviour of the diagnostic slab below margin 0):
 What a step needs that the slice does not change, the level tables, is
 built before the step: the negated distance, and per control the negated
 compensated drift with its upwind choice, the running cost, ``sigma
-sigma^T`` and the diffusion, each jump atom's interpolation stencil, and the
-node-wise Courant rates.  A problem whose coefficients do
-not depend on t (``Problem.autonomous``) builds them once per solve; any
-other problem builds them at every level, by the same code.  A per-control
+sigma^T``, each jump atom's interpolation stencil, and the node-wise
+Courant rates.  A problem whose coefficients do not depend on t
+(``Problem.autonomous``) builds them once per solve; any other problem
+builds them at every level, by the same code.  A per-control
 coefficient that holds the same bits at every state node (every problem
 stated as a document has constant coefficients) is stored as one value, not
 as an array over the nodes.  Each element of the slice is still multiplied
@@ -39,23 +39,18 @@ Structurally zero work is skipped, per control and per level, and the
 skipped forms give the same bits as the full ones wherever the stencils are
 finite:
 
-* a control whose diffusion is identically zero has a zero trace term and a
-  zero arrow.  Subtracting a +0 trace leaves every value, -0 included,
-  unchanged, and ``corner_for_eigenvalue(target, 0, diag)`` is ``target``
-  bit for bit on both branches.  So the curvature stencils, the arrow and
-  the inversion are skipped and ``corner = target``;
-* without jump atoms the jump supremum is a zero array and the target is
-  its negation, -0.  The slope is then ``explicit - (-0.0)``: like the full
-  form, it maps an explicit -0 to +0.  When, besides, no control inverts a
-  spectral corner, every control's target is that -0, so it is subtracted
-  once from the maximum over the controls rather than from each slope: the
-  maximum of the unsubtracted slopes differs from the other order at most in
-  the sign of a zero, and the subtraction maps both zeros to +0;
+* a control whose diffusion is identically zero has a zero trace term, and
+  subtracting a +0 trace leaves every value, -0 included, unchanged; so the
+  curvature stencils and the trace are skipped;
+* without jump atoms the jump term is a zero array, and adding it maps an
+  explicit -0 slope to +0.  So the zero is added once, to the maximum over
+  the controls, rather than to each slope: the maximum of the slopes
+  without it differs from the other order at most in the sign of a zero,
+  and the addition maps both zeros to +0;
 * the drift is stored negated, so the advection terms sum to the negated
   advection and the distance is added to them; where the distance is zero
   at every node its negation is -0.0 everywhere, and adding -0.0 is the
   identity, so that add is skipped;
-* in frozen-hedge mode the arrow is never used, so it is never built;
 * where a control's compensated drift along an axis is positive at every
   state node, or at none, the upwind difference is the forward (backward)
   one everywhere, and one multiply gives the products the masked copy
@@ -64,16 +59,14 @@ finite:
   ``running * margin_slope`` term, a signed zero, and the first advection
   term is written into the slope rather than added to a zeroed one.  Both
   can flip only the sign of a zero slope, and no such flip survives the
-  final subtraction of the target (-0 or nonzero, and ``x - (-0)`` is +0
-  for either zero) or of the spectral corner, which equals the target
-  unless the arrow is live;
-* where every control's target is -0 (no jump atoms, no spectral corner)
-  and the controls factor, the maximum runs axis by axis.  The controls
-  factor where every drift is one value with one upwind side at every
-  node, every control holds the same bits in the running cost, ``sigma
-  sigma^T`` and the diffusion, and the set of the controls' per-axis
-  ``(drift, upwind side)`` tuples, compared by bits, is the Cartesian
-  product of its per-axis value sets.  A control's slope then reads its
+  addition of the jump term, which is +0 or nonzero at every node, or of
+  the final +0 (``x + 0`` is +0 for either zero);
+* where there are no jump atoms and the controls factor, the maximum runs
+  axis by axis.  The controls factor where every drift is one value with
+  one upwind side at every node, every control holds the same bits in the
+  running cost and ``sigma sigma^T``, and the set of the controls'
+  per-axis ``(drift, upwind side)`` tuples, compared by bits, is the
+  Cartesian product of its per-axis value sets.  A control's slope then reads its
   negated drift ``c`` along an axis only through ``fl(c * D)`` for that
   axis's difference ``D``, and adds the terms every control shares in a fixed
   order; rounding keeps each of those operations monotone in each
@@ -87,22 +80,19 @@ finite:
   drift's term up to the sign of a zero, so the forward side keeps only
   its most negative ``c``.  The maximum is the value the loop over every
   control gives; only the sign of a zero can differ, and the final
-  subtraction of -0 maps both zeros to +0.  The argument needs finite
+  addition of +0 maps both zeros to +0.  The argument needs finite
   differences; a slice that is not finite gives a step that is not finite
   in either form, which stops the sweep.  A control set that does not
   factor runs the loop over every control, and the Courant rates run over
   every control either way.
 
-Two margin columns are stepped by state-only rules rather than the hedged
-equation.  The margin-0 column is the floor: at b = 0 neither hedge beats
-Jensen, so it is the unhedged value, and the running cost spends the margin
-one for one (margin slope -1).  The top column is the ceiling: the running
-cost never exhausts it (margin slope 0), and it starts from 0 at the
-horizon.  Neither column is hedged: its jump term is the zero-hedge gain and
-its arrow is 0, so its corner is its target.  Every other operation of the
-step is elementwise along the margin axis, so each of the two columns gets
-the bits a state-only sweep of its own would give, for a few column writes
-per step rather than a second sweep.
+Two margin columns are stepped by state-only rules.  The margin-0 column is
+the floor: the running cost spends the margin one for one (margin slope
+-1).  The top column is the ceiling: the running cost never exhausts it
+(margin slope 0), and it starts from 0 at the horizon.  Every operation of
+the step is elementwise along the margin axis, so each of the two columns
+gets the bits a state-only sweep of its own would give, for two column
+writes per step rather than a second sweep.
 
 The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
@@ -117,8 +107,7 @@ per-solve workspace, allocated on its first use.  The step writes into them
 with ``out=`` in the operation order of the allocating forms, so every bit,
 the sign of every zero included, is the same, and a step after the first
 allocates no slice-sized array: glibc then has no slice-sized block to hand
-back to the system and fault in again at the next level.  The spectral
-corner inversion and the grid jump hedge still allocate their temporaries.
+back to the system and fault in again at the next level.
 """
 
 from __future__ import annotations
@@ -132,37 +121,10 @@ import numpy as np
 from .errors import CFLViolation, NonFiniteUpdate
 from .fields import (Field, Grid, _apply_stencil, _interp_stencil, make_grid, terminal_slice,
                      time_axis)
-from .hamiltonian import corner_for_eigenvalue
 from .levelset import default_epsilon
 from .model import Problem, eval_coefficients_batch
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class SchemeOptions:
-    """Tunable scheme behaviour.
-
-    ``hedge`` selects the diffusion-hedge treatment: "spectral" inverts the
-    arrowhead eigenvalue (the hedged equation), "frozen" pins the hedge to
-    zero so the field solves the plain linear expectation equation.
-    ``jump_hedge`` selects the jump-hedge candidates: "grid" searches margin
-    grid differences, "zero" pins the jump hedge to zero.  Jumps have finite
-    activity (finitely many atoms), so the nonlocal term is always evaluated
-    exactly; no small-jump truncation is needed.
-    """
-
-    hedge: str = "spectral"
-    jump_hedge: str = "grid"
-
-    def __post_init__(self) -> None:
-        if self.hedge not in ("spectral", "frozen"):
-            raise ValueError(f"unknown hedge mode {self.hedge!r}")
-        if self.jump_hedge not in ("grid", "zero"):
-            raise ValueError(f"unknown jump hedge mode {self.jump_hedge!r}")
-
-
-DEFAULT_OPTIONS = SchemeOptions()
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +201,20 @@ class _ControlTable:
     its upwind choice: 0 where the forward difference is taken at every
     node, 1 where the backward one is, or the mask of the nodes that take
     the forward one.  ``running`` is None where the running cost is zero at
-    every node, ``sig2`` (``sigma sigma^T``) and ``diffusion`` are None
-    without diffusion, and ``jumps`` holds one interpolation stencil per
-    jump atom, at the shifted state nodes.
+    every node, ``sig2`` (``sigma sigma^T``) is None without diffusion, and
+    ``jumps`` holds one interpolation stencil per jump atom, at the shifted
+    state nodes.
 
     A coefficient that holds the same bits at every state node is one value:
-    a float for the drift and the running cost, an ``(n, n)`` array for
-    ``sig2`` and an ``(n, dim_noise)`` one for ``diffusion``.  One that
-    varies is shaped for the slice: ``(*state_shape, 1)``,
-    ``(*state_shape, 1, n, n)`` and ``(*state_shape, n, dim_noise)``.
-    Both forms broadcast against the slice through the same lines.
+    a float for the drift and the running cost, and an ``(n, n)`` array for
+    ``sig2``.  One that varies is shaped for the slice: ``(*state_shape, 1)``
+    and ``(*state_shape, 1, n, n)``.  Both forms broadcast against the slice
+    through the same lines.
     """
 
     advection: list[tuple[Array | float, Array | int]]
     running: Array | float | None
     sig2: Array | None
-    diffusion: Array | None
     jumps: list
 
 
@@ -277,7 +237,7 @@ def _bits(value: object) -> object:
 
 def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]] | None:
     """The ``axis_drifts`` of :class:`_LevelTables` with these controls."""
-    if len({(_bits(c.running), _bits(c.sig2), _bits(c.diffusion)) for c in controls}) > 1:
+    if len({(_bits(c.running), _bits(c.sig2)) for c in controls}) > 1:
         return None
     if any(np.ndim(f) or not isinstance(choice, int)
            for c in controls for f, choice in c.advection):
@@ -315,12 +275,12 @@ class _LevelTables:
 
     ``axis_drifts`` is None where the controls do not factor: a drift that
     varies over the nodes or takes both upwind sides, controls that differ
-    in the running cost, ``sigma sigma^T`` or the diffusion, or drift
-    tuples that are not the product of their per-axis values.  Otherwise it
-    holds per state axis the ``(neg_f, choice)`` drifts whose upwind term
-    can be the axis's largest: each upwind side's smallest and largest, and
-    with a zero drift only the most negative of the forward side (see the
-    module docstring).  The reduction reads it where every target is -0.
+    in the running cost or ``sigma sigma^T``, or drift tuples that are not
+    the product of their per-axis values.  Otherwise it holds per state axis
+    the ``(neg_f, choice)`` drifts whose upwind term can be the axis's
+    largest: each upwind side's smallest and largest, and with a zero drift
+    only the most negative of the forward side (see the module docstring).
+    The reduction reads it where there are no jump atoms.
 
     An autonomous problem's tables serve every level of a solve.  Every
     array is sized by the state nodes or by one node, not by the slice.
@@ -371,8 +331,6 @@ class _LevelTables:
                 advection=advection,
                 running=_node_uniform(running, (*sshape, 1)) if running.any() else None,
                 sig2=sig2,
-                diffusion=(None if sig2 is None else _node_uniform(
-                    diffusion, (*sshape, n, problem.dim_noise))),
                 jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
                        for k in range(jumps.n_atoms)],
             ))
@@ -508,30 +466,7 @@ def _trace_term(sig2: Array, hess: list[Array], cross_state: dict,
     return trace_term
 
 
-def _hedge_stencil(prev: Array, grid: Grid) -> tuple[Array, list, Array, Array]:
-    """The squared margin rescaling, the state-margin cross differences, the
-    arrowhead diagonal, and the noise floor of the margin curvature for one
-    slice."""
-    n = grid.dim_state
-    h = grid.state_spacings
-    hb = grid.margin_spacing
-    psi_sq = np.maximum(1.0, grid.margin_axis) ** 2
-    cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
-    c_diag = -0.5 * psi_sq * second_difference(prev, n, hb)
-    # An exactly-linear margin column next to a kinked neighbour column
-    # leaves the curvature gap at fp-noise scale while the cross term stays
-    # O(1); inverting across that gap divides by roundoff.  Below the noise
-    # floor of the curvature stencil the honest reading is "flat", i.e. the
-    # infeasible fallback.
-    gap_noise = (
-        32.0 * np.finfo(float).eps
-        * max(1.0, float(np.abs(prev).max()))
-        * psi_sq / (hb * hb)
-    )
-    return psi_sq, cross_margin, c_diag, gap_noise
-
-
-def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
+def _best_time_slope(prev: Array, tables: _LevelTables,
                      ws: _Workspace | None = None) -> Array:
     """The per-node admissible time slope, maximized over control
     candidates, with the coefficients of ``tables``.
@@ -541,49 +476,37 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
     the margin-0 and top columns, which take their state-only rules (see the
     module docstring).  Terms that are structurally zero for a control are
     skipped.  Every slice-sized array is a buffer of ``ws`` (None: a fresh
-    workspace), the returned slope too, except in the spectral inversion and
-    the grid jump hedge.
+    workspace), the returned slope too.
     """
     problem, grid = tables.problem, tables.grid
     ws = _Workspace(prev.shape) if ws is None else ws
     n = grid.dim_state
     h = grid.state_spacings
-    hb = grid.margin_spacing
-    b_axis = grid.margin_axis
     B = prev.shape[-1]
     K = problem.jumps.n_atoms
-    edges = tables.edges  # the floor and the ceiling column
-    spectral = options.hedge == "spectral"
-    # without jumps and without a corner to invert, every control's target
-    # is -0.0: it is subtracted once, from the maximum
-    late_target = not K and not (
-        spectral and any(c.sig2 is not None for c in tables.controls))
 
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
     fwd_bwd = [first_differences(prev, i, h[i], out=(ws(("fwd", i)), ws(("bwd", i))))
                for i in range(n)]
-    grid_hedge = K and options.jump_hedge == "grid"
-    # only the running cost and the grid jump hedge read the margin slope
-    if grid_hedge or any(c.running is not None for c in tables.controls):
-        _, margin_slope = first_differences(prev, n, hb, out=(ws(("fwd", n)), ws(("bwd", n))))
-        margin_slope[..., edges] = (-1.0, 0.0)
+    # only the running cost reads the margin slope
+    if any(c.running is not None for c in tables.controls):
+        _, margin_slope = first_differences(prev, n, grid.margin_spacing,
+                                            out=(ws(("fwd", n)), ws(("bwd", n))))
+        margin_slope[..., tables.edges] = (-1.0, 0.0)  # the floor and the ceiling
     curvature: tuple | None = None
-    hedge_stencil: tuple | None = None
     if K:
         rows = prev.reshape(-1, B)
-        shifted, jump_sup = ws("shifted"), ws("jump_sup")
+        shifted, jump_term = ws("shifted"), ws("jump_term")
         gather = ws("gather").reshape(rows.shape)
-    if grid_hedge:
-        beta_mat = b_axis[None, :] - b_axis[:, None]  # beta[current, target]
 
     best, scratch = ws("best"), ws("scratch")
     # where the controls factor, one pass takes along each axis the largest
     # upwind term over the axis's kept drifts, and the first control's
     # running cost and diffusion, which every control shares
-    factored = late_target and tables.axis_drifts is not None
+    factored = not K and tables.axis_drifts is not None
     for index, control in enumerate(tables.controls[:1] if factored else tables.controls):
-        # slope = -dist - advection + running * margin_slope - trace - corner;
+        # slope = -dist - advection + running * margin_slope - trace + jumps;
         # the drift is stored negated, so the first advection term written
         # into slope is already -advection.  The first control's slope is
         # written into best: np.maximum(-inf, x) is x, -0 and NaN included
@@ -618,49 +541,23 @@ def _best_time_slope(prev: Array, tables: _LevelTables, options: SchemeOptions,
             slope -= _trace_term(control.sig2, *curvature, ws)
 
         if K:
-            jump_sup.fill(0.0)
+            jump_term.fill(0.0)
             for k, stencil in enumerate(control.jumps):
                 _apply_stencil(rows, stencil, out=shifted.reshape(rows.shape), gather=gather)
-                if not grid_hedge:
-                    gain = np.negative(np.subtract(shifted, prev, out=shifted), out=shifted)
-                else:
-                    gain = (
-                        -(shifted[..., None, :] - prev[..., :, None])
-                        + beta_mat * margin_slope[..., :, None]
-                    ).max(axis=-1)
-                    gain[..., edges] = -(shifted[..., edges] - prev[..., edges])
+                gain = np.negative(np.subtract(shifted, prev, out=shifted), out=shifted)
                 gain *= problem.jumps.weights[k]
-                jump_sup += gain
-            target = np.negative(jump_sup, out=jump_sup)
-        else:
-            target = -0.0
-
-        if control.sig2 is not None and spectral:
-            if hedge_stencil is None:
-                hedge_stencil = _hedge_stencil(prev, grid)
-            psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
-            cross_sq = np.zeros(prev.shape)
-            for q in range(problem.dim_noise):
-                acc = np.zeros(prev.shape)
-                for i in range(n):
-                    acc += control.diffusion[..., i, q][..., None] * cross_margin[i]
-                cross_sq += acc * acc
-            arrow_sq = 0.25 * psi_sq * cross_sq
-            arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
-            arrow_eff[..., edges] = 0.0
-            slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
-        elif not late_target:
-            slope -= target
+                jump_term += gain
+            slope += jump_term
         if index:
             np.maximum(best, slope, out=best)
 
-    if late_target:
-        best -= -0.0
+    if not K:
+        best += 0.0
     return best
 
 
 def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
-               options: SchemeOptions, ws: _Workspace, out: Array) -> Array:
+               ws: _Workspace, out: Array) -> Array:
     """The step of :func:`step_backward`, written into ``out`` with the
     buffers of ``ws``; ``out`` must not overlap ``prev``.  It does not check
     that ``out`` is finite: :func:`_enforce_nonnegative` does."""
@@ -668,7 +565,7 @@ def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
     if not _admits(dt, bound):
         raise CFLViolation(
             f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
-    change = _best_time_slope(prev, tables, options, ws)
+    change = _best_time_slope(prev, tables, ws)
     change *= dt
     return np.subtract(prev, change, out=out)
 
@@ -679,7 +576,6 @@ def step_backward(
     dt: float,
     problem: Problem,
     grid: Grid,
-    options: SchemeOptions = DEFAULT_OPTIONS,
     *,
     tables: _LevelTables | None = None,
 ) -> Array:
@@ -694,8 +590,7 @@ def step_backward(
     coefficients at ``t``, the ones the step evaluates."""
     if tables is None:
         tables = _LevelTables(problem, grid, t)
-    out = _step_into(prev, t, dt, tables, options, _Workspace(prev.shape),
-                     np.empty(prev.shape))
+    out = _step_into(prev, t, dt, tables, _Workspace(prev.shape), np.empty(prev.shape))
     if not np.isfinite(out).all():
         raise _non_finite(t - dt)
     return out
@@ -714,8 +609,8 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     """Clip roundoff-negative entries of ``slice_vals`` to zero, in place;
     fail on anything worse.
 
-    Roundoff is judged relative to the slice's magnitude, on the scale the
-    hedge's ``gap_noise`` floor uses: ``1e-12 * max(1, max |slice|)``.  A
+    Roundoff is judged relative to the slice's magnitude:
+    ``1e-12 * max(1, max |slice|)``.  A
     slice with a NaN or an infinity fails too: numpy's ``min`` and ``max``
     propagate NaN, so the two values read for the scale show both.
     """
@@ -733,7 +628,6 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
 def solve_shortfall(
     problem: Problem,
     grid: Grid,
-    options: SchemeOptions = DEFAULT_OPTIONS,
     *,
     keep: Iterable[int] = (0,),
     on_level: Callable[[int, Array], object] | None = None,
@@ -782,7 +676,7 @@ def solve_shortfall(
         dt = t - float(grid.times[level])
         if tables is None or not problem.autonomous:
             tables = _LevelTables(problem, grid, t)
-        new = _step_into(prev, t, dt, tables, options, ws, out=buffers[level % 2])
+        new = _step_into(prev, t, dt, tables, ws, out=buffers[level % 2])
         _enforce_nonnegative(new, float(grid.times[level]))
         if level in keep:
             out.slices[level] = new.copy()

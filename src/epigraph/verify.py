@@ -26,7 +26,7 @@ from .errors import IncompatibleGrids, SchemaViolation
 from .fields import Field, Grid, write_json
 from .model import Problem
 from .simulate import _chunked, _estimate, constant_policy
-from .solver import DEFAULT_OPTIONS, SchemeOptions, _LevelTables, solve_shortfall, step_backward
+from .solver import _LevelTables, solve_shortfall, step_backward
 
 Array = np.ndarray
 
@@ -97,11 +97,10 @@ def slab_identity_residual(field: Field) -> DiagnosticReport:
     """Check W(t, a, b) = W0(t, a) - b on every node with b <= 0.
 
     W0 is the field's own margin-0 column, which the sweep steps by the
-    floor's rule inside the same step: margin slope -1 and no hedge (at the
-    terminal level it is the terminal cost).  The sub-zero margin columns
-    evolve under the scheme's general rule, with the backward margin
-    difference and the hedges, so agreement is still a two-route
-    comparison, not a tautology.  The worst offending node is reported for
+    floor's rule inside the same step: margin slope -1 (at the terminal
+    level it is the terminal cost).  The sub-zero margin columns evolve
+    under the scheme's general rule, with the backward margin difference,
+    so agreement is still a two-route comparison, not a tautology.  The worst offending node is reported for
     fault localization.
     """
     _require("slab", field.grid)
@@ -155,7 +154,6 @@ def strict_subsolution_residual(
     problem: Problem,
     field: Field,
     nu: float,
-    options: SchemeOptions = DEFAULT_OPTIONS,
     *,
     tol_h: float | None = None,
     max_levels: int | None = None,
@@ -194,7 +192,7 @@ def strict_subsolution_residual(
         if tables is None or not problem.autonomous:
             tables = _LevelTables(problem, grid, t_next)
         pert_prev = field.slice_at(k + 1) + _log_margin_probe(t_next, horizon, b, nu)
-        stepped = step_backward(pert_prev, t_next, dt, problem, grid, options, tables=tables)
+        stepped = step_backward(pert_prev, t_next, dt, problem, grid, tables=tables)
         pert_target = field.slice_at(k) + _log_margin_probe(
             float(grid.times[k]), horizon, b, nu
         )
@@ -365,11 +363,11 @@ _SUBSOLUTION_LEVELS = 25  # the level steps the battery's subsolution probe samp
 @dataclass(frozen=True)
 class _Check:
     """One row of the battery: the levels of the sweep the check reads, its
-    report on ``(problem, field, options, seed)``, and the message refusing a
+    report on ``(problem, field, seed)``, and the message refusing a
     grid it cannot run on (None where it runs)."""
 
     reads: Callable[[Grid], Iterable[int]]
-    call: Callable[[Problem, Field, SchemeOptions, int], DiagnosticReport]
+    call: Callable[[Problem, Field, int], DiagnosticReport]
     refusal: Callable[[Grid], str | None] = lambda grid: None
 
 
@@ -378,8 +376,7 @@ def _dpp_pair(grid: Grid) -> tuple[int, int]:
     return 0, max(1, (grid.n_levels - 1) // 2)
 
 
-def _dpp_report(problem: Problem, field: Field, options: SchemeOptions,
-                seed: int) -> DiagnosticReport:
+def _dpp_report(problem: Problem, field: Field, seed: int) -> DiagnosticReport:
     """:func:`dpp_consistency` between the :func:`_dpp_pair` levels at four
     interior (state, margin) nodes drawn with ``seed``, every fifth control."""
     grid = field.grid
@@ -408,8 +405,8 @@ _BATTERY: dict[str, _Check] = {
                    else "need a shortfall field whose margin axis goes below zero"),
     "subsolution": _Check(lambda grid: _subsolution_reads(
                               subsolution_steps(grid, _SUBSOLUTION_LEVELS)),
-                          lambda problem, field, options, seed: strict_subsolution_residual(
-                              problem, field, 0.1, options, max_levels=_SUBSOLUTION_LEVELS),
+                          lambda problem, field, seed: strict_subsolution_residual(
+                              problem, field, 0.1, max_levels=_SUBSOLUTION_LEVELS),
                           # the probe's log(1 + b) must be finite on the margin axis
                           lambda grid: None if grid.margin_axis[0] > -1.0
                           else "the log-margin probe needs the margin axis above -1"),
@@ -425,7 +422,7 @@ def _require(name: str, grid: Grid) -> None:
         raise IncompatibleGrids(refusal)
 
 
-def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: str,
+def run_battery(problem: Problem, grid: Grid, checks: str,
                 seed: int) -> list[DiagnosticReport]:
     """Run the checks ``checks`` names on one solve of ``problem`` on ``grid``.
 
@@ -452,5 +449,5 @@ def run_battery(problem: Problem, grid: Grid, options: SchemeOptions, checks: st
         for name in names:
             _require(name, grid)
     keep = set().union(*(_BATTERY[name].reads(grid) for name in names))
-    field = solve_shortfall(problem, grid, options, keep=keep)
-    return [_BATTERY[name].call(problem, field, options, seed) for name in names]
+    field = solve_shortfall(problem, grid, keep=keep)
+    return [_BATTERY[name].call(problem, field, seed) for name in names]

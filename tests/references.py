@@ -3,22 +3,19 @@
 The arrowhead form of the hedged supremum lives here: :class:`Stencil` and
 :class:`Coefficients` hold one node's derivatives and coefficients,
 :func:`assemble_arrowhead` builds the matrix and :func:`top_eigenvalue`
-solves it in closed form.  The sweep runs only the inverse,
-``epigraph.hamiltonian.corner_for_eigenvalue``.
-:func:`sign_equivalence_suite` audits the eigenvalue form's sign on random
-stencils, and :func:`taylor_remainder_residual` checks the second-order
-remainder identity the scheme's consistency rests on.
+solves it in closed form.  The sweep solves the unhedged equation and runs
+none of it.  :func:`sign_equivalence_suite` audits the eigenvalue form's
+sign on random stencils, and :func:`taylor_remainder_residual` checks the
+second-order remainder identity the scheme's consistency rests on.
 
 The per-node Hamiltonian (:func:`hamiltonian_at_node`) is the oracle the
 array sweep is checked against: ``test_solver.py::_sweep_residuals`` checks
-that the sweep's slope makes it vanish at random interior nodes, with and
-without diffusion and jumps.  The check covers the frozen hedge with jumps,
-not the spectral one: there the sweep inverts the arrowhead with the jump
-compensator inside the corner, while this module adds it after the top
-eigenvalue.  :func:`best_hedge_on_grid` is the brute-force hedge search the
-closed-form eigenvalue is checked against, and the two Monte Carlo reports
-check the simulator's moment growth and the zero mean of its hedged noise
-integrals.
+that the sweep's slope makes its unhedged form (``hedge="frozen"``,
+``jump_hedge="zero"``) vanish at random interior nodes, with and without
+diffusion and jumps.  :func:`best_hedge_on_grid` is the brute-force hedge
+search the closed-form eigenvalue is checked against, and the two Monte
+Carlo reports check the simulator's moment growth and the zero mean of its
+hedged noise integrals.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from epigraph.levelset import required_margin_profile
 from epigraph.model import Region, build_problem
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
-from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
+from epigraph.solver import solve_shortfall, stable_grid
 from epigraph.verify import slab_identity_residual, strict_subsolution_residual
 from references import (
     Arrowhead,
@@ -73,9 +73,9 @@ def diffusive_problem():
     )
 
 
-def every_level(problem, grid, options=SchemeOptions()):
+def every_level(problem, grid):
     """A solve that keeps every level."""
-    return solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+    return solve_shortfall(problem, grid, keep=range(grid.n_levels))
 
 
 def stacked(field):
@@ -282,8 +282,7 @@ def test_criterion_6_monte_carlo_matches_field_at_fixed_control():
         region=Region(kind="halfspace", normal=np.array([1.0]), offset=1.2),
     )
     grid = stable_grid(problem, [(-1.5, 1.5, 61)], (0.0, 2.5, 51))
-    options = SchemeOptions(hedge="frozen", jump_hedge="zero")
-    field = solve_shortfall(problem, grid, options)
+    field = solve_shortfall(problem, grid)
 
     # ten interior nodes, clear of the state hull and the pinned top row
     rng = np.random.default_rng(2024)

@@ -47,8 +47,8 @@ from epigraph.fields import (
     save_snapshot,
     time_axis,
 )
-from epigraph.problems import BUILTIN_NAMES, builtin_scheme
-from epigraph.solver import SchemeOptions, max_stable_dt, solve_shortfall
+from epigraph.problems import BUILTIN_NAMES
+from epigraph.solver import max_stable_dt, solve_shortfall
 from epigraph.verify import CHECK_NAMES, subsolution_steps
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -96,8 +96,6 @@ def test_minimal_document_fills_defaults():
         ' "grid": {"state": [[-1.0, 1.0, 11]], "margin": [0.0, 1.0, 11],'
         '          "time_step": 0.005}}'
     )
-    assert config.scheme.hedge == "spectral"
-    assert config.scheme == SchemeOptions()
     assert config.document["scheme"]["epsilon"] is None
     assert config.document["outputs"] == {"directory": "out", "formats": ["csv"],
                                           "checkpoint_every": 25}
@@ -320,19 +318,35 @@ def test_builtin_round_trips():
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_scheme_is_a_valid_scheme_section(name):
+    # the scheme a built-in's document records, written out, parses to the
+    # same document
     bare = parse_config(json.dumps({"problem": {"builtin": name}}))
     spelled = parse_config(json.dumps({"problem": {"builtin": name},
-                                       "scheme": builtin_scheme(name)}))
-    assert spelled.scheme == bare.scheme
+                                       "scheme": bare.document["scheme"]}))
+    assert spelled.document == bare.document
 
 
-def test_builtin_scheme_defaults_apply_and_user_wins():
-    jumpy = parse_config(config_text("jump-variance", "out"))
-    assert (jumpy.scheme.hedge, jumpy.scheme.jump_hedge) == ("frozen", "zero")
-    forced = parse_config(config_text("jump-variance", "out",
-                                      scheme={"hedge": "spectral"}))
-    assert forced.scheme.hedge == "spectral"
-    assert forced.scheme.jump_hedge == "zero"  # untouched default survives
+def test_a_document_without_scheme_records_the_frozen_and_zero_hedges():
+    # the sweep holds both hedges at zero, and the document says so
+    for document in ({"problem": {"horizon": 1.0}, "grid": _LINE_GRID},
+                     *({"problem": {"builtin": name}} for name in BUILTIN_NAMES)):
+        config = parse_config(json.dumps(document))
+        assert config.document["scheme"] == {"epsilon": None, "hedge": "frozen",
+                                             "beta_candidates": "zero"}, document
+
+
+@pytest.mark.parametrize("key, value", [("hedge", "spectral"), ("beta_candidates", "grid"),
+                                        ("hedge", "wavelet"), ("beta_candidates", "dense")])
+def test_a_hedge_other_than_zero_is_refused_at_parse(tmp_path, capsys, no_sweep, key, value):
+    # the hedged modes are not offered: a document that asks for one exits 1,
+    # naming the key, before any sweep
+    with pytest.raises(SchemaViolation, match=rf"^scheme\.{key} .*not offered"):
+        parse_config(config_text("zero", "out", scheme={key: value}))
+    path = write_config(tmp_path, scheme={key: value})
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"scheme.{key}" in err and repr(value) in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_resolve_grid_picks_a_stable_step():
@@ -381,7 +395,7 @@ def test_run_writes_the_boundary_pair_at_level_zero(tmp_path):
     config = parse_config(json.dumps(document))
     run(config)
     grid = resolve_grid(config)
-    level0 = solve_shortfall(config.problem, grid, config.scheme).slice_at(0)
+    level0 = solve_shortfall(config.problem, grid).slice_at(0)
     table = np.loadtxt(tmp_path / "ball" / "w_t0.csv", delimiter=",", skiprows=1)
     written = table[:, -1].reshape(level0.shape)
     for column in (grid.margin_zero_index, -1):
@@ -537,23 +551,18 @@ def test_resume_without_checkpoint_is_a_fresh_run(zero_run, tmp_path):
     assert run(config, resume=True)["artifacts"] == reference["artifacts"]
 
 
-@pytest.mark.parametrize("change", ["problem", "scheme", "beta_candidates", "epsilon"])
+@pytest.mark.parametrize("change", ["problem", "epsilon"])
 def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_path,
                                                                   capsys, monkeypatch, change):
     # the zero problem's slices, resumed on its grid under a square terminal
-    # cost, the frozen hedge or the zero jump hedge: the grid's axes alone
-    # would accept them.  The sweep never reads epsilon, so a resume under
-    # another one reuses the slices.
+    # cost: the grid's axes alone would accept them.  The sweep never reads
+    # epsilon, so a resume under another one reuses the slices.
     reference = zero_run[2]
     path = _completed_zero_run(zero_run, tmp_path)
     document = json.loads(path.read_text())
     if change == "problem":
         document["problem"] = {"horizon": 1.0, "drift": "control", "diffusion": 0.2,
                                "terminal_cost": "square", "controls": [-1.0, 0.0, 1.0]}
-    elif change == "scheme":
-        document["scheme"] = {"hedge": "frozen"}
-    elif change == "beta_candidates":
-        document["scheme"] = {"beta_candidates": "zero"}
     else:
         document["scheme"] = {"epsilon": 0.05}
     path.write_text(json.dumps(document))
@@ -585,7 +594,8 @@ def test_slice_inputs_digest_of_the_stock_configs_is_unchanged(tmp_path, monkeyp
     config = parse_config(config_text(name, str(tmp_path / "run")))
     reference = hashlib.sha256(json.dumps(
         {"problem": config.document["problem"], "grid": config.document["grid"],
-         "hedge": config.scheme.hedge, "beta_candidates": config.scheme.jump_hedge},
+         "hedge": config.document["scheme"]["hedge"],
+         "beta_candidates": config.document["scheme"]["beta_candidates"]},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     stamped = []
 
@@ -606,7 +616,7 @@ def test_resume_rejects_a_slice_from_another_grid(tmp_path):
         "zero", str(out),
         grid={"state": [[-1.0, 1.0, 9]], "margin": [0.0, 1.0, 5],
               "time_step": 0.02}))
-    small = solve_shortfall(other.problem, resolve_grid(other), other.scheme, keep=(3,))
+    small = solve_shortfall(other.problem, resolve_grid(other), keep=(3,))
     out.mkdir()
     # the top of the resume walk
     save_snapshot(small.grid, 3, small.slice_at(3), str(out / "slice_00075"), "")
@@ -699,7 +709,7 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "_step_into", first_step)
     with pytest.raises(KeyboardInterrupt) as stopped:
-        solve_shortfall(config.problem, grid, config.scheme)
+        solve_shortfall(config.problem, grid)
     monkeypatch.undo()
     swept = stopped.value.args[0]
     prefix = tmp_path / "steer" / f"slice_{last:05d}"
@@ -866,7 +876,7 @@ def test_solved_slice_export_reads_back_exactly(tmp_path):
     # deterministic-steering on its stock grid: its t = 0 slice holds
     # positive values across some 80 decimal exponents, and zeros
     config = parse_config(config_text("deterministic-steering", str(tmp_path / "out")))
-    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme)
+    field = solve_shortfall(config.problem, resolve_grid(config))
     level0 = field.slice_at(0)
     positive = level0[level0 > 0.0]
     assert np.unique(np.floor(np.log10(positive))).size >= 41
@@ -914,7 +924,7 @@ def test_profile_export_renders_unreachable_as_inf(tmp_path):
     # Frozen dynamics accrue |a| forever, so away from the origin no margin
     # on the axis brings the shortfall under the threshold.
     config = parse_config(config_text("frozen-penalty", str(tmp_path / "frozen")))
-    field = solve_shortfall(config.problem, resolve_grid(config), config.scheme)
+    field = solve_shortfall(config.problem, resolve_grid(config))
     path = tmp_path / "profile.csv"
     export_profile_csv(field, 0, str(path))
     lines = path.read_text().splitlines()
@@ -1031,7 +1041,7 @@ def test_the_battery_keeps_only_the_levels_its_checks_read(tmp_path, monkeypatch
     want = {"dpp": dpp, "subsolution,dpp": probe | dpp,
             "all": set(range(grid.n_levels))}[checks]
 
-    def swept(problem, grid, options, keep):
+    def swept(problem, grid, keep):
         raise _Swept(set(keep))
 
     monkeypatch.setattr("epigraph.verify.solve_shortfall", swept)
@@ -1169,18 +1179,26 @@ def test_every_public_name_resolves():
         assert getattr(epigraph, name) is not None, name
 
 
-def test_importing_the_command_line_loads_only_the_solve_path():
+def test_importing_the_command_line_loads_only_the_solve_path(tmp_path):
     # a fresh interpreter: the battery and the simulator load when a command
-    # or a public name asks for them
+    # or a public name asks for them, and a command-line solve asks for neither
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"problem": {"horizon": 0.1, "drift": "control", "controls": [-1.0, 1.0]},
+         "grid": {"state": [[-1.0, 1.0, 5]], "margin": [0.0, 1.0, 3]}}))
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, epigraph.cli; print(json.dumps(list(sys.modules)))"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert "epigraph.solver" in loaded
-    assert "epigraph.verify" not in loaded and "epigraph.simulate" not in loaded
+    for command in ("import epigraph.cli",
+                    "from epigraph.cli import main; "
+                    "assert main(['solve', '--config', 'run.json']) == 0"):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import json, sys; {command}; print(json.dumps(list(sys.modules)))"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert "epigraph.solver" in loaded, command
+        assert "epigraph.verify" not in loaded and "epigraph.simulate" not in loaded, command
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_main_extract_honors_epsilon_and_level(tmp_path, capsys):

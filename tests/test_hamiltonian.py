@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from epigraph.hamiltonian import corner_for_eigenvalue
 from epigraph.model import JumpModel, Region, build_problem
 from references import (
     Arrowhead,
@@ -181,43 +180,6 @@ def test_top_eigenvalue_strictly_increasing_in_corner():
         lo = top_eigenvalue(Arrowhead(corner, arrow, diag))
         hi = top_eigenvalue(Arrowhead(corner + 0.1, arrow, diag))
         assert hi > lo
-
-
-def test_corner_inversion_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        diag = float(rng.normal())
-        target = diag + float(rng.uniform(0.01, 5.0))
-        arrow = rng.normal(size=2)
-        corner = corner_for_eigenvalue(target, float(arrow @ arrow), diag)
-        head = Arrowhead(float(corner), arrow, diag)
-        assert top_eigenvalue(head) == pytest.approx(target, abs=1e-10)
-
-
-def test_corner_inversion_fallback_branch():
-    # no corner can push the top eigenvalue below the diagonal entry, so the
-    # inversion returns the unhedged corner = target
-    assert corner_for_eigenvalue(-1.0, 4.0, 0.0) == -1.0
-    # exact boundary with no arrow: target == diag is attainable
-    assert corner_for_eigenvalue(0.5, 0.0, 0.5) == 0.5
-    out = corner_for_eigenvalue(np.array([1.0, -1.0]), np.array([2.0, 2.0]), 0.0)
-    np.testing.assert_allclose(out, [1.0 - 2.0, -1.0])
-
-
-def test_corner_inversion_without_arrow_is_the_target_bit_for_bit():
-    # the sweep skips the inversion for controls without diffusion and uses
-    # corner = target directly; that is exact only if this identity holds on
-    # both branches, for either sign of zero, and for tiny and huge values
-    rng = np.random.default_rng(12)
-    target = np.concatenate([
-        rng.normal(size=500), rng.normal(size=100) * 1e-300,
-        rng.normal(size=100) * 1e300, [0.0, -0.0, 5e-324, -5e-324, 0.0, -0.0],
-    ])
-    diag = np.concatenate([rng.normal(size=target.size - 6),
-                           [-1.0, -1.0, 0.0, 1.0, 0.0, -0.0]])
-    for arrow_sq in (0.0, np.zeros(target.size)):
-        out = corner_for_eigenvalue(target, arrow_sq, diag)
-        assert out.tobytes() == target.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from epigraph import problems
+from epigraph.cli import parse_config
 from epigraph.problems import (
     BUILTIN_NAMES,
     builtin_grid,
     builtin_problem,
-    builtin_scheme,
     parse_problem,
 )
 from epigraph.model import build_problem, eval_coefficients_batch, eval_terminal
@@ -37,8 +37,6 @@ def test_unknown_name_lists_the_catalog():
         builtin_problem("steering")
     with pytest.raises(KeyError, match="jump-variance"):
         builtin_grid("jump")
-    with pytest.raises(KeyError):
-        builtin_scheme("nope")
 
 
 def test_grid_specs_are_fresh_copies():
@@ -48,10 +46,11 @@ def test_grid_specs_are_fresh_copies():
 
 
 def test_jump_variance_defaults_to_the_frozen_scheme():
-    assert builtin_scheme("jump-variance") == {"hedge": "frozen",
-                                               "beta_candidates": "zero"}
-    assert builtin_scheme("zero") == {}
-    assert builtin_scheme("deterministic-steering") == {}
+    # the built-in's document records the scheme it carried as an override
+    # before the sweep held both hedges at zero, so its manifest is unchanged
+    config = parse_config(json.dumps({"problem": {"builtin": "jump-variance"}}))
+    assert config.document["scheme"] == {"epsilon": None, "hedge": "frozen",
+                                         "beta_candidates": "zero"}
 
 
 def test_jump_variance_compensator_is_balanced():

@@ -22,7 +22,6 @@ from epigraph.fields import (
     terminal_slice,
     time_axis,
 )
-from epigraph.hamiltonian import corner_for_eigenvalue
 from epigraph.model import (
     JumpModel,
     Region,
@@ -32,11 +31,9 @@ from epigraph.model import (
 )
 from epigraph.problems import BUILTIN_NAMES, builtin_grid, builtin_problem
 from epigraph.solver import (
-    SchemeOptions,
     _best_time_slope,
     _LevelTables,
     _enforce_nonnegative,
-    _hedge_stencil,
     _state_curvature,
     _trace_term,
     cross_difference,
@@ -83,10 +80,10 @@ def minimal_problem(**overrides):
     return build_problem(fields)
 
 
-def every_level(problem, grid, options=SchemeOptions()):
+def every_level(problem, grid):
     """A solve that keeps every level, as a stacked (level, state..., margin)
     array."""
-    field = solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+    field = solve_shortfall(problem, grid, keep=range(grid.n_levels))
     return np.stack([field.slice_at(level) for level in range(grid.n_levels)])
 
 
@@ -332,34 +329,32 @@ def _documents():
 
 
 def _stable_slope_step_case(label):
-    """(label, problem, grid, options) of the ``_slope_step_cases`` case
-    ``label``, on a stable grid over the same axes, with the problem marked
-    autonomous."""
-    _, _, problem, grid, options = next(case for case in _slope_step_cases()
-                                        if case[0] == label)
+    """(label, problem, grid) of the ``_slope_step_cases`` case ``label``, on
+    a stable grid over the same axes, with the problem marked autonomous."""
+    _, _, problem, grid = next(case for case in _slope_step_cases() if case[0] == label)
     grid = stable_grid(problem, [(axis[0], axis[-1], axis.size) for axis in grid.state_axes],
                        (grid.margin_axis[0], grid.margin_axis[-1], grid.margin_axis.size))
-    return label, dataclasses.replace(problem, autonomous=True), grid, options
+    return label, dataclasses.replace(problem, autonomous=True), grid
 
 
 def _autonomy_cases():
-    """(label, problem, grid, options): the built-ins at their stock grids,
-    the README's inline problem, and a 2-D problem with jumps, diffusion,
+    """(label, problem, grid): the built-ins at their stock grids, the
+    README's inline problem, and a 2-D problem with jumps, diffusion,
     running cost and a region."""
     for label, document in _documents().items():
         config = parse_config(json.dumps(document))
-        yield label, config.problem, resolve_grid(config), config.scheme
+        yield label, config.problem, resolve_grid(config)
     yield _stable_slope_step_case(
-        "2-D nonzero running, mixed drift, jumps grid, diffusion 0.3 frozen")
+        "2-D nonzero running, mixed drift, with jumps, diffusion 0.3")
 
 
 def test_autonomous_tables_give_the_per_level_bits():
     # Reusing the tables of the first level changes no bit on problems whose
     # coefficients do not depend on t.
-    for label, problem, grid, options in _autonomy_cases():
+    for label, problem, grid in _autonomy_cases():
         assert problem.autonomous, label
-        once = every_level(problem, grid, options)
-        per_level = every_level(dataclasses.replace(problem, autonomous=False), grid, options)
+        once = every_level(problem, grid)
+        per_level = every_level(dataclasses.replace(problem, autonomous=False), grid)
         assert once.tobytes() == per_level.tobytes(), label
 
 
@@ -383,12 +378,11 @@ def test_constant_coefficient_documents_store_one_value_per_coefficient():
     stored = set()
     for label, document in documents.items():
         config = parse_config(json.dumps(document))
-        n, r = config.problem.dim_state, config.problem.dim_noise
-        want = {"advection": (), "running": (), "sig2": (n, n), "diffusion": (n, r)}
+        n = config.problem.dim_state
+        want = {"advection": (), "running": (), "sig2": (n, n)}
         for control in _LevelTables(config.problem, resolve_grid(config), 0.0).controls:
             entries = {"advection": [neg_f_i for neg_f_i, _ in control.advection],
-                       "running": [control.running], "sig2": [control.sig2],
-                       "diffusion": [control.diffusion]}
+                       "running": [control.running], "sig2": [control.sig2]}
             for kind, values in entries.items():
                 for value in values:
                     if value is not None:
@@ -415,14 +409,14 @@ def test_a_drift_that_differs_at_one_node_stays_an_array(odd):
 def test_one_value_tables_give_the_per_node_bits(monkeypatch):
     # the same solves with every coefficient stored per node
     cases = [*_autonomy_cases(), _stable_slope_step_case(
-        "2-D uniform running, one-sign drift, jumps zero, diffusion 0.3 spectral")]
-    one_value = [every_level(problem, grid, options) for _, problem, grid, options in cases]
+        "2-D uniform running, one-sign drift, with jumps, diffusion 0.3")]
+    one_value = [every_level(problem, grid) for _, problem, grid in cases]
     monkeypatch.setattr("epigraph.solver._node_uniform",
                         lambda values, shape: values.reshape(shape))
-    for (label, problem, grid, options), want in zip(cases, one_value):
+    for (label, problem, grid), want in zip(cases, one_value):
         control = _LevelTables(problem, grid, 0.0).controls[0]
         assert control.advection[0][0].shape == (*grid.state_shape, 1), label
-        assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
+        assert every_level(problem, grid).tobytes() == want.tobytes(), label
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +441,7 @@ def _envelope_documents():
 
 
 def _frozen_diffusion_2d():
-    """(label, problem, grid, options): the 5 x 5 steering grid with frozen
+    """(label, problem, grid): the 5 x 5 steering grid with frozen
     diffusion, running cost and a box region.  Its noise is uncorrelated
     across the axes, which no inline document states (see the README's
     limits), so the sweep stays in the nonnegative cone."""
@@ -461,7 +455,7 @@ def _frozen_diffusion_2d():
         terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
         region=Region(kind="box", lo=np.full(2, -1.5), hi=np.full(2, 1.5)), autonomous=True)
     grid = stable_grid(problem, [(-2.0, 2.0, 21)] * 2, (0.0, 2.0, 21))
-    return "2-D frozen diffusion", problem, grid, SchemeOptions(hedge="frozen", jump_hedge="zero")
+    return "2-D frozen diffusion", problem, grid
 
 
 def _tables_of(document):
@@ -521,29 +515,28 @@ def test_the_envelope_keeps_every_control(setup):
     tables = _LevelTables(problem, grid, 0.5)
     assert tables.axis_drifts is None
     prev = np.random.default_rng(11).random((*grid.state_shape, grid.margin_axis.size)) * 2.0
-    _assert_reference_bits(prev, tables, SchemeOptions(), "")
+    _assert_reference_bits(prev, tables, "")
 
 
 JUMP_ATOM = {"jumps": JumpModel(marks=np.array([0.25]), weights=np.array([0.5])),
              "jump_size": lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e}
 
 
-@pytest.mark.parametrize("overrides, options, reads_envelope", [
-    (JUMP_ATOM, SchemeOptions(hedge="frozen", jump_hedge="zero"), False),
-    ({"diffusion": constant_diffusion(0.3)}, SchemeOptions(hedge="spectral"), False),
-    ({"diffusion": constant_diffusion(0.3)}, SchemeOptions(hedge="frozen"), True),
-], ids=["a jump atom", "a spectral hedge with diffusion", "frozen diffusion"])
+@pytest.mark.parametrize("overrides, reads_envelope", [
+    (JUMP_ATOM, False),
+    ({"diffusion": constant_diffusion(0.3)}, True),
+], ids=["a jump atom", "frozen diffusion"])
 def test_the_reduction_reads_the_envelope_only_where_every_target_is_minus_zero(
-        overrides, options, reads_envelope):
+        overrides, reads_envelope):
     # cutting each axis to its first kept drift changes the slope only where
-    # the reduction runs over the kept drifts
+    # the reduction runs over the kept drifts: without jump atoms
     tables = _LevelTables(*_seven_controls(**overrides), 0.5)
     assert _kept(tables)[0] > 1
     rng = np.random.default_rng(5)
     prev = rng.random((11, 7)) * 2.0
-    want = _best_time_slope(prev, tables, options)
+    want = _best_time_slope(prev, tables)
     tables.axis_drifts = [drifts[:1] for drifts in tables.axis_drifts]
-    got = _best_time_slope(prev, tables, options)
+    got = _best_time_slope(prev, tables)
     assert _same_bits(got, want) != reads_envelope
 
 
@@ -552,19 +545,19 @@ def test_the_envelope_gives_the_every_control_bits(monkeypatch):
     cases, dropping = [], set()
     for label, document in _envelope_documents().items():
         config = parse_config(json.dumps(document))
-        cases.append((label, config.problem, resolve_grid(config), config.scheme))
+        cases.append((label, config.problem, resolve_grid(config)))
     cases.append(_frozen_diffusion_2d())
-    for label, problem, grid, _ in cases:
+    for label, problem, grid in cases:
         tables = _LevelTables(problem, grid, 0.0)
         if tables.axis_drifts is not None and \
                 math.prod(_kept(tables)) < len(tables.controls):
             dropping.add(label)
     assert dropping == {"deterministic-steering", "steering-2d", "frozen diffusion",
                         "2-D frozen diffusion"}
-    factored = [every_level(problem, grid, options) for _, problem, grid, options in cases]
+    factored = [every_level(problem, grid) for _, problem, grid in cases]
     monkeypatch.setattr("epigraph.solver._axis_drifts", lambda controls: None)
-    for (label, problem, grid, options), want in zip(cases, factored):
-        assert every_level(problem, grid, options).tobytes() == want.tobytes(), label
+    for (label, problem, grid), want in zip(cases, factored):
+        assert every_level(problem, grid).tobytes() == want.tobytes(), label
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -646,31 +639,20 @@ def test_step_rejects_nonfinite_input():
         step_backward(prev, 1.0, 0.02, problem, grid)
 
 
-def test_scheme_options_are_validated():
-    with pytest.raises(ValueError):
-        SchemeOptions(hedge="wavelet")
-    with pytest.raises(ValueError):
-        SchemeOptions(jump_hedge="dense")
-
-
 # ---------------------------------------------------------------------------
 # the boundary pair: the sweep's margin-0 (floor) and top (ceiling) columns
 # ---------------------------------------------------------------------------
 
-STATE_ONLY = SchemeOptions(hedge="frozen", jump_hedge="zero")
-
-
 def _state_only_pair(problem, grid):
     """The floor and the ceiling over every level, from a two-column sweep of
-    the reference slope: margin slope -1 and 0, both hedges pinned to zero,
-    started from (m(a), 0)."""
+    the reference slope: margin slope -1 and 0, started from (m(a), 0)."""
     pair = np.empty((grid.n_levels, *grid.state_shape, 2))
     pair[-1, ..., 0] = eval_terminal(problem, grid.state_mesh()).reshape(grid.state_shape)
     pair[-1, ..., 1] = 0.0
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
-        slope = _best_time_slope_reference(pair[level + 1], t, problem, grid, STATE_ONLY,
+        slope = _best_time_slope_reference(pair[level + 1], t, problem, grid,
                                            margin_slope=np.array([-1.0, 0.0]))
         pair[level] = _enforce_nonnegative(pair[level + 1] - dt * slope, t - dt)
     return pair
@@ -793,10 +775,9 @@ def _one_dim_boundary_setup():
 
 
 def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
-    # the edge columns pin both hedges to zero whatever the options say
+    # the edge columns are the state-only update, written out term by term
     problem, grid = _two_dim_boundary_setup()
-    field = solve_shortfall(problem, grid, SchemeOptions(hedge="spectral", jump_hedge="grid"),
-                            keep=(0, 1))
+    field = solve_shortfall(problem, grid, keep=(0, 1))
     for column, kind in zip(_edges(grid), ("floor", "ceiling")):
         t = float(grid.times[1])
         expect = _state_only_step(field.slice_at(1)[..., column], t, t, problem, grid, kind)
@@ -809,13 +790,13 @@ def test_boundary_fields_in_two_dimensions_match_the_written_out_update():
 def test_boundary_pair_columns_match_one_column_sweeps(setup):
     # each edge column of the sweep gets the bits of its own one-column sweep
     problem, grid = setup()
-    values = every_level(problem, grid, STATE_ONLY)
+    values = every_level(problem, grid)
     for level in range(grid.n_levels - 2, -1, -1):
         t = float(grid.times[level + 1])
         dt = t - float(grid.times[level])
         for column, c in zip(_edges(grid), (-1.0, 0.0)):
             prev = values[level + 1, ..., column]
-            slope = _best_time_slope_reference(prev[..., None], t, problem, grid, STATE_ONLY,
+            slope = _best_time_slope_reference(prev[..., None], t, problem, grid,
                                                margin_slope=c)
             expect = _enforce_nonnegative(prev - dt * slope[..., 0], t - dt)
             assert _same_bits(values[level, ..., column], expect), (column, level)
@@ -828,38 +809,17 @@ def test_boundary_pair_columns_match_one_column_sweeps(setup):
     assert not np.any(values[-1][..., -1])
 
 
-# (hedge, jump hedge): whether the full solve of the one-dimensional slab
-# setup completes; with diffusion the spectral hedge is not monotone and
-# leaves the nonnegative cone
-_EDGE_CASES = {("frozen", "zero"): True, ("frozen", "grid"): True,
-               ("spectral", "zero"): False, ("spectral", "grid"): False}
-
-
-@pytest.mark.parametrize("hedge, jump_hedge", list(_EDGE_CASES))
-def test_edge_columns_follow_the_state_only_rules(hedge, jump_hedge):
+def test_edge_columns_follow_the_state_only_rules():
     # a slab grid (margin 0 is an interior column) with running cost,
-    # diffusion and one jump atom: whatever the hedges, the margin-0 and top
-    # columns are the two-column state-only sweep, bit for bit
+    # diffusion and one jump atom: the margin-0 and top columns are the
+    # two-column state-only sweep, bit for bit
     problem, grid = _one_dim_boundary_setup()
     assert 0 < grid.margin_zero_index < grid.margin_axis.size - 1
-    options = SchemeOptions(hedge=hedge, jump_hedge=jump_hedge)
     pair = _state_only_pair(problem, grid)
     assert np.abs(pair[0, ..., 1]).max() > 0.0
-    edges = _edges(grid)
-    if _EDGE_CASES[hedge, jump_hedge]:
-        values = every_level(problem, grid, options)
-        for level in range(grid.n_levels):
-            assert _same_bits(values[level][..., edges], pair[level]), level
-        return
-    with pytest.raises(NonFiniteUpdate):
-        solve_shortfall(problem, grid, options)
-    # single steps from the terminal slice and from an interior frozen slice
-    frozen = every_level(problem, grid, STATE_ONLY)
-    for level in (grid.n_levels - 2, grid.n_levels // 2):
-        t = float(grid.times[level + 1])
-        dt = t - float(grid.times[level])
-        raw = step_backward(frozen[level + 1], t, dt, problem, grid, options)
-        assert _same_bits(_enforce_nonnegative(raw[..., edges], t - dt), pair[level]), level
+    values = every_level(problem, grid)
+    for level in range(grid.n_levels):
+        assert _same_bits(values[level][..., _edges(grid)], pair[level]), level
 
 
 def test_roundoff_clip_is_relative_to_the_slice_scale():
@@ -969,10 +929,10 @@ def test_sweep_pins_the_edge_columns_to_the_boundary_pair():
     dt = t - float(grid.times[4])
     raw = step_backward(prev, t, dt, problem, grid)
     assert _same_bits(_enforce_nonnegative(raw.copy(), t - dt), values[4])
-    # the hedged update of the full slice would give the edges other values
-    hedged = prev - dt * _best_time_slope_reference(prev, t, problem, grid, SchemeOptions())
+    # the general update of the full slice would give the edges other values
+    general = prev - dt * _best_time_slope_reference(prev, t, problem, grid)
     for column in edges:
-        assert not np.array_equal(hedged[..., column], raw[..., column]), column
+        assert not np.array_equal(general[..., column], raw[..., column]), column
 
 
 def test_lipschitz_quotients_are_stable_under_refinement():
@@ -1012,8 +972,8 @@ NEIGHBOR_OFFSETS = [(-1, 0), (1, 0), (0, -1), (0, 1),
                     (1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)]
 
 
-def _worst_monotonicity_drop(problem, grid, prev, t, dt, options, rng, trials=30):
-    base = step_backward(prev, t, dt, problem, grid, options)
+def _worst_monotonicity_drop(problem, grid, prev, t, dt, rng, trials=30):
+    base = step_backward(prev, t, dt, problem, grid)
     worst = 0.0
     for _ in range(trials):
         i = int(rng.integers(2, prev.shape[0] - 2))
@@ -1021,7 +981,7 @@ def _worst_monotonicity_drop(problem, grid, prev, t, dt, options, rng, trials=30
         for di, dj in NEIGHBOR_OFFSETS:
             bumped = prev.copy()
             bumped[i + di, j + dj] += 1e-3
-            new = step_backward(bumped, t, dt, problem, grid, options)
+            new = step_backward(bumped, t, dt, problem, grid)
             worst = max(worst, float(base[i, j] - new[i, j]))
     return worst
 
@@ -1029,10 +989,9 @@ def _worst_monotonicity_drop(problem, grid, prev, t, dt, options, rng, trials=30
 def test_step_is_monotone_in_frozen_mode():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    options = SchemeOptions(hedge="frozen")
-    prev = solve_shortfall(problem, grid, options, keep=(10,)).slice_at(10)
+    prev = solve_shortfall(problem, grid, keep=(10,)).slice_at(10)
     drop = _worst_monotonicity_drop(problem, grid, prev, float(grid.times[11]),
-                                    0.02, options, np.random.default_rng(0))
+                                    0.02, np.random.default_rng(0))
     assert drop <= 1e-12
 
 
@@ -1041,8 +1000,7 @@ def test_step_is_monotone_without_diffusion():
     grid = make_grid([(-2.1, 2.1, 71)], (0.0, 0.6, 41), time_axis(1.0, 0.012))
     prev = solve_shortfall(problem, grid, keep=(40,)).slice_at(40)
     drop = _worst_monotonicity_drop(problem, grid, prev, float(grid.times[41]),
-                                    0.01, SchemeOptions(),
-                                    np.random.default_rng(1))
+                                    0.01, np.random.default_rng(1))
     assert drop <= 1e-12
 
 
@@ -1050,17 +1008,16 @@ def test_step_is_monotone_without_diffusion():
 # the sweep step against its earlier per-control sequence
 # ---------------------------------------------------------------------------
 
-def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=None):
+def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
     """``_best_time_slope`` as it was before the zero-running and one-sign
     drift skips: every control multiplies and adds its running cost, picks
-    each advection difference with a masked copy, and sums the advection
-    terms into a zeroed slope."""
+    each advection difference with a masked copy, sums the advection terms
+    into a zeroed slope, and subtracts its negated jump term."""
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
     mesh = grid.state_mesh()
     sshape = grid.state_shape
-    b_axis = grid.margin_axis
     B = prev.shape[-1]
     weights = problem.jumps.weights
     K = problem.jumps.n_atoms
@@ -1070,9 +1027,6 @@ def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=Non
     if margin_slope is None:
         _, margin_slope = first_differences(prev, n, hb)
     curvature = None
-    hedge_stencil = None
-    if K and options.jump_hedge == "grid":
-        beta_mat = b_axis[None, :] - b_axis[:, None]
 
     best = np.full_like(prev, -np.inf)
     slope = np.empty_like(prev)
@@ -1095,53 +1049,24 @@ def _best_time_slope_reference(prev, t, problem, grid, options, margin_slope=Non
         np.multiply(running.reshape(*sshape)[..., None], margin_slope, out=scratch)
         slope += scratch
 
-        diffusive = bool(diffusion.any())
-        if diffusive:
+        if diffusion.any():
             if curvature is None:
                 curvature = _state_curvature(prev, h, n)
             sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
             slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
 
-        if K:
-            jump_sup = np.zeros((*sshape, B))
-            for k in range(K):
-                shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
-                shifted = shifted.reshape(*sshape, B)
-                if options.jump_hedge == "zero":
-                    gain = -(shifted - prev)
-                else:
-                    gain = (
-                        -(shifted[..., None, :] - prev[..., :, None])
-                        + beta_mat * margin_slope[..., :, None]
-                    ).max(axis=-1)
-                jump_sup += weights[k] * gain
-            target = np.negative(jump_sup, out=jump_sup)
-        else:
-            target = -0.0
-
-        if diffusive and options.hedge == "spectral":
-            if hedge_stencil is None:
-                hedge_stencil = _hedge_stencil(prev, grid)
-            psi_sq, cross_margin, c_diag, gap_noise = hedge_stencil
-            sig_grid = diffusion.reshape(*sshape, n, problem.dim_noise)
-            cross_sq = np.zeros((*sshape, B))
-            for q in range(problem.dim_noise):
-                acc = np.zeros((*sshape, B))
-                for i in range(n):
-                    acc += sig_grid[..., i, q][..., None] * cross_margin[i]
-                cross_sq += acc * acc
-            arrow_sq = 0.25 * psi_sq * cross_sq
-            arrow_eff = np.where(target - c_diag > gap_noise, arrow_sq, 0.0)
-            slope -= corner_for_eigenvalue(target, arrow_eff, c_diag)
-        else:
-            slope -= target
+        jump_term = np.zeros((*sshape, B))
+        for k in range(K):
+            shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
+            jump_term += weights[k] * -(shifted.reshape(*sshape, B) - prev)
+        slope -= np.negative(jump_term, out=jump_term)
         np.maximum(best, slope, out=best)
 
     return best
 
 
 def _slope_step_cases():
-    """(label, prev, problem, grid, options) over 1-D and 2-D states, zero,
+    """(label, prev, problem, grid) over 1-D and 2-D states, zero,
     state-uniform and state-varying running cost, one-sign and mixed-sign
     drift, no jump or one atom, and no diffusion or constant diffusion; and
     per state dimension, 3-D too, a product control grid whose axes drop
@@ -1158,9 +1083,9 @@ def _slope_step_cases():
         prev[rng.random(prev.shape) < 0.3] = 0.0
         prev[rng.random(prev.shape) < 0.15] = -0.0
         # the 3-D grid takes the product control grid only
-        for running, drift, jumps, (sigma, hedge) in itertools.product(
-                ("zero", "uniform", "nonzero"), ("one-sign", "mixed"), ("none", "zero", "grid"),
-                ((0.0, "spectral"), (0.3, "frozen"), (0.3, "spectral"))) if n < 3 else ():
+        for running, drift, jumps, sigma in itertools.product(
+                ("zero", "uniform", "nonzero"), ("one-sign", "mixed"), ("without", "with"),
+                (0.0, 0.3)) if n < 3 else ():
             # u.u + 1/4 is the same at every node, and u.u + max(a_1, 0)^2 is
             # zero on half the nodes for the zero control
             problem = build_problem(
@@ -1175,16 +1100,14 @@ def _slope_step_cases():
                         u @ u + np.maximum(np.atleast_2d(a)[:, 0], 0.0) ** 2),
                 }[running],
                 terminal_cost=zero_terminal,
-                jumps=None if jumps == "none" else JumpModel(
+                jumps=None if jumps == "without" else JumpModel(
                     marks=np.array([0.25]), weights=np.array([0.5])),
-                jump_size=None if jumps == "none" else (
+                jump_size=None if jumps == "without" else (
                     lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e),
                 region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
             )
-            label = f"{n}-D {running} running, {drift} drift, jumps {jumps}, " \
-                    f"diffusion {sigma} {hedge}"
-            yield (label, prev, problem, grid,
-                   SchemeOptions(hedge=hedge, jump_hedge="grid" if jumps == "none" else jumps))
+            yield (f"{n}-D {running} running, {drift} drift, {jumps} jumps, diffusion {sigma}",
+                   prev, problem, grid)
         # product control grids whose axes drop drifts, with running costs
         # that do not depend on the control: seven controls of both signs in
         # 1-D (3 kept), a 3 x 3 product of one-sign drifts in 2-D (2 x 2
@@ -1195,8 +1118,7 @@ def _slope_step_cases():
                   2: [(0.2, 0.5, 0.8), (-0.6, -0.3, -0.1)],
                   3: [(-0.5, 0.0, 0.5, 0.8), (0.2, 0.5, 0.9), (-0.3, 0.0, 0.4)]}[n]
         controls = [list(u) for u in itertools.product(*values)]
-        for running, (sigma, hedge) in itertools.product(
-                ("zero", "constant"), ((0.0, "spectral"), (0.3, "frozen"))):
+        for running, sigma in itertools.product(("zero", "constant"), (0.0, 0.3)):
             problem = build_problem(
                 dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
                 drift=drift_is_control,
@@ -1205,41 +1127,40 @@ def _slope_step_cases():
                 terminal_cost=zero_terminal,
                 region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
             )
-            label = f"{n}-D {len(controls)} controls, {running} running, " \
-                    f"diffusion {sigma} {hedge}"
-            yield label, prev, problem, grid, SchemeOptions(hedge=hedge)
+            yield (f"{n}-D {len(controls)} controls, {running} running, diffusion {sigma}",
+                   prev, problem, grid)
 
 
-def _assert_reference_bits(prev, tables, options, label):
+def _assert_reference_bits(prev, tables, label):
     """``_best_time_slope`` with ``tables`` at t = 0.5 matches the
     per-control reference bit for bit: the margin-0 and top columns its
     one-column state-only calls, the other columns its full-slice call."""
     problem, grid = tables.problem, tables.grid
-    got = _best_time_slope(prev, tables, options)
-    want = _best_time_slope_reference(prev, 0.5, problem, grid, options)
+    got = _best_time_slope(prev, tables)
+    want = _best_time_slope_reference(prev, 0.5, problem, grid)
     edges = _edges(grid)
     inner = np.ones(prev.shape[-1], dtype=bool)
     inner[edges] = False
     assert _same_bits(got[..., inner], want[..., inner]), label
     for column, c in zip(edges, (-1.0, 0.0)):
         edge = _best_time_slope_reference(prev[..., column, None], 0.5, problem, grid,
-                                          STATE_ONLY, margin_slope=c)
+                                          margin_slope=c)
         assert _same_bits(got[..., column], edge[..., 0]), (label, column)
 
 
 def test_time_slope_matches_the_per_control_reference_bit_for_bit():
-    # The skips change only the signs of zero slopes, and subtracting the
-    # target maps both signs to the same bits; signbit must agree too.
+    # The skips change only the signs of zero slopes, and adding the jump
+    # term maps both signs to the same bits; signbit must agree too.
     count = dropped = 0
-    for label, prev, problem, grid, options in _slope_step_cases():
+    for label, prev, problem, grid in _slope_step_cases():
         tables = _LevelTables(problem, grid, 0.5)
-        _assert_reference_bits(prev, tables, options, label)
+        _assert_reference_bits(prev, tables, label)
         if tables.axis_drifts is not None:
             dropped += len(tables.controls) - math.prod(_kept(tables))
         # the coefficients are autonomous: the level's bound is the default step
         assert tables.bound() == max_stable_dt(problem, grid), label
         count += 1
-    assert count == 2 * 3 * 2 * 3 * 3 + 3 * 2 * 2
+    assert count == 2 * 3 * 2 * 2 * 2 + 3 * 2 * 2
     # only the control grids drop controls: 7 -> 3 in 1-D, 9 -> 2 x 2 in 2-D
     # and 4 x 3 x 3 -> 3 x 2 x 3 in 3-D
     assert dropped == 4 * 4 + 4 * 5 + 4 * 18
@@ -1250,22 +1171,21 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 
-def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
-    """|H| from :func:`hamiltonian_at_node` at random interior nodes, with
-    the sweep's own slope as the time slope and the sweep's stencils, scaled
-    by the field size; also the number of checked nodes with a nonzero arrow.
+def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
+    """|H| from :func:`hamiltonian_at_node`, with both hedges held at zero,
+    at random interior nodes, with the sweep's own slope as the time slope
+    and the sweep's stencils, scaled by the field size; also the number of
+    checked nodes with a nonzero arrow, where a hedge would change H.
 
-    Nodes where the spectral inversion may take the infeasible fallback (the
-    margin curvature too close to the target) are skipped.  The jump
-    compensator is read at the first control: the problems used here have
-    control-independent jump sizes.
+    The jump compensator is read at the first control: the problems used
+    here have control-independent jump sizes.
     """
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
     axes = grid.state_axes
     b_axis = grid.margin_axis
-    slope = _best_time_slope(prev, _LevelTables(problem, grid, t), options)
+    slope = _best_time_slope(prev, _LevelTables(problem, grid, t))
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
     hess = [[second_difference(prev, i, h[i]) if i == j
@@ -1291,14 +1211,8 @@ def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
         assert idx[-1] not in (jz, b_axis.size - 1)
         state = np.array([axes[i][idx[i]] for i in range(n)])
         margin = float(b_axis[idx[-1]])
-        diag = -0.5 * max(1.0, margin) ** 2 * hess_margin[idx]
         arrows = [eval_coefficients(problem, t, state, u).diffusion.T
                   @ np.array([c[idx] for c in cross_margin]) for u in problem.controls]
-        if options.hedge == "spectral":
-            noise_floor = 64.0 * np.finfo(float).eps * scale * max(1.0, margin) ** 2 / hb**2
-            flat = all(not np.any(a) for a in arrows)
-            if not (-diag > noise_floor or (flat and diag <= 0.0)):
-                continue
         live += any(np.any(np.abs(a) > 1e-8) for a in arrows)
         coeffs0 = eval_coefficients(problem, t, state, problem.controls[0])
         compensator = weights @ coeffs0.jump_sizes if problem.jumps.n_atoms else 0.0
@@ -1317,21 +1231,18 @@ def _sweep_residuals(problem, grid, prev, t, options, rng, nodes=60):
 
         H = hamiltonian_at_node(
             field_eval, t, state, margin, stencil_for, problem, b_axis - margin,
-            hedge=options.hedge, jump_hedge=options.jump_hedge,
+            hedge="frozen", jump_hedge="zero",
         )
         residuals.append(abs(H) / scale)
     return np.array(residuals), live
 
 
-@pytest.mark.parametrize("hedge", ["spectral", "frozen"])
-def test_sweep_zeroes_the_node_hamiltonian_with_diffusion(hedge):
+def test_sweep_zeroes_the_node_hamiltonian_with_diffusion():
     problem = diffusive_problem()
     grid = diffusive_grid()
-    options = SchemeOptions(hedge=hedge)
-    field = solve_shortfall(problem, grid, options, keep=(10,))
+    field = solve_shortfall(problem, grid, keep=(10,))
     residuals, _ = _sweep_residuals(problem, grid, field.slice_at(10),
-                                    float(grid.times[11]), options,
-                                    np.random.default_rng(2))
+                                    float(grid.times[11]), np.random.default_rng(2))
     assert residuals.size >= 20
     assert residuals.max() <= 1e-12
 
@@ -1340,43 +1251,38 @@ def test_sweep_zeroes_the_node_hamiltonian_with_diffusion(hedge):
                          ids=["every-control", "all-but-one-control"])
 def test_sweep_zeroes_the_node_hamiltonian_through_the_arrowhead(diffusion):
     # A state-dependent terminal cost gives the field a state-margin cross
-    # curvature, so the spectral inversion is live.  The slice comes from a
-    # frozen solve: with diffusion the spectral sweep is not monotone and
-    # leaves the nonnegative cone on this problem.  The second case mixes a
-    # control whose inversion is skipped with controls whose inversion runs.
+    # curvature, so the arrow of each node's arrowhead is live; the unhedged
+    # Hamiltonian reads the arrowhead's corner alone.  The second case mixes
+    # a control whose trace term is skipped with controls whose trace runs.
     problem = diffusive_problem(
         terminal_cost=lambda a: 0.5 + 0.25 * np.atleast_2d(a)[:, 0] ** 2,
         diffusion=diffusion,
     )
     grid = diffusive_grid()
-    field = solve_shortfall(problem, grid, SchemeOptions(hedge="frozen"), keep=(10,))
+    field = solve_shortfall(problem, grid, keep=(10,))
     residuals, live = _sweep_residuals(problem, grid, field.slice_at(10),
-                                       float(grid.times[11]), SchemeOptions(),
-                                       np.random.default_rng(5))
+                                       float(grid.times[11]), np.random.default_rng(5))
     assert live >= 20
     assert residuals.max() <= 1e-12
 
 
 def test_sweep_zeroes_the_node_hamiltonian_without_diffusion():
-    # 21 controls and an identically zero arrow: the sweep takes corner = target
+    # 21 controls and an identically zero arrow
     problem = builtin_problem("deterministic-steering")
     grid = make_grid([(-2.1, 2.1, 71)], (0.0, 0.6, 41), time_axis(1.0, 0.012))
     field = solve_shortfall(problem, grid, keep=(40,))
     residuals, _ = _sweep_residuals(problem, grid, field.slice_at(40),
-                                    float(grid.times[41]), SchemeOptions(),
-                                    np.random.default_rng(3))
+                                    float(grid.times[41]), np.random.default_rng(3))
     assert residuals.size >= 20
     assert residuals.max() <= 1e-12
 
 
-@pytest.mark.parametrize("jump_hedge", ["zero", "grid"])
-def test_sweep_zeroes_the_node_hamiltonian_with_jumps(jump_hedge):
-    # one step from the terminal slice under the built-in's frozen hedge
+def test_sweep_zeroes_the_node_hamiltonian_with_jumps():
+    # one step from the terminal slice
     problem = builtin_problem("jump-variance")
     grid = make_grid([(-2.0, 2.0, 41)], (0.0, 4.0, 21), time_axis(1.0, 0.004))
-    options = SchemeOptions(hedge="frozen", jump_hedge=jump_hedge)
     residuals, _ = _sweep_residuals(problem, grid, terminal_slice(problem, grid),
-                                    problem.horizon, options, np.random.default_rng(4))
+                                    problem.horizon, np.random.default_rng(4))
     assert residuals.size == 60
     assert residuals.max() <= 1e-12
 
@@ -1430,11 +1336,10 @@ def test_kept_levels_and_level_callbacks_have_the_every_level_bits():
     # a 1-D and a 2-D problem, each with jumps, diffusion and running cost
     for problem, grid in (_one_dim_boundary_setup(), _longer_two_dim_setup()):
         assert grid.n_levels > 10
-        options = SchemeOptions(hedge="frozen", jump_hedge="zero")
-        full = every_level(problem, grid, options)
+        full = every_level(problem, grid)
         keep = (0, 5, grid.n_levels - 1)
         seen = {}
-        field = solve_shortfall(problem, grid, options, keep=keep,
+        field = solve_shortfall(problem, grid, keep=keep,
                                 on_level=lambda level, values: seen.setdefault(
                                     level, values.copy()))
         assert field.levels == sorted(keep)
@@ -1450,7 +1355,6 @@ def test_sweep_memory_does_not_grow_with_the_level_count():
     # levels take no more memory, and the peak is a fixed number of slices
     # (about 16 here)
     problem = dataclasses.replace(builtin_problem("jump-variance"), horizon=0.05)
-    options = SchemeOptions(hedge="frozen", jump_hedge="zero")
     state, margin = [(-2.0, 2.0, 161)], (0.0, 4.0, 81)
     slice_bytes = 8 * 161 * 81
     dt = stable_grid(problem, state, margin).dt
@@ -1459,7 +1363,7 @@ def test_sweep_memory_does_not_grow_with_the_level_count():
         grid = make_grid(state, margin, time_axis(problem.horizon, dt / factor))
         tracemalloc.start()
         try:
-            solve_shortfall(problem, grid, options)
+            solve_shortfall(problem, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -10,7 +10,7 @@ from epigraph import solver
 from epigraph.errors import IncompatibleGrids
 from epigraph.fields import Field, make_grid, terminal_slice, time_axis
 from epigraph.problems import builtin_grid, builtin_problem, parse_problem
-from epigraph.solver import SchemeOptions, solve_shortfall, stable_grid
+from epigraph.solver import solve_shortfall, stable_grid
 from epigraph.verify import (
     DiagnosticReport,
     dpp_consistency,
@@ -22,9 +22,9 @@ from epigraph.verify import (
 from references import sign_equivalence_suite, taylor_remainder_residual, taylor_report
 
 
-def every_level(problem, grid, options=SchemeOptions()):
+def every_level(problem, grid):
     """A solve that keeps every level, as the slab and quotient checks read."""
-    return solve_shortfall(problem, grid, options, keep=range(grid.n_levels))
+    return solve_shortfall(problem, grid, keep=range(grid.n_levels))
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +188,7 @@ def test_slab_floor_read_from_the_field_matches_the_swept_floor(frozen_setup):
     fields = [frozen_setup[2]]
     problem = parse_problem(_SLAB_PROBLEM)[0]
     grid = stable_grid(problem, [(-2.0, 2.0, 41)], (-0.5, 1.5, 41))
-    options = SchemeOptions(hedge="frozen", jump_hedge="zero")
-    fields.append(every_level(problem, grid, options))
+    fields.append(every_level(problem, grid))
     for field in fields:
         report = slab_identity_residual(field)
         worst = report.details["worst"]
