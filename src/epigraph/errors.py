@@ -5,8 +5,8 @@ Every error raised on a user-facing contract violation is a subclass of
 class sets the command line's exit code:
 
 - :class:`ConfigurationError`, a run that cannot be built as described
-  (config text, problem fields, grid axes), exits 1, as ``OSError`` and
-  ``ValueError`` do;
+  (config text, problem fields, grid axes, noise the sweep cannot step),
+  exits 1, as ``OSError`` and ``ValueError`` do;
 - any other :class:`EpigraphError`, a numerical failure or a refusal of a
   well-formed run (CFL violations, non-finite updates, a slice written for
   other inputs), exits 2.
@@ -69,6 +69,11 @@ class NonFiniteState(EpigraphError):
 
 class DegenerateGrid(ConfigurationError):
     """Grid axes must have at least three nodes and positive spacing."""
+
+
+class CorrelatedNoise(ConfigurationError):
+    """The noise is correlated across state axes (``sigma sigma^T`` has a
+    nonzero off-diagonal entry), which the sweep has no monotone step for."""
 
 
 class CFLViolation(EpigraphError):

@@ -3,7 +3,8 @@
 A problem is stated as one JSON-shaped document of constant coefficients:
 ``dim_state``, ``dim_noise``, ``horizon`` (required), ``controls``, ``drift``
 (``"control"``, a number, or a per-component list), ``diffusion`` (a number
-filling every matrix entry — intended for scalar noise), ``running_cost`` (a
+filling every matrix entry, so with two or more state axes the noise is
+correlated, which the sweep refuses), ``running_cost`` (a
 number), ``terminal_cost`` (``"zero"``, ``"square"`` for |a|^2, or a number),
 ``region`` (a kind dict as accepted by :class:`~epigraph.model.Region`, whose
 ``lo``/``hi``/``center``/``normal`` hold ``dim_state`` numbers, with only

@@ -19,10 +19,16 @@ linear-in-margin behaviour of the diagnostic slab below margin 0):
 * second differences are central, and zero on hull faces (linear ghost
   extension), which keeps a truncated linear profile an exact fixed point.
 
+The noise must be uncorrelated across the state axes: ``sigma sigma^T`` is
+diagonal at every node, and the trace term reads its diagonal, the per-axis
+variances, alone.  The central mixed difference a correlated trace would
+read is not monotone, so the level tables refuse a nonzero off-diagonal
+entry with :class:`CorrelatedNoise` before any step.
+
 What a step needs that the slice does not change, the level tables, is
 built before the step: the negated distance, and per control the negated
-compensated drift with its upwind choice, the running cost, ``sigma
-sigma^T``, each jump atom's interpolation stencil, and the node-wise
+compensated drift with its upwind choice, the running cost, the per-axis
+variances, each jump atom's interpolation stencil, and the node-wise
 Courant rates.  A problem whose coefficients do not depend on t
 (``Problem.autonomous``) builds them once per solve; any other problem
 builds them at every level, by the same code.  A per-control
@@ -64,7 +70,7 @@ finite:
 * where there are no jump atoms and the controls factor, the maximum runs
   axis by axis.  The controls factor where every drift is one value with
   one upwind side at every node, every control holds the same bits in the
-  running cost and ``sigma sigma^T``, and the set of the controls'
+  running cost and the variances, and the set of the controls'
   per-axis ``(drift, upwind side)`` tuples, compared by bits, is the
   Cartesian product of its per-axis value sets.  A control's slope then reads its
   negated drift ``c`` along an axis only through ``fl(c * D)`` for that
@@ -118,7 +124,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CFLViolation, NonFiniteUpdate
+from .errors import CFLViolation, CorrelatedNoise, NonFiniteUpdate
 from .fields import (Field, Grid, _apply_stencil, _interp_stencil, make_grid, terminal_slice,
                      time_axis)
 from .levelset import default_epsilon
@@ -170,22 +176,6 @@ def second_difference(values: Array, axis: int, h: float, out: Array | None = No
     return sec
 
 
-def cross_difference(values: Array, ax1: int, ax2: int, h1: float, h2: float,
-                     out: Array | None = None) -> Array:
-    """Central mixed quotient, zero on the hull faces of either axis; ``out``
-    is as in :func:`second_difference`, with zeros on the faces of both."""
-    lead1, lead2 = (slice(None),) * ax1, (slice(None),) * ax2
-    # a part of ax1 keeps every axis, so ax2 indexes it in either axis order
-    hi, lo = values[lead1 + (_HI,)], values[lead1 + (_LO,)]
-    out = np.zeros(values.shape) if out is None else out
-    inner = out[lead1 + (_MID,)][lead2 + (_MID,)]
-    np.subtract(hi[lead2 + (_HI,)], hi[lead2 + (_LO,)], out=inner)
-    inner -= lo[lead2 + (_HI,)]
-    inner += lo[lead2 + (_LO,)]
-    inner /= 4.0 * h1 * h2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the level tables and the stability bound
 # ---------------------------------------------------------------------------
@@ -201,20 +191,20 @@ class _ControlTable:
     its upwind choice: 0 where the forward difference is taken at every
     node, 1 where the backward one is, or the mask of the nodes that take
     the forward one.  ``running`` is None where the running cost is zero at
-    every node, ``sig2`` (``sigma sigma^T``) is None without diffusion, and
-    ``jumps`` holds one interpolation stencil per jump atom, at the shifted
-    state nodes.
+    every node, ``variance`` (the diagonal of ``sigma sigma^T``, one entry
+    per state axis) is None without diffusion, and ``jumps`` holds one
+    interpolation stencil per jump atom, at the shifted state nodes.
 
     A coefficient that holds the same bits at every state node is one value:
-    a float for the drift and the running cost, and an ``(n, n)`` array for
-    ``sig2``.  One that varies is shaped for the slice: ``(*state_shape, 1)``
-    and ``(*state_shape, 1, n, n)``.  Both forms broadcast against the slice
-    through the same lines.
+    a float for the drift and the running cost, and an ``(n,)`` array for
+    ``variance``.  One that varies is shaped for the slice:
+    ``(*state_shape, 1)`` and ``(*state_shape, 1, n)``.  Both forms
+    broadcast against the slice through the same lines.
     """
 
     advection: list[tuple[Array | float, Array | int]]
     running: Array | float | None
-    sig2: Array | None
+    variance: Array | None
     jumps: list
 
 
@@ -237,7 +227,7 @@ def _bits(value: object) -> object:
 
 def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]] | None:
     """The ``axis_drifts`` of :class:`_LevelTables` with these controls."""
-    if len({(_bits(c.running), _bits(c.sig2)) for c in controls}) > 1:
+    if len({(_bits(c.running), _bits(c.variance)) for c in controls}) > 1:
         return None
     if any(np.ndim(f) or not isinstance(choice, int)
            for c in controls for f, choice in c.advection):
@@ -275,7 +265,7 @@ class _LevelTables:
 
     ``axis_drifts`` is None where the controls do not factor: a drift that
     varies over the nodes or takes both upwind sides, controls that differ
-    in the running cost or ``sigma sigma^T``, or drift tuples that are not
+    in the running cost or the variances, or drift tuples that are not
     the product of their per-axis values.  Otherwise it holds per state axis
     the ``(neg_f, choice)`` drifts whose upwind term can be the axis's
     largest: each upwind side's smallest and largest, and with a zero drift
@@ -284,6 +274,9 @@ class _LevelTables:
 
     An autonomous problem's tables serve every level of a solve.  Every
     array is sized by the state nodes or by one node, not by the slice.
+
+    Raises :class:`CorrelatedNoise` where a control's ``sigma sigma^T`` has
+    a nonzero off-diagonal entry at some node.
     """
 
     def __init__(self, problem: Problem, grid: Grid, t: float) -> None:
@@ -300,9 +293,9 @@ class _LevelTables:
 
         # node-wise maxima over the controls of the rates the bound adds up:
         # the absolute raw and compensated drift per state axis (the sweep
-        # advects with the compensated one), |sigma sigma^T| and the running cost
+        # advects with the compensated one), the variances and the running cost
         rate_drift = np.zeros((n_nodes, n))
-        rate_sig2 = np.zeros((n_nodes, n, n))
+        rate_variance = np.zeros((n_nodes, n))
         rate_running = np.zeros(n_nodes)
         self.controls = []
         for u in problem.controls:
@@ -313,11 +306,19 @@ class _LevelTables:
             if jumps.n_atoms:
                 f_eff = drift - np.einsum("k,kpi->pi", jumps.weights, jump_sizes)
                 np.maximum(rate_drift, np.abs(f_eff), out=rate_drift)
-            sig2 = None
+            variance = None
             if diffusion.any():
                 sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
-                np.maximum(rate_sig2, np.abs(sig2), out=rate_sig2)
-                sig2 = _node_uniform(sig2, (*sshape, 1, n, n))
+                if (sig2[:, ~np.eye(n, dtype=bool)] != 0.0).any():
+                    raise CorrelatedNoise(
+                        f"the noise is correlated across state axes at t={t:.6g}: sigma "
+                        f"sigma^T has a nonzero off-diagonal entry, and the central mixed "
+                        f"difference that would step it is not monotone; an inline "
+                        f"'diffusion' number fills every matrix entry, so with two or more "
+                        f"state axes it is correlated noise")
+                variance = np.diagonal(sig2, axis1=1, axis2=2)
+                np.maximum(rate_variance, variance, out=rate_variance)
+                variance = _node_uniform(variance, (*sshape, 1, n))
             np.maximum(rate_running, running, out=rate_running)
 
             neg_f = np.negative(f_eff)
@@ -330,12 +331,12 @@ class _LevelTables:
             self.controls.append(_ControlTable(
                 advection=advection,
                 running=_node_uniform(running, (*sshape, 1)) if running.any() else None,
-                sig2=sig2,
+                variance=variance,
                 jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
                        for k in range(jumps.n_atoms)],
             ))
         self.axis_drifts = _axis_drifts(self.controls)
-        self.rates = (rate_drift, rate_sig2, rate_running)
+        self.rates = (rate_drift, rate_variance, rate_running)
         self._bound = _courant_bound(problem, grid, *self.rates)
 
     def bound(self) -> float:
@@ -343,26 +344,23 @@ class _LevelTables:
         return self._bound
 
 
-def _courant_bound(problem: Problem, grid: Grid, drift: Array, sig2: Array,
+def _courant_bound(problem: Problem, grid: Grid, drift: Array, variance: Array,
                    running: Array) -> float:
     """The stable step for node-wise rates.
 
-    Inverse sum of the parabolic terms per state axis, the mixed
-    second-derivative slack, the advection terms, the margin advection,
-    and twice the total jump intensity (the nonlocal evaluation touches
-    the shifted node and the center once each).  Returns inf when every
-    term vanishes (nothing constrains the step).
+    Inverse sum of the parabolic terms per state axis (the variances), the
+    advection terms, the margin advection, and twice the total jump
+    intensity (the nonlocal evaluation touches the shifted node and the
+    center once each).  Returns inf when every term vanishes (nothing
+    constrains the step).
     """
-    sig2 = sig2.max(axis=0)
+    variance = variance.max(axis=0)
     drift = drift.max(axis=0)
     h = grid.state_spacings
     denom = 0.0
     for i in range(len(h)):
-        denom += sig2[i, i] / h[i] ** 2
+        denom += variance[i] / h[i] ** 2
         denom += drift[i] / h[i]
-        for j in range(len(h)):
-            if j != i:
-                denom += sig2[i, j] / (h[i] * h[j])
     denom += float(running.max()) / grid.margin_spacing
     denom += 2.0 * float(problem.jumps.total_mass)
     if denom == 0.0:
@@ -438,30 +436,23 @@ class _Workspace:
 
 
 def _state_curvature(prev: Array, h: tuple[float, ...], n: int,
-                     ws: _Workspace | None = None) -> tuple[list, dict]:
-    """Second and mixed differences of ``prev`` along its ``n`` state axes,
-    in buffers of ``ws`` (None: a fresh workspace)."""
+                     ws: _Workspace | None = None) -> list[Array]:
+    """Second differences of ``prev`` along its ``n`` state axes, in buffers
+    of ``ws`` (None: a fresh workspace)."""
     ws = _Workspace(prev.shape) if ws is None else ws
-    hess = [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
+    return [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
             for i in range(n)]
-    cross_state = {
-        (i, j): cross_difference(prev, i, j, h[i], h[j], out=ws(("cross", i, j), zeros=True))
-        for i in range(n) for j in range(i + 1, n)
-    }
-    return hess, cross_state
 
 
-def _trace_term(sig2: Array, hess: list[Array], cross_state: dict,
-                ws: _Workspace | None = None) -> Array:
-    """1/2 tr(sigma sigma^T D_a^2 W); ``sig2`` broadcasts against the
-    stencils on all but its trailing (n, n) axes."""
+def _trace_term(variance: Array, hess: list[Array], ws: _Workspace | None = None) -> Array:
+    """1/2 tr(sigma sigma^T D_a^2 W) for a diagonal ``sigma sigma^T``: half
+    the variance-weighted sum of the second differences ``hess``.
+    ``variance`` broadcasts against them on all but its trailing (n,) axis."""
     ws = _Workspace(hess[0].shape) if ws is None else ws
     trace_term, product = ws("trace"), ws("product")
     trace_term.fill(0.0)
     for i, hess_i in enumerate(hess):
-        trace_term += np.multiply(sig2[..., i, i], hess_i, out=product)
-    for (i, j), mixed in cross_state.items():
-        trace_term += np.multiply(2.0 * sig2[..., i, j], mixed, out=product)
+        trace_term += np.multiply(variance[..., i], hess_i, out=product)
     trace_term *= 0.5
     return trace_term
 
@@ -494,7 +485,7 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
         _, margin_slope = first_differences(prev, n, grid.margin_spacing,
                                             out=(ws(("fwd", n)), ws(("bwd", n))))
         margin_slope[..., tables.edges] = (-1.0, 0.0)  # the floor and the ceiling
-    curvature: tuple | None = None
+    curvature: list | None = None
     if K:
         rows = prev.reshape(-1, B)
         shifted, jump_term = ws("shifted"), ws("jump_term")
@@ -535,10 +526,10 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
             np.multiply(control.running, margin_slope, out=scratch)
             slope += scratch
 
-        if control.sig2 is not None:
+        if control.variance is not None:
             if curvature is None:
                 curvature = _state_curvature(prev, h, n, ws)
-            slope -= _trace_term(control.sig2, *curvature, ws)
+            slope -= _trace_term(control.variance, curvature, ws)
 
         if K:
             jump_term.fill(0.0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -1098,7 +1100,7 @@ _EXIT_CODES = {
     "MissingField": 1, "NonpositiveHorizon": 1, "EmptyControlGrid": 1, "NegativeWeight": 1,
     "NonFiniteCoefficient": 2, "NegativeDistance": 2,
     "StepTooLarge": 2, "NonFiniteState": 2,
-    "DegenerateGrid": 1, "CFLViolation": 2, "IncompatibleGrids": 2, "NonFiniteUpdate": 2,
+    "DegenerateGrid": 1, "CorrelatedNoise": 1, "CFLViolation": 2, "IncompatibleGrids": 2, "NonFiniteUpdate": 2,
     "UnsolvedField": 2,
     "ParseError": 1, "UnknownKey": 1, "SchemaViolation": 1,
 }
@@ -1131,6 +1133,23 @@ def test_main_numerical_failure_exits_two(tmp_path, capsys):
               "time_step": 0.5})
     assert main(["solve", "--config", str(path)]) == 2
     assert "stable bound" in capsys.readouterr().err
+
+
+def test_main_refuses_correlated_noise_before_any_slice(tmp_path, capsys):
+    # an inline diffusion number fills every matrix entry, so with two state
+    # axes it is correlated noise; the default step reads the level tables,
+    # which refuse it before the terminal slice is written
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "problem": {"dim_state": 2, "dim_noise": 2, "horizon": 1.0, "diffusion": 0.5,
+                    "terminal_cost": "square"},
+        "grid": {"state": [[-3.0, 3.0, 21]] * 2, "margin": [0.0, 4.0, 11], "time_step": None},
+        "outputs": {"directory": str(tmp_path / "run")}}))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "correlated across state axes at t=0" in err
+    assert "not monotone" in err and "'diffusion' number fills every matrix entry" in err
+    assert not list(tmp_path.glob("run/slice_*"))
 
 
 def test_main_usage_error_exits_one(capsys):
@@ -1171,6 +1190,31 @@ def test_readme_names_only_checks_of_the_battery():
     assert lists
     for listed in lists:
         assert set(listed.split(",")) <= set(CHECK_NAMES), listed
+
+
+def test_readme_signatures_match_the_code():
+    # every backticked call `name(a, b, *, c=...)` of a function of these
+    # modules lists its parameters in order; callbacks such as on_level and
+    # methods such as field.slice_at are not functions of a module
+    modules = [importlib.import_module(f"epigraph.{name}")
+               for name in ("solver", "fields", "levelset", "verify", "problems", "cli")]
+    checked = set()
+    for dotted, listed in re.findall(r"`((?:epigraph\.\w+\.)?\w+)\(([^`]*)\)`",
+                                     README.read_text()):
+        *path, name = dotted.split(".")
+        functions = [vars(m)[name] for m in modules
+                     if (not path or m.__name__ == ".".join(path))
+                     and inspect.isfunction(vars(m).get(name))
+                     and vars(m)[name].__module__ == m.__name__]
+        if not functions:
+            continue
+        # drop parenthesized defaults, then keep each parameter's name
+        names = [part.split("=")[0].strip()
+                 for part in re.sub(r"\([^()]*\)", "", listed).split(",")]
+        assert [n for n in names if n != "*"] == list(
+            inspect.signature(functions[0]).parameters), dotted
+        checked.add(name)
+    assert {"stable_grid", "solve_shortfall", "step_backward", "run_battery"} <= checked
 
 
 def test_every_public_name_resolves():

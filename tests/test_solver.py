@@ -13,7 +13,7 @@ import pytest
 
 from epigraph import solver
 from epigraph.cli import builtin_config, parse_config, resolve_grid
-from epigraph.errors import CFLViolation, NonFiniteUpdate, UnsolvedField
+from epigraph.errors import CFLViolation, CorrelatedNoise, NonFiniteUpdate, UnsolvedField
 from epigraph.fields import (
     interp_state,
     load_snapshot,
@@ -34,9 +34,6 @@ from epigraph.solver import (
     _best_time_slope,
     _LevelTables,
     _enforce_nonnegative,
-    _state_curvature,
-    _trace_term,
-    cross_difference,
     first_differences,
     max_stable_dt,
     second_difference,
@@ -52,9 +49,18 @@ def drift_is_control(t, a, u):
 
 
 def constant_diffusion(v):
+    """One noise column filled with ``v``: correlated across two or more axes."""
     def diffusion(t, a, u):
         a = np.atleast_2d(a)
         return np.full((*a.shape, 1), v)
+    return diffusion
+
+
+def diagonal_diffusion(v):
+    """``v`` times the identity: one independent noise per state axis."""
+    def diffusion(t, a, u):
+        a = np.atleast_2d(a)
+        return v * np.broadcast_to(np.eye(a.shape[1]), (*a.shape, a.shape[1]))
     return diffusion
 
 
@@ -196,11 +202,6 @@ def test_stencils_match_the_gather_reference_bit_for_bit():
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
             assert _same_bits(second_difference(values, axis, h),
                               _second_difference_reference(values, axis, h))
-            for other in range(values.ndim):
-                if other != axis:
-                    assert _same_bits(
-                        cross_difference(values, axis, other, h, hs[other]),
-                        _cross_difference_reference(values, axis, other, h, hs[other]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +360,81 @@ def test_autonomous_tables_give_the_per_level_bits():
 
 
 # ---------------------------------------------------------------------------
+# the level tables: noise correlated across state axes is refused
+# ---------------------------------------------------------------------------
+
+def _noise_problem(sigma):
+    """A 2-D problem with the constant noise matrix ``sigma`` and m = |a|^2."""
+    return build_problem(
+        dim_state=2, dim_noise=np.shape(sigma)[1], horizon=1.0, controls=[[0.0, 0.0]],
+        diffusion=lambda t, a, u: np.broadcast_to(sigma, (np.atleast_2d(a).shape[0],
+                                                          *np.shape(sigma))),
+        terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("cross", [0.1, -0.1], ids=["positive", "negative"])
+def test_correlated_noise_is_refused_before_the_first_step(cross):
+    problem = _noise_problem(np.array([[0.3, cross], [0.0, 0.2]]))
+    state, margin = [(-1.0, 1.0, 11)] * 2, (0.0, 1.0, 5)
+    # the default step reads the tables at t = 0
+    with pytest.raises(CorrelatedNoise, match=r"at t=0: .* not monotone"):
+        stable_grid(problem, state, margin)
+    # a pinned step builds no tables until the sweep's first level
+    grid = stable_grid(problem, state, margin, 0.01)
+    levels = []
+    with pytest.raises(CorrelatedNoise, match=r"at t=1: .* not monotone"):
+        solve_shortfall(problem, grid, on_level=lambda level, values: levels.append(level))
+    assert levels == []
+
+
+def test_noise_that_moves_one_axis_is_not_correlated():
+    # one noise column along the first axis: sigma sigma^T is diag(0.09, 0)
+    problem = _noise_problem(np.array([[0.3], [0.0]]))
+    grid = stable_grid(problem, [(-1.0, 1.0, 11)] * 2, (0.0, 1.0, 5))
+    [control] = _LevelTables(problem, grid, 0.0).controls
+    assert _same_bits(control.variance, np.array([0.3 * 0.3, 0.0]))
+    assert solve_shortfall(problem, grid).slice_at(0).min() >= 0.0
+
+
+def _gaussian_shortfall(r2, margins, s, h=0.1):
+    """E[(|a + s Z|^2 - b)+] for a 2-D standard normal Z, by a product
+    trapezoid over [-8, 8]^2 with spacing ``h``, at each |a|^2 in ``r2``
+    and each b in ``margins``.  The law of Z is rotation invariant, so the
+    expectation reads a through |a| alone and is taken at a = (|a|, 0)."""
+    z = np.arange(-8.0, 8.0 + h / 2, h)
+    weights = np.exp(-z ** 2 / 2)
+    weights = np.outer(weights, weights) / weights.sum() ** 2
+    out = np.empty((r2.size, margins.size))
+    for k, radius in enumerate(np.sqrt(r2)):
+        square = (radius + s * z[:, None]) ** 2 + (s * z[None, :]) ** 2
+        out[k] = [(np.maximum(square - b, 0.0) * weights).sum() for b in margins]
+    return out
+
+
+def test_two_dimensional_diffusion_matches_its_closed_form():
+    # sigma = 0.5 I, m = |a|^2, one zero control, T = 1: W(0, a, b) is
+    # E[(|X_T|^2 - b)+] with X_T ~ N(a, sigma^2 I), and the floor column is
+    # E|X_T|^2 = |a|^2 + 2 sigma^2.  The top margin column is the ceiling,
+    # pinned to 0 at the horizon, so it is left out.
+    s = 0.5
+    problem = _noise_problem(s * np.eye(2))
+    errors = []
+    for nodes, margin_nodes in ((21, 11), (41, 21)):
+        grid = stable_grid(problem, [(-3.0, 3.0, nodes)] * 2, (0.0, 4.0, margin_nodes))
+        values = solve_shortfall(problem, grid).slice_at(0)
+        a1, a2 = grid.state_axes
+        window = (np.abs(a1) <= 1.5)[:, None] & (np.abs(a2) <= 1.5)[None, :]
+        r2 = a1[:, None] ** 2 + a2[None, :] ** 2
+        floor = values[..., grid.margin_zero_index]
+        assert np.abs(floor - (r2 + 2.0 * s * s))[window].max() <= 1e-3, nodes
+        distinct, index = np.unique(r2[window], return_inverse=True)
+        exact = _gaussian_shortfall(distinct, grid.margin_axis[:-1], s)[index.ravel()]
+        errors.append(np.abs(values[window][:, :-1] - exact).max())
+    assert errors[0] <= 0.01
+    assert errors[1] <= errors[0] / 2.0
+
+
+# ---------------------------------------------------------------------------
 # the level tables: a coefficient with the same bits at every node is one value
 # ---------------------------------------------------------------------------
 
@@ -379,10 +455,10 @@ def test_constant_coefficient_documents_store_one_value_per_coefficient():
     for label, document in documents.items():
         config = parse_config(json.dumps(document))
         n = config.problem.dim_state
-        want = {"advection": (), "running": (), "sig2": (n, n)}
+        want = {"advection": (), "running": (), "variance": (n,)}
         for control in _LevelTables(config.problem, resolve_grid(config), 0.0).controls:
             entries = {"advection": [neg_f_i for neg_f_i, _ in control.advection],
-                       "running": [control.running], "sig2": [control.sig2]}
+                       "running": [control.running], "variance": [control.variance]}
             for kind, values in entries.items():
                 for value in values:
                     if value is not None:
@@ -443,15 +519,13 @@ def _envelope_documents():
 def _frozen_diffusion_2d():
     """(label, problem, grid): the 5 x 5 steering grid with frozen
     diffusion, running cost and a box region.  Its noise is uncorrelated
-    across the axes, which no inline document states (see the README's
-    limits), so the sweep stays in the nonnegative cone."""
-    def diffusion(t, a, u):
-        return np.broadcast_to(0.3 * np.eye(2), (np.atleast_2d(a).shape[0], 2, 2)).copy()
-
+    across the axes, which no inline document can state: the inline
+    ``diffusion`` number is correlated noise in two dimensions."""
     axis = np.linspace(-1.0, 1.0, 5)
     problem = build_problem(
         dim_state=2, dim_noise=2, horizon=0.5, controls=[[u, v] for u in axis for v in axis],
-        drift=drift_is_control, diffusion=diffusion, running_cost=constant_running(0.2),
+        drift=drift_is_control, diffusion=diagonal_diffusion(0.3),
+        running_cost=constant_running(0.2),
         terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
         region=Region(kind="box", lo=np.full(2, -1.5), hi=np.full(2, 1.5)), autonomous=True)
     grid = stable_grid(problem, [(-2.0, 2.0, 21)] * 2, (0.0, 2.0, 21))
@@ -723,7 +797,7 @@ def _state_only_step(prev, t, dt, problem, grid, kind):
             slope -= f_eff[..., i] * np.where(f_eff[..., i] > 0.0, fwd, bwd)
             slope -= 0.5 * sig2[..., i, i] * second_difference(prev, i, h[i])
             for j in range(i + 1, n):
-                slope -= sig2[..., i, j] * cross_difference(prev, i, j, h[i], h[j])
+                slope -= sig2[..., i, j] * _cross_difference_reference(prev, i, j, h[i], h[j])
         for k in range(problem.jumps.n_atoms):
             shifted = interp_state(prev, grid.state_axes, mesh + jump_sizes[k])
             slope -= weights[k] * (shifted.reshape(sshape) - prev)
@@ -732,12 +806,8 @@ def _state_only_step(prev, t, dt, problem, grid, kind):
 
 
 def _two_dim_boundary_setup():
-    """Running cost, a ball region, correlated diffusion and one jump atom.
-
-    The ball lies off the grid: where the field vanishes next to a positive
-    diagonal neighbour, the central cross difference alone drives it below
-    zero, which the nonnegativity guard rejects.
-    """
+    """Running cost, a ball region on the grid, diagonal diffusion and one
+    jump atom."""
     controls = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [-0.3, 0.4]])
     problem = build_problem(
         dim_state=2,
@@ -745,12 +815,12 @@ def _two_dim_boundary_setup():
         horizon=0.02,
         drift=drift_is_control,
         diffusion=lambda t, a, u: np.broadcast_to(
-            np.array([[0.3, 0.1], [0.0, 0.2]]), (np.atleast_2d(a).shape[0], 2, 2)),
+            np.diag([0.3, 0.2]), (np.atleast_2d(a).shape[0], 2, 2)),
         running_cost=lambda t, a, u: np.full(np.atleast_2d(a).shape[0], 0.1 + u @ u),
         terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
         jumps=JumpModel(marks=np.array([0.3]), weights=np.array([0.5])),
         jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e * np.array([1.0, -0.5]),
-        region=Region(kind="ball", center=np.array([2.5, -0.5]), radius=0.8),
+        region=Region(kind="ball", center=np.array([0.3, -0.2]), radius=0.8),
         controls=controls,
     )
     return problem, stable_grid(problem, [(-1.5, 1.5, 16), (-1.2, 1.2, 13)], (0.0, 1.0, 5))
@@ -1012,7 +1082,8 @@ def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
     """``_best_time_slope`` as it was before the zero-running and one-sign
     drift skips: every control multiplies and adds its running cost, picks
     each advection difference with a masked copy, sums the advection terms
-    into a zeroed slope, and subtracts its negated jump term."""
+    into a zeroed slope, subtracts the trace of its full ``sigma sigma^T``,
+    mixed differences included, and subtracts its negated jump term."""
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
@@ -1026,7 +1097,6 @@ def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     if margin_slope is None:
         _, margin_slope = first_differences(prev, n, hb)
-    curvature = None
 
     best = np.full_like(prev, -np.inf)
     slope = np.empty_like(prev)
@@ -1050,10 +1120,15 @@ def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
         slope += scratch
 
         if diffusion.any():
-            if curvature is None:
-                curvature = _state_curvature(prev, h, n)
-            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
-            slope -= _trace_term(sig2.reshape(*sshape, 1, n, n), *curvature)
+            sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion).reshape(*sshape, 1, n, n)
+            trace = np.zeros_like(prev)
+            for i in range(n):
+                trace += sig2[..., i, i] * second_difference(prev, i, h[i])
+            for i, j in itertools.combinations(range(n), 2):
+                trace += 2.0 * sig2[..., i, j] * _cross_difference_reference(
+                    prev, i, j, h[i], h[j])
+            trace *= 0.5
+            slope -= trace
 
         jump_term = np.zeros((*sshape, B))
         for k in range(K):
@@ -1068,7 +1143,7 @@ def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
 def _slope_step_cases():
     """(label, prev, problem, grid) over 1-D and 2-D states, zero,
     state-uniform and state-varying running cost, one-sign and mixed-sign
-    drift, no jump or one atom, and no diffusion or constant diffusion; and
+    drift, no jump or one atom, and no diffusion or diagonal diffusion; and
     per state dimension, 3-D too, a product control grid whose axes drop
     drifts.  Margin 0 is the first column of the 1-D grid and an interior
     one of the others."""
@@ -1089,10 +1164,10 @@ def _slope_step_cases():
             # u.u + 1/4 is the same at every node, and u.u + max(a_1, 0)^2 is
             # zero on half the nodes for the zero control
             problem = build_problem(
-                dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
+                dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
                 drift=(drift_is_control if drift == "one-sign"
                        else lambda t, a, u: u - np.atleast_2d(a)),
-                diffusion=constant_diffusion(sigma) if sigma else None,
+                diffusion=diagonal_diffusion(sigma) if sigma else None,
                 running_cost={
                     "zero": None,
                     "uniform": lambda t, a, u: np.full(np.atleast_2d(a).shape[0], u @ u + 0.25),
@@ -1120,9 +1195,9 @@ def _slope_step_cases():
         controls = [list(u) for u in itertools.product(*values)]
         for running, sigma in itertools.product(("zero", "constant"), (0.0, 0.3)):
             problem = build_problem(
-                dim_state=n, dim_noise=1, horizon=1.0, controls=controls,
+                dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
                 drift=drift_is_control,
-                diffusion=constant_diffusion(sigma) if sigma else None,
+                diffusion=diagonal_diffusion(sigma) if sigma else None,
                 running_cost=constant_running(0.25) if running == "constant" else None,
                 terminal_cost=zero_terminal,
                 region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
@@ -1189,9 +1264,10 @@ def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
     hess = [[second_difference(prev, i, h[i]) if i == j
-             else cross_difference(prev, min(i, j), max(i, j), h[min(i, j)], h[max(i, j)])
+             else _cross_difference_reference(prev, min(i, j), max(i, j), h[min(i, j)],
+                                              h[max(i, j)])
              for j in range(n)] for i in range(n)]
-    cross_margin = [cross_difference(prev, i, n, h[i], hb) for i in range(n)]
+    cross_margin = [_cross_difference_reference(prev, i, n, h[i], hb) for i in range(n)]
     hess_margin = second_difference(prev, n, hb)
     weights = problem.jumps.weights
     scale = max(1.0, float(np.abs(prev).max()))
