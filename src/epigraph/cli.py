@@ -321,9 +321,10 @@ def _sha256(path: pathlib.Path) -> str:
 def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) -> dict[str, Any]:
     """Execute the full pipeline and write every artifact plus a manifest.
 
-    Writes the terminal slice, sweeps the shortfall field from it,
-    snapshots the levels ``every, 2·every, …`` as the sweep passes them,
-    extracts the required-margin profile, and writes the CSV/plot exports.
+    Sweeps the shortfall field from the terminal slice, snapshots the
+    levels ``every, 2·every, …`` as the sweep passes them and the terminal
+    slice once it is done (so a refused sweep leaves no file), extracts the
+    required-margin profile, and writes the CSV/plot exports.
     Snapshots are ``.json`` plus ``.npy`` pairs stamped with the digest of
     the sweep's inputs; level 0 goes out only as ``w_t0.csv``.  It
     allocates no (level, state, margin) array: the sweep holds two (state,
@@ -357,11 +358,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     def prefix(level: int) -> str:
         return str(out / f"slice_{level:05d}")
 
-    # The terminal slice never reaches the level callback, and a resumed
-    # sweep cannot revisit it, so it is written up front from the terminal
-    # data alone (identical bytes on fresh and resumed runs).
     terminal = terminal_slice(problem, grid)
-    save_snapshot(grid, last, terminal, prefix(last), inputs)
     # the sweep writes slices top down and rewrites only those below its
     # restart, so it restarts under an unbroken chain of slices
     start = (last, terminal)
@@ -377,6 +374,9 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
             save_snapshot(grid, level, values, prefix(level), inputs)
 
     field = solve_shortfall(problem, grid, on_level=on_level, resume=start)
+    # the terminal slice never reaches on_level and the resume chain never
+    # reads it; written from the terminal data, it has the same bytes on every run
+    save_snapshot(grid, last, terminal, prefix(last), inputs)
 
     written: dict[str, str] = {}
 

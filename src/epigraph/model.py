@@ -122,6 +122,14 @@ class Region:
             raise MissingField("halfspace region needs normal")
         if self.kind == "callable" and self.func is None:
             raise MissingField("callable region needs func")
+        inverted = self.kind == "box" and np.greater(self.lo, self.hi)
+        if np.any(inverted):
+            i = int(np.argmax(inverted))
+            raise ValueError(f"lo[{i}] must be <= hi[{i}], got {self.lo[i]} > {self.hi[i]}")
+        if self.kind == "ball" and self.radius < 0.0:
+            raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if self.kind == "halfspace" and not np.any(self.normal):
+            raise ValueError("normal must be nonzero")
 
     def distance(self, a: Array) -> Array:
         """Distance from each state row to the region; accepts (n,) or (N, n)."""
@@ -138,10 +146,7 @@ class Region:
             out = np.maximum(gap - float(self.radius), 0.0)
         elif self.kind == "halfspace":
             normal = np.asarray(self.normal, dtype=float)
-            scale = np.linalg.norm(normal)
-            if scale == 0.0:
-                raise ValueError("halfspace normal must be nonzero")
-            out = np.maximum(pts @ normal - float(self.offset), 0.0) / scale
+            out = np.maximum(pts @ normal - float(self.offset), 0.0) / np.linalg.norm(normal)
         elif self.kind == "point":
             out = np.linalg.norm(pts - np.asarray(self.center, dtype=float), axis=1)
         else:  # callable

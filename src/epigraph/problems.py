@@ -164,11 +164,6 @@ def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | N
         if key in spec:
             kwargs[key] = require_number(spec[key], f"problem.region.{key}",
                                          minimum=0.0 if key == "radius" else None)
-    for i, (lo, hi) in enumerate(zip(kwargs.get("lo", ()), kwargs.get("hi", ()))):
-        if lo > hi:
-            fail(f"problem.region.lo[{i}]", f"must be <= problem.region.hi[{i}], got {lo} > {hi}")
-    if "normal" in kwargs and not kwargs["normal"].any():
-        fail("problem.region.normal", "must be nonzero")
     try:
         region = Region(**kwargs)
     except (ValueError, TypeError, EpigraphError) as exc:

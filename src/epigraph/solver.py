@@ -32,65 +32,56 @@ variances, each jump atom's interpolation stencil, and the node-wise
 Courant rates.  A problem whose coefficients do not depend on t
 (``Problem.autonomous``) builds them once per solve; any other problem
 builds them at every level, by the same code.  A per-control
-coefficient that holds the same bits at every state node (every problem
+coefficient that holds the same value at every state node (every problem
 stated as a document has constant coefficients) is stored as one value, not
 as an array over the nodes.  Each element of the slice is still multiplied
-by the same number, one IEEE product, so the bits are those of the array
+by the same number, one IEEE product, so the values are those of the array
 form; but numpy then runs the product as one contiguous loop over the slice
 rather than a broadcast loop whose inner run is the margin axis.  The
-comparison is of the bits, so a coefficient that is +0 at some nodes and -0
-at others stays an array.
+comparison is of values, so a coefficient that is +0 at some nodes and -0
+at others is one value too, which changes no value.
 
-Structurally zero work is skipped, per control and per level, and the
-skipped forms give the same bits as the full ones wherever the stencils are
-finite:
+The step promises the slope's values, not the signs of its zeros; the
+roundoff clip settles those (see :func:`_enforce_nonnegative`).  Structurally
+zero work is skipped, per control and per level, and the skipped forms give
+the same values as the full ones wherever the stencils are finite:
 
-* a control whose diffusion is identically zero has a zero trace term, and
-  subtracting a +0 trace leaves every value, -0 included, unchanged; so the
-  curvature stencils and the trace are skipped;
-* without jump atoms the jump term is a zero array, and adding it maps an
-  explicit -0 slope to +0.  So the zero is added once, to the maximum over
-  the controls, rather than to each slope: the maximum of the slopes
-  without it differs from the other order at most in the sign of a zero,
-  and the addition maps both zeros to +0;
+* a control whose diffusion is identically zero has a zero trace term, so
+  the curvature stencils and the trace are skipped;
+* without jump atoms the jump term is zero and is not added;
 * the drift is stored negated, so the advection terms sum to the negated
   advection and the distance is added to them; where the distance is zero
-  at every node its negation is -0.0 everywhere, and adding -0.0 is the
-  identity, so that add is skipped;
+  at every node that add is skipped;
 * where a control's compensated drift along an axis is positive at every
   state node, or at none, the upwind difference is the forward (backward)
   one everywhere, and one multiply gives the products the masked copy
   would;
 * a control whose running cost is zero at every node skips the
-  ``running * margin_slope`` term, a signed zero, and the first advection
-  term is written into the slope rather than added to a zeroed one.  Both
-  can flip only the sign of a zero slope, and no such flip survives the
-  addition of the jump term, which is +0 or nonzero at every node, or of
-  the final +0 (``x + 0`` is +0 for either zero);
+  ``running * margin_slope`` term, a zero, and the first advection term is
+  written into the slope rather than added to a zeroed one; neither
+  changes a value;
 * where there are no jump atoms and the controls factor, the maximum runs
   axis by axis.  The controls factor where every drift is one value with
   one upwind side at every node, every control holds the same bits in the
   running cost and the variances, and the set of the controls'
   per-axis ``(drift, upwind side)`` tuples, compared by bits, is the
-  Cartesian product of its per-axis value sets.  A control's slope then reads its
-  negated drift ``c`` along an axis only through ``fl(c * D)`` for that
-  axis's difference ``D``, and adds the terms every control shares in a fixed
-  order; rounding keeps each of those operations monotone in each
-  argument, so the maximum over the product is reached at the per-axis
-  maxima.  The step takes along each axis the largest ``fl(c * D)`` over
+  Cartesian product of its per-axis value sets.  A control's slope then
+  reads its negated drift ``c`` along an axis only through ``fl(c * D)``
+  for that axis's difference ``D``, and adds the terms every control
+  shares in a fixed order; rounding keeps each of those operations
+  monotone in each argument, so the maximum over the product is reached at
+  the per-axis maxima.  The step takes along each axis the largest ``fl(c * D)`` over
   the axis's kept drifts, sums those in axis order, then adds the distance
   and the running-cost term and subtracts the trace once.  ``fl(c * D)``
   is monotone in ``c``, so each upwind side keeps its smallest and largest
   ``c``; where a zero drift is present, a forward ``c``'s term lies
   between the most negative forward ``c``'s and ``0 * D``, the zero
-  drift's term up to the sign of a zero, so the forward side keeps only
-  its most negative ``c``.  The maximum is the value the loop over every
-  control gives; only the sign of a zero can differ, and the final
-  addition of +0 maps both zeros to +0.  The argument needs finite
-  differences; a slice that is not finite gives a step that is not finite
-  in either form, which stops the sweep.  A control set that does not
-  factor runs the loop over every control, and the Courant rates run over
-  every control either way.
+  drift's term, so the forward side keeps only its most negative ``c``.
+  The maximum is the value the loop over every control gives.  The
+  argument needs finite differences; a slice that is not finite gives a
+  step that is not finite in either form, which stops the sweep.  A
+  control set that does not factor runs the loop over every control, and
+  the Courant rates run over every control either way.
 
 Two margin columns are stepped by state-only rules.  The margin-0 column is
 the floor: the running cost spends the margin one for one (margin slope
@@ -110,10 +101,10 @@ slice-sized array a step needs (the forward and backward quotients, the
 margin slope, the running maximum and the slope, the curvature and trace
 buffers, the jump gather and the shifted slice) is a buffer of one
 per-solve workspace, allocated on its first use.  The step writes into them
-with ``out=`` in the operation order of the allocating forms, so every bit,
-the sign of every zero included, is the same, and a step after the first
-allocates no slice-sized array: glibc then has no slice-sized block to hand
-back to the system and fault in again at the next level.
+with ``out=`` in the operation order of the allocating forms, so every value
+is the same, and a step after the first allocates no slice-sized array:
+glibc then has no slice-sized block to hand back to the system and fault in
+again at the next level.
 """
 
 from __future__ import annotations
@@ -195,7 +186,7 @@ class _ControlTable:
     per state axis) is None without diffusion, and ``jumps`` holds one
     interpolation stencil per jump atom, at the shifted state nodes.
 
-    A coefficient that holds the same bits at every state node is one value:
+    A coefficient that holds the same value at every state node is one value:
     a float for the drift and the running cost, and an ``(n,)`` array for
     ``variance``.  One that varies is shaped for the slice:
     ``(*state_shape, 1)`` and ``(*state_shape, 1, n)``.  Both forms
@@ -210,10 +201,9 @@ class _ControlTable:
 
 def _node_uniform(values: Array, shape: tuple[int, ...]) -> Array:
     """``values``, one row per state node, as its first row where every row
-    holds the same bits (``+0.0`` and ``-0.0`` differ), else reshaped to
-    ``shape``."""
-    bits = values.view(np.uint64)
-    return values[0] if (bits == bits[:1]).all() else values.reshape(shape)
+    holds the same values, else reshaped to ``shape``.  ``+0.0`` and
+    ``-0.0`` are one value: a product with either changes no value."""
+    return values[0] if (values == values[:1]).all() else values.reshape(shape)
 
 
 def _bits(value: object) -> object:
@@ -249,7 +239,7 @@ def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]]
         backward = sorted(f for f, choice in axis.values() if choice == 1)
         if backward and backward[0] == 0.0:
             # a forward drift's term lies between the most negative one's
-            # and 0 * D, the zero drift's term up to the sign of a zero
+            # and 0 * D, the zero drift's term
             forward = forward[:1]
         kept.append([(f, side) for side, drifts in enumerate((forward, backward))
                      for f in drifts[:1] + drifts[1:][-1:]])
@@ -286,9 +276,7 @@ class _LevelTables:
         n_nodes, n = mesh.shape
         jumps = problem.jumps
         neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
-        # adding -0.0 is the identity; adding +0.0 is not (it maps -0 to +0)
-        skip = not neg_dist.any() and bool(np.signbit(neg_dist).all())
-        self.neg_dist = None if skip else neg_dist
+        self.neg_dist = neg_dist if neg_dist.any() else None
         self.edges = [grid.margin_zero_index, -1]
 
         # node-wise maxima over the controls of the rates the bound adds up:
@@ -466,8 +454,9 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
     margin slope is the backward margin difference of ``prev``, except on
     the margin-0 and top columns, which take their state-only rules (see the
     module docstring).  Terms that are structurally zero for a control are
-    skipped.  Every slice-sized array is a buffer of ``ws`` (None: a fresh
-    workspace), the returned slope too.
+    skipped, so the signs of zero slopes are not promised.  Every
+    slice-sized array is a buffer of ``ws`` (None: a fresh workspace), the
+    returned slope too.
     """
     problem, grid = tables.problem, tables.grid
     ws = _Workspace(prev.shape) if ws is None else ws
@@ -500,7 +489,7 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
         # slope = -dist - advection + running * margin_slope - trace + jumps;
         # the drift is stored negated, so the first advection term written
         # into slope is already -advection.  The first control's slope is
-        # written into best: np.maximum(-inf, x) is x, -0 and NaN included
+        # written into best: np.maximum(-inf, x) is x, NaN included
         slope = ws("slope") if index else best
         axes = tables.axis_drifts if factored else [[pair] for pair in control.advection]
         for i, drifts in enumerate(axes):
@@ -532,18 +521,17 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
             slope -= _trace_term(control.variance, curvature, ws)
 
         if K:
-            jump_term.fill(0.0)
+            # the first atom's gain is written into the jump term, and the
+            # later ones are added in atom order
             for k, stencil in enumerate(control.jumps):
                 _apply_stencil(rows, stencil, out=shifted.reshape(rows.shape), gather=gather)
-                gain = np.negative(np.subtract(shifted, prev, out=shifted), out=shifted)
+                gain = np.subtract(prev, shifted, out=shifted if k else jump_term)
                 gain *= problem.jumps.weights[k]
-                jump_term += gain
+                if k:
+                    jump_term += gain
             slope += jump_term
         if index:
             np.maximum(best, slope, out=best)
-
-    if not K:
-        best += 0.0
     return best
 
 
@@ -576,6 +564,9 @@ def step_backward(
 
     ``tables`` are the level tables of ``problem`` on ``grid`` at ``t``
     (those of any time for an autonomous problem); None builds them.
+    The step promises values, not the signs of zeros: only a caller-built
+    ``prev`` holding -0 can see a zero's sign change (see
+    :func:`_enforce_nonnegative`).
 
     Raises :class:`CFLViolation` when ``dt`` exceeds the stable bound of the
     coefficients at ``t``, the ones the step evaluates."""
@@ -604,6 +595,14 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     ``1e-12 * max(1, max |slice|)``.  A
     slice with a NaN or an infinity fails too: numpy's ``min`` and ``max``
     propagate NaN, so the two values read for the scale show both.
+
+    The clip is the one place that settles the sign of zero:
+    ``np.maximum(x, 0.0)`` returns +0 for either zero, so no slice the sweep
+    keeps, passes to ``on_level`` or steps from holds -0, whatever the signs
+    of the step's zero slopes.  A step from a slice without -0 makes none
+    either (``prev - dt * slope`` is -0 only where ``prev`` is), the
+    terminal slice is the same maximum, and a resumed slice was clipped
+    before it was saved.
     """
     lowest, highest = float(slice_vals.min()), float(slice_vals.max())
     if not (np.isfinite(lowest) and np.isfinite(highest)):

@@ -209,11 +209,10 @@ def test_drift_control_refuses_a_control_width_it_cannot_take(tmp_path, capsys, 
 @pytest.mark.parametrize("region, message", [
     ({"kind": "ball", "center": [0.0], "radius": "1"}, "problem.region.radius must be a number"),
     ({"kind": "ball", "center": [0.0], "radius": -1}, "problem.region.radius must be >= 0"),
-    ({"kind": "box", "lo": [1.0], "hi": [0.0]}, "problem.region.lo[0] must be <= "
-                                                "problem.region.hi[0]"),
+    ({"kind": "box", "lo": [1.0], "hi": [0.0]}, "problem.region: lo[0] must be <= hi[0]"),
     ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "problem.region.lo needs 1 components"),
     ({"kind": "point", "center": ["x"]}, "problem.region.center[0] must be a number"),
-    ({"kind": "halfspace", "normal": [0.0]}, "problem.region.normal must be nonzero"),
+    ({"kind": "halfspace", "normal": [0.0]}, "problem.region: normal must be nonzero"),
     ({"kind": "halfspace", "normal": [1.0], "offset": "0"},
      "problem.region.offset must be a number"),
     ({"kind": "ball", "center": [0.0], "radius": 1.0, "lo": [5.0]},
@@ -223,6 +222,54 @@ def test_drift_control_refuses_a_control_width_it_cannot_take(tmp_path, capsys, 
 def test_region_fields_are_checked_where_they_are_read(tmp_path, capsys, no_sweep,
                                                        region, message):
     document = {"problem": {"horizon": 1.0, "region": region}, "grid": _LINE_GRID}
+    assert message in _refused_before_the_sweep(tmp_path, capsys, document)
+
+
+def _malformed(problem=(), **sections):
+    """A line document with ``problem``'s entries in its problem section and
+    ``sections`` in place of its other sections."""
+    return {"problem": {"horizon": 1.0, **dict(problem)}, "grid": _LINE_GRID, **sections}
+
+
+@pytest.mark.parametrize("document, message", [
+    (_malformed(grid={"state": [[-1.0, 1.0]], "margin": [0.0, 1.0, 5]}),
+     "grid.state[0] must be a [low, high, count] triplet"),
+    (_malformed(grid={"state": [[-1.0, 1.0, 5.5]], "margin": [0.0, 1.0, 5]}),
+     "grid.state[0][2] must be an integer"),
+    (_malformed(grid={"margin": [0.0, 1.0, 5]}), "grid.state is required"),
+    (_malformed(grid={"state": [], "margin": [0.0, 1.0, 5]}),
+     "grid.state must be a non-empty list"),
+    (_malformed(grid=[[-1.0, 1.0, 5]]), "grid must be an object"),
+    (_malformed(scheme=["epsilon"]), "scheme must be an object"),
+    (_malformed(outputs="out"), "outputs must be an object"),
+    (_malformed(outputs={"formats": "csv"}), "outputs.formats must be a list"),
+    (_malformed(outputs={"formats": ["csv", "png"]}), "outputs.formats[1] must be one of"),
+    ({"problem": [1.0], "grid": _LINE_GRID}, "problem must be an object"),
+    ({"problem": None, "grid": _LINE_GRID}, "problem must be an object"),
+    ({"grid": _LINE_GRID}, "problem is required"),
+    (_malformed({"region": "box"}), "problem.region must be an object"),
+    (_malformed({"region": {"kind": "point", "center": 0.0}}),
+     "problem.region.center must be a list of 1 numbers"),
+    (_malformed({"jumps": [1.0]}), "problem.jumps must be an object"),
+    (_malformed({"jumps": {"marks": [1.0]}}), "problem.jumps.weights is required"),
+    (_malformed({"jumps": {"marks": [1.0, 2.0], "weights": [1.0]}}),
+     "problem.jumps: jump model has 2 marks but 1 weights"),
+    (_malformed({"controls": "all"}), "problem.controls must be a non-empty list"),
+    (_malformed({"controls": [[1.0], []]}), "problem.controls[1] must be a non-empty list"),
+    (_malformed({"drift": "fast"}), 'problem.drift must be "control", a number, or a list'),
+    (_malformed({"terminal_cost": "cube"}),
+     'problem.terminal_cost must be "zero", "square", or a number'),
+    (_malformed({"name": 3}), "problem.name must be a string"),
+    ({"problem": {"builtin": 3}, "grid": _LINE_GRID}, "problem.builtin must be a string"),
+], ids=["axis-not-a-triplet", "count-not-an-integer", "state-missing", "state-empty",
+        "grid-not-an-object", "scheme-not-an-object", "outputs-not-an-object",
+        "formats-not-a-list", "formats-unknown-entry", "problem-a-list", "problem-null",
+        "problem-missing", "region-not-an-object", "region-vector-not-a-list",
+        "jumps-not-an-object", "jumps-without-weights", "jumps-of-unequal-lengths",
+        "controls-not-a-list", "controls-row-empty", "drift-of-another-type",
+        "terminal-cost-of-another-type", "name-not-a-string", "builtin-not-a-string"])
+def test_a_malformed_document_exits_one_naming_its_path(tmp_path, capsys, no_sweep,
+                                                        document, message):
     assert message in _refused_before_the_sweep(tmp_path, capsys, document)
 
 
@@ -469,9 +516,10 @@ def _interrupted_zero_run(tmp_path, monkeypatch, level=59):
     with pytest.raises(KeyboardInterrupt):
         run(parse_config(path.read_text()))
     monkeypatch.undo()
-    # the slices are the only resume state
+    # the slices are the only resume state; the last, the terminal slice, is
+    # written once the sweep is done
     assert sorted(p.name for p in out.iterdir()) == [
-        f"slice_{done:05d}.{ext}" for done in (50, 75, 100) if done > level
+        f"slice_{done:05d}.{ext}" for done in (50, 75) if done > level
         for ext in ("json", "npy")]
     return path, out
 
@@ -701,10 +749,7 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
     config = parse_config(config_text("deterministic-steering", str(tmp_path / "steer")))
     grid = resolve_grid(config)
     last = grid.n_levels - 1
-    _stop_sweep_at(monkeypatch, last - 1, _interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        run(config)  # slice_<last> is written before the first level
-    monkeypatch.undo()
+    run(config)  # slice_<last> is written once the sweep is done
 
     def first_step(prev, *args, **kwargs):
         raise KeyboardInterrupt(prev.copy())
@@ -757,8 +802,7 @@ def test_a_slice_write_stopped_halfway_leaves_the_slice_whole_or_absent(
     monkeypatch.undo()
     # the .npy goes first and the .json commits the slice
     kept = {"slice_00050.npy"} if suffix == ".json" else set()
-    assert {p.name for p in out.iterdir()} == kept | {
-        "slice_00075.json", "slice_00075.npy", "slice_00100.json", "slice_00100.npy"}
+    assert {p.name for p in out.iterdir()} == kept | {"slice_00075.json", "slice_00075.npy"}
     for name in kept:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
             reference["artifacts"][name]
@@ -1135,21 +1179,25 @@ def test_main_numerical_failure_exits_two(tmp_path, capsys):
     assert "stable bound" in capsys.readouterr().err
 
 
-def test_main_refuses_correlated_noise_before_any_slice(tmp_path, capsys):
+@pytest.mark.parametrize("time_step, t", [(None, 0), (0.05, 1)],
+                         ids=["default step", "pinned step"])
+def test_main_refuses_correlated_noise_before_any_slice(tmp_path, capsys, time_step, t):
     # an inline diffusion number fills every matrix entry, so with two state
-    # axes it is correlated noise; the default step reads the level tables,
-    # which refuse it before the terminal slice is written
+    # axes it is correlated noise.  The default step reads the level tables
+    # at t = 0; a pinned step's sweep builds its first ones at t = 1, and the
+    # terminal slice is written only once the sweep is done
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "problem": {"dim_state": 2, "dim_noise": 2, "horizon": 1.0, "diffusion": 0.5,
                     "terminal_cost": "square"},
-        "grid": {"state": [[-3.0, 3.0, 21]] * 2, "margin": [0.0, 4.0, 11], "time_step": None},
+        "grid": {"state": [[-3.0, 3.0, 21]] * 2, "margin": [0.0, 4.0, 11],
+                 "time_step": time_step},
         "outputs": {"directory": str(tmp_path / "run")}}))
     assert main(["solve", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "correlated across state axes at t=0" in err
+    assert f"correlated across state axes at t={t}:" in err
     assert "not monotone" in err and "'diffusion' number fills every matrix entry" in err
-    assert not list(tmp_path.glob("run/slice_*"))
+    assert not [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
 
 
 def test_main_usage_error_exits_one(capsys):

@@ -185,6 +185,27 @@ def test_halfspace_distance_normalizes_the_normal():
     assert region.distance(np.array([3.0, 0.0])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("region, message", [
+    ({"kind": "box", "lo": [0.0, 1.0], "hi": [1.0, 0.5]}, r"lo\[1\] must be <= hi\[1\]"),
+    ({"kind": "halfspace", "normal": [0.0, 0.0], "offset": 1.0}, "normal must be nonzero"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": -0.5}, "radius must be >= 0"),
+], ids=["box-inverted", "normal-zero", "radius-negative"])
+def test_a_region_refuses_its_own_geometry(region, message):
+    # refused when built, not at the first distance call
+    with pytest.raises(ValueError, match=message):
+        build_problem(dim_state=2, dim_noise=1, horizon=1.0, controls=[0.0],
+                      terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]),
+                      region=region)
+
+
+def test_a_flat_box_and_a_point_ball_are_regions():
+    # lo == hi and radius 0 are the edge of what is refused
+    flat = Region(kind="box", lo=np.array([0.0, 1.0]), hi=np.array([1.0, 1.0]))
+    assert flat.distance(np.array([0.5, 3.0])) == pytest.approx(2.0)
+    dot = Region(kind="ball", center=np.array([1.0]), radius=0.0)
+    assert dot.distance(np.array([1.0])) == 0.0
+
+
 def test_builtin_distances_are_one_lipschitz():
     rng = np.random.default_rng(7)
     regions = [
