@@ -59,9 +59,9 @@ from .errors import (
     ParseError,
     SchemaViolation,
     fail,
-    reject_unknown,
     require_integer,
     require_number,
+    require_object,
 )
 from .fields import (
     Field,
@@ -121,12 +121,7 @@ def _axis_triplet(value: Any, path: str) -> list[Any]:
 
 
 def _grid_section(section: Any) -> dict[str, Any]:
-    if not isinstance(section, dict):
-        fail("grid", "must be an object")
-    reject_unknown(section, _GRID_KEYS, "grid")
-    for required in ("state", "margin"):
-        if required not in section:
-            fail(f"grid.{required}", "is required")
+    require_object(section, "grid", _GRID_KEYS, ("state", "margin"))
     state = section["state"]
     if not isinstance(state, (list, tuple)) or not state:
         fail("grid.state", "must be a non-empty list of [low, high, count] axes")
@@ -139,11 +134,7 @@ def _grid_section(section: Any) -> dict[str, Any]:
 
 
 def _scheme_section(section: Any) -> dict[str, Any]:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        fail("scheme", "must be an object")
-    reject_unknown(section, _SCHEME_KEYS, "scheme")
+    section = require_object({} if section is None else section, "scheme", _SCHEME_KEYS)
     for key, value in _HEDGES.items():
         if section.get(key, value) != value:
             fail(f"scheme.{key}", f"must be {value!r}, got {section[key]!r}: hedged solves "
@@ -155,11 +146,7 @@ def _scheme_section(section: Any) -> dict[str, Any]:
 
 
 def _outputs_section(section: Any, dim_state: int) -> dict[str, Any]:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        fail("outputs", "must be an object")
-    reject_unknown(section, _OUTPUT_KEYS, "outputs")
+    section = require_object({} if section is None else section, "outputs", _OUTPUT_KEYS)
     directory = section.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         fail("outputs.directory", "must be a non-empty string")
@@ -194,11 +181,7 @@ def parse_config(text: str) -> RunConfig:
             f"configuration is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})"
         ) from None
-    if not isinstance(document, dict):
-        raise SchemaViolation("the configuration must be a JSON object")
-    reject_unknown(document, _TOP_KEYS, "")
-    if "problem" not in document:
-        fail("problem", "is required")
+    require_object(document, "", _TOP_KEYS, ("problem",))
     problem, problem_spec = parse_problem(document["problem"])
     if "grid" in document:
         grid_spec = _grid_section(document["grid"])

@@ -12,7 +12,8 @@ class sets the command line's exit code:
   other inputs), exits 2.
 
 The path-annotated checks at the end raise the configuration errors; the
-config reader and the inline problem builder share them.
+config reader and the inline problem builder share them, and every object
+of a run document goes through :func:`require_object`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,19 @@ def reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], path: str
         matches = difflib.get_close_matches(str(key), allowed, n=1)
         hint = f" (did you mean {matches[0]!r}?)" if matches else ""
         raise UnknownKey(f"unknown key {dotted!r}{hint}")
+
+
+def require_object(value: Any, path: str, allowed: Sequence[str],
+                   required: Sequence[str] = ()) -> dict[str, Any]:
+    """The object at ``path`` (``""``: the whole document), refused if it is
+    not an object, holds a key outside ``allowed`` or lacks a ``required`` one."""
+    if not isinstance(value, dict):
+        fail(path or "the configuration", "must be an object")
+    reject_unknown(value, allowed, path)
+    for key in required:
+        if key not in value:
+            fail(f"{path}.{key}" if path else key, "is required")
+    return value
 
 
 def require_number(value: Any, path: str, *, minimum: float | None = None,

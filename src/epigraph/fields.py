@@ -49,17 +49,11 @@ Array = np.ndarray
 # grid
 # ---------------------------------------------------------------------------
 
-def _uniform_axis(lo: float, hi: float, count: int, label: str) -> Array:
-    if count < 3:
-        raise DegenerateGrid(f"{label} axis needs at least 3 nodes, got {count}")
-    if not hi > lo:
-        raise DegenerateGrid(f"{label} axis needs hi > lo, got [{lo}, {hi}]")
-    return np.linspace(float(lo), float(hi), int(count))
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Uniform product grid over state axes, a margin axis, and time levels."""
+    """Uniform product grid over state axes, a margin axis, and time levels;
+    it refuses an axis of fewer than 3 nodes, or not strictly increasing and
+    uniform, naming it (``state[0]``, ``margin``, ``time``)."""
 
     state_axes: tuple[Array, ...]
     margin_axis: Array
@@ -68,14 +62,17 @@ class Grid:
     def __post_init__(self) -> None:
         # own the margin axis: the zero snap below must not reach the caller
         object.__setattr__(self, "margin_axis", np.array(self.margin_axis, dtype=float))
-        for axis in (*self.state_axes, self.margin_axis, self.times):
-            steps = np.diff(axis)
+        named = {**{f"state[{i}]": axis for i, axis in enumerate(self.state_axes)},
+                 "margin": self.margin_axis, "time": self.times}
+        for name, axis in named.items():
             if axis.shape[0] < 3:
-                raise DegenerateGrid("every grid axis needs at least 3 nodes")
-            if steps.size == 0 or steps.min() <= 0:
-                raise DegenerateGrid("grid axes must be strictly increasing")
+                raise DegenerateGrid(f"the {name} axis needs at least 3 nodes, "
+                                     f"got {axis.shape[0]}")
+            steps = np.diff(axis)
+            if steps.min() <= 0:
+                raise DegenerateGrid(f"the {name} axis must be strictly increasing")
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-                raise DegenerateGrid("grid axes must be uniform")
+                raise DegenerateGrid(f"the {name} axis must be uniform")
         gaps = np.abs(self.margin_axis)
         zero = int(np.argmin(gaps))
         if gaps[zero] > 1e-9 * (self.margin_axis[-1] - self.margin_axis[0]):
@@ -136,13 +133,14 @@ def make_grid(
     margin_range: tuple[float, float, int],
     times: Array,
 ) -> Grid:
-    state_axes = tuple(
-        _uniform_axis(lo, hi, count, f"state[{i}]")
-        for i, (lo, hi, count) in enumerate(state_ranges)
-    )
-    margin_axis = _uniform_axis(*margin_range, "margin")
-    return Grid(state_axes=state_axes, margin_axis=margin_axis,
-                times=np.asarray(times, dtype=float))
+    """The grid of ``[low, high, count]`` state and margin axes and the
+    level ``times``; :class:`Grid` refuses a count below 3 or ``high <= low``."""
+    def axis(lo: float, hi: float, count: int) -> Array:
+        # a negative count gives an empty axis, which Grid refuses
+        return np.linspace(float(lo), float(hi), max(int(count), 0))
+
+    return Grid(state_axes=tuple(axis(*r) for r in state_ranges),
+                margin_axis=axis(*margin_range), times=np.asarray(times, dtype=float))
 
 
 # ---------------------------------------------------------------------------

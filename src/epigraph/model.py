@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class Region:
     - ``halfspace``:  ``normal . a <= offset``,
     - ``point``:      the single point ``center``,
     - ``callable``:   a user distance function (validated nonnegative).
+
+    :attr:`FIELDS` lists the fields each kind reads besides ``kind``; a
+    kind's field left at None is refused with :class:`MissingField`.
     """
 
     kind: str = "all"
@@ -109,19 +112,18 @@ class Region:
     offset: float = 0.0
     func: Callable[[Array], Any] | None = None
 
-    _KINDS = ("all", "box", "ball", "halfspace", "point", "callable")
+    FIELDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "all": (), "box": ("lo", "hi"), "ball": ("center", "radius"),
+        "halfspace": ("normal", "offset"), "point": ("center",), "callable": ("func",),
+    }
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}; expected one of {self._KINDS}")
-        if self.kind == "box" and (self.lo is None or self.hi is None):
-            raise MissingField("box region needs lo and hi")
-        if self.kind in ("ball", "point") and self.center is None:
-            raise MissingField(f"{self.kind} region needs center")
-        if self.kind == "halfspace" and self.normal is None:
-            raise MissingField("halfspace region needs normal")
-        if self.kind == "callable" and self.func is None:
-            raise MissingField("callable region needs func")
+        kinds = tuple(self.FIELDS)
+        if self.kind not in kinds:
+            raise ValueError(f"unknown region kind {self.kind!r}; expected one of {kinds}")
+        missing = [name for name in self.FIELDS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise MissingField(f"{self.kind} region needs {' and '.join(missing)}")
         inverted = self.kind == "box" and np.greater(self.lo, self.hi)
         if np.any(inverted):
             i = int(np.argmax(inverted))

@@ -27,9 +27,9 @@ from .errors import (
     EpigraphError,
     SchemaViolation,
     fail,
-    reject_unknown,
     require_integer,
     require_number,
+    require_object,
 )
 from .model import JumpModel, Problem, Region, build_problem
 
@@ -39,9 +39,8 @@ _PROBLEM_KEYS = (
     "dim_state", "dim_noise", "horizon", "controls", "drift", "diffusion",
     "running_cost", "terminal_cost", "region", "jumps", "name",
 )
-# the fields each region kind of a document reads, besides ``kind``
-_REGION_FIELDS = {"all": (), "box": ("lo", "hi"), "ball": ("center", "radius"),
-                  "halfspace": ("normal", "offset"), "point": ("center",)}
+# the fields each region kind of a document reads: a document carries no function
+_REGION_FIELDS = {kind: keys for kind, keys in Region.FIELDS.items() if kind != "callable"}
 _REGION_KEYS = ("kind", *dict.fromkeys(key for keys in _REGION_FIELDS.values() for key in keys))
 _JUMP_KEYS = ("marks", "weights")
 
@@ -147,9 +146,7 @@ def _terminal_value(spec: Any) -> tuple[Any, Callable[[Array], Array]]:
 def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | None]:
     if spec is None:
         return {"kind": "all"}, None
-    if not isinstance(spec, dict):
-        fail("problem.region", "must be an object with a 'kind' key")
-    reject_unknown(spec, _REGION_KEYS, "problem.region")
+    require_object(spec, "problem.region", _REGION_KEYS)
     kind = spec.get("kind", "all")
     fields = _REGION_FIELDS.get(kind) if isinstance(kind, str) else None
     for key in spec:
@@ -174,12 +171,7 @@ def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | N
 def _jumps_value(spec: Any) -> tuple[dict[str, Any] | None, JumpModel | None]:
     if spec is None:
         return None, None
-    if not isinstance(spec, dict):
-        fail("problem.jumps", "must be an object with 'marks' and 'weights'")
-    reject_unknown(spec, _JUMP_KEYS, "problem.jumps")
-    for key in _JUMP_KEYS:
-        if key not in spec:
-            fail(f"problem.jumps.{key}", "is required")
+    require_object(spec, "problem.jumps", _JUMP_KEYS, _JUMP_KEYS)
     try:
         jumps = JumpModel(**{key: np.asarray(spec[key], dtype=float) for key in _JUMP_KEYS})
     except (ValueError, TypeError, EpigraphError) as exc:
@@ -193,11 +185,7 @@ def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
     Returns the problem and the normalized document, with every default
     filled in.  Errors name the offending path (``problem.drift[1]``).
     """
-    if not isinstance(section, dict):
-        fail("problem", "must be an object")
-    reject_unknown(section, _PROBLEM_KEYS, "problem")
-    if "horizon" not in section:
-        fail("problem.horizon", "is required")
+    require_object(section, "problem", _PROBLEM_KEYS, ("horizon",))
     dim_state = require_integer(section.get("dim_state", 1), "problem.dim_state", minimum=1)
     dim_noise = require_integer(section.get("dim_noise", 1), "problem.dim_noise", minimum=1)
     horizon = require_number(section["horizon"], "problem.horizon", positive=True)
@@ -257,7 +245,7 @@ def parse_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
     """
     if not isinstance(section, dict) or "builtin" not in section:
         return _inline_problem(section)
-    reject_unknown(section, ("builtin",), "problem")
+    require_object(section, "problem", ("builtin",))
     name = section["builtin"]
     if not isinstance(name, str):
         fail("problem.builtin", "must be a string")

@@ -358,9 +358,10 @@ def _courant_bound(problem: Problem, grid: Grid, drift: Array, variance: Array,
 
 def max_stable_dt(problem: Problem, grid: Grid) -> float:
     """The stable bound over every control, at one time for an autonomous
-    problem, whose bound is then that of every level, and otherwise the
-    smallest at the ends and the midpoint of the horizon.  Each sweep step
-    checks the bound of its own level's coefficients."""
+    problem, whose bound is then that of every level.  Otherwise it is the
+    Courant bound of each rate's largest value over t = 0, T/2 and T, which
+    can be smaller than the bound at each of the three times.  Each sweep
+    step checks the bound of its own level's coefficients."""
     times = ((0.0,) if problem.autonomous
              else (0.0, 0.5 * problem.horizon, problem.horizon))
     rates = zip(*(_LevelTables(problem, grid, t).rates for t in times))
@@ -423,20 +424,17 @@ class _Workspace:
         return buffer
 
 
-def _state_curvature(prev: Array, h: tuple[float, ...], n: int,
-                     ws: _Workspace | None = None) -> list[Array]:
-    """Second differences of ``prev`` along its ``n`` state axes, in buffers
-    of ``ws`` (None: a fresh workspace)."""
-    ws = _Workspace(prev.shape) if ws is None else ws
+def _state_curvature(prev: Array, h: tuple[float, ...], n: int, ws: _Workspace) -> list[Array]:
+    """Second differences of ``prev`` along its ``n`` state axes, in buffers of ``ws``."""
     return [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
             for i in range(n)]
 
 
-def _trace_term(variance: Array, hess: list[Array], ws: _Workspace | None = None) -> Array:
+def _trace_term(variance: Array, hess: list[Array], ws: _Workspace) -> Array:
     """1/2 tr(sigma sigma^T D_a^2 W) for a diagonal ``sigma sigma^T``: half
-    the variance-weighted sum of the second differences ``hess``.
-    ``variance`` broadcasts against them on all but its trailing (n,) axis."""
-    ws = _Workspace(hess[0].shape) if ws is None else ws
+    the variance-weighted sum of the second differences ``hess``, in a
+    buffer of ``ws``.  ``variance`` broadcasts against them on all but its
+    trailing (n,) axis."""
     trace_term, product = ws("trace"), ws("product")
     trace_term.fill(0.0)
     for i, hess_i in enumerate(hess):

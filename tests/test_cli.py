@@ -261,13 +261,18 @@ def _malformed(problem=(), **sections):
      'problem.terminal_cost must be "zero", "square", or a number'),
     (_malformed({"name": 3}), "problem.name must be a string"),
     ({"problem": {"builtin": 3}, "grid": _LINE_GRID}, "problem.builtin must be a string"),
+    ([_LINE_GRID], "the configuration must be an object"),
+    (_malformed(scheme=[]), "scheme must be an object"),
+    (_malformed(outputs=[]), "outputs must be an object"),
+    (_malformed({"region": {"kind": "box", "lo": [0.0]}}), "problem.region: box region needs hi"),
 ], ids=["axis-not-a-triplet", "count-not-an-integer", "state-missing", "state-empty",
         "grid-not-an-object", "scheme-not-an-object", "outputs-not-an-object",
         "formats-not-a-list", "formats-unknown-entry", "problem-a-list", "problem-null",
         "problem-missing", "region-not-an-object", "region-vector-not-a-list",
         "jumps-not-an-object", "jumps-without-weights", "jumps-of-unequal-lengths",
         "controls-not-a-list", "controls-row-empty", "drift-of-another-type",
-        "terminal-cost-of-another-type", "name-not-a-string", "builtin-not-a-string"])
+        "terminal-cost-of-another-type", "name-not-a-string", "builtin-not-a-string",
+        "document-a-list", "scheme-an-empty-list", "outputs-an-empty-list", "box-without-hi"])
 def test_a_malformed_document_exits_one_naming_its_path(tmp_path, capsys, no_sweep,
                                                         document, message):
     assert message in _refused_before_the_sweep(tmp_path, capsys, document)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_axes_need_at_least_three_nodes():
         make_grid([(-1.0, 1.0, 2)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
     with pytest.raises(DegenerateGrid):
         make_grid([(-1.0, 1.0, 5)], (0.0, 1.0, 2), time_axis(1.0, 0.25))
+
+
+@pytest.mark.parametrize("state, margin, times, message", [
+    ((np.array([-1.0, 0.0, 0.5, 1.0]), np.linspace(-1.0, 1.0, 5)), np.linspace(0.0, 1.0, 5),
+     np.linspace(0.0, 1.0, 5), "the state[0] axis must be uniform"),
+    ((np.linspace(-1.0, 1.0, 5), np.linspace(1.0, -1.0, 5)), np.linspace(0.0, 1.0, 5),
+     np.linspace(0.0, 1.0, 5), "the state[1] axis must be strictly increasing"),
+    ((np.linspace(-1.0, 1.0, 5),), np.linspace(0.0, 1.0, 2),
+     np.linspace(0.0, 1.0, 5), "the margin axis needs at least 3 nodes, got 2"),
+    ((np.linspace(-1.0, 1.0, 5),), np.linspace(0.0, 1.0, 5),
+     np.linspace(0.5, 1.0, 5), "the time axis must start at 0"),
+    ((np.linspace(-1.0, 1.0, 5),), np.linspace(0.0, 1.0, 5),
+     np.array([0.0, 0.1, 0.5, 1.0]), "the time axis must be uniform"),
+])
+def test_a_refused_axis_is_named(state, margin, times, message):
+    with pytest.raises(DegenerateGrid, match=f"^{re.escape(message)}$"):
+        Grid(state, margin, times)
+
+
+def test_make_grid_refuses_a_negative_count_as_degenerate():
+    with pytest.raises(DegenerateGrid, match=r"state\[0\] axis needs at least 3 nodes"):
+        make_grid([(-1.0, 1.0, -4)], (0.0, 1.0, 5), time_axis(1.0, 0.25))
 
 
 def test_degenerate_ranges_are_rejected():

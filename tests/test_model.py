@@ -102,6 +102,7 @@ def test_eval_is_deterministic():
     assert first.running == second.running
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in divide:RuntimeWarning")
 def test_non_finite_drift_rejected():
     prob = linear_problem(drift=lambda t, a, u: a / 0.0)
     with pytest.raises(NonFiniteCoefficient):
@@ -227,6 +228,20 @@ def test_unknown_region_kind():
         Region(kind="torus")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "box", "lo": np.array([0.0])}, "box region needs hi"),
+    ({"kind": "box", "hi": np.array([0.0])}, "box region needs lo"),
+    ({"kind": "box"}, "box region needs lo and hi"),
+    ({"kind": "ball"}, "ball region needs center"),
+    ({"kind": "halfspace"}, "halfspace region needs normal"),
+    ({"kind": "point"}, "point region needs center"),
+    ({"kind": "callable"}, "callable region needs func"),
+])
+def test_a_region_names_the_fields_its_kind_lacks(fields, message):
+    with pytest.raises(MissingField, match=f"^{message}$"):
+        Region(**fields)
+
+
 # ---------------------------------------------------------------------------
 # regularity report
 # ---------------------------------------------------------------------------
@@ -238,3 +253,15 @@ def test_regularity_estimates_linear_drift():
     assert report["lipschitz"]["drift"] == pytest.approx(2.0, abs=1e-6)
     assert report["lipschitz"]["distance"] == 0.0
     assert report["warnings"] == []
+    assert "jump_size" not in report["lipschitz"]
+
+
+def test_regularity_reports_the_jump_amplitudes_jointly():
+    # amplitudes e*a at marks 0.5 and -1: the pair of atoms moves by
+    # |a - b| * |(0.5, -1)|, so the constant is sqrt(1.25) at every pair
+    problem = linear_problem(
+        jumps=JumpModel(marks=np.array([0.5, -1.0]), weights=np.array([1.0, 2.0])),
+        jump_size=lambda t, a, u, e: e * a,
+    )
+    report = check_regularity(problem, samples=64, seed=5)
+    assert report["lipschitz"]["jump_size"] == pytest.approx(np.sqrt(1.25), rel=1e-12)

@@ -95,6 +95,7 @@ def test_step_too_large():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_blowup_raises_non_finite_state():
     prob = make_problem(drift=lambda t, a, u: a**3)
     with pytest.raises(NonFiniteState):
@@ -331,6 +332,7 @@ def test_moment_bound_brownian_stability():
     assert not report["flag"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_moment_bound_flags_superlinear_drift():
     prob = make_problem(drift=lambda t, a, u: a**3)
     report = check_moment_bound(prob, [np.array([0.1]), np.array([4.0])],

@@ -242,6 +242,20 @@ def test_stable_dt_budgets_the_compensated_drift():
     assert max_stable_dt(problem, grid) == pytest.approx(0.9 / (4.0 + 18.0), rel=1e-12)
 
 
+def test_stable_dt_of_a_time_dependent_problem_bounds_each_rates_largest_value():
+    # drift 1 - t and diffusion t: the bounds at t = 0, T/2 and T are 0.09,
+    # 0.03 and 0.009, and the default step takes each rate's largest value
+    # over the three times, drift 1 and variance 1, so 0.9 / (10 + 100)
+    problem = minimal_problem(
+        drift=lambda t, a, u: np.full(np.atleast_2d(a).shape, 1.0 - t),
+        diffusion=lambda t, a, u: np.full((*np.atleast_2d(a).shape, 1), t),
+    )
+    grid = make_grid([(0.0, 1.0, 11)], (0.0, 1.0, 11), time_axis(1.0, 0.5))
+    bounds = [_LevelTables(problem, grid, t).bound() for t in (0.0, 0.5, 1.0)]
+    assert bounds == pytest.approx([0.09, 0.03, 0.009], rel=1e-12)
+    assert max_stable_dt(problem, grid) == pytest.approx(0.9 / 110.0, rel=1e-12)
+
+
 def test_stable_dt_unconstrained_is_infinite():
     problem = minimal_problem()
     grid = make_grid([(0.0, 1.0, 11)], (0.0, 1.0, 11), time_axis(1.0, 0.5))
@@ -1182,10 +1196,11 @@ def _best_time_slope_reference(prev, t, problem, grid, margin_slope=None):
 def _slope_step_cases():
     """(label, prev, problem, grid) over 1-D and 2-D states, zero,
     state-uniform and state-varying running cost, one-sign and mixed-sign
-    drift, no jump or one atom, and no diffusion or diagonal diffusion; and
-    per state dimension, 3-D too, a product control grid whose axes drop
-    drifts.  Margin 0 is the first column of the 1-D grid and an interior
-    one of the others."""
+    drift, no jump or one atom, and no diffusion or diagonal diffusion; in
+    1-D and 2-D, three atoms whose amplitudes depend on the control; and per
+    state dimension, 3-D too, a product control grid whose axes drop drifts.
+    Margin 0 is the first column of the 1-D grid and an interior one of the
+    others."""
     rng = np.random.default_rng(17)
     for n in (1, 2, 3):
         grid = (make_grid([(-1.0, 1.0, 11)], (0.0, 1.0, 7), time_axis(1.0, 0.5)) if n == 1
@@ -1222,6 +1237,19 @@ def _slope_step_cases():
             )
             yield (f"{n}-D {running} running, {drift} drift, {jumps} jumps, diffusion {sigma}",
                    prev, problem, grid)
+        # the jump term adds the atoms' gains in atom order, as the reference
+        # does; with two atoms either order gives the same bits, with three not
+        if n < 3:
+            problem = build_problem(
+                dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
+                drift=lambda t, a, u: u - np.atleast_2d(a),
+                diffusion=diagonal_diffusion(0.3), terminal_cost=zero_terminal,
+                jumps=JumpModel(marks=np.array([0.25, -0.4, 0.15]),
+                                weights=np.array([0.5, 1.5, 0.7])),
+                jump_size=lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)) + e * (1.0 + u),
+                region=Region(kind="ball", center=np.full(n, 0.3), radius=0.5),
+            )
+            yield f"{n}-D three atoms", prev, problem, grid
         # product control grids whose axes drop drifts, with running costs
         # that do not depend on the control: seven controls of both signs in
         # 1-D (3 kept), a 3 x 3 product of one-sign drifts in 2-D (2 x 2
@@ -1276,7 +1304,7 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
         # the coefficients are autonomous: the level's bound is the default step
         assert tables.bound() == max_stable_dt(problem, grid), label
         count += 1
-    assert count == 2 * 3 * 2 * 2 * 2 + 3 * 2 * 2
+    assert count == 2 * 3 * 2 * 2 * 2 + 2 + 3 * 2 * 2
     # only the control grids drop controls: 7 -> 3 in 1-D, 9 -> 2 x 2 in 2-D
     # and 4 x 3 x 3 -> 3 x 2 x 3 in 3-D
     assert dropped == 4 * 4 + 4 * 5 + 4 * 18
