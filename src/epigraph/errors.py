@@ -19,7 +19,7 @@ of a run document goes through :func:`require_object`.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, NoReturn, Sequence
 
 
 class EpigraphError(Exception):
@@ -113,25 +113,20 @@ def fail(path: str, why: str) -> NoReturn:
     raise SchemaViolation(f"{path} {why}")
 
 
-def reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], path: str) -> None:
-    import difflib  # only a refusal reads it
-
-    for key in section:
-        if key in allowed:
-            continue
-        dotted = f"{path}.{key}" if path else str(key)
-        matches = difflib.get_close_matches(str(key), allowed, n=1)
-        hint = f" (did you mean {matches[0]!r}?)" if matches else ""
-        raise UnknownKey(f"unknown key {dotted!r}{hint}")
-
-
 def require_object(value: Any, path: str, allowed: Sequence[str],
                    required: Sequence[str] = ()) -> dict[str, Any]:
     """The object at ``path`` (``""``: the whole document), refused if it is
     not an object, holds a key outside ``allowed`` or lacks a ``required`` one."""
     if not isinstance(value, dict):
         fail(path or "the configuration", "must be an object")
-    reject_unknown(value, allowed, path)
+    for key in value:
+        if key not in allowed:
+            import difflib  # only a refusal reads it
+
+            dotted = f"{path}.{key}" if path else str(key)
+            matches = difflib.get_close_matches(str(key), allowed, n=1)
+            hint = f" (did you mean {matches[0]!r}?)" if matches else ""
+            raise UnknownKey(f"unknown key {dotted!r}{hint}")
     for key in required:
         if key not in value:
             fail(f"{path}.{key}" if path else key, "is required")

@@ -148,9 +148,11 @@ def _region_value(spec: Any, dim_state: int) -> tuple[dict[str, Any], Region | N
         return {"kind": "all"}, None
     require_object(spec, "problem.region", _REGION_KEYS)
     kind = spec.get("kind", "all")
-    fields = _REGION_FIELDS.get(kind) if isinstance(kind, str) else None
+    if not isinstance(kind, str) or kind not in _REGION_FIELDS:
+        fail("problem.region.kind", f"must be one of {tuple(_REGION_FIELDS)}")
+    fields = _REGION_FIELDS[kind]
     for key in spec:
-        if fields is not None and key not in ("kind", *fields):
+        if key not in ("kind", *fields):
             fail(f"problem.region.{key}",
                  f"is not read by kind {kind!r}, which reads {', '.join(fields) or 'no field'}")
     kwargs = dict(spec)

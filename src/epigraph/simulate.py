@@ -3,12 +3,14 @@
 Simulates the coupled Euler system
 
     x += f dt + sigma dB + sum_k chi(e_k) (dN_k - w_k dt)
-    y += -l dt + hedge . dB + sum_k beta_k (dN_k - w_k dt)
+    y += -l dt
 
 with per-step Poisson counts per jump atom, and builds unbiased estimators of
 the plain cost (running plus terminal) and of the shortfall objective
 (terminal shortfall plus constraint penalty).  These estimators are the
-ground truth the grid solver is validated against.
+ground truth the grid solver is validated against.  The margin ``y`` is
+``b - int l dt``, the margin of the auxiliary equation the sweep solves: it
+carries no martingale term.
 
 Reproducibility contract: draws come from counter-based generators keyed by
 ``(seed, chunk index)`` over fixed-size path chunks, and the reduction runs
@@ -36,48 +38,19 @@ CHUNK = 4096
 # policies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Policy:
-    """Feedback policy triple for (control, diffusion hedge, jump hedge).
-
-    All callables are batched: ``control(t, states (N,n), margins (N,))``
-    returns an ``(N, du)`` array of control-grid rows; ``hedge`` returns
-    ``(N, r)``; ``jump_hedge(t, states, margins, atom_index)`` returns
-    ``(N,)``.  ``hedge``/``jump_hedge`` default to zero when omitted.
-    """
-
-    control: Callable[..., Any]
-    hedge: Callable[..., Any] | None = None
-    jump_hedge: Callable[..., Any] | None = None
+# a feedback policy is its control: policy(t, states (N, n), margins (N,))
+# returns an (N, du) array of control-grid rows, or one row for every path
+Policy = Callable[[float, Array, Array], Array]
 
 
-def constant_policy(
-    u: Sequence[float] | float,
-    alpha: Sequence[float] | float | None = None,
-    beta: Sequence[float] | float | None = None,
-) -> Policy:
-    """Policy that plays fixed values regardless of state, margin, or time."""
+def constant_policy(u: Sequence[float] | float) -> Policy:
+    """Policy that plays one control row regardless of state, margin, or time."""
     u_row = np.atleast_1d(np.asarray(u, dtype=float))
 
     def control(t: float, states: Array, margins: Array) -> Array:
         return np.tile(u_row, (states.shape[0], 1))
 
-    hedge = None
-    if alpha is not None:
-        a_row = np.atleast_1d(np.asarray(alpha, dtype=float))
-
-        def hedge(t: float, states: Array, margins: Array) -> Array:  # noqa: F811
-            return np.tile(a_row, (states.shape[0], 1))
-
-    jump_hedge = None
-    if beta is not None:
-        b_vals = np.atleast_1d(np.asarray(beta, dtype=float))
-
-        def jump_hedge(t: float, states: Array, margins: Array, k: int) -> Array:  # noqa: F811
-            val = b_vals[k] if b_vals.shape[0] > 1 else b_vals[0]
-            return np.full(states.shape[0], val)
-
-    return Policy(control=control, hedge=hedge, jump_hedge=jump_hedge)
+    return control
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +135,8 @@ def _advance_chunk(
 ) -> dict[str, Any]:
     """Advance a chunk of paths to the horizon; accumulate every statistic.
 
-    Returns terminal states, the running-cost and penalty integrals, the
-    pathwise supremum of |x|^2, and the accumulated pure-noise integrals (the
-    hedge-weighted Brownian and compensated-jump sums) that the martingale
-    diagnostics in ``tests/references.py`` read.
+    Returns terminal states, the running-cost and penalty integrals and the
+    pathwise supremum of |x|^2.
     """
     steps = _time_steps(t0, problem.horizon, dt)
     n_paths, n = x0.shape
@@ -177,8 +148,6 @@ def _advance_chunk(
     run_cost = np.zeros(n_paths)
     penalty = np.zeros(n_paths)
     sup_sq = np.sum(x * x, axis=1)
-    brownian_part = np.zeros(n_paths)
-    jump_part = np.zeros(n_paths)
 
     times = [t0]
     x_hist = [x.copy()] if record else None
@@ -187,8 +156,7 @@ def _advance_chunk(
 
     t = t0
     for h in steps:
-        margins = y
-        u = np.atleast_2d(np.asarray(policy.control(t, x, margins), dtype=float))
+        u = np.atleast_2d(np.asarray(policy(t, x, y), dtype=float))
         if u.shape[0] == 1 and n_paths > 1:
             u = np.repeat(u, n_paths, axis=0)
         rows = _control_rows(problem, u)
@@ -208,29 +176,14 @@ def _advance_chunk(
             # callables before the state itself turns inf
             raise NonFiniteState(f"path diverged near t={t:.6g}: {exc}") from exc
 
-        alpha = (
-            np.asarray(policy.hedge(t, x, margins), dtype=float)
-            if policy.hedge is not None
-            else np.zeros((n_paths, problem.dim_noise))
-        )
-
         dB = rng.normal(scale=np.sqrt(h), size=(n_paths, problem.dim_noise))
         x_new = x + drift * h + np.einsum("pnr,pr->pn", diffusion, dB)
-        noise_y = np.einsum("pr,pr->p", alpha, dB)
-        y_new = y - running * h + noise_y
-        brownian_part += noise_y
+        y_new = y - running * h
 
         for k in range(K):
             counts = rng.poisson(lam=weights[k] * h, size=n_paths).astype(float)
             compensated = counts - weights[k] * h
             x_new += jump_sizes[k] * compensated[:, None]
-            beta_k = (
-                np.asarray(policy.jump_hedge(t, x, margins, k), dtype=float)
-                if policy.jump_hedge is not None
-                else np.zeros(n_paths)
-            )
-            y_new += beta_k * compensated
-            jump_part += beta_k * compensated
             if record:
                 for _ in range(int(counts[0])):
                     jump_log.append((t + h, k))
@@ -254,8 +207,6 @@ def _advance_chunk(
         "run_cost": run_cost,
         "penalty": penalty,
         "sup_sq": sup_sq,
-        "brownian_part": brownian_part,
-        "jump_part": jump_part,
     }
     if record:
         out["times"] = np.array(times)
@@ -295,8 +246,7 @@ def _chunked(
         chunk_index += 1
     return {
         key: np.concatenate([p[key] for p in pieces])
-        for key in ("x_T", "y_T", "run_cost", "penalty", "sup_sq",
-                    "brownian_part", "jump_part")
+        for key in ("x_T", "y_T", "run_cost", "penalty", "sup_sq")
     }
 
 

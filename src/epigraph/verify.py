@@ -235,10 +235,10 @@ def dpp_consistency(
     """W(t) must not exceed any restarted constant-policy estimate.
 
     For each sampled (state, margin), simulates the pair from t to the
-    intermediate time r under every constant control (zero hedges), accrues
-    the constraint penalty, continues with the interpolated field value at
-    r, and takes the cheapest policy.  Since constant policies are a subset
-    of admissible ones, the estimate can only overestimate the true
+    intermediate time r under every constant control (the unhedged margin),
+    accrues the constraint penalty, continues with the interpolated field
+    value at r, and takes the cheapest policy.  Since constant policies are
+    a subset of admissible ones, the estimate can only overestimate the true
     continuation value: the check is one-sided,
 
         W(t, a, b) <= estimate + CI + tol.

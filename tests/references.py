@@ -13,9 +13,8 @@ array sweep is checked against: ``test_solver.py::_sweep_residuals`` checks
 that the sweep's slope makes its unhedged form (``hedge="frozen"``,
 ``jump_hedge="zero"``) vanish at random interior nodes, with and without
 diffusion and jumps.  :func:`best_hedge_on_grid` is the brute-force hedge
-search the closed-form eigenvalue is checked against, and the two Monte
-Carlo reports check the simulator's moment growth and the zero mean of its
-hedged noise integrals.
+search the closed-form eigenvalue is checked against, and the Monte Carlo
+report checks the simulator's moment growth.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from epigraph.errors import NonFiniteState
 from epigraph.model import Problem, eval_coefficients_batch
-from epigraph.simulate import Policy, _chunked, _estimate, constant_policy
+from epigraph.simulate import Policy, _chunked, constant_policy
 from epigraph.verify import DiagnosticReport
 
 Array = np.ndarray
@@ -537,31 +536,4 @@ def check_moment_bound(
         "points": rows,
         "constant": max(row["ratio"] for row in rows),
         "flag": bool(blown_up or growth),
-    }
-
-
-def check_martingale_zero_mean(
-    problem: Problem,
-    alpha_const: float,
-    beta_const: float,
-    n_paths: int,
-    dt: float,
-    seed: int,
-) -> dict[str, Any]:
-    """Zero-mean check for the hedged noise integrals.
-
-    Accumulates the hedge-weighted Brownian sum and the compensated jump sum
-    with constant hedges and reports whether both confidence intervals cover
-    zero.
-    """
-    alpha = np.full(problem.dim_noise, float(alpha_const))
-    policy = constant_policy(problem.controls[0], alpha=alpha, beta=beta_const)
-    stats = _chunked(problem, policy, 0.0, np.zeros(problem.dim_state), 0.0,
-                     n_paths, dt, seed)
-    brownian = _estimate(stats["brownian_part"], n_paths, seed)
-    jumps = _estimate(stats["jump_part"], n_paths, seed)
-    return {
-        "brownian": brownian,
-        "jump": jumps,
-        "pass": brownian.covers(0.0) and jumps.covers(0.0),
     }

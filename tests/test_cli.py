@@ -225,6 +225,10 @@ def test_region_fields_are_checked_where_they_are_read(tmp_path, capsys, no_swee
     assert message in _refused_before_the_sweep(tmp_path, capsys, document)
 
 
+# the region kinds a document can state; ``callable`` is an API-only kind
+_DOCUMENT_KINDS = "problem.region.kind must be one of ('all', 'box', 'ball', 'halfspace', 'point')"
+
+
 def _malformed(problem=(), **sections):
     """A line document with ``problem``'s entries in its problem section and
     ``sections`` in place of its other sections."""
@@ -265,6 +269,8 @@ def _malformed(problem=(), **sections):
     (_malformed(scheme=[]), "scheme must be an object"),
     (_malformed(outputs=[]), "outputs must be an object"),
     (_malformed({"region": {"kind": "box", "lo": [0.0]}}), "problem.region: box region needs hi"),
+    (_malformed({"region": {"kind": "callable"}}), _DOCUMENT_KINDS),
+    (_malformed({"region": {"kind": "nope"}}), _DOCUMENT_KINDS),
 ], ids=["axis-not-a-triplet", "count-not-an-integer", "state-missing", "state-empty",
         "grid-not-an-object", "scheme-not-an-object", "outputs-not-an-object",
         "formats-not-a-list", "formats-unknown-entry", "problem-a-list", "problem-null",
@@ -272,10 +278,14 @@ def _malformed(problem=(), **sections):
         "jumps-not-an-object", "jumps-without-weights", "jumps-of-unequal-lengths",
         "controls-not-a-list", "controls-row-empty", "drift-of-another-type",
         "terminal-cost-of-another-type", "name-not-a-string", "builtin-not-a-string",
-        "document-a-list", "scheme-an-empty-list", "outputs-an-empty-list", "box-without-hi"])
+        "document-a-list", "scheme-an-empty-list", "outputs-an-empty-list", "box-without-hi",
+        "region-kind-callable", "region-kind-unknown"])
 def test_a_malformed_document_exits_one_naming_its_path(tmp_path, capsys, no_sweep,
                                                         document, message):
-    assert message in _refused_before_the_sweep(tmp_path, capsys, document)
+    err = _refused_before_the_sweep(tmp_path, capsys, document)
+    assert message in err
+    # a document cannot carry a function, so no refusal asks for one
+    assert "callable" not in err and "func" not in err
 
 
 def test_grid_axis_triplet_validation():

@@ -10,7 +10,6 @@ from epigraph.model import JumpModel, Region, build_problem, eval_coefficients_b
 from epigraph.problems import builtin_problem
 from epigraph.simulate import (
     MCEstimate,
-    Policy,
     constant_policy,
     estimate_cost,
     estimate_shortfall,
@@ -20,7 +19,7 @@ from epigraph.simulate import (
     _chunked,
     _time_steps,
 )
-from references import check_martingale_zero_mean, check_moment_bound
+from references import check_moment_bound
 
 
 class ZeroNoise:
@@ -107,14 +106,20 @@ def test_blowup_raises_non_finite_state():
 
 def test_policy_must_return_grid_controls():
     prob = make_problem(controls=[[0.0], [1.0]])
-    rogue = Policy(control=lambda t, a, b: np.full((a.shape[0], 1), 0.37))
+
+    def rogue(t, a, b):
+        return np.full((a.shape[0], 1), 0.37)
+
     with pytest.raises(ValueError):
         simulate_pair_path(prob, 0.0, np.zeros(1), 0.0, rogue, 0.1, ZeroNoise())
 
 
 def test_policy_leaving_the_grid_after_the_start_raises():
     prob = builtin_problem("deterministic-steering")
-    drifting = Policy(control=lambda t, a, b: np.full((a.shape[0], 1), 0.05 if t > 0 else 0.0))
+
+    def drifting(t, a, b):
+        return np.full((a.shape[0], 1), 0.05 if t > 0 else 0.0)
+
     with pytest.raises(ValueError):
         _advance_chunk(prob, drifting, 0.0, np.zeros((3, 1)), np.zeros(3), 0.1,
                        np.random.default_rng(0))
@@ -125,48 +130,79 @@ def _bang_bang(played):
         u = np.where(a[:, :1] > 0.0, -1.0, 1.0)
         played.append(np.unique(u).size)
         return u
-    return Policy(control=control)
+    return control
 
 
 def _per_path_reference(problem, policy, x0, y0, dt, rng):
-    """The stepping of a jump-free problem under zero hedges, with one
-    coefficient evaluation per path per step."""
+    """The stepping of ``_advance_chunk`` with one coefficient evaluation per
+    path per step: ``dB``, then one Poisson count per jump atom; the margin
+    moves by the running cost alone.  Also returns the number of jumps drawn."""
     n_paths, n = x0.shape
-    r = problem.dim_noise
+    r, K = problem.dim_noise, problem.jumps.n_atoms
+    weights = problem.jumps.weights
     x, y = x0.copy(), y0.copy()
     run_cost = np.zeros(n_paths)
     penalty = np.zeros(n_paths)
+    events = 0
     t = 0.0
     for h in _time_steps(0.0, problem.horizon, dt):
-        u = policy.control(t, x, y)
+        u = policy(t, x, y)
         drift = np.empty((n_paths, n))
         diffusion = np.empty((n_paths, n, r))
+        jump_sizes = np.empty((K, n_paths, n))
         running = np.empty(n_paths)
         for i in range(n_paths):
-            d_i, s_i, _, l_i = eval_coefficients_batch(problem, t, x[i:i + 1], u[i])
-            drift[i], diffusion[i], running[i] = d_i[0], s_i[0], l_i[0]
+            d_i, s_i, j_i, l_i = eval_coefficients_batch(problem, t, x[i:i + 1], u[i])
+            drift[i], diffusion[i], jump_sizes[:, i], running[i] = d_i[0], s_i[0], j_i[:, 0], l_i[0]
         dB = rng.normal(scale=np.sqrt(h), size=(n_paths, r))
         x_new = x + drift * h + np.einsum("pnr,pr->pn", diffusion, dB)
-        y = y - running * h + np.einsum("pr,pr->p", np.zeros((n_paths, r)), dB)
+        for k in range(K):
+            counts = rng.poisson(lam=weights[k] * h, size=n_paths).astype(float)
+            events += int(counts.sum())
+            x_new += jump_sizes[k] * (counts - weights[k] * h)[:, None]
+        y = y - running * h
         run_cost += running * h
         penalty += np.atleast_1d(problem.distance(x)) * h
         x = x_new
         t += h
-    return {"x_T": x, "y_T": y, "run_cost": run_cost, "penalty": penalty}
+    return {"x_T": x, "y_T": y, "run_cost": run_cost, "penalty": penalty}, events
 
 
-def test_feedback_policy_matches_the_per_path_reference():
-    prob = builtin_problem("deterministic-steering")
+def _one_atom_problem():
+    """Diffusion, one jump atom and a running cost, each depending on the
+    state and the control, and a box the paths leave."""
+    return make_problem(
+        controls=[[-1.0], [1.0]],
+        drift=lambda t, a, u: np.zeros_like(a) + u,
+        diffusion=lambda t, a, u: np.full(a.shape + (1,), 0.3),
+        jumps=JumpModel(marks=[0.5], weights=[2.0]),
+        jump_size=lambda t, a, u, e: e * (1.0 + 0.2 * u) * np.cos(a),
+        running_cost=lambda t, a, u: 0.5 + 0.25 * u[0] + a[:, 0] ** 2,
+        region=Region(kind="box", lo=np.array([-0.5]), hi=np.array([0.5])),
+    )
+
+
+def _check_against_the_per_path_reference(prob):
     x0 = np.linspace(-1.5, 1.5, 40)[:, None]
     y0 = np.linspace(0.0, 0.5, 40)
     played = []
     out = _advance_chunk(prob, _bang_bang(played), 0.0, x0, y0, 0.03,
                          np.random.default_rng(11))
     assert max(played) == 2   # both controls were played in one step
-    ref = _per_path_reference(prob, _bang_bang([]), x0, y0, 0.03,
-                              np.random.default_rng(11))
+    ref, events = _per_path_reference(prob, _bang_bang([]), x0, y0, 0.03,
+                                      np.random.default_rng(11))
     for key, expect in ref.items():
         assert np.array_equal(out[key], expect), key
+    return events
+
+
+def test_feedback_policy_matches_the_per_path_reference():
+    assert _check_against_the_per_path_reference(builtin_problem("deterministic-steering")) == 0
+
+
+def test_feedback_policy_with_a_jump_atom_matches_the_per_path_reference():
+    # the jump step and the running cost's margin step, under a feedback policy
+    assert _check_against_the_per_path_reference(_one_atom_problem()) > 0
 
 
 def test_brownian_terminal_mean_is_initial_point():
@@ -338,28 +374,3 @@ def test_moment_bound_flags_superlinear_drift():
     report = check_moment_bound(prob, [np.array([0.1]), np.array([4.0])],
                                 n_paths=8, dt=0.01, seed=7)
     assert report["flag"]
-
-
-def test_martingale_check_zero_hedges_exact():
-    prob = make_problem(diffusion=lambda t, a, u: np.ones(a.shape + (1,)))
-    report = check_martingale_zero_mean(prob, 0.0, 0.0, n_paths=50, dt=0.1, seed=8)
-    assert report["brownian"].mean == 0.0
-    assert report["jump"].mean == 0.0
-    assert report["pass"]
-
-
-def test_martingale_check_brownian_hedge():
-    prob = make_problem(diffusion=lambda t, a, u: np.ones(a.shape + (1,)))
-    report = check_martingale_zero_mean(prob, 1.0, 0.0, n_paths=40000, dt=0.02, seed=13)
-    assert report["pass"]
-    assert abs(report["brownian"].mean) <= report["brownian"].half_width
-
-
-def test_martingale_check_jump_hedge():
-    prob = make_problem(
-        jumps=JumpModel(marks=[1.0], weights=[1.0]),
-        jump_size=lambda t, a, u, e: np.zeros_like(a),
-    )
-    report = check_martingale_zero_mean(prob, 0.0, 1.0, n_paths=40000, dt=0.02, seed=14)
-    assert report["pass"]
-    assert abs(report["jump"].mean) <= report["jump"].half_width
