@@ -6,8 +6,7 @@ A run is described by one JSON document with four sections plus a seed::
       "problem": {"builtin": "deterministic-steering"},
       "grid":    {"state": [[-2.1, 2.1, 281]], "margin": [0.0, 0.6, 241],
                   "time_step": null},
-      "scheme":  {"epsilon": null, "hedge": "frozen",
-                  "beta_candidates": "zero"},
+      "scheme":  {"epsilon": null},
       "outputs": {"directory": "out", "formats": ["csv"],
                   "checkpoint_every": 25},
       "seed": 0
@@ -16,16 +15,13 @@ A run is described by one JSON document with four sections plus a seed::
 ``problem`` either names a built-in (``{"builtin": name}``) or is an inline
 problem document, as described in :mod:`epigraph.problems`.
 
-``grid`` axes are ``[low, high, count]`` triplets; ``time_step`` ``null``
-means the default step (:func:`epigraph.solver.max_stable_dt`); every sweep
-step checks its own level's stable bound.  ``outputs.formats`` must list
-``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds a plot
-script and needs a problem with one state axis.  ``scheme.epsilon``
+``grid`` axes are ``[low, high, count]`` triplets; ``time_step`` caps the
+step (``null``: the default bound of :func:`epigraph.solver.stable_grid`);
+every sweep step checks its own level's stable bound.  ``outputs.formats``
+must list ``"csv"`` (every run writes its CSV artifacts); ``"gnuplot"`` adds
+a plot script and needs a problem with one state axis.  ``scheme.epsilon``
 overrides the level-set threshold with a positive, finite number; ``null``
-defers to the default.  ``scheme.hedge`` and ``scheme.beta_candidates``
-accept only ``"frozen"`` and ``"zero"``, their defaults: the sweep solves the
-unhedged auxiliary equation, so a document that asks for a hedged solve is
-refused.  A missing ``scheme``/``outputs`` section gets defaults.
+defers to the default.  A missing ``scheme``/``outputs`` section gets defaults.
 ``outputs.checkpoint_every`` sets which levels ``solve`` keeps as
 ``slice_<L>`` snapshots; they are also its resume state.
 
@@ -84,9 +80,7 @@ Array = np.ndarray
 
 _TOP_KEYS = ("problem", "grid", "scheme", "outputs", "seed")
 _GRID_KEYS = ("state", "margin", "time_step")
-_SCHEME_KEYS = ("epsilon", "hedge", "beta_candidates")
-# the one value each hedge key accepts: the sweep holds both hedges at zero
-_HEDGES = {"hedge": "frozen", "beta_candidates": "zero"}
+_SCHEME_KEYS = ("epsilon",)
 _OUTPUT_KEYS = ("directory", "formats", "checkpoint_every")
 _FORMATS = ("csv", "gnuplot")
 
@@ -135,14 +129,10 @@ def _grid_section(section: Any) -> dict[str, Any]:
 
 def _scheme_section(section: Any) -> dict[str, Any]:
     section = require_object({} if section is None else section, "scheme", _SCHEME_KEYS)
-    for key, value in _HEDGES.items():
-        if section.get(key, value) != value:
-            fail(f"scheme.{key}", f"must be {value!r}, got {section[key]!r}: hedged solves "
-                                  f"are not offered, the sweep holds both hedges at zero")
     epsilon = section.get("epsilon")
     if epsilon is not None:
         epsilon = require_number(epsilon, "scheme.epsilon", positive=True)
-    return {"epsilon": epsilon, **_HEDGES}
+    return {"epsilon": epsilon}
 
 
 def _outputs_section(section: Any, dim_state: int) -> dict[str, Any]:
@@ -327,11 +317,8 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
     out = _out_dir(config, out_dir)
     problem, document = config.problem, config.document
     grid = resolve_grid(config)
-    # what the sweep reads, which a resumed slice must have been written for:
-    # every scheme setting but epsilon, which only the level-set reader reads
-    reads = {key: value for key, value in document["scheme"].items() if key != "epsilon"}
     inputs = hashlib.sha256(json.dumps(
-        {"problem": document["problem"], "grid": document["grid"], **reads},
+        {"problem": document["problem"], "grid": document["grid"]},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
     every = int(document["outputs"]["checkpoint_every"])

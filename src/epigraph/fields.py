@@ -548,8 +548,8 @@ def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | N
         raise EpigraphError(f"{json_path} is not a readable slice: {exc}") from exc
     if any(meta.get(k) != v for k, v in {**_axes_meta(grid), "inputs": inputs}.items()):
         raise IncompatibleGrids(
-            f"{json_path} was written on another grid, for another problem or "
-            f"scheme, or by an older version; start the run afresh"
+            f"{json_path} was written on another grid, for another problem, "
+            f"or by an older version; start the run afresh"
         )
     try:
         values = np.load(npy_path, allow_pickle=False)

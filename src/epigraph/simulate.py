@@ -135,8 +135,7 @@ def _advance_chunk(
 ) -> dict[str, Any]:
     """Advance a chunk of paths to the horizon; accumulate every statistic.
 
-    Returns terminal states, the running-cost and penalty integrals and the
-    pathwise supremum of |x|^2.
+    Returns terminal states and the running-cost and penalty integrals.
     """
     steps = _time_steps(t0, problem.horizon, dt)
     n_paths, n = x0.shape
@@ -147,7 +146,6 @@ def _advance_chunk(
     y = y0.copy()
     run_cost = np.zeros(n_paths)
     penalty = np.zeros(n_paths)
-    sup_sq = np.sum(x * x, axis=1)
 
     times = [t0]
     x_hist = [x.copy()] if record else None
@@ -195,7 +193,6 @@ def _advance_chunk(
         t += h
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise NonFiniteState(f"path state became non-finite at t={t:.6g}")
-        sup_sq = np.maximum(sup_sq, np.sum(x * x, axis=1))
         if record:
             times.append(t)
             x_hist.append(x.copy())
@@ -206,7 +203,6 @@ def _advance_chunk(
         "y_T": y,
         "run_cost": run_cost,
         "penalty": penalty,
-        "sup_sq": sup_sq,
     }
     if record:
         out["times"] = np.array(times)
@@ -246,7 +242,7 @@ def _chunked(
         chunk_index += 1
     return {
         key: np.concatenate([p[key] for p in pieces])
-        for key in ("x_T", "y_T", "run_cost", "penalty", "sup_sq")
+        for key in ("x_T", "y_T", "run_cost", "penalty")
     }
 
 

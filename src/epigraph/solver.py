@@ -375,11 +375,12 @@ def _admits(dt: float, bound: float) -> bool:
 
 def stable_grid(problem: Problem, state: Sequence[tuple[float, float, int]],
                 margin: tuple[float, float, int], time_step: float | None = None) -> Grid:
-    """The solve grid over these axes.  ``time_step`` None takes the default
-    step: :func:`max_stable_dt`, or horizon/128 where nothing constrains the
+    """The solve grid over these axes.  Its levels are the fewest equal
+    steps no longer than a bound, and at least two: ``time_step``, or when
+    None :func:`max_stable_dt`, or horizon/128 where nothing constrains the
     step (frozen dynamics).  For a problem that is not autonomous the
-    default step then shrinks to the smallest level bound until the bound
-    at every level time of the returned grid admits it."""
+    default bound then shrinks to the smallest level bound until the bound
+    at every level time of the returned grid admits the step."""
     horizon = problem.horizon
     grid = make_grid(state, margin, time_axis(horizon, horizon / 2.0))
     if time_step is not None:

@@ -408,7 +408,6 @@ def test_criterion_9_structural_suite(tmp_path):
         },
         "grid": {"state": [[-1.0, 1.0, 11]], "margin": [0.0, 1.0, 11],
                  "time_step": 0.02},
-        "scheme": {"hedge": "frozen", "beta_candidates": "zero"},
         "outputs": {"directory": str(tmp_path / "roundtrip")},
         "seed": 3,
     }

@@ -125,9 +125,9 @@ def test_unknown_top_level_key_suggests_grid():
         parse_config('{"problem": {"builtin": "zero"}, "gird": {}}')
 
 
-def test_unknown_scheme_key_suggests_hedge():
-    text = config_text("zero", "out", scheme={"hedg": "frozen"})
-    with pytest.raises(UnknownKey, match="hedge"):
+def test_unknown_scheme_key_suggests_epsilon():
+    text = config_text("zero", "out", scheme={"epsilom": 0.05})
+    with pytest.raises(UnknownKey, match="scheme.epsilom.*did you mean 'epsilon'"):
         parse_config(text)
 
 
@@ -138,6 +138,10 @@ def test_removed_knobs_are_unknown_keys():
         parse_config(config_text("zero", "out", scheme={"delta": 0.0}))
     with pytest.raises(UnknownKey, match="scheme.safety"):
         parse_config(config_text("zero", "out", scheme={"safety": 0.9}))
+    with pytest.raises(UnknownKey, match="scheme.hedge"):
+        parse_config(config_text("zero", "out", scheme={"hedge": "frozen"}))
+    with pytest.raises(UnknownKey, match="scheme.beta_candidates"):
+        parse_config(config_text("zero", "out", scheme={"beta_candidates": "zero"}))
 
 
 def test_parse_error_reports_position():
@@ -390,39 +394,49 @@ def test_builtin_scheme_is_a_valid_scheme_section(name):
     assert spelled.document == bare.document
 
 
-def test_a_document_without_scheme_records_the_frozen_and_zero_hedges():
-    # the sweep holds both hedges at zero, and the document says so
+def test_a_document_without_scheme_records_epsilon_alone():
+    # the scheme section holds the level-set threshold and nothing else
     for document in ({"problem": {"horizon": 1.0}, "grid": _LINE_GRID},
                      *({"problem": {"builtin": name}} for name in BUILTIN_NAMES)):
         config = parse_config(json.dumps(document))
-        assert config.document["scheme"] == {"epsilon": None, "hedge": "frozen",
-                                             "beta_candidates": "zero"}, document
+        assert config.document["scheme"] == {"epsilon": None}, document
 
 
-@pytest.mark.parametrize("key, value", [("hedge", "spectral"), ("beta_candidates", "grid"),
-                                        ("hedge", "wavelet"), ("beta_candidates", "dense")])
+@pytest.mark.parametrize("key, value", [("hedge", "frozen"), ("hedge", "spectral"),
+                                        ("hedge", "wavelet"), ("beta_candidates", "zero"),
+                                        ("beta_candidates", "grid"),
+                                        ("beta_candidates", "dense")])
 def test_a_hedge_other_than_zero_is_refused_at_parse(tmp_path, capsys, no_sweep, key, value):
-    # the hedged modes are not offered: a document that asks for one exits 1,
+    # the sweep solves the unhedged equation and reads no hedge setting: a
+    # document that states one, hedged or at the old zero default, exits 1
     # naming the key, before any sweep
-    with pytest.raises(SchemaViolation, match=rf"^scheme\.{key} .*not offered"):
+    with pytest.raises(UnknownKey, match=rf"unknown key 'scheme\.{key}'"):
         parse_config(config_text("zero", "out", scheme={key: value}))
     path = write_config(tmp_path, scheme={key: value})
     assert main(["solve", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert f"scheme.{key}" in err and repr(value) in err
+    assert f"unknown key 'scheme.{key}'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-def test_resolve_grid_picks_a_stable_step():
+def test_resolve_grid_picks_a_stable_step(tmp_path):
     config = parse_config(config_text(
         "zero", "out",
         grid={"state": [[-3.0, 3.0, 101]], "margin": [0.0, 1.0, 101],
               "time_step": None}))
     grid = resolve_grid(config)
     assert grid.dt <= max_stable_dt(config.problem, grid) * (1 + 1e-12)
-    # and a pinned step is taken literally
-    pinned = zero_config("out")
-    assert resolve_grid(pinned).dt == pytest.approx(0.01)
+    # a number caps the step: the fewest equal steps no longer than it over
+    # the horizon of 1, and at least two; 0.01 divides it
+    stock = builtin_config("zero")["grid"]
+    for step, dt, n_levels in ((0.01, 0.01, 101), (0.3, 0.25, 5), (2.0, 0.5, 3)):
+        capped = resolve_grid(parse_config(config_text(
+            "zero", "out", grid={**stock, "time_step": step})))
+        assert (capped.dt, capped.n_levels) == (pytest.approx(dt), n_levels), step
+    # on a state axis coarse enough that the capped step is stable
+    manifest = run(parse_config(config_text(
+        "zero", str(tmp_path / "capped"),
+        grid={"state": [[-3.0, 3.0, 11]], "margin": [0.0, 1.0, 11], "time_step": 0.3})))
+    assert manifest["grid"] == {"dt": 0.25, "n_levels": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +655,7 @@ def test_resume_refuses_another_problems_slices_on_the_same_grid(zero_run, tmp_p
         assert {name: resumed["artifacts"][name] for name in slices} == {
             name: reference["artifacts"][name] for name in slices}
         return
-    with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another problem or scheme"):
+    with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another problem,"):
         run(parse_config(path.read_text()), resume=True)
     assert main(["solve", "--config", str(path), "--resume"]) == 2
     assert "slice_00075.json" in capsys.readouterr().err
@@ -654,13 +668,11 @@ class _Stop(Exception):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_slice_inputs_digest_of_the_stock_configs_is_unchanged(tmp_path, monkeypatch, name):
     # the digest every slice on disk was stamped with: the problem and grid
-    # sections and the two scheme settings the sweep reads.  A drift in what
-    # run() hashes orphans those slices.
+    # sections, all the sweep reads.  A drift in what run() hashes orphans
+    # those slices.
     config = parse_config(config_text(name, str(tmp_path / "run")))
     reference = hashlib.sha256(json.dumps(
-        {"problem": config.document["problem"], "grid": config.document["grid"],
-         "hedge": config.document["scheme"]["hedge"],
-         "beta_candidates": config.document["scheme"]["beta_candidates"]},
+        {"problem": config.document["problem"], "grid": config.document["grid"]},
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     stamped = []
 
@@ -672,6 +684,26 @@ def test_slice_inputs_digest_of_the_stock_configs_is_unchanged(tmp_path, monkeyp
     with pytest.raises(_Stop):
         run(config)
     assert stamped == [reference]
+
+
+def test_resume_refuses_slices_stamped_with_the_hedge_keys(zero_run, tmp_path, capsys):
+    # slices written while the scheme section held the two hedge keys were
+    # stamped with a digest that also hashed them; they are other inputs now
+    config = zero_run[0]
+    path = _completed_zero_run(zero_run, tmp_path)
+    older = hashlib.sha256(json.dumps(
+        {"problem": config.document["problem"], "grid": config.document["grid"],
+         "hedge": "frozen", "beta_candidates": "zero"},
+        sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    stamped = sorted((tmp_path / "run").glob("slice_*.json"))
+    assert stamped
+    for slice_json in stamped:
+        meta = json.loads(slice_json.read_text())
+        slice_json.write_text(json.dumps({**meta, "inputs": older}))
+    with pytest.raises(IncompatibleGrids, match="slice_00075.json .*another problem,"):
+        run(parse_config(path.read_text()), resume=True)
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    assert "slice_00075.json" in capsys.readouterr().err
 
 
 def test_resume_rejects_a_slice_from_another_grid(tmp_path):
@@ -1213,6 +1245,29 @@ def test_main_refuses_correlated_noise_before_any_slice(tmp_path, capsys, time_s
     assert f"correlated across state axes at t={t}:" in err
     assert "not monotone" in err and "'diffusion' number fills every matrix entry" in err
     assert not [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
+
+
+@pytest.mark.parametrize("time_step", [None, 0.05], ids=["default step", "pinned step"])
+def test_main_simulate_needs_a_pinned_step_on_correlated_noise(tmp_path, capsys, time_step):
+    # simulate reads its default step from the sweep's level tables, which
+    # refuse correlated noise; the Monte Carlo itself takes any noise
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "problem": {"dim_state": 2, "dim_noise": 2, "horizon": 1.0, "diffusion": 0.5,
+                    "terminal_cost": "square"},
+        "grid": {"state": [[-3.0, 3.0, 21]] * 2, "margin": [0.0, 4.0, 11],
+                 "time_step": time_step},
+        "outputs": {"directory": str(tmp_path / "run")}}))
+    code = main(["simulate", "--config", str(path), "--paths", "200"])
+    err = capsys.readouterr().err
+    if time_step is None:
+        assert code == 1
+        assert "correlated across state axes at t=0:" in err
+        assert not (tmp_path / "run" / "simulate.json").exists()
+    else:
+        assert code == 0, err
+        assert (tmp_path / "run" / "simulate.json").is_file()
+        assert (tmp_path / "run" / "path.csv").is_file()
 
 
 def test_main_usage_error_exits_one(capsys):

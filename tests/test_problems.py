@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from epigraph import problems
-from epigraph.cli import parse_config
 from epigraph.problems import (
     BUILTIN_NAMES,
     builtin_grid,
@@ -43,14 +42,6 @@ def test_grid_specs_are_fresh_copies():
     first = builtin_grid("zero")
     first["state"][0][0] = -99.0
     assert builtin_grid("zero")["state"][0][0] == -3.0
-
-
-def test_jump_variance_defaults_to_the_frozen_scheme():
-    # the built-in's document records the scheme it carried as an override
-    # before the sweep held both hedges at zero, so its manifest is unchanged
-    config = parse_config(json.dumps({"problem": {"builtin": "jump-variance"}}))
-    assert config.document["scheme"] == {"epsilon": None, "hedge": "frozen",
-                                         "beta_candidates": "zero"}
 
 
 def test_jump_variance_compensator_is_balanced():

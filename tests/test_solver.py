@@ -539,7 +539,6 @@ FROZEN_DIFFUSION = {
                 "drift": "control", "diffusion": 0.3, "running_cost": 0.2,
                 "terminal_cost": "square", "region": {"kind": "box", "lo": [-1.5], "hi": [1.5]}},
     "grid": {"state": [[-2.0, 2.0, 81]], "margin": [0.0, 2.0, 41], "time_step": None},
-    "scheme": {"hedge": "frozen", "beta_candidates": "zero"},
 }
 
 
