@@ -388,8 +388,7 @@ def run(config: RunConfig, out_dir: str | None = None, *, resume: bool = False) 
 # verification battery and simulation spot checks
 # ---------------------------------------------------------------------------
 
-def run_verification(config: RunConfig, out_dir: str | None = None,
-                     checks: str = "all") -> tuple[list[DiagnosticReport], bool]:
+def run_verification(config: RunConfig, checks: str = "all") -> tuple[list[DiagnosticReport], bool]:
     """Run the diagnostic battery on the config's problem and grid and write
     ``reports.json``.
 
@@ -401,12 +400,11 @@ def run_verification(config: RunConfig, out_dir: str | None = None,
 
     reports = run_battery(config.problem, resolve_grid(config), checks,
                           config.document["seed"])
-    write_reports(str(_out_dir(config, out_dir) / "reports.json"), reports)
+    write_reports(str(_out_dir(config) / "reports.json"), reports)
     return reports, all(report.passed for report in reports)
 
 
-def run_simulation(config: RunConfig, out_dir: str | None = None,
-                   n_paths: int = 20000) -> dict[str, Any]:
+def run_simulation(config: RunConfig, n_paths: int = 20000) -> dict[str, Any]:
     """Monte Carlo spot check: cost and shortfall estimates plus one logged path.
 
     Plays the first control constantly from the center of the state box with
@@ -416,7 +414,7 @@ def run_simulation(config: RunConfig, out_dir: str | None = None,
     from .simulate import (constant_policy, estimate_cost, estimate_shortfall, path_to_csv,
                            simulate_pair_path)
 
-    out = _out_dir(config, out_dir)
+    out = _out_dir(config)
     problem, seed = config.problem, config.document["seed"]
     grid = resolve_grid(config)
     center = np.array([0.5 * (axis[0] + axis[-1]) for axis in grid.state_axes])

@@ -344,73 +344,3 @@ def eval_terminal(problem: Problem, states: Array) -> Array:
         raise NonFiniteCoefficient(f"terminal cost must be nonnegative, got {vals.min()}")
     return vals
 
-
-# ---------------------------------------------------------------------------
-# empirical regularity report
-# ---------------------------------------------------------------------------
-
-def check_regularity(
-    problem: Problem,
-    *,
-    samples: int = 256,
-    radius: float = 3.0,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Empirical Lipschitz/growth report for the problem's coefficients.
-
-    Draws random state pairs in a ball of the given radius, measures difference
-    quotients and growth ratios ``|f| / (1 + |a|)`` for drift, diffusion,
-    running cost, terminal cost and distance, and reports the largest observed
-    constants.  This is a smoke diagnostic, not a proof: constants are lower
-    bounds on the true ones.
-    """
-    rng = np.random.default_rng(seed)
-    n = problem.dim_state
-    pts = rng.uniform(-radius, radius, size=(samples, n))
-    pairs = rng.uniform(-radius, radius, size=(samples, n))
-    t_probe = 0.5 * problem.horizon
-    u_probe = problem.controls[0]
-
-    d_a, s_a, j_a, l_a = eval_coefficients_batch(problem, t_probe, pts, u_probe)
-    d_b, s_b, j_b, l_b = eval_coefficients_batch(problem, t_probe, pairs, u_probe)
-    m_a = eval_terminal(problem, pts)
-    m_b = eval_terminal(problem, pairs)
-    dist_a = np.atleast_1d(problem.distance(pts))
-    dist_b = np.atleast_1d(problem.distance(pairs))
-
-    gaps = np.linalg.norm(pts - pairs, axis=1)
-    ok = gaps > 1e-9
-
-    def lip(va: Array, vb: Array) -> float:
-        diff = va.reshape(samples, -1) - vb.reshape(samples, -1)
-        return float(np.max(np.linalg.norm(diff, axis=1)[ok] / gaps[ok])) if ok.any() else 0.0
-
-    def growth(vals: Array) -> float:
-        flat = vals.reshape(samples, -1)
-        return float(np.max(np.linalg.norm(flat, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))))
-
-    report: dict[str, Any] = {
-        "samples": samples,
-        "radius": radius,
-        "lipschitz": {
-            "drift": lip(d_a, d_b),
-            "diffusion": lip(s_a, s_b),
-            "running_cost": lip(l_a, l_b),
-            "terminal_cost": lip(m_a, m_b),
-            "distance": lip(dist_a, dist_b),
-        },
-        "growth": {
-            "drift": growth(d_a),
-            "diffusion": growth(s_a),
-        },
-    }
-    if problem.jumps.n_atoms:
-        report["lipschitz"]["jump_size"] = lip(
-            j_a.transpose(1, 0, 2), j_b.transpose(1, 0, 2)
-        )
-    report["warnings"] = [
-        f"{label} Lipschitz estimate {val:.3g} is large"
-        for label, val in report["lipschitz"].items()
-        if val > 1e3
-    ]
-    return report

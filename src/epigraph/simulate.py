@@ -73,8 +73,6 @@ class MCEstimate:
 
     mean: float
     half_width: float
-    n_paths: int
-    seed: int
 
     def covers(self, value: float) -> bool:
         return abs(self.mean - value) <= self.half_width
@@ -246,10 +244,11 @@ def _chunked(
     }
 
 
-def _estimate(samples: Array, n_paths: int, seed: int) -> MCEstimate:
+def _estimate(samples: Array) -> MCEstimate:
+    n_paths = samples.shape[0]
     mean = float(np.mean(samples))
     half = float(1.96 * np.std(samples, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return MCEstimate(mean=mean, half_width=half, n_paths=n_paths, seed=seed)
+    return MCEstimate(mean=mean, half_width=half)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def estimate_cost(
     stats = _chunked(problem, policy, t0, a0, 0.0, n_paths, dt, seed)
     samples = stats["run_cost"] + eval_terminal(problem, stats["x_T"])
     assert samples.min() >= 0.0  # running and terminal costs are nonnegative
-    return _estimate(samples, n_paths, seed)
+    return _estimate(samples)
 
 
 def estimate_shortfall(
@@ -318,4 +317,4 @@ def estimate_shortfall(
     shortfall = np.maximum(eval_terminal(problem, stats["x_T"]) - stats["y_T"], 0.0)
     samples = shortfall + stats["penalty"]
     assert samples.min() >= 0.0
-    return _estimate(samples, n_paths, seed)
+    return _estimate(samples)

@@ -3,7 +3,7 @@
 Each check packages one falsifiable statement about the field of one run —
 the negative-margin slab is linear, a perturbed field is a strictly negative
 scheme residual, the dynamic programming inequality holds against Monte
-Carlo, difference quotients stay bounded under refinement — as a
+Carlo, the margin quotient stays at most 1 — as a
 :class:`DiagnosticReport` with a scalar residual, a tolerance, and enough
 detail to locate the worst offender.  :func:`run_battery` runs them on one
 solve of the run's problem and grid, as ``epigraph verify`` does.  Each
@@ -84,6 +84,11 @@ def write_reports(path: str, reports: Sequence[DiagnosticReport]) -> None:
         "reports": [r.as_dict() for r in reports],
     }
     write_json(path, payload)
+
+
+def _consistency_allowance(grid: Grid) -> float:
+    """The default allowance of the scheme's consistency error, dt + max h + h_b."""
+    return grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,7 @@ def strict_subsolution_residual(
     unkept = sorted(_subsolution_reads(levels).difference(field.slices))
     if unkept:
         raise ValueError(f"the probe reads levels {unkept}, which the field does not keep")
-    if tol_h is None:
-        tol_h = grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
+    tol_h = _consistency_allowance(grid) if tol_h is None else tol_h
 
     jz = grid.margin_zero_index
     interior: list = [slice(None)] + [slice(1, -1)] * grid.dim_state
@@ -253,8 +257,7 @@ def dpp_consistency(
     sub = dataclasses.replace(problem, horizon=r)
     if dt is None:
         dt = (r - t0) / 16.0
-    if tol is None:
-        tol = grid.dt + float(max(grid.state_spacings)) + grid.margin_spacing
+    tol = _consistency_allowance(grid) if tol is None else tol
     if controls is None:
         controls = problem.controls
 
@@ -273,7 +276,7 @@ def dpp_consistency(
                 n_paths, dt, seed + i * len(controls) + j,
             )
             cont = field.evaluate(r_index, stats["x_T"], margins=stats["y_T"])
-            estimate = _estimate(stats["penalty"] + cont, n_paths, seed)
+            estimate = _estimate(stats["penalty"] + cont)
             if best is None or estimate.mean < best["mean"]:
                 best = {"mean": estimate.mean, "half_width": estimate.half_width}
         residual = here - (best["mean"] + best["half_width"])
@@ -316,41 +319,21 @@ def _quotients(field: Field) -> dict[str, Any]:
             "margin_quotient": margin_d / grid.margin_spacing}
 
 
-# margin quotients may exceed 1 by roundoff; refined state quotients may grow
-# by at most this ratio
+# margin quotients may exceed 1 by roundoff
 _MARGIN_BOUND = 1.0 + 1e-6
-_RATIO_BOUND = 1.5
 
 
-def lipschitz_profile(field: Field, refined: Field | None = None) -> DiagnosticReport:
-    """Difference-quotient bounds: slope at most 1 in the margin, stable in state.
+def lipschitz_profile(field: Field) -> DiagnosticReport:
+    """Difference quotients of the field: slope at most 1 in the margin.
 
     The margin direction inherits the terminal slice's unit slope and the
     dynamics never amplify it, so its quotient must not exceed 1 (plus
-    roundoff).  State-direction quotients have no universal constant; when a
-    ``refined`` solve of the same problem is supplied, their growth ratio is
-    bounded instead.  The residual is the worst criterion slack (pass at 0).
+    roundoff); the residual is its slack (pass at 0).  The state quotients
+    have no universal constant and are reported without a bound.
     """
     base = _quotients(field)
-    slacks = [base["margin_quotient"] - _MARGIN_BOUND]
-    details: dict[str, Any] = {"base": base, "margin_bound": _MARGIN_BOUND}
-    if refined is not None:
-        fine = _quotients(refined)
-        ratios = []
-        for coarse_q, fine_q in zip(
-            base["state_quotients"] + [base["margin_quotient"]],
-            fine["state_quotients"] + [fine["margin_quotient"]],
-        ):
-            if coarse_q > 0.0:
-                ratios.append(fine_q / coarse_q)
-            else:
-                ratios.append(1.0 if fine_q == 0.0 else math.inf)
-        slacks.append(fine["margin_quotient"] - _MARGIN_BOUND)
-        slacks.append(max(ratios) - _RATIO_BOUND)
-        details["refined"] = fine
-        details["ratios"] = ratios
-        details["ratio_bound"] = _RATIO_BOUND
-    return DiagnosticReport("lipschitz-quotients", max(slacks), 0.0, details)
+    return DiagnosticReport("lipschitz-quotients", base["margin_quotient"] - _MARGIN_BOUND, 0.0,
+                            {"base": base, "margin_bound": _MARGIN_BOUND})
 
 
 # ---------------------------------------------------------------------------

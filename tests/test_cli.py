@@ -1492,6 +1492,15 @@ def test_main_simulate_smoke(tmp_path, capsys):
 @pytest.mark.parametrize("name, checks", [
     ("frozen-penalty", ["lipschitz-quotients", "slab-identity", "dpp-one-sided"]),
     ("zero", ["lipschitz-quotients", "strict-subsolution", "dpp-one-sided"]),
+    ("deterministic-steering",
+     ["lipschitz-quotients", "strict-subsolution", "dpp-one-sided"]),
+    pytest.param(
+        "jump-variance", ["lipschitz-quotients", "strict-subsolution", "dpp-one-sided"],
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="open fault (FOUND in CHANGES.md): dpp-one-sided reads residual "
+                   "0.869 against tolerance 0.157 at a = -5.1, b = 0.1, so verify "
+                   "exits 3")),
 ])
 def test_default_battery_passes_on_stock_builtins_and_report_lists_it(
         tmp_path, capsys, name, checks):

@@ -91,6 +91,29 @@ def test_steering_value_matches_the_oracle(steering_field):
     assert required_margin_profile(field, 0)[i] == pytest.approx(0.25, abs=0.05)
 
 
+def test_with_noise_and_jumps_the_reading_is_a_tail_level_not_the_cost():
+    # jump-variance: unit noise and one unit atom of weight 2, one control,
+    # no constraint, m(a) = a^2, so E[m(X_T)] = a^2 + 3.  The margin-0 column
+    # is that expected cost and converges to it at first order; the required
+    # margin is the level whose expected excess (m(X_T) - b)^+ drops to
+    # epsilon, far above the cost on every grid.  The margin axis tops the
+    # largest terminal cost plus 3 (39) so that no state reads the top cell.
+    problem = builtin_problem("jump-variance")
+    errors = []
+    for n_state, n_margin in ((121, 201), (241, 401)):
+        grid = stable_grid(problem, [(-6.0, 6.0, n_state)], (0.0, 40.0, n_margin))
+        field = solve_shortfall(problem, grid)
+        a = grid.state_axes[0]
+        window = np.abs(a) <= 1.5
+        cost = a[window] ** 2 + 3.0
+        floor = field.slice_at(0)[:, grid.margin_zero_index][window]
+        errors.append(float(np.abs(floor - cost).max()))  # measured 0.197, 0.098
+        excess = required_margin_profile(field, 0)[window] - cost
+        assert np.isfinite(excess).all()
+        assert excess.min() > 10.0                         # measured 19.6, 18.9
+    assert 1.4 <= errors[0] / errors[1] <= 2.6             # measured 2.02
+
+
 def test_profile_is_monotone_in_epsilon(steering_field):
     field, grid = steering_field
     eps = field.epsilon

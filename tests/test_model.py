@@ -16,7 +16,6 @@ from epigraph.model import (
     JumpModel,
     Region,
     build_problem,
-    check_regularity,
     eval_coefficients_batch,
     eval_terminal,
 )
@@ -241,27 +240,3 @@ def test_a_region_names_the_fields_its_kind_lacks(fields, message):
     with pytest.raises(MissingField, match=f"^{message}$"):
         Region(**fields)
 
-
-# ---------------------------------------------------------------------------
-# regularity report
-# ---------------------------------------------------------------------------
-
-def test_regularity_estimates_linear_drift():
-    report = check_regularity(linear_problem(), samples=512, seed=3)
-    # drift 2a has Lipschitz constant exactly 2; random sampling attains it
-    # up to roundoff because the quotient is constant
-    assert report["lipschitz"]["drift"] == pytest.approx(2.0, abs=1e-6)
-    assert report["lipschitz"]["distance"] == 0.0
-    assert report["warnings"] == []
-    assert "jump_size" not in report["lipschitz"]
-
-
-def test_regularity_reports_the_jump_amplitudes_jointly():
-    # amplitudes e*a at marks 0.5 and -1: the pair of atoms moves by
-    # |a - b| * |(0.5, -1)|, so the constant is sqrt(1.25) at every pair
-    problem = linear_problem(
-        jumps=JumpModel(marks=np.array([0.5, -1.0]), weights=np.array([1.0, 2.0])),
-        jump_size=lambda t, a, u, e: e * a,
-    )
-    report = check_regularity(problem, samples=64, seed=5)
-    assert report["lipschitz"]["jump_size"] == pytest.approx(np.sqrt(1.25), rel=1e-12)
