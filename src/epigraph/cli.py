@@ -510,28 +510,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     out = pathlib.Path(args.out)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
+    path = out / "manifest.json"
+    if not path.exists():
         print(f"error: no manifest.json under {out}", file=sys.stderr)
         return 1
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    problem_spec = manifest["config"]["problem"]
-    label = problem_spec.get("builtin") or problem_spec.get("name") or "inline"
-    print(f"run directory: {out}")
-    print(f"problem: {label}")
-    print(f"grid: {manifest['grid']['n_levels']} levels, dt {manifest['grid']['dt']:.6g}")
-    print(f"epsilon: {manifest['epsilon']:.6g}")
-    print(f"artifacts ({len(manifest['artifacts'])}):")
-    for name in sorted(manifest["artifacts"]):
-        print(f"  {name}  {manifest['artifacts'][name][:12]}")
-    reports_path = out / "reports.json"
-    if reports_path.exists():
-        with open(reports_path) as handle:
-            payload = json.load(handle)
-        for entry in payload["reports"]:
-            status = "PASS" if entry["pass"] else "FAIL"
-            print(f"verification: {status} {entry['name']}")
+    try:
+        with open(path) as handle:
+            manifest = json.load(handle)
+        problem_spec = manifest["config"]["problem"]
+        label = problem_spec.get("builtin") or problem_spec.get("name") or "inline"
+        print(f"run directory: {out}")
+        print(f"problem: {label}")
+        print(f"grid: {manifest['grid']['n_levels']} levels, dt {manifest['grid']['dt']:.6g}")
+        print(f"epsilon: {manifest['epsilon']:.6g}")
+        print(f"artifacts ({len(manifest['artifacts'])}):")
+        for name in sorted(manifest["artifacts"]):
+            print(f"  {name}  {manifest['artifacts'][name][:12]}")
+        path = out / "reports.json"
+        if path.exists():
+            with open(path) as handle:
+                payload = json.load(handle)
+            for entry in payload["reports"]:
+                status = "PASS" if entry["pass"] else "FAIL"
+                print(f"verification: {status} {entry['name']}")
+    except KeyError as exc:
+        print(f"error: {path} has no key {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

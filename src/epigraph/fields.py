@@ -500,9 +500,10 @@ def _replaced(path: str | pathlib.Path, mode: str) -> Iterator[IO[Any]]:
 
 def write_json(path: str | pathlib.Path, payload: Any) -> None:
     """Write ``payload`` as JSON with sorted keys, one-space indent and a
-    trailing newline, the one layout of every JSON file a run writes."""
+    trailing newline, the one layout of every JSON file a run writes.  Numpy
+    arrays and scalars in it are written as the lists and numbers they hold."""
     with _replaced(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
+        json.dump(payload, handle, indent=1, sort_keys=True, default=lambda obj: obj.tolist())
         handle.write("\n")
 
 

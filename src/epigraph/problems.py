@@ -90,11 +90,11 @@ def _mark_shift(t: float, a: Array, u: Array, e: float) -> Array:
 # the inline problem section
 # ---------------------------------------------------------------------------
 
-def _vector(value: Any, size: int, path: str) -> list[float]:
-    """A list of ``size`` finite numbers at ``path``."""
+def _vector(value: Any, size: int | None, path: str) -> list[float]:
+    """A list of ``size`` finite numbers at ``path``; None: of any length."""
     if not isinstance(value, (list, tuple)):
-        fail(path, f"must be a list of {size} numbers")
-    if len(value) != size:
+        fail(path, "must be a list of " + ("" if size is None else f"{size} ") + "numbers")
+    if size is not None and len(value) != size:
         fail(path, f"needs {size} components, got {len(value)}")
     return [require_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
@@ -174,11 +174,13 @@ def _jumps_value(spec: Any) -> tuple[dict[str, Any] | None, JumpModel | None]:
     if spec is None:
         return None, None
     require_object(spec, "problem.jumps", _JUMP_KEYS, _JUMP_KEYS)
+    marks = _vector(spec["marks"], None, "problem.jumps.marks")
+    weights = _vector(spec["weights"], len(marks), "problem.jumps.weights")
     try:
-        jumps = JumpModel(**{key: np.asarray(spec[key], dtype=float) for key in _JUMP_KEYS})
-    except (ValueError, TypeError, EpigraphError) as exc:
+        jumps = JumpModel(marks=marks, weights=weights)
+    except EpigraphError as exc:
         raise SchemaViolation(f"problem.jumps: {exc}") from None
-    return {key: np.asarray(spec[key], dtype=float).tolist() for key in _JUMP_KEYS}, jumps
+    return {"marks": marks, "weights": weights}, jumps
 
 
 def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:

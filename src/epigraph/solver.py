@@ -28,18 +28,18 @@ entry with :class:`CorrelatedNoise` before any step.
 What a step needs that the slice does not change, the level tables, is
 built before the step: the negated distance, and per control the negated
 compensated drift with its upwind choice, the running cost, the per-axis
-variances, each jump atom's interpolation stencil, and the node-wise
-Courant rates.  A problem whose coefficients do not depend on t
-(``Problem.autonomous``) builds them once per solve; any other problem
-builds them at every level, by the same code.  A per-control
-coefficient that holds the same value at every state node (every problem
-stated as a document has constant coefficients) is stored as one value, not
-as an array over the nodes.  Each element of the slice is still multiplied
-by the same number, one IEEE product, so the values are those of the array
-form; but numpy then runs the product as one contiguous loop over the slice
-rather than a broadcast loop whose inner run is the margin axis.  The
-comparison is of values, so a coefficient that is +0 at some nodes and -0
-at others is one value too, which changes no value.
+variances, each jump atom's interpolation stencil, and the largest
+Courant rates.  :func:`_level_steps` walks the levels of the sweep, the step
+search and the subsolution probe; a problem whose coefficients do not depend
+on t (``Problem.autonomous``) builds them once, any other at every level.
+A per-control coefficient that holds the same value at every state node
+(every problem stated as a document has constant coefficients) is stored as
+one value, not as an array over the nodes.  Each element of the slice is
+still multiplied by the same number, one IEEE product, so the values are
+those of the array form; but numpy then runs the product as one contiguous
+loop over the slice rather than a broadcast loop whose inner run is the
+margin axis.  The comparison is of values, so a coefficient that is +0 at
+some nodes and -0 at others is one value too, which changes no value.
 
 The step promises the slope's values, not the signs of its zeros; the
 roundoff clip settles those (see :func:`_enforce_nonnegative`).  Structurally
@@ -97,21 +97,21 @@ the same, in the same order, so the bits are too.
 
 The sweep streams.  It holds two slices and writes each step into the one
 the step before read; the caller names the levels it keeps.  Every other
-slice-sized array a step needs (the forward and backward quotients, the
-margin slope, the running maximum and the slope, the curvature and trace
-buffers, the jump gather and the shifted slice) is a buffer of one
-per-solve workspace, allocated on its first use.  The step writes into them
-with ``out=`` in the operation order of the allocating forms, so every value
-is the same, and a step after the first allocates no slice-sized array:
-glibc then has no slice-sized block to hand back to the system and fault in
-again at the next level.
+slice-sized array a step needs (one quotient buffer per axis, margin too,
+the running maximum and the slope, the curvature and trace buffers, the jump
+gather and the shifted slice) is a buffer of one per-solve workspace,
+allocated on its first use.  The step writes into them with ``out=`` in the
+operation order of the allocating forms, so every value is the same, and a
+step after the first allocates no slice-sized array: glibc then has no
+slice-sized block to hand back to the system and fault in again at the next
+level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,22 +134,22 @@ _LO, _MID, _HI = slice(None, -2), slice(1, -1), slice(2, None)
 
 
 def first_differences(values: Array, axis: int, h: float,
-                      out: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
+                      out: Array | None = None) -> tuple[Array, Array]:
     """(forward, backward) quotients; hull faces use the inward one-sided one.
 
-    ``out`` is a (forward, backward) pair of buffers of the shape of
-    ``values`` to write into; None allocates them."""
+    Both are views of one buffer, ``out`` (None allocates it), with one node
+    more than ``values`` along ``axis``: nodes 1..n-1 hold the cell
+    quotients and each end repeats its inward neighbour."""
     lead = (slice(None),) * axis
     head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-    first, last = lead + (slice(None, 1),), lead + (slice(-1, None),)
-    fwd, bwd = (np.empty(values.shape), np.empty(values.shape)) if out is None else out
-    diff = fwd[head]
+    if out is None:
+        out = np.empty([size + (i == axis) for i, size in enumerate(values.shape)])
+    diff = out[lead + (_MID,)]
     np.subtract(values[tail], values[head], out=diff)
     diff /= h
-    fwd[last] = diff[last]
-    bwd[tail] = diff
-    bwd[first] = diff[first]
-    return fwd, bwd
+    out[lead + (0,)] = out[lead + (1,)]
+    out[lead + (-1,)] = out[lead + (-2,)]
+    return out[tail], out[head]
 
 
 def second_difference(values: Array, axis: int, h: float, out: Array | None = None) -> Array:
@@ -249,9 +249,10 @@ def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]]
 class _LevelTables:
     """Everything a sweep step needs at time ``t`` that the slice does not
     change: the negated distance (``neg_dist``, None where the distance is
-    zero at every node), the floor and ceiling margin columns (``edges``),
-    one :class:`_ControlTable` per control, the kept drifts of each state
-    axis (``axis_drifts``), and the node-wise rates of the Courant bound.
+    zero at every node), the floor and ceiling margin columns (``edges``), a
+    :class:`_ControlTable` per control, the kept drifts of each state axis
+    (``axis_drifts``), the largest rates (``rates``) and the stable step
+    (``bound``) of the Courant bound.
 
     ``axis_drifts`` is None where the controls do not factor: a drift that
     varies over the nodes or takes both upwind sides, controls that differ
@@ -273,27 +274,27 @@ class _LevelTables:
         self.problem, self.grid = problem, grid
         mesh = grid.state_mesh()
         sshape = grid.state_shape
-        n_nodes, n = mesh.shape
+        n = grid.dim_state
         jumps = problem.jumps
         neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
         self.neg_dist = neg_dist if neg_dist.any() else None
         self.edges = [grid.margin_zero_index, -1]
 
-        # node-wise maxima over the controls of the rates the bound adds up:
+        # the largest over nodes and controls of the rates the bound adds up:
         # the absolute raw and compensated drift per state axis (the sweep
         # advects with the compensated one), the variances and the running cost
-        rate_drift = np.zeros((n_nodes, n))
-        rate_variance = np.zeros((n_nodes, n))
-        rate_running = np.zeros(n_nodes)
+        rate_drift = np.zeros(n)
+        rate_variance = np.zeros(n)
+        rate_running = np.zeros(())
         self.controls = []
         for u in problem.controls:
             drift, diffusion, jump_sizes, running = eval_coefficients_batch(
                 problem, t, mesh, u)
-            np.maximum(rate_drift, np.abs(drift), out=rate_drift)
+            np.maximum(rate_drift, np.abs(drift).max(axis=0), out=rate_drift)
             f_eff = drift
             if jumps.n_atoms:
                 f_eff = drift - np.einsum("k,kpi->pi", jumps.weights, jump_sizes)
-                np.maximum(rate_drift, np.abs(f_eff), out=rate_drift)
+                np.maximum(rate_drift, np.abs(f_eff).max(axis=0), out=rate_drift)
             variance = None
             if diffusion.any():
                 sig2 = np.einsum("pik,pjk->pij", diffusion, diffusion)
@@ -305,9 +306,9 @@ class _LevelTables:
                         f"'diffusion' number fills every matrix entry, so with two or more "
                         f"state axes it is correlated noise")
                 variance = np.diagonal(sig2, axis1=1, axis2=2)
-                np.maximum(rate_variance, variance, out=rate_variance)
+                np.maximum(rate_variance, variance.max(axis=0), out=rate_variance)
                 variance = _node_uniform(variance, (*sshape, 1, n))
-            np.maximum(rate_running, running, out=rate_running)
+            np.maximum(rate_running, running.max(), out=rate_running)
 
             neg_f = np.negative(f_eff)
             advection = []
@@ -325,16 +326,12 @@ class _LevelTables:
             ))
         self.axis_drifts = _axis_drifts(self.controls)
         self.rates = (rate_drift, rate_variance, rate_running)
-        self._bound = _courant_bound(problem, grid, *self.rates)
-
-    def bound(self) -> float:
-        """The stable step of these tables' rates."""
-        return self._bound
+        self.bound = _courant_bound(problem, grid, *self.rates)
 
 
 def _courant_bound(problem: Problem, grid: Grid, drift: Array, variance: Array,
                    running: Array) -> float:
-    """The stable step for node-wise rates.
+    """The stable step for the largest rates.
 
     Inverse sum of the parabolic terms per state axis (the variances), the
     advection terms, the margin advection, and twice the total jump
@@ -342,14 +339,12 @@ def _courant_bound(problem: Problem, grid: Grid, drift: Array, variance: Array,
     center once each).  Returns inf when every term vanishes (nothing
     constrains the step).
     """
-    variance = variance.max(axis=0)
-    drift = drift.max(axis=0)
     h = grid.state_spacings
     denom = 0.0
     for i in range(len(h)):
         denom += variance[i] / h[i] ** 2
         denom += drift[i] / h[i]
-    denom += float(running.max()) / grid.margin_spacing
+    denom += float(running) / grid.margin_spacing
     denom += 2.0 * float(problem.jumps.total_mass)
     if denom == 0.0:
         return float("inf")
@@ -366,6 +361,19 @@ def max_stable_dt(problem: Problem, grid: Grid) -> float:
              else (0.0, 0.5 * problem.horizon, problem.horizon))
     rates = zip(*(_LevelTables(problem, grid, t).rates for t in times))
     return _courant_bound(problem, grid, *(np.maximum.reduce(r) for r in rates))
+
+
+def _level_steps(problem: Problem, grid: Grid,
+                 levels: Iterable[int]) -> Iterator[tuple[int, float, float, _LevelTables]]:
+    """``(level, t, dt, tables)`` of the step into each of ``levels``, from
+    ``t = times[level + 1]`` by ``dt = t - times[level]``, with the level
+    tables at ``t``: built once for an autonomous problem, else per level."""
+    tables = None
+    for level in levels:
+        t = float(grid.times[level + 1])
+        if tables is None or not problem.autonomous:
+            tables = _LevelTables(problem, grid, t)
+        yield level, t, t - float(grid.times[level]), tables
 
 
 def _admits(dt: float, bound: float) -> bool:
@@ -390,12 +398,12 @@ def stable_grid(problem: Problem, state: Sequence[tuple[float, float, int]],
         time_step = horizon / 128.0
     grid = replace(grid, times=time_axis(horizon, time_step))
     while not problem.autonomous:
-        # the step into level l reads the tables at times[l + 1]
-        bounds = [_LevelTables(problem, grid, float(t)).bound() for t in grid.times[1:]]
-        if all(map(_admits, np.diff(grid.times), bounds)):
+        steps = [(dt, tables.bound)
+                 for _, _, dt, tables in _level_steps(problem, grid, range(grid.n_levels - 1))]
+        if all(_admits(*step) for step in steps):
             break
         # a refused level's step exceeds this, so the level count grows
-        grid = replace(grid, times=time_axis(horizon, min(bounds)))
+        grid = replace(grid, times=time_axis(horizon, min(bound for _, bound in steps)))
     return grid
 
 
@@ -416,19 +424,14 @@ class _Workspace:
         self.shape = shape
         self._buffers: dict[object, Array] = {}
 
-    def __call__(self, name: object, *, zeros: bool = False) -> Array:
-        """The float buffer ``name``, of the slice's shape."""
+    def __call__(self, name: object, *, zeros: bool = False, axis: int | None = None) -> Array:
+        """The float buffer ``name``, of the slice's shape, or with one node
+        more along ``axis``: a quotient buffer of :func:`first_differences`."""
         buffer = self._buffers.get(name)
         if buffer is None:
-            buffer = (np.zeros if zeros else np.empty)(self.shape)
-            self._buffers[name] = buffer
+            shape = [size + (i == axis) for i, size in enumerate(self.shape)]
+            buffer = self._buffers[name] = (np.zeros if zeros else np.empty)(shape)
         return buffer
-
-
-def _state_curvature(prev: Array, h: tuple[float, ...], n: int, ws: _Workspace) -> list[Array]:
-    """Second differences of ``prev`` along its ``n`` state axes, in buffers of ``ws``."""
-    return [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
-            for i in range(n)]
 
 
 def _trace_term(variance: Array, hess: list[Array], ws: _Workspace) -> Array:
@@ -466,12 +469,12 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
 
     # control-independent pieces of the stencil; the second-order ones are
     # built on first use by a control with diffusion
-    fwd_bwd = [first_differences(prev, i, h[i], out=(ws(("fwd", i)), ws(("bwd", i))))
+    fwd_bwd = [first_differences(prev, i, h[i], out=ws(("quotients", i), axis=i))
                for i in range(n)]
     # only the running cost reads the margin slope
     if any(c.running is not None for c in tables.controls):
         _, margin_slope = first_differences(prev, n, grid.margin_spacing,
-                                            out=(ws(("fwd", n)), ws(("bwd", n))))
+                                            out=ws(("quotients", n), axis=n))
         margin_slope[..., tables.edges] = (-1.0, 0.0)  # the floor and the ceiling
     curvature: list | None = None
     if K:
@@ -516,7 +519,8 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
 
         if control.variance is not None:
             if curvature is None:
-                curvature = _state_curvature(prev, h, n, ws)
+                curvature = [second_difference(prev, i, h[i], out=ws(("hess", i), zeros=True))
+                             for i in range(n)]
             slope -= _trace_term(control.variance, curvature, ws)
 
         if K:
@@ -539,10 +543,9 @@ def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
     """The step of :func:`step_backward`, written into ``out`` with the
     buffers of ``ws``; ``out`` must not overlap ``prev``.  It does not check
     that ``out`` is finite: :func:`_enforce_nonnegative` does."""
-    bound = tables.bound()
-    if not _admits(dt, bound):
+    if not _admits(dt, tables.bound):
         raise CFLViolation(
-            f"time step {dt:.6g} exceeds the stable bound {bound:.6g} at t={t:.6g}")
+            f"time step {dt:.6g} exceeds the stable bound {tables.bound:.6g} at t={t:.6g}")
     change = _best_time_slope(prev, tables, ws)
     change *= dt
     return np.subtract(prev, change, out=out)
@@ -629,13 +632,11 @@ def solve_shortfall(
     into one of the sweep's two buffers, then the roundoff clip, which also
     stops the sweep on a slice that is not finite.  :func:`step_backward`
     takes the same step into a new array and checks its finiteness itself;
-    the sweep does not call it.  The level tables are built once per level,
-    or once per solve for an autonomous problem.
-    The sweep starts from :func:`epigraph.fields.terminal_slice`.  The
-    margin-0 column is the floor and the top margin column the ceiling, each
-    stepped by its state-only rule.  Margin columns below zero — when the
-    grid has them — evolve under the same scheme and serve as the linearity
-    diagnostic.
+    the sweep does not call it.  The sweep starts from
+    :func:`epigraph.fields.terminal_slice`.  The margin-0 column is the
+    floor and the top margin column the ceiling, each stepped by its
+    state-only rule.  Margin columns below zero — when the grid has them —
+    evolve under the same scheme and serve as the linearity diagnostic.
 
     The sweep holds two slices: each step writes into the one the step
     before read, so its memory does not grow with the number of levels.
@@ -659,12 +660,7 @@ def solve_shortfall(
     ws = _Workspace(prev.shape)
     buffers = (np.empty(prev.shape), np.empty(prev.shape))
 
-    tables = None
-    for level in range(start - 1, -1, -1):
-        t = float(grid.times[level + 1])
-        dt = t - float(grid.times[level])
-        if tables is None or not problem.autonomous:
-            tables = _LevelTables(problem, grid, t)
+    for level, t, dt, tables in _level_steps(problem, grid, range(start - 1, -1, -1)):
         new = _step_into(prev, t, dt, tables, ws, out=buffers[level % 2])
         _enforce_nonnegative(new, float(grid.times[level]))
         if level in keep:

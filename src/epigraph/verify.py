@@ -26,7 +26,7 @@ from .errors import IncompatibleGrids, SchemaViolation
 from .fields import Field, Grid, write_json
 from .model import Problem
 from .simulate import _chunked, _estimate, constant_policy
-from .solver import _LevelTables, solve_shortfall, step_backward
+from .solver import _level_steps, solve_shortfall, step_backward
 
 Array = np.ndarray
 
@@ -34,19 +34,6 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so json.dump accepts them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
 
 @dataclass(frozen=True)
 class DiagnosticReport:
@@ -74,7 +61,7 @@ class DiagnosticReport:
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "details": _plain(self.details),
+            "details": self.details,
         }
 
 
@@ -188,13 +175,7 @@ def strict_subsolution_residual(
     b = grid.margin_axis
     horizon = problem.horizon
     pooled = []
-    tables = None
-    for k in levels:
-        t_next = float(grid.times[k + 1])
-        dt = t_next - float(grid.times[k])
-        # as in the sweep, an autonomous problem's tables serve every step
-        if tables is None or not problem.autonomous:
-            tables = _LevelTables(problem, grid, t_next)
+    for k, t_next, dt, tables in _level_steps(problem, grid, levels):
         pert_prev = field.slice_at(k + 1) + _log_margin_probe(t_next, horizon, b, nu)
         stepped = step_backward(pert_prev, t_next, dt, problem, grid, tables=tables)
         pert_target = field.slice_at(k) + _log_margin_probe(

@@ -261,7 +261,15 @@ def _malformed(problem=(), **sections):
     (_malformed({"jumps": [1.0]}), "problem.jumps must be an object"),
     (_malformed({"jumps": {"marks": [1.0]}}), "problem.jumps.weights is required"),
     (_malformed({"jumps": {"marks": [1.0, 2.0], "weights": [1.0]}}),
-     "problem.jumps: jump model has 2 marks but 1 weights"),
+     "problem.jumps.weights needs 2 components, got 1"),
+    (_malformed({"jumps": {"marks": [True], "weights": [1.0]}}),
+     "problem.jumps.marks[0] must be a number"),
+    (_malformed({"jumps": {"marks": [0.5], "weights": [True]}}),
+     "problem.jumps.weights[0] must be a number"),
+    (_malformed({"jumps": {"marks": [[0.5, 1.0]], "weights": [1.0]}}),
+     "problem.jumps.marks[0] must be a number"),
+    (_malformed({"jumps": {"marks": 0.5, "weights": 1.0}}),
+     "problem.jumps.marks must be a list of numbers"),
     (_malformed({"controls": "all"}), "problem.controls must be a non-empty list"),
     (_malformed({"controls": [[1.0], []]}), "problem.controls[1] must be a non-empty list"),
     (_malformed({"drift": "fast"}), 'problem.drift must be "control", a number, or a list'),
@@ -280,6 +288,7 @@ def _malformed(problem=(), **sections):
         "formats-not-a-list", "formats-unknown-entry", "problem-a-list", "problem-null",
         "problem-missing", "region-not-an-object", "region-vector-not-a-list",
         "jumps-not-an-object", "jumps-without-weights", "jumps-of-unequal-lengths",
+        "jump-mark-a-bool", "jump-weight-a-bool", "jump-marks-nested", "jump-marks-a-number",
         "controls-not-a-list", "controls-row-empty", "drift-of-another-type",
         "terminal-cost-of-another-type", "name-not-a-string", "builtin-not-a-string",
         "document-a-list", "scheme-an-empty-list", "outputs-an-empty-list", "box-without-hi",
@@ -1528,3 +1537,22 @@ def test_python_dash_m_epigraph_runs_the_command_line():
 def test_main_report_missing_directory(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 1
     assert "manifest" in capsys.readouterr().err
+
+
+_MANIFEST = {"config": {"problem": {"builtin": "zero"}}, "grid": {"n_levels": 3, "dt": 0.5},
+             "epsilon": 0.01, "artifacts": {}}
+
+
+@pytest.mark.parametrize("files, name, key", [
+    ({"manifest.json": {}}, "manifest.json", "config"),
+    ({"manifest.json": {**_MANIFEST, "grid": {"dt": 0.5}}}, "manifest.json", "n_levels"),
+    ({"manifest.json": _MANIFEST, "reports.json": {"reports": [{"name": "slab-identity"}]}},
+     "reports.json", "pass"),
+], ids=["manifest-empty", "manifest-grid-without-levels", "report-without-pass"])
+def test_main_report_names_the_file_missing_a_key(tmp_path, capsys, files, name, key):
+    for file, payload in files.items():
+        (tmp_path / file).write_text(json.dumps(payload))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and repr(key) in err
+    assert "Traceback" not in err

@@ -204,6 +204,18 @@ def test_stencils_match_the_gather_reference_bit_for_bit():
                               _second_difference_reference(values, axis, h))
 
 
+def test_first_differences_are_two_views_of_one_buffer():
+    values = np.random.default_rng(0).normal(size=(5, 4))
+    for axis in (0, 1):
+        fwd, bwd = first_differences(values, axis, 0.1)
+        assert fwd.shape == bwd.shape == values.shape
+        assert np.shares_memory(fwd, bwd)
+    # out is that buffer, with one node more along the axis
+    buffer = np.empty((5, 5))
+    fwd, bwd = first_differences(values, 1, 0.1, out=buffer)
+    assert fwd.base is buffer and bwd.base is buffer
+
+
 # ---------------------------------------------------------------------------
 # stability bound
 # ---------------------------------------------------------------------------
@@ -251,7 +263,7 @@ def test_stable_dt_of_a_time_dependent_problem_bounds_each_rates_largest_value()
         diffusion=lambda t, a, u: np.full((*np.atleast_2d(a).shape, 1), t),
     )
     grid = make_grid([(0.0, 1.0, 11)], (0.0, 1.0, 11), time_axis(1.0, 0.5))
-    bounds = [_LevelTables(problem, grid, t).bound() for t in (0.0, 0.5, 1.0)]
+    bounds = [_LevelTables(problem, grid, t).bound for t in (0.0, 0.5, 1.0)]
     assert bounds == pytest.approx([0.09, 0.03, 0.009], rel=1e-12)
     assert max_stable_dt(problem, grid) == pytest.approx(0.9 / 110.0, rel=1e-12)
 
@@ -1301,7 +1313,7 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
         if tables.axis_drifts is not None:
             dropped += len(tables.controls) - math.prod(_kept(tables))
         # the coefficients are autonomous: the level's bound is the default step
-        assert tables.bound() == max_stable_dt(problem, grid), label
+        assert tables.bound == max_stable_dt(problem, grid), label
         count += 1
     assert count == 2 * 3 * 2 * 2 * 2 + 2 + 3 * 2 * 2
     # only the control grids drop controls: 7 -> 3 in 1-D, 9 -> 2 x 2 in 2-D
@@ -1314,21 +1326,30 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 
-def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
-    """|H| from :func:`hamiltonian_at_node`, with both hedges held at zero,
-    at random interior nodes, with the sweep's own slope as the time slope
-    and the sweep's stencils, scaled by the field size; also the number of
-    checked nodes with a nonzero arrow, where a hedge would change H.
+_UNHEDGED = ("frozen", "zero")  # the form the sweep zeroes: both hedges held at zero
+_PAPER = ("spectral", "grid")    # the paper's: the spectral hedge, beta over the margin grid
+
+
+def _sweep_residuals(problem, grid, prev, t, rng, nodes=60, *, slope=None, form=_UNHEDGED,
+                     scale=None):
+    """|H| from :func:`hamiltonian_at_node` in ``form``, its ``(hedge,
+    jump_hedge)`` pair, with the sweep's stencils and ``slope`` as the time
+    slope (None: the sweep's own), divided by ``scale`` (None: the field
+    size), at ``nodes``: that many random interior nodes drawn from ``rng``,
+    or a list of (state..., margin) indices; also the number of checked
+    nodes with a nonzero arrow, where a hedge would change H.
 
     The jump compensator is read at the first control: the problems used
-    here have control-independent jump sizes.
+    here have control-independent jump sizes.  The beta candidates put the
+    margin after a jump on the margin grid.
     """
     n = grid.dim_state
     h = grid.state_spacings
     hb = grid.margin_spacing
     axes = grid.state_axes
     b_axis = grid.margin_axis
-    slope = _best_time_slope(prev, _LevelTables(problem, grid, t))
+    if slope is None:
+        slope = _best_time_slope(prev, _LevelTables(problem, grid, t))
     fwd_bwd = [first_differences(prev, i, h[i]) for i in range(n)]
     _, margin_slope = first_differences(prev, n, hb)
     hess = [[second_difference(prev, i, h[i]) if i == j
@@ -1338,7 +1359,7 @@ def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
     cross_margin = [_cross_difference_reference(prev, i, n, h[i], hb) for i in range(n)]
     hess_margin = second_difference(prev, n, hb)
     weights = problem.jumps.weights
-    scale = max(1.0, float(np.abs(prev).max()))
+    scale = max(1.0, float(np.abs(prev).max())) if scale is None else scale
 
     def field_eval(state, margin):
         j = int(np.argmin(np.abs(b_axis - margin)))
@@ -1347,11 +1368,12 @@ def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
     # the margin-0 and top columns follow their own rules, not this Hamiltonian
     jz = grid.margin_zero_index
     margins = range(jz + 1, b_axis.size - 1)
+    if isinstance(nodes, int):
+        nodes = [(*(int(rng.integers(1, a.size - 1)) for a in axes), int(rng.choice(margins)))
+                 for _ in range(nodes)]
     residuals = []
     live = 0
-    for _ in range(nodes):
-        idx = (*(int(rng.integers(1, a.size - 1)) for a in axes),
-               int(rng.choice(margins)))
+    for idx in nodes:
         assert idx[-1] not in (jz, b_axis.size - 1)
         state = np.array([axes[i][idx[i]] for i in range(n)])
         margin = float(b_axis[idx[-1]])
@@ -1375,7 +1397,7 @@ def _sweep_residuals(problem, grid, prev, t, rng, nodes=60):
 
         H = hamiltonian_at_node(
             field_eval, t, state, margin, stencil_for, problem, b_axis - margin,
-            hedge="frozen", jump_hedge="zero",
+            hedge=form[0], jump_hedge=form[1],
         )
         residuals.append(abs(H) / scale)
     return np.array(residuals), live
@@ -1429,6 +1451,39 @@ def test_sweep_zeroes_the_node_hamiltonian_with_jumps():
                                     problem.horizon, np.random.default_rng(4))
     assert residuals.size == 60
     assert residuals.max() <= 1e-12
+
+
+def test_the_papers_hamiltonian_tells_the_hedged_field_from_the_sweeps():
+    # jump-variance: unit noise and one unit atom of weight 2, one control,
+    # m(a) = a^2.  The paper's hedged W is (a^2 + 3(T - t) - b)^+.  At the
+    # step into level 1 and at 60 smooth nodes (|a| <= 1.5, 0 < b <= 8, away
+    # from the kink), the paper's Hamiltonian vanishes at first order on that
+    # W, and stays above 1 on the sweep's W, which zeroes the unhedged form.
+    problem = builtin_problem("jump-variance")
+    closed, paper, unhedged = [], [], []
+    for n_state, n_margin in ((121, 201), (241, 401)):
+        grid = stable_grid(problem, [(-6.0, 6.0, n_state)], (0.0, 40.0, n_margin))
+        t1, t = float(grid.times[1]), float(grid.times[2])
+        a, b = grid.state_axes[0][:, None], grid.margin_axis
+        h = grid.state_spacings[0]
+        exact, earlier = (np.maximum(a * a + 3.0 * (problem.horizon - s) - b, 0.0)
+                          for s in (t, t1))
+        kink = np.abs(b - (a * a + 3.0 * (problem.horizon - t)))
+        smooth = np.argwhere((np.abs(a) <= 1.5) & (b > 0.0) & (b <= 8.0)
+                             & (kink > 3.0 * max(h, grid.margin_spacing) + 2.0 * np.abs(a) * h))
+        picks = np.random.default_rng(0).choice(len(smooth), 60, replace=False)
+        nodes = [tuple(int(i) for i in smooth[k]) for k in picks]
+        residuals, _ = _sweep_residuals(problem, grid, exact, t, None, nodes, form=_PAPER,
+                                        slope=(exact - earlier) / (t - t1), scale=1.0)
+        closed.append(residuals.max())
+        swept = solve_shortfall(problem, grid, keep=(2,)).slice_at(2)
+        for form, maxima in ((_PAPER, paper), (_UNHEDGED, unhedged)):
+            residuals, _ = _sweep_residuals(problem, grid, swept, t, None, nodes, form=form,
+                                            scale=1.0)
+            maxima.append(residuals.max())
+    assert 1.4 <= closed[0] / closed[1] <= 2.6, closed    # measured 0.200, 0.100
+    assert min(paper) > 1.0, paper                         # measured 1.26, 1.14
+    assert max(unhedged) <= 1e-12, unhedged                # measured 1.5e-13, 1.1e-13
 
 
 # ---------------------------------------------------------------------------
