@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": ("EpigraphError",),
     "fields": ("Field", "Grid", "make_grid", "terminal_slice", "time_axis"),
     "levelset": ("UNREACHABLE", "default_epsilon", "required_margin_profile"),
-    "model": ("JumpModel", "Problem", "Region", "build_problem"),
+    "model": ("JumpModel", "Problem", "Region"),
     "problems": ("builtin_grid", "builtin_problem"),
     "simulate": ("MCEstimate", "Policy", "constant_policy", "estimate_cost",
                  "estimate_shortfall", "simulate_pair_path"),

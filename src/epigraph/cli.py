@@ -536,6 +536,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {path} has no key {exc}", file=sys.stderr)
         return 1
+    except (AttributeError, TypeError, ValueError) as exc:
+        print(f"error: {path} is malformed: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -33,7 +33,7 @@ class ConfigurationError(EpigraphError):
 # --- problem construction -------------------------------------------------
 
 class MissingField(ConfigurationError):
-    """A required problem field was not supplied."""
+    """A region kind's required field was not supplied."""
 
 
 class NonpositiveHorizon(ConfigurationError):

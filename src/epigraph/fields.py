@@ -537,7 +537,8 @@ def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | N
     Returns (level, shortfall slice), or None when there is no such slice.
     Raises :class:`IncompatibleGrids` when it was written for another grid or
     other inputs, or holds values of another shape or dtype, and
-    :class:`EpigraphError` for an unreadable file.
+    :class:`EpigraphError` for an unreadable file: text that is not JSON,
+    JSON that is not an object, or metadata without an integer level.
     """
     json_path = pathlib.Path(f"{prefix}.json")
     npy_path = pathlib.Path(f"{prefix}.npy")
@@ -545,6 +546,8 @@ def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | N
         return None
     try:
         meta = json.loads(json_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"it holds a {type(meta).__name__}, not an object")
     except ValueError as exc:
         raise EpigraphError(f"{json_path} is not a readable slice: {exc}") from exc
     if any(meta.get(k) != v for k, v in {**_axes_meta(grid), "inputs": inputs}.items()):
@@ -552,6 +555,9 @@ def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | N
             f"{json_path} was written on another grid, for another problem, "
             f"or by an older version; start the run afresh"
         )
+    level = meta.get("level")
+    if not isinstance(level, int):
+        raise EpigraphError(f"{json_path} is not a readable slice: its level is {level!r}")
     try:
         values = np.load(npy_path, allow_pickle=False)
     except ValueError as exc:
@@ -562,4 +568,4 @@ def load_snapshot(prefix: str, grid: Grid, inputs: str) -> tuple[int, Array] | N
             f"{npy_path} holds {values.dtype} values of shape {values.shape}; "
             f"the grid needs float64 values of shape {shape}"
         )
-    return int(meta["level"]), values
+    return level, values

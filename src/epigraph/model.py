@@ -17,7 +17,6 @@ Coefficients are plain Python callables that take a batch of states of shape
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Mapping
@@ -170,108 +169,72 @@ class Region:
 class Problem:
     """A state-constrained control problem for a jump diffusion.
 
+    Construction checks the fields, and so does :func:`dataclasses.replace`:
+    both dimensions >= 1, a finite positive horizon (else
+    :class:`NonpositiveHorizon`), a callable terminal cost, and a nonempty
+    control grid (else :class:`EmptyControlGrid`) of finite entries, shaped
+    ``(m, du)`` with a flat list as m scalars.  A missing or unknown field
+    raises ``TypeError``.  ``drift``, ``diffusion``, ``jump_size`` and
+    ``running_cost`` left at None are zero, and ``jumps`` and ``region``
+    also accept the keyword mappings of :class:`JumpModel` and :class:`Region`.
+
     ``autonomous`` declares that no coefficient depends on t: the sweep then
     evaluates the coefficients once per solve instead of once per level, and
-    the default step reads them at one time instead of three.
+    the default step reads them at one time instead of three.  It defaults
+    to False, which is right for any callables.
     """
 
     dim_state: int
     dim_noise: int
     horizon: float
-    drift: Callable[..., Any]
-    diffusion: Callable[..., Any]
-    jump_size: Callable[..., Any]
-    running_cost: Callable[..., Any]
     terminal_cost: Callable[..., Any]
     controls: Array
-    jumps: JumpModel = EMPTY_JUMPS
-    region: Region = field(default_factory=Region)
+    drift: Callable[..., Any] | None = None
+    diffusion: Callable[..., Any] | None = None
+    jump_size: Callable[..., Any] | None = None
+    running_cost: Callable[..., Any] | None = None
+    jumps: JumpModel | Mapping[str, Any] | None = EMPTY_JUMPS
+    region: Region | Mapping[str, Any] | None = field(default_factory=Region)
     name: str = ""
     autonomous: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", _control_grid(self.controls))
+        n, r = int(self.dim_state), int(self.dim_noise)
+        if n < 1:
+            raise ValueError(f"dim_state must be >= 1, got {n}")
+        if r < 1:
+            raise ValueError(f"dim_noise must be >= 1, got {r}")
+        horizon = float(self.horizon)
+        if not math.isfinite(horizon) or horizon <= 0.0:
+            raise NonpositiveHorizon(f"horizon must be a finite positive number, got {horizon}")
+        if not callable(self.terminal_cost):
+            raise TypeError(f"terminal_cost must be callable, got {self.terminal_cost!r}")
+        controls = np.asarray(self.controls, dtype=float)
+        if controls.ndim <= 1:
+            controls = controls.reshape(-1, 1)
+        if controls.size == 0:
+            raise EmptyControlGrid("the control grid must contain at least one point")
+        if not np.all(np.isfinite(controls)):
+            raise NonFiniteCoefficient("control grid entries must be finite")
+        jumps, region = self.jumps or EMPTY_JUMPS, self.region or Region()
+        checked = {
+            "dim_state": n, "dim_noise": r, "horizon": horizon, "controls": controls,
+            "jumps": jumps if isinstance(jumps, JumpModel) else JumpModel(**jumps),
+            "region": region if isinstance(region, Region) else Region(**region),
+            "name": str(self.name), "autonomous": bool(self.autonomous),
+        }
+        zero = {
+            "drift": lambda t, a, u: np.zeros_like(np.atleast_2d(a)),
+            "diffusion": lambda t, a, u: np.zeros(np.atleast_2d(a).shape + (r,)),
+            "jump_size": lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)),
+            "running_cost": lambda t, a, u: np.zeros(np.atleast_2d(a).shape[0]),
+        }
+        checked.update((key, value) for key, value in zero.items() if getattr(self, key) is None)
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
 
     def distance(self, a: Array) -> Array:
         return self.region.distance(a)
-
-
-def _control_grid(raw: Any) -> Array:
-    """Normalize a control grid to shape (m, du); a flat list is m scalars."""
-    grid = np.asarray(raw, dtype=float)
-    if grid.ndim <= 1:
-        grid = grid.reshape(-1, 1)
-    return grid
-
-
-_REQUIRED = ("dim_state", "dim_noise", "horizon", "terminal_cost", "controls")
-
-
-def build_problem(fields: Mapping[str, Any] | None = None, **kwargs: Any) -> Problem:
-    """Validate raw problem fields and construct a :class:`Problem`.
-
-    Accepts either a mapping or keyword arguments.  Dynamics default to zero
-    (no drift, no noise, no jumps) and the running cost defaults to zero, so a
-    minimal problem needs only dimensions, a horizon, a terminal cost and a
-    control grid.  A key that names no :class:`Problem` field raises
-    ``TypeError``.  ``autonomous`` defaults to False: the coefficients are
-    then evaluated at every level, which is right for any callables.
-    """
-    raw = dict(fields or {})
-    raw.update(kwargs)
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(Problem)})
-    if unknown:
-        raise TypeError(f"build_problem got unknown field(s): {', '.join(map(repr, unknown))}")
-
-    for key in _REQUIRED:
-        if key not in raw or raw[key] is None:
-            raise MissingField(f"problem field {key!r} is required")
-
-    n = int(raw["dim_state"])
-    r = int(raw["dim_noise"])
-    if n < 1:
-        raise ValueError(f"dim_state must be >= 1, got {n}")
-    if r < 1:
-        raise ValueError(f"dim_noise must be >= 1, got {r}")
-
-    horizon = float(raw["horizon"])
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise NonpositiveHorizon(f"horizon must be a finite positive number, got {horizon}")
-
-    controls = _control_grid(raw["controls"])
-    if controls.size == 0:
-        raise EmptyControlGrid("the control grid must contain at least one point")
-    if not np.all(np.isfinite(controls)):
-        raise NonFiniteCoefficient("control grid entries must be finite")
-
-    jumps = raw.get("jumps") or EMPTY_JUMPS
-    if not isinstance(jumps, JumpModel):
-        jumps = JumpModel(**jumps)
-
-    region = raw.get("region") or Region()
-    if not isinstance(region, Region):
-        region = Region(**region)
-
-    zero_drift = lambda t, a, u: np.zeros_like(np.atleast_2d(a))  # noqa: E731
-    zero_diff = lambda t, a, u: np.zeros(np.atleast_2d(a).shape + (r,))  # noqa: E731
-    zero_jump = lambda t, a, u, e: np.zeros_like(np.atleast_2d(a))  # noqa: E731
-    zero_run = lambda t, a, u: np.zeros(np.atleast_2d(a).shape[0])  # noqa: E731
-
-    return Problem(
-        dim_state=n,
-        dim_noise=r,
-        horizon=horizon,
-        drift=raw.get("drift") or zero_drift,
-        diffusion=raw.get("diffusion") or zero_diff,
-        jump_size=raw.get("jump_size") or zero_jump,
-        running_cost=raw.get("running_cost") or zero_run,
-        terminal_cost=raw["terminal_cost"],
-        controls=controls,
-        jumps=jumps,
-        region=region,
-        name=str(raw.get("name", "")),
-        autonomous=bool(raw.get("autonomous", False)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     require_number,
     require_object,
 )
-from .model import JumpModel, Problem, Region, build_problem
+from .model import JumpModel, Problem, Region
 
 Array = np.ndarray
 
@@ -207,7 +207,7 @@ def _inline_problem(section: Any) -> tuple[Problem, dict[str, Any]]:
         fail("problem.name", "must be a string")
 
     try:
-        problem = build_problem(
+        problem = Problem(
             dim_state=dim_state,
             dim_noise=dim_noise,
             horizon=horizon,

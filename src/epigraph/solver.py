@@ -95,12 +95,14 @@ The difference stencils read basic-slice views of a time slice instead of
 gathering shifted copies through clipped index arrays.  The arithmetic is
 the same, in the same order, so the bits are too.
 
-The sweep streams.  It holds two slices and writes each step into the one
-the step before read; the caller names the levels it keeps.  Every other
-slice-sized array a step needs (one quotient buffer per axis, margin too,
-the running maximum and the slope, the curvature and trace buffers, the jump
-gather and the shifted slice) is a buffer of one per-solve workspace,
-allocated on its first use.  The step writes into them with ``out=`` in the
+The sweep streams.  Each level is one :func:`step_backward`, which writes
+into the one of the sweep's two slices that the step before read; the
+caller names the levels it keeps.  Every other slice-sized array a step
+needs (one quotient buffer per axis, margin too, the running maximum and the
+slope, the curvature and trace buffers, the jump gather and the shifted
+slice) is a buffer of the level tables' workspace, allocated on its first
+use; each level's tables take over the workspace of the level before, so
+one solve has one.  The step writes into them with ``out=`` in the
 operation order of the allocating forms, so every value is the same, and a
 step after the first allocates no slice-sized array: glibc then has no
 slice-sized block to hand back to the system and fault in again at the next
@@ -264,16 +266,20 @@ class _LevelTables:
     The reduction reads it where there are no jump atoms.
 
     An autonomous problem's tables serve every level of a solve.  Every
-    array is sized by the state nodes or by one node, not by the slice.
+    array is sized by the state nodes or by one node, not by the slice,
+    except those of the workspace ``ws``, the slice-sized buffers of the
+    steps, each allocated on its first use; ``ws`` None starts an empty one.
 
     Raises :class:`CorrelatedNoise` where a control's ``sigma sigma^T`` has
     a nonzero off-diagonal entry at some node.
     """
 
-    def __init__(self, problem: Problem, grid: Grid, t: float) -> None:
+    def __init__(self, problem: Problem, grid: Grid, t: float,
+                 ws: _Workspace | None = None) -> None:
         self.problem, self.grid = problem, grid
         mesh = grid.state_mesh()
         sshape = grid.state_shape
+        self.ws = _Workspace((*sshape, grid.margin_axis.shape[0])) if ws is None else ws
         n = grid.dim_state
         jumps = problem.jumps
         neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
@@ -367,12 +373,13 @@ def _level_steps(problem: Problem, grid: Grid,
                  levels: Iterable[int]) -> Iterator[tuple[int, float, float, _LevelTables]]:
     """``(level, t, dt, tables)`` of the step into each of ``levels``, from
     ``t = times[level + 1]`` by ``dt = t - times[level]``, with the level
-    tables at ``t``: built once for an autonomous problem, else per level."""
+    tables at ``t``: built once for an autonomous problem, else per level,
+    each level's tables taking over the workspace of the level before."""
     tables = None
     for level in levels:
         t = float(grid.times[level + 1])
         if tables is None or not problem.autonomous:
-            tables = _LevelTables(problem, grid, t)
+            tables = _LevelTables(problem, grid, t, None if tables is None else tables.ws)
         yield level, t, t - float(grid.times[level]), tables
 
 
@@ -538,34 +545,17 @@ def _best_time_slope(prev: Array, tables: _LevelTables,
     return best
 
 
-def _step_into(prev: Array, t: float, dt: float, tables: _LevelTables,
-               ws: _Workspace, out: Array) -> Array:
-    """The step of :func:`step_backward`, written into ``out`` with the
-    buffers of ``ws``; ``out`` must not overlap ``prev``.  It does not check
-    that ``out`` is finite: :func:`_enforce_nonnegative` does."""
-    if not _admits(dt, tables.bound):
-        raise CFLViolation(
-            f"time step {dt:.6g} exceeds the stable bound {tables.bound:.6g} at t={t:.6g}")
-    change = _best_time_slope(prev, tables, ws)
-    change *= dt
-    return np.subtract(prev, change, out=out)
-
-
-def step_backward(
-    prev: Array,
-    t: float,
-    dt: float,
-    problem: Problem,
-    grid: Grid,
-    *,
-    tables: _LevelTables | None = None,
-) -> Array:
+def step_backward(prev: Array, t: float, dt: float, problem: Problem, grid: Grid, *,
+                  tables: _LevelTables | None = None, out: Array | None = None) -> Array:
     """Advance the slice at time ``t`` backward to ``t - dt`` by one explicit
-    step, into a new array.  The margin-0 and top columns are stepped by
-    their state-only rules; the caller only clips roundoff.
+    step, into ``out`` (None: a new array), which must not overlap ``prev``.
+    The margin-0 and top columns are stepped by their state-only rules; the
+    caller clips roundoff with :func:`_enforce_nonnegative`, which also
+    checks that the slice is finite.
 
     ``tables`` are the level tables of ``problem`` on ``grid`` at ``t``
-    (those of any time for an autonomous problem); None builds them.
+    (those of any time for an autonomous problem); None builds them.  The
+    step's slice-sized buffers are those of the tables' workspace.
     The step promises values, not the signs of zeros: only a caller-built
     ``prev`` holding -0 can see a zero's sign change (see
     :func:`_enforce_nonnegative`).
@@ -574,20 +564,17 @@ def step_backward(
     coefficients at ``t``, the ones the step evaluates."""
     if tables is None:
         tables = _LevelTables(problem, grid, t)
-    out = _step_into(prev, t, dt, tables, _Workspace(prev.shape), np.empty(prev.shape))
-    if not np.isfinite(out).all():
-        raise _non_finite(t - dt)
-    return out
+    if not _admits(dt, tables.bound):
+        raise CFLViolation(
+            f"time step {dt:.6g} exceeds the stable bound {tables.bound:.6g} at t={t:.6g}")
+    change = _best_time_slope(prev, tables, tables.ws)
+    change *= dt
+    return np.subtract(prev, change, out=out)
 
 
 # ---------------------------------------------------------------------------
 # the full margin-coupled solve
 # ---------------------------------------------------------------------------
-
-def _non_finite(t: float) -> NonFiniteUpdate:
-    """The error of a slice at time ``t`` that is not finite."""
-    return NonFiniteUpdate(f"non-finite values in the slice at t={t:.6g}")
-
 
 def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     """Clip roundoff-negative entries of ``slice_vals`` to zero, in place;
@@ -608,7 +595,7 @@ def _enforce_nonnegative(slice_vals: Array, t: float) -> Array:
     """
     lowest, highest = float(slice_vals.min()), float(slice_vals.max())
     if not (np.isfinite(lowest) and np.isfinite(highest)):
-        raise _non_finite(t)
+        raise NonFiniteUpdate(f"non-finite values in the slice at t={t:.6g}")
     scale = max(1.0, highest, -lowest)  # max(1, max |slice|), exactly
     if lowest <= -1e-12 * scale:
         raise NonFiniteUpdate(
@@ -628,11 +615,10 @@ def solve_shortfall(
     """Solve the margin-coupled shortfall field backward from the horizon,
     and return the levels in ``keep``.
 
-    Each level is one step, which checks that level's stable bound, written
-    into one of the sweep's two buffers, then the roundoff clip, which also
-    stops the sweep on a slice that is not finite.  :func:`step_backward`
-    takes the same step into a new array and checks its finiteness itself;
-    the sweep does not call it.  The sweep starts from
+    Each level is one :func:`step_backward`, which checks that level's
+    stable bound, written into one of the sweep's two buffers, then the
+    roundoff clip, which also stops the sweep on a slice that is not
+    finite.  The sweep starts from
     :func:`epigraph.fields.terminal_slice`.  The margin-0 column is the
     floor and the top margin column the ceiling, each stepped by its
     state-only rule.  Margin columns below zero — when the grid has them —
@@ -657,11 +643,10 @@ def solve_shortfall(
     keep = set(keep)
     if start in keep:
         out.slices[start] = np.array(prev, dtype=float)
-    ws = _Workspace(prev.shape)
     buffers = (np.empty(prev.shape), np.empty(prev.shape))
 
     for level, t, dt, tables in _level_steps(problem, grid, range(start - 1, -1, -1)):
-        new = _step_into(prev, t, dt, tables, ws, out=buffers[level % 2])
+        new = step_backward(prev, t, dt, problem, grid, tables=tables, out=buffers[level % 2])
         _enforce_nonnegative(new, float(grid.times[level]))
         if level in keep:
             out.slices[level] = new.copy()

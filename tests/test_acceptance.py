@@ -17,7 +17,7 @@ import numpy as np
 from epigraph.cli import parse_config, run, serialize_config
 from epigraph.fields import make_grid, terminal_slice, time_axis
 from epigraph.levelset import required_margin_profile
-from epigraph.model import Region, build_problem
+from epigraph.model import Problem, Region
 from epigraph.problems import builtin_grid, builtin_problem
 from epigraph.simulate import constant_policy, estimate_cost, estimate_shortfall
 from epigraph.solver import solve_shortfall, stable_grid
@@ -60,7 +60,7 @@ def constant_running(v):
 
 def diffusive_problem():
     """One-dimensional controlled diffusion with a half-space constraint."""
-    return build_problem(
+    return Problem(
         dim_state=1,
         dim_noise=1,
         horizon=0.4,
@@ -270,7 +270,7 @@ def test_criterion_5_negative_margin_slab_identity():
 
 def test_criterion_6_monte_carlo_matches_field_at_fixed_control():
     start = time.perf_counter()
-    problem = build_problem(
+    problem = Problem(
         dim_state=1,
         dim_noise=1,
         horizon=0.5,

@@ -531,14 +531,14 @@ def test_artifact_hashes_read_the_file_in_chunks(tmp_path):
 
 def _stop_sweep_at(monkeypatch, level: int, stop) -> None:
     """Make the sweep call ``stop()`` as it starts the step to ``level``."""
-    step = solver._step_into
+    step = solver.step_backward
 
-    def stopping(prev, t, dt, tables, *args, **kwargs):
-        if t == tables.grid.times[level + 1]:
+    def stopping(prev, t, dt, problem, grid, **kwargs):
+        if t == grid.times[level + 1]:
             stop()
-        return step(prev, t, dt, tables, *args, **kwargs)
+        return step(prev, t, dt, problem, grid, **kwargs)
 
-    monkeypatch.setattr(solver, "_step_into", stopping)
+    monkeypatch.setattr(solver, "step_backward", stopping)
 
 
 def _interrupt() -> None:
@@ -570,13 +570,13 @@ def _completed_zero_run(zero_run, tmp_path) -> pathlib.Path:
 
 def _count_steps(monkeypatch) -> dict[str, int]:
     calls = {"n": 0}
-    step = solver._step_into
+    step = solver.step_backward
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_step_into", counted)
+    monkeypatch.setattr(solver, "step_backward", counted)
     return calls
 
 
@@ -753,6 +753,21 @@ def test_resume_names_an_unreadable_slice(zero_run, tmp_path, capsys):
     assert "slice_00025.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta, says", [
+    (lambda meta: [], "it holds a list, not an object"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "level"}, "its level is None"),
+], ids=["list", "without-level"])
+def test_resume_names_a_slice_of_the_wrong_shape(zero_run, tmp_path, capsys, meta, says):
+    path = _completed_zero_run(zero_run, tmp_path)
+    stamped = tmp_path / "run" / "slice_00075.json"
+    stamped.write_text(json.dumps(meta(json.loads(stamped.read_text()))))
+    with pytest.raises(EpigraphError, match=f"slice_00075.json is not a readable slice: {says}$"):
+        run(parse_config(path.read_text()), resume=True)
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "slice_00075.json" in err and "Traceback" not in err
+
+
 def test_an_older_run_directory_resumes_as_a_fresh_run(zero_run, tmp_path, monkeypatch):
     # the older writer stored the slices as slice_*.{json,csv} and the resume
     # slice as checkpoint.{json,csv}; resume reads neither
@@ -810,7 +825,7 @@ def test_last_slice_is_the_slice_the_sweep_starts_from(tmp_path, monkeypatch):
     def first_step(prev, *args, **kwargs):
         raise KeyboardInterrupt(prev.copy())
 
-    monkeypatch.setattr(solver, "_step_into", first_step)
+    monkeypatch.setattr(solver, "step_backward", first_step)
     with pytest.raises(KeyboardInterrupt) as stopped:
         solve_shortfall(config.problem, grid)
     monkeypatch.undo()
@@ -1543,16 +1558,25 @@ _MANIFEST = {"config": {"problem": {"builtin": "zero"}}, "grid": {"n_levels": 3,
              "epsilon": 0.01, "artifacts": {}}
 
 
-@pytest.mark.parametrize("files, name, key", [
-    ({"manifest.json": {}}, "manifest.json", "config"),
-    ({"manifest.json": {**_MANIFEST, "grid": {"dt": 0.5}}}, "manifest.json", "n_levels"),
+@pytest.mark.parametrize("files, name, says", [
+    ({"manifest.json": {}}, "manifest.json", "has no key 'config'"),
+    ({"manifest.json": {**_MANIFEST, "grid": {"dt": 0.5}}}, "manifest.json",
+     "has no key 'n_levels'"),
     ({"manifest.json": _MANIFEST, "reports.json": {"reports": [{"name": "slab-identity"}]}},
-     "reports.json", "pass"),
-], ids=["manifest-empty", "manifest-grid-without-levels", "report-without-pass"])
-def test_main_report_names_the_file_missing_a_key(tmp_path, capsys, files, name, key):
+     "reports.json", "has no key 'pass'"),
+    ({"manifest.json": []}, "manifest.json", "is malformed"),
+    ({"manifest.json": "not json"}, "manifest.json", "is malformed: Expecting value"),
+    ({"manifest.json": _MANIFEST, "reports.json": {"reports": [3]}}, "reports.json",
+     "is malformed"),
+    ({"manifest.json": _MANIFEST, "reports.json": {"reports": {"x": 1}}}, "reports.json",
+     "is malformed"),
+], ids=["manifest-empty", "manifest-grid-without-levels", "report-without-pass",
+        "manifest-list", "manifest-not-json", "report-entry-number", "reports-object"])
+def test_main_report_names_the_file_missing_a_key(tmp_path, capsys, files, name, says):
+    # a file of the wrong shape is named, not a traceback; a str is raw text
     for file, payload in files.items():
-        (tmp_path / file).write_text(json.dumps(payload))
+        (tmp_path / file).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main(["report", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and repr(key) in err
+    assert err.startswith(f"error: {tmp_path / name} {says}")
     assert "Traceback" not in err

@@ -18,11 +18,11 @@ from epigraph.fields import (
     terminal_slice,
     time_axis,
 )
-from epigraph.model import build_problem
+from epigraph.model import Problem
 
 
 def square_problem():
-    return build_problem(
+    return Problem(
         dim_state=1,
         dim_noise=1,
         horizon=1.0,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from epigraph.model import JumpModel, Region, build_problem
+from epigraph.model import JumpModel, Problem, Region
 from references import (
     Arrowhead,
     Coefficients,
@@ -380,7 +380,7 @@ def quiet_problem(**overrides):
         controls=[[0.0]],
     )
     fields.update(overrides)
-    return build_problem(fields)
+    return Problem(**fields)
 
 
 def test_node_hamiltonian_all_zero():

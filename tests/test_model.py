@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from epigraph.errors import (
 )
 from epigraph.model import (
     JumpModel,
+    Problem,
     Region,
-    build_problem,
     eval_coefficients_batch,
     eval_terminal,
 )
@@ -35,7 +37,7 @@ def linear_problem(**overrides):
         controls=[[0.0]],
     )
     fields.update(overrides)
-    return build_problem(fields)
+    return Problem(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +45,37 @@ def linear_problem(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_missing_required_field():
-    with pytest.raises(MissingField):
-        build_problem(dim_state=1, dim_noise=1, horizon=1.0, controls=[[0.0]])
+    with pytest.raises(TypeError, match="'terminal_cost'"):
+        Problem(dim_state=1, dim_noise=1, horizon=1.0, controls=[[0.0]])
+
+
+_MINIMAL = dict(dim_state=1, dim_noise=1, horizon=1.0, controls=[0.0],
+                terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]))
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("dim_state", 0, ValueError),
+    ("dim_noise", 0, ValueError),
+    ("horizon", -1.0, NonpositiveHorizon),
+    ("horizon", np.inf, NonpositiveHorizon),
+    ("controls", [], EmptyControlGrid),
+    ("controls", [np.nan], NonFiniteCoefficient),
+    ("terminal_cost", None, TypeError),
+], ids=["dim-state-0", "dim-noise-0", "horizon-negative", "horizon-inf", "controls-empty",
+        "controls-nan", "terminal-cost-none"])
+def test_problem_checks_its_own_fields(field, value, error):
+    # the one constructor checks what it is given, directly and through replace
+    problem = Problem(**_MINIMAL, jumps={"marks": [1.0], "weights": [1.0]},
+                      region={"kind": "ball", "center": [0.0], "radius": 0.5})
+    assert isinstance(problem.jumps, JumpModel) and problem.jumps.n_atoms == 1
+    assert isinstance(problem.region, Region) and problem.region.kind == "ball"
+    with pytest.raises(error):
+        Problem(**{**_MINIMAL, field: value})
+    with pytest.raises(error):
+        dataclasses.replace(problem, **{field: value})
+    # the checking constructor is the only one the package exports
+    with pytest.raises(ImportError, match="build_problem"):
+        exec("from epigraph import build_problem", {})
 
 
 def test_nonpositive_horizon():
@@ -137,7 +168,7 @@ def test_per_row_region_distance_fails_naming_it():
         region.distance(np.zeros((5, 1)))
 
 
-def test_build_problem_refuses_unknown_fields():
+def test_problem_refuses_unknown_fields():
     with pytest.raises(TypeError, match="'runing_cost'"):
         linear_problem(runing_cost=lambda t, a, u: a[:, 0])
     with pytest.raises(TypeError, match="'vectorized'"):
@@ -193,9 +224,9 @@ def test_halfspace_distance_normalizes_the_normal():
 def test_a_region_refuses_its_own_geometry(region, message):
     # refused when built, not at the first distance call
     with pytest.raises(ValueError, match=message):
-        build_problem(dim_state=2, dim_noise=1, horizon=1.0, controls=[0.0],
-                      terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]),
-                      region=region)
+        Problem(dim_state=2, dim_noise=1, horizon=1.0, controls=[0.0],
+                terminal_cost=lambda a: np.zeros(np.atleast_2d(a).shape[0]),
+                region=region)
 
 
 def test_a_flat_box_and_a_point_ball_are_regions():

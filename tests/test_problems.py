@@ -14,7 +14,7 @@ from epigraph.problems import (
     builtin_problem,
     parse_problem,
 )
-from epigraph.model import build_problem, eval_coefficients_batch, eval_terminal
+from epigraph.model import Problem, eval_coefficients_batch, eval_terminal
 
 
 def test_catalog_names():
@@ -116,6 +116,6 @@ def test_every_problem_document_is_autonomous(name):
 
 
 def test_library_problems_are_not_autonomous_by_default():
-    problem = build_problem(dim_state=1, dim_noise=1, horizon=1.0, controls=[0.0],
-                            terminal_cost=lambda a: np.zeros(a.shape[0]))
+    problem = Problem(dim_state=1, dim_noise=1, horizon=1.0, controls=[0.0],
+                      terminal_cost=lambda a: np.zeros(a.shape[0]))
     assert problem.autonomous is False

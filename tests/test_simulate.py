@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from epigraph.errors import NonFiniteState, StepTooLarge
-from epigraph.model import JumpModel, Region, build_problem, eval_coefficients_batch
+from epigraph.model import JumpModel, Problem, Region, eval_coefficients_batch
 from epigraph.problems import builtin_problem
 from epigraph.simulate import (
     MCEstimate,
@@ -41,7 +41,7 @@ def make_problem(**overrides):
         controls=[[0.0]],
     )
     fields.update(overrides)
-    return build_problem(fields)
+    return Problem(**fields)
 
 
 # ---------------------------------------------------------------------------

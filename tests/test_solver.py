@@ -24,8 +24,8 @@ from epigraph.fields import (
 )
 from epigraph.model import (
     JumpModel,
+    Problem,
     Region,
-    build_problem,
     eval_coefficients_batch,
     eval_terminal,
 )
@@ -83,7 +83,7 @@ def minimal_problem(**overrides):
         controls=[0.0],
     )
     fields.update(overrides)
-    return build_problem(fields)
+    return Problem(**fields)
 
 
 def every_level(problem, grid):
@@ -110,7 +110,7 @@ def diffusive_problem(terminal_cost=None, diffusion=None):
         diffusion = constant_diffusion(0.4)
     if terminal_cost is None:
         terminal_cost = lambda a: np.ones(np.atleast_2d(a).shape[0])  # noqa: E731
-    return build_problem(
+    return Problem(
         dim_state=1,
         dim_noise=1,
         horizon=0.4,
@@ -293,7 +293,7 @@ def test_each_step_checks_its_own_levels_bound(monkeypatch, amplitude):
     def pulse(t):
         return 1.0 + amplitude * np.exp(-(((t - 0.25) / 0.05) ** 2))
 
-    problem = build_problem(
+    problem = Problem(
         dim_state=1, dim_noise=1, horizon=1.0, controls=[-1.0, 0.0, 1.0],
         drift=lambda t, a, u: pulse(t) * (np.zeros_like(np.atleast_2d(a)) + u),
         terminal_cost=lambda a: (np.atleast_2d(a) ** 2).sum(axis=1),
@@ -391,7 +391,7 @@ def test_autonomous_tables_give_the_per_level_bits():
 
 def _noise_problem(sigma):
     """A 2-D problem with the constant noise matrix ``sigma`` and m = |a|^2."""
-    return build_problem(
+    return Problem(
         dim_state=2, dim_noise=np.shape(sigma)[1], horizon=1.0, controls=[[0.0, 0.0]],
         diffusion=lambda t, a, u: np.broadcast_to(sigma, (np.atleast_2d(a).shape[0],
                                                           *np.shape(sigma))),
@@ -567,7 +567,7 @@ def _frozen_diffusion_2d():
     across the axes, which no inline document can state: the inline
     ``diffusion`` number is correlated noise in two dimensions."""
     axis = np.linspace(-1.0, 1.0, 5)
-    problem = build_problem(
+    problem = Problem(
         dim_state=2, dim_noise=2, horizon=0.5, controls=[[u, v] for u in axis for v in axis],
         drift=drift_is_control, diffusion=diagonal_diffusion(0.3),
         running_cost=constant_running(0.2),
@@ -682,14 +682,14 @@ def test_the_envelope_gives_the_every_control_bits(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_step_stops_the_sweep_naming_the_level_time(monkeypatch, bad):
     # the roundoff clip's min and max see a NaN or an infinity
-    step = solver._step_into
+    step = solver.step_backward
 
     def spoiled(prev, t, dt, *args, **kwargs):
         out = step(prev, t, dt, *args, **kwargs)
         out[3, 4] = bad
         return out
 
-    monkeypatch.setattr(solver, "_step_into", spoiled)
+    monkeypatch.setattr(solver, "step_backward", spoiled)
     grid = diffusive_grid()
     message = f"non-finite values in the slice at t={float(grid.times[-2]):.6g}"
     with pytest.raises(NonFiniteUpdate, match=re.escape(message)):
@@ -749,13 +749,16 @@ def test_step_rejects_unstable_dt():
         step_backward(np.zeros((21, 11)), 1.0, 1.0, problem, grid)
 
 
-def test_step_rejects_nonfinite_input():
+def test_a_non_finite_resume_slice_stops_the_sweep_at_the_first_step():
+    # the roundoff clip's min and max are the one finiteness check: a NaN in
+    # the slice the first step reads reaches the slice it writes
     problem = builtin_problem("zero")
     grid = make_grid([(-3.0, 3.0, 21)], (0.0, 1.0, 11), time_axis(1.0, 0.02))
     prev = np.zeros((21, 11))
     prev[10, 5] = np.nan
-    with pytest.raises(NonFiniteUpdate):
-        step_backward(prev, 1.0, 0.02, problem, grid)
+    message = f"non-finite values in the slice at t={float(grid.times[-2]):.6g}"
+    with pytest.raises(NonFiniteUpdate, match=re.escape(message)):
+        solve_shortfall(problem, grid, resume=(grid.n_levels - 1, prev))
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +857,7 @@ def _two_dim_boundary_setup():
     """Running cost, a ball region on the grid, diagonal diffusion and one
     jump atom."""
     controls = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [-0.3, 0.4]])
-    problem = build_problem(
+    problem = Problem(
         dim_state=2,
         dim_noise=2,
         horizon=0.02,
@@ -873,7 +876,7 @@ def _two_dim_boundary_setup():
 
 def _one_dim_boundary_setup():
     """Running cost, a halfspace region, diffusion and one jump atom."""
-    problem = build_problem(
+    problem = Problem(
         dim_state=1,
         dim_noise=1,
         horizon=0.4,
@@ -1228,7 +1231,7 @@ def _slope_step_cases():
                 (0.0, 0.3)) if n < 3 else ():
             # u.u + 1/4 is the same at every node, and u.u + max(a_1, 0)^2 is
             # zero on half the nodes for the zero control
-            problem = build_problem(
+            problem = Problem(
                 dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
                 drift=(drift_is_control if drift == "one-sign"
                        else lambda t, a, u: u - np.atleast_2d(a)),
@@ -1251,7 +1254,7 @@ def _slope_step_cases():
         # the jump term adds the atoms' gains in atom order, as the reference
         # does; with two atoms either order gives the same bits, with three not
         if n < 3:
-            problem = build_problem(
+            problem = Problem(
                 dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
                 drift=lambda t, a, u: u - np.atleast_2d(a),
                 diffusion=diagonal_diffusion(0.3), terminal_cost=zero_terminal,
@@ -1272,7 +1275,7 @@ def _slope_step_cases():
                   3: [(-0.5, 0.0, 0.5, 0.8), (0.2, 0.5, 0.9), (-0.3, 0.0, 0.4)]}[n]
         controls = [list(u) for u in itertools.product(*values)]
         for running, sigma in itertools.product(("zero", "constant"), (0.0, 0.3)):
-            problem = build_problem(
+            problem = Problem(
                 dim_state=n, dim_noise=n, horizon=1.0, controls=controls,
                 drift=drift_is_control,
                 diffusion=diagonal_diffusion(sigma) if sigma else None,
