@@ -156,7 +156,9 @@ def interp_state(values: Array, axes: tuple[Array, ...], points: Array) -> Array
     monotonicity relies on.
     """
     rows = values.reshape(-1, *values.shape[len(axes):])
-    return _apply_stencil(rows, _interp_stencil(axes, points))
+    tail = (1,) * (rows.ndim - 1)
+    return _apply_stencil(rows, [(index, weight.reshape(-1, *tail))
+                                 for index, weight in _interp_stencil(axes, points)])
 
 
 _Corners = list[tuple[Array, Array]]
@@ -195,19 +197,22 @@ def _interp_stencil(axes: tuple[Array, ...], points: Array) -> _Corners:
 def _apply_stencil(rows: Array, stencil: _Corners, out: Array | None = None,
                    gather: Array | None = None) -> Array:
     """The stencil's weighted sum of ``rows`` (state nodes in ``ij`` order,
-    tail...): (N, tail...).  ``out`` and ``gather`` are buffers of that shape
-    to write into; None allocates them."""
-    first_weight = stencil[0][1]
-    tail = rows.shape[1:]
-    shape = (first_weight.shape[0], *tail)
+    tail...): (N, tail...).  Each corner's weight broadcasts against its
+    gathered rows, (N, tail...): as ``(N, 1, ...)`` or in that shape itself,
+    when the product is one contiguous loop.  The first corner's product is
+    written into ``out`` and the later ones are added in corner order.
+    ``out`` and ``gather`` are buffers of that shape to write into; None
+    allocates them."""
+    shape = (stencil[0][0].shape[0], *rows.shape[1:])
     out = np.empty(shape) if out is None else out
     gather = np.empty(shape) if gather is None else gather
-    out.fill(0.0)
-    for index, weight in stencil:
+    for corner, (index, weight) in enumerate(stencil):
+        term = gather if corner else out
         # every index is on the grid; "clip" takes without a buffered copy
-        np.take(rows, index, axis=0, out=gather, mode="clip")
-        gather *= weight.reshape(-1, *([1] * len(tail)))
-        out += gather
+        np.take(rows, index, axis=0, out=term, mode="clip")
+        term *= weight
+        if corner:
+            out += gather
     return out
 
 

@@ -166,6 +166,18 @@ class Region:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _ZeroDiffusion:
+    """The diffusion of a problem that left it at None: zero, ``(N, n,
+    dim_noise)``.  :func:`dataclasses.replace` passes it on as a field, and
+    the replaced problem builds its own for its noise width."""
+
+    dim_noise: int
+
+    def __call__(self, t: float, a: Array, u: Array) -> Array:
+        return np.zeros(np.atleast_2d(a).shape + (self.dim_noise,))
+
+
+@dataclass(frozen=True)
 class Problem:
     """A state-constrained control problem for a jump diffusion.
 
@@ -175,7 +187,8 @@ class Problem:
     control grid (else :class:`EmptyControlGrid`) of finite entries, shaped
     ``(m, du)`` with a flat list as m scalars.  A missing or unknown field
     raises ``TypeError``.  ``drift``, ``diffusion``, ``jump_size`` and
-    ``running_cost`` left at None are zero, and ``jumps`` and ``region``
+    ``running_cost`` left at None are zero, of the problem's dimensions
+    through :func:`dataclasses.replace` too, and ``jumps`` and ``region``
     also accept the keyword mappings of :class:`JumpModel` and :class:`Region`.
 
     ``autonomous`` declares that no coefficient depends on t: the sweep then
@@ -225,10 +238,12 @@ class Problem:
         }
         zero = {
             "drift": lambda t, a, u: np.zeros_like(np.atleast_2d(a)),
-            "diffusion": lambda t, a, u: np.zeros(np.atleast_2d(a).shape + (r,)),
+            "diffusion": _ZeroDiffusion(r),
             "jump_size": lambda t, a, u, e: np.zeros_like(np.atleast_2d(a)),
             "running_cost": lambda t, a, u: np.zeros(np.atleast_2d(a).shape[0]),
         }
+        if isinstance(self.diffusion, _ZeroDiffusion):
+            object.__setattr__(self, "diffusion", None)  # a replaced problem's: rebuilt for r
         checked.update((key, value) for key, value in zero.items() if getattr(self, key) is None)
         for key, value in checked.items():
             object.__setattr__(self, key, value)

@@ -107,6 +107,14 @@ operation order of the allocating forms, so every value is the same, and a
 step after the first allocates no slice-sized array: glibc then has no
 slice-sized block to hand back to the system and fault in again at the next
 level.
+
+The tables' only other slice-sized arrays are the jump weights: one slice
+per corner (2^n of them) per atom per distinct stencil.  A jump stencil's
+corner weights are stored broadcast over the margin axis, each a contiguous
+``(state nodes, margin nodes)`` array, so the weight multiply is one loop
+over two arrays of the gathered rows' shape rather than a broadcast loop
+whose inner run is the margin axis; each element's product is the same.
+Controls whose stencils hold the same bits share those arrays.
 """
 
 from __future__ import annotations
@@ -118,8 +126,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CFLViolation, CorrelatedNoise, NonFiniteUpdate
-from .fields import (Field, Grid, _apply_stencil, _interp_stencil, make_grid, terminal_slice,
-                     time_axis)
+from .fields import (Field, Grid, _apply_stencil, _Corners, _interp_stencil, make_grid,
+                     terminal_slice, time_axis)
 from .levelset import default_epsilon
 from .model import Problem, eval_coefficients_batch
 
@@ -186,7 +194,10 @@ class _ControlTable:
     the forward one.  ``running`` is None where the running cost is zero at
     every node, ``variance`` (the diagonal of ``sigma sigma^T``, one entry
     per state axis) is None without diffusion, and ``jumps`` holds one
-    interpolation stencil per jump atom, at the shifted state nodes.
+    interpolation stencil per jump atom, at the shifted state nodes: per
+    corner the flat node index and the weight as a contiguous ``(state
+    nodes, margin nodes)`` array, shared with every control whose stencil
+    holds the same bits.
 
     A coefficient that holds the same value at every state node is one value:
     a float for the drift and the running cost, and an ``(n,)`` array for
@@ -198,7 +209,7 @@ class _ControlTable:
     advection: list[tuple[Array | float, Array | int]]
     running: Array | float | None
     variance: Array | None
-    jumps: list
+    jumps: list[_Corners]
 
 
 def _node_uniform(values: Array, shape: tuple[int, ...]) -> Array:
@@ -215,6 +226,20 @@ def _bits(value: object) -> object:
         return value
     value = np.asarray(value)
     return value.shape, value.dtype.str, value.tobytes()
+
+
+def _slice_stencil(stencil: _Corners, margin_nodes: int,
+                   stencils: dict[object, _Corners]) -> _Corners:
+    """``stencil`` with each corner's weight broadcast over the margin axis
+    into a contiguous ``(state nodes, margin_nodes)`` array, so that the
+    weight multiply runs as one loop over the gathered rows: the
+    ``stencils`` entry of a stencil with the same bits, else a new one that
+    is added there."""
+    key = tuple(_bits(part) for corner in stencil for part in corner)
+    if key not in stencils:
+        stencils[key] = [(index, np.repeat(weight[:, None], margin_nodes, axis=1))
+                         for index, weight in stencil]
+    return stencils[key]
 
 
 def _axis_drifts(controls: list[_ControlTable]) -> list[list[tuple[float, int]]] | None:
@@ -267,8 +292,10 @@ class _LevelTables:
 
     An autonomous problem's tables serve every level of a solve.  Every
     array is sized by the state nodes or by one node, not by the slice,
-    except those of the workspace ``ws``, the slice-sized buffers of the
-    steps, each allocated on its first use; ``ws`` None starts an empty one.
+    except the jump weights, one slice per corner per atom per distinct
+    stencil, and those of the workspace ``ws``, the slice-sized buffers of
+    the steps, each allocated on its first use; ``ws`` None starts an empty
+    one.
 
     Raises :class:`CorrelatedNoise` where a control's ``sigma sigma^T`` has
     a nonzero off-diagonal entry at some node.
@@ -282,6 +309,8 @@ class _LevelTables:
         self.ws = _Workspace((*sshape, grid.margin_axis.shape[0])) if ws is None else ws
         n = grid.dim_state
         jumps = problem.jumps
+        # each distinct jump stencil's corners, by their bits (see _slice_stencil)
+        stencils: dict[object, _Corners] = {}
         neg_dist = -problem.distance(mesh).reshape(*sshape)[..., None]
         self.neg_dist = neg_dist if neg_dist.any() else None
         self.edges = [grid.margin_zero_index, -1]
@@ -327,7 +356,8 @@ class _LevelTables:
                 advection=advection,
                 running=_node_uniform(running, (*sshape, 1)) if running.any() else None,
                 variance=variance,
-                jumps=[_interp_stencil(grid.state_axes, mesh + jump_sizes[k])
+                jumps=[_slice_stencil(_interp_stencil(grid.state_axes, mesh + jump_sizes[k]),
+                                      grid.margin_axis.shape[0], stencils)
                        for k in range(jumps.n_atoms)],
             ))
         self.axis_drifts = _axis_drifts(self.controls)
@@ -446,10 +476,9 @@ def _trace_term(variance: Array, hess: list[Array], ws: _Workspace) -> Array:
     the variance-weighted sum of the second differences ``hess``, in a
     buffer of ``ws``.  ``variance`` broadcasts against them on all but its
     trailing (n,) axis."""
-    trace_term, product = ws("trace"), ws("product")
-    trace_term.fill(0.0)
-    for i, hess_i in enumerate(hess):
-        trace_term += np.multiply(variance[..., i], hess_i, out=product)
+    trace_term = np.multiply(variance[..., 0], hess[0], out=ws("trace"))
+    for i in range(1, len(hess)):
+        trace_term += np.multiply(variance[..., i], hess[i], out=ws("product"))
     trace_term *= 0.5
     return trace_term
 

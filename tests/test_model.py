@@ -21,6 +21,7 @@ from epigraph.model import (
     eval_coefficients_batch,
     eval_terminal,
 )
+from epigraph.solver import solve_shortfall, stable_grid
 from references import eval_coefficients
 
 
@@ -76,6 +77,19 @@ def test_problem_checks_its_own_fields(field, value, error):
     # the checking constructor is the only one the package exports
     with pytest.raises(ImportError, match="build_problem"):
         exec("from epigraph import build_problem", {})
+
+
+def test_a_diffusion_left_at_none_is_the_zero_of_the_replaced_problems_noise():
+    # the zero diffusion takes the noise width of the problem it belongs to,
+    # so a replaced dim_noise gives (N, n, 2) rows and a problem that solves
+    problem = Problem(**_MINIMAL, drift=lambda t, a, u: u + 0.0 * a)
+    wider = dataclasses.replace(problem, dim_noise=2)
+    states = np.linspace(-1.0, 1.0, 11)[:, None]
+    _, diffusion, _, _ = eval_coefficients_batch(wider, 0.0, states, wider.controls[0])
+    assert diffusion.shape == (11, 1, 2) and not diffusion.any()
+    assert problem.diffusion(0.0, states, problem.controls[0]).shape == (11, 1, 1)
+    grid = stable_grid(wider, [(-1.0, 1.0, 11)], (0.0, 1.0, 5))
+    assert np.isfinite(solve_shortfall(wider, grid).slice_at(0)).all()
 
 
 def test_nonpositive_horizon():

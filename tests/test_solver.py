@@ -15,6 +15,7 @@ from epigraph import solver
 from epigraph.cli import builtin_config, parse_config, resolve_grid
 from epigraph.errors import CFLViolation, CorrelatedNoise, NonFiniteUpdate, UnsolvedField
 from epigraph.fields import (
+    _interp_stencil,
     interp_state,
     load_snapshot,
     make_grid,
@@ -1322,6 +1323,105 @@ def test_time_slope_matches_the_per_control_reference_bit_for_bit():
     # only the control grids drop controls: 7 -> 3 in 1-D, 9 -> 2 x 2 in 2-D
     # and 4 x 3 x 3 -> 3 x 2 x 3 in 3-D
     assert dropped == 4 * 4 + 4 * 5 + 4 * 18
+
+
+# ---------------------------------------------------------------------------
+# the jump term's slice-shaped weights against the broadcast ones
+# ---------------------------------------------------------------------------
+
+def _broadcast_weight_stencil(rows, stencil, out, gather):
+    """The stencil applier with one weight per state node: a zeroed sum,
+    then per corner a take, a multiply by the ``(N, 1)`` weight and an add."""
+    out.fill(0.0)
+    for index, weight in stencil:
+        np.take(rows, index, axis=0, out=gather, mode="clip")
+        gather *= weight.reshape(-1, 1)
+        out += gather
+    return out
+
+
+def _zeroed_trace(variance, hess, ws):
+    """The trace term summed into a zeroed buffer."""
+    trace_term, product = ws("trace"), ws("product")
+    trace_term.fill(0.0)
+    for i, hess_i in enumerate(hess):
+        trace_term += np.multiply(variance[..., i], hess_i, out=product)
+    trace_term *= 0.5
+    return trace_term
+
+
+# the bench's jump-variance state axes at seeds 0-3: a cell of 0.075, so the
+# unit mark is 13 1/3 cells and its corner weights are fractional
+_BENCH_JUMP_VARIANCE_AXES = [(-6.009375, 5.990625, 161),
+                             (-5.99778686271094, 6.00221313728906, 161),
+                             (-6.004948725421879, 5.995051274578121, 161),
+                             (-5.993360588132818, 6.006639411867182, 161)]
+
+
+def _jump_weight_cases():
+    """(label, problem, grid): jump-variance on the bench grids, with a
+    negative mark (its hull at the low face), on its stock grid (a mark of
+    exactly 10 cells) and with a mark wider than the state box, and the 2-D
+    one-atom problem."""
+    problem = builtin_problem("jump-variance")
+    for seed, axis in enumerate(_BENCH_JUMP_VARIANCE_AXES):
+        yield f"bench grid, seed {seed}", problem, stable_grid(problem, [axis], (0.0, 4.0, 81))
+    for label, mark in (("negative mark", -1.3), ("whole cells", 1.0),
+                        ("wider than the box", 15.0)):
+        marked = dataclasses.replace(problem, jumps=JumpModel(marks=[mark], weights=[2.0]))
+        yield label, marked, grid_for(marked, "jump-variance")
+    yield ("2-D one atom", *_two_dim_boundary_setup())
+
+
+@pytest.mark.parametrize("problem, grid", [pytest.param(problem, grid, id=label)
+                                           for label, problem, grid in _jump_weight_cases()])
+def test_slice_shaped_jump_weights_keep_the_broadcast_step_bits(monkeypatch, problem, grid):
+    # one sweep step from level 1 equals the step whose jump term multiplies
+    # interp_state's (N,) weights broadcast over the margin axis into a
+    # zeroed sum, and whose trace starts from zero too
+    prev = solve_shortfall(problem, grid, keep=(1,)).slice_at(1)
+    t, dt = float(grid.times[1]), float(grid.times[1] - grid.times[0])
+    tables = _LevelTables(problem, grid, t)
+    got = step_backward(prev, t, dt, problem, grid, tables=tables)
+
+    mesh = grid.state_mesh()
+    reference = _LevelTables(problem, grid, t)
+    for c, u in enumerate(problem.controls):
+        jump_sizes = eval_coefficients_batch(problem, t, mesh, u)[2]
+        stencils = [_interp_stencil(grid.state_axes, mesh + size) for size in jump_sizes]
+        for atom, stencil in zip(tables.controls[c].jumps, stencils):
+            for (index, weight), (want_index, want_weight) in zip(atom, stencil):
+                assert weight.shape == (mesh.shape[0], prev.shape[-1])
+                assert weight.flags.c_contiguous
+                assert (index == want_index).all()
+                assert (weight.view(np.uint64) == want_weight.view(np.uint64)[:, None]).all()
+        reference.controls[c] = dataclasses.replace(reference.controls[c], jumps=stencils)
+    monkeypatch.setattr(solver, "_apply_stencil", _broadcast_weight_stencil)
+    monkeypatch.setattr(solver, "_trace_term", _zeroed_trace)
+    want = step_backward(prev, t, dt, problem, grid, tables=reference)
+    assert got.tobytes() == want.tobytes()
+
+
+def _weight_arrays(tables):
+    """The jump weight arrays of each control, in atom and corner order."""
+    return [[weight for atom in control.jumps for _, weight in atom]
+            for control in tables.controls]
+
+
+def test_controls_with_the_same_jump_stencil_share_its_weights():
+    # the README inline problem: 3 controls and 1 atom whose amplitude is the
+    # mark, so 2 weight arrays in all, not 6
+    config = parse_config(json.dumps(_documents()["README"]))
+    first, *others = _weight_arrays(_LevelTables(config.problem, resolve_grid(config), 0.0))
+    assert len(first) == 2 and others
+    for weights in others:
+        assert all(np.shares_memory(a, b) for a, b in zip(first, weights))
+    # an amplitude that depends on the control keeps one set per control
+    problem = dataclasses.replace(config.problem, jump_size=lambda t, a, u, e: (
+        np.zeros_like(np.atleast_2d(a)) + e * (1.0 + u)))
+    arrays = _weight_arrays(_LevelTables(problem, resolve_grid(config), 0.0))
+    for one, other in itertools.combinations(arrays, 2):
+        assert not any(np.shares_memory(a, b) for a in one for b in other)
 
 
 # ---------------------------------------------------------------------------
